@@ -22,15 +22,12 @@ The package provides, bottom up:
 """
 
 from .errors import (
-    ExactDivisionError,
     InfiniteSupport,
     InvalidParams,
     InvalidStep,
     KernelError,
     NoCertificate,
     NoMatch,
-    NotAUnit,
-    NotExpandable,
     PrecisionError,
 )
 from .series import FactoredRational, LaurentSeries, RationalQ, cyclotomic
@@ -103,9 +100,6 @@ __all__ = [
     # errors
     "KernelError",
     "PrecisionError",
-    "NotAUnit",
-    "NotExpandable",
-    "ExactDivisionError",
     "InvalidParams",
     "NoMatch",
     "InvalidStep",

@@ -27,6 +27,8 @@ from typing import Callable, Optional, Sequence
 from .algebra import AlgebraConfig, Element, monomial_label
 from .errors import InvalidParams
 from .scripts import (
+    _merge_stats,
+    _new_stats,
     braid_script,
     braid_translation_fwd,
     braid_translation_rev,
@@ -127,16 +129,6 @@ class Report:
 
 def _relation_label(rel: Relation) -> str:
     return f"{rel.rid}({','.join(v for _, v in rel.bindings)})"
-
-
-def _new_stats() -> dict:
-    return {"max_tuples": 0, "max_kernel_rank": 0, "max_index": 0}
-
-
-def _merge_stats(stats: dict, cert) -> None:
-    stats["max_tuples"] = max(stats["max_tuples"], len(cert.tuples))
-    stats["max_kernel_rank"] = max(stats["max_kernel_rank"], cert.kernel_rank)
-    stats["max_index"] = max(stats["max_index"], cert.max_index)
 
 
 def _compare_products(

@@ -11,20 +11,6 @@ class PrecisionError(KernelError):
     """An operation needed coefficient data beyond the tracked precision."""
 
 
-class NotAUnit(KernelError):
-    """Series inversion was attempted on a series whose lowest-order
-    coefficient is not +1 or -1, so no inverse exists over the integers."""
-
-
-class NotExpandable(NotAUnit):
-    """A rational function could not be expanded into an integer Laurent
-    series because its denominator is not invertible over the integers."""
-
-
-class ExactDivisionError(KernelError):
-    """A polynomial division that was required to be exact left a remainder."""
-
-
 class InvalidParams(KernelError):
     """Parameters passed to a relation, identity, or script generator are
     outside the domain where the object is defined."""

@@ -10,6 +10,11 @@ product of cyclotomic polynomials and whose numerator is a single power of q
 (after sign cancellation:  1 - q^(2j) = - prod_{d | 2j} cyclotomic_d(q),  so
 c_k = q^(k^2) / prod_{j<=k} prod_{d|2j} cyclotomic_d(q)).
 
+:func:`euler_coeff_exact` reduces c_k to a canonical rational function;
+:func:`euler_coeff_truncated` gives c_k mod q^P directly from partition
+counts:  1/prod_{j<=k} (1 - q^(2j)) = sum_n p_k(n) q^(2n),  with p_k(n) the
+number of partitions of n into parts <= k.
+
 Two computable forms are provided for algebra elements x:
 
 * :func:`qexp_series` -- the truncated sum  sum_{k<=order} c_k x^k.
@@ -77,10 +82,26 @@ _TRUNC_CACHE: dict[tuple[int, int], LaurentSeries] = {}
 
 
 def euler_coeff_truncated(k: int, precision: int) -> LaurentSeries:
+    """c_k mod q^precision.
+
+    1/prod_{j<=k} (1 - q^(2j)) counts partitions into even parts <= 2k, so
+    its coefficients come from one running-sum pass per part size over a
+    dense list indexed in units of q^2; no series is ever inverted.
+    """
+    if k < 0:
+        raise ValueError("order must be >= 0")
     key = (k, precision)
     got = _TRUNC_CACHE.get(key)
     if got is None:
-        got = euler_coeff_factored(k).expand(precision)
+        n = (precision - k * k + 1) // 2  # exponents k^2 + 2i below precision
+        counts = [1] + [0] * (n - 1) if n > 0 else []
+        for part in range(1, k + 1):
+            for i in range(part, len(counts)):
+                counts[i] += counts[i - part]
+        sign = -1 if k % 2 else 1
+        got = LaurentSeries(
+            {k * k + 2 * i: sign * c for i, c in enumerate(counts) if c}, precision
+        )
         _TRUNC_CACHE[key] = got
     return got
 

@@ -100,6 +100,16 @@ def word_to_product(word: Sequence[Letter], sites: int) -> FactorProduct:
     return FactorProduct(AlgebraConfig(sites), tuple(factors))
 
 
+def _new_stats() -> dict:
+    return {"max_tuples": 0, "max_kernel_rank": 0, "max_index": 0}
+
+
+def _merge_stats(stats: dict, cert) -> None:
+    stats["max_tuples"] = max(stats["max_tuples"], len(cert.tuples))
+    stats["max_kernel_rank"] = max(stats["max_kernel_rank"], cert.kernel_rank)
+    stats["max_index"] = max(stats["max_index"], cert.max_index)
+
+
 def word_image(
     word: Sequence[Letter],
     sites: int,
@@ -122,14 +132,11 @@ def word_image(
         support = sorted(product.support_sites()) or [1]
     targets = window_targets(cfg, support, window)
     table: dict[tuple, LaurentSeries] = {}
-    stats = {"targets": 0, "max_tuples": 0, "max_kernel_rank": 0, "max_index": 0}
+    stats = {"targets": len(targets), **_new_stats()}
     for target in targets:
         series, cert = coefficient_of(product, target, precision)
         table[target] = series
-        stats["targets"] += 1
-        stats["max_tuples"] = max(stats["max_tuples"], len(cert.tuples))
-        stats["max_kernel_rank"] = max(stats["max_kernel_rank"], cert.kernel_rank)
-        stats["max_index"] = max(stats["max_index"], cert.max_index)
+        _merge_stats(stats, cert)
     return table, stats
 
 

@@ -10,25 +10,25 @@ Two coefficient domains are provided:
   pessimistically, so equality of two series at a given precision is a
   mathematically sound statement about the underlying exact objects.
 
-* :class:`RationalQ` -- a quotient of integer polynomials in q, kept in a
-  canonical reduced form so that equality is structural.  A rational function
-  whose denominator has lowest-order coefficient +-1 can be expanded into a
-  :class:`LaurentSeries` at any requested precision.
+* :class:`RationalQ` -- a quotient of integer polynomials in q in canonical
+  reduced form (coprime, monic denominator), so that equality is structural.
+  Its constructor trusts the caller; canonical values come from
+  :meth:`FactoredRational.to_rational_q`.
 
-:class:`FactoredRational` is an internal accumulator for sums of rational
-functions whose denominators are products of cyclotomic polynomials; it
-avoids generic polynomial gcds on hot paths and converts to a canonical
-:class:`RationalQ` on demand.
+:class:`FactoredRational` is an accumulator for sums of rational functions
+whose denominators are products of cyclotomic polynomials.  Cyclotomic
+polynomials are monic, so reducing such a sum to its canonical
+:class:`RationalQ` needs only exact division over Z, never a polynomial gcd
+or rational coefficients.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-from .errors import ExactDivisionError, NotAUnit, NotExpandable, PrecisionError
+from .errors import PrecisionError
 
 __all__ = [
     "LaurentSeries",
@@ -241,34 +241,6 @@ class LaurentSeries:
         p = precision if self._precision is None else min(self._precision, precision)
         return LaurentSeries(self._coeffs, p)
 
-    def invert_unit(self) -> "LaurentSeries":
-        """Inverse of a series whose lowest-order coefficient is +-1.
-
-        Requires finite precision: the inverse of a unit of valuation v is an
-        infinite series in general, returned here truncated at P - 2v.
-        """
-        if self._precision is None:
-            raise PrecisionError("inversion requires a finite precision; truncate() first")
-        if not self._coeffs:
-            raise NotAUnit("the zero series has no inverse")
-        v = min(self._coeffs)
-        s = self._coeffs[v]
-        if s not in (1, -1):
-            raise NotAUnit(f"lowest-order coefficient is {s}, not +-1")
-        work = self._precision - v  # precision of the valuation-0 unit part
-        if work <= 0:
-            return LaurentSeries({}, self._precision - 2 * v)
-        u = {e - v: c * s for e, c in self._coeffs.items()}
-        x: dict[int, int] = {0: 1}
-        known = 1
-        while known < work:
-            known = min(2 * known, work)
-            ux = _lmul(u, x, known)
-            err = _ladd({0: 2}, _lscale(ux, -1))  # 2 - u*x
-            x = _lmul(x, err, known)
-        inv = {e - v: c * s for e, c in x.items()}
-        return LaurentSeries(inv, self._precision - 2 * v)
-
     # -- comparison / rendering -------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -300,19 +272,6 @@ def _ptrim(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p[:n])
 
 
-def _pneg(p: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(-c for c in p)
-
-
-def _padd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return _ptrim(tuple(out))
-
-
 def _pmul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     if not a or not b:
         return ()
@@ -325,95 +284,22 @@ def _pmul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return _ptrim(tuple(out))
 
 
-def _pdiv_exact(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Quotient a/b when the division is exact over the rationals with an
-    integer result; raises ExactDivisionError otherwise."""
-    q = _pdiv_maybe(a, b)
-    if q is None:
-        raise ExactDivisionError("polynomial division is not exact")
-    return q
-
-
-def _pdiv_maybe(a: tuple[int, ...], b: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-    a = _ptrim(a)
-    b = _ptrim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    if not a:
-        return ()
-    if len(a) < len(b):
-        return None
-    rem = [Fraction(c) for c in a]
-    lead = Fraction(b[-1])
-    qlen = len(a) - len(b) + 1
-    quot = [Fraction(0)] * qlen
-    for i in range(qlen - 1, -1, -1):
-        c = rem[i + len(b) - 1] / lead
-        quot[i] = c
+def _pdiv_monic(a: tuple[int, ...], b: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    """Quotient a/b in Z[q] for trimmed a and monic b, or None when b does
+    not divide a."""
+    n = len(b) - 1
+    low_terms = [(j, c) for j, c in enumerate(b[:n]) if c]
+    rem = list(a)
+    quot = [0] * max(len(rem) - n, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c = rem[i + n]
         if c:
-            for j, bc in enumerate(b):
-                rem[i + j] -= c * bc
-    if any(rem):
+            quot[i] = c
+            for j, bj in low_terms:
+                rem[i + j] -= c * bj
+    if any(rem[:n]):
         return None
-    if any(c.denominator != 1 for c in quot):
-        return None
-    return _ptrim(tuple(int(c) for c in quot))
-
-
-def _pcontent(p: tuple[int, ...]) -> int:
-    g = 0
-    for c in p:
-        g = math.gcd(g, c)
-    return g
-
-
-def _pprimitive(p: tuple[int, ...]) -> tuple[int, ...]:
-    g = _pcontent(p)
-    if g <= 1:
-        return p
-    return tuple(c // g for c in p)
-
-
-def _pprem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Pseudo-remainder of a by b over the integers."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    da = len(a) - 1
-    while da >= db and any(a):
-        da = len(_ptrim(tuple(a))) - 1
-        if da < db:
-            break
-        la = a[da]
-        a = [c * lb for c in a]
-        for j in range(db + 1):
-            a[da - db + j] -= la * b[j]
-        a = list(_ptrim(tuple(a)))
-        if not a:
-            break
-        da = len(a) - 1
-    return _ptrim(tuple(a))
-
-
-def _pgcd(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Greatest common divisor in Z[q], primitive with positive leading
-    coefficient, times the gcd of the contents."""
-    a, b = _ptrim(a), _ptrim(b)
-    if not a:
-        g = b
-    elif not b:
-        g = a
-    else:
-        cont = math.gcd(_pcontent(a), _pcontent(b))
-        a, b = _pprimitive(a), _pprimitive(b)
-        if len(a) < len(b):
-            a, b = b, a
-        while b:
-            r = _pprimitive(_pprem(a, b))
-            a, b = b, r
-        g = tuple(c * cont for c in a)
-    if g and g[-1] < 0:
-        g = _pneg(g)
-    return g
+    return _ptrim(tuple(quot))
 
 
 def _poly_str(p: tuple[int, ...]) -> str:
@@ -450,7 +336,7 @@ def cyclotomic(n: int) -> tuple[int, ...]:
     den: tuple[int, ...] = (1,)
     for d in _divisors(n)[:-1]:
         den = _pmul(den, cyclotomic(d))
-    phi = _pdiv_exact(num, den)
+    phi = _pdiv_monic(num, den)
     _CYCLOTOMIC_CACHE[n] = phi
     return phi
 
@@ -463,59 +349,24 @@ def cyclotomic(n: int) -> tuple[int, ...]:
 class RationalQ:
     """Quotient of integer polynomials in q in canonical reduced form.
 
-    Canonical form: numerator and denominator are coprime in Z[q] with
-    coprime contents, the denominator is nonzero with positive leading
-    coefficient, and zero is stored as 0/1.  Equality is structural.
+    Canonical form: numerator and denominator are coprime in Z[q], the
+    denominator is monic, and zero is stored as 0/1.  Equality is structural.
+    The constructor only trims trailing zeros; the caller guarantees the
+    rest, as :meth:`FactoredRational.to_rational_q` does.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Iterable[int] = (), den: Iterable[int] = (1,)) -> None:
         n = _ptrim(tuple(num))
-        d = _ptrim(tuple(den))
-        if not d:
-            raise ZeroDivisionError("zero denominator")
-        if not n:
-            self.num, self.den = (), (1,)
-            return
-        g = _pgcd(n, d)
-        if len(g) > 1 or (g and g[0] != 1):
-            n = _pdiv_exact(n, g)
-            d = _pdiv_exact(d, g)
-        if d[-1] < 0:
-            n, d = _pneg(n), _pneg(d)
-        self.num, self.den = n, d
-
-    @classmethod
-    def _raw(cls, num: tuple[int, ...], den: tuple[int, ...]) -> "RationalQ":
-        """Trusted constructor: caller guarantees canonical form."""
-        self = object.__new__(cls)
-        num = _ptrim(num)
-        den = _ptrim(den)
-        if not num:
-            num, den = (), (1,)
-        self.num, self.den = num, den
-        return self
+        self.num, self.den = n, _ptrim(tuple(den)) if n else (1,)
 
     @classmethod
     def from_int(cls, k: int) -> "RationalQ":
-        return cls._raw((k,) if k else (), (1,))
+        return cls((k,))
 
     def is_zero(self) -> bool:
         return not self.num
-
-    def __add__(self, other: "RationalQ") -> "RationalQ":
-        n = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return RationalQ(n, _pmul(self.den, other.den))
-
-    def __sub__(self, other: "RationalQ") -> "RationalQ":
-        return self + (-other)
-
-    def __neg__(self) -> "RationalQ":
-        return RationalQ._raw(_pneg(self.num), self.den)
-
-    def __mul__(self, other: "RationalQ") -> "RationalQ":
-        return RationalQ(_pmul(self.num, other.num), _pmul(self.den, other.den))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalQ):
@@ -535,22 +386,6 @@ class RationalQ:
         if len([c for c in self.num if c]) > 1:
             ns = f"({ns})"
         return f"{ns}/({_poly_str(self.den)})"
-
-    def expand(self, precision: int) -> LaurentSeries:
-        """Laurent-series expansion at the given precision.
-
-        The denominator's lowest-order coefficient must be +-1; otherwise
-        the expansion does not exist over the integers.
-        """
-        den = self.den
-        v = next(i for i, c in enumerate(den) if c)
-        if den[v] not in (1, -1):
-            raise NotExpandable(
-                f"denominator lowest-order coefficient is {den[v]}, not +-1"
-            )
-        d_series = LaurentSeries.from_poly(den).truncate(precision + 2 * v)
-        inv = d_series.invert_unit()  # precision comes out at the requested value
-        return (LaurentSeries.from_poly(self.num) * inv).truncate(precision)
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +465,7 @@ class FactoredRational:
 
     def to_rational_q(self) -> RationalQ:
         if not self.num:
-            return RationalQ._raw((), (1,))
+            return RationalQ()
         shift = min(self.num)
         num_poly = _ptrim(tuple(self.num.get(e, 0) for e in range(min(shift, 0), max(self.num) + 1)))
         q_power = max(0, -shift)
@@ -639,7 +474,7 @@ class FactoredRational:
         for d in sorted(den):
             phi = cyclotomic(d)
             while den[d] > 0:
-                q = _pdiv_maybe(num_poly, phi)
+                q = _pdiv_monic(num_poly, phi)
                 if q is None:
                     break
                 num_poly = q
@@ -658,10 +493,7 @@ class FactoredRational:
                 for _ in range(m):
                     den_poly = _pmul(den_poly, phi)
         den_poly = _pmul(tuple([0] * q_power + [1]), den_poly)
-        return RationalQ._raw(num_poly, den_poly)
-
-    def expand(self, precision: int) -> LaurentSeries:
-        return self.to_rational_q().expand(precision)
+        return RationalQ(num_poly, den_poly)
 
     def __repr__(self) -> str:
         return f"FactoredRational({self.num!r}, {dict(self.den)!r})"

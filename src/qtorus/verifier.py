@@ -210,8 +210,6 @@ def _walk_sublevel(
     headroom = Fraction(bound) - qmin
     if headroom <= 0:
         return []
-    if r == 0:
-        return [()]
     lam = headroom.denominator
     for x in ystar:
         lam = lam * x.denominator // math.gcd(lam, x.denominator)
@@ -264,27 +262,20 @@ def _walk_sublevel(
     return points
 
 
-def _enumerate_sublevel(
-    a_int: list[list[int]],
-    b_int: list[int],
-    c_int: int,
+def _sublevel_points(
+    low: list[list[Fraction]],
+    diag: list[Fraction],
+    b_vec: list[int],
+    c_val: int,
     bound: int,
-) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Integer points y with  y^T A y + b^T y + c < bound,  A positive
-    definite.  Returns (points, leading principal minors of A)."""
-    r = len(a_int)
-    a = [[Fraction(x) for x in row] for row in a_int]
-    low, diag = _ldl(a)
-    minors = _principal_minors(diag)
-    if r == 0:
-        return ([()] if c_int < bound else []), minors
-    ystar = _ldl_solve(low, diag, [Fraction(-b, 2) for b in b_int])
-    qmin = Fraction(c_int) + sum(
-        Fraction(b) * y / 2 for b, y in zip(b_int, ystar)
-    )
-    points = _walk_sublevel(low, diag, ystar, qmin, bound)
-    points.sort()
-    return points, minors
+) -> list[tuple[int, ...]]:
+    """Integer points y with  y^T A y + b^T y + c < bound,  where LDL^T = A
+    is positive definite: the walk around the real minimiser of the form."""
+    if not diag:
+        return [()] if c_val < bound else []
+    ystar = _ldl_solve(low, diag, [Fraction(-b, 2) for b in b_vec])
+    qmin = Fraction(c_val) + sum(Fraction(b) * y / 2 for b, y in zip(b_vec, ystar))
+    return _walk_sublevel(low, diag, ystar, qmin, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -447,14 +438,7 @@ def coefficient_of(
         tvec[k] * particular[k] for k in range(L)
     )
 
-    if r == 0:
-        ys = [()] if c_val < precision else []
-    else:
-        ystar = _ldl_solve(low, diag, [Fraction(-b, 2) for b in b_vec])
-        qmin = Fraction(c_val) + sum(
-            Fraction(b) * y / 2 for b, y in zip(b_vec, ystar)
-        )
-        ys = _walk_sublevel(low, diag, ystar, qmin, precision)
+    ys = _sublevel_points(low, diag, b_vec, c_val, precision)
 
     tuples: list[tuple[int, ...]] = []
     for yvec in ys:

@@ -56,6 +56,49 @@ def naive_poly_mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def _trim(p: list) -> list:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def rational_add(a, b) -> tuple[list[int], list[int]]:
+    """Unreduced sum of two (numerator, denominator) coefficient pairs."""
+    (an, ad), (bn, bd) = a, b
+    x = naive_poly_mul(list(an), list(bd))
+    y = naive_poly_mul(list(bn), list(ad))
+    total = [0] * max(len(x), len(y))
+    for i, c in enumerate(x):
+        total[i] += c
+    for i, c in enumerate(y):
+        total[i] += c
+    return _trim(total), naive_poly_mul(list(ad), list(bd))
+
+
+def rational_equal(a, b) -> bool:
+    """Equality of two (numerator, denominator) pairs by cross-multiplication."""
+    (an, ad), (bn, bd) = a, b
+    return naive_poly_mul(list(an), list(bd)) == naive_poly_mul(list(bn), list(ad))
+
+
+def coprime(a, b) -> bool:
+    """True when the integer polynomials a and b share no factor of positive
+    degree: Euclid's algorithm over the rationals, by plain long division."""
+    a = _trim([Fraction(c) for c in a])
+    b = _trim([Fraction(c) for c in b])
+    while b:
+        rem = a[:]
+        while len(rem) >= len(b):
+            c = rem[-1] / b[-1]
+            shift = len(rem) - len(b)
+            for j, bc in enumerate(b):
+                rem[shift + j] -= c * bc
+            rem.pop()
+            _trim(rem)
+        a, b = b, rem
+    return len(a) == 1
+
+
 # ---------------------------------------------------------------------------
 # algebra oracle: sort a word of single-site generators letter by letter
 # ---------------------------------------------------------------------------

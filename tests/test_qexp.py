@@ -15,14 +15,16 @@ from qtorus.qexp import (
 )
 from qtorus.series import LaurentSeries, RationalQ
 
+from oracles import longdiv_expand, naive_poly_mul, rational_equal
+
 L = LaurentSeries
 
 
 class TestEulerCoefficients:
     def test_c0_and_c1(self):
         assert euler_coeff_exact(0) == RationalQ.from_int(1)
-        # c_1 = -q/(1-q^2)
-        assert euler_coeff_exact(1) == RationalQ((0, -1), (1, 0, -1))
+        # c_1 = -q/(1-q^2) = q/(q^2-1)
+        assert euler_coeff_exact(1) == RationalQ((0, 1), (-1, 0, 1))
 
     def test_c1_series(self):
         assert euler_coeff_truncated(1, 8) == L({1: -1, 3: -1, 5: -1, 7: -1}, 8)
@@ -43,9 +45,10 @@ class TestEulerCoefficients:
     def test_recurrence(self):
         # c_k * (1 - q^(2k)) = -q^(2k-1) * c_(k-1)
         for k in range(1, 8):
-            lhs = euler_coeff_exact(k) * RationalQ([1] + [0] * (2 * k - 1) + [-1])
-            rhs = -(euler_coeff_exact(k - 1) * RationalQ([0] * (2 * k - 1) + [1]))
-            assert lhs == rhs
+            ck, prev = euler_coeff_exact(k), euler_coeff_exact(k - 1)
+            lhs = naive_poly_mul(list(ck.num), [1] + [0] * (2 * k - 1) + [-1])
+            rhs = naive_poly_mul(list(prev.num), [0] * (2 * k - 1) + [-1])
+            assert rational_equal((lhs, ck.den), (rhs, prev.den))
 
     def test_denominator_factors_expand_correctly(self):
         # the factored form must match the explicit rational build
@@ -57,7 +60,23 @@ class TestEulerCoefficients:
                 one_minus = tuple([1] + [0] * (2 * j - 1) + [-1])
                 den = _pmul(den, one_minus)
             num = [0] * (k * k) + [(-1) ** k]
-            assert euler_coeff_factored(k).to_rational_q() == RationalQ(num, den)
+            got = euler_coeff_factored(k).to_rational_q()
+            assert got.den[-1] == 1
+            assert rational_equal((got.num, got.den), (num, den))
+
+    def test_truncated_matches_long_division(self):
+        for k in range(9):
+            exact = euler_coeff_exact(k)
+            num = {e: c for e, c in enumerate(exact.num) if c}
+            den = {e: c for e, c in enumerate(exact.den) if c}
+            for P in range(1, 66):
+                want = L(longdiv_expand(num, den, P), P)
+                assert euler_coeff_truncated(k, P) == want, (k, P)
+
+    def test_nonpositive_precision_is_zero(self):
+        for k in range(4):
+            for P in (0, -1, -5):
+                assert euler_coeff_truncated(k, P) == L({}, P)
 
     def test_factored_denominators_accumulate(self):
         f3 = euler_denominator_factors(3)
