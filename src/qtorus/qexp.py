@@ -13,7 +13,9 @@ c_k = q^(k^2) / prod_{j<=k} prod_{d|2j} cyclotomic_d(q)).
 :func:`euler_coeff_exact` reduces c_k to a canonical rational function;
 :func:`euler_coeff_truncated` gives c_k mod q^P directly from partition
 counts:  1/prod_{j<=k} (1 - q^(2j)) = sum_n p_k(n) q^(2n),  with p_k(n) the
-number of partitions of n into parts <= k.
+number of partitions of n into parts <= k.  :func:`divide_by_pochhammers`
+is that running-sum kernel on a dense list; it also assembles whole
+products of c_k in the truncated engine.
 
 Two computable forms are provided for algebra elements x:
 
@@ -33,6 +35,7 @@ requested order is frozen mod q^P for plain-generator arguments;
 from __future__ import annotations
 
 from collections import Counter
+from typing import Iterable
 
 from .algebra import Element
 from .series import FactoredRational, LaurentSeries, RationalQ
@@ -42,6 +45,7 @@ __all__ = [
     "euler_coeff_factored",
     "euler_coeff_truncated",
     "euler_denominator_factors",
+    "divide_by_pochhammers",
     "qexp_series",
     "qexp_product",
     "stable_depth",
@@ -78,32 +82,31 @@ def euler_coeff_exact(k: int) -> RationalQ:
     return euler_coeff_factored(k).to_rational_q()
 
 
-_TRUNC_CACHE: dict[tuple[int, int], LaurentSeries] = {}
+def divide_by_pochhammers(dense: list[int], orders: Iterable[int]) -> list[int]:
+    """Multiply the dense series `dense` (index = exponent of q) in place by
+    prod_{k in orders} 1/(q^2;q^2)_k, truncated at its length, and return it.
+
+    1/(q^2;q^2)_k = prod_{j<=k} 1/(1 - q^(2j)), and multiplying by one factor
+    1/(1 - q^(2j)) is a single running-sum pass; the result counts partitions
+    into even parts from the multiset union of {2, 4, ..., 2k}.
+    """
+    n = len(dense)
+    for k in orders:
+        for part in range(2, min(2 * k, n - 1) + 1, 2):
+            for i in range(part, n):
+                dense[i] += dense[i - part]
+    return dense
 
 
 def euler_coeff_truncated(k: int, precision: int) -> LaurentSeries:
-    """c_k mod q^precision.
-
-    1/prod_{j<=k} (1 - q^(2j)) counts partitions into even parts <= 2k, so
-    its coefficients come from one running-sum pass per part size over a
-    dense list indexed in units of q^2; no series is ever inverted.
-    """
+    """c_k mod q^precision, by partition counts: no series is ever inverted."""
     if k < 0:
         raise ValueError("order must be >= 0")
-    key = (k, precision)
-    got = _TRUNC_CACHE.get(key)
-    if got is None:
-        n = (precision - k * k + 1) // 2  # exponents k^2 + 2i below precision
-        counts = [1] + [0] * (n - 1) if n > 0 else []
-        for part in range(1, k + 1):
-            for i in range(part, len(counts)):
-                counts[i] += counts[i - part]
-        sign = -1 if k % 2 else 1
-        got = LaurentSeries(
-            {k * k + 2 * i: sign * c for i, c in enumerate(counts) if c}, precision
-        )
-        _TRUNC_CACHE[key] = got
-    return got
+    dense = [0] * max(precision - k * k, 0)
+    if dense:
+        dense[0] = -1 if k % 2 else 1
+    divide_by_pochhammers(dense, (k,))
+    return LaurentSeries({k * k + i: c for i, c in enumerate(dense) if c}, precision)
 
 
 def _power_headroom(power: Element) -> int:

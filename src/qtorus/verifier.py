@@ -26,6 +26,18 @@ ellipsoid walk enumerates it.  The minors, the restricted matrix, and the
 enumerated tuples form a :class:`TupleCertificate` that accompanies every
 reported coefficient.
 
+Everything that depends only on the product is computed once per product:
+the LDL^T data and the adjugate of the restricted matrix, scaled by one
+common integer so that each target's minimiser and headroom, and every
+step of the walk, are integer arithmetic.  Each kernel basis vector is +1
+at exactly one factor index where the particular solution is 0, so the
+walk coordinates are entries of k itself and the walk stays in the
+nonnegative orthant.  A kept tuple contributes
+(-1)^(sum k) q^(Q(k)) / prod_l (q^2;q^2)_(k_l), times its gamma sign;
+tuples with the same multiset of nonzero k share that denominator, whose
+expansion counts partitions, so each group's signed q^(Q(k)) terms are
+expanded together by running sums and no series is multiplied.
+
 A second engine handles products of E(x) for *arbitrary* polynomial
 arguments x (sums of monomials with all site exponents >= 0) exactly, with
 coefficients as canonical rational functions of q: exponent vectors only
@@ -45,7 +57,7 @@ from typing import Iterable, Optional, Sequence
 
 from .algebra import AlgebraConfig, Element
 from .errors import InfiniteSupport, InvalidParams, NoCertificate
-from .qexp import euler_coeff_truncated, euler_denominator_factors
+from .qexp import divide_by_pochhammers, euler_denominator_factors
 from .series import FactoredRational, LaurentSeries
 
 __all__ = [
@@ -188,43 +200,75 @@ def _principal_minors(diag: list[Fraction]) -> list[int]:
     return minors
 
 
+@dataclass(frozen=True)
+class _ScaledForm:
+    """Integer data of a positive definite form A for :func:`_walk_sublevel`.
+
+    With LDL^T = A, `det` = det A (its last leading minor), `adj` = det*A^-1,
+    and `lam` the lcm of 4*det and every denominator in L and D, the scaled
+    pivots `di` = lam*d_i and subdiagonal columns `li_cols[i][j]` = lam*L[j][i]
+    are integers, and so is everything the walk derives from them.
+    """
+
+    minors: tuple[int, ...]
+    det: int
+    adj: tuple[tuple[int, ...], ...]
+    lam: int
+    di: tuple[int, ...]
+    li_cols: tuple[tuple[int, ...], ...]
+
+
+def _scaled_form(a: list[list[int]]) -> _ScaledForm:
+    """Certify the integer symmetric matrix `a` positive definite (raises
+    NoCertificate otherwise) and scale its LDL^T data to integers."""
+    r = len(a)
+    low, diag = _ldl([[Fraction(x) for x in row] for row in a])
+    minors = _principal_minors(diag)
+    det = minors[-1] if minors else 1
+    cols = [_ldl_solve(low, diag, [Fraction(int(i == j)) for i in range(r)]) for j in range(r)]
+    adj = tuple(tuple(int(det * cols[j][i]) for j in range(r)) for i in range(r))
+    lam = 4 * det
+    for x in diag + [low[j][i] for i in range(r) for j in range(i + 1, r)]:
+        lam = lam * x.denominator // math.gcd(lam, x.denominator)
+    return _ScaledForm(
+        tuple(minors),
+        det,
+        adj,
+        lam,
+        tuple(int(d * lam) for d in diag),
+        tuple(tuple(int(low[j][i] * lam) for j in range(r)) for i in range(r)),
+    )
+
+
 def _walk_sublevel(
-    low: list[list[Fraction]],
-    diag: list[Fraction],
-    ystar: list[Fraction],
-    qmin: Fraction,
+    form: _ScaledForm,
+    b_vec: Sequence[int],
+    c_val: int,
     bound: int,
 ) -> list[tuple[int, ...]]:
-    """Integer points of the sublevel set  Q(y) < bound  where the LDL^T
-    data writes  Q = qmin + sum_i d_i (y_i - center_i)^2.
+    """Integer points y >= 0 with  y^T A y + b^T y + c < bound.
 
-    Walks coordinates last to first; at each level the admissible integers
-    form two monotone arms around the real center, so each arm stops at its
-    first over-budget point.  All per-point arithmetic is integer: with a
-    common denominator LAM for the LDL data, track  Z_j = LAM*y_j - YS_j,
-    the scaled center  C2 = LAM^2 * center, the scaled offset
-    U = LAM^2 * (y_i - center), and budgets scaled by LAM^5, so the level
-    test is  DI * U^2 >= budget  with  DI = LAM * d_i.
+    The real minimiser is y* = -A^-1 b / 2 with value qmin, and the LDL^T
+    data writes the form as  qmin + sum_i d_i (y_i - center_i)^2.  The walk
+    fixes coordinates last to first; at each level the admissible integers
+    form two monotone arms around the real center, each clamped at 0 and
+    stopped at its first over-budget point.  All arithmetic is integer:
+    YS = lam*y* and the headroom lam*(bound - qmin) come from the adjugate,
+    Z_j = lam*y_j - YS_j, the scaled center C2 = lam^2 * center and offset
+    U = lam^2 * (y_i - center) give the level test  DI * U^2 >= budget,
+    with DI = lam*d_i and budgets scaled by lam^5.
     """
-    r = len(diag)
-    headroom = Fraction(bound) - qmin
+    lam, di_scaled, li_cols = form.lam, form.di, form.li_cols
+    r = len(di_scaled)
+    adj_b = [sum(x * b for x, b in zip(row, b_vec)) for row in form.adj]
+    half = lam // (2 * form.det)
+    ys_scaled = [-half * x for x in adj_b]
+    headroom = (bound - c_val) * lam + half // 2 * sum(
+        b * x for b, x in zip(b_vec, adj_b)
+    )
     if headroom <= 0:
         return []
-    lam = headroom.denominator
-    for x in ystar:
-        lam = lam * x.denominator // math.gcd(lam, x.denominator)
-    for d in diag:
-        lam = lam * d.denominator // math.gcd(lam, d.denominator)
-    for i in range(r):
-        for j in range(i + 1, r):
-            den = low[j][i].denominator
-            lam = lam * den // math.gcd(lam, den)
     lam2 = lam * lam
-    di_scaled = [int(d * lam) for d in diag]
-    ys_scaled = [int(y * lam) for y in ystar]
-    # column-major scaled subdiagonal: li_cols[i][j] = LAM * low[j][i]
-    li_cols = [[int(low[j][i] * lam) for j in range(r)] for i in range(r)]
-    budget0 = int(headroom * lam) * lam2 * lam2
 
     points: list[tuple[int, ...]] = []
     y = [0] * r
@@ -241,12 +285,12 @@ def _walk_sublevel(
             if lij:
                 c2 -= lij * zed[j]
         di = di_scaled[i]
-        up = -((-c2) // lam2)
+        up = max(-((-c2) // lam2), 0)
         for first, step in ((up, 1), (up - 1, -1)):
             y_i = first
             u = y_i * lam2 - c2
             du = step * lam2
-            while True:
+            while y_i >= 0:
                 used = di * u * u
                 if used >= budget:
                     break
@@ -258,24 +302,8 @@ def _walk_sublevel(
         y[i] = 0
         zed[i] = 0
 
-    descend(r - 1, budget0)
+    descend(r - 1, headroom * lam2 * lam2)
     return points
-
-
-def _sublevel_points(
-    low: list[list[Fraction]],
-    diag: list[Fraction],
-    b_vec: list[int],
-    c_val: int,
-    bound: int,
-) -> list[tuple[int, ...]]:
-    """Integer points y with  y^T A y + b^T y + c < bound,  where LDL^T = A
-    is positive definite: the walk around the real minimiser of the form."""
-    if not diag:
-        return [()] if c_val < bound else []
-    ystar = _ldl_solve(low, diag, [Fraction(-b, 2) for b in b_vec])
-    qmin = Fraction(c_val) + sum(Fraction(b) * y / 2 for b, y in zip(b_vec, ystar))
-    return _walk_sublevel(low, diag, ystar, qmin, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +357,7 @@ def _phase_pair(left: QExpFactor, right: QExpFactor) -> int:
 def _product_setup(product: FactorProduct):
     """Target-independent data for coefficient extraction: the grouping of
     factors by site, the valuation form, the kernel lattice basis, and the
-    LDL^T certificate of the restricted form."""
+    certified, integer-scaled LDL^T data of the restricted form."""
     factors = product.factors
     L = len(factors)
     factor_strs = tuple(str(f) for f in factors)
@@ -338,15 +366,14 @@ def _product_setup(product: FactorProduct):
     for idx, f in enumerate(factors):
         by_site.setdefault(f.site, []).append(idx)
 
-    # kernel lattice basis of the per-site exponent constraints
-    basis: list[list[int]] = []
-    for _, idxs in sorted(by_site.items()):
-        first = idxs[0]
-        for j in idxs[1:]:
-            v = [0] * L
-            v[first] = -factors[first].exp * factors[j].exp
-            v[j] = 1
-            basis.append(v)
+    # kernel lattice basis of the per-site exponent constraints: vector i is
+    # +1 at a non-first index j of its site and `coeff` at the site's first
+    # index, so walk coordinate y_i is k_j itself
+    basis = tuple(
+        (j, idxs[0], -factors[idxs[0]].exp * factors[j].exp)
+        for _, idxs in sorted(by_site.items())
+        for j in idxs[1:]
+    )
 
     # valuation form Q(k) = k^T G k + t^T k  on Z^L
     gram = [[0] * L for _ in range(L)]
@@ -360,31 +387,25 @@ def _product_setup(product: FactorProduct):
                 gram[j][i] += half // 2
     tvec = [f.qpower for f in factors]
 
-    def g_apply(vec: list[int]) -> list[int]:
-        return [sum(gram[i][j] * vec[j] for j in range(L)) for i in range(L)]
-
-    g_basis = [g_apply(b) for b in basis]
-    a_mat = [[sum(bi[k] * gbj[k] for k in range(L)) for gbj in g_basis] for bi in basis]
-    low, diag = _ldl([[Fraction(x) for x in row] for row in a_mat])
-    minors = _principal_minors(diag)
+    vecs = []
+    for j, first, coeff in basis:
+        v = [0] * L
+        v[first] = coeff
+        v[j] = 1
+        vecs.append(v)
+    g_basis = [[sum(gram[i][m] * v[m] for m in range(L)) for i in range(L)] for v in vecs]
+    a_mat = [[sum(bi[m] * gbj[m] for m in range(L)) for gbj in g_basis] for bi in vecs]
+    form = _scaled_form(a_mat)
     phase_pairs = tuple(
         (i, j, _phase_pair(factors[i], factors[j]))
         for i in range(L)
         for j in range(i + 1, L)
         if _phase_pair(factors[i], factors[j])
     )
-    return (
-        factor_strs,
-        by_site,
-        basis,
-        gram,
-        tvec,
-        phase_pairs,
-        a_mat,
-        low,
-        diag,
-        minors,
-    )
+    # c_k carries (-1)^k and gamma = -1 another (-1)^k, so a term's sign is
+    # (-1)^(sum of k over the factors with gamma = +1)
+    sign_idx = tuple(i for i, f in enumerate(factors) if f.gamma > 0)
+    return factor_strs, by_site, basis, gram, tvec, phase_pairs, sign_idx, a_mat, form
 
 
 def coefficient_of(
@@ -408,10 +429,9 @@ def coefficient_of(
         gram,
         tvec,
         phase_pairs,
+        sign_idx,
         a_mat,
-        low,
-        diag,
-        minors,
+        form,
     ) = _product_setup(product)
 
     # sites outside the product must carry exponent zero
@@ -427,32 +447,29 @@ def coefficient_of(
     for site, idxs in by_site.items():
         first = idxs[0]
         particular[first] = factors[first].exp * target[site - 1]
-    r = len(basis)
 
-    g_part = [sum(gram[i][j] * particular[j] for j in range(L)) for i in range(L)]
-    b_vec = [
-        sum((2 * g_part[k] + tvec[k]) * bi[k] for k in range(L))
-        for bi in basis
-    ]
-    c_val = sum(particular[k] * g_part[k] for k in range(L)) + sum(
-        tvec[k] * particular[k] for k in range(L)
-    )
-
-    ys = _sublevel_points(low, diag, b_vec, c_val, precision)
+    # the particular solution is nonzero at one index per site at most
+    nonzero = [(j, p) for j, p in enumerate(particular) if p]
+    g_part = [sum(row[j] * p for j, p in nonzero) for row in gram]
+    w = [2 * g + t for g, t in zip(g_part, tvec)]
+    b_vec = [w[j] + coeff * w[first] for j, first, coeff in basis]
+    c_val = sum((g_part[j] + tvec[j]) * p for j, p in nonzero)
 
     tuples: list[tuple[int, ...]] = []
-    for yvec in ys:
+    for yvec in _walk_sublevel(form, b_vec, c_val, precision):
         k = particular[:]
-        for coeff, bvec_ in zip(yvec, basis):
-            if coeff:
-                for pos in range(L):
-                    if bvec_[pos]:
-                        k[pos] += coeff * bvec_[pos]
-        if all(x >= 0 for x in k):
+        for (j, first, coeff), y in zip(basis, yvec):
+            if y:
+                k[j] = y
+                k[first] += coeff * y
+        if min(k, default=0) >= 0:
             tuples.append(tuple(k))
     tuples.sort()
 
-    total = LaurentSeries.zero(precision)
+    # prod c_(k_i) = (-1)^(sum k) q^(sum k^2) / prod (q^2;q^2)_(k_i): group the
+    # signed numerators q^Q(k) by the multiset of nonzero k, then expand each
+    # group's denominator once by partition counts
+    groups: dict[tuple[int, ...], dict[int, int]] = {}
     max_index = 0
     min_val: Optional[int] = None
     for k in tuples:
@@ -460,32 +477,35 @@ def coefficient_of(
         for i, j, pair in phase_pairs:
             if k[i] and k[j]:
                 phi += pair * k[i] * k[j]
-        sign = 1
-        for f, kk in zip(factors, k):
-            if f.gamma < 0 and kk % 2:
-                sign = -sign
-        term = LaurentSeries.one(precision - phi)
-        for f, kk in zip(factors, k):
-            if kk:
-                term = term * euler_coeff_truncated(kk, precision - phi)
-        term = term.shift(phi)
-        if sign < 0:
-            term = -term
-        total = total + term
         qval = sum(kk * kk for kk in k) + phi
+        sign = -1 if sum(k[i] for i in sign_idx) % 2 else 1
+        num = groups.setdefault(tuple(sorted(kk for kk in k if kk)), {})
+        num[qval] = num.get(qval, 0) + sign
         if min_val is None or qval < min_val:
             min_val = qval
         if k:
             max_index = max(max_index, max(k))
+
+    acc: list[int] = [0] * (precision - min_val) if min_val is not None else []
+    for orders, num in groups.items():
+        lo = min(num)
+        dense = [0] * (precision - lo)
+        for e, c in num.items():
+            dense[e - lo] = c
+        divide_by_pochhammers(dense, orders)
+        for i, c in enumerate(dense, lo - min_val):
+            if c:
+                acc[i] += c
+    total = LaurentSeries({min_val + i: c for i, c in enumerate(acc) if c}, precision)
 
     cert = TupleCertificate(
         factor_strs,
         target_str,
         precision,
         True,
-        r,
+        len(basis),
         tuple(tuple(row) for row in a_mat),
-        tuple(minors),
+        form.minors,
         tuple(particular),
         tuple(tuples),
         max_index,

@@ -2,9 +2,14 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qtorus
 import qtorus.cli as cli
 from qtorus.catalog import identity_names, verify_identity
 from qtorus.scripts import braid_script
@@ -213,6 +218,17 @@ def test_list_outputs_catalog(capsys):
     rows = parse_jsonl(out)
     assert [r["name"] for r in rows] == identity_names()
     assert all(set(r) == {"name", "description", "defaults"} for r in rows)
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = str(Path(qtorus.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qtorus", "list"], capture_output=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [r["name"] for r in parse_jsonl(proc.stdout.decode())] == identity_names()
 
 
 # ---------------------------------------------------------------- replay

@@ -1,6 +1,8 @@
 """Certificate-backed truncated coefficients and the exact window engine."""
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,9 +18,10 @@ from qtorus.verifier import (
     exact_window_map,
     window_targets,
 )
-from qtorus.verifier import _ldl, _principal_minors, _sublevel_points
+from qtorus.verifier import _ldl, _scaled_form, _walk_sublevel
 
-from oracles import brute_force_tuples, longdiv_expand
+import qtorus.catalog as catalog
+from oracles import brute_force_tuples, longdiv_expand, naive_poly_mul, phase_by_sorting
 
 L = LaurentSeries
 
@@ -167,20 +170,67 @@ class TestCertificateEdges:
             ldl_of([[-1]])
 
     def test_sublevel_enumeration_matches_scan(self):
-        # Q(y) = 2 y0^2 + 2 y0 y1 + 3 y1^2 - y0 + c
+        # Q(y) = 2 y0^2 + 2 y0 y1 + 3 y1^2 - y0 + c, walked over y >= 0
         a = [[2, 1], [1, 3]]
         b = [-1, 0]
-        low, diag = ldl_of(a)
-        assert _principal_minors(diag) == [2, 5]
+        form = _scaled_form(a)
+        assert form.minors == (2, 5)
         for bound in (1, 5, 17):
-            pts = sorted(_sublevel_points(low, diag, b, 0, bound))
+            pts = sorted(_walk_sublevel(form, b, 0, bound))
             want = sorted(
                 (y0, y1)
-                for y0 in range(-10, 11)
-                for y1 in range(-10, 11)
+                for y0 in range(0, 11)
+                for y1 in range(0, 11)
                 if 2 * y0 * y0 + 2 * y0 * y1 + 3 * y1 * y1 - y0 < bound
             )
             assert pts == want
+
+    def test_sublevel_walk_random_forms(self):
+        # random positive definite A = B^T B + I of rank 1..3: A >= I, so every
+        # y with Q(y) < bound has |y_i| < |b|_1 / 2 + sqrt(|b|_1^2 / 4 + bound - c)
+        rng = random.Random(20261018)
+        nonempty = 0
+        for _ in range(60):
+            r = rng.randint(1, 3)
+            bmat = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(r)]
+            a = [
+                [sum(row[i] * row[j] for row in bmat) + (i == j) for j in range(r)]
+                for i in range(r)
+            ]
+            b = [rng.randint(-8, 8) for _ in range(r)]
+            c = rng.randint(-6, 6)
+            form = _scaled_form(a)
+
+            def q(y):
+                quad = sum(a[i][j] * y[i] * y[j] for i in range(r) for j in range(r))
+                return quad + sum(bi * yi for bi, yi in zip(b, y)) + c
+
+            # real minimum qmin = c - b^T A^-1 b / 4; A^-1 by Gauss-Jordan
+            inv = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(r)]
+                   for i, row in enumerate(a)]
+            for col in range(r):
+                piv = inv[col][col]
+                inv[col] = [x / piv for x in inv[col]]
+                for row in range(r):
+                    if row != col and inv[row][col]:
+                        f = inv[row][col]
+                        inv[row] = [x - f * y for x, y in zip(inv[row], inv[col])]
+            qmin = c - sum(
+                b[i] * inv[i][r + j] * b[j] for i in range(r) for j in range(r)
+            ) / 4
+            floor_qmin = math.floor(qmin)
+            assert _walk_sublevel(form, b, c, floor_qmin) == []
+            assert _walk_sublevel(form, b, c, floor_qmin - rng.randint(1, 5)) == []
+            for bound in (floor_qmin + 1, rng.randint(-5, 25)):
+                b1 = sum(abs(x) for x in b)
+                reach = int(b1 / 2 + math.sqrt(b1 * b1 / 4 + max(bound - c, 0))) + 1
+                want = sorted(
+                    y for y in itertools.product(range(reach + 1), repeat=r)
+                    if q(y) < bound
+                )
+                assert sorted(_walk_sublevel(form, b, c, bound)) == want, (a, b, c, bound)
+                nonempty += bool(want)
+        assert nonempty > 20
 
     def test_qpower_and_gamma(self):
         # E(-q^3 w) has x-coefficient  -q^3 * c_1
@@ -188,6 +238,100 @@ class TestCertificateEdges:
         prod = FactorProduct(cfg, (QExpFactor(1, 1, gamma=-1, qpower=3),))
         got, _ = coefficient_of(prod, (1,), 10)
         assert got == -euler_coeff_truncated(1, 7).shift(3)
+
+
+def _oracle_truncated_mul(a, b, precision):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            if ea + eb < precision:
+                out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _oracle_euler(k, precision):
+    """c_k = (-1)^k q^(k^2) / prod_{j<=k} (1 - q^(2j)) by long division."""
+    den = [1]
+    for j in range(1, k + 1):
+        den = naive_poly_mul(den, [1] + [0] * (2 * j - 1) + [-1])
+    return longdiv_expand(
+        {k * k: (-1) ** k}, {e: c for e, c in enumerate(den) if c}, precision
+    )
+
+
+class TestCoefficientOracle:
+    def test_random_products_against_blind_sum(self):
+        # blind tuple search, valuation by letter sorting, and each term's
+        # series by long division: nothing here shares the engine's code
+        rng = random.Random(20261018)
+        kmax = 6
+        checked = nonzero = 0
+        for _ in range(14):
+            sites = rng.randint(2, 3)
+            factors = tuple(
+                QExpFactor(
+                    rng.randint(1, sites),
+                    rng.choice((1, -1)),
+                    rng.choice((1, -1)),
+                    rng.randint(-2, 3),
+                )
+                for _ in range(rng.randint(2, 5))
+            )
+            cfg = AlgebraConfig(sites)
+            prod = FactorProduct(cfg, factors)
+            precision = rng.randint(4, 24)
+            support = sorted({f.site for f in factors})
+            targets = window_targets(cfg, support, 2)
+            for target in rng.sample(targets, min(3, len(targets))):
+                got, cert = coefficient_of(prod, target, precision)
+                tgt = {i + 1: e for i, e in enumerate(target) if e}
+                blind = brute_force_tuples(
+                    [f.exp for f in factors], [f.site for f in factors], tgt, kmax
+                )
+                want = {}
+                kept = []
+                for ks in blind:
+                    _, phase = phase_by_sorting(
+                        [(f.site, f.exp * k) for f, k in zip(factors, ks)]
+                    )
+                    shift = phase + sum(f.qpower * k for f, k in zip(factors, ks))
+                    if sum(k * k for k in ks) + shift >= precision:
+                        continue
+                    kept.append(ks)
+                    sign = 1
+                    for f, k in zip(factors, ks):
+                        sign *= f.gamma ** k
+                    term = {shift: sign}
+                    for k in ks:
+                        term = _oracle_truncated_mul(
+                            term, _oracle_euler(k, precision - shift), precision
+                        )
+                    for e, c in term.items():
+                        want[e] = want.get(e, 0) + c
+                want = {e: c for e, c in want.items() if c}
+                # the blind box must not be what stops the search
+                assert all(max(ks) < kmax for ks in kept)
+                assert list(cert.tuples) == sorted(kept), (factors, target)
+                assert got.coeffs == want and got.precision == precision
+                checked += 1
+                nonzero += bool(want)
+        assert checked >= 30 and nonzero >= 10
+
+
+class TestPinnedCounts:
+    def test_sigma_alg_kept_tuples(self, monkeypatch):
+        # a deterministic work count: a pruning bug that drops tuples moves it
+        kept = []
+        inner = catalog.coefficient_of
+
+        def counting(product, target, precision):
+            got, cert = inner(product, target, precision)
+            kept.append(len(cert.tuples))
+            return got, cert
+
+        monkeypatch.setattr(catalog, "coefficient_of", counting)
+        assert catalog.verify_identity("sigma_alg").status == "PASS"
+        assert sum(kept) == 5836
 
 
 U_V_WINDOW = 3
