@@ -200,15 +200,16 @@ def _run_exact(name: str, p: dict):
     per: list = []
     ok = True
     for target in sorted(set(lhs_map) | set(rhs_map)):
-        le = lhs_map.get(target, zero)
-        re = rhs_map.get(target, zero)
+        # canonical forms: structural equality is value equality
+        le = lhs_map.get(target, zero).to_rational_q()
+        re = rhs_map.get(target, zero).to_rational_q()
         match = le == re
         ok = ok and match
         per.append(
             {
                 "target": monomial_label(target),
-                "lhs": str(le.to_rational_q()),
-                "rhs": str(re.to_rational_q()),
+                "lhs": str(le),
+                "rhs": str(re),
                 "match": match,
             }
         )

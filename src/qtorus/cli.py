@@ -16,6 +16,9 @@ Three subcommands:
     Parse a derivation-script file, re-apply every step, and report the
     outcome.  Exit status 0 when the replay succeeds, 1 when it does not,
     2 when the file cannot be parsed.
+
+Every subcommand writes to ``--output`` instead of stdout when given, and
+exits 2 with an ``error:`` line when that file cannot be written.
 """
 
 from __future__ import annotations
@@ -42,12 +45,19 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _emit(text: str, output: Optional[str]) -> None:
+def _emit(text: str, output: Optional[str], status: int) -> int:
+    """Write `text` to the file `output`, or to stdout when it is None, and
+    return `status`; return 2 when the file cannot be written."""
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
+    return status
 
 
 def _selected_names(raw: Optional[list[str]]) -> list[str]:
@@ -115,14 +125,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             f"summary: total={len(reports)} passed={passed} failed={failed} {overall}"
         )
         text = "\n\n".join(blocks) + "\n"
-    _emit(text, args.output)
-    return 0 if failed == 0 else 1
+    return _emit(text, args.output, 0 if failed == 0 else 1)
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
     lines = [_canonical(entry) for entry in list_identities()]
-    _emit("\n".join(lines) + "\n", args.output)
-    return 0
+    return _emit("\n".join(lines) + "\n", args.output, 0)
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -141,8 +149,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         "final": render_word(result.final),
         "error": result.error,
     }
-    _emit(_canonical(out) + "\n", args.output)
-    return 0 if result.ok else 1
+    return _emit(_canonical(out) + "\n", args.output, 0 if result.ok else 1)
 
 
 def _build_parser() -> argparse.ArgumentParser:

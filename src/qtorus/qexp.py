@@ -8,14 +8,16 @@ Expanding the infinite product gives
 so every coefficient is a rational function of q whose denominator is a
 product of cyclotomic polynomials and whose numerator is a single power of q
 (after sign cancellation:  1 - q^(2j) = - prod_{d | 2j} cyclotomic_d(q),  so
-c_k = q^(k^2) / prod_{j<=k} prod_{d|2j} cyclotomic_d(q)).
+c_k = q^(k^2) / prod_{j<=k} prod_{d|2j} cyclotomic_d(q)).  Counting the j
+with d | 2j gives each multiplicity directly (:func:`euler_denominator_factors`).
 
 :func:`euler_coeff_exact` reduces c_k to a canonical rational function;
 :func:`euler_coeff_truncated` gives c_k mod q^P directly from partition
 counts:  1/prod_{j<=k} (1 - q^(2j)) = sum_n p_k(n) q^(2n),  with p_k(n) the
 number of partitions of n into parts <= k.  :func:`divide_by_pochhammers`
 is that running-sum kernel on a dense list; it also assembles whole
-products of c_k in the truncated engine.
+products of c_k in the truncated engine, where each term's valuation comes
+from the sublevel walk.
 
 Two computable forms are provided for algebra elements x:
 
@@ -53,24 +55,18 @@ __all__ = [
 ]
 
 
-_DEN_FACTORS: dict[int, Counter] = {0: Counter()}
-
-
 def euler_denominator_factors(k: int) -> Counter:
     """Cyclotomic factorization (index -> multiplicity) of
     (-1)^k * prod_{j=1..k} (1 - q^(2j)),  which is a *monic positive* product
-    of cyclotomic polynomials."""
+    of cyclotomic polynomials.
+
+    cyclotomic_d divides 1 - q^(2j) exactly when d | 2j, so it occurs
+    floor(2k/d) times for even d and floor(k/d) times for odd d."""
     if k < 0:
         raise ValueError("order must be >= 0")
-    known = max(_DEN_FACTORS)
-    while known < k:
-        known += 1
-        nxt = Counter(_DEN_FACTORS[known - 1])
-        for d in range(1, 2 * known + 1):
-            if (2 * known) % d == 0:
-                nxt[d] += 1
-        _DEN_FACTORS[known] = nxt
-    return Counter(_DEN_FACTORS[k])
+    return Counter(
+        {d: (k if d % 2 else 2 * k) // d for d in range(1, 2 * k + 1) if d % 2 == 0 or d <= k}
+    )
 
 
 def euler_coeff_factored(k: int) -> FactoredRational:

@@ -19,13 +19,17 @@ Two coefficient domains are provided:
 whose denominators are products of cyclotomic polynomials.  Cyclotomic
 polynomials are monic, so reducing such a sum to its canonical
 :class:`RationalQ` needs only exact division over Z, never a polynomial gcd
-or rational coefficients.
+or rational coefficients.  Two values are equal exactly when their canonical
+forms are, so :class:`FactoredRational` equality compares canonical forms.
+Every product of cyclotomic polynomials is expanded by one function,
+``_expand_factors``, whose cache is bounded.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import lru_cache
 from typing import Iterable, Mapping, Optional
 
 from .errors import PrecisionError
@@ -161,10 +165,6 @@ class LaurentSeries:
     @classmethod
     def monomial(cls, exp: int, coeff: int = 1, precision: Optional[int] = None) -> "LaurentSeries":
         return cls({exp: coeff}, precision)
-
-    @classmethod
-    def from_poly(cls, dense: Iterable[int], precision: Optional[int] = None) -> "LaurentSeries":
-        return cls({e: c for e, c in enumerate(dense) if c}, precision)
 
     # -- inspection --------------------------------------------------------
 
@@ -310,8 +310,6 @@ def _poly_str(p: tuple[int, ...]) -> str:
 # cyclotomic polynomials
 # ---------------------------------------------------------------------------
 
-_CYCLOTOMIC_CACHE: dict[int, tuple[int, ...]] = {}
-
 
 def _divisors(n: int) -> list[int]:
     out = []
@@ -325,20 +323,13 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+@lru_cache(maxsize=256)
 def cyclotomic(n: int) -> tuple[int, ...]:
     """Dense coefficient tuple of the n-th cyclotomic polynomial."""
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    cached = _CYCLOTOMIC_CACHE.get(n)
-    if cached is not None:
-        return cached
     num = tuple([-1] + [0] * (n - 1) + [1])  # q^n - 1
-    den: tuple[int, ...] = (1,)
-    for d in _divisors(n)[:-1]:
-        den = _pmul(den, cyclotomic(d))
-    phi = _pdiv_monic(num, den)
-    _CYCLOTOMIC_CACHE[n] = phi
-    return phi
+    return _pdiv_monic(num, _expand_factors(tuple((d, 1) for d in _divisors(n)[:-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -392,20 +383,19 @@ class RationalQ:
 # FactoredRational: sums over cyclotomic-product denominators
 # ---------------------------------------------------------------------------
 
-_FACTOR_EXPANSION_CACHE: dict[tuple[tuple[int, int], ...], tuple[int, ...]] = {}
+
+def _factor_key(factors: Counter) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted((d, m) for d, m in factors.items() if m > 0))
 
 
-def _expand_factors(factors: Counter) -> tuple[int, ...]:
-    key = tuple(sorted(factors.items()))
-    cached = _FACTOR_EXPANSION_CACHE.get(key)
-    if cached is not None:
-        return cached
+@lru_cache(maxsize=256)
+def _expand_factors(key: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """Dense product of cyclotomic(d)**m over the (d, m) pairs of `key`."""
     out: tuple[int, ...] = (1,)
     for d, m in key:
         phi = cyclotomic(d)
         for _ in range(m):
             out = _pmul(out, phi)
-    _FACTOR_EXPANSION_CACHE[key] = out
     return out
 
 
@@ -431,9 +421,6 @@ class FactoredRational:
     def is_zero(self) -> bool:
         return not self.num
 
-    def mul_laurent(self, other: Mapping[int, int]) -> "FactoredRational":
-        return FactoredRational(_lmul(self.num, other), self.den)
-
     def __mul__(self, other: "FactoredRational") -> "FactoredRational":
         return FactoredRational(_lmul(self.num, other.num), self.den + other.den)
 
@@ -443,8 +430,8 @@ class FactoredRational:
         if other.is_zero():
             return self
         union = self.den | other.den  # pointwise max
-        a = _lmul(self.num, dict(enumerate(_expand_factors(union - self.den))))
-        b = _lmul(other.num, dict(enumerate(_expand_factors(union - other.den))))
+        a = _lmul(self.num, dict(enumerate(_expand_factors(_factor_key(union - self.den)))))
+        b = _lmul(other.num, dict(enumerate(_expand_factors(_factor_key(union - other.den)))))
         return FactoredRational(_ladd(a, b), union)
 
     def __neg__(self) -> "FactoredRational":
@@ -454,12 +441,10 @@ class FactoredRational:
         return self + (-other)
 
     def __eq__(self, other: object) -> bool:
+        """Value equality: canonical forms are equal exactly when values are."""
         if not isinstance(other, FactoredRational):
             return NotImplemented
-        union = self.den | other.den
-        a = _lmul(self.num, dict(enumerate(_expand_factors(union - self.den))))
-        b = _lmul(other.num, dict(enumerate(_expand_factors(union - other.den))))
-        return a == b
+        return self.to_rational_q() == other.to_rational_q()
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -486,14 +471,7 @@ class FactoredRational:
             if drop:
                 num_poly = num_poly[drop:]
                 q_power -= drop
-        den_poly: tuple[int, ...] = (1,)
-        for d, m in sorted(den.items()):
-            if m:
-                phi = cyclotomic(d)
-                for _ in range(m):
-                    den_poly = _pmul(den_poly, phi)
-        den_poly = _pmul(tuple([0] * q_power + [1]), den_poly)
-        return RationalQ(num_poly, den_poly)
+        return RationalQ(num_poly, (0,) * q_power + _expand_factors(_factor_key(den)))
 
     def __repr__(self) -> str:
         return f"FactoredRational({self.num!r}, {dict(self.den)!r})"

@@ -32,17 +32,19 @@ common integer so that each target's minimiser and headroom, and every
 step of the walk, are integer arithmetic.  Each kernel basis vector is +1
 at exactly one factor index where the particular solution is 0, so the
 walk coordinates are entries of k itself and the walk stays in the
-nonnegative orthant.  A kept tuple contributes
-(-1)^(sum k) q^(Q(k)) / prod_l (q^2;q^2)_(k_l), times its gamma sign;
+nonnegative orthant.  The walk returns each point with its value of the
+form, which is the tuple's valuation Q(k); nothing recomputes it.  A
+kept tuple contributes (-1)^(sum k) q^(Q(k)) / prod_l (q^2;q^2)_(k_l),
+times its gamma sign;
 tuples with the same multiset of nonzero k share that denominator, whose
 expansion counts partitions, so each group's signed q^(Q(k)) terms are
 expanded together by running sums and no series is multiplied.
 
 A second engine handles products of E(x) for *arbitrary* polynomial
 arguments x (sums of monomials with all site exponents >= 0) exactly, with
-coefficients as canonical rational functions of q: exponent vectors only
-grow under multiplication, so a degree window bounds the series orders that
-can contribute, and no truncation is ever introduced.
+coefficients as rational functions of q, compared by their canonical forms:
+exponent vectors only grow under multiplication, so a degree window bounds
+the series orders that can contribute, and no truncation is ever introduced.
 """
 
 from __future__ import annotations
@@ -245,8 +247,9 @@ def _walk_sublevel(
     b_vec: Sequence[int],
     c_val: int,
     bound: int,
-) -> list[tuple[int, ...]]:
-    """Integer points y >= 0 with  y^T A y + b^T y + c < bound.
+) -> list[tuple[tuple[int, ...], int]]:
+    """Integer points y >= 0 with  Q(y) = y^T A y + b^T y + c < bound, each
+    paired with its value Q(y).
 
     The real minimiser is y* = -A^-1 b / 2 with value qmin, and the LDL^T
     data writes the form as  qmin + sum_i d_i (y_i - center_i)^2.  The walk
@@ -256,7 +259,8 @@ def _walk_sublevel(
     YS = lam*y* and the headroom lam*(bound - qmin) come from the adjugate,
     Z_j = lam*y_j - YS_j, the scaled center C2 = lam^2 * center and offset
     U = lam^2 * (y_i - center) give the level test  DI * U^2 >= budget,
-    with DI = lam*d_i and budgets scaled by lam^5.
+    with DI = lam*d_i and budgets scaled by lam^5.  The budget left at a
+    leaf is exactly lam^5 * (bound - Q(y)), so it gives Q(y) for free.
     """
     lam, di_scaled, li_cols = form.lam, form.di, form.li_cols
     r = len(di_scaled)
@@ -268,16 +272,16 @@ def _walk_sublevel(
     )
     if headroom <= 0:
         return []
+    if not r:
+        return [((), c_val)]
     lam2 = lam * lam
+    lam5 = lam2 * lam2 * lam
 
-    points: list[tuple[int, ...]] = []
+    points: list[tuple[tuple[int, ...], int]] = []
     y = [0] * r
     zed = [0] * r
 
     def descend(i: int, budget: int) -> None:
-        if i < 0:
-            points.append(tuple(y))
-            return
         c2 = lam * ys_scaled[i]
         col = li_cols[i]
         for j in range(i + 1, r):
@@ -296,7 +300,10 @@ def _walk_sublevel(
                     break
                 y[i] = y_i
                 zed[i] = lam * y_i - ys_scaled[i]
-                descend(i - 1, budget - used)
+                if i:
+                    descend(i - 1, budget - used)
+                else:
+                    points.append((tuple(y), bound - (budget - used) // lam5))
                 y_i += step
                 u += du
         y[i] = 0
@@ -396,16 +403,10 @@ def _product_setup(product: FactorProduct):
     g_basis = [[sum(gram[i][m] * v[m] for m in range(L)) for i in range(L)] for v in vecs]
     a_mat = [[sum(bi[m] * gbj[m] for m in range(L)) for gbj in g_basis] for bi in vecs]
     form = _scaled_form(a_mat)
-    phase_pairs = tuple(
-        (i, j, _phase_pair(factors[i], factors[j]))
-        for i in range(L)
-        for j in range(i + 1, L)
-        if _phase_pair(factors[i], factors[j])
-    )
     # c_k carries (-1)^k and gamma = -1 another (-1)^k, so a term's sign is
     # (-1)^(sum of k over the factors with gamma = +1)
     sign_idx = tuple(i for i, f in enumerate(factors) if f.gamma > 0)
-    return factor_strs, by_site, basis, gram, tvec, phase_pairs, sign_idx, a_mat, form
+    return factor_strs, by_site, basis, gram, tvec, sign_idx, a_mat, form
 
 
 def coefficient_of(
@@ -428,7 +429,6 @@ def coefficient_of(
         basis,
         gram,
         tvec,
-        phase_pairs,
         sign_idx,
         a_mat,
         form,
@@ -455,16 +455,18 @@ def coefficient_of(
     b_vec = [w[j] + coeff * w[first] for j, first, coeff in basis]
     c_val = sum((g_part[j] + tvec[j]) * p for j, p in nonzero)
 
-    tuples: list[tuple[int, ...]] = []
-    for yvec in _walk_sublevel(form, b_vec, c_val, precision):
+    # the walk's value Q(y) is the valuation Q(k) of the tuple k it maps to
+    kept: list[tuple[tuple[int, ...], int]] = []
+    for yvec, qval in _walk_sublevel(form, b_vec, c_val, precision):
         k = particular[:]
         for (j, first, coeff), y in zip(basis, yvec):
             if y:
                 k[j] = y
                 k[first] += coeff * y
         if min(k, default=0) >= 0:
-            tuples.append(tuple(k))
-    tuples.sort()
+            kept.append((tuple(k), qval))
+    kept.sort()
+    tuples = tuple(k for k, _ in kept)
 
     # prod c_(k_i) = (-1)^(sum k) q^(sum k^2) / prod (q^2;q^2)_(k_i): group the
     # signed numerators q^Q(k) by the multiset of nonzero k, then expand each
@@ -472,12 +474,7 @@ def coefficient_of(
     groups: dict[tuple[int, ...], dict[int, int]] = {}
     max_index = 0
     min_val: Optional[int] = None
-    for k in tuples:
-        phi = sum(t * kk for t, kk in zip(tvec, k)) if any(tvec) else 0
-        for i, j, pair in phase_pairs:
-            if k[i] and k[j]:
-                phi += pair * k[i] * k[j]
-        qval = sum(kk * kk for kk in k) + phi
+    for k, qval in kept:
         sign = -1 if sum(k[i] for i in sign_idx) % 2 else 1
         num = groups.setdefault(tuple(sorted(kk for kk in k if kk)), {})
         num[qval] = num.get(qval, 0) + sign
@@ -507,7 +504,7 @@ def coefficient_of(
         tuple(tuple(row) for row in a_mat),
         form.minors,
         tuple(particular),
-        tuple(tuples),
+        tuples,
         max_index,
         min_val,
     )

@@ -527,7 +527,13 @@ def parse_script(text: str) -> DerivationScript:
                 for chunk in bindings_str.split(","):
                     k, _, v = chunk.partition("=")
                     bindings[k.strip()] = v.strip()
-            steps.append(Step(int(pos), builder(bindings), direction == "fwd"))
+            try:
+                relation = builder(bindings)
+            except KeyError as exc:
+                raise InvalidParams(f"{rid} needs binding {exc.args[0]!r}: {raw!r}") from None
+            except ValueError:
+                raise InvalidParams(f"binding is not an integer: {raw!r}") from None
+            steps.append(Step(int(pos), relation, direction == "fwd"))
     if name is None or start is None or end is None:
         raise InvalidParams("script needs name, start, and end lines")
     return DerivationScript(name, start, tuple(steps), end)

@@ -1,5 +1,9 @@
 """Tests for the identity catalog and its report schema."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from qtorus.catalog import (
@@ -11,6 +15,9 @@ from qtorus.catalog import (
     verify_identity,
 )
 from qtorus.errors import InvalidParams
+
+# canonical-report hashes that the benchmark checks every run against
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 REPORT_KEYS = [
     "schema_version",
@@ -154,3 +161,21 @@ def test_lattice_set_covers_all_interior_sites():
     targets = {e["target"] for e in d["per_monomial"]}
     assert d["status"] == "PASS"
     assert len(targets) == len(d["per_monomial"])
+
+
+def _report_hash(report) -> str:
+    """SHA-256 of the report's canonical JSON without ``elapsed_ms``, hashed
+    as ``perfbench/run.py::canonical_hash`` hashes it."""
+    body = {k: v for k, v in report.to_dict().items() if k != "elapsed_ms"}
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_reports_match_benchmark_reference():
+    workloads = json.loads(REFERENCE.read_text(encoding="utf-8"))["workloads"]
+    defaults = {name: h for name, h in workloads["cli_defaults"].items() if h is not None}
+    assert len(defaults) == 15  # every catalog item but the seeded rewrite_walk
+    for name, want in defaults.items():
+        assert _report_hash(verify_identity(name)) == want, name
+    for name, want in workloads["exact_window"].items():
+        assert _report_hash(verify_identity(name, window=8)) == want, name

@@ -155,6 +155,21 @@ def test_verify_output_file_leaves_stdout_empty(capsys, tmp_path):
     assert parse_jsonl(path.read_text())[-1]["summary"]["status"] == "PASS"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--identity", "mult1"], ["list"], ["replay", "SCRIPT"]],
+    ids=["verify", "list", "replay"],
+)
+def test_unwritable_output_exits_two(capsys, tmp_path, argv):
+    script = tmp_path / "braid.txt"
+    script.write_text(render_script(braid_script(1, 3)))
+    argv = [str(script) if a == "SCRIPT" else a for a in argv]
+    target = tmp_path / "no_such_dir" / "out.txt"
+    code, out, err = run_cli([*argv, "--output", str(target)], capsys)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert not target.exists()
+
+
 def test_verify_deterministic_across_runs(capsys):
     argv = ["verify", "--identity", "seven_term,rewrite_walk",
             "--precision", "10", "--seed", "5"]
@@ -259,11 +274,16 @@ def test_replay_wrong_end_exits_one(capsys, tmp_path):
     assert doc["ok"] is False and doc["error"]
 
 
-def test_replay_unparsable_file_exits_two(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "step",
+    ["@0 nosuchrel fwd", "@0 comm0[m=1] fwd", "@0 comm0[n=x] fwd", "@0 comm0 fwd"],
+    ids=["unknown_relation", "wrong_binding", "non_integer_binding", "no_binding"],
+)
+def test_replay_unparsable_file_exits_two(capsys, tmp_path, step):
     path = tmp_path / "junk.txt"
-    path.write_text("script: x\nstart: s1+\n@0 nosuchrel fwd\nend: s1+\n")
+    path.write_text(f"script: x\nstart: s1+\n{step}\nend: s1+\n")
     code, out, err = run_cli(["replay", str(path)], capsys)
-    assert code == 2 and out == "" and "error" in err
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_replay_missing_file_exits_two(capsys, tmp_path):

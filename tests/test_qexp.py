@@ -1,5 +1,7 @@
 """Coefficients and finite forms of the q-exponential."""
 
+from collections import Counter
+
 import pytest
 
 from qtorus.algebra import AlgebraConfig, Element
@@ -13,7 +15,7 @@ from qtorus.qexp import (
     stable_depth,
     stable_depth_for,
 )
-from qtorus.series import LaurentSeries, RationalQ
+from qtorus.series import LaurentSeries, RationalQ, cyclotomic
 
 from oracles import longdiv_expand, naive_poly_mul, rational_equal
 
@@ -51,18 +53,29 @@ class TestEulerCoefficients:
             assert rational_equal((lhs, ck.den), (rhs, prev.den))
 
     def test_denominator_factors_expand_correctly(self):
-        # the factored form must match the explicit rational build
-        from qtorus.series import _pmul
-
-        for k in range(1, 6):
-            den = (1,)
-            for j in range(1, k + 1):
-                one_minus = tuple([1] + [0] * (2 * j - 1) + [-1])
-                den = _pmul(den, one_minus)
-            num = [0] * (k * k) + [(-1) ** k]
-            got = euler_coeff_factored(k).to_rational_q()
-            assert got.den[-1] == 1
-            assert rational_equal((got.num, got.den), (num, den))
+        # the direct cyclotomic count must expand to
+        # (-1)^k prod_{j<=k} (1 - q^(2j)) = prod_{j<=k} (q^(2j) - 1), and the
+        # factored c_k must match the explicit rational build
+        pochhammer, expanded, prev = [1], [1], Counter()
+        for k in range(1, 41):
+            pochhammer = naive_poly_mul(pochhammer, [-1] + [0] * (2 * k - 1) + [1])
+            factors = euler_denominator_factors(k)
+            assert not prev - factors, k
+            for d, m in (factors - prev).items():
+                for _ in range(m):
+                    expanded = naive_poly_mul(expanded, list(cyclotomic(d)))
+            assert expanded == pochhammer, k
+            prev = factors
+            if k <= 5:
+                got = euler_coeff_factored(k).to_rational_q()
+                assert got.den[-1] == 1
+                assert rational_equal((got.num, got.den), ([0] * (k * k) + [1], pochhammer))
+        # the result is the caller's own Counter
+        mutated = euler_denominator_factors(40)
+        mutated[1] += 1
+        mutated[7] = 0
+        mutated[99] = 2
+        assert euler_denominator_factors(40) == prev
 
     def test_truncated_matches_long_division(self):
         for k in range(9):

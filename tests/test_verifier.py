@@ -175,13 +175,17 @@ class TestCertificateEdges:
         b = [-1, 0]
         form = _scaled_form(a)
         assert form.minors == (2, 5)
+
+        def q(y0, y1):
+            return 2 * y0 * y0 + 2 * y0 * y1 + 3 * y1 * y1 - y0
+
         for bound in (1, 5, 17):
             pts = sorted(_walk_sublevel(form, b, 0, bound))
             want = sorted(
-                (y0, y1)
+                ((y0, y1), q(y0, y1))
                 for y0 in range(0, 11)
                 for y1 in range(0, 11)
-                if 2 * y0 * y0 + 2 * y0 * y1 + 3 * y1 * y1 - y0 < bound
+                if q(y0, y1) < bound
             )
             assert pts == want
 
@@ -225,7 +229,7 @@ class TestCertificateEdges:
                 b1 = sum(abs(x) for x in b)
                 reach = int(b1 / 2 + math.sqrt(b1 * b1 / 4 + max(bound - c, 0))) + 1
                 want = sorted(
-                    y for y in itertools.product(range(reach + 1), repeat=r)
+                    (y, q(y)) for y in itertools.product(range(reach + 1), repeat=r)
                     if q(y) < bound
                 )
                 assert sorted(_walk_sublevel(form, b, c, bound)) == want, (a, b, c, bound)
