@@ -27,11 +27,10 @@ from typing import Callable, Optional, Sequence
 from .algebra import AlgebraConfig, Element, monomial_label
 from .errors import InvalidParams
 from .scripts import (
-    _merge_stats,
-    _new_stats,
     braid_script,
     braid_translation_fwd,
     braid_translation_rev,
+    fold_certificate,
     random_walk,
     seven_term_script,
     sigma_commute_script,
@@ -39,18 +38,13 @@ from .scripts import (
     sigma_script2,
     sigma_translation_fwd,
     sigma_translation_rev,
+    word_coefficients,
     word_image,
     word_to_product,
 )
 from .series import FactoredRational, LaurentSeries
-from .verifier import (
-    FactorProduct,
-    QExpFactor,
-    coefficient_of,
-    exact_window_map,
-    window_targets,
-)
-from .words import Relation, S, comm0, rel1, rel2, rel3, rel4, replay
+from .verifier import exact_window_map
+from .words import Relation, S, Word, comm0, rel1, rel2, rel3, rel4, replay
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -131,43 +125,36 @@ def _relation_label(rel: Relation) -> str:
     return f"{rel.rid}({','.join(v for _, v in rel.bindings)})"
 
 
-def _compare_products(
-    pairs: Sequence[tuple[str, FactorProduct, FactorProduct, Sequence[int]]],
+def _row(label: str, lhs, rhs) -> dict:
+    """One per-monomial report row: both coefficients and whether they agree."""
+    return {"target": label, "lhs": str(lhs), "rhs": str(rhs), "match": lhs == rhs}
+
+
+def _compare_words(
+    pairs: Sequence[tuple[str, Word, Word]],
+    sites: int,
     window: int,
     precision: int,
 ) -> tuple[bool, list, dict]:
-    """Compare coefficient tables of product pairs over a common box."""
+    """Compare the coefficients of labelled word pairs target by target over
+    the box of the sites either word touches; neither table is held."""
     per: list = []
-    stats = _new_stats()
-    all_match = True
-    for label, lhs, rhs, support in pairs:
-        cfg = lhs.config
+    stats: dict = {}
+    for label, lhs, rhs in pairs:
         prefix = f"{label}: " if label else ""
-        for target in window_targets(cfg, support, window):
-            ls, lc = coefficient_of(lhs, target, precision)
-            rs, rc = coefficient_of(rhs, target, precision)
-            match = ls == rs
-            all_match = all_match and match
-            per.append(
-                {
-                    "target": prefix + monomial_label(target),
-                    "lhs": str(ls),
-                    "rhs": str(rs),
-                    "match": match,
-                }
-            )
-            _merge_stats(stats, lc)
-            _merge_stats(stats, rc)
-    return all_match, per, stats
-
-
-def _word_pair(
-    label: str, lhs_word, rhs_word, sites: int
-) -> tuple[str, FactorProduct, FactorProduct, tuple[int, ...]]:
-    lhs = word_to_product(lhs_word, sites)
-    rhs = word_to_product(rhs_word, sites)
-    support = tuple(sorted(lhs.support_sites() | rhs.support_sites())) or (1,)
-    return (label, lhs, rhs, support)
+        touched = (
+            word_to_product(lhs, sites).support_sites()
+            | word_to_product(rhs, sites).support_sites()
+        )
+        support = sorted(touched) or [1]
+        for (target, ls, lc), (_, rs, rc) in zip(
+            word_coefficients(lhs, sites, window, precision, support),
+            word_coefficients(rhs, sites, window, precision, support),
+        ):
+            per.append(_row(prefix + monomial_label(target), ls, rs))
+            fold_certificate(stats, lc)
+            fold_certificate(stats, rc)
+    return all(row["match"] for row in per), per, stats
 
 
 def _status(ok: bool) -> str:
@@ -197,78 +184,42 @@ def _run_exact(name: str, p: dict):
     lhs_map, k_lhs = exact_window_map(lhs_args, window)
     rhs_map, k_rhs = exact_window_map(rhs_args, window)
     zero = FactoredRational.zero()
-    per: list = []
-    ok = True
-    for target in sorted(set(lhs_map) | set(rhs_map)):
-        # canonical forms: structural equality is value equality
-        le = lhs_map.get(target, zero).to_rational_q()
-        re = rhs_map.get(target, zero).to_rational_q()
-        match = le == re
-        ok = ok and match
-        per.append(
-            {
-                "target": monomial_label(target),
-                "lhs": str(le),
-                "rhs": str(re),
-                "match": match,
-            }
+    # canonical forms: structural equality is value equality
+    per = [
+        _row(
+            monomial_label(target),
+            lhs_map.get(target, zero).to_rational_q(),
+            rhs_map.get(target, zero).to_rational_q(),
         )
+        for target in sorted(set(lhs_map) | set(rhs_map))
+    ]
+    ok = all(row["match"] for row in per)
     max_order = max(k_lhs, k_rhs)
     summary = {"mode": "exact", "max_order": max_order, "window": window}
     return _status(ok), per, summary, max_order
 
 
-_SEVEN_LHS = ((2, 1), (1, -1), (1, 1), (2, 1))
-_SEVEN_RHS = ((1, -1), (2, 1), (1, 1))
-
-
-def _seven_term_products(n_sites: int) -> tuple[FactorProduct, FactorProduct]:
-    if n_sites < 2:
-        raise InvalidParams("needs at least two sites")
-    cfg = AlgebraConfig(n_sites)
-    lhs = FactorProduct(cfg, tuple(QExpFactor(s, e) for s, e in _SEVEN_LHS))
-    rhs = FactorProduct(cfg, tuple(QExpFactor(s, e) for s, e in _SEVEN_RHS))
-    return lhs, rhs
-
-
 def _run_seven_term(p: dict):
-    lhs, rhs = _seven_term_products(p["N"])
-    ok, per, stats = _compare_products(
-        [("", lhs, rhs, (1, 2))], p["W"], p["P"]
-    )
+    if p["N"] < 2:
+        raise InvalidParams("needs at least two sites")
+    # the four-factor vs three-factor identity is the first two-site relation
+    rel = rel1(1)
+    ok, per, stats = _compare_words([("", rel.lhs, rel.rhs)], p["N"], p["W"], p["P"])
     summary = {"mode": "truncated", **stats}
     return _status(ok), per, summary, None
 
 
-def _two_site_checks(n: int) -> list[Relation]:
-    return [rel1(n), rel2(n), rel3(n), rel4(n), comm0(n), comm0(n + 1)]
-
-
-def _run_two_site_set(p: dict):
+def _run_chain_relations(p: dict, length: int):
+    """Check every nearest-neighbour relation of the first `length` sites,
+    then the same-site commutation of each of them, on p["N"] sites."""
     if p["N"] < 2:
         raise InvalidParams("needs at least two sites")
-    pairs = [
-        _word_pair(_relation_label(rel), rel.lhs, rel.rhs, p["N"])
-        for rel in _two_site_checks(1)
-    ]
-    ok, per, stats = _compare_products(pairs, p["W"], p["P"])
-    summary = {"mode": "truncated", "checks": len(pairs), **stats}
-    return _status(ok), per, summary, None
-
-
-def _run_lattice_set(p: dict):
-    n_sites = p["N"]
-    if n_sites < 2:
-        raise InvalidParams("needs at least two sites")
     rels: list[Relation] = []
-    for n in range(1, n_sites):
+    for n in range(1, length):
         rels.extend((rel1(n), rel2(n), rel3(n), rel4(n)))
-    for n in range(1, n_sites + 1):
-        rels.append(comm0(n))
-    pairs = [
-        _word_pair(_relation_label(rel), rel.lhs, rel.rhs, n_sites) for rel in rels
-    ]
-    ok, per, stats = _compare_products(pairs, p["W"], p["P"])
+    rels.extend(comm0(n) for n in range(1, length + 1))
+    pairs = [(_relation_label(rel), rel.lhs, rel.rhs) for rel in rels]
+    ok, per, stats = _compare_words(pairs, p["N"], p["W"], p["P"])
     summary = {"mode": "truncated", "checks": len(pairs), **stats}
     return _status(ok), per, summary, None
 
@@ -286,32 +237,17 @@ def _run_family2_probe(p: dict):
     corrected_table, _ = word_image(rel.rhs, n_sites, window, precision, support)
     printed_table, _ = word_image(printed_rhs, n_sites, window, precision, support)
 
-    per: list = []
-    corrected_ok = True
-    for target in sorted(lhs_table):
-        ls, rs = lhs_table[target], corrected_table[target]
-        match = ls == rs
-        corrected_ok = corrected_ok and match
-        per.append(
-            {
-                "target": monomial_label(target),
-                "lhs": str(ls),
-                "rhs": str(rs),
-                "match": match,
-            }
-        )
-
-    printed_ok = True
-    first_mismatch = None
-    for target in sorted(lhs_table):
-        if lhs_table[target] != printed_table[target]:
-            printed_ok = False
-            first_mismatch = {
-                "target": monomial_label(target),
-                "lhs": str(lhs_table[target]),
-                "rhs": str(printed_table[target]),
-            }
-            break
+    targets = sorted(lhs_table)
+    per = [
+        _row(monomial_label(t), lhs_table[t], corrected_table[t]) for t in targets
+    ]
+    corrected_ok = all(row["match"] for row in per)
+    # the first printed-side row that fails, reported without its match flag
+    printed = (
+        _row(monomial_label(t), lhs_table[t], printed_table[t]) for t in targets
+    )
+    first_mismatch = next((row for row in printed if not row.pop("match")), None)
+    printed_ok = first_mismatch is None
 
     summary = {
         "mode": "truncated",
@@ -329,8 +265,8 @@ def _run_family2_probe(p: dict):
 def _run_braid_alg(p: dict):
     n = p["n"] if p["n"] is not None else 1
     script = braid_script(n, p["N"])
-    pairs = [_word_pair("", script.start, script.end, p["N"])]
-    ok, per, stats = _compare_products(pairs, p["W"], p["P"])
+    pairs = [("", script.start, script.end)]
+    ok, per, stats = _compare_words(pairs, p["N"], p["W"], p["P"])
     summary = {"mode": "truncated", "script": script.name, **stats}
     return _status(ok), per, summary, None
 
@@ -340,10 +276,10 @@ def _run_sigma_alg(p: dict):
     s1 = sigma_script1(n, p["N"])
     s2 = sigma_script2(n, p["N"])
     pairs = [
-        _word_pair(f"sigma_rel1({n})", s1.start, s1.end, p["N"]),
-        _word_pair(f"sigma_rel2({n})", s2.start, s2.end, p["N"]),
+        (f"sigma_rel1({n})", s1.start, s1.end),
+        (f"sigma_rel2({n})", s2.start, s2.end),
     ]
-    ok, per, stats = _compare_products(pairs, p["W"], p["P"])
+    ok, per, stats = _compare_words(pairs, p["N"], p["W"], p["P"])
     summary = {"mode": "truncated", **stats}
     return _status(ok), per, summary, None
 
@@ -497,13 +433,13 @@ _ITEMS: list[CatalogItem] = [
         "two_site_set",
         "the six commutation identities on sites 1 and 2",
         {"N": 2, "n": None, "W": 3, "P": 14},
-        _run_two_site_set,
+        lambda p: _run_chain_relations(p, 2),
     ),
     CatalogItem(
         "lattice_set",
         "all nearest-neighbour and same-site identities on the chain",
         {"N": 6, "n": None, "W": 2, "P": 14},
-        _run_lattice_set,
+        lambda p: _run_chain_relations(p, p["N"]),
     ),
     CatalogItem(
         "lattice_family2_probe",

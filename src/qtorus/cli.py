@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
 from .catalog import (
@@ -61,10 +60,16 @@ def _emit(text: str, output: Optional[str], status: int) -> int:
 
 
 def _selected_names(raw: Optional[list[str]]) -> list[str]:
+    """Catalog names selected by the `--identity` values, in catalog order;
+    no `--identity` at all, or `all` among the values, selects everything."""
+    if raw is None:
+        return identity_names()
     chunks: list[str] = []
-    for item in raw or ["all"]:
+    for item in raw:
         chunks.extend(x.strip() for x in item.split(",") if x.strip())
-    if not chunks or "all" in chunks:
+    if not chunks:
+        raise InvalidParams("--identity names no identity")
+    if "all" in chunks:
         return identity_names()
     known = set(identity_names())
     out: list[str] = []
@@ -81,22 +86,16 @@ def _selected_names(raw: Optional[list[str]]) -> list[str]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
-        names = _selected_names(args.identity)
-
-        def run(name: str):
-            return verify_identity(
+        reports = [
+            verify_identity(
                 name,
                 sites=args.sites,
                 window=args.window,
                 precision=args.precision,
                 seed=args.seed,
             )
-
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                reports = list(pool.map(run, names))
-        else:
-            reports = [run(name) for name in names]
+            for name in _selected_names(args.identity)
+        ]
     except KernelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -170,7 +169,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--window", type=int, help="monomial window half-width")
     verify.add_argument("--precision", type=int, help="q-adic precision")
     verify.add_argument("--seed", type=int, help="seed for the rewrite walk")
-    verify.add_argument("--jobs", type=int, default=1, help="parallel workers")
     verify.add_argument("--output", help="write the report here instead of stdout")
     verify.add_argument(
         "--format",
@@ -194,9 +192,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
     return args.func(args)
 
 

@@ -19,8 +19,9 @@ replay; no generator "discovers" a proof at run time.  The families are:
   ascending or descending run, shifting its index; these are the word-level
   lemmas used to reorder products of ``b`` or ``c`` letters.
 
-:func:`word_image` maps a word of factor letters to the window-restricted
-coefficient table of the corresponding product of q-exponentials, so script
+:func:`word_coefficients` streams the window-restricted coefficients of the
+product of q-exponentials a word of factor letters stands for, one target at
+a time, and :func:`word_image` collects them into a table, so script
 start/end words can be compared as algebra elements.  :func:`random_walk`
 drives a seeded walk through the structural rewrite system.
 """
@@ -28,12 +29,18 @@ drives a seeded walk through the structural rewrite system.
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .algebra import AlgebraConfig, Element
 from .errors import InvalidParams
 from .series import LaurentSeries
-from .verifier import FactorProduct, QExpFactor, coefficient_of, window_targets
+from .verifier import (
+    FactorProduct,
+    QExpFactor,
+    TupleCertificate,
+    coefficient_of,
+    window_targets,
+)
 from .words import (
     B,
     C,
@@ -75,6 +82,8 @@ __all__ = [
     "sigma_translation_fwd",
     "sigma_translation_rev",
     "word_to_product",
+    "fold_certificate",
+    "word_coefficients",
     "word_image",
     "structural_relations",
     "applicable_steps",
@@ -100,14 +109,39 @@ def word_to_product(word: Sequence[Letter], sites: int) -> FactorProduct:
     return FactorProduct(AlgebraConfig(sites), tuple(factors))
 
 
-def _new_stats() -> dict:
-    return {"max_tuples": 0, "max_kernel_rank": 0, "max_index": 0}
+def fold_certificate(stats: dict, cert: TupleCertificate) -> None:
+    """Fold one certificate into the running maxima of a summary: tuples
+    kept, kernel rank and factor index (an absent key counts as 0)."""
+    for key, value in (
+        ("max_tuples", len(cert.tuples)),
+        ("max_kernel_rank", cert.kernel_rank),
+        ("max_index", cert.max_index),
+    ):
+        stats[key] = max(stats.get(key, 0), value)
 
 
-def _merge_stats(stats: dict, cert) -> None:
-    stats["max_tuples"] = max(stats["max_tuples"], len(cert.tuples))
-    stats["max_kernel_rank"] = max(stats["max_kernel_rank"], cert.kernel_rank)
-    stats["max_index"] = max(stats["max_index"], cert.max_index)
+def word_coefficients(
+    word: Sequence[Letter],
+    sites: int,
+    window: int,
+    precision: int,
+    support: Optional[Sequence[int]] = None,
+) -> Iterator[tuple[tuple[int, ...], LaurentSeries, TupleCertificate]]:
+    """Yield ``(target, series, certificate)`` for every monomial of the
+    symmetric exponent box ``|e_i| <= window``, in :func:`window_targets`
+    order, one coefficient extraction at a time.
+
+    By default the box ranges only over the sites the word touches: a
+    monomial with a nonzero exponent on an untouched site has coefficient
+    zero in every factor word over the same letters.  Pass ``support`` to
+    fix a common box when comparing two words.
+    """
+    product = word_to_product(word, sites)
+    if support is None:
+        support = sorted(product.support_sites()) or [1]
+    for target in window_targets(product.config, support, window):
+        series, cert = coefficient_of(product, target, precision)
+        yield target, series, cert
 
 
 def word_image(
@@ -117,26 +151,17 @@ def word_image(
     precision: int,
     support: Optional[Sequence[int]] = None,
 ) -> tuple[dict[tuple, LaurentSeries], dict]:
-    """Coefficient table of a factor word on the symmetric exponent box.
-
-    Returns the map ``monomial exponent -> series`` over the box
-    ``|e_i| <= window`` together with summary statistics of the
-    enumeration certificates.  By default the box ranges only over the sites
-    the word touches: a monomial with a nonzero exponent on an untouched
-    site has coefficient zero in every factor word over the same letters.
-    Pass ``support`` to fix a common box when comparing two words.
-    """
-    product = word_to_product(word, sites)
-    cfg = product.config
-    if support is None:
-        support = sorted(product.support_sites()) or [1]
-    targets = window_targets(cfg, support, window)
+    """Coefficient table of a factor word over the box of
+    :func:`word_coefficients`, together with the number of targets and the
+    maxima of their enumeration certificates."""
     table: dict[tuple, LaurentSeries] = {}
-    stats = {"targets": len(targets), **_new_stats()}
-    for target in targets:
-        series, cert = coefficient_of(product, target, precision)
+    stats = {"targets": 0}
+    for target, series, cert in word_coefficients(
+        word, sites, window, precision, support
+    ):
         table[target] = series
-        _merge_stats(stats, cert)
+        stats["targets"] += 1
+        fold_certificate(stats, cert)
     return table, stats
 
 

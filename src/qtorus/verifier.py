@@ -220,7 +220,7 @@ class _ScaledForm:
     li_cols: tuple[tuple[int, ...], ...]
 
 
-def _scaled_form(a: list[list[int]]) -> _ScaledForm:
+def _scaled_form(a: Sequence[Sequence[int]]) -> _ScaledForm:
     """Certify the integer symmetric matrix `a` positive definite (raises
     NoCertificate otherwise) and scale its LDL^T data to integers."""
     r = len(a)
@@ -401,7 +401,9 @@ def _product_setup(product: FactorProduct):
         v[j] = 1
         vecs.append(v)
     g_basis = [[sum(gram[i][m] * v[m] for m in range(L)) for i in range(L)] for v in vecs]
-    a_mat = [[sum(bi[m] * gbj[m] for m in range(L)) for gbj in g_basis] for bi in vecs]
+    a_mat = tuple(
+        tuple(sum(bi[m] * gbj[m] for m in range(L)) for gbj in g_basis) for bi in vecs
+    )
     form = _scaled_form(a_mat)
     # c_k carries (-1)^k and gamma = -1 another (-1)^k, so a term's sign is
     # (-1)^(sum of k over the factors with gamma = +1)
@@ -501,7 +503,7 @@ def coefficient_of(
         precision,
         True,
         len(basis),
-        tuple(tuple(row) for row in a_mat),
+        a_mat,
         form.minors,
         tuple(particular),
         tuples,

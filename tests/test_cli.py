@@ -1,8 +1,10 @@
 """Tests for the command-line front end."""
 
 import dataclasses
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -107,6 +109,14 @@ def test_verify_spec_example_exits_zero(capsys, tmp_path):
     assert all(r["status"] == "PASS" for r in rows[:-1])
 
 
+@pytest.mark.parametrize("value", ["", ","], ids=["empty", "comma"])
+def test_verify_empty_selection_exits_two(capsys, value):
+    # only an absent --identity (or 'all') selects the whole catalog
+    code, out, err = run_cli(["verify", "--identity", value], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_verify_json_format_single_object(capsys):
     code, out, _ = run_cli(
         ["verify", "--identity", "mult1", "--format", "json"], capsys
@@ -130,6 +140,23 @@ def test_verify_text_format(capsys):
     assert "braid_script: PASS" in out
     assert "certificate: mode=replay scripts=" in out
     assert out.rstrip("\n").endswith("summary: total=2 passed=2 failed=0 PASS")
+
+
+# sha256 of `verify --identity all --seed 3 --format text`, every
+# "elapsed: <n> ms" line read as "elapsed: N ms"; it pins the text layout,
+# including the order of each certificate summary's keys
+TEXT_ALL_SEED3_SHA256 = (
+    "e709853f00108346f1b3ab4fd4fd54117b51a5b08c7da2294824114c9da0922f"
+)
+
+
+def test_verify_text_format_pinned(capsys):
+    code, out, _ = run_cli(
+        ["verify", "--identity", "all", "--seed", "3", "--format", "text"], capsys
+    )
+    assert code == 0
+    text = re.sub(r"elapsed: \d+ ms", "elapsed: N ms", out)
+    assert hashlib.sha256(text.encode()).hexdigest() == TEXT_ALL_SEED3_SHA256
 
 
 def test_report_text_marks_mismatches():
@@ -178,14 +205,6 @@ def test_verify_deterministic_across_runs(capsys):
     assert normalized(out1) == normalized(out2)
 
 
-def test_verify_jobs_preserve_order_and_bytes(capsys):
-    argv = ["verify", "--identity", "all", "--precision", "8", "--sites", "6",
-            "--seed", "9"]
-    _, seq, _ = run_cli(argv + ["--jobs", "1"], capsys)
-    _, par, _ = run_cli(argv + ["--jobs", "3"], capsys)
-    assert normalized(seq) == normalized(par)
-
-
 def test_verify_forced_fail_exits_one(capsys, monkeypatch):
     def failing(name, **kw):
         return dataclasses.replace(verify_identity(name, **kw), status="FAIL")
@@ -214,13 +233,14 @@ def test_verify_bad_params_exit_two(capsys):
         ["verify", "--identity", "seven_term", "--sites", "1"], capsys
     )
     assert code == 2
-    code, _, _ = run_cli(["verify", "--identity", "mult1", "--jobs", "0"], capsys)
-    assert code == 2
 
 
-def test_verify_rejects_unknown_flag():
+@pytest.mark.parametrize(
+    "flag", [["--tolerance", "1e-6"], ["--jobs", "2"]], ids=["tolerance", "jobs"]
+)
+def test_verify_rejects_unknown_flag(flag):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--tolerance", "1e-6"])
+        cli.main(["verify", *flag])
     assert exc.value.code == 2
 
 

@@ -21,6 +21,7 @@ from qtorus.verifier import (
 from qtorus.verifier import _ldl, _scaled_form, _walk_sublevel
 
 import qtorus.catalog as catalog
+import qtorus.scripts as scripts
 from oracles import brute_force_tuples, longdiv_expand, naive_poly_mul, phase_by_sorting
 
 L = LaurentSeries
@@ -326,14 +327,14 @@ class TestPinnedCounts:
     def test_sigma_alg_kept_tuples(self, monkeypatch):
         # a deterministic work count: a pruning bug that drops tuples moves it
         kept = []
-        inner = catalog.coefficient_of
+        inner = scripts.coefficient_of
 
         def counting(product, target, precision):
             got, cert = inner(product, target, precision)
             kept.append(len(cert.tuples))
             return got, cert
 
-        monkeypatch.setattr(catalog, "coefficient_of", counting)
+        monkeypatch.setattr(scripts, "coefficient_of", counting)
         assert catalog.verify_identity("sigma_alg").status == "PASS"
         assert sum(kept) == 5836
 
