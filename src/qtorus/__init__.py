@@ -2,14 +2,15 @@
 
 The package provides, bottom up:
 
-- :mod:`qtorus.series` — integer Laurent series with explicit q-adic
-  precision, rational functions of q, and factored rational forms whose
+- :mod:`qtorus.series` — exact integer Laurent series (a series known only
+  mod a power of q is a result: it is compared and printed, never fed to
+  arithmetic), rational functions of q, and factored rational forms whose
   denominators are products of cyclotomic polynomials.
 - :mod:`qtorus.algebra` — the quantum-torus algebra of a finite chain of
   sites, with adjacent generators commuting up to a fixed power of q.
-- :mod:`qtorus.qexp` — the q-exponential as an infinite product and as a
-  power series with closed-form coefficients, plus the truncation-depth
-  bound that makes finite evaluation exact.
+- :mod:`qtorus.qexp` — the coefficients c_k of the q-exponential's power
+  series: their cyclotomic denominators, and their expansion mod a power
+  of q by partition counts.
 - :mod:`qtorus.verifier` — two verification engines: an exact engine for
   identities whose coefficients close in rational functions of q, and a
   certified truncated engine that enumerates, per monomial, the finite
@@ -32,16 +33,7 @@ from .errors import (
 )
 from .series import FactoredRational, LaurentSeries, RationalQ, cyclotomic
 from .algebra import AlgebraConfig, Element, monomial_label, phase_exponent
-from .qexp import (
-    euler_coeff_exact,
-    euler_coeff_factored,
-    euler_coeff_truncated,
-    euler_denominator_factors,
-    qexp_product,
-    qexp_series,
-    stable_depth,
-    stable_depth_for,
-)
+from .qexp import euler_denominator_factors
 from .verifier import (
     FactorProduct,
     QExpFactor,
@@ -116,14 +108,7 @@ __all__ = [
     "monomial_label",
     "phase_exponent",
     # q-exponential
-    "euler_coeff_exact",
-    "euler_coeff_factored",
-    "euler_coeff_truncated",
     "euler_denominator_factors",
-    "qexp_series",
-    "qexp_product",
-    "stable_depth",
-    "stable_depth_for",
     # verifier
     "QExpFactor",
     "FactorProduct",

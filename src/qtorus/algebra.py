@@ -23,7 +23,7 @@ so that  monomial(a) * monomial(b) = q^phase(a,b) * monomial(a + b).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 from .errors import InvalidParams
 from .series import LaurentSeries
@@ -50,14 +50,6 @@ class AlgebraConfig:
         if not 1 <= site <= self.sites:
             raise InvalidParams(f"site {site} outside 1..{self.sites}")
 
-    def vector(self, mapping: Mapping[int, int]) -> tuple[int, ...]:
-        """Dense exponent tuple from a site -> exponent mapping (1-indexed)."""
-        out = [0] * self.sites
-        for site, exp in mapping.items():
-            self.check_site(site)
-            out[site - 1] = exp
-        return tuple(out)
-
 
 def phase_exponent(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     """Power of q produced when monomial(a) * monomial(b) is normal-ordered."""
@@ -82,35 +74,15 @@ class Element:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, config: AlgebraConfig) -> "Element":
-        return cls(config, {})
+    def identity(cls, config: AlgebraConfig) -> "Element":
+        return cls(config, {(0,) * config.sites: LaurentSeries.one()})
 
     @classmethod
-    def identity(cls, config: AlgebraConfig, precision: Optional[int] = None) -> "Element":
-        return cls(config, {(0,) * config.sites: LaurentSeries.one(precision)})
-
-    @classmethod
-    def generator(
-        cls,
-        config: AlgebraConfig,
-        site: int,
-        exp: int = 1,
-        precision: Optional[int] = None,
-    ) -> "Element":
+    def generator(cls, config: AlgebraConfig, site: int, exp: int = 1) -> "Element":
         config.check_site(site)
         vec = [0] * config.sites
         vec[site - 1] = exp
-        return cls(config, {tuple(vec): LaurentSeries.one(precision)})
-
-    @classmethod
-    def monomial(
-        cls,
-        config: AlgebraConfig,
-        vec: Iterable[int],
-        coeff: Optional[LaurentSeries] = None,
-    ) -> "Element":
-        c = LaurentSeries.one() if coeff is None else coeff
-        return cls(config, {tuple(vec): c})
+        return cls(config, {tuple(vec): LaurentSeries.one()})
 
     # -- inspection --------------------------------------------------------
 
@@ -119,22 +91,6 @@ class Element:
 
     def coefficient(self, vec: Iterable[int]) -> LaurentSeries:
         return self.terms.get(tuple(vec), LaurentSeries.zero())
-
-    def support_sites(self) -> set[int]:
-        out: set[int] = set()
-        for vec in self.terms:
-            for i, e in enumerate(vec):
-                if e:
-                    out.add(i + 1)
-        return out
-
-    def min_precision(self) -> Optional[int]:
-        p: Optional[int] = None
-        for coeff in self.terms.values():
-            cp = coeff.precision
-            if cp is not None and (p is None or cp < p):
-                p = cp
-        return p
 
     # -- arithmetic --------------------------------------------------------
 
@@ -169,20 +125,6 @@ class Element:
 
     def scale(self, coeff: LaurentSeries) -> "Element":
         return Element(self.config, {v: c * coeff for v, c in self.terms.items()})
-
-    def truncate(self, precision: int) -> "Element":
-        return Element(self.config, {v: c.truncate(precision) for v, c in self.terms.items()})
-
-    def restrict_window(self, window: int, sites: Optional[Iterable[int]] = None) -> "Element":
-        """Drop monomials with any exponent of magnitude above `window`,
-        checked on the given sites (default: all sites)."""
-        idx = range(self.config.sites) if sites is None else [s - 1 for s in sites]
-        kept = {
-            v: c
-            for v, c in self.terms.items()
-            if all(abs(v[i]) <= window for i in idx)
-        }
-        return Element(self.config, kept)
 
     # -- comparison / rendering -------------------------------------------
 

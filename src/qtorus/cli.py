@@ -69,19 +69,14 @@ def _selected_names(raw: Optional[list[str]]) -> list[str]:
         chunks.extend(x.strip() for x in item.split(",") if x.strip())
     if not chunks:
         raise InvalidParams("--identity names no identity")
-    if "all" in chunks:
-        return identity_names()
-    known = set(identity_names())
-    out: list[str] = []
+    names = identity_names()
     for name in chunks:
-        if name not in known:
+        if name != "all" and name not in names:
             raise InvalidParams(f"unknown identity {name!r}")
-        if name not in out:
-            out.append(name)
-    # keep catalog order regardless of request order
-    order = {name: i for i, name in enumerate(identity_names())}
-    out.sort(key=order.__getitem__)
-    return out
+    if "all" in chunks:
+        return names
+    # catalog order regardless of request order
+    return [name for name in names if name in chunks]
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

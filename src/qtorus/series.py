@@ -1,14 +1,15 @@
-"""Integer Laurent series with truncation-order tracking, and exact rational
+"""Integer Laurent series with a truncation order, and exact rational
 functions of q.
 
 Two coefficient domains are provided:
 
 * :class:`LaurentSeries` -- a Laurent polynomial in q with integer
-  coefficients, together with an optional *precision* P.  A finite precision
-  means coefficients of ``q**e`` for ``e >= P`` are unknown; ``precision is
-  None`` means the series is exact.  All arithmetic propagates precision
-  pessimistically, so equality of two series at a given precision is a
-  mathematically sound statement about the underlying exact objects.
+  coefficients, together with an optional *precision* P.  ``precision is
+  None`` means the series is exact, and only exact series take part in
+  arithmetic.  A finite precision means coefficients of ``q**e`` for
+  ``e >= P`` are unknown; such a series is a result (of the truncated
+  engine): it can be built, compared, printed and read coefficient by
+  coefficient, and any arithmetic on it raises :class:`PrecisionError`.
 
 * :class:`RationalQ` -- a quotient of integer polynomials in q in canonical
   reduced form (coprime, monic denominator), so that equality is structural.
@@ -27,7 +28,6 @@ Every product of cyclotomic polynomials is expanded by one function,
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional
@@ -62,8 +62,9 @@ def _ladd(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
     return out
 
 
-def _lmul(a: Mapping[int, int], b: Mapping[int, int], cutoff: Optional[int] = None) -> dict[int, int]:
-    """Product of two Laurent dicts, dropping exponents >= cutoff if given."""
+def _lmul(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
+    """Product of two Laurent dicts.  Zero entries are skipped: the dense
+    denominator expansions that :meth:`FactoredRational.__add__` passes hold them."""
     out: dict[int, int] = {}
     for ea, ca in a.items():
         if not ca:
@@ -72,24 +73,12 @@ def _lmul(a: Mapping[int, int], b: Mapping[int, int], cutoff: Optional[int] = No
             if not cb:
                 continue
             e = ea + eb
-            if cutoff is not None and e >= cutoff:
-                continue
             v = out.get(e, 0) + ca * cb
             if v:
                 out[e] = v
             else:
                 del out[e]
     return out
-
-
-def _lscale(a: Mapping[int, int], k: int) -> dict[int, int]:
-    if k == 0:
-        return {}
-    return {e: c * k for e, c in a.items()}
-
-
-def _lshift(a: Mapping[int, int], m: int) -> dict[int, int]:
-    return {e + m: c for e, c in a.items()}
 
 
 def _term_str(exp: int, coeff: int) -> str:
@@ -124,33 +113,23 @@ class LaurentSeries:
 
     ``precision is None`` marks an exact series.  With finite precision P the
     stored coefficients cover exactly the exponents below P; anything at or
-    above P is unknown.  Because the stored coefficients are complete below P,
-    every series carries a certified valuation bound: the smallest stored
-    exponent, or P itself for a truncated zero.  Multiplication reduces
-    precision when a factor has negative valuation -- the bound of each
-    operand dictates how far the other operand's unknown tail can reach down.
+    above P is unknown.  Arithmetic (``+``, unary ``-``, ``*`` and
+    :meth:`shift`) is defined on exact series only and raises
+    :class:`PrecisionError` when an operand is truncated.
     """
 
-    __slots__ = ("_coeffs", "_precision", "_floor")
+    __slots__ = ("_coeffs", "_precision")
 
     def __init__(
         self,
         coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = (),
         precision: Optional[int] = None,
     ) -> None:
-        d = dict(coeffs) if not isinstance(coeffs, Mapping) else dict(coeffs)
-        d = _lclean(d)
+        d = _lclean(dict(coeffs))
         if precision is not None:
             d = {e: c for e, c in d.items() if e < precision}
-        if d:
-            f = min(d)
-        elif precision is not None:
-            f = precision
-        else:
-            f = 0
         self._coeffs = d
         self._precision = precision
-        self._floor = f
 
     # -- constructors ------------------------------------------------------
 
@@ -159,12 +138,12 @@ class LaurentSeries:
         return cls({}, precision)
 
     @classmethod
-    def one(cls, precision: Optional[int] = None) -> "LaurentSeries":
-        return cls({0: 1}, precision)
+    def one(cls) -> "LaurentSeries":
+        return cls({0: 1})
 
     @classmethod
-    def monomial(cls, exp: int, coeff: int = 1, precision: Optional[int] = None) -> "LaurentSeries":
-        return cls({exp: coeff}, precision)
+    def monomial(cls, exp: int, coeff: int = 1) -> "LaurentSeries":
+        return cls({exp: coeff})
 
     # -- inspection --------------------------------------------------------
 
@@ -183,10 +162,6 @@ class LaurentSeries:
             )
         return self._coeffs.get(exp, 0)
 
-    def valuation(self) -> float:
-        """Smallest exponent with nonzero coefficient; +inf for the zero series."""
-        return min(self._coeffs) if self._coeffs else math.inf
-
     def is_zero(self) -> bool:
         """True when every known coefficient vanishes (mod q^P if truncated)."""
         return not self._coeffs
@@ -194,52 +169,34 @@ class LaurentSeries:
     def known_exactly(self) -> bool:
         return self._precision is None
 
-    # -- arithmetic --------------------------------------------------------
+    # -- arithmetic (exact series only) -------------------------------------
 
-    @staticmethod
-    def _meet(pa: Optional[int], pb: Optional[int]) -> Optional[int]:
-        if pa is None:
-            return pb
-        if pb is None:
-            return pa
-        return min(pa, pb)
+    def _exact(self, *others: "LaurentSeries") -> None:
+        for s in (self, *others):
+            if s._precision is not None:
+                raise PrecisionError(
+                    f"series arithmetic needs exact operands; got one known only mod q^{s._precision}"
+                )
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        p = self._meet(self._precision, other._precision)
-        return LaurentSeries(_ladd(self._coeffs, other._coeffs), p)
+        self._exact(other)
+        return LaurentSeries(_ladd(self._coeffs, other._coeffs))
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self + (-other)
 
     def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(_lscale(self._coeffs, -1), self._precision)
+        self._exact()
+        return LaurentSeries({e: -c for e, c in self._coeffs.items()})
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
-        pa, pb = self._precision, other._precision
-        if (pa is None and not self._coeffs) or (pb is None and not other._coeffs):
-            return LaurentSeries()  # an exact zero annihilates the other factor
-        if pa is None and pb is None:
-            p: Optional[int] = None
-        else:
-            cands = []
-            if pa is not None:
-                cands.append(pa + other._floor)
-            if pb is not None:
-                cands.append(pb + self._floor)
-            p = min(cands)
-        return LaurentSeries(_lmul(self._coeffs, other._coeffs, p), p)
-
-    def scale(self, k: int) -> "LaurentSeries":
-        return LaurentSeries(_lscale(self._coeffs, k), self._precision)
+        self._exact(other)
+        return LaurentSeries(_lmul(self._coeffs, other._coeffs))
 
     def shift(self, m: int) -> "LaurentSeries":
         """Multiply by q**m."""
-        p = None if self._precision is None else self._precision + m
-        return LaurentSeries(_lshift(self._coeffs, m), p)
-
-    def truncate(self, precision: int) -> "LaurentSeries":
-        p = precision if self._precision is None else min(self._precision, precision)
-        return LaurentSeries(self._coeffs, p)
+        self._exact()
+        return LaurentSeries({e + m: c for e, c in self._coeffs.items()})
 
     # -- comparison / rendering -------------------------------------------
 
@@ -352,10 +309,6 @@ class RationalQ:
         n = _ptrim(tuple(num))
         self.num, self.den = n, _ptrim(tuple(den)) if n else (1,)
 
-    @classmethod
-    def from_int(cls, k: int) -> "RationalQ":
-        return cls((k,))
-
     def is_zero(self) -> bool:
         return not self.num
 
@@ -401,8 +354,8 @@ def _expand_factors(key: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
 
 class FactoredRational:
     """A rational function of q held as (Laurent numerator) / (product of
-    cyclotomic polynomials).  Cheap to multiply and to add when denominators
-    share factors; converts to canonical :class:`RationalQ` on demand.
+    cyclotomic polynomials).  Cheap to add when denominators share factors;
+    converts to canonical :class:`RationalQ` on demand.
     """
 
     __slots__ = ("num", "den")
@@ -421,9 +374,6 @@ class FactoredRational:
     def is_zero(self) -> bool:
         return not self.num
 
-    def __mul__(self, other: "FactoredRational") -> "FactoredRational":
-        return FactoredRational(_lmul(self.num, other.num), self.den + other.den)
-
     def __add__(self, other: "FactoredRational") -> "FactoredRational":
         if self.is_zero():
             return other
@@ -433,12 +383,6 @@ class FactoredRational:
         a = _lmul(self.num, dict(enumerate(_expand_factors(_factor_key(union - self.den)))))
         b = _lmul(other.num, dict(enumerate(_expand_factors(_factor_key(union - other.den)))))
         return FactoredRational(_ladd(a, b), union)
-
-    def __neg__(self) -> "FactoredRational":
-        return FactoredRational(_lscale(self.num, -1), self.den)
-
-    def __sub__(self, other: "FactoredRational") -> "FactoredRational":
-        return self + (-other)
 
     def __eq__(self, other: object) -> bool:
         """Value equality: canonical forms are equal exactly when values are."""

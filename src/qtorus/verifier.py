@@ -92,10 +92,6 @@ class QExpFactor:
         if self.gamma not in (1, -1):
             raise InvalidParams("factor sign must be +1 or -1")
 
-    def argument(self, config: AlgebraConfig) -> Element:
-        coeff = LaurentSeries.monomial(self.qpower, self.gamma)
-        return Element.generator(config, self.site, self.exp).scale(coeff)
-
     def __str__(self) -> str:
         inner = f"w{self.site}" + ("^-1" if self.exp < 0 else "")
         if self.qpower:

@@ -1,15 +1,18 @@
 """Independent reference implementations used only by the test suite.
 
 Everything here is written in the most naive way possible (long division,
-letter-by-letter sorting, nested-loop enumeration) so that agreement with the
-package's optimized kernels is meaningful evidence of correctness.
+letter-by-letter sorting, nested-loop enumeration, literal finite products)
+so that agreement with the package's optimized kernels is meaningful
+evidence of correctness.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import product as iproduct
+
+from qtorus.algebra import Element
+from qtorus.series import LaurentSeries
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +45,17 @@ def longdiv_expand(num: dict[int, int], den: dict[int, int], precision: int) -> 
                     rem.pop(k, None)
         e += 1
     return out
+
+
+def oracle_euler(k: int, precision: int) -> dict[int, int]:
+    """c_k = (-1)^k q^(k^2) / prod_{j<=k} (1 - q^(2j)) below q^precision, by
+    long division."""
+    den = [1]
+    for j in range(1, k + 1):
+        den = naive_poly_mul(den, [1] + [0] * (2 * j - 1) + [-1])
+    return longdiv_expand(
+        {k * k: (-1) ** k}, {e: c for e, c in enumerate(den) if c}, precision
+    )
 
 
 def naive_poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -154,3 +168,20 @@ def brute_force_tuples(
         if totals == {k: v for k, v in target.items() if v}:
             hits.append(ks)
     return hits
+
+
+# ---------------------------------------------------------------------------
+# q-exponential oracle: the literal finite product
+# ---------------------------------------------------------------------------
+
+
+def finite_qexp(x: Element, depth: int) -> Element:
+    """prod_{n<depth} (1 - x q^(2n+1)), factors multiplied left to right in
+    exact Element arithmetic.  It agrees with E(x) only below the power of q
+    that the first omitted factor can reach, so callers compare low-order
+    terms and certify a depth by checking that depth + 2 agrees with it."""
+    one = Element.identity(x.config)
+    acc = one
+    for n in range(depth):
+        acc = acc * (one - x.scale(LaurentSeries.monomial(2 * n + 1)))
+    return acc

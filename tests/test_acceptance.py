@@ -15,10 +15,12 @@ then asserts.  The criteria:
                                item records corrected-PASS / printed-FAIL
 4. derivation replays          every scripted derivation family replays
                                end to end
-5. product/series agreement    truncated q-exponential product equals the
-                               series form for X = w^(+/-1) mod q^16 up to
-                               order 4, at the depth the threshold formula
-                               prescribes (and a too-shallow depth fails)
+5. product/series agreement    the truncated engine's coefficients of
+                               E(w^(+/-1)) at w^(+/-k), k <= 4, equal the
+                               literal finite product, multiplied out in
+                               exact arithmetic, mod q^16 at the depth the
+                               threshold formula prescribes (and a
+                               too-shallow depth fails)
 6. certificate completeness    certified tuple sets equal an independent
                                blind enumeration filtered by a separately
                                computed valuation form, and the certified
@@ -38,13 +40,12 @@ import pytest
 import qtorus.cli as cli
 from qtorus.algebra import AlgebraConfig, Element
 from qtorus.catalog import verify_identity
-from qtorus.qexp import qexp_product, qexp_series, stable_depth
 from qtorus.series import LaurentSeries
 from qtorus.verifier import FactorProduct, QExpFactor, coefficient_of, window_targets
 from qtorus.words import comm0, rel1, rel2, rel3, rel4, replay
 from qtorus.scripts import braid_script, word_to_product
 
-from oracles import brute_force_tuples, phase_by_sorting
+from oracles import brute_force_tuples, finite_qexp, phase_by_sorting
 
 
 def _report(num: int, label: str, ok: bool) -> None:
@@ -148,18 +149,27 @@ def test_criterion_4_all_replays():
 def test_criterion_5_product_vs_series():
     cfg = AlgebraConfig(1)
     order, precision = 4, 16
-    depth = stable_depth(order, precision)
-    ok = depth == max(
-        1, max((precision - k * k + 1) // 2 + k for k in range(1, order + 1))
-    )
+    # the threshold depth: factor n first reaches the coefficient of x^k at
+    # q^((k-1)^2 + 2n + 1)
+    depth = max((precision - k * k + 1) // 2 + k for k in range(1, order + 1))
+    ok = True
     for exp in (1, -1):
         x = Element.generator(cfg, 1, exp)
-        series = qexp_series(x, order, precision)
-        product = qexp_product(x, depth, precision).restrict_window(order)
-        ok = ok and product == series
+        engine = FactorProduct(cfg, (QExpFactor(1, exp),))
+        series = [
+            coefficient_of(engine, (exp * k,), precision)[0] for k in range(order + 1)
+        ]
+
+        def product(d):
+            el = finite_qexp(x, d)
+            return [
+                LaurentSeries(el.coefficient((exp * k,)).coeffs, precision)
+                for k in range(order + 1)
+            ]
+
+        ok = ok and product(depth) == series and product(depth + 2) == series
         # a clearly insufficient depth must disagree
-        shallow = qexp_product(x, 3, precision).restrict_window(order)
-        ok = ok and shallow != series
+        ok = ok and product(3) != series
     _report(5, "product vs series mod q^16, orders <= 4", ok)
 
 
@@ -235,8 +245,9 @@ def test_criterion_7_robustness(tmp_path):
     for _ in range(1000):
         cfg = configs[rng.randint(1, 4)]
         a, b, c = (
-            Element.monomial(
-                cfg, [rng.randint(-3, 3) for _ in range(cfg.sites)]
+            Element(
+                cfg,
+                {tuple(rng.randint(-3, 3) for _ in range(cfg.sites)): LaurentSeries.one()},
             )
             for _ in range(3)
         )

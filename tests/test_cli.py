@@ -224,6 +224,12 @@ def test_verify_unknown_identity_exits_two(capsys):
     assert "octagon" in err
 
 
+def test_verify_unknown_identity_next_to_all_exits_two(capsys):
+    code, out, err = run_cli(["verify", "--identity", "all,octagon"], capsys)
+    assert code == 2 and out == ""
+    assert "unknown identity 'octagon'" in err
+
+
 def test_verify_bad_params_exit_two(capsys):
     code, _, err = run_cli(
         ["verify", "--identity", "seven_term", "--precision", "100"], capsys

@@ -1,53 +1,70 @@
-"""Coefficients and finite forms of the q-exponential."""
+"""Coefficients of the q-exponential, its series form and its finite products."""
 
 from collections import Counter
 
-import pytest
-
 from qtorus.algebra import AlgebraConfig, Element
-from qtorus.qexp import (
-    euler_coeff_exact,
-    euler_coeff_factored,
-    euler_coeff_truncated,
-    euler_denominator_factors,
-    qexp_product,
-    qexp_series,
-    stable_depth,
-    stable_depth_for,
-)
-from qtorus.series import LaurentSeries, RationalQ, cyclotomic
+from qtorus.qexp import divide_by_pochhammers, euler_denominator_factors
+from qtorus.series import FactoredRational, LaurentSeries, RationalQ, cyclotomic
+from qtorus.verifier import FactorProduct, QExpFactor, coefficient_of, exact_window_map
 
-from oracles import longdiv_expand, naive_poly_mul, rational_equal
+from oracles import finite_qexp, longdiv_expand, naive_poly_mul, oracle_euler, rational_equal
 
 L = LaurentSeries
 
 
+def exact_c(k):
+    """c_k in canonical form, built as the exact engine builds it: q^(k^2)
+    over the cyclotomic factors of its denominator."""
+    return FactoredRational({k * k: 1}, euler_denominator_factors(k)).to_rational_q()
+
+
+def engine_c(k, precision, exp=1):
+    """The truncated engine's coefficient of w^(exp*k) in E(w^exp)."""
+    prod = FactorProduct(AlgebraConfig(1), (QExpFactor(1, exp),))
+    return coefficient_of(prod, (exp * k,), precision)[0]
+
+
+def threshold_depth(order, precision):
+    """Product depth after which the coefficients of x^0..x^order of a plain
+    generator's finite product are frozen mod q^precision."""
+    return max(1, max((precision - k * k + 1) // 2 + k for k in range(1, order + 1)))
+
+
+def below(el, vec, precision):
+    """Coefficient of monomial `vec` in the exact element `el`, mod q^precision."""
+    return L(el.coefficient(vec).coeffs, precision)
+
+
 class TestEulerCoefficients:
     def test_c0_and_c1(self):
-        assert euler_coeff_exact(0) == RationalQ.from_int(1)
+        assert exact_c(0) == RationalQ((1,))
         # c_1 = -q/(1-q^2) = q/(q^2-1)
-        assert euler_coeff_exact(1) == RationalQ((0, 1), (-1, 0, 1))
+        assert exact_c(1) == RationalQ((0, 1), (-1, 0, 1))
 
     def test_c1_series(self):
-        assert euler_coeff_truncated(1, 8) == L({1: -1, 3: -1, 5: -1, 7: -1}, 8)
+        # c_1 / q mod q^7: one running-sum pass of 1/(1 - q^2)
+        assert divide_by_pochhammers([-1, 0, 0, 0, 0, 0, 0], (1,)) == [-1, 0, -1, 0, -1, 0, -1]
+        assert engine_c(1, 8) == L({1: -1, 3: -1, 5: -1, 7: -1}, 8)
 
     def test_c2_series(self):
-        assert euler_coeff_truncated(2, 10) == L({4: 1, 6: 1, 8: 2}, 10)
+        assert divide_by_pochhammers([1, 0, 0, 0, 0, 0], (2,)) == [1, 0, 1, 0, 2, 0]
+        assert engine_c(2, 10) == L({4: 1, 6: 1, 8: 2}, 10)
 
     def test_valuation_is_k_squared(self):
+        prod = FactorProduct(AlgebraConfig(1), (QExpFactor(1),))
         for k in range(7):
-            s = euler_coeff_truncated(k, k * k + 3)
-            assert s.valuation() == k * k
+            s, cert = coefficient_of(prod, (k,), k * k + 3)
+            assert min(s.coeffs) == cert.min_valuation == k * k
 
     def test_leading_coefficient_sign(self):
         for k in range(1, 7):
-            s = euler_coeff_truncated(k, k * k + 1)
+            s = engine_c(k, k * k + 1)
             assert s.coefficient(k * k) == (-1) ** k
 
     def test_recurrence(self):
         # c_k * (1 - q^(2k)) = -q^(2k-1) * c_(k-1)
         for k in range(1, 8):
-            ck, prev = euler_coeff_exact(k), euler_coeff_exact(k - 1)
+            ck, prev = exact_c(k), exact_c(k - 1)
             lhs = naive_poly_mul(list(ck.num), [1] + [0] * (2 * k - 1) + [-1])
             rhs = naive_poly_mul(list(prev.num), [0] * (2 * k - 1) + [-1])
             assert rational_equal((lhs, ck.den), (rhs, prev.den))
@@ -67,7 +84,7 @@ class TestEulerCoefficients:
             assert expanded == pochhammer, k
             prev = factors
             if k <= 5:
-                got = euler_coeff_factored(k).to_rational_q()
+                got = exact_c(k)
                 assert got.den[-1] == 1
                 assert rational_equal((got.num, got.den), ([0] * (k * k) + [1], pochhammer))
         # the result is the caller's own Counter
@@ -78,18 +95,22 @@ class TestEulerCoefficients:
         assert euler_denominator_factors(40) == prev
 
     def test_truncated_matches_long_division(self):
+        # the engine's partition counts, long division of the canonical exact
+        # c_k, and long division of the defining quotient all agree
         for k in range(9):
-            exact = euler_coeff_exact(k)
+            exact = exact_c(k)
             num = {e: c for e, c in enumerate(exact.num) if c}
             den = {e: c for e, c in enumerate(exact.den) if c}
             for P in range(1, 66):
-                want = L(longdiv_expand(num, den, P), P)
-                assert euler_coeff_truncated(k, P) == want, (k, P)
+                want = longdiv_expand(num, den, P)
+                assert want == oracle_euler(k, P), (k, P)
+                assert engine_c(k, P) == L(want, P), (k, P)
 
     def test_nonpositive_precision_is_zero(self):
+        assert divide_by_pochhammers([], (3,)) == []
         for k in range(4):
             for P in (0, -1, -5):
-                assert euler_coeff_truncated(k, P) == L({}, P)
+                assert engine_c(k, P) == L({}, P)
 
     def test_factored_denominators_accumulate(self):
         f3 = euler_denominator_factors(3)
@@ -101,72 +122,86 @@ class TestEulerCoefficients:
 
 class TestSeriesForm:
     def test_single_generator(self):
-        cfg = AlgebraConfig(1)
-        w = Element.generator(cfg, 1)
-        e = qexp_series(w, 2, 8)
-        assert e.coefficient((0,)) == L({0: 1}, 8)
-        assert e.coefficient((1,)) == euler_coeff_truncated(1, 8)
-        assert e.coefficient((2,)) == euler_coeff_truncated(2, 8)
-        assert (3,) not in e.terms
+        # the exact engine on E(w) gives sum c_k w^k, term by term
+        w = Element.generator(AlgebraConfig(1), 1)
+        table, order = exact_window_map([w], 3)
+        assert sorted(table) == [(0,), (1,), (2,), (3,)] and order == 3
+        for k in range(4):
+            r = table[(k,)].to_rational_q()
+            assert r == exact_c(k)
+            num = {e: c for e, c in enumerate(r.num) if c}
+            den = {e: c for e, c in enumerate(r.den) if c}
+            assert longdiv_expand(num, den, 20) == oracle_euler(k, 20)
 
     def test_inverse_generator(self):
-        cfg = AlgebraConfig(1)
-        winv = Element.generator(cfg, 1, -1)
-        e = qexp_series(winv, 3, 10)
-        assert e.coefficient((-2,)) == euler_coeff_truncated(2, 10)
-        assert (2,) not in e.terms
+        # E(w^-1) = sum c_k w^-k: nothing lands on positive powers
+        for k in range(4):
+            assert engine_c(k, 10, exp=-1) == L(oracle_euler(k, 10), 10)
+        prod = FactorProduct(AlgebraConfig(1), (QExpFactor(1, -1),))
+        for k in (1, 2):
+            got, cert = coefficient_of(prod, (k,), 10)
+            assert got.is_zero() and cert.tuples == ()
 
 
 class TestProductForm:
     def test_matches_series_on_generator(self):
         cfg = AlgebraConfig(1)
+        P, order = 12, 5
+        depth = threshold_depth(order, P)
         for exp in (1, -1):
-            x = Element.generator(cfg, 1, exp)
-            prod = qexp_product(x, None, 12).restrict_window(5)
-            ser = qexp_series(x, 5, 12)
-            assert prod == ser
+            prod = finite_qexp(Element.generator(cfg, 1, exp), depth)
+            for k in range(order + 1):
+                assert below(prod, (exp * k,), P) == engine_c(k, P, exp), (exp, k)
 
     def test_depth_boundary_is_sharp(self):
         # coefficient of x^1 mod q^8 needs exactly 4 factors
-        cfg = AlgebraConfig(1)
-        x = Element.generator(cfg, 1)
-        deep = qexp_product(x, 4, 8).coefficient((1,))
+        x = Element.generator(AlgebraConfig(1), 1)
+        deep = below(finite_qexp(x, 4), (1,), 8)
         assert deep == L({1: -1, 3: -1, 5: -1, 7: -1}, 8)
-        shallow = qexp_product(x, 3, 8).coefficient((1,))
+        shallow = below(finite_qexp(x, 3), (1,), 8)
         assert shallow == L({1: -1, 3: -1, 5: -1}, 8)
         assert shallow != deep
 
     def test_stable_depth_bound_is_safe(self):
-        cfg = AlgebraConfig(1)
-        x = Element.generator(cfg, 1)
+        x = Element.generator(AlgebraConfig(1), 1)
         for P in (6, 9, 16):
             for K in (1, 2, 4):
-                d = stable_depth(K, P)
-                base = qexp_product(x, d, P).restrict_window(K)
-                more = qexp_product(x, d + 3, P).restrict_window(K)
-                assert base == more
-                assert base == qexp_series(x, K, P)
+                d = threshold_depth(K, P)
+                base, more = finite_qexp(x, d), finite_qexp(x, d + 3)
+                for k in range(K + 1):
+                    assert below(base, (k,), P) == below(more, (k,), P) == engine_c(k, P)
 
     def test_scaled_argument(self):
-        # argument with a q-power in its coefficient: the powers of
-        # -q v u = -q^-1 (uv) have coefficient valuation -k^2, so the
-        # default product depth is not enough and the argument-aware
-        # depth must be used.
+        # argument with a q-power in its coefficient: x = -q v u = -q^-1 (uv),
+        # and x^k carries q^(-k^2), so factor n first reaches the coefficient
+        # of x^k at q^((k-1)^2 + 2n + 1 - k^2) and the plain-generator depth
+        # is not enough
         cfg = AlgebraConfig(2)
         u = Element.generator(cfg, 1)
         v = Element.generator(cfg, 2)
         arg = (v * u).scale(L({1: -1}))
-        P = 10
-        depth = stable_depth_for(arg, 3, P)
-        assert depth > stable_depth(3, P)  # deeper than the plain-generator bound
-        prod = qexp_product(arg, depth, P).restrict_window(3)
-        ser = qexp_series(arg, 3, P)
-        assert prod == ser
+        P, order = 10, 3
+        series, _ = exact_window_map([arg], order)
+        targets = [(k, k) for k in range(order + 1)]
+        assert sorted(series) == targets
+
+        def expand(vec):
+            r = series[vec].to_rational_q()
+            num = {e: c for e, c in enumerate(r.num) if c}
+            den = {e: c for e, c in enumerate(r.den) if c}
+            return L(longdiv_expand(num, den, P), P)
+
         # coefficient of (uv)^k is 1 / prod_{j<=k} (1 - q^(2j)): the number
         # of partitions into parts <= k, in q^2 units
-        assert ser.coefficient((2, 2)) == L({0: 1, 2: 1, 4: 2, 6: 2, 8: 3}, P)
-        assert ser.coefficient((3, 3)) == L({0: 1, 2: 1, 4: 2, 6: 3, 8: 4}, P)
-        # the default depth computes the literal finite product, which has
-        # not yet frozen: it must disagree with the series somewhere
-        shallow = qexp_product(arg, None, P).restrict_window(3)
-        assert shallow != ser
+        assert expand((2, 2)) == L({0: 1, 2: 1, 4: 2, 6: 2, 8: 3}, P)
+        assert expand((3, 3)) == L({0: 1, 2: 1, 4: 2, 6: 3, 8: 4}, P)
+        # smallest depth d with (k-1)^2 + 2d + 1 - k^2 >= P for every k
+        depth = max((P + k * k - (k - 1) ** 2) // 2 for k in range(1, order + 1))
+        assert depth > threshold_depth(order, P)
+        for d in (depth, depth + 2):
+            prod = finite_qexp(arg, d)
+            assert all(below(prod, t, P) == expand(t) for t in targets), d
+        # the plain-generator depth gives a finite product that has not yet
+        # frozen: it must disagree with the series somewhere
+        shallow = finite_qexp(arg, threshold_depth(order, P))
+        assert any(below(shallow, t, P) != expand(t) for t in targets)

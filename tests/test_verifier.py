@@ -9,7 +9,6 @@ import pytest
 
 from qtorus.algebra import AlgebraConfig, Element
 from qtorus.errors import InfiniteSupport, InvalidParams, NoCertificate
-from qtorus.qexp import euler_coeff_truncated, qexp_product, qexp_series
 from qtorus.series import LaurentSeries, RationalQ
 from qtorus.verifier import (
     FactorProduct,
@@ -22,7 +21,14 @@ from qtorus.verifier import _ldl, _scaled_form, _walk_sublevel
 
 import qtorus.catalog as catalog
 import qtorus.scripts as scripts
-from oracles import brute_force_tuples, longdiv_expand, naive_poly_mul, phase_by_sorting
+import qtorus.verifier as verifier
+from oracles import (
+    brute_force_tuples,
+    finite_qexp,
+    longdiv_expand,
+    oracle_euler,
+    phase_by_sorting,
+)
 
 L = LaurentSeries
 
@@ -49,7 +55,7 @@ class TestSingleFactors:
         prod = product_of(cfg, [(1, 1)])
         for k in range(4):
             got, cert = coefficient_of(prod, (k,), 10)
-            assert got == euler_coeff_truncated(k, 10)
+            assert got == L(oracle_euler(k, 10), 10)
             assert cert.tuples == ((k,),)
         got, cert = coefficient_of(prod, (-1,), 10)
         assert got == L({}, 10)
@@ -59,7 +65,7 @@ class TestSingleFactors:
         cfg = AlgebraConfig(1)
         prod = product_of(cfg, [(1, -1)])
         got, _ = coefficient_of(prod, (-2,), 12)
-        assert got == euler_coeff_truncated(2, 12)
+        assert got == L(oracle_euler(2, 12), 12)
 
     def test_empty_product_is_identity(self):
         cfg = AlgebraConfig(2)
@@ -71,30 +77,33 @@ class TestSingleFactors:
 
 
 class TestAgainstElementProducts:
+    """Certificates against literal finite products multiplied out exactly.
+    Every coefficient of E(w^+-1)'s finite product of depth d is frozen below
+    q^(2d+1), and the phases here are nonnegative, so depth d is exact mod
+    q^P once 2d + 1 >= P; depth d + 2 checks that it has frozen."""
+
     def test_same_site_square(self):
-        # E(w) E(w) expanded two ways: certificates vs normal-ordered series
+        # E(w) E(w) expanded two ways: certificates vs normal-ordered products
         cfg = AlgebraConfig(1)
         prod = product_of(cfg, [(1, 1), (1, 1)])
-        el = qexp_product(Element.generator(cfg, 1), None, 8)
-        el = el * el
-        for m in range(4):
-            got, _ = coefficient_of(prod, (m,), 8)
-            assert got == el.coefficient((m,)).truncate(8)
+        for depth in (4, 6):
+            el = finite_qexp(Element.generator(cfg, 1), depth)
+            el = el * el
+            for m in range(4):
+                got, _ = coefficient_of(prod, (m,), 8)
+                assert got == L(el.coefficient((m,)).coeffs, 8), (depth, m)
 
     def test_adjacent_sites_mixed(self):
         cfg = AlgebraConfig(2)
         prod = product_of(cfg, [(2, 1), (1, -1)])
-        e2 = qexp_product(Element.generator(cfg, 2), None, 9)
-        e1 = qexp_product(Element.generator(cfg, 1, -1), None, 9)
-        el = e2 * e1
-        for a in range(-2, 1):
-            for b in range(0, 3):
-                got, _ = coefficient_of(prod, (a, b), 7)
-                want = el.coefficient((a, b))
-                # element product loses precision through reordering phases;
-                # compare at the weaker of the two statements
-                p = min(x for x in (got.precision, want.precision, 7) if x is not None)
-                assert got.truncate(p) == want.truncate(p)
+        for depth in (3, 5):
+            e2 = finite_qexp(Element.generator(cfg, 2), depth)
+            e1 = finite_qexp(Element.generator(cfg, 1, -1), depth)
+            el = e2 * e1
+            for a in range(-2, 1):
+                for b in range(0, 3):
+                    got, _ = coefficient_of(prod, (a, b), 7)
+                    assert got == L(el.coefficient((a, b)).coeffs, 7), (depth, a, b)
 
 
 SEVEN_LHS = [(2, 1), (1, -1), (1, 1), (2, 1)]
@@ -242,7 +251,7 @@ class TestCertificateEdges:
         cfg = AlgebraConfig(1)
         prod = FactorProduct(cfg, (QExpFactor(1, 1, gamma=-1, qpower=3),))
         got, _ = coefficient_of(prod, (1,), 10)
-        assert got == -euler_coeff_truncated(1, 7).shift(3)
+        assert got == L({e + 3: -c for e, c in oracle_euler(1, 7).items()}, 10)
 
 
 def _oracle_truncated_mul(a, b, precision):
@@ -252,16 +261,6 @@ def _oracle_truncated_mul(a, b, precision):
             if ea + eb < precision:
                 out[ea + eb] = out.get(ea + eb, 0) + ca * cb
     return {e: c for e, c in out.items() if c}
-
-
-def _oracle_euler(k, precision):
-    """c_k = (-1)^k q^(k^2) / prod_{j<=k} (1 - q^(2j)) by long division."""
-    den = [1]
-    for j in range(1, k + 1):
-        den = naive_poly_mul(den, [1] + [0] * (2 * j - 1) + [-1])
-    return longdiv_expand(
-        {k * k: (-1) ** k}, {e: c for e, c in enumerate(den) if c}, precision
-    )
 
 
 class TestCoefficientOracle:
@@ -309,7 +308,7 @@ class TestCoefficientOracle:
                     term = {shift: sign}
                     for k in ks:
                         term = _oracle_truncated_mul(
-                            term, _oracle_euler(k, precision - shift), precision
+                            term, oracle_euler(k, precision - shift), precision
                         )
                     for e, c in term.items():
                         want[e] = want.get(e, 0) + c
@@ -337,6 +336,21 @@ class TestPinnedCounts:
         monkeypatch.setattr(scripts, "coefficient_of", counting)
         assert catalog.verify_identity("sigma_alg").status == "PASS"
         assert sum(kept) == 5836
+
+    def test_sigma_alg_walked_points(self, monkeypatch):
+        # points the sublevel walk returns before the k >= 0 filter: pruning
+        # inside the walk lowers this count and must leave kept tuples alone
+        walked = []
+        inner = verifier._walk_sublevel
+
+        def counting(*args):
+            points = inner(*args)
+            walked.append(len(points))
+            return points
+
+        monkeypatch.setattr(verifier, "_walk_sublevel", counting)
+        assert catalog.verify_identity("sigma_alg").status == "PASS"
+        assert sum(walked) == 33828
 
 
 U_V_WINDOW = 3
@@ -398,27 +412,32 @@ class TestExactEngine:
 
     def test_truncated_coefficient_rejected(self):
         with pytest.raises(InvalidParams):
-            exact_window_map([self.u.truncate(5)], 2)
+            exact_window_map([Element(self.cfg, {(1, 0): L({0: 1}, 5)})], 2)
 
     def test_max_order_reported(self):
         _, k = exact_window_map([self.u + self.v], 2)
         assert k == 4  # (u+v)^4 can still land inside the 2-window box
 
 
+def _in_box(el, window):
+    return Element(el.config, {v: c for v, c in el.terms.items() if max(v) <= window})
+
+
 class TestRuleCrossRepresentation:
     """The exact-rational tables for the three product rules agree with a
-    fully independent truncated computation: series form of every factor,
-    element multiplication, window restriction."""
+    fully independent computation: the literal finite product of every
+    factor, multiplied out exactly and cut to the window (all exponents are
+    nonnegative and only grow, so cutting after each product is sound)."""
 
     def setup_method(self):
         self.cfg = AlgebraConfig(2)
         self.u = Element.generator(self.cfg, 1)
         self.v = Element.generator(self.cfg, 2)
 
-    def _truncated(self, args, order, precision):
-        acc = Element.identity(self.cfg, precision)
+    def _finite(self, args, depth, window):
+        acc = Element.identity(self.cfg)
         for arg in args:
-            acc = acc * qexp_series(arg, order, precision)
+            acc = _in_box(acc * _in_box(finite_qexp(arg, depth), window), window)
         return acc
 
     @pytest.mark.parametrize("window,precision", [(2, 12)])
@@ -431,24 +450,21 @@ class TestRuleCrossRepresentation:
             ([v, u], [z]),
             ([v, u], [u, vu_neg_q, v]),
         ]
-        order = 2 * window
+        # arguments with q^-1 phases need more factors than precision / 2;
+        # the depth is certified by depth + 2 agreeing with it
+        depth = precision // 2 + 2 * window
+        targets = window_targets(self.cfg, (1, 2), {1: (0, window), 2: (0, window)})
         for lhs_args, rhs_args in rules:
             exact_lhs, _ = exact_window_map(lhs_args, window)
             exact_rhs, _ = exact_window_map(rhs_args, window)
-            trunc_lhs = self._truncated(lhs_args, order, precision)
-            trunc_rhs = self._truncated(rhs_args, order, precision)
-            for target in window_targets(self.cfg, (1, 2), {1: (0, window), 2: (0, window)}):
-                tl = trunc_lhs.coefficient(target)
-                tr = trunc_rhs.coefficient(target)
-                # phases from normal ordering can lower the honest precision
-                pmin = min(
-                    p for p in (tl.precision, tr.precision, precision)
-                    if p is not None
-                )
-                want = expand(exact_lhs[target], pmin)
-                assert expand(exact_rhs[target], pmin) == want
-                assert tl.truncate(pmin) == want
-                assert tr.truncate(pmin) == want
+            for d in (depth, depth + 2):
+                fin_lhs = self._finite(lhs_args, d, window)
+                fin_rhs = self._finite(rhs_args, d, window)
+                for target in targets:
+                    want = expand(exact_lhs[target], precision)
+                    assert expand(exact_rhs[target], precision) == want
+                    assert L(fin_lhs.coefficient(target).coeffs, precision) == want, (d, target)
+                    assert L(fin_rhs.coefficient(target).coeffs, precision) == want, (d, target)
 
 
 class TestScalingGrading:
@@ -459,31 +475,26 @@ class TestScalingGrading:
     ungraded ones."""
 
     def test_mult1_grading(self):
-        precision, order, box = 10, 4, 2
+        window = 4
         big = AlgebraConfig(4)
-        tu = Element.monomial(big, (1, 0, 0, 1))
-        tv = Element.monomial(big, (0, 1, 0, 1))
-        lhs = qexp_series(tu, order, precision) * qexp_series(tv, order, precision)
-        rhs = qexp_series(tu + tv, order, precision)
-        for vec, coeff in itertools.chain(lhs.terms.items(), rhs.terms.items()):
+        tu = Element(big, {(1, 0, 0, 1): L.one()})
+        tv = Element(big, {(0, 1, 0, 1): L.one()})
+        lhs, _ = exact_window_map([tu, tv], window)
+        rhs, _ = exact_window_map([tu + tv], window)
+        assert lhs.keys() == rhs.keys()
+        for vec, coeff in lhs.items():
             a, b, zero, t = vec
-            assert zero == 0
-            if not coeff.is_zero():
-                assert t == a + b  # homogeneous in the scalar
+            assert zero == 0 and t == a + b  # homogeneous in the scalar
+            assert coeff == rhs[vec], vec
 
         small = AlgebraConfig(2)
-        u = Element.generator(small, 1)
-        v = Element.generator(small, 2)
-        flat_lhs = qexp_series(u, order, precision) * qexp_series(v, order, precision)
-        flat_rhs = qexp_series(u + v, order, precision)
-        for a in range(box + 1):
-            for b in range(box + 1):
-                # products of positive-valuation series can claim more than
-                # the requested precision; compare at the common cap
-                graded = lhs.coefficient((a, b, 0, a + b)).truncate(precision)
-                assert graded == rhs.coefficient((a, b, 0, a + b)).truncate(precision)
-                assert graded == flat_lhs.coefficient((a, b)).truncate(precision)
-                assert graded == flat_rhs.coefficient((a, b)).truncate(precision)
+        flat, _ = exact_window_map(
+            [Element.generator(small, 1), Element.generator(small, 2)], window
+        )
+        graded = {(a, b, 0, a + b): c for (a, b), c in flat.items() if a + b <= window}
+        assert graded.keys() == lhs.keys()
+        for vec, coeff in graded.items():
+            assert lhs[vec] == coeff, vec
 
 
 class TestSiteEmbedding:
