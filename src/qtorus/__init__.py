@@ -40,6 +40,7 @@ from .verifier import (
     TupleCertificate,
     coefficient_of,
     exact_window_map,
+    product_coefficients,
     window_targets,
 )
 from .words import (
@@ -114,6 +115,7 @@ __all__ = [
     "FactorProduct",
     "TupleCertificate",
     "coefficient_of",
+    "product_coefficients",
     "window_targets",
     "exact_window_map",
     # words

@@ -38,12 +38,11 @@ from .scripts import (
     sigma_script2,
     sigma_translation_fwd,
     sigma_translation_rev,
-    word_coefficients,
     word_image,
     word_to_product,
 )
 from .series import FactoredRational, LaurentSeries
-from .verifier import exact_window_map
+from .verifier import exact_window_map, product_coefficients, window_targets
 from .words import Relation, S, Word, comm0, rel1, rel2, rel3, rel4, replay
 
 __all__ = [
@@ -142,14 +141,13 @@ def _compare_words(
     stats: dict = {}
     for label, lhs, rhs in pairs:
         prefix = f"{label}: " if label else ""
-        touched = (
-            word_to_product(lhs, sites).support_sites()
-            | word_to_product(rhs, sites).support_sites()
-        )
-        support = sorted(touched) or [1]
+        lprod = word_to_product(lhs, sites)
+        rprod = word_to_product(rhs, sites)
+        support = sorted(lprod.support_sites() | rprod.support_sites()) or [1]
+        targets = window_targets(lprod.config, support, window)
         for (target, ls, lc), (_, rs, rc) in zip(
-            word_coefficients(lhs, sites, window, precision, support),
-            word_coefficients(rhs, sites, window, precision, support),
+            product_coefficients(lprod, targets, precision),
+            product_coefficients(rprod, targets, precision),
         ):
             per.append(_row(prefix + monomial_label(target), ls, rs))
             fold_certificate(stats, lc)
@@ -226,16 +224,14 @@ def _run_chain_relations(p: dict, length: int):
 
 def _run_family2_probe(p: dict):
     n_sites, n, window, precision = p["N"], p["n"], p["W"], p["P"]
-    if n is None:
-        raise InvalidParams("probe needs a relation index")
     if n + 1 > n_sites:
         raise InvalidParams("relation index exceeds the configured sites")
     rel = rel4(n)
     printed_rhs = (S(n + 1, -1), S(n, -1), S(n, 1))
     support = (n, n + 1)
-    lhs_table, _ = word_image(rel.lhs, n_sites, window, precision, support)
-    corrected_table, _ = word_image(rel.rhs, n_sites, window, precision, support)
-    printed_table, _ = word_image(printed_rhs, n_sites, window, precision, support)
+    lhs_table = word_image(rel.lhs, n_sites, window, precision, support)
+    corrected_table = word_image(rel.rhs, n_sites, window, precision, support)
+    printed_table = word_image(printed_rhs, n_sites, window, precision, support)
 
     targets = sorted(lhs_table)
     per = [
@@ -263,8 +259,7 @@ def _run_family2_probe(p: dict):
 
 
 def _run_braid_alg(p: dict):
-    n = p["n"] if p["n"] is not None else 1
-    script = braid_script(n, p["N"])
+    script = braid_script(p["n"], p["N"])
     pairs = [("", script.start, script.end)]
     ok, per, stats = _compare_words(pairs, p["N"], p["W"], p["P"])
     summary = {"mode": "truncated", "script": script.name, **stats}
@@ -272,7 +267,7 @@ def _run_braid_alg(p: dict):
 
 
 def _run_sigma_alg(p: dict):
-    n = p["n"] if p["n"] is not None else 2
+    n = p["n"]
     s1 = sigma_script1(n, p["N"])
     s2 = sigma_script2(n, p["N"])
     pairs = [
@@ -370,13 +365,13 @@ def _run_rewrite_walk(p: dict):
         _WALK_START, n_sites, _WALK_STEPS, rng, _WALK_LENGTH_CAP
     )
     support = (1, 2, 3)
-    base, _ = word_image(_WALK_START, n_sites, window, precision, support)
+    base = word_image(_WALK_START, n_sites, window, precision, support)
     last = len(trace) - 1
     marks = sorted({min(i, last) for i in (10, 20, 30, 40, 50)} | {last})
     checkpoints: list = []
     ok = True
     for i in marks:
-        table, _ = word_image(trace[i], n_sites, window, precision, support)
+        table = word_image(trace[i], n_sites, window, precision, support)
         match = table == base
         ok = ok and match
         checkpoints.append({"step": i, "length": len(trace[i]), "match": match})

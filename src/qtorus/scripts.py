@@ -19,9 +19,8 @@ replay; no generator "discovers" a proof at run time.  The families are:
   ascending or descending run, shifting its index; these are the word-level
   lemmas used to reorder products of ``b`` or ``c`` letters.
 
-:func:`word_coefficients` streams the window-restricted coefficients of the
-product of q-exponentials a word of factor letters stands for, one target at
-a time, and :func:`word_image` collects them into a table, so script
+:func:`word_image` tabulates the window-restricted coefficients of the
+product of q-exponentials a word of factor letters stands for, so script
 start/end words can be compared as algebra elements.  :func:`random_walk`
 drives a seeded walk through the structural rewrite system.
 """
@@ -29,7 +28,7 @@ drives a seeded walk through the structural rewrite system.
 from __future__ import annotations
 
 import random
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .algebra import AlgebraConfig, Element
 from .errors import InvalidParams
@@ -38,7 +37,7 @@ from .verifier import (
     FactorProduct,
     QExpFactor,
     TupleCertificate,
-    coefficient_of,
+    product_coefficients,
     window_targets,
 )
 from .words import (
@@ -66,6 +65,7 @@ from .words import (
     rel3,
     rel4,
     scomm,
+    seven_term_words,
     sig1,
     sig2,
 )
@@ -83,7 +83,6 @@ __all__ = [
     "sigma_translation_rev",
     "word_to_product",
     "fold_certificate",
-    "word_coefficients",
     "word_image",
     "structural_relations",
     "applicable_steps",
@@ -120,16 +119,15 @@ def fold_certificate(stats: dict, cert: TupleCertificate) -> None:
         stats[key] = max(stats.get(key, 0), value)
 
 
-def word_coefficients(
+def word_image(
     word: Sequence[Letter],
     sites: int,
     window: int,
     precision: int,
     support: Optional[Sequence[int]] = None,
-) -> Iterator[tuple[tuple[int, ...], LaurentSeries, TupleCertificate]]:
-    """Yield ``(target, series, certificate)`` for every monomial of the
-    symmetric exponent box ``|e_i| <= window``, in :func:`window_targets`
-    order, one coefficient extraction at a time.
+) -> dict[tuple, LaurentSeries]:
+    """Coefficient table of a factor word over the symmetric exponent box
+    ``|e_i| <= window`` of the `support` sites.
 
     By default the box ranges only over the sites the word touches: a
     monomial with a nonzero exponent on an untouched site has coefficient
@@ -139,30 +137,11 @@ def word_coefficients(
     product = word_to_product(word, sites)
     if support is None:
         support = sorted(product.support_sites()) or [1]
-    for target in window_targets(product.config, support, window):
-        series, cert = coefficient_of(product, target, precision)
-        yield target, series, cert
-
-
-def word_image(
-    word: Sequence[Letter],
-    sites: int,
-    window: int,
-    precision: int,
-    support: Optional[Sequence[int]] = None,
-) -> tuple[dict[tuple, LaurentSeries], dict]:
-    """Coefficient table of a factor word over the box of
-    :func:`word_coefficients`, together with the number of targets and the
-    maxima of their enumeration certificates."""
-    table: dict[tuple, LaurentSeries] = {}
-    stats = {"targets": 0}
-    for target, series, cert in word_coefficients(
-        word, sites, window, precision, support
-    ):
-        table[target] = series
-        stats["targets"] += 1
-        fold_certificate(stats, cert)
-    return table, stats
+    targets = window_targets(product.config, support, window)
+    return {
+        target: series
+        for target, series, _ in product_coefficients(product, targets, precision)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +278,7 @@ def seven_term_script() -> DerivationScript:
     merge_with_ui = mult1_rule(merge_mid_v.rhs[0], lui)
     other_merge = mult2_rule(middle, lui)
 
-    start: Word = (lv, lui, lu, lv)
-    end: Word = (lui, lv, lu)
+    start, end = seven_term_words(lu, lui, lv)
     steps = (
         Step(1, swap_ui_u, True),
         Step(0, pent, True),

@@ -1,15 +1,15 @@
 """Coefficient extraction for ordered products of q-exponentials.
 
 A *factor product* is an ordered product  E(x_1) E(x_2) ... E(x_L)  where each
-argument x_l = gamma_l q^(t_l) w_(n_l)^(eps_l) is a signed, q-scaled single
-generator or inverse generator.  Expanding every factor through its series
-form and normal-ordering gives, for each exponent vector T,
+argument x_l = w_(n_l)^(eps_l), eps_l = +-1, is a single generator or inverse
+generator.  Expanding every factor through its series form and
+normal-ordering gives, for each exponent vector T,
 
     coefficient(T) = sum over k in Z_{>=0}^L with  sum_l k_l eps_l e_(n_l) = T
-                     of  (prod_l gamma_l^k_l) q^(Phi(k)) prod_l c_(k_l),
+                     of  q^(Phi(k)) prod_l c_(k_l),
 
-where Phi(k) collects the reordering phases and the q-scalings.  Because
-c_k has valuation exactly k^2, the term for k has valuation
+where Phi(k) collects the reordering phases.  Because c_k has valuation
+exactly k^2, the term for k has valuation
 
     Q(k) = sum_l k_l^2 + Phi(k),
 
@@ -26,19 +26,20 @@ ellipsoid walk enumerates it.  The minors, the restricted matrix, and the
 enumerated tuples form a :class:`TupleCertificate` that accompanies every
 reported coefficient.
 
-Everything that depends only on the product is computed once per product:
-the LDL^T data and the adjugate of the restricted matrix, scaled by one
-common integer so that each target's minimiser and headroom, and every
-step of the walk, are integer arithmetic.  Each kernel basis vector is +1
-at exactly one factor index where the particular solution is 0, so the
-walk coordinates are entries of k itself and the walk stays in the
-nonnegative orthant.  The walk returns each point with its value of the
-form, which is the tuple's valuation Q(k); nothing recomputes it.  A
-kept tuple contributes (-1)^(sum k) q^(Q(k)) / prod_l (q^2;q^2)_(k_l),
-times its gamma sign;
-tuples with the same multiset of nonzero k share that denominator, whose
-expansion counts partitions, so each group's signed q^(Q(k)) terms are
-expanded together by running sums and no series is multiplied.
+:func:`product_coefficients` takes a product and a list of targets and sets
+up everything that depends only on the product once: the kernel basis, the
+LDL^T data and the adjugate of the restricted matrix, scaled by one common
+integer so that each target's minimiser and headroom, and every step of the
+walk, are integer arithmetic.  :func:`coefficient_of` is its one-target
+call.  Each kernel basis vector is +1 at exactly one factor index where the
+particular solution is 0, so the walk coordinates are entries of k itself
+and the walk stays in the nonnegative orthant.  The walk returns each point
+with its value of the form, which is the tuple's valuation Q(k); nothing
+recomputes it.  A kept tuple contributes
+(-1)^(sum k) q^(Q(k)) / prod_l (q^2;q^2)_(k_l); tuples with the same
+multiset of nonzero k share that denominator, whose expansion counts
+partitions, so each group's signed q^(Q(k)) terms are expanded together by
+running sums and no series is multiplied.
 
 A second engine handles products of E(x) for *arbitrary* polynomial
 arguments x (sums of monomials with all site exponents >= 0) exactly, with
@@ -53,9 +54,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product as iproduct
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .algebra import AlgebraConfig, Element
 from .errors import InfiniteSupport, InvalidParams, NoCertificate
@@ -67,6 +67,7 @@ __all__ = [
     "FactorProduct",
     "TupleCertificate",
     "coefficient_of",
+    "product_coefficients",
     "window_targets",
     "exact_window_map",
 ]
@@ -79,26 +80,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QExpFactor:
-    """One factor E(gamma * q^qpower * w_site^exp) with exp in {+1, -1}."""
+    """One factor E(w_site^exp) with exp in {+1, -1}."""
 
     site: int
     exp: int = 1
-    gamma: int = 1
-    qpower: int = 0
 
     def __post_init__(self) -> None:
         if self.exp not in (1, -1):
             raise InvalidParams("factor exponent must be +1 or -1")
-        if self.gamma not in (1, -1):
-            raise InvalidParams("factor sign must be +1 or -1")
 
     def __str__(self) -> str:
-        inner = f"w{self.site}" + ("^-1" if self.exp < 0 else "")
-        if self.qpower:
-            inner = f"q^{self.qpower}*{inner}"
-        if self.gamma < 0:
-            inner = "-" + inner
-        return f"E({inner})"
+        return f"E(w{self.site}" + ("^-1)" if self.exp < 0 else ")")
 
 
 @dataclass(frozen=True)
@@ -122,26 +114,20 @@ class FactorProduct:
 def window_targets(
     config: AlgebraConfig,
     sites: Iterable[int],
-    window: int | dict[int, tuple[int, int]],
+    window: int,
 ) -> list[tuple[int, ...]]:
-    """All exponent vectors supported on `sites` with each exponent inside
-    the window (symmetric |e| <= window, or per-site (lo, hi) ranges)."""
+    """All exponent vectors supported on `sites` with every exponent in
+    -window..window, sorted."""
     site_list = sorted(set(sites))
-    ranges = []
     for s in site_list:
         config.check_site(s)
-        if isinstance(window, dict):
-            lo, hi = window[s]
-        else:
-            lo, hi = -window, window
-        ranges.append(range(lo, hi + 1))
+    span = range(-window, window + 1)
     out = []
-    for combo in iproduct(*ranges):
+    for combo in iproduct(span, repeat=len(site_list)):
         vec = [0] * config.sites
         for s, e in zip(site_list, combo):
             vec[s - 1] = e
         out.append(tuple(vec))
-    out.sort()
     return out
 
 
@@ -348,19 +334,20 @@ class TupleCertificate:
         }
 
 
-def _phase_pair(left: QExpFactor, right: QExpFactor) -> int:
-    """Coefficient of k_left * k_right in Phi: reordering phase between
-    w_(site_left)^(exp_left * k) placed left of w_(site_right)^(exp_right * k)."""
-    if left.site == right.site + 1:
-        return -2 * left.exp * right.exp
-    return 0
+def product_coefficients(
+    product: FactorProduct,
+    targets: Iterable[Sequence[int]],
+    precision: int,
+) -> Iterator[tuple[tuple[int, ...], LaurentSeries, TupleCertificate]]:
+    """Yield ``(target, series, certificate)`` for each target in order: the
+    coefficient of the normal-ordered monomial `target` in the expansion of
+    `product`, complete mod q^precision.
 
-
-@lru_cache(maxsize=256)
-def _product_setup(product: FactorProduct):
-    """Target-independent data for coefficient extraction: the grouping of
-    factors by site, the valuation form, the kernel lattice basis, and the
-    certified, integer-scaled LDL^T data of the restricted form."""
+    The kernel lattice, the restricted form and its certified, integer-scaled
+    LDL^T data depend only on the product and are built once per call;
+    each target then costs one particular solution and one walk.
+    """
+    cfg = product.config
     factors = product.factors
     L = len(factors)
     factor_strs = tuple(str(f) for f in factors)
@@ -378,33 +365,102 @@ def _product_setup(product: FactorProduct):
         for j in idxs[1:]
     )
 
-    # valuation form Q(k) = k^T G k + t^T k  on Z^L
-    gram = [[0] * L for _ in range(L)]
-    for i in range(L):
-        gram[i][i] = 1
-    for i in range(L):
+    # valuation form Q(k) = k^T G k  on Z^L: sum k^2, plus the reordering
+    # phase -2 eps_i eps_j k_i k_j of w_(n+1)^(eps_i) placed left of w_n^(eps_j)
+    gram = [[int(i == j) for j in range(L)] for i in range(L)]
+    for i, left in enumerate(factors):
         for j in range(i + 1, L):
-            half = _phase_pair(factors[i], factors[j])
-            if half:
-                gram[i][j] += half // 2
-                gram[j][i] += half // 2
-    tvec = [f.qpower for f in factors]
+            if left.site == factors[j].site + 1:
+                gram[i][j] = gram[j][i] = -left.exp * factors[j].exp
 
-    vecs = []
-    for j, first, coeff in basis:
-        v = [0] * L
-        v[first] = coeff
-        v[j] = 1
-        vecs.append(v)
-    g_basis = [[sum(gram[i][m] * v[m] for m in range(L)) for i in range(L)] for v in vecs]
+    # restricted form B^T G B, with basis vector e_j + coeff * e_first
     a_mat = tuple(
-        tuple(sum(bi[m] * gbj[m] for m in range(L)) for gbj in g_basis) for bi in vecs
+        tuple(
+            gram[j][m] + c * gram[f][m] + d * (gram[j][g] + c * gram[f][g])
+            for m, g, d in basis
+        )
+        for j, f, c in basis
     )
     form = _scaled_form(a_mat)
-    # c_k carries (-1)^k and gamma = -1 another (-1)^k, so a term's sign is
-    # (-1)^(sum of k over the factors with gamma = +1)
-    sign_idx = tuple(i for i, f in enumerate(factors) if f.gamma > 0)
-    return factor_strs, by_site, basis, gram, tvec, sign_idx, a_mat, form
+
+    for target in targets:
+        target = tuple(target)
+        if len(target) != cfg.sites:
+            raise InvalidParams("target length does not match the chain")
+        target_str = Element._monomial_str(target)
+
+        # sites outside the product must carry exponent zero
+        if any(t and (i + 1) not in by_site for i, t in enumerate(target)):
+            cert = TupleCertificate(
+                factor_strs, target_str, precision, False, 0, (), (), (), (), 0, None
+            )
+            yield target, LaurentSeries.zero(precision), cert
+            continue
+
+        # particular solution of the exponent constraints
+        particular = [0] * L
+        for site, idxs in by_site.items():
+            first = idxs[0]
+            particular[first] = factors[first].exp * target[site - 1]
+
+        # the particular solution is nonzero at one index per site at most
+        nonzero = [(j, p) for j, p in enumerate(particular) if p]
+        g_part = [sum(row[j] * p for j, p in nonzero) for row in gram]
+        b_vec = [2 * (g_part[j] + coeff * g_part[first]) for j, first, coeff in basis]
+        c_val = sum(g_part[j] * p for j, p in nonzero)
+
+        # the walk's value Q(y) is the valuation Q(k) of the tuple k it maps to
+        kept: list[tuple[tuple[int, ...], int]] = []
+        for yvec, qval in _walk_sublevel(form, b_vec, c_val, precision):
+            k = particular[:]
+            for (j, first, coeff), y in zip(basis, yvec):
+                if y:
+                    k[j] = y
+                    k[first] += coeff * y
+            if min(k, default=0) >= 0:
+                kept.append((tuple(k), qval))
+        kept.sort()
+
+        # prod c_(k_i) = (-1)^(sum k) q^(sum k^2) / prod (q^2;q^2)_(k_i): group
+        # the signed numerators q^Q(k) by the multiset of nonzero k, then
+        # expand each group's denominator once by partition counts
+        groups: dict[tuple[int, ...], dict[int, int]] = {}
+        max_index = 0
+        min_val: Optional[int] = None
+        for k, qval in kept:
+            num = groups.setdefault(tuple(sorted(kk for kk in k if kk)), {})
+            num[qval] = num.get(qval, 0) + (-1 if sum(k) % 2 else 1)
+            if min_val is None or qval < min_val:
+                min_val = qval
+            if k:
+                max_index = max(max_index, max(k))
+
+        acc: list[int] = [0] * (precision - min_val) if min_val is not None else []
+        for orders, num in groups.items():
+            lo = min(num)
+            dense = [0] * (precision - lo)
+            for e, c in num.items():
+                dense[e - lo] = c
+            divide_by_pochhammers(dense, orders)
+            for i, c in enumerate(dense, lo - min_val):
+                if c:
+                    acc[i] += c
+        total = LaurentSeries({min_val + i: c for i, c in enumerate(acc) if c}, precision)
+
+        cert = TupleCertificate(
+            factor_strs,
+            target_str,
+            precision,
+            True,
+            len(basis),
+            a_mat,
+            form.minors,
+            tuple(particular),
+            tuple(k for k, _ in kept),
+            max_index,
+            min_val,
+        )
+        yield target, total, cert
 
 
 def coefficient_of(
@@ -414,99 +470,8 @@ def coefficient_of(
 ) -> tuple[LaurentSeries, TupleCertificate]:
     """The coefficient of the normal-ordered monomial `target` in the
     expansion of `product`, complete mod q^precision, with its certificate."""
-    cfg = product.config
-    target = tuple(target)
-    if len(target) != cfg.sites:
-        raise InvalidParams("target length does not match the chain")
-    factors = product.factors
-    L = len(factors)
-    target_str = Element._monomial_str(target)
-    (
-        factor_strs,
-        by_site,
-        basis,
-        gram,
-        tvec,
-        sign_idx,
-        a_mat,
-        form,
-    ) = _product_setup(product)
-
-    # sites outside the product must carry exponent zero
-    for i, t in enumerate(target):
-        if t and (i + 1) not in by_site:
-            cert = TupleCertificate(
-                factor_strs, target_str, precision, False, 0, (), (), (), (), 0, None
-            )
-            return LaurentSeries.zero(precision), cert
-
-    # particular solution of the exponent constraints
-    particular = [0] * L
-    for site, idxs in by_site.items():
-        first = idxs[0]
-        particular[first] = factors[first].exp * target[site - 1]
-
-    # the particular solution is nonzero at one index per site at most
-    nonzero = [(j, p) for j, p in enumerate(particular) if p]
-    g_part = [sum(row[j] * p for j, p in nonzero) for row in gram]
-    w = [2 * g + t for g, t in zip(g_part, tvec)]
-    b_vec = [w[j] + coeff * w[first] for j, first, coeff in basis]
-    c_val = sum((g_part[j] + tvec[j]) * p for j, p in nonzero)
-
-    # the walk's value Q(y) is the valuation Q(k) of the tuple k it maps to
-    kept: list[tuple[tuple[int, ...], int]] = []
-    for yvec, qval in _walk_sublevel(form, b_vec, c_val, precision):
-        k = particular[:]
-        for (j, first, coeff), y in zip(basis, yvec):
-            if y:
-                k[j] = y
-                k[first] += coeff * y
-        if min(k, default=0) >= 0:
-            kept.append((tuple(k), qval))
-    kept.sort()
-    tuples = tuple(k for k, _ in kept)
-
-    # prod c_(k_i) = (-1)^(sum k) q^(sum k^2) / prod (q^2;q^2)_(k_i): group the
-    # signed numerators q^Q(k) by the multiset of nonzero k, then expand each
-    # group's denominator once by partition counts
-    groups: dict[tuple[int, ...], dict[int, int]] = {}
-    max_index = 0
-    min_val: Optional[int] = None
-    for k, qval in kept:
-        sign = -1 if sum(k[i] for i in sign_idx) % 2 else 1
-        num = groups.setdefault(tuple(sorted(kk for kk in k if kk)), {})
-        num[qval] = num.get(qval, 0) + sign
-        if min_val is None or qval < min_val:
-            min_val = qval
-        if k:
-            max_index = max(max_index, max(k))
-
-    acc: list[int] = [0] * (precision - min_val) if min_val is not None else []
-    for orders, num in groups.items():
-        lo = min(num)
-        dense = [0] * (precision - lo)
-        for e, c in num.items():
-            dense[e - lo] = c
-        divide_by_pochhammers(dense, orders)
-        for i, c in enumerate(dense, lo - min_val):
-            if c:
-                acc[i] += c
-    total = LaurentSeries({min_val + i: c for i, c in enumerate(acc) if c}, precision)
-
-    cert = TupleCertificate(
-        factor_strs,
-        target_str,
-        precision,
-        True,
-        len(basis),
-        a_mat,
-        form.minors,
-        tuple(particular),
-        tuples,
-        max_index,
-        min_val,
-    )
-    return total, cert
+    _, series, cert = next(product_coefficients(product, [target], precision))
+    return series, cert
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,7 @@ __all__ = [
     "rel2",
     "rel3",
     "rel4",
+    "seven_term_words",
     "far",
     "artin",
     "bcomm",
@@ -222,47 +223,43 @@ def comm0(n: int) -> Relation:
     )
 
 
+def seven_term_words(
+    u: AnyLetter, u_inv: AnyLetter, v: AnyLetter
+) -> tuple[Word, Word]:
+    """The two sides of the seven-term identity for a q^2-commuting pair
+    (u, v):  E(v) E(u^-1) E(u) E(v) = E(u^-1) E(v) E(u)."""
+    return (v, u_inv, u, v), (u_inv, v, u)
+
+
 def rel1(n: int) -> Relation:
     """s_(n+1)+ s_n- s_n+ s_(n+1)+  =  s_n- s_(n+1)+ s_n+ ."""
     _site_ok(n)
-    p = n + 1
     return Relation(
-        "rel1", (("n", str(n)),),
-        (S(p, 1), S(n, -1), S(n, 1), S(p, 1)),
-        (S(n, -1), S(p, 1), S(n, 1)),
+        "rel1", (("n", str(n)),), *seven_term_words(S(n, 1), S(n, -1), S(n + 1, 1))
     )
 
 
 def rel2(n: int) -> Relation:
     """s_(n+1)- s_n+ s_n- s_(n+1)-  =  s_n+ s_(n+1)- s_n- ."""
     _site_ok(n)
-    p = n + 1
     return Relation(
-        "rel2", (("n", str(n)),),
-        (S(p, -1), S(n, 1), S(n, -1), S(p, -1)),
-        (S(n, 1), S(p, -1), S(n, -1)),
+        "rel2", (("n", str(n)),), *seven_term_words(S(n, -1), S(n, 1), S(n + 1, -1))
     )
 
 
 def rel3(n: int) -> Relation:
     """s_n+ s_(n+1)+ s_(n+1)- s_n+  =  s_(n+1)+ s_n+ s_(n+1)- ."""
     _site_ok(n)
-    p = n + 1
     return Relation(
-        "rel3", (("n", str(n)),),
-        (S(n, 1), S(p, 1), S(p, -1), S(n, 1)),
-        (S(p, 1), S(n, 1), S(p, -1)),
+        "rel3", (("n", str(n)),), *seven_term_words(S(n + 1, -1), S(n + 1, 1), S(n, 1))
     )
 
 
 def rel4(n: int) -> Relation:
     """s_n- s_(n+1)- s_(n+1)+ s_n-  =  s_(n+1)- s_n- s_(n+1)+ ."""
     _site_ok(n)
-    p = n + 1
     return Relation(
-        "rel4", (("n", str(n)),),
-        (S(n, -1), S(p, -1), S(p, 1), S(n, -1)),
-        (S(p, -1), S(n, -1), S(p, 1)),
+        "rel4", (("n", str(n)),), *seven_term_words(S(n + 1, 1), S(n + 1, -1), S(n, -1))
     )
 
 
@@ -526,13 +523,19 @@ def parse_script(text: str) -> DerivationScript:
             if bindings_str:
                 for chunk in bindings_str.split(","):
                     k, _, v = chunk.partition("=")
-                    bindings[k.strip()] = v.strip()
+                    k = k.strip()
+                    if k in bindings:
+                        raise InvalidParams(f"binding {k!r} given twice: {raw!r}")
+                    bindings[k] = v.strip()
             try:
                 relation = builder(bindings)
             except KeyError as exc:
                 raise InvalidParams(f"{rid} needs binding {exc.args[0]!r}: {raw!r}") from None
             except ValueError:
                 raise InvalidParams(f"binding is not an integer: {raw!r}") from None
+            unknown = set(bindings) - {k for k, _ in relation.bindings}
+            if unknown:
+                raise InvalidParams(f"{rid} takes no binding {min(unknown)!r}: {raw!r}")
             steps.append(Step(int(pos), relation, direction == "fwd"))
     if name is None or start is None or end is None:
         raise InvalidParams("script needs name, start, and end lines")

@@ -87,8 +87,10 @@ def test_criterion_2_four_vs_three_factor_window():
     cfg = AlgebraConfig(2)
     lhs = _product(SEVEN_LHS)
     rhs = _product(SEVEN_RHS)
-    window = {1: (-3, 3), 2: (0, 6)}
-    targets = window_targets(cfg, (1, 2), window)
+    # e_1 in -3..3 and e_2 in 0..6, cut from the symmetric box of half-width 6
+    targets = [
+        t for t in window_targets(cfg, (1, 2), 6) if abs(t[0]) <= 3 and t[1] >= 0
+    ]
     ok = len(targets) == 49
     for target in targets:
         ls, _ = coefficient_of(lhs, target, 20)

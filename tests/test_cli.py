@@ -302,8 +302,22 @@ def test_replay_wrong_end_exits_one(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "step",
-    ["@0 nosuchrel fwd", "@0 comm0[m=1] fwd", "@0 comm0[n=x] fwd", "@0 comm0 fwd"],
-    ids=["unknown_relation", "wrong_binding", "non_integer_binding", "no_binding"],
+    [
+        "@0 nosuchrel fwd",
+        "@0 comm0[m=1] fwd",
+        "@0 comm0[n=x] fwd",
+        "@0 comm0 fwd",
+        "@0 comm0[n=1,zzz=7] fwd",
+        "@0 comm0[n=1,n=2] fwd",
+    ],
+    ids=[
+        "unknown_relation",
+        "wrong_binding",
+        "non_integer_binding",
+        "no_binding",
+        "extra_binding",
+        "repeated_binding",
+    ],
 )
 def test_replay_unparsable_file_exits_two(capsys, tmp_path, step):
     path = tmp_path / "junk.txt"

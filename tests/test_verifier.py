@@ -15,12 +15,12 @@ from qtorus.verifier import (
     QExpFactor,
     coefficient_of,
     exact_window_map,
+    product_coefficients,
     window_targets,
 )
 from qtorus.verifier import _ldl, _scaled_form, _walk_sublevel
 
 import qtorus.catalog as catalog
-import qtorus.scripts as scripts
 import qtorus.verifier as verifier
 from oracles import (
     brute_force_tuples,
@@ -246,13 +246,6 @@ class TestCertificateEdges:
                 nonempty += bool(want)
         assert nonempty > 20
 
-    def test_qpower_and_gamma(self):
-        # E(-q^3 w) has x-coefficient  -q^3 * c_1
-        cfg = AlgebraConfig(1)
-        prod = FactorProduct(cfg, (QExpFactor(1, 1, gamma=-1, qpower=3),))
-        got, _ = coefficient_of(prod, (1,), 10)
-        assert got == L({e + 3: -c for e, c in oracle_euler(1, 7).items()}, 10)
-
 
 def _oracle_truncated_mul(a, b, precision):
     out = {}
@@ -273,12 +266,7 @@ class TestCoefficientOracle:
         for _ in range(14):
             sites = rng.randint(2, 3)
             factors = tuple(
-                QExpFactor(
-                    rng.randint(1, sites),
-                    rng.choice((1, -1)),
-                    rng.choice((1, -1)),
-                    rng.randint(-2, 3),
-                )
+                QExpFactor(rng.randint(1, sites), rng.choice((1, -1)))
                 for _ in range(rng.randint(2, 5))
             )
             cfg = AlgebraConfig(sites)
@@ -298,17 +286,13 @@ class TestCoefficientOracle:
                     _, phase = phase_by_sorting(
                         [(f.site, f.exp * k) for f, k in zip(factors, ks)]
                     )
-                    shift = phase + sum(f.qpower * k for f, k in zip(factors, ks))
-                    if sum(k * k for k in ks) + shift >= precision:
+                    if sum(k * k for k in ks) + phase >= precision:
                         continue
                     kept.append(ks)
-                    sign = 1
-                    for f, k in zip(factors, ks):
-                        sign *= f.gamma ** k
-                    term = {shift: sign}
+                    term = {phase: 1}
                     for k in ks:
                         term = _oracle_truncated_mul(
-                            term, oracle_euler(k, precision - shift), precision
+                            term, oracle_euler(k, precision - phase), precision
                         )
                     for e, c in term.items():
                         want[e] = want.get(e, 0) + c
@@ -322,18 +306,41 @@ class TestCoefficientOracle:
         assert checked >= 30 and nonzero >= 10
 
 
+class TestProductCoefficients:
+    def test_window_matches_one_target_calls_with_one_setup(self, monkeypatch):
+        # site 3 is outside the product, so the box mixes infeasible targets
+        # with ones that keep tuples
+        cfg = AlgebraConfig(3)
+        prod = product_of(cfg, [(2, 1), (1, -1), (1, 1), (2, 1)])
+        targets = window_targets(cfg, (1, 2, 3), 1)
+        want = [(t, *coefficient_of(prod, t, 10)) for t in targets]
+        setups = []
+        inner = verifier._scaled_form
+
+        def counting(a):
+            setups.append(a)
+            return inner(a)
+
+        monkeypatch.setattr(verifier, "_scaled_form", counting)
+        got = list(product_coefficients(prod, targets, 10))
+        assert got == want
+        assert len(setups) == 1
+        certs = [cert for _, _, cert in got]
+        assert any(not c.feasible for c in certs) and any(c.tuples for c in certs)
+
+
 class TestPinnedCounts:
     def test_sigma_alg_kept_tuples(self, monkeypatch):
         # a deterministic work count: a pruning bug that drops tuples moves it
         kept = []
-        inner = scripts.coefficient_of
+        inner = catalog.product_coefficients
 
-        def counting(product, target, precision):
-            got, cert = inner(product, target, precision)
-            kept.append(len(cert.tuples))
-            return got, cert
+        def counting(product, targets, precision):
+            for target, got, cert in inner(product, targets, precision):
+                kept.append(len(cert.tuples))
+                yield target, got, cert
 
-        monkeypatch.setattr(scripts, "coefficient_of", counting)
+        monkeypatch.setattr(catalog, "product_coefficients", counting)
         assert catalog.verify_identity("sigma_alg").status == "PASS"
         assert sum(kept) == 5836
 
@@ -453,7 +460,7 @@ class TestRuleCrossRepresentation:
         # arguments with q^-1 phases need more factors than precision / 2;
         # the depth is certified by depth + 2 agreeing with it
         depth = precision // 2 + 2 * window
-        targets = window_targets(self.cfg, (1, 2), {1: (0, window), 2: (0, window)})
+        targets = [t for t in window_targets(self.cfg, (1, 2), window) if min(t) >= 0]
         for lhs_args, rhs_args in rules:
             exact_lhs, _ = exact_window_map(lhs_args, window)
             exact_rhs, _ = exact_window_map(rhs_args, window)
