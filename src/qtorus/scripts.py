@@ -47,7 +47,6 @@ from .words import (
     ExpLetter,
     Letter,
     Relation,
-    S,
     Step,
     Word,
     apply_step,

@@ -33,7 +33,14 @@ integer so that each target's minimiser and headroom, and every step of the
 walk, are integer arithmetic.  :func:`coefficient_of` is its one-target
 call.  Each kernel basis vector is +1 at exactly one factor index where the
 particular solution is 0, so the walk coordinates are entries of k itself
-and the walk stays in the nonnegative orthant.  The walk returns each point
+and the walk stays in the nonnegative orthant.  The other entries, one per
+site at its first factor index, are  k_first = p_first + sum +-y  over that
+site's coordinates; the walk clamps its arms by these linear side
+constraints level by level, so it enforces k >= 0 on every index and each
+point it returns is a kept tuple.  The k at a site whose factors share one
+sign e sum to e*T_s, so a target with e*T_s < 0 there has no tuple and is
+settled before any walk; for a single-factor site, which has no walk
+coordinate, that is the whole constraint.  The walk returns each point
 with its value of the form, which is the tuple's valuation Q(k); nothing
 recomputes it.  A kept tuple contributes
 (-1)^(sum k) q^(Q(k)) / prod_l (q^2;q^2)_(k_l); tuples with the same
@@ -54,7 +61,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import count, product as iproduct
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .algebra import AlgebraConfig, Element
@@ -229,15 +236,24 @@ def _walk_sublevel(
     b_vec: Sequence[int],
     c_val: int,
     bound: int,
+    sides: Sequence[tuple[int, Sequence[tuple[int, int]]]] = (),
 ) -> list[tuple[tuple[int, ...], int]]:
-    """Integer points y >= 0 with  Q(y) = y^T A y + b^T y + c < bound, each
-    paired with its value Q(y).
+    """Integer points y >= 0 with  Q(y) = y^T A y + b^T y + c < bound  that
+    meet every side constraint, each paired with its value Q(y).
+
+    A side constraint ``(p, coords)`` reads  p + sum coeff * y_i >= 0  over
+    its ``(i, coeff)`` pairs, with coeff = +-1, at least one pair, and no
+    coordinate in two constraints.
 
     The real minimiser is y* = -A^-1 b / 2 with value qmin, and the LDL^T
     data writes the form as  qmin + sum_i d_i (y_i - center_i)^2.  The walk
     fixes coordinates last to first; at each level the admissible integers
-    form two monotone arms around the real center, each clamped at 0 and
-    stopped at its first over-budget point.  All arithmetic is integer:
+    form two monotone arms around the real center, each stopped at its first
+    over-budget point and clamped to [lo, hi]: lo >= 0 always, and a side
+    constraint clamps the level when none of its coordinates left below can
+    raise its sum (all their coeffs are -1), so that  partial + coeff * y_i
+    >= 0  is necessary there.  At a constraint's lowest coordinate the clamp
+    is exact, so every returned point meets it.  All arithmetic is integer:
     YS = lam*y* and the headroom lam*(bound - qmin) come from the adjugate,
     Z_j = lam*y_j - YS_j, the scaled center C2 = lam^2 * center and offset
     U = lam^2 * (y_i - center) give the level test  DI * U^2 >= budget,
@@ -259,6 +275,21 @@ def _walk_sublevel(
     lam2 = lam * lam
     lam5 = lam2 * lam2 * lam
 
+    # per level: its constraint (-1 for none), its coeff there, and whether
+    # the constraint clamps it; `partial` holds each constraint's running sum
+    side_of = [-1] * r
+    coeff_of = [0] * r
+    clamps = [False] * r
+    partial = []
+    for s, (p, coords) in enumerate(sides):
+        partial.append(p)
+        lower_can_raise = False
+        for i, coeff in sorted(coords):
+            side_of[i] = s
+            coeff_of[i] = coeff
+            clamps[i] = not lower_can_raise
+            lower_can_raise = lower_can_raise or coeff > 0
+
     points: list[tuple[tuple[int, ...], int]] = []
     y = [0] * r
     zed = [0] * r
@@ -271,25 +302,40 @@ def _walk_sublevel(
             if lij:
                 c2 -= lij * zed[j]
         di = di_scaled[i]
-        up = max(-((-c2) // lam2), 0)
-        for first, step in ((up, 1), (up - 1, -1)):
-            y_i = first
-            u = y_i * lam2 - c2
-            du = step * lam2
-            while y_i >= 0:
+        s = side_of[i]
+        coeff = coeff_of[i]
+        part = partial[s] if s >= 0 else 0
+        lo, hi = 0, None
+        if clamps[i]:
+            if coeff > 0:
+                lo = max(0, -part)
+            else:
+                hi = part
+        up = -((-c2) // lam2)
+        if up < lo:
+            up = lo
+        elif hi is not None and up > hi + 1:
+            up = hi + 1
+        u0 = up * lam2 - c2
+        up_arm = count(up) if hi is None else range(up, hi + 1)
+        for arm, u, du in ((up_arm, u0, lam2), (range(up - 1, lo - 1, -1), u0 - lam2, -lam2)):
+            for y_i in arm:
                 used = di * u * u
                 if used >= budget:
                     break
                 y[i] = y_i
                 zed[i] = lam * y_i - ys_scaled[i]
+                if s >= 0:
+                    partial[s] = part + coeff * y_i
                 if i:
                     descend(i - 1, budget - used)
                 else:
                     points.append((tuple(y), bound - (budget - used) // lam5))
-                y_i += step
                 u += du
         y[i] = 0
         zed[i] = 0
+        if s >= 0:
+            partial[s] = part
 
     descend(r - 1, headroom * lam2 * lam2)
     return points
@@ -344,8 +390,9 @@ def product_coefficients(
     `product`, complete mod q^precision.
 
     The kernel lattice, the restricted form and its certified, integer-scaled
-    LDL^T data depend only on the product and are built once per call;
-    each target then costs one particular solution and one walk.
+    LDL^T data depend only on the product and are built once per call, and
+    so are the maps from a target to the walk's linear and constant terms;
+    each target then costs a few short sums and at most one walk.
     """
     cfg = product.config
     factors = product.factors
@@ -383,6 +430,38 @@ def product_coefficients(
     )
     form = _scaled_form(a_mat)
 
+    # the particular solution is e * T_s at the first index of each site s
+    # (e the sign there) and 0 elsewhere, so the walk's b and c are fixed
+    # linear and quadratic maps of those entries
+    firsts = [
+        (idxs[0], factors[idxs[0]].exp, site - 1) for site, idxs in sorted(by_site.items())
+    ]
+    b_rows = [
+        [
+            (g, c)
+            for g, _, _ in firsts
+            if (c := 2 * (gram[j][g] + coeff * gram[f][g]))
+        ]
+        for j, f, coeff in basis
+    ]
+    c_terms = [
+        (f, g, c if f == g else 2 * c)
+        for n, (f, _, _) in enumerate(firsts)
+        for g, _, _ in firsts[n:]
+        if (c := gram[f][g])
+    ]
+    # k_first = p_first + sum coeff * y over the site's walk coordinates is
+    # the walk's side constraint; at a site whose factors share one sign
+    # every coeff is -1 (a single factor has none), so p_first < 0 there
+    # leaves no tuple at all
+    site_coords: dict[int, list[tuple[int, int]]] = {}
+    for i, (_, f, coeff) in enumerate(basis):
+        site_coords.setdefault(f, []).append((i, coeff))
+    one_sign = [
+        f for f, _, _ in firsts if all(c < 0 for _, c in site_coords.get(f, ()))
+    ]
+    outside = [i for i in range(cfg.sites) if i + 1 not in by_site]
+
     for target in targets:
         target = tuple(target)
         if len(target) != cfg.sites:
@@ -390,36 +469,32 @@ def product_coefficients(
         target_str = Element._monomial_str(target)
 
         # sites outside the product must carry exponent zero
-        if any(t and (i + 1) not in by_site for i, t in enumerate(target)):
+        if any(target[i] for i in outside):
             cert = TupleCertificate(
                 factor_strs, target_str, precision, False, 0, (), (), (), (), 0, None
             )
             yield target, LaurentSeries.zero(precision), cert
             continue
 
-        # particular solution of the exponent constraints
         particular = [0] * L
-        for site, idxs in by_site.items():
-            first = idxs[0]
-            particular[first] = factors[first].exp * target[site - 1]
+        for f, e, i in firsts:
+            particular[f] = e * target[i]
 
-        # the particular solution is nonzero at one index per site at most
-        nonzero = [(j, p) for j, p in enumerate(particular) if p]
-        g_part = [sum(row[j] * p for j, p in nonzero) for row in gram]
-        b_vec = [2 * (g_part[j] + coeff * g_part[first]) for j, first, coeff in basis]
-        c_val = sum(g_part[j] * p for j, p in nonzero)
-
-        # the walk's value Q(y) is the valuation Q(k) of the tuple k it maps to
+        # every point the walk returns is a tuple k >= 0 with Q(k) < P, and
+        # its value Q(y) is that tuple's valuation
         kept: list[tuple[tuple[int, ...], int]] = []
-        for yvec, qval in _walk_sublevel(form, b_vec, c_val, precision):
-            k = particular[:]
-            for (j, first, coeff), y in zip(basis, yvec):
-                if y:
-                    k[j] = y
-                    k[first] += coeff * y
-            if min(k, default=0) >= 0:
+        if all(particular[f] >= 0 for f in one_sign):
+            b_vec = [sum(c * particular[g] for g, c in row) for row in b_rows]
+            c_val = sum(c * particular[f] * particular[g] for f, g, c in c_terms)
+            sides = [(particular[f], coords) for f, coords in site_coords.items()]
+            for yvec, qval in _walk_sublevel(form, b_vec, c_val, precision, sides):
+                k = particular[:]
+                for (j, first, coeff), y in zip(basis, yvec):
+                    if y:
+                        k[j] = y
+                        k[first] += coeff * y
                 kept.append((tuple(k), qval))
-        kept.sort()
+            kept.sort()
 
         # prod c_(k_i) = (-1)^(sum k) q^(sum k^2) / prod (q^2;q^2)_(k_i): group
         # the signed numerators q^Q(k) by the multiset of nonzero k, then

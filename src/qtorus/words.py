@@ -30,8 +30,8 @@ format below covers the structural letters only:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence, Union
 
 from .algebra import Element
 from .errors import InvalidParams, InvalidStep, NoMatch

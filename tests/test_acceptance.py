@@ -35,8 +35,6 @@ import json
 import random
 import sys
 
-import pytest
-
 import qtorus.cli as cli
 from qtorus.algebra import AlgebraConfig, Element
 from qtorus.catalog import verify_identity

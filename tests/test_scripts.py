@@ -33,7 +33,6 @@ from qtorus.words import (
     parse_script,
     parse_word,
     render_script,
-    render_word,
     replay,
 )
 

@@ -246,6 +246,50 @@ class TestCertificateEdges:
                 nonempty += bool(want)
         assert nonempty > 20
 
+    def test_sublevel_walk_side_constraints(self):
+        # random positive definite A = B^T B + I of rank 1..3 and disjoint
+        # side constraints p + sum coeff * y_i >= 0 with coeff = +-1, against
+        # a scan of the box that applies them point by point
+        rng = random.Random(20261019)
+        cut = 0
+        for _ in range(60):
+            r = rng.randint(1, 3)
+            bmat = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(r)]
+            a = [
+                [sum(row[i] * row[j] for row in bmat) + (i == j) for j in range(r)]
+                for i in range(r)
+            ]
+            b = [rng.randint(-8, 8) for _ in range(r)]
+            c = rng.randint(-6, 6)
+            coords = list(range(r))
+            rng.shuffle(coords)
+            sides = []
+            while coords:
+                take = rng.randint(1, len(coords))
+                group, coords = coords[:take], coords[take:]
+                sides.append((rng.randint(-3, 4), [(i, rng.choice((1, -1))) for i in group]))
+
+            def q(y):
+                quad = sum(a[i][j] * y[i] * y[j] for i in range(r) for j in range(r))
+                return quad + sum(bi * yi for bi, yi in zip(b, y)) + c
+
+            bound = rng.randint(1, 30)
+            b1 = sum(abs(x) for x in b)
+            reach = int(b1 / 2 + math.sqrt(b1 * b1 / 4 + max(bound - c, 0))) + 1
+            inside = [
+                (y, q(y)) for y in itertools.product(range(reach + 1), repeat=r)
+                if q(y) < bound
+            ]
+            want = sorted(
+                (y, v) for y, v in inside
+                if all(p + sum(cf * y[i] for i, cf in group) >= 0 for p, group in sides)
+            )
+            assert sorted(_walk_sublevel(_scaled_form(a), b, c, bound, sides)) == want, (
+                a, b, c, bound, sides,
+            )
+            cut += len(want) < len(inside)
+        assert cut > 20
+
 
 def _oracle_truncated_mul(a, b, precision):
     out = {}
@@ -256,12 +300,32 @@ def _oracle_truncated_mul(a, b, precision):
     return {e: c for e, c in out.items() if c}
 
 
+def _blind_coefficient(factors, target, precision, kmax):
+    """Kept tuples and coefficient of `target` by blind tuple search,
+    valuation by letter sorting, and each term's series by long division:
+    nothing here shares the engine's code."""
+    tgt = {i + 1: e for i, e in enumerate(target) if e}
+    blind = brute_force_tuples([f.exp for f in factors], [f.site for f in factors], tgt, kmax)
+    want = {}
+    kept = []
+    for ks in blind:
+        _, phase = phase_by_sorting([(f.site, f.exp * k) for f, k in zip(factors, ks)])
+        if sum(k * k for k in ks) + phase >= precision:
+            continue
+        kept.append(ks)
+        term = {phase: 1}
+        for k in ks:
+            term = _oracle_truncated_mul(term, oracle_euler(k, precision - phase), precision)
+        for e, c in term.items():
+            want[e] = want.get(e, 0) + c
+    # the blind box must not be what stops the search
+    assert all(max(ks) < kmax for ks in kept)
+    return sorted(kept), {e: c for e, c in want.items() if c}
+
+
 class TestCoefficientOracle:
     def test_random_products_against_blind_sum(self):
-        # blind tuple search, valuation by letter sorting, and each term's
-        # series by long division: nothing here shares the engine's code
         rng = random.Random(20261018)
-        kmax = 6
         checked = nonzero = 0
         for _ in range(14):
             sites = rng.randint(2, 3)
@@ -276,34 +340,51 @@ class TestCoefficientOracle:
             targets = window_targets(cfg, support, 2)
             for target in rng.sample(targets, min(3, len(targets))):
                 got, cert = coefficient_of(prod, target, precision)
-                tgt = {i + 1: e for i, e in enumerate(target) if e}
-                blind = brute_force_tuples(
-                    [f.exp for f in factors], [f.site for f in factors], tgt, kmax
-                )
-                want = {}
-                kept = []
-                for ks in blind:
-                    _, phase = phase_by_sorting(
-                        [(f.site, f.exp * k) for f, k in zip(factors, ks)]
-                    )
-                    if sum(k * k for k in ks) + phase >= precision:
-                        continue
-                    kept.append(ks)
-                    term = {phase: 1}
-                    for k in ks:
-                        term = _oracle_truncated_mul(
-                            term, oracle_euler(k, precision - phase), precision
-                        )
-                    for e, c in term.items():
-                        want[e] = want.get(e, 0) + c
-                want = {e: c for e, c in want.items() if c}
-                # the blind box must not be what stops the search
-                assert all(max(ks) < kmax for ks in kept)
-                assert list(cert.tuples) == sorted(kept), (factors, target)
+                kept, want = _blind_coefficient(factors, target, precision, 6)
+                assert list(cert.tuples) == kept, (factors, target)
                 assert got.coeffs == want and got.precision == precision
                 checked += 1
                 nonzero += bool(want)
         assert checked >= 30 and nonzero >= 10
+
+    @pytest.mark.parametrize(
+        "sites,window,letters",
+        [
+            # site 3 is E(w3^-1) .. E(w3) E(w3^-1); sites 1 and 2 have one factor
+            (3, 1, [(3, -1), (2, 1), (3, 1), (1, 1), (3, -1)]),
+            # site 2's signs (+, +, -) clamp a level above its last coordinate
+            (2, 2, [(2, 1), (1, -1), (2, 1), (1, 1), (2, -1)]),
+            # site 1's factors share one sign; site 2 has one factor E(w2^-1)
+            (2, 2, [(1, 1), (2, -1), (1, 1), (1, 1)]),
+        ],
+    )
+    def test_many_factor_sites_against_blind_sum(self, monkeypatch, sites, window, letters):
+        cfg = AlgebraConfig(sites)
+        prod = product_of(cfg, letters)
+        factors = prod.factors
+        single = {s for s in range(1, sites + 1) if [f.site for f in factors].count(s) == 1}
+        walks = []
+        inner = verifier._walk_sublevel
+
+        def counting(*args):
+            walks.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(verifier, "_walk_sublevel", counting)
+        precision = 10
+        settled = nonzero = 0
+        for target in window_targets(cfg, range(1, sites + 1), window):
+            walks.clear()
+            got, cert = coefficient_of(prod, target, precision)
+            kept, want = _blind_coefficient(factors, target, precision, 5)
+            assert list(cert.tuples) == kept, target
+            assert got.coeffs == want and got.precision == precision
+            if any(f.exp * target[f.site - 1] < 0 for f in factors if f.site in single):
+                # no tuple, known before any walk; still a feasible certificate
+                assert cert.feasible and not cert.tuples and not walks
+                settled += 1
+            nonzero += bool(want)
+        assert nonzero >= 5 and bool(settled) == bool(single)
 
 
 class TestProductCoefficients:
@@ -345,8 +426,8 @@ class TestPinnedCounts:
         assert sum(kept) == 5836
 
     def test_sigma_alg_walked_points(self, monkeypatch):
-        # points the sublevel walk returns before the k >= 0 filter: pruning
-        # inside the walk lowers this count and must leave kept tuples alone
+        # points the sublevel walk returns: it prunes k >= 0 on every index,
+        # so each one is a kept tuple (33,828 when it filtered k_first after)
         walked = []
         inner = verifier._walk_sublevel
 
@@ -357,7 +438,34 @@ class TestPinnedCounts:
 
         monkeypatch.setattr(verifier, "_walk_sublevel", counting)
         assert catalog.verify_identity("sigma_alg").status == "PASS"
-        assert sum(walked) == 33828
+        assert sum(walked) == 5836
+
+    @pytest.mark.parametrize(
+        "name,params,tuples",
+        [
+            ("sigma_alg", {"window": 3}, 11500),
+            ("braid_alg", {"precision": 32, "window": 3}, 10574),
+        ],
+    )
+    def test_walked_points_are_kept_tuples(self, monkeypatch, name, params, tuples):
+        walked, kept = [], []
+        walk = verifier._walk_sublevel
+        coefficients = catalog.product_coefficients
+
+        def counting_walk(*args):
+            points = walk(*args)
+            walked.append(len(points))
+            return points
+
+        def counting_coefficients(product, targets, precision):
+            for target, got, cert in coefficients(product, targets, precision):
+                kept.append(len(cert.tuples))
+                yield target, got, cert
+
+        monkeypatch.setattr(verifier, "_walk_sublevel", counting_walk)
+        monkeypatch.setattr(catalog, "product_coefficients", counting_coefficients)
+        assert catalog.verify_identity(name, **params).status == "PASS"
+        assert sum(walked) == sum(kept) == tuples
 
 
 U_V_WINDOW = 3

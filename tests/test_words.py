@@ -14,7 +14,6 @@ from qtorus.words import (
     S,
     Step,
     apply_step,
-    artin,
     bcomm,
     comm0,
     commute_rule,
