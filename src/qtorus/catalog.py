@@ -145,11 +145,11 @@ def _compare_words(
         rprod = word_to_product(rhs, sites)
         support = sorted(lprod.support_sites() | rprod.support_sites()) or [1]
         targets = window_targets(lprod.config, support, window)
-        for (target, ls, lc), (_, rs, rc) in zip(
+        for (_, ls, lc), (_, rs, rc) in zip(
             product_coefficients(lprod, targets, precision),
             product_coefficients(rprod, targets, precision),
         ):
-            per.append(_row(prefix + monomial_label(target), ls, rs))
+            per.append(_row(prefix + lc.target, ls, rs))
             fold_certificate(stats, lc)
             fold_certificate(stats, rc)
     return all(row["match"] for row in per), per, stats

@@ -15,9 +15,10 @@ the exact engine builds c_k from it as a factored rational function.
 The truncated engine expands c_k mod q^P from partition counts instead:
 1/prod_{j<=k} (1 - q^(2j)) = sum_n p_k(n) q^(2n),  with p_k(n) the number
 of partitions of n into parts <= k.  :func:`divide_by_pochhammers` is that
-running-sum kernel on a dense list; it assembles whole products of c_k,
-where each term's valuation comes from the sublevel walk, so no series is
-ever multiplied or inverted.
+running-sum kernel on a dense list; it expands the denominator of a whole
+product of c_k, and the engine adds shifted copies of it at each term's
+valuation from the sublevel walk, so no series is ever multiplied or
+inverted.
 """
 
 from __future__ import annotations

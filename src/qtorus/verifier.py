@@ -37,16 +37,18 @@ and the walk stays in the nonnegative orthant.  The other entries, one per
 site at its first factor index, are  k_first = p_first + sum +-y  over that
 site's coordinates; the walk clamps its arms by these linear side
 constraints level by level, so it enforces k >= 0 on every index and each
-point it returns is a kept tuple.  The k at a site whose factors share one
-sign e sum to e*T_s, so a target with e*T_s < 0 there has no tuple and is
-settled before any walk; for a single-factor site, which has no walk
-coordinate, that is the whole constraint.  The walk returns each point
-with its value of the form, which is the tuple's valuation Q(k); nothing
-recomputes it.  A kept tuple contributes
-(-1)^(sum k) q^(Q(k)) / prod_l (q^2;q^2)_(k_l); tuples with the same
-multiset of nonzero k share that denominator, whose expansion counts
-partitions, so each group's signed q^(Q(k)) terms are expanded together by
-running sums and no series is multiplied.
+point it returns is a kept tuple.  Its level layout is built once per
+product, and it keeps k in place as it descends, so each leaf is the tuple
+itself, returned with its value of the form: the tuple's valuation Q(k).
+The k at a site whose factors share one sign e sum to e*T_s, so a target
+with e*T_s < 0 there has no tuple and is settled before any walk; for a
+single-factor site, which has no walk coordinate, that is the whole
+constraint.  A kept tuple contributes
+(-1)^(sum k) q^(Q(k)) / prod_l (q^2;q^2)_(k_l).  The expansion of that
+denominator counts partitions; it is built once per call for each
+multiset of k, covering P - min(0, Q) terms since Q(k) can be negative,
+and rebuilt longer only when a later target needs more.  Each tuple then
+adds a shifted, signed copy of it, so no series is multiplied.
 
 A second engine handles products of E(x) for *arbitrary* polynomial
 arguments x (sums of monomials with all site exponents >= 0) exactly, with
@@ -231,34 +233,57 @@ def _scaled_form(a: Sequence[Sequence[int]]) -> _ScaledForm:
     )
 
 
+def _walk_levels(
+    basis: Sequence[tuple[int, int, int]],
+) -> tuple[tuple[int, int, int, bool], ...]:
+    """The walk's level layout for walk coordinates ``(j, first, coeff)``,
+    listed from coordinate 0 up: each level's factor index j, its side's
+    first index, its coefficient there, and whether it clamps.
+
+    Coordinate i is y_i = k_j, and its side constraint reads
+    k_first = p_first + sum coeff * y >= 0  over the coordinates sharing that
+    first index.  The walk fixes coordinates last to first, so a level
+    clamps when no coordinate below it on the same side can raise the sum
+    (all their coeffs are -1); then  partial + coeff * y_i >= 0  is necessary
+    there, and at a side's lowest coordinate it is exact.
+    """
+    can_raise: set[int] = set()
+    levels = []
+    for j, first, coeff in basis:
+        levels.append((j, first, coeff, first not in can_raise))
+        if coeff > 0:
+            can_raise.add(first)
+    return tuple(levels)
+
+
 def _walk_sublevel(
     form: _ScaledForm,
+    levels: Sequence[tuple[int, int, int, bool]],
+    start: Sequence[int],
     b_vec: Sequence[int],
     c_val: int,
     bound: int,
-    sides: Sequence[tuple[int, Sequence[tuple[int, int]]]] = (),
 ) -> list[tuple[tuple[int, ...], int]]:
-    """Integer points y >= 0 with  Q(y) = y^T A y + b^T y + c < bound  that
-    meet every side constraint, each paired with its value Q(y).
+    """Tuples k >= 0 of the fiber through `start` with
+    Q(y) = y^T A y + b^T y + c < bound, each paired with its value Q(y).
 
-    A side constraint ``(p, coords)`` reads  p + sum coeff * y_i >= 0  over
-    its ``(i, coeff)`` pairs, with coeff = +-1, at least one pair, and no
-    coordinate in two constraints.
+    `levels` is the layout from :func:`_walk_levels`; `start` is 0 at every
+    level's j and holds p_first at every first index.  The walk keeps k in
+    place as it descends: y_i goes into k[j] and each side's running sum
+    into k[first], so a leaf is the tuple itself and every side constraint
+    k_first >= 0 holds there.
 
     The real minimiser is y* = -A^-1 b / 2 with value qmin, and the LDL^T
-    data writes the form as  qmin + sum_i d_i (y_i - center_i)^2.  The walk
-    fixes coordinates last to first; at each level the admissible integers
-    form two monotone arms around the real center, each stopped at its first
-    over-budget point and clamped to [lo, hi]: lo >= 0 always, and a side
-    constraint clamps the level when none of its coordinates left below can
-    raise its sum (all their coeffs are -1), so that  partial + coeff * y_i
-    >= 0  is necessary there.  At a constraint's lowest coordinate the clamp
-    is exact, so every returned point meets it.  All arithmetic is integer:
-    YS = lam*y* and the headroom lam*(bound - qmin) come from the adjugate,
-    Z_j = lam*y_j - YS_j, the scaled center C2 = lam^2 * center and offset
-    U = lam^2 * (y_i - center) give the level test  DI * U^2 >= budget,
-    with DI = lam*d_i and budgets scaled by lam^5.  The budget left at a
-    leaf is exactly lam^5 * (bound - Q(y)), so it gives Q(y) for free.
+    data writes the form as  qmin + sum_i d_i (y_i - center_i)^2.  At each
+    level the admissible integers form two monotone arms around the real
+    center, each stopped at its first over-budget point and clamped to
+    [lo, hi]: lo >= 0 always, and a clamping level also keeps
+    k_first >= 0.  All arithmetic is integer: YS = lam*y* and the headroom
+    lam*(bound - qmin) come from the adjugate, Z_j = lam*y_j - YS_j, the
+    scaled center C2 = lam^2 * center and offset U = lam^2 * (y_i - center)
+    give the level test  DI * U^2 >= budget,  with DI = lam*d_i and budgets
+    scaled by lam^5.  The budget left at a leaf is exactly
+    lam^5 * (bound - Q(y)), so it gives Q(y) for free.
     """
     lam, di_scaled, li_cols = form.lam, form.di, form.li_cols
     r = len(di_scaled)
@@ -271,42 +296,26 @@ def _walk_sublevel(
     if headroom <= 0:
         return []
     if not r:
-        return [((), c_val)]
+        return [(tuple(start), c_val)]
     lam2 = lam * lam
     lam5 = lam2 * lam2 * lam
 
-    # per level: its constraint (-1 for none), its coeff there, and whether
-    # the constraint clamps it; `partial` holds each constraint's running sum
-    side_of = [-1] * r
-    coeff_of = [0] * r
-    clamps = [False] * r
-    partial = []
-    for s, (p, coords) in enumerate(sides):
-        partial.append(p)
-        lower_can_raise = False
-        for i, coeff in sorted(coords):
-            side_of[i] = s
-            coeff_of[i] = coeff
-            clamps[i] = not lower_can_raise
-            lower_can_raise = lower_can_raise or coeff > 0
-
     points: list[tuple[tuple[int, ...], int]] = []
-    y = [0] * r
+    k = list(start)
     zed = [0] * r
 
     def descend(i: int, budget: int) -> None:
         c2 = lam * ys_scaled[i]
         col = li_cols[i]
-        for j in range(i + 1, r):
-            lij = col[j]
-            if lij:
-                c2 -= lij * zed[j]
+        for m in range(i + 1, r):
+            lim = col[m]
+            if lim:
+                c2 -= lim * zed[m]
         di = di_scaled[i]
-        s = side_of[i]
-        coeff = coeff_of[i]
-        part = partial[s] if s >= 0 else 0
+        j, first, coeff, clamps = levels[i]
+        part = k[first]
         lo, hi = 0, None
-        if clamps[i]:
+        if clamps:
             if coeff > 0:
                 lo = max(0, -part)
             else:
@@ -323,19 +332,15 @@ def _walk_sublevel(
                 used = di * u * u
                 if used >= budget:
                     break
-                y[i] = y_i
+                k[j] = y_i
+                k[first] = part + coeff * y_i
                 zed[i] = lam * y_i - ys_scaled[i]
-                if s >= 0:
-                    partial[s] = part + coeff * y_i
                 if i:
                     descend(i - 1, budget - used)
                 else:
-                    points.append((tuple(y), bound - (budget - used) // lam5))
+                    points.append((tuple(k), bound - (budget - used) // lam5))
                 u += du
-        y[i] = 0
-        zed[i] = 0
-        if s >= 0:
-            partial[s] = part
+        k[first] = part
 
     descend(r - 1, headroom * lam2 * lam2)
     return points
@@ -391,8 +396,10 @@ def product_coefficients(
 
     The kernel lattice, the restricted form and its certified, integer-scaled
     LDL^T data depend only on the product and are built once per call, and
-    so are the maps from a target to the walk's linear and constant terms;
-    each target then costs a few short sums and at most one walk.
+    so are the walk's level layout, the maps from a target to the walk's
+    linear and constant terms, and the Euler expansion of each multiset of
+    k met; each target then costs a few short sums, at most one walk and a
+    shifted add per kept tuple.
     """
     cfg = product.config
     factors = product.factors
@@ -454,13 +461,16 @@ def product_coefficients(
     # the walk's side constraint; at a site whose factors share one sign
     # every coeff is -1 (a single factor has none), so p_first < 0 there
     # leaves no tuple at all
-    site_coords: dict[int, list[tuple[int, int]]] = {}
-    for i, (_, f, coeff) in enumerate(basis):
-        site_coords.setdefault(f, []).append((i, coeff))
-    one_sign = [
-        f for f, _, _ in firsts if all(c < 0 for _, c in site_coords.get(f, ()))
-    ]
+    levels = _walk_levels(basis)
+    raisers = {f for _, f, coeff in basis if coeff > 0}
+    one_sign = [f for f, _, _ in firsts if f not in raisers]
     outside = [i for i in range(cfg.sites) if i + 1 not in by_site]
+
+    # prod c_(k_i) = (-1)^(sum k) q^(sum k^2) / prod (q^2;q^2)_(k_i): the
+    # expansion of each multiset's denominator, in powers of q^2, is built
+    # once per call and grown only when a later target needs more terms
+    zero = LaurentSeries.zero(precision)
+    expansions: dict[tuple[int, ...], list[int]] = {}
 
     for target in targets:
         target = tuple(target)
@@ -473,7 +483,7 @@ def product_coefficients(
             cert = TupleCertificate(
                 factor_strs, target_str, precision, False, 0, (), (), (), (), 0, None
             )
-            yield target, LaurentSeries.zero(precision), cert
+            yield target, zero, cert
             continue
 
         particular = [0] * L
@@ -486,40 +496,38 @@ def product_coefficients(
         if all(particular[f] >= 0 for f in one_sign):
             b_vec = [sum(c * particular[g] for g, c in row) for row in b_rows]
             c_val = sum(c * particular[f] * particular[g] for f, g, c in c_terms)
-            sides = [(particular[f], coords) for f, coords in site_coords.items()]
-            for yvec, qval in _walk_sublevel(form, b_vec, c_val, precision, sides):
-                k = particular[:]
-                for (j, first, coeff), y in zip(basis, yvec):
-                    if y:
-                        k[j] = y
-                        k[first] += coeff * y
-                kept.append((tuple(k), qval))
+            kept = _walk_sublevel(form, levels, particular, b_vec, c_val, precision)
             kept.sort()
+        if not kept:
+            cert = TupleCertificate(
+                factor_strs, target_str, precision, True, len(basis), a_mat,
+                form.minors, tuple(particular), (), 0, None,
+            )
+            yield target, zero, cert
+            continue
 
-        # prod c_(k_i) = (-1)^(sum k) q^(sum k^2) / prod (q^2;q^2)_(k_i): group
-        # the signed numerators q^Q(k) by the multiset of nonzero k, then
-        # expand each group's denominator once by partition counts
+        # group the signed numerators q^Q(k) by the multiset of k (sorted k:
+        # every k here has length L, so its zeros do not change the key)
         groups: dict[tuple[int, ...], dict[int, int]] = {}
-        max_index = 0
-        min_val: Optional[int] = None
         for k, qval in kept:
-            num = groups.setdefault(tuple(sorted(kk for kk in k if kk)), {})
+            num = groups.setdefault(tuple(sorted(k)), {})
             num[qval] = num.get(qval, 0) + (-1 if sum(k) % 2 else 1)
-            if min_val is None or qval < min_val:
-                min_val = qval
-            if k:
-                max_index = max(max_index, max(k))
+        min_val = min(qval for _, qval in kept)
+        # Q(k) can be negative, so the expansions used here must cover
+        # P - min(0, Q) powers of q, which is this many powers of q^2
+        need = (precision - min(0, min_val) + 1) // 2
 
-        acc: list[int] = [0] * (precision - min_val) if min_val is not None else []
+        # each numerator term adds a shifted multiple of its group's
+        # expansion to the even or odd powers of a dense accumulator
+        acc = [0] * (precision - min_val)
         for orders, num in groups.items():
-            lo = min(num)
-            dense = [0] * (precision - lo)
-            for e, c in num.items():
-                dense[e - lo] = c
-            divide_by_pochhammers(dense, orders)
-            for i, c in enumerate(dense, lo - min_val):
-                if c:
-                    acc[i] += c
+            denom = expansions.get(orders)
+            if denom is None or len(denom) < need:
+                dense = [1] + [0] * (2 * need - 1)
+                denom = expansions[orders] = divide_by_pochhammers(dense, orders)[::2]
+            for qval, c in num.items():
+                lo = qval - min_val
+                acc[lo::2] = [a + c * d for a, d in zip(acc[lo::2], denom)]
         total = LaurentSeries({min_val + i: c for i, c in enumerate(acc) if c}, precision)
 
         cert = TupleCertificate(
@@ -532,7 +540,7 @@ def product_coefficients(
             form.minors,
             tuple(particular),
             tuple(k for k, _ in kept),
-            max_index,
+            max(orders[-1] if orders else 0 for orders in groups),
             min_val,
         )
         yield target, total, cert

@@ -179,3 +179,15 @@ def test_reports_match_benchmark_reference():
         assert _report_hash(verify_identity(name)) == want, name
     for name, want in workloads["exact_window"].items():
         assert _report_hash(verify_identity(name, window=8)) == want, name
+    # the truncated engine's two benchmark workloads, at their parameters
+    (name, want), = workloads["trunc_deep"].items()
+    assert _report_hash(verify_identity(name, precision=32, window=3)) == want, name
+    (name, want), = workloads["trunc_wide"].items()
+    assert _report_hash(verify_identity(name, window=3)) == want, name
+
+
+def test_sigma_alg_deep_report_is_pinned():
+    # sigma_alg at P=24: a row of the heavy grid that no benchmark workload
+    # pins, where each target keeps the most tuples
+    want = "19dce4e9e8457fd187413a667f34d4d48313661267b050b709a17458bbcad6ba"
+    assert _report_hash(verify_identity("sigma_alg", precision=24)) == want

@@ -18,7 +18,7 @@ from qtorus.verifier import (
     product_coefficients,
     window_targets,
 )
-from qtorus.verifier import _ldl, _scaled_form, _walk_sublevel
+from qtorus.verifier import _ldl, _scaled_form, _walk_levels, _walk_sublevel
 
 import qtorus.catalog as catalog
 import qtorus.verifier as verifier
@@ -47,6 +47,36 @@ def ldl_of(rows):
 
 def product_of(cfg, letters):
     return FactorProduct(cfg, tuple(QExpFactor(site, exp) for site, exp in letters))
+
+
+def walk_y(a, b, c, bound, sides=()):
+    """Sorted (y, Q(y)) over y >= 0 with  Q(y) = y^T a y + b^T y + c < bound
+    and every side constraint  p + sum coeff * y_i >= 0  of `sides`, a list
+    of ``(p, [(i, coeff), ...])``, from the engine's walk in its k layout:
+    y_i is k[i], side s is k[r + s], and each coordinate outside `sides`
+    gets a side of its own with p = 0 and coeff +1, which y_i >= 0 always
+    meets.  Checks that each side's entry of k holds  p + sum coeff * y."""
+    r = len(b)
+    start = [0] * r
+    side_of = {}
+    for p, coords in sides:
+        for i, coeff in coords:
+            side_of[i] = (len(start), coeff)
+        start.append(p)
+    for i in range(r):
+        if i not in side_of:
+            side_of[i] = (len(start), 1)
+            start.append(0)
+    levels = _walk_levels([(i, *side_of[i]) for i in range(r)])
+    points = []
+    for k, value in _walk_sublevel(_scaled_form(a), levels, start, b, c, bound):
+        y = k[:r]
+        sums = list(start)
+        for i, (first, coeff) in side_of.items():
+            sums[first] += coeff * y[i]
+        assert list(k[r:]) == sums[r:], (k, start)
+        points.append((y, value))
+    return sorted(points)
 
 
 class TestSingleFactors:
@@ -183,14 +213,13 @@ class TestCertificateEdges:
         # Q(y) = 2 y0^2 + 2 y0 y1 + 3 y1^2 - y0 + c, walked over y >= 0
         a = [[2, 1], [1, 3]]
         b = [-1, 0]
-        form = _scaled_form(a)
-        assert form.minors == (2, 5)
+        assert _scaled_form(a).minors == (2, 5)
 
         def q(y0, y1):
             return 2 * y0 * y0 + 2 * y0 * y1 + 3 * y1 * y1 - y0
 
         for bound in (1, 5, 17):
-            pts = sorted(_walk_sublevel(form, b, 0, bound))
+            pts = walk_y(a, b, 0, bound)
             want = sorted(
                 ((y0, y1), q(y0, y1))
                 for y0 in range(0, 11)
@@ -213,7 +242,6 @@ class TestCertificateEdges:
             ]
             b = [rng.randint(-8, 8) for _ in range(r)]
             c = rng.randint(-6, 6)
-            form = _scaled_form(a)
 
             def q(y):
                 quad = sum(a[i][j] * y[i] * y[j] for i in range(r) for j in range(r))
@@ -233,8 +261,8 @@ class TestCertificateEdges:
                 b[i] * inv[i][r + j] * b[j] for i in range(r) for j in range(r)
             ) / 4
             floor_qmin = math.floor(qmin)
-            assert _walk_sublevel(form, b, c, floor_qmin) == []
-            assert _walk_sublevel(form, b, c, floor_qmin - rng.randint(1, 5)) == []
+            assert walk_y(a, b, c, floor_qmin) == []
+            assert walk_y(a, b, c, floor_qmin - rng.randint(1, 5)) == []
             for bound in (floor_qmin + 1, rng.randint(-5, 25)):
                 b1 = sum(abs(x) for x in b)
                 reach = int(b1 / 2 + math.sqrt(b1 * b1 / 4 + max(bound - c, 0))) + 1
@@ -242,7 +270,7 @@ class TestCertificateEdges:
                     (y, q(y)) for y in itertools.product(range(reach + 1), repeat=r)
                     if q(y) < bound
                 )
-                assert sorted(_walk_sublevel(form, b, c, bound)) == want, (a, b, c, bound)
+                assert walk_y(a, b, c, bound) == want, (a, b, c, bound)
                 nonempty += bool(want)
         assert nonempty > 20
 
@@ -284,7 +312,7 @@ class TestCertificateEdges:
                 (y, v) for y, v in inside
                 if all(p + sum(cf * y[i] for i, cf in group) >= 0 for p, group in sides)
             )
-            assert sorted(_walk_sublevel(_scaled_form(a), b, c, bound, sides)) == want, (
+            assert walk_y(a, b, c, bound, sides) == want, (
                 a, b, c, bound, sides,
             )
             cut += len(want) < len(inside)
@@ -410,6 +438,48 @@ class TestProductCoefficients:
         assert any(not c.feasible for c in certs) and any(c.tuples for c in certs)
 
 
+    @pytest.mark.parametrize(
+        "letters",
+        [
+            # one factor per site: Q(k) = k1^2 + k2^2 + k3^2 - 2 k1 k2 - 2 k2 k3,
+            # so k = (3, 3, 3) has valuation -9 and needs 13 terms at P = 4
+            [(3, 1), (2, 1), (1, 1)],
+            # site 1 splits its exponent over two factors: a walk of rank 1
+            [(3, 1), (2, 1), (1, 1), (1, 1)],
+        ],
+    )
+    def test_negative_valuations_grow_the_expansion(self, monkeypatch, letters):
+        cfg = AlgebraConfig(3)
+        prod = product_of(cfg, letters)
+        precision = 4
+        built = []
+        inner = verifier.divide_by_pochhammers
+
+        def recording(dense, orders):
+            built.append((tuple(orders), len(dense)))
+            return inner(dense, orders)
+
+        monkeypatch.setattr(verifier, "divide_by_pochhammers", recording)
+        targets = window_targets(cfg, (1, 2, 3), 3)
+        lowest = 0
+        for target, got, cert in product_coefficients(prod, targets, precision):
+            kept, want = _blind_coefficient(prod.factors, target, precision, 5)
+            assert list(cert.tuples) == kept, target
+            assert got.coeffs == want and got.precision == precision, target
+            if kept:
+                lowest = min(lowest, cert.min_valuation)
+        assert lowest <= -9
+        # a multiset met again at a lower valuation than its expansion covers
+        # is expanded again, longer; otherwise each is built once per call
+        lengths = {}
+        for orders, n in built:
+            assert n > lengths.get(orders, 0), orders
+            lengths[orders] = n
+        assert len(built) > len(lengths)
+        if len(letters) == 3:
+            assert lengths[(3, 3, 3)] >= precision + 9
+
+
 class TestPinnedCounts:
     def test_sigma_alg_kept_tuples(self, monkeypatch):
         # a deterministic work count: a pruning bug that drops tuples moves it
@@ -466,6 +536,28 @@ class TestPinnedCounts:
         monkeypatch.setattr(catalog, "product_coefficients", counting_coefficients)
         assert catalog.verify_identity(name, **params).status == "PASS"
         assert sum(walked) == sum(kept) == tuples
+
+    @pytest.mark.parametrize(
+        "name,params,built",
+        [
+            ("sigma_alg", {"window": 3}, 864),
+            ("braid_alg", {"precision": 32, "window": 3}, 398),
+        ],
+    )
+    def test_expansions_built(self, monkeypatch, name, params, built):
+        # Euler expansions built: one per multiset of k and product call, as
+        # no catalog valuation is negative (8,800 and 3,552 when each target
+        # expanded each of its groups)
+        calls = []
+        inner = verifier.divide_by_pochhammers
+
+        def counting(dense, orders):
+            calls.append(tuple(orders))
+            return inner(dense, orders)
+
+        monkeypatch.setattr(verifier, "divide_by_pochhammers", counting)
+        assert catalog.verify_identity(name, **params).status == "PASS"
+        assert len(calls) == built
 
 
 U_V_WINDOW = 3
