@@ -14,21 +14,22 @@ the exact engine builds c_k from it as a factored rational function.
 
 The truncated engine expands c_k mod q^P from partition counts instead:
 1/prod_{j<=k} (1 - q^(2j)) = sum_n p_k(n) q^(2n),  with p_k(n) the number
-of partitions of n into parts <= k.  :func:`divide_by_pochhammers` is that
-running-sum kernel on a dense list; it expands the denominator of a whole
-product of c_k, and the engine adds shifted copies of it at each term's
-valuation from the sublevel walk, so no series is ever multiplied or
-inverted.
+of partitions of n into parts <= k.  :func:`euler_expansion` expands the
+denominator of a whole product of c_k in powers of q^2, one multiset of k
+at a time: each multiset is its parent's expansion (its largest entry
+lowered by one) after one running-sum pass of :func:`divide_by_one_minus`.
+The engine adds shifted copies of it at each term's valuation from the
+sublevel walk, so no series is ever multiplied or inverted.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable
 
 __all__ = [
     "euler_denominator_factors",
-    "divide_by_pochhammers",
+    "divide_by_one_minus",
+    "euler_expansion",
 ]
 
 
@@ -46,17 +47,37 @@ def euler_denominator_factors(k: int) -> Counter:
     )
 
 
-def divide_by_pochhammers(dense: list[int], orders: Iterable[int]) -> list[int]:
-    """Multiply the dense series `dense` (index = exponent of q) in place by
-    prod_{k in orders} 1/(q^2;q^2)_k, truncated at its length, and return it.
+def divide_by_one_minus(dense: list[int], part: int) -> list[int]:
+    """Multiply the dense series `dense` (index = exponent of x) in place by
+    1/(1 - x^part), truncated at its length, and return it: one running-sum
+    pass."""
+    for i in range(part, len(dense)):
+        dense[i] += dense[i - part]
+    return dense
 
-    1/(q^2;q^2)_k = prod_{j<=k} 1/(1 - q^(2j)), and multiplying by one factor
-    1/(1 - q^(2j)) is a single running-sum pass; the result counts partitions
-    into even parts from the multiset union of {2, 4, ..., 2k}.
+
+def euler_expansion(
+    expansions: dict[tuple[int, ...], list[int]], orders: tuple[int, ...], size: int
+) -> list[int]:
+    """The first `size` coefficients of prod_{k in orders} 1/(x;x)_k, for a
+    sorted tuple `orders`, in powers of x = q^2.
+
+    `expansions` holds the expansions already built, all `size` long; this
+    one and every one it needs are added to it.  The parent of a multiset is
+    the same multiset with its largest entry m lowered by one, and the two
+    differ by the single factor 1/(1 - x^m), so each expansion is a copy of
+    its parent's after one running-sum pass.  A multiset of zeros gives 1.
     """
-    n = len(dense)
-    for k in orders:
-        for part in range(2, min(2 * k, n - 1) + 1, 2):
-            for i in range(part, n):
-                dense[i] += dense[i - part]
+    chain = []
+    while orders not in expansions:
+        if not orders or not orders[-1]:
+            expansions[orders] = [int(i == 0) for i in range(size)]
+            break
+        chain.append(orders)
+        # lower the first copy of the largest entry, so the key stays sorted
+        top = orders.index(orders[-1])
+        orders = orders[:top] + (orders[top] - 1,) + orders[top + 1:]
+    dense = expansions[orders]
+    for orders in reversed(chain):
+        dense = expansions[orders] = divide_by_one_minus(dense[:], orders[-1])
     return dense

@@ -29,26 +29,32 @@ reported coefficient.
 :func:`product_coefficients` takes a product and a list of targets and sets
 up everything that depends only on the product once: the kernel basis, the
 LDL^T data and the adjugate of the restricted matrix, scaled by one common
-integer so that each target's minimiser and headroom, and every step of the
-walk, are integer arithmetic.  :func:`coefficient_of` is its one-target
-call.  Each kernel basis vector is +1 at exactly one factor index where the
-particular solution is 0, so the walk coordinates are entries of k itself
-and the walk stays in the nonnegative orthant.  The other entries, one per
-site at its first factor index, are  k_first = p_first + sum +-y  over that
-site's coordinates; the walk clamps its arms by these linear side
-constraints level by level, so it enforces k >= 0 on every index and each
-point it returns is a kept tuple.  Its level layout is built once per
-product, and it keeps k in place as it descends, so each leaf is the tuple
-itself, returned with its value of the form: the tuple's valuation Q(k).
-The k at a site whose factors share one sign e sum to e*T_s, so a target
-with e*T_s < 0 there has no tuple and is settled before any walk; for a
-single-factor site, which has no walk coordinate, that is the whole
-constraint.  A kept tuple contributes
+integer so that every step of the walk is integer arithmetic, and two
+integer maps of the particular solution's entries, one to the walk's
+centre and one to lam * qmin, where qmin is the real minimum of the form on
+the target's fibre (a Schur complement).  A target with qmin >= P has no
+tuple and is settled without a walk.  :func:`coefficient_of` is its
+one-target call.  Each kernel basis vector is +1 at exactly one factor
+index where the particular solution is 0, so the walk coordinates are
+entries of k itself and the walk stays in the nonnegative orthant.  The
+other entries, one per site at its first factor index, are
+k_first = p_first + sum +-y  over that site's coordinates; the walk clamps
+each level's interval (one integer square root, as in Fincke-Pohst
+enumeration) by these linear side constraints, so it enforces k >= 0 on
+every index and each point it returns is a kept tuple.  Its level layout
+is built once per product, and it keeps k in place as it descends, so each
+leaf is the tuple itself, returned with its value of the form: the tuple's
+valuation Q(k).  The k at a site whose factors share one sign e sum to
+e*T_s, so a target with e*T_s < 0 there has no tuple and is settled before
+any walk; for a single-factor site, which has no walk coordinate, that is
+the whole constraint.  A kept tuple contributes
 (-1)^(sum k) q^(Q(k)) / prod_l (q^2;q^2)_(k_l).  The expansion of that
 denominator counts partitions; it is built once per call for each
-multiset of k, covering P - min(0, Q) terms since Q(k) can be negative,
-and rebuilt longer only when a later target needs more.  Each tuple then
-adds a shifted, signed copy of it, so no series is multiplied.
+multiset of k, from its parent multiset by one running-sum pass
+(:func:`qexp.euler_expansion`), covering P - min(0, Q) terms since Q(k)
+can be negative, and all are rebuilt longer only when a later target needs
+more.  Each tuple then adds a shifted, signed copy of it, so no series is
+multiplied.
 
 A second engine handles products of E(x) for *arbitrary* polynomial
 arguments x (sums of monomials with all site exponents >= 0) exactly, with
@@ -63,12 +69,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, product as iproduct
+from itertools import product as iproduct
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .algebra import AlgebraConfig, Element
 from .errors import InfiniteSupport, InvalidParams, NoCertificate
-from .qexp import divide_by_pochhammers, euler_denominator_factors
+from .qexp import euler_denominator_factors, euler_expansion
 from .series import FactoredRational, LaurentSeries
 
 __all__ = [
@@ -199,8 +206,9 @@ class _ScaledForm:
 
     With LDL^T = A, `det` = det A (its last leading minor), `adj` = det*A^-1,
     and `lam` the lcm of 4*det and every denominator in L and D, the scaled
-    pivots `di` = lam*d_i and subdiagonal columns `li_cols[i][j]` = lam*L[j][i]
-    are integers, and so is everything the walk derives from them.
+    pivots `di` = lam*d_i and subdiagonal entries lam*L[j][i] are integers,
+    and so is everything the walk derives from them; `li_cols[i]` lists the
+    nonzero ones of column i as pairs (j, lam*L[j][i]).
     """
 
     minors: tuple[int, ...]
@@ -208,7 +216,7 @@ class _ScaledForm:
     adj: tuple[tuple[int, ...], ...]
     lam: int
     di: tuple[int, ...]
-    li_cols: tuple[tuple[int, ...], ...]
+    li_cols: tuple[tuple[tuple[int, int], ...], ...]
 
 
 def _scaled_form(a: Sequence[Sequence[int]]) -> _ScaledForm:
@@ -229,7 +237,10 @@ def _scaled_form(a: Sequence[Sequence[int]]) -> _ScaledForm:
         adj,
         lam,
         tuple(int(d * lam) for d in diag),
-        tuple(tuple(int(low[j][i] * lam) for j in range(r)) for i in range(r)),
+        tuple(
+            tuple((j, int(low[j][i] * lam)) for j in range(i + 1, r) if low[j][i])
+            for i in range(r)
+        ),
     )
 
 
@@ -260,8 +271,8 @@ def _walk_sublevel(
     form: _ScaledForm,
     levels: Sequence[tuple[int, int, int, bool]],
     start: Sequence[int],
-    b_vec: Sequence[int],
-    c_val: int,
+    centre: Sequence[int],
+    headroom: int,
     bound: int,
 ) -> list[tuple[tuple[int, ...], int]]:
     """Tuples k >= 0 of the fiber through `start` with
@@ -274,29 +285,22 @@ def _walk_sublevel(
     k_first >= 0 holds there.
 
     The real minimiser is y* = -A^-1 b / 2 with value qmin, and the LDL^T
-    data writes the form as  qmin + sum_i d_i (y_i - center_i)^2.  At each
-    level the admissible integers form two monotone arms around the real
-    center, each stopped at its first over-budget point and clamped to
-    [lo, hi]: lo >= 0 always, and a clamping level also keeps
-    k_first >= 0.  All arithmetic is integer: YS = lam*y* and the headroom
-    lam*(bound - qmin) come from the adjugate, Z_j = lam*y_j - YS_j, the
-    scaled center C2 = lam^2 * center and offset U = lam^2 * (y_i - center)
-    give the level test  DI * U^2 >= budget,  with DI = lam*d_i and budgets
-    scaled by lam^5.  The budget left at a leaf is exactly
-    lam^5 * (bound - Q(y)), so it gives Q(y) for free.
+    data writes the form as  qmin + sum_i d_i (y_i - center_i)^2.  The caller
+    passes `centre` = lam*y* and `headroom` = lam*(bound - qmin), both
+    integers.  With Z_j = lam*y_j - centre_j, the scaled center
+    C2 = lam^2 * center and offset U = lam^2 * (y_i - center), a level admits
+    y_i when  DI * U^2 < budget,  with DI = lam*d_i and budgets scaled by
+    lam^5; that is  |U| <= s = isqrt((budget - 1) // DI),  one interval of
+    integers around the center, clamped to [lo, hi]: lo >= 0 always, and a
+    clamping level also keeps k_first >= 0.  The budget left at a leaf is
+    exactly  lam^5 * (bound - Q(y)),  so it gives Q(y) for free.
     """
-    lam, di_scaled, li_cols = form.lam, form.di, form.li_cols
-    r = len(di_scaled)
-    adj_b = [sum(x * b for x, b in zip(row, b_vec)) for row in form.adj]
-    half = lam // (2 * form.det)
-    ys_scaled = [-half * x for x in adj_b]
-    headroom = (bound - c_val) * lam + half // 2 * sum(
-        b * x for b, x in zip(b_vec, adj_b)
-    )
     if headroom <= 0:
         return []
+    lam, di_scaled, li_cols = form.lam, form.di, form.li_cols
+    r = len(di_scaled)
     if not r:
-        return [(tuple(start), c_val)]
+        return [(tuple(start), bound - headroom // lam)]
     lam2 = lam * lam
     lam5 = lam2 * lam2 * lam
 
@@ -305,45 +309,71 @@ def _walk_sublevel(
     zed = [0] * r
 
     def descend(i: int, budget: int) -> None:
-        c2 = lam * ys_scaled[i]
-        col = li_cols[i]
-        for m in range(i + 1, r):
-            lim = col[m]
-            if lim:
-                c2 -= lim * zed[m]
+        c2 = lam * centre[i]
+        for m, lim in li_cols[i]:
+            c2 -= lim * zed[m]
         di = di_scaled[i]
         j, first, coeff, clamps = levels[i]
         part = k[first]
-        lo, hi = 0, None
+        s = math.isqrt((budget - 1) // di)
+        y_lo = -((s - c2) // lam2)
+        y_hi = (c2 + s) // lam2
+        if y_lo < 0:
+            y_lo = 0
         if clamps:
             if coeff > 0:
-                lo = max(0, -part)
+                if y_lo < -part:
+                    y_lo = -part
+            elif y_hi > part:
+                y_hi = part
+        u = y_lo * lam2 - c2
+        for y_i in range(y_lo, y_hi + 1):
+            used = di * u * u
+            k[j] = y_i
+            k[first] = part + coeff * y_i
+            if i:
+                zed[i] = lam * y_i - centre[i]
+                descend(i - 1, budget - used)
             else:
-                hi = part
-        up = -((-c2) // lam2)
-        if up < lo:
-            up = lo
-        elif hi is not None and up > hi + 1:
-            up = hi + 1
-        u0 = up * lam2 - c2
-        up_arm = count(up) if hi is None else range(up, hi + 1)
-        for arm, u, du in ((up_arm, u0, lam2), (range(up - 1, lo - 1, -1), u0 - lam2, -lam2)):
-            for y_i in arm:
-                used = di * u * u
-                if used >= budget:
-                    break
-                k[j] = y_i
-                k[first] = part + coeff * y_i
-                zed[i] = lam * y_i - ys_scaled[i]
-                if i:
-                    descend(i - 1, budget - used)
-                else:
-                    points.append((tuple(k), bound - (budget - used) // lam5))
-                u += du
+                points.append((tuple(k), bound - (budget - used) // lam5))
+            u += lam2
         k[first] = part
 
     descend(r - 1, headroom * lam2 * lam2)
     return points
+
+
+def _fibre_maps(
+    form: _ScaledForm,
+    b_map: Sequence[Sequence[int]],
+    c_map: Sequence[Sequence[int]],
+) -> tuple[list[list[int]], list[tuple[int, int, int]]]:
+    """Integer maps M and H of the vector p that fixes a fibre, for the form
+    Q(y) = y^T A y + b^T y + c  with  b = B p  and  c = p^T C p  (B is
+    `b_map`, C is `c_map`).
+
+    The scaled minimiser  lam*y* = -(lam/2det) adj b  is  M p, and
+    lam*qmin = lam*c - (lam/4det) b^T adj b  is  p^T H p,  a Schur complement
+    of the form on the whole lattice.  Returns M's rows and H's nonzero
+    terms (s, t, h) over s <= t, with h doubled off the diagonal.
+    """
+    width = len(c_map)
+    half, quarter = form.lam // (2 * form.det), form.lam // (4 * form.det)
+    adj_b = [
+        [sum(x * row[s] for x, row in zip(adj_row, b_map)) for s in range(width)]
+        for adj_row in form.adj
+    ]
+    centre_map = [[-half * x for x in row] for row in adj_b]
+    h_terms = [
+        (s, t, h if s == t else 2 * h)
+        for s in range(width)
+        for t in range(s, width)
+        if (
+            h := form.lam * c_map[s][t]
+            - quarter * sum(row[s] * x[t] for row, x in zip(b_map, adj_b))
+        )
+    ]
+    return centre_map, h_terms
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +426,10 @@ def product_coefficients(
 
     The kernel lattice, the restricted form and its certified, integer-scaled
     LDL^T data depend only on the product and are built once per call, and
-    so are the walk's level layout, the maps from a target to the walk's
-    linear and constant terms, and the Euler expansion of each multiset of
-    k met; each target then costs a few short sums, at most one walk and a
+    so are the walk's level layout, the maps from a target to its fibre
+    minimum qmin and to the walk's centre, and the Euler expansion of each
+    multiset of k met.  A target with qmin >= precision has no tuple and
+    gets no walk; any other costs a few short sums, at most one walk and a
     shifted add per kept tuple.
     """
     cfg = product.config
@@ -438,25 +469,18 @@ def product_coefficients(
     form = _scaled_form(a_mat)
 
     # the particular solution is e * T_s at the first index of each site s
-    # (e the sign there) and 0 elsewhere, so the walk's b and c are fixed
-    # linear and quadratic maps of those entries
+    # (e the sign there) and 0 elsewhere; with p those entries, the walk's
+    # linear term is b = B p and its constant term is c = p^T C p
     firsts = [
         (idxs[0], factors[idxs[0]].exp, site - 1) for site, idxs in sorted(by_site.items())
     ]
-    b_rows = [
-        [
-            (g, c)
-            for g, _, _ in firsts
-            if (c := 2 * (gram[j][g] + coeff * gram[f][g]))
-        ]
+    b_map = [
+        [2 * (gram[j][g] + coeff * gram[f][g]) for g, _, _ in firsts]
         for j, f, coeff in basis
     ]
-    c_terms = [
-        (f, g, c if f == g else 2 * c)
-        for n, (f, _, _) in enumerate(firsts)
-        for g, _, _ in firsts[n:]
-        if (c := gram[f][g])
-    ]
+    c_map = [[gram[f][g] for g, _, _ in firsts] for f, _, _ in firsts]
+    centre_map, h_terms = _fibre_maps(form, b_map, c_map)
+
     # k_first = p_first + sum coeff * y over the site's walk coordinates is
     # the walk's side constraint; at a site whose factors share one sign
     # every coeff is -1 (a single factor has none), so p_first < 0 there
@@ -465,12 +489,15 @@ def product_coefficients(
     raisers = {f for _, f, coeff in basis if coeff > 0}
     one_sign = [f for f, _, _ in firsts if f not in raisers]
     outside = [i for i in range(cfg.sites) if i + 1 not in by_site]
+    scaled_bound = precision * form.lam
 
     # prod c_(k_i) = (-1)^(sum k) q^(sum k^2) / prod (q^2;q^2)_(k_i): the
-    # expansion of each multiset's denominator, in powers of q^2, is built
-    # once per call and grown only when a later target needs more terms
+    # expansion of each multiset's denominator, in `size` powers of q^2, is
+    # built once per call; a lower valuation that needs more terms makes
+    # them all longer
     zero = LaurentSeries.zero(precision)
     expansions: dict[tuple[int, ...], list[int]] = {}
+    size = (precision + 1) // 2
 
     for target in targets:
         target = tuple(target)
@@ -486,18 +513,23 @@ def product_coefficients(
             yield target, zero, cert
             continue
 
+        pvec = [e * target[i] for _, e, i in firsts]
         particular = [0] * L
-        for f, e, i in firsts:
-            particular[f] = e * target[i]
+        for (f, _, _), x in zip(firsts, pvec):
+            particular[f] = x
 
         # every point the walk returns is a tuple k >= 0 with Q(k) < P, and
-        # its value Q(y) is that tuple's valuation
+        # its value Q(y) is that tuple's valuation; a target whose fibre
+        # minimum qmin is at least P has none
         kept: list[tuple[tuple[int, ...], int]] = []
         if all(particular[f] >= 0 for f in one_sign):
-            b_vec = [sum(c * particular[g] for g, c in row) for row in b_rows]
-            c_val = sum(c * particular[f] * particular[g] for f, g, c in c_terms)
-            kept = _walk_sublevel(form, levels, particular, b_vec, c_val, precision)
-            kept.sort()
+            headroom = scaled_bound
+            for s, t, h in h_terms:
+                headroom -= h * pvec[s] * pvec[t]
+            if headroom > 0:
+                centre = [sum(map(mul, row, pvec)) for row in centre_map]
+                kept = _walk_sublevel(form, levels, particular, centre, headroom, precision)
+                kept.sort()
         if not kept:
             cert = TupleCertificate(
                 factor_strs, target_str, precision, True, len(basis), a_mat,
@@ -516,15 +548,15 @@ def product_coefficients(
         # Q(k) can be negative, so the expansions used here must cover
         # P - min(0, Q) powers of q, which is this many powers of q^2
         need = (precision - min(0, min_val) + 1) // 2
+        if need > size:
+            size = need
+            expansions.clear()
 
         # each numerator term adds a shifted multiple of its group's
         # expansion to the even or odd powers of a dense accumulator
         acc = [0] * (precision - min_val)
         for orders, num in groups.items():
-            denom = expansions.get(orders)
-            if denom is None or len(denom) < need:
-                dense = [1] + [0] * (2 * need - 1)
-                denom = expansions[orders] = divide_by_pochhammers(dense, orders)[::2]
+            denom = euler_expansion(expansions, orders, size)
             for qval, c in num.items():
                 lo = qval - min_val
                 acc[lo::2] = [a + c * d for a, d in zip(acc[lo::2], denom)]

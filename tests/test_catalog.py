@@ -191,3 +191,19 @@ def test_sigma_alg_deep_report_is_pinned():
     # pins, where each target keeps the most tuples
     want = "19dce4e9e8457fd187413a667f34d4d48313661267b050b709a17458bbcad6ba"
     assert _report_hash(verify_identity("sigma_alg", precision=24)) == want
+
+
+@pytest.mark.parametrize(
+    "name,params,want",
+    [
+        # most targets are settled by qmin >= P, with no walk
+        ("sigma_alg", {"window": 5},
+         "301ab41e637084bed02e9ff6923e9ea805aead604bd710ef51859684cea4c2f8"),
+        # the documented window and precision limits: long Euler expansions
+        ("braid_alg", {"window": 8, "precision": 64},
+         "6e930b676ba947e61793a20d1ba6f825d7bad9a66e5a0802fb4800603e064dee"),
+    ],
+    ids=["sigma_alg-W5", "braid_alg-W8-P64"],
+)
+def test_heavy_grid_report_is_pinned(name, params, want):
+    assert _report_hash(verify_identity(name, **params)) == want

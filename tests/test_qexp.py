@@ -1,9 +1,10 @@
 """Coefficients of the q-exponential, its series form and its finite products."""
 
+import random
 from collections import Counter
 
 from qtorus.algebra import AlgebraConfig, Element
-from qtorus.qexp import divide_by_pochhammers, euler_denominator_factors
+from qtorus.qexp import divide_by_one_minus, euler_denominator_factors, euler_expansion
 from qtorus.series import FactoredRational, LaurentSeries, RationalQ, cyclotomic
 from qtorus.verifier import FactorProduct, QExpFactor, coefficient_of, exact_window_map
 
@@ -42,12 +43,15 @@ class TestEulerCoefficients:
         assert exact_c(1) == RationalQ((0, 1), (-1, 0, 1))
 
     def test_c1_series(self):
-        # c_1 / q mod q^7: one running-sum pass of 1/(1 - q^2)
-        assert divide_by_pochhammers([-1, 0, 0, 0, 0, 0, 0], (1,)) == [-1, 0, -1, 0, -1, 0, -1]
+        # c_1 / q mod q^8 in powers of q^2: one running-sum pass of 1/(1 - q^2)
+        assert divide_by_one_minus([-1, 0, 0, 0], 1) == [-1, -1, -1, -1]
         assert engine_c(1, 8) == L({1: -1, 3: -1, 5: -1, 7: -1}, 8)
 
     def test_c2_series(self):
-        assert divide_by_pochhammers([1, 0, 0, 0, 0, 0], (2,)) == [1, 0, 1, 0, 2, 0]
+        # 1/(q^2;q^2)_2 in powers of q^2, built from (1,) and (0,) by one pass each
+        built = {}
+        assert euler_expansion(built, (2,), 3) == [1, 1, 2]
+        assert built == {(0,): [1, 0, 0], (1,): [1, 1, 1], (2,): [1, 1, 2]}
         assert engine_c(2, 10) == L({4: 1, 6: 1, 8: 2}, 10)
 
     def test_valuation_is_k_squared(self):
@@ -107,10 +111,35 @@ class TestEulerCoefficients:
                 assert engine_c(k, P) == L(want, P), (k, P)
 
     def test_nonpositive_precision_is_zero(self):
-        assert divide_by_pochhammers([], (3,)) == []
+        assert divide_by_one_minus([], 3) == []
+        assert euler_expansion({}, (0, 3), 0) == []
         for k in range(4):
             for P in (0, -1, -5):
                 assert engine_c(k, P) == L({}, P)
+
+    def test_expansion_build_against_long_division(self):
+        # random sorted multisets with ties and zeros, and the empty one,
+        # against long division of prod_k (q^2;q^2)_k; one dict per length
+        # is shared across draws, so parents built for one multiset serve
+        # later ones, and every expansion stored in it is checked
+        rng = random.Random(20261018)
+        for size in (1, 5, 17):
+            built = {}
+            draws = [()] + [
+                tuple(sorted(rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(rng.randint(1, 5))))
+                for _ in range(40)
+            ]
+            assert any(len(set(d)) < len(d) for d in draws) and any(0 in d for d in draws)
+            for orders in draws:
+                assert euler_expansion(built, orders, size) is built[orders]
+            for orders, got in built.items():
+                den = [1]
+                for k in orders:
+                    for j in range(1, k + 1):
+                        den = naive_poly_mul(den, [1] + [0] * (2 * j - 1) + [-1])
+                want = longdiv_expand({0: 1}, dict(enumerate(den)), 2 * size)
+                assert got == [want.get(2 * i, 0) for i in range(size)], orders
+                assert not any(e % 2 for e in want), orders
 
     def test_factored_denominators_accumulate(self):
         f3 = euler_denominator_factors(3)

@@ -18,9 +18,10 @@ from qtorus.verifier import (
     product_coefficients,
     window_targets,
 )
-from qtorus.verifier import _ldl, _scaled_form, _walk_levels, _walk_sublevel
+from qtorus.verifier import _ldl, _ldl_solve, _scaled_form, _walk_levels, _walk_sublevel
 
 import qtorus.catalog as catalog
+import qtorus.qexp as qexp
 import qtorus.verifier as verifier
 from oracles import (
     brute_force_tuples,
@@ -55,7 +56,9 @@ def walk_y(a, b, c, bound, sides=()):
     of ``(p, [(i, coeff), ...])``, from the engine's walk in its k layout:
     y_i is k[i], side s is k[r + s], and each coordinate outside `sides`
     gets a side of its own with p = 0 and coeff +1, which y_i >= 0 always
-    meets.  Checks that each side's entry of k holds  p + sum coeff * y."""
+    meets.  The walk's centre lam*y* and headroom lam*(bound - qmin) come
+    from the minimiser y* = -a^-1 b / 2 solved over the rationals, and must
+    be integers.  Checks that each side's entry of k holds  p + sum coeff * y."""
     r = len(b)
     start = [0] * r
     side_of = {}
@@ -68,8 +71,15 @@ def walk_y(a, b, c, bound, sides=()):
             side_of[i] = (len(start), 1)
             start.append(0)
     levels = _walk_levels([(i, *side_of[i]) for i in range(r)])
+    form = _scaled_form(a)
+    y_star = [-x / 2 for x in _ldl_solve(*ldl_of(a), [Fraction(x) for x in b])] if r else []
+    qmin = c + sum(x * y for x, y in zip(b, y_star)) / 2
+    centre = [form.lam * y for y in y_star]
+    headroom = form.lam * (bound - qmin)
+    assert all(x.denominator == 1 for x in centre + [headroom])
     points = []
-    for k, value in _walk_sublevel(_scaled_form(a), levels, start, b, c, bound):
+    walk = _walk_sublevel(form, levels, start, [int(x) for x in centre], int(headroom), bound)
+    for k, value in walk:
         y = k[:r]
         sums = list(start)
         for i, (first, coeff) in side_of.items():
@@ -351,22 +361,59 @@ def _blind_coefficient(factors, target, precision, kmax):
     return sorted(kept), {e: c for e, c in want.items() if c}
 
 
+def _seeded_products(rng):
+    """The oracle's random products, with a window-2 box of targets each and a
+    sample of three of them, drawn from `rng` in turn."""
+    for _ in range(14):
+        sites = rng.randint(2, 3)
+        factors = tuple(
+            QExpFactor(rng.randint(1, sites), rng.choice((1, -1)))
+            for _ in range(rng.randint(2, 5))
+        )
+        cfg = AlgebraConfig(sites)
+        precision = rng.randint(4, 24)
+        targets = window_targets(cfg, sorted({f.site for f in factors}), 2)
+        yield FactorProduct(cfg, factors), precision, targets, rng.sample(targets, min(3, len(targets)))
+
+
+def _fibre_minimum(factors, target):
+    """(y*, qmin, p) for the fibre of `target`, as fractions, built without
+    the engine's maps: the form by polarising the valuation that letter
+    sorting gives; at each site, p = eps_first * T_s at its first factor
+    index, and a kernel basis vector per other index j, 1 at j and
+    -eps_first * eps_j at the first; then y* = -A^-1 b / 2 from the Fraction
+    LDL^T solve, and qmin = c + b^T y* / 2."""
+    n = len(factors)
+
+    def valuation(k):
+        _, phase = phase_by_sorting([(f.site, f.exp * x) for f, x in zip(factors, k)])
+        return sum(x * x for x in k) + phase
+
+    def form(u, v):
+        return Fraction(valuation([x + y for x, y in zip(u, v)]) - valuation(u) - valuation(v), 2)
+
+    basis, particular = [], [0] * n
+    for site in sorted({f.site for f in factors}):
+        idxs = [i for i, f in enumerate(factors) if f.site == site]
+        first = idxs[0]
+        particular[first] = factors[first].exp * target[site - 1]
+        for j in idxs[1:]:
+            vec = [int(i == j) for i in range(n)]
+            vec[first] = -factors[first].exp * factors[j].exp
+            basis.append(vec)
+    a = [[form(u, v) for v in basis] for u in basis]
+    b = [2 * form(u, particular) for u in basis]
+    y_star = [-x / 2 for x in _ldl_solve(*_ldl(a), b)] if basis else []
+    return y_star, valuation(particular) + sum(x * y for x, y in zip(b, y_star)) / 2, particular
+
+
 class TestCoefficientOracle:
     def test_random_products_against_blind_sum(self):
         rng = random.Random(20261018)
         checked = nonzero = 0
-        for _ in range(14):
-            sites = rng.randint(2, 3)
-            factors = tuple(
-                QExpFactor(rng.randint(1, sites), rng.choice((1, -1)))
-                for _ in range(rng.randint(2, 5))
-            )
-            cfg = AlgebraConfig(sites)
-            prod = FactorProduct(cfg, factors)
-            precision = rng.randint(4, 24)
-            support = sorted({f.site for f in factors})
-            targets = window_targets(cfg, support, 2)
-            for target in rng.sample(targets, min(3, len(targets))):
+        for prod, precision, _, sample in _seeded_products(rng):
+            factors = prod.factors
+            for target in sample:
                 got, cert = coefficient_of(prod, target, precision)
                 kept, want = _blind_coefficient(factors, target, precision, 6)
                 assert list(cert.tuples) == kept, (factors, target)
@@ -374,6 +421,48 @@ class TestCoefficientOracle:
                 checked += 1
                 nonzero += bool(want)
         assert checked >= 30 and nonzero >= 10
+
+    def test_fibre_maps_give_lam_qmin(self, monkeypatch):
+        # the per-product maps against the fibre minimum solved over the
+        # rationals, on the seeded products, products of one factor per site
+        # (kernel rank 0) and the empty product; a target with qmin >= P
+        # must have no tuple in a blind search
+        maps = []
+        inner = verifier._fibre_maps
+
+        def capturing(form, b_map, c_map):
+            out = inner(form, b_map, c_map)
+            maps.append((form.lam, *out))
+            return out
+
+        monkeypatch.setattr(verifier, "_fibre_maps", capturing)
+        cases = [case[:3] for case in _seeded_products(random.Random(20261018))]
+        for sites, letters in ((2, [(1, 1), (2, -1)]), (3, [(2, -1), (1, 1), (3, 1)]), (2, [])):
+            prod = product_of(AlgebraConfig(sites), letters)
+            support = {f.site for f in prod.factors}
+            cases.append((prod, 6, window_targets(prod.config, support, 2)))
+        settled = below = 0
+        for prod, precision, targets in cases:
+            factors = prod.factors
+            support = sorted({f.site for f in factors})
+            maps.clear()
+            certs = {t: cert for t, _, cert in product_coefficients(prod, targets, precision)}
+            (lam, centre_map, h_terms), = maps
+            for target in targets:
+                y_star, qmin, particular = _fibre_minimum(factors, target)
+                assert list(certs[target].particular) == particular
+                pvec = [particular[[f.site for f in factors].index(s)] for s in support]
+                assert sum(h * pvec[s] * pvec[t] for s, t, h in h_terms) == lam * qmin, target
+                centre = [sum(x * p for x, p in zip(row, pvec)) for row in centre_map]
+                assert centre == [lam * y for y in y_star], target
+                if qmin < precision:
+                    below += 1
+                    continue
+                assert not certs[target].tuples
+                kept, want = _blind_coefficient(factors, target, precision, 6)
+                assert kept == [] and want == {}, (factors, target)
+                settled += 1
+        assert settled >= 50 and below >= 400
 
     @pytest.mark.parametrize(
         "sites,window,letters",
@@ -453,13 +542,15 @@ class TestProductCoefficients:
         prod = product_of(cfg, letters)
         precision = 4
         built = []
-        inner = verifier.divide_by_pochhammers
+        inner = verifier.euler_expansion
 
-        def recording(dense, orders):
-            built.append((tuple(orders), len(dense)))
-            return inner(dense, orders)
+        def recording(expansions, orders, size):
+            before = set(expansions)
+            dense = inner(expansions, orders, size)
+            built.extend((key, len(expansions[key])) for key in expansions.keys() - before)
+            return dense
 
-        monkeypatch.setattr(verifier, "divide_by_pochhammers", recording)
+        monkeypatch.setattr(verifier, "euler_expansion", recording)
         targets = window_targets(cfg, (1, 2, 3), 3)
         lowest = 0
         for target, got, cert in product_coefficients(prod, targets, precision):
@@ -477,7 +568,8 @@ class TestProductCoefficients:
             lengths[orders] = n
         assert len(built) > len(lengths)
         if len(letters) == 3:
-            assert lengths[(3, 3, 3)] >= precision + 9
+            # expansions are in powers of q^2
+            assert 2 * lengths[(3, 3, 3)] >= precision + 9
 
 
 class TestPinnedCounts:
@@ -538,26 +630,44 @@ class TestPinnedCounts:
         assert sum(walked) == sum(kept) == tuples
 
     @pytest.mark.parametrize(
-        "name,params,built",
+        "name,params,passes",
         [
-            ("sigma_alg", {"window": 3}, 864),
-            ("braid_alg", {"precision": 32, "window": 3}, 398),
+            ("sigma_alg", {"window": 3}, 874),
+            ("braid_alg", {"precision": 32, "window": 3}, 396),
         ],
     )
-    def test_expansions_built(self, monkeypatch, name, params, built):
-        # Euler expansions built: one per multiset of k and product call, as
-        # no catalog valuation is negative (8,800 and 3,552 when each target
-        # expanded each of its groups)
+    def test_running_sum_passes(self, monkeypatch, name, params, passes):
+        # one pass per multiset of k expanded in a product call, its parents
+        # included, as no catalog valuation is negative (864 and 398 calls of
+        # the old whole-multiset build, each of sum k passes over q-powers)
         calls = []
-        inner = verifier.divide_by_pochhammers
+        inner = qexp.divide_by_one_minus
 
-        def counting(dense, orders):
-            calls.append(tuple(orders))
-            return inner(dense, orders)
+        def counting(dense, part):
+            calls.append(part)
+            return inner(dense, part)
 
-        monkeypatch.setattr(verifier, "divide_by_pochhammers", counting)
+        monkeypatch.setattr(qexp, "divide_by_one_minus", counting)
         assert catalog.verify_identity(name, **params).status == "PASS"
-        assert len(calls) == built
+        assert len(calls) == passes
+
+    @pytest.mark.parametrize(
+        "params,walks",
+        [({}, 884), ({"window": 3}, 2528)],
+    )
+    def test_sigma_alg_walk_calls(self, monkeypatch, params, walks):
+        # targets with qmin(T) >= P are settled without a walk (900 and
+        # 3,136 walks when each target past the one-sign test walked)
+        calls = []
+        inner = verifier._walk_sublevel
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(verifier, "_walk_sublevel", counting)
+        assert catalog.verify_identity("sigma_alg", **params).status == "PASS"
+        assert len(calls) == walks
 
 
 U_V_WINDOW = 3
