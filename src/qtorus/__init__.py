@@ -36,6 +36,7 @@ from .algebra import AlgebraConfig, Element, monomial_label, phase_exponent
 from .qexp import euler_denominator_factors
 from .verifier import (
     FactorProduct,
+    ProductCertificate,
     QExpFactor,
     TupleCertificate,
     coefficient_of,
@@ -113,6 +114,7 @@ __all__ = [
     # verifier
     "QExpFactor",
     "FactorProduct",
+    "ProductCertificate",
     "TupleCertificate",
     "coefficient_of",
     "product_coefficients",

@@ -109,13 +109,15 @@ def word_to_product(word: Sequence[Letter], sites: int) -> FactorProduct:
 
 def fold_certificate(stats: dict, cert: TupleCertificate) -> None:
     """Fold one certificate into the running maxima of a summary: tuples
-    kept, kernel rank and factor index (an absent key counts as 0)."""
-    for key, value in (
-        ("max_tuples", len(cert.tuples)),
-        ("max_kernel_rank", cert.kernel_rank),
-        ("max_index", cert.max_index),
-    ):
-        stats[key] = max(stats.get(key, 0), value)
+    kept, kernel rank and factor index (an absent key counts as 0, and the
+    keys are added in that order)."""
+    tuples, rank, index = len(cert.tuples), cert.kernel_rank, cert.max_index
+    if tuples > stats.setdefault("max_tuples", 0):
+        stats["max_tuples"] = tuples
+    if rank > stats.setdefault("max_kernel_rank", 0):
+        stats["max_kernel_rank"] = rank
+    if index > stats.setdefault("max_index", 0):
+        stats["max_index"] = index
 
 
 def word_image(

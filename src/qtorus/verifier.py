@@ -22,9 +22,11 @@ down directly).  Restricting Q to that lattice gives an integer symmetric
 matrix; its positive definiteness -- checked exactly via an LDL^T
 decomposition over the rationals, with the leading principal minors
 recorded -- certifies that the sublevel set is finite, and an exact
-ellipsoid walk enumerates it.  The minors, the restricted matrix, and the
-enumerated tuples form a :class:`TupleCertificate` that accompanies every
-reported coefficient.
+ellipsoid walk enumerates it.  Every reported coefficient comes with a
+:class:`TupleCertificate`: a short record of its target, why the target
+has the tuples it has, the enumerated tuples and their minimum valuation,
+over one :class:`ProductCertificate` per call that holds what every target
+shares, the factors, the restricted matrix and its minors.
 
 :func:`product_coefficients` takes a product and a list of targets and sets
 up everything that depends only on the product once: the kernel basis, the
@@ -47,7 +49,9 @@ leaf is the tuple itself, returned with its value of the form: the tuple's
 valuation Q(k).  The k at a site whose factors share one sign e sum to
 e*T_s, so a target with e*T_s < 0 there has no tuple and is settled before
 any walk; for a single-factor site, which has no walk coordinate, that is
-the whole constraint.  A kept tuple contributes
+the whole constraint.  A target settled before any walk pays only the sums
+that decide it: its certificate renders the target's label and rebuilds
+its particular solution only when they are read.  A kept tuple contributes
 (-1)^(sum k) q^(Q(k)) / prod_l (q^2;q^2)_(k_l).  The expansion of that
 denominator counts partitions; it is built once per call for each
 multiset of k, from its parent multiset by one running-sum pass
@@ -71,9 +75,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .algebra import AlgebraConfig, Element
+from .algebra import AlgebraConfig, Element, monomial_label
 from .errors import InfiniteSupport, InvalidParams, NoCertificate
 from .qexp import euler_denominator_factors, euler_expansion
 from .series import FactoredRational, LaurentSeries
@@ -81,6 +85,7 @@ from .series import FactoredRational, LaurentSeries
 __all__ = [
     "QExpFactor",
     "FactorProduct",
+    "ProductCertificate",
     "TupleCertificate",
     "coefficient_of",
     "product_coefficients",
@@ -382,26 +387,95 @@ def _fibre_maps(
 
 
 @dataclass(frozen=True)
-class TupleCertificate:
-    """Why the reported coefficient is complete mod q^precision.
+class ProductCertificate:
+    """What every target's certificate from one :func:`product_coefficients`
+    call shares: the product's factors, the precision, and the restricted
+    form of the valuation Q.
 
-    `gram_restricted` is the matrix of the valuation form Q on the kernel
-    lattice of the exponent constraints; `minors` are its leading principal
-    minors, all positive, which proves Q is positive definite there and the
-    enumerated `tuples` exhaust every contribution below the precision.
+    `gram_restricted` is the matrix of Q on the kernel lattice of the
+    exponent constraints, whose rank is `kernel_rank`; `minors` are its
+    leading principal minors, all positive, which proves Q is positive
+    definite there, so each sublevel set Q < precision is finite.
+    `firsts` lists, for each site of the product in order, its first factor
+    index f, that factor's sign e and the site's position i in a target
+    vector: a target's particular solution is e * target[i] at each f and 0
+    elsewhere.
     """
 
     factors: tuple[str, ...]
-    target: str
     precision: int
-    feasible: bool
     kernel_rank: int
     gram_restricted: tuple[tuple[int, ...], ...]
     minors: tuple[int, ...]
-    particular: tuple[int, ...]
-    tuples: tuple[tuple[int, ...], ...]
-    max_index: int
-    min_valuation: Optional[int]
+    firsts: tuple[tuple[int, int, int], ...]
+
+    def particular_solution(self, exponents: Sequence[int]) -> list[int]:
+        """The particular solution k of the exponent constraints for the
+        target vector `exponents`, as `firsts` lays it out."""
+        vec = [0] * len(self.factors)
+        for f, e, i in self.firsts:
+            vec[f] = e * exponents[i]
+        return vec
+
+
+class TupleCertificate(NamedTuple):
+    """Why the reported coefficient of one target is complete mod
+    q^precision: an immutable record over its call's shared `product`
+    certificate.
+
+    `exponents` is the target vector and `reason` says how its tuples were
+    found: ``"outside"`` (a nonzero exponent on a site the product does not
+    touch, so the target is infeasible), ``"one_sign"`` (e * T_s < 0 at a
+    site whose factors all have sign e), ``"qmin"`` (the fibre minimum of Q
+    is at least the precision) or ``"walk"`` (the sublevel walk enumerated
+    `tuples`, possibly none).  The first three leave no tuple.  The fields
+    a certificate has always had read through to the product certificate
+    and are rendered or rebuilt only when read; an infeasible target reads
+    kernel rank 0 and an empty matrix, minors and particular solution.
+    A named tuple, as the engine builds one per target: it builds in about
+    a quarter of the time of a frozen dataclass.
+    """
+
+    product: ProductCertificate
+    exponents: tuple[int, ...]
+    reason: str
+    tuples: tuple[tuple[int, ...], ...] = ()
+    max_index: int = 0
+    min_valuation: Optional[int] = None
+
+    @property
+    def factors(self) -> tuple[str, ...]:
+        return self.product.factors
+
+    @property
+    def target(self) -> str:
+        return monomial_label(self.exponents)
+
+    @property
+    def precision(self) -> int:
+        return self.product.precision
+
+    @property
+    def feasible(self) -> bool:
+        return self.reason != "outside"
+
+    @property
+    def kernel_rank(self) -> int:
+        return self.product.kernel_rank if self.reason != "outside" else 0
+
+    @property
+    def gram_restricted(self) -> tuple[tuple[int, ...], ...]:
+        return self.product.gram_restricted if self.reason != "outside" else ()
+
+    @property
+    def minors(self) -> tuple[int, ...]:
+        return self.product.minors if self.reason != "outside" else ()
+
+    @property
+    def particular(self) -> tuple[int, ...]:
+        if self.reason == "outside":
+            return ()
+        return tuple(self.product.particular_solution(self.exponents))
 
     def summary(self) -> dict:
         return {
@@ -435,7 +509,6 @@ def product_coefficients(
     cfg = product.config
     factors = product.factors
     L = len(factors)
-    factor_strs = tuple(str(f) for f in factors)
 
     by_site: dict[int, list[int]] = {}
     for idx, f in enumerate(factors):
@@ -471,9 +544,12 @@ def product_coefficients(
     # the particular solution is e * T_s at the first index of each site s
     # (e the sign there) and 0 elsewhere; with p those entries, the walk's
     # linear term is b = B p and its constant term is c = p^T C p
-    firsts = [
+    firsts = tuple(
         (idxs[0], factors[idxs[0]].exp, site - 1) for site, idxs in sorted(by_site.items())
-    ]
+    )
+    shared = ProductCertificate(
+        tuple(str(f) for f in factors), precision, len(basis), a_mat, form.minors, firsts
+    )
     b_map = [
         [2 * (gram[j][g] + coeff * gram[f][g]) for g, _, _ in firsts]
         for j, f, coeff in basis
@@ -487,9 +563,22 @@ def product_coefficients(
     # leaves no tuple at all
     levels = _walk_levels(basis)
     raisers = {f for _, f, coeff in basis if coeff > 0}
-    one_sign = [f for f, _, _ in firsts if f not in raisers]
+    one_sign = [(i, e) for f, e, i in firsts if f not in raisers]
     outside = [i for i in range(cfg.sites) if i + 1 not in by_site]
     scaled_bound = precision * form.lam
+
+    def settled(target: tuple[int, ...]) -> Optional[str]:
+        # the reason a target has no tuple when its exponents alone decide
+        # it, else None: a site outside the product must carry exponent
+        # zero, and e * T_s < 0 at a one-sign site; plain loops, as most
+        # targets of a wide box end here
+        for i in outside:
+            if target[i]:
+                return "outside"
+        for i, e in one_sign:
+            if e * target[i] < 0:
+                return "one_sign"
+        return None
 
     # prod c_(k_i) = (-1)^(sum k) q^(sum k^2) / prod (q^2;q^2)_(k_i): the
     # expansion of each multiset's denominator, in `size` powers of q^2, is
@@ -503,40 +592,29 @@ def product_coefficients(
         target = tuple(target)
         if len(target) != cfg.sites:
             raise InvalidParams("target length does not match the chain")
-        target_str = Element._monomial_str(target)
 
-        # sites outside the product must carry exponent zero
-        if any(target[i] for i in outside):
-            cert = TupleCertificate(
-                factor_strs, target_str, precision, False, 0, (), (), (), (), 0, None
-            )
-            yield target, zero, cert
+        reason = settled(target)
+        if reason:
+            yield target, zero, TupleCertificate(shared, target, reason)
             continue
-
-        pvec = [e * target[i] for _, e, i in firsts]
-        particular = [0] * L
-        for (f, _, _), x in zip(firsts, pvec):
-            particular[f] = x
 
         # every point the walk returns is a tuple k >= 0 with Q(k) < P, and
         # its value Q(y) is that tuple's valuation; a target whose fibre
         # minimum qmin is at least P has none
-        kept: list[tuple[tuple[int, ...], int]] = []
-        if all(particular[f] >= 0 for f in one_sign):
-            headroom = scaled_bound
-            for s, t, h in h_terms:
-                headroom -= h * pvec[s] * pvec[t]
-            if headroom > 0:
-                centre = [sum(map(mul, row, pvec)) for row in centre_map]
-                kept = _walk_sublevel(form, levels, particular, centre, headroom, precision)
-                kept.sort()
-        if not kept:
-            cert = TupleCertificate(
-                factor_strs, target_str, precision, True, len(basis), a_mat,
-                form.minors, tuple(particular), (), 0, None,
-            )
-            yield target, zero, cert
+        pvec = [e * target[i] for _, e, i in firsts]
+        headroom = scaled_bound
+        for s, t, h in h_terms:
+            headroom -= h * pvec[s] * pvec[t]
+        if headroom <= 0:
+            yield target, zero, TupleCertificate(shared, target, "qmin")
             continue
+        centre = [sum(map(mul, row, pvec)) for row in centre_map]
+        start = shared.particular_solution(target)
+        kept = _walk_sublevel(form, levels, start, centre, headroom, precision)
+        if not kept:
+            yield target, zero, TupleCertificate(shared, target, "walk")
+            continue
+        kept.sort()
 
         # group the signed numerators q^Q(k) by the multiset of k (sorted k:
         # every k here has length L, so its zeros do not change the key)
@@ -563,14 +641,9 @@ def product_coefficients(
         total = LaurentSeries({min_val + i: c for i, c in enumerate(acc) if c}, precision)
 
         cert = TupleCertificate(
-            factor_strs,
-            target_str,
-            precision,
-            True,
-            len(basis),
-            a_mat,
-            form.minors,
-            tuple(particular),
+            shared,
+            target,
+            "walk",
             tuple(k for k, _ in kept),
             max(orders[-1] if orders else 0 for orders in groups),
             min_val,

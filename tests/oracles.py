@@ -150,24 +150,27 @@ def phase_by_sorting(exponents: list[tuple[int, int]]) -> tuple[dict[int, int], 
 # ---------------------------------------------------------------------------
 
 
-def brute_force_tuples(
+def blind_tuples_by_target(
     signs: list[int],
     sites: list[int],
-    target: dict[int, int],
     kmax: int,
-) -> list[tuple[int, ...]]:
-    """All tuples (k_1..k_L), 0 <= k_i <= kmax, whose signed site totals hit
-    the target exponent vector.  Blind search; no certificates."""
-    L = len(signs)
-    hits = []
-    for ks in iproduct(range(kmax + 1), repeat=L):
+) -> dict[tuple[tuple[int, int], ...], list[tuple[int, ...]]]:
+    """Every tuple (k_1..k_L), 0 <= k_i <= kmax, bucketed by the exponent
+    vector its signed site totals hit: the key lists the nonzero
+    (site, total) pairs by site.  One blind scan of the box; no certificates."""
+    buckets: dict[tuple[tuple[int, int], ...], list[tuple[int, ...]]] = {}
+    for ks in iproduct(range(kmax + 1), repeat=len(signs)):
         totals: dict[int, int] = {}
         for k, s, site in zip(ks, signs, sites):
             totals[site] = totals.get(site, 0) + s * k
-        totals = {k: v for k, v in totals.items() if v}
-        if totals == {k: v for k, v in target.items() if v}:
-            hits.append(ks)
-    return hits
+        buckets.setdefault(target_key(totals), []).append(ks)
+    return buckets
+
+
+def target_key(target: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    """The bucket key of :func:`blind_tuples_by_target` for a target given
+    as site -> exponent."""
+    return tuple(sorted((site, e) for site, e in target.items() if e))
 
 
 # ---------------------------------------------------------------------------

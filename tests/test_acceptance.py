@@ -43,7 +43,7 @@ from qtorus.verifier import FactorProduct, QExpFactor, coefficient_of, window_ta
 from qtorus.words import comm0, rel1, rel2, rel3, rel4, replay
 from qtorus.scripts import braid_script, word_to_product
 
-from oracles import brute_force_tuples, finite_qexp, phase_by_sorting
+from oracles import blind_tuples_by_target, finite_qexp, phase_by_sorting, target_key
 
 
 def _report(num: int, label: str, ok: bool) -> None:
@@ -176,17 +176,14 @@ def test_criterion_5_product_vs_series():
 # ------------------------------------------------------------ criterion 6
 
 
-def _oracle_tuple_set(product: FactorProduct, target, precision, kmax):
-    """Independent enumeration: blind target search, then a valuation filter
-    computed by letter-sorting rather than by the certified quadratic form."""
-    signs = [f.exp for f in product.factors]
-    sites = [f.site for f in product.factors]
-    tgt = {s + 1: e for s, e in enumerate(target) if e}
-    hits = brute_force_tuples(signs, sites, tgt, kmax)
+def _oracle_tuple_set(product: FactorProduct, hits, precision):
+    """Independent enumeration: the blind search's `hits` for one target,
+    then a valuation filter computed by letter-sorting rather than by the
+    certified quadratic form."""
     keep = set()
     for ks in hits:
         _, phase = phase_by_sorting(
-            [(site, sign * k) for site, sign, k in zip(sites, signs, ks)]
+            [(f.site, f.exp * k) for f, k in zip(product.factors, ks)]
         )
         if sum(k * k for k in ks) + phase < precision:
             keep.add(ks)
@@ -202,9 +199,14 @@ def test_criterion_6_certificates_match_blind_search():
     cfg = AlgebraConfig(2)
     ok = True
     for product in products:
+        # one blind scan of the product's box serves all its targets
+        buckets = blind_tuples_by_target(
+            [f.exp for f in product.factors], [f.site for f in product.factors], kmax
+        )
         for target in window_targets(cfg, (1, 2), 2):
             _, cert = coefficient_of(product, target, precision)
-            expected = _oracle_tuple_set(product, target, precision, kmax)
+            hits = buckets.get(target_key({s + 1: e for s, e in enumerate(target)}), [])
+            expected = _oracle_tuple_set(product, hits, precision)
             ok = ok and set(cert.tuples) == expected
             if expected:
                 ok = ok and cert.min_valuation == min(

@@ -11,6 +11,7 @@ from qtorus.scripts import (
     braid_script,
     braid_translation_fwd,
     braid_translation_rev,
+    fold_certificate,
     random_walk,
     seven_term_script,
     sigma_commute_script,
@@ -22,6 +23,7 @@ from qtorus.scripts import (
     word_image,
     word_to_product,
 )
+from qtorus.verifier import ProductCertificate, TupleCertificate
 from qtorus.words import (
     B,
     C,
@@ -240,3 +242,28 @@ class TestWalks:
         for word in trace[1:]:
             table = word_image(word, 3, 1, 8)
             assert table == base
+
+
+def _record(rank, tuples, max_index):
+    shared = ProductCertificate(("E(w1)",), 10, rank, (), (), ((0, 1, 0),))
+    return TupleCertificate(shared, (1,), "walk", tuples, max_index, 1 if tuples else None)
+
+
+class TestFoldCertificate:
+    def test_each_maximum_comes_from_its_own_record(self):
+        records = [
+            _record(1, ((1,), (2,), (3,)), 1),
+            _record(4, ((1,),), 2),
+            _record(2, (), 9),
+        ]
+        stats = {}
+        for cert in records:
+            fold_certificate(stats, cert)
+        assert list(stats.items()) == [("max_tuples", 3), ("max_kernel_rank", 4), ("max_index", 9)]
+
+    def test_absent_keys_count_as_zero(self):
+        stats = {"max_index": 5}
+        fold_certificate(stats, _record(0, (), 0))
+        assert list(stats.items()) == [("max_index", 5), ("max_tuples", 0), ("max_kernel_rank", 0)]
+        fold_certificate(stats, _record(3, ((1,), (2,)), 4))
+        assert stats == {"max_index": 5, "max_tuples": 2, "max_kernel_rank": 3}

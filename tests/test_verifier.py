@@ -1,14 +1,17 @@
 """Certificate-backed truncated coefficients and the exact window engine."""
 
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from qtorus.algebra import AlgebraConfig, Element
+from qtorus.algebra import AlgebraConfig, Element, monomial_label
 from qtorus.errors import InfiniteSupport, InvalidParams, NoCertificate
+from qtorus.scripts import braid_script, sigma_script1, sigma_script2, word_to_product
 from qtorus.series import LaurentSeries, RationalQ
 from qtorus.verifier import (
     FactorProduct,
@@ -24,11 +27,12 @@ import qtorus.catalog as catalog
 import qtorus.qexp as qexp
 import qtorus.verifier as verifier
 from oracles import (
-    brute_force_tuples,
+    blind_tuples_by_target,
     finite_qexp,
     longdiv_expand,
     oracle_euler,
     phase_by_sorting,
+    target_key,
 )
 
 L = LaurentSeries
@@ -189,10 +193,11 @@ class TestSevenTermValues:
         P = 8
         sites = [s for s, _ in SEVEN_LHS]
         signs = [e for _, e in SEVEN_LHS]
+        buckets = blind_tuples_by_target(signs, sites, 6)
         for target in window_targets(self.cfg, {1, 2}, 2):
             _, cert = coefficient_of(self.lhs, target, P)
-            tgt = {i + 1: e for i, e in enumerate(target) if e}
-            blind = brute_force_tuples(signs, sites, tgt, 6)
+            tgt = {i + 1: e for i, e in enumerate(target)}
+            blind = buckets.get(target_key(tgt), [])
             # blind search then the valuation filter Q < P
             keep = set()
             for ks in blind:
@@ -338,12 +343,18 @@ def _oracle_truncated_mul(a, b, precision):
     return {e: c for e, c in out.items() if c}
 
 
-def _blind_coefficient(factors, target, precision, kmax):
-    """Kept tuples and coefficient of `target` by blind tuple search,
-    valuation by letter sorting, and each term's series by long division:
-    nothing here shares the engine's code."""
-    tgt = {i + 1: e for i, e in enumerate(target) if e}
-    blind = brute_force_tuples([f.exp for f in factors], [f.site for f in factors], tgt, kmax)
+def _blind_buckets(factors, kmax):
+    """One blind scan of the box 0 <= k_i <= kmax of `factors`, bucketed by
+    target, for :func:`_blind_coefficient`."""
+    return blind_tuples_by_target([f.exp for f in factors], [f.site for f in factors], kmax)
+
+
+def _blind_coefficient(factors, buckets, target, precision, kmax):
+    """Kept tuples and coefficient of `target` by blind tuple search (its
+    bucket of `buckets`, the scan of :func:`_blind_buckets` with this
+    `kmax`), valuation by letter sorting, and each term's series by long
+    division: nothing here shares the engine's code."""
+    blind = buckets.get(target_key({i + 1: e for i, e in enumerate(target)}), [])
     want = {}
     kept = []
     for ks in blind:
@@ -413,9 +424,10 @@ class TestCoefficientOracle:
         checked = nonzero = 0
         for prod, precision, _, sample in _seeded_products(rng):
             factors = prod.factors
+            buckets = _blind_buckets(factors, 6)
             for target in sample:
                 got, cert = coefficient_of(prod, target, precision)
-                kept, want = _blind_coefficient(factors, target, precision, 6)
+                kept, want = _blind_coefficient(factors, buckets, target, precision, 6)
                 assert list(cert.tuples) == kept, (factors, target)
                 assert got.coeffs == want and got.precision == precision
                 checked += 1
@@ -448,6 +460,7 @@ class TestCoefficientOracle:
             maps.clear()
             certs = {t: cert for t, _, cert in product_coefficients(prod, targets, precision)}
             (lam, centre_map, h_terms), = maps
+            buckets = _blind_buckets(factors, 6)
             for target in targets:
                 y_star, qmin, particular = _fibre_minimum(factors, target)
                 assert list(certs[target].particular) == particular
@@ -459,7 +472,7 @@ class TestCoefficientOracle:
                     below += 1
                     continue
                 assert not certs[target].tuples
-                kept, want = _blind_coefficient(factors, target, precision, 6)
+                kept, want = _blind_coefficient(factors, buckets, target, precision, 6)
                 assert kept == [] and want == {}, (factors, target)
                 settled += 1
         assert settled >= 50 and below >= 400
@@ -490,10 +503,11 @@ class TestCoefficientOracle:
         monkeypatch.setattr(verifier, "_walk_sublevel", counting)
         precision = 10
         settled = nonzero = 0
+        buckets = _blind_buckets(factors, 5)
         for target in window_targets(cfg, range(1, sites + 1), window):
             walks.clear()
             got, cert = coefficient_of(prod, target, precision)
-            kept, want = _blind_coefficient(factors, target, precision, 5)
+            kept, want = _blind_coefficient(factors, buckets, target, precision, 5)
             assert list(cert.tuples) == kept, target
             assert got.coeffs == want and got.precision == precision
             if any(f.exp * target[f.site - 1] < 0 for f in factors if f.site in single):
@@ -526,6 +540,42 @@ class TestProductCoefficients:
         certs = [cert for _, _, cert in got]
         assert any(not c.feasible for c in certs) and any(c.tuples for c in certs)
 
+    def test_each_reason_keeps_the_certificate_fields(self):
+        # site 1 mixes signs and site 2 has one sign (+1 twice); site 3 is
+        # outside the product
+        cfg = AlgebraConfig(3)
+        prod = product_of(cfg, [(2, 1), (1, -1), (1, 1), (2, 1)])
+        kept = ((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 0, 0), (1, 1, 1, 0))
+        # target: reason, feasible, kernel_rank, particular, tuples, min_valuation
+        cases = {
+            (0, 1, 1): ("outside", False, 0, (), (), None),
+            (0, -1, 0): ("one_sign", True, 2, (-1, 0, 0, 0), (), None),
+            (-1, 2, 0): ("qmin", True, 2, (2, 1, 0, 0), (), None),
+            (2, 0, 0): ("walk", True, 2, (0, -2, 0, 0), (), None),
+            (0, 1, 0): ("walk", True, 2, (1, 0, 0, 0), kept, 1),
+        }
+        first = list(product_coefficients(prod, cases, 4))
+        for target, _, cert in first:
+            reason, feasible, rank, particular, tuples, min_valuation = cases[target]
+            assert cert.reason == reason, target
+            assert cert.feasible == feasible and cert.kernel_rank == rank, target
+            assert cert.particular == particular and cert.tuples == tuples, target
+            assert cert.min_valuation == min_valuation, target
+            assert cert.exponents == target and cert.target == monomial_label(target)
+            assert cert.factors == ("E(w2)", "E(w1^-1)", "E(w1)", "E(w2)")
+            assert cert.precision == 4
+            if feasible:
+                assert cert.gram_restricted == ((2, 0), (0, 2)) and cert.minors == (2, 4)
+            else:
+                assert cert.gram_restricted == () and cert.minors == ()
+        # one shared product certificate per call, equal across calls
+        second = list(product_coefficients(prod, cases, 4))
+        assert len({id(cert.product) for _, _, cert in first}) == 1
+        assert first[0][2].product == second[0][2].product
+        assert first == second and hash(first[4][2]) == hash(second[4][2])
+        with pytest.raises(AttributeError):
+            first[4][2].tuples = ()
+
 
     @pytest.mark.parametrize(
         "letters",
@@ -553,8 +603,9 @@ class TestProductCoefficients:
         monkeypatch.setattr(verifier, "euler_expansion", recording)
         targets = window_targets(cfg, (1, 2, 3), 3)
         lowest = 0
+        buckets = _blind_buckets(prod.factors, 5)
         for target, got, cert in product_coefficients(prod, targets, precision):
-            kept, want = _blind_coefficient(prod.factors, target, precision, 5)
+            kept, want = _blind_coefficient(prod.factors, buckets, target, precision, 5)
             assert list(cert.tuples) == kept, target
             assert got.coeffs == want and got.precision == precision, target
             if kept:
@@ -837,3 +888,41 @@ class TestSiteEmbedding:
             want, want_cert = coefficient_of(small_prod, target, precision)
             assert got == want
             assert got_cert.tuples == want_cert.tuples
+
+
+# the public certificate fields, in the order the pin below hashes them
+CERT_FIELDS = (
+    "factors", "target", "precision", "feasible", "kernel_rank", "gram_restricted",
+    "minors", "particular", "tuples", "max_index", "min_valuation",
+)
+
+
+def _certificate_digest(runs) -> str:
+    """sha256 over every certificate of the catalog products of `runs`, a
+    list of ``(script pairs, sites, window, precision)``: each certificate's
+    public fields in CERT_FIELDS order, then its summary(), as one JSON line."""
+    digest = hashlib.sha256()
+    for pairs, sites, window, precision in runs:
+        for script in pairs:
+            lprod = word_to_product(script.start, sites)
+            rprod = word_to_product(script.end, sites)
+            support = sorted(lprod.support_sites() | rprod.support_sites())
+            targets = window_targets(lprod.config, support, window)
+            for prod in (lprod, rprod):
+                for _, _, cert in product_coefficients(prod, targets, precision):
+                    fields = [getattr(cert, name) for name in CERT_FIELDS]
+                    line = json.dumps([fields, cert.summary()], separators=(",", ":"))
+                    digest.update(line.encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_certificate_fields_are_pinned():
+    # every target of the four products of sigma_alg W=3 and the two of
+    # braid_alg P=32 W=3, hashed field by field so the pin does not depend
+    # on how a certificate is stored
+    runs = [
+        ([sigma_script1(2, 4), sigma_script2(2, 4)], 4, 3, 10),
+        ([braid_script(1, 3)], 3, 3, 32),
+    ]
+    want = "83983bfdbb6552fd4f069716ec9b3d1c85a78e96f557a5605817f86cf982808e"
+    assert _certificate_digest(runs) == want
