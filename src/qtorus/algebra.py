@@ -23,9 +23,10 @@ so that  monomial(a) * monomial(b) = q^phase(a,b) * monomial(a + b).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, mul
 from typing import Iterable, Mapping
 
-from .errors import InvalidParams
+from .errors import InvalidParams, PrecisionError
 from .series import LaurentSeries
 
 __all__ = ["AlgebraConfig", "Element", "monomial_label", "phase_exponent"]
@@ -53,7 +54,7 @@ class AlgebraConfig:
 
 def phase_exponent(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     """Power of q produced when monomial(a) * monomial(b) is normal-ordered."""
-    return -2 * sum(a[i + 1] * b[i] for i in range(len(a) - 1))
+    return -2 * sum(map(mul, a[1:], b))
 
 
 class Element:
@@ -114,14 +115,29 @@ class Element:
 
     def __mul__(self, other: "Element") -> "Element":
         self._same_chain(other)
-        out: dict[tuple[int, ...], LaurentSeries] = {}
+        if not (self.terms and other.terms):
+            return Element(self.config, {})
+        for coeff in (*self.terms.values(), *other.terms.values()):
+            if not coeff.known_exactly():
+                raise PrecisionError(
+                    "element products need exact coefficients; got one known "
+                    f"only mod q^{coeff.precision}"
+                )
+        # every output monomial's coefficient accumulates in one exponent ->
+        # int dict across all term pairs
+        right = [(b, cb.coeffs.items()) for b, cb in other.terms.items()]
+        acc: dict[tuple[int, ...], dict[int, int]] = {}
         for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(a, b))
-                c = (ca * cb).shift(phase_exponent(a, b))
-                prev = out.get(key)
-                out[key] = c if prev is None else prev + c
-        return Element(self.config, out)
+            left = ca.coeffs.items()
+            for b, cb in right:
+                key = tuple(map(add, a, b))
+                out = acc.setdefault(key, {})
+                phase = phase_exponent(a, b)
+                for ea, xa in left:
+                    for eb, xb in cb:
+                        e = ea + eb + phase
+                        out[e] = out.get(e, 0) + xa * xb
+        return Element(self.config, {k: LaurentSeries(c) for k, c in acc.items()})
 
     def scale(self, coeff: LaurentSeries) -> "Element":
         return Element(self.config, {v: c * coeff for v, c in self.terms.items()})

@@ -125,8 +125,11 @@ def _relation_label(rel: Relation) -> str:
 
 
 def _row(label: str, lhs, rhs) -> dict:
-    """One per-monomial report row: both coefficients and whether they agree."""
-    return {"target": label, "lhs": str(lhs), "rhs": str(rhs), "match": lhs == rhs}
+    """One per-monomial report row: both coefficients and whether they agree.
+    Equal values print alike, so a matching row renders only its left side."""
+    text = str(lhs)
+    match = lhs == rhs
+    return {"target": label, "lhs": text, "rhs": text if match else str(rhs), "match": match}
 
 
 def _compare_words(
@@ -155,6 +158,21 @@ def _compare_words(
     return all(row["match"] for row in per), per, stats
 
 
+def _compare_exact(
+    lhs_args: Sequence[Element], rhs_args: Sequence[Element], window: int
+) -> tuple[list, int]:
+    """Rows comparing the exact coefficients of  E(lhs_1) E(lhs_2) ...  and
+    E(rhs_1) ...  on the window, and the largest series order used."""
+    lhs_map, k_lhs = exact_window_map(lhs_args, window)
+    rhs_map, k_rhs = exact_window_map(rhs_args, window)
+    zero = FactoredRational.zero()
+    per = [
+        _row(monomial_label(target), lhs_map.get(target, zero), rhs_map.get(target, zero))
+        for target in sorted(set(lhs_map) | set(rhs_map))
+    ]
+    return per, max(k_lhs, k_rhs)
+
+
 def _status(ok: bool) -> str:
     return "PASS" if ok else "FAIL"
 
@@ -179,20 +197,8 @@ def _run_exact(name: str, p: dict):
         lhs_args, rhs_args = [v, u], [u + v - (v * u).scale(q_pos)]
     else:  # pentagon
         lhs_args, rhs_args = [v, u], [u, (v * u).scale(q_neg), v]
-    lhs_map, k_lhs = exact_window_map(lhs_args, window)
-    rhs_map, k_rhs = exact_window_map(rhs_args, window)
-    zero = FactoredRational.zero()
-    # canonical forms: structural equality is value equality
-    per = [
-        _row(
-            monomial_label(target),
-            lhs_map.get(target, zero).to_rational_q(),
-            rhs_map.get(target, zero).to_rational_q(),
-        )
-        for target in sorted(set(lhs_map) | set(rhs_map))
-    ]
+    per, max_order = _compare_exact(lhs_args, rhs_args, window)
     ok = all(row["match"] for row in per)
-    max_order = max(k_lhs, k_rhs)
     summary = {"mode": "exact", "max_order": max_order, "window": window}
     return _status(ok), per, summary, max_order
 

@@ -20,10 +20,16 @@ Two coefficient domains are provided:
 whose denominators are products of cyclotomic polynomials.  Cyclotomic
 polynomials are monic, so reducing such a sum to its canonical
 :class:`RationalQ` needs only exact division over Z, never a polynomial gcd
-or rational coefficients.  Two values are equal exactly when their canonical
-forms are, so :class:`FactoredRational` equality compares canonical forms.
-Every product of cyclotomic polynomials is expanded by one function,
-``_expand_factors``, whose cache is bounded.
+or rational coefficients, and a monomial numerator needs none at all.
+:class:`FactoredRational` equality needs no reduction either: it brings
+both numerators to a common denominator and compares them.
+
+Every product of cyclotomic polynomials, single ones included, is expanded
+by one function, ``_expand_factors``, whose cache is bounded.  By Moebius
+inversion of  q^n - 1 = prod_{d|n} cyclotomic(d)  the product is a signed
+product and quotient of factors (1 - q^n): each multiplication is one
+in-place pass and each exact division one running sum, cut at the known
+degree.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Optional
 
 from .errors import PrecisionError
+from .qexp import divide_by_one_minus
 
 __all__ = [
     "LaurentSeries",
@@ -268,25 +275,12 @@ def _poly_str(p: tuple[int, ...]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
 @lru_cache(maxsize=256)
 def cyclotomic(n: int) -> tuple[int, ...]:
     """Dense coefficient tuple of the n-th cyclotomic polynomial."""
     if n < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    num = tuple([-1] + [0] * (n - 1) + [1])  # q^n - 1
-    return _pdiv_monic(num, _expand_factors(tuple((d, 1) for d in _divisors(n)[:-1])))
+    return _expand_factors(((n, 1),))
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +337,34 @@ def _factor_key(factors: Counter) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=256)
 def _expand_factors(key: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-    """Dense product of cyclotomic(d)**m over the (d, m) pairs of `key`."""
-    out: tuple[int, ...] = (1,)
-    for d, m in key:
-        phi = cyclotomic(d)
-        for _ in range(m):
-            out = _pmul(out, phi)
-    return out
+    """Dense product of cyclotomic(d)**m over the (d, m) pairs of `key`.
+
+    Peeling  q^n - 1 = prod_{d|n} cyclotomic(d)  off the largest index first
+    (Moebius inversion) writes the product as  prod_n (q^n - 1)^e_n, that
+    is  (-1)^(sum e_n) * prod_n (1 - q^n)^e_n.  Each factor with e_n > 0 is
+    one in-place multiplication pass; the quotient is a polynomial of the
+    known degree sum_n n * e_n, so each division is a running sum cut at
+    that degree.
+    """
+    rest = Counter(dict(key))
+    exps: dict[int, int] = {}
+    for n in range(max(rest, default=0), 0, -1):
+        e = rest[n]
+        if e:
+            exps[n] = e
+            for d in range(1, n // 2 + 1):
+                if n % d == 0:
+                    rest[d] -= e
+    degree = sum(n * e for n, e in exps.items())
+    out = [0] * (degree + 1)
+    out[0] = -1 if sum(exps.values()) % 2 else 1
+    for n, e in exps.items():
+        for _ in range(e):
+            out[n:] = [a - b for a, b in zip(out[n:], out)]
+    for n, e in exps.items():
+        for _ in range(-e):
+            divide_by_one_minus(out, n)
+    return tuple(out)
 
 
 class FactoredRational:
@@ -380,15 +395,24 @@ class FactoredRational:
         if other.is_zero():
             return self
         union = self.den | other.den  # pointwise max
-        a = _lmul(self.num, dict(enumerate(_expand_factors(_factor_key(union - self.den)))))
-        b = _lmul(other.num, dict(enumerate(_expand_factors(_factor_key(union - other.den)))))
-        return FactoredRational(_ladd(a, b), union)
+        return FactoredRational(_ladd(self._over(union), other._over(union)), union)
+
+    def _over(self, den: Counter) -> dict[int, int]:
+        """The numerator of this value over `den`, a multiple of its own
+        denominator."""
+        extra = den - self.den
+        if not extra:
+            return self.num
+        return _lmul(self.num, dict(enumerate(_expand_factors(_factor_key(extra)))))
 
     def __eq__(self, other: object) -> bool:
-        """Value equality: canonical forms are equal exactly when values are."""
+        """Value equality without division: both numerators are brought to
+        the pointwise-max denominator and compared, so two values are equal
+        exactly when their canonical forms are."""
         if not isinstance(other, FactoredRational):
             return NotImplemented
-        return self.to_rational_q() == other.to_rational_q()
+        union = self.den | other.den
+        return self._over(union) == other._over(union)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -398,9 +422,10 @@ class FactoredRational:
         shift = min(self.num)
         num_poly = _ptrim(tuple(self.num.get(e, 0) for e in range(min(shift, 0), max(self.num) + 1)))
         q_power = max(0, -shift)
-        # strip cyclotomic factors shared with the numerator
+        # strip cyclotomic factors shared with the numerator; none divides a
+        # monomial, since cyclotomic(d) has constant term +-1
         den = Counter(self.den)
-        for d in sorted(den):
+        for d in sorted(den) if len(self.num) > 1 else ():
             phi = cyclotomic(d)
             while den[d] > 0:
                 q = _pdiv_monic(num_poly, phi)

@@ -96,6 +96,30 @@ class TestElementArithmetic:
         with pytest.raises(PrecisionError):
             x + x
 
+    def test_fused_product_matches_pairwise_sum(self):
+        # the product term by term: one shifted series product per pair
+        def pairwise(x, y):
+            out = {}
+            for a, ca in x.terms.items():
+                for b, cb in y.terms.items():
+                    key = tuple(s + t for s, t in zip(a, b))
+                    c = (ca * cb).shift(phase_exponent(a, b))
+                    out[key] = out[key] + c if key in out else c
+            return Element(x.config, out)
+
+        def random_element(rng, cfg):
+            terms = {}
+            for _ in range(rng.randint(0, 4)):
+                vec = tuple(rng.randint(-2, 2) for _ in range(cfg.sites))
+                terms[vec] = L({rng.randint(-3, 3): rng.randint(-3, 3) for _ in range(rng.randint(1, 3))})
+            return Element(cfg, terms)
+
+        rng = random.Random(31)
+        for _ in range(200):
+            cfg = AlgebraConfig(rng.randint(2, 3))
+            x, y = random_element(rng, cfg), random_element(rng, cfg)
+            assert x * y == pairwise(x, y)
+
     def test_chain_mismatch_rejected(self):
         with pytest.raises(InvalidParams):
             Element.identity(self.cfg) * Element.identity(AlgebraConfig(4))

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,11 @@ from qtorus.catalog import (
     list_identities,
     verify_identity,
 )
+from qtorus.algebra import AlgebraConfig, Element, monomial_label
+from qtorus.catalog import _compare_exact, _row  # internal, exercised below
 from qtorus.errors import InvalidParams
+from qtorus.series import FactoredRational, LaurentSeries
+from qtorus.verifier import exact_window_map
 
 # canonical-report hashes that the benchmark checks every run against
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -106,6 +111,49 @@ def test_probe_reports_corrected_pass_and_printed_fail():
     assert mismatch["lhs"] != mismatch["rhs"]
     # per-monomial rows describe the corrected variant, which matches
     assert d["per_monomial"] and all(e["match"] for e in d["per_monomial"])
+
+
+def test_probe_first_mismatch_is_pinned():
+    # the printed variant's first failing row at the defaults: both sides
+    # rendered, in canonical JSON
+    d = verify_identity("lattice_family2_probe").to_dict()
+    mismatch = d["certificate_summary"]["probe"]["printed_first_mismatch"]
+    text = json.dumps(mismatch, sort_keys=True, separators=(",", ":"))
+    want = "19d0946e42f252ffebaa619de7dcdc183f06a0f32fdf61f3ead3dc646362b222"
+    assert hashlib.sha256(text.encode()).hexdigest() == want
+
+
+def test_exact_mismatch_rows_render_both_sides():
+    # E(u)E(v) against the reversed rule's right side E(u + v - q vu): false
+    cfg = AlgebraConfig(2)
+    u, v = Element.generator(cfg, 1), Element.generator(cfg, 2)
+    lhs_args, rhs_args = [u, v], [u + v - (v * u).scale(LaurentSeries.monomial(1))]
+    per, _ = _compare_exact(lhs_args, rhs_args, 3)
+    lhs_map, _ = exact_window_map(lhs_args, 3)
+    rhs_map, _ = exact_window_map(rhs_args, 3)
+    zero = FactoredRational.zero()
+    labels = {monomial_label(t): t for t in set(lhs_map) | set(rhs_map)}
+    assert any(not row["match"] for row in per) and any(row["match"] for row in per)
+    for row in per:
+        t = labels[row["target"]]
+        assert row["lhs"] == str(lhs_map.get(t, zero).to_rational_q())
+        assert row["rhs"] == str(rhs_map.get(t, zero).to_rational_q())
+        assert row["match"] is (row["lhs"] == row["rhs"])
+
+
+def test_matching_rows_print_equal_values_alike():
+    pairs = [
+        (LaurentSeries({0: 1, 2: -3}), LaurentSeries({2: -3, 0: 1, 5: 0})),
+        (LaurentSeries({-1: 2}, 6), LaurentSeries({-1: 2, 7: 1}, 6)),
+        # 1/(q - 1) and (1 + q)/(q^2 - 1)
+        (FactoredRational({0: 1}, Counter({1: 1})),
+         FactoredRational({0: 1, 1: 1}, Counter({1: 1, 2: 1}))),
+        (FactoredRational.zero(), FactoredRational({}, Counter({3: 2}))),
+    ]
+    for lhs, rhs in pairs:
+        assert lhs is not rhs
+        row = _row("t", lhs, rhs)
+        assert row == {"target": "t", "lhs": str(rhs), "rhs": str(rhs), "match": True}
 
 
 def test_script_items_accept_index_override():

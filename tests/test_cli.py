@@ -159,6 +159,23 @@ def test_verify_text_format_pinned(capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == TEXT_ALL_SEED3_SHA256
 
 
+# sha256 of `verify --identity mult1,mult2,pentagon --window 8 --format
+# text`, elapsed lines read as above; a matching row prints only its left side
+TEXT_EXACT_W8_SHA256 = (
+    "78489a4c001d2a4e79c5d2ef64719d0fc959cba8bce6685fba106a5b53559da3"
+)
+
+
+def test_verify_exact_text_format_pinned(capsys):
+    code, out, _ = run_cli(
+        ["verify", "--identity", "mult1,mult2,pentagon", "--window", "8", "--format", "text"],
+        capsys,
+    )
+    assert code == 0
+    text = re.sub(r"elapsed: \d+ ms", "elapsed: N ms", out)
+    assert hashlib.sha256(text.encode()).hexdigest() == TEXT_EXACT_W8_SHA256
+
+
 def test_report_text_marks_mismatches():
     report = verify_identity("mult1", window=2)
     row = dict(report.per_monomial[1], match=False, rhs="0")

@@ -12,7 +12,7 @@ from qtorus.series import (
     RationalQ,
     cyclotomic,
 )
-from qtorus.series import _pdiv_monic, _pmul, _ptrim  # internal, exercised below
+from qtorus.series import _expand_factors, _lmul, _pdiv_monic, _pmul, _ptrim  # internal, exercised below
 
 from oracles import coprime, rational_add, rational_equal
 
@@ -95,15 +95,27 @@ class TestCyclotomic:
         assert cyclotomic(12) == (1, 0, -1, 0, 1)
 
     def test_product_over_divisors(self):
-        for n in (1, 2, 3, 4, 6, 8, 12, 20):
+        # q^n - 1 = prod_{d | n} cyclotomic(d) fixes every cyclotomic(n) by
+        # induction on n, however `cyclotomic` is built
+        for n in range(1, 129):
             prod = (1,)
-            d = 1
-            while d <= n:
+            for d in range(1, n + 1):
                 if n % d == 0:
                     prod = _pmul(prod, cyclotomic(d))
-                d += 1
             expect = tuple([-1] + [0] * (n - 1) + [1])
-            assert prod == expect
+            assert prod == expect, n
+
+    def test_expand_factors_against_product_chain(self):
+        rng = random.Random(17)
+        for trial in range(60):
+            factors = {d: rng.randint(1, 4) for d in rng.sample(range(2, 41), rng.randint(0, 4))}
+            factors[1] = trial % 5  # odd and even powers of cyclotomic(1), and none
+            key = tuple(sorted((d, m) for d, m in factors.items() if m))
+            prod = (1,)
+            for d, m in key:
+                for _ in range(m):
+                    prod = _pmul(prod, cyclotomic(d))
+            assert _expand_factors(key) == prod, key
 
     def test_one_minus_q2j_factorization(self):
         # 1 - q^(2j) = - prod_{d | 2j} cyclotomic_d(q)
@@ -190,6 +202,52 @@ class TestFactoredRational:
             assert rational_equal((got.num, got.den), ref)
             assert got.den[-1] == 1
             assert coprime(got.num, got.den)
+
+
+class TestFactoredEquality:
+    """Division-free equality against the comparison of canonical forms."""
+
+    @staticmethod
+    def random_value(rng):
+        total = FactoredRational.zero()
+        for _ in range(rng.randint(1, 3)):
+            num = {rng.randint(-4, 6): rng.randint(-3, 3) for _ in range(rng.randint(1, 3))}
+            # cyclotomic(1) at every multiplicity 0..3, odd ones included
+            den = Counter({rng.choice([1, 2, 3, 4, 5, 6, 8, 12]): rng.randint(0, 3) for _ in range(3)})
+            total = total + FactoredRational(num, den)
+        return total
+
+    @staticmethod
+    def check(a, b):
+        want = a.to_rational_q() == b.to_rational_q()
+        assert (a == b) is want
+        assert (b == a) is want
+        return want
+
+    def test_random_pairs(self):
+        rng = random.Random(29)
+        zero = FactoredRational.zero()
+        seen_negative = seen_odd_phi1 = False
+        for _ in range(150):
+            a = self.random_value(rng)
+            seen_negative |= any(e < 0 for e in a.num)
+            seen_odd_phi1 |= a.den[1] % 2 == 1
+            # an independent value, and the same value over a larger denominator
+            self.check(a, self.random_value(rng))
+            d = rng.choice([1, 2, 3, 7, 10])
+            same = FactoredRational(_lmul(a.num, dict(enumerate(cyclotomic(d)))), a.den + Counter({d: 1}))
+            assert self.check(a, same)
+            # zero on either side, written with and without a denominator
+            for z in (zero, FactoredRational({}, Counter({1: 3, 2: 1}))):
+                assert self.check(a, z) is a.is_zero()
+                assert self.check(z, a) is a.is_zero()
+            # the same denominator with one numerator coefficient moved
+            if a.num:
+                e = rng.choice(sorted(a.num))
+                moved = FactoredRational({**a.num, e: a.num[e] + rng.choice([-1, 1])}, a.den)
+                assert not self.check(a, moved)
+                assert not self.check(same, moved)
+        assert seen_negative and seen_odd_phi1
 
 
 class TestMonicDivision:
