@@ -19,39 +19,41 @@ tuples in the sublevel set  {k >= 0, on the fiber, Q(k) < P}.
 The fiber is a translate of an integer lattice (one linear constraint per
 site, all coefficients +-1, so a basis of the kernel lattice can be written
 down directly).  Restricting Q to that lattice gives an integer symmetric
-matrix; its positive definiteness -- checked exactly via an LDL^T
-decomposition over the rationals, with the leading principal minors
-recorded -- certifies that the sublevel set is finite, and an exact
-ellipsoid walk enumerates it.  Every reported coefficient comes with a
-:class:`TupleCertificate`: a short record of its target, why the target
-has the tuples it has, the enumerated tuples and their minimum valuation,
-over one :class:`ProductCertificate` per call that holds what every target
-shares, the factors, the restricted matrix and its minors.
+matrix; its positive definiteness -- checked exactly by its leading
+principal minors, which are recorded -- certifies that the sublevel set is
+finite, and an exact ellipsoid walk enumerates it.  Every reported
+coefficient comes with a :class:`TupleCertificate`: a short record of its
+target, why the target has the tuples it has, the enumerated tuples and
+their minimum valuation, over one :class:`ProductCertificate` per call that
+holds what every target shares, the factors, the restricted matrix and its
+minors.
 
 :func:`product_coefficients` takes a product and a list of targets and sets
-up everything that depends only on the product once: the kernel basis, the
-LDL^T data and the adjugate of the restricted matrix, scaled by one common
-integer so that every step of the walk is integer arithmetic, and two
-integer maps of the particular solution's entries, one to the walk's
-centre and one to lam * qmin, where qmin is the real minimum of the form on
-the target's fibre (a Schur complement).  A target with qmin >= P has no
-tuple and is settled without a walk.  :func:`coefficient_of` is its
-one-target call.  Each kernel basis vector is +1 at exactly one factor
-index where the particular solution is 0, so the walk coordinates are
-entries of k itself and the walk stays in the nonnegative orthant.  The
-other entries, one per site at its first factor index, are
-k_first = p_first + sum +-y  over that site's coordinates; the walk clamps
-each level's interval (one integer square root, as in Fincke-Pohst
-enumeration) by these linear side constraints, so it enforces k >= 0 on
-every index and each point it returns is a kept tuple.  Its level layout
-is built once per product, and it keeps k in place as it descends, so each
-leaf is the tuple itself, returned with its value of the form: the tuple's
-valuation Q(k).  The k at a site whose factors share one sign e sum to
-e*T_s, so a target with e*T_s < 0 there has no tuple and is settled before
-any walk; for a single-factor site, which has no walk coordinate, that is
-the whole constraint.  A target settled before any walk pays only the sums
-that decide it: its certificate renders the target's label and rebuilds
-its particular solution only when they are read.  A kept tuple contributes
+up everything that depends only on the product once: the kernel basis and,
+from one fraction-free elimination of the valuation form (Bareiss, Math.
+Comp. 22, 1968), in integers throughout, the leading minors and the LDL^T
+data of the restricted matrix, scaled by one common integer lam so that
+every step of the walk is integer arithmetic, and two integer maps of the
+particular solution's entries, one to the walk's centre and one to
+lam * qmin, where qmin is the real minimum of the form on the target's
+fibre (a Schur complement).  A target with qmin >= P has no tuple and is
+settled without a walk.  :func:`coefficient_of` is its one-target call.
+Each kernel basis vector is +1 at exactly one factor index where the
+particular solution is 0, so the walk coordinates are entries of k itself
+and the walk stays in the nonnegative orthant.  The other entries, one per
+site at its first factor index, are  k_first = p_first + sum +-y  over that
+site's coordinates; the walk clamps each level's interval (one integer
+square root, as in Fincke-Pohst enumeration) by these linear side
+constraints, so it enforces k >= 0 on every index and each point it
+returns is a kept tuple.  Its level layout is built once per product, and
+it keeps k in place as it descends, so each leaf is the tuple itself,
+returned with its value of the form: the tuple's valuation Q(k).  The k at
+a site whose factors share one sign e sum to e*T_s, so a target with
+e*T_s < 0 there has no tuple and is settled before any walk; for a
+single-factor site, which has no walk coordinate, that is the whole
+constraint.  A target settled before any walk pays only the sums that
+decide it: its certificate renders the target's label and rebuilds its
+particular solution only when they are read.  A kept tuple contributes
 (-1)^(sum k) q^(Q(k)) / prod_l (q^2;q^2)_(k_l).  The expansion of that
 denominator counts partitions; it is built once per call for each
 multiset of k, from its parent multiset by one running-sum pass
@@ -72,7 +74,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iproduct
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -153,98 +154,90 @@ def window_targets(
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over the rationals
+# integer data of the valuation form
 # ---------------------------------------------------------------------------
-
-
-def _ldl(a: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """LDL^T of a symmetric matrix; raises NoCertificate unless every pivot
-    is strictly positive (Sylvester's criterion for positive definiteness)."""
-    r = len(a)
-    low = [[Fraction(1) if i == j else Fraction(0) for j in range(r)] for i in range(r)]
-    diag: list[Fraction] = []
-    for i in range(r):
-        d = a[i][i] - sum(diag[j] * low[i][j] * low[i][j] for j in range(i))
-        if d <= 0:
-            raise NoCertificate(
-                f"restricted quadratic form is not positive definite (pivot {i} is {d})"
-            )
-        diag.append(d)
-        for k in range(i + 1, r):
-            low[k][i] = (a[k][i] - sum(diag[j] * low[i][j] * low[k][j] for j in range(i))) / d
-    return low, diag
-
-
-def _ldl_solve(
-    low: list[list[Fraction]], diag: list[Fraction], rhs: list[Fraction]
-) -> list[Fraction]:
-    """Solve (L D L^T) x = rhs by forward/diagonal/backward substitution."""
-    r = len(diag)
-    w = list(rhs)
-    for i in range(r):
-        for j in range(i):
-            if low[i][j]:
-                w[i] -= low[i][j] * w[j]
-    for i in range(r):
-        w[i] = w[i] / diag[i]
-    for i in reversed(range(r)):
-        for j in range(i + 1, r):
-            if low[j][i]:
-                w[i] -= low[j][i] * w[j]
-    return w
-
-
-def _principal_minors(diag: list[Fraction]) -> list[int]:
-    minors: list[int] = []
-    acc = Fraction(1)
-    for d in diag:
-        acc *= d
-        if acc.denominator != 1:
-            raise NoCertificate("principal minor of an integer form must be an integer")
-        minors.append(int(acc))
-    return minors
 
 
 @dataclass(frozen=True)
 class _ScaledForm:
-    """Integer data of a positive definite form A for :func:`_walk_sublevel`.
+    """Integer data of a valuation form  Q = y^T A y + b^T y + c,  with
+    b = B p  and  c = p^T C p,  for :func:`_walk_sublevel` and the targets'
+    fibres: A is positive definite on the walk coordinates y, and p fixes a
+    fibre.
 
-    With LDL^T = A, `det` = det A (its last leading minor), `adj` = det*A^-1,
-    and `lam` the lcm of 4*det and every denominator in L and D, the scaled
+    With LDL^T = A, `minors` are A's leading principal minors and `lam` is
+    the lcm of 4*det A and every denominator in L and D, so the scaled
     pivots `di` = lam*d_i and subdiagonal entries lam*L[j][i] are integers,
     and so is everything the walk derives from them; `li_cols[i]` lists the
-    nonzero ones of column i as pairs (j, lam*L[j][i]).
+    nonzero ones of column i as pairs (j, lam*L[j][i]).  The minimiser y* of
+    Q on a fibre has  lam*y* = M p,  the walk's centre, with M the rows of
+    `centre_map`, and the minimum qmin has  lam*qmin = p^T H p,  a Schur
+    complement of the form on the whole lattice; `h_terms` lists H's
+    nonzero terms (s, t, h) over s <= t, with h doubled off the diagonal.
     """
 
     minors: tuple[int, ...]
-    det: int
-    adj: tuple[tuple[int, ...], ...]
     lam: int
     di: tuple[int, ...]
     li_cols: tuple[tuple[tuple[int, int], ...], ...]
+    centre_map: tuple[tuple[int, ...], ...]
+    h_terms: tuple[tuple[int, int, int], ...]
 
 
-def _scaled_form(a: Sequence[Sequence[int]]) -> _ScaledForm:
-    """Certify the integer symmetric matrix `a` positive definite (raises
-    NoCertificate otherwise) and scale its LDL^T data to integers."""
-    r = len(a)
-    low, diag = _ldl([[Fraction(x) for x in row] for row in a])
-    minors = _principal_minors(diag)
-    det = minors[-1] if minors else 1
-    cols = [_ldl_solve(low, diag, [Fraction(int(i == j)) for i in range(r)]) for j in range(r)]
-    adj = tuple(tuple(int(det * cols[j][i]) for j in range(r)) for i in range(r))
-    lam = 4 * det
-    for x in diag + [low[j][i] for i in range(r) for j in range(i + 1, r)]:
-        lam = lam * x.denominator // math.gcd(lam, x.denominator)
+def _scaled_form(full: Sequence[Sequence[int]], rank: int) -> _ScaledForm:
+    """Certify the leading `rank` x `rank` block A of the integer symmetric
+    matrix  `full` = [[A, B/2], [B^T/2, C]]  positive definite (raises
+    NoCertificate otherwise) and give the integer data of its form.
+
+    One fraction-free Gauss-Jordan elimination on A's columns (Bareiss,
+    Math. Comp. 22, 1968) gives all of it.  Step k turns every other row
+    into  (pivot * row - row[k] * row_k) // previous pivot,  an exact
+    division.  Its pivot is the leading minor m_(k+1), so d_k = m_(k+1)/m_k,
+    and just before it the entries of column k below the pivot are the
+    numerators of L over m_(k+1).  After the last step, with det = det A,
+    the top rows hold adj(A) B/2 to the right of det*I, and the rows below
+    hold det*(C - (B/2)^T A^-1 B/2); so M = -(lam/det) adj(A) B/2 and H is
+    lam/det times the latter.
+    """
+    rows = [list(row) for row in full]
+    minors: list[int] = []
+    lnum = []
+    prev = 1
+    for k in range(rank):
+        piv = rows[k][k]
+        if piv <= 0:
+            raise NoCertificate(
+                "restricted quadratic form is not positive definite "
+                f"(leading minor {k + 1} is {piv})"
+            )
+        lnum.append([(j, rows[j][k]) for j in range(k + 1, rank) if rows[j][k]])
+        top = rows[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                rows[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)]
+        minors.append(piv)
+        prev = piv
+    # lam clears 4*det and the reduced denominators of every d_k and L entry
+    steps = list(zip(minors, [1, *minors], lnum))
+    lam = 4 * prev
+    for piv, below, col in steps:
+        lam = math.lcm(
+            lam, below // math.gcd(piv, below), *(piv // math.gcd(x, piv) for _, x in col)
+        )
+    scale = lam // prev
+    width = len(rows) - rank
     return _ScaledForm(
         tuple(minors),
-        det,
-        adj,
         lam,
-        tuple(int(d * lam) for d in diag),
+        tuple(lam * piv // below for piv, below, _ in steps),
+        tuple(tuple((j, lam * x // piv) for j, x in col) for piv, _, col in steps),
+        tuple(tuple(-scale * x for x in row[rank:]) for row in rows[:rank]),
         tuple(
-            tuple((j, int(low[j][i] * lam)) for j in range(i + 1, r) if low[j][i])
-            for i in range(r)
+            (s, t, h if s == t else 2 * h)
+            for s in range(width)
+            for t in range(s, width)
+            if (h := scale * rows[rank + s][rank + t])
         ),
     )
 
@@ -346,39 +339,6 @@ def _walk_sublevel(
 
     descend(r - 1, headroom * lam2 * lam2)
     return points
-
-
-def _fibre_maps(
-    form: _ScaledForm,
-    b_map: Sequence[Sequence[int]],
-    c_map: Sequence[Sequence[int]],
-) -> tuple[list[list[int]], list[tuple[int, int, int]]]:
-    """Integer maps M and H of the vector p that fixes a fibre, for the form
-    Q(y) = y^T A y + b^T y + c  with  b = B p  and  c = p^T C p  (B is
-    `b_map`, C is `c_map`).
-
-    The scaled minimiser  lam*y* = -(lam/2det) adj b  is  M p, and
-    lam*qmin = lam*c - (lam/4det) b^T adj b  is  p^T H p,  a Schur complement
-    of the form on the whole lattice.  Returns M's rows and H's nonzero
-    terms (s, t, h) over s <= t, with h doubled off the diagonal.
-    """
-    width = len(c_map)
-    half, quarter = form.lam // (2 * form.det), form.lam // (4 * form.det)
-    adj_b = [
-        [sum(x * row[s] for x, row in zip(adj_row, b_map)) for s in range(width)]
-        for adj_row in form.adj
-    ]
-    centre_map = [[-half * x for x in row] for row in adj_b]
-    h_terms = [
-        (s, t, h if s == t else 2 * h)
-        for s in range(width)
-        for t in range(s, width)
-        if (
-            h := form.lam * c_map[s][t]
-            - quarter * sum(row[s] * x[t] for row, x in zip(b_map, adj_b))
-        )
-    ]
-    return centre_map, h_terms
 
 
 # ---------------------------------------------------------------------------
@@ -498,13 +458,15 @@ def product_coefficients(
     coefficient of the normal-ordered monomial `target` in the expansion of
     `product`, complete mod q^precision.
 
-    The kernel lattice, the restricted form and its certified, integer-scaled
-    LDL^T data depend only on the product and are built once per call, and
-    so are the walk's level layout, the maps from a target to its fibre
-    minimum qmin and to the walk's centre, and the Euler expansion of each
-    multiset of k met.  A target with qmin >= precision has no tuple and
-    gets no walk; any other costs a few short sums, at most one walk and a
-    shifted add per kept tuple.
+    The kernel lattice and the restricted form depend only on the product
+    and are built once per call, and so is one integer elimination of the
+    valuation form that certifies the restricted form positive definite
+    (raising NoCertificate before the first target otherwise) and gives its
+    integer-scaled LDL^T data and the maps from a target to its fibre
+    minimum qmin and to the walk's centre; so are the walk's level layout
+    and the Euler expansion of each multiset of k met.  A target with
+    qmin >= precision has no tuple and gets no walk; any other costs a few
+    short sums, at most one walk and a shifted add per kept tuple.
     """
     cfg = product.config
     factors = product.factors
@@ -531,31 +493,23 @@ def product_coefficients(
             if left.site == factors[j].site + 1:
                 gram[i][j] = gram[j][i] = -left.exp * factors[j].exp
 
-    # restricted form B^T G B, with basis vector e_j + coeff * e_first
-    a_mat = tuple(
-        tuple(
-            gram[j][m] + c * gram[f][m] + d * (gram[j][g] + c * gram[f][g])
-            for m, g, d in basis
-        )
-        for j, f, c in basis
-    )
-    form = _scaled_form(a_mat)
-
     # the particular solution is e * T_s at the first index of each site s
-    # (e the sign there) and 0 elsewhere; with p those entries, the walk's
-    # linear term is b = B p and its constant term is c = p^T C p
+    # (e the sign there) and 0 elsewhere; with p those entries, k is
+    # sum y_i (e_j + coeff * e_first) + sum p_s e_first(s), and `full` is
+    # the valuation form G on these vectors: the restricted form A on the
+    # walk coordinates, bordered by the blocks that give the walk's linear
+    # term b = B p and its constant term c = p^T C p
     firsts = tuple(
         (idxs[0], factors[idxs[0]].exp, site - 1) for site, idxs in sorted(by_site.items())
     )
+    vecs = [((j, 1), (f, c)) for j, f, c in basis] + [((g, 1),) for g, _, _ in firsts]
+    full = [[sum(a * b * gram[x][y] for x, a in u for y, b in v) for v in vecs] for u in vecs]
+    rank = len(basis)
+    a_mat = tuple(tuple(row[:rank]) for row in full[:rank])
+    form = _scaled_form(full, rank)
     shared = ProductCertificate(
-        tuple(str(f) for f in factors), precision, len(basis), a_mat, form.minors, firsts
+        tuple(str(f) for f in factors), precision, rank, a_mat, form.minors, firsts
     )
-    b_map = [
-        [2 * (gram[j][g] + coeff * gram[f][g]) for g, _, _ in firsts]
-        for j, f, coeff in basis
-    ]
-    c_map = [[gram[f][g] for g, _, _ in firsts] for f, _, _ in firsts]
-    centre_map, h_terms = _fibre_maps(form, b_map, c_map)
 
     # k_first = p_first + sum coeff * y over the site's walk coordinates is
     # the walk's side constraint; at a site whose factors share one sign
@@ -603,12 +557,12 @@ def product_coefficients(
         # minimum qmin is at least P has none
         pvec = [e * target[i] for _, e, i in firsts]
         headroom = scaled_bound
-        for s, t, h in h_terms:
+        for s, t, h in form.h_terms:
             headroom -= h * pvec[s] * pvec[t]
         if headroom <= 0:
             yield target, zero, TupleCertificate(shared, target, "qmin")
             continue
-        centre = [sum(map(mul, row, pvec)) for row in centre_map]
+        centre = [sum(map(mul, row, pvec)) for row in form.centre_map]
         start = shared.particular_solution(target)
         kept = _walk_sublevel(form, levels, start, centre, headroom, precision)
         if not kept:

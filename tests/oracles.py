@@ -114,6 +114,34 @@ def coprime(a, b) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# linear algebra oracle: Gauss-Jordan elimination over the rationals
+# ---------------------------------------------------------------------------
+
+
+def rational_solve(a, rhs) -> tuple[Fraction, list[Fraction] | None]:
+    """(det a, x) with  a x = rhs  for a square integer matrix `a`, by
+    Gauss-Jordan elimination in `Fraction`, swapping in the first nonzero
+    pivot of each column; x is None when a is singular."""
+    n = len(a)
+    rows = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, rhs)]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if rows[i][col]), None)
+        if piv is None:
+            return Fraction(0), None
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for i in range(n):
+            if i != col and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+    return det, [row[n] for row in rows]
+
+
+# ---------------------------------------------------------------------------
 # algebra oracle: sort a word of single-site generators letter by letter
 # ---------------------------------------------------------------------------
 

@@ -1,6 +1,10 @@
-"""Source hygiene checks that read the code instead of running it."""
+"""Source hygiene checks: unused imports, read from the code, and the
+modules that importing the command line loads."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,3 +54,19 @@ def test_scan_sees_an_unused_import(tmp_path):
         "    return None\n"
     )
     assert unused_imports(module) == [(2, "os"), (2, "system")]
+
+
+def test_cli_import_loads_no_rational_arithmetic():
+    # the engine is integer-only, so importing the command line must not
+    # pull in the standard library's fractions module
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, qtorus.cli; print('fractions' in sys.modules)"],
+        capture_output=True,
+        env=env,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -21,7 +21,7 @@ from qtorus.verifier import (
     product_coefficients,
     window_targets,
 )
-from qtorus.verifier import _ldl, _ldl_solve, _scaled_form, _walk_levels, _walk_sublevel
+from qtorus.verifier import _scaled_form, _walk_levels, _walk_sublevel
 
 import qtorus.catalog as catalog
 import qtorus.qexp as qexp
@@ -32,6 +32,7 @@ from oracles import (
     longdiv_expand,
     oracle_euler,
     phase_by_sorting,
+    rational_solve,
     target_key,
 )
 
@@ -44,10 +45,6 @@ def expand(frac, precision):
     num = {e: c for e, c in enumerate(r.num) if c}
     den = {e: c for e, c in enumerate(r.den) if c}
     return L(longdiv_expand(num, den, precision), precision)
-
-
-def ldl_of(rows):
-    return _ldl([[Fraction(x) for x in row] for row in rows])
 
 
 def product_of(cfg, letters):
@@ -75,8 +72,8 @@ def walk_y(a, b, c, bound, sides=()):
             side_of[i] = (len(start), 1)
             start.append(0)
     levels = _walk_levels([(i, *side_of[i]) for i in range(r)])
-    form = _scaled_form(a)
-    y_star = [-x / 2 for x in _ldl_solve(*ldl_of(a), [Fraction(x) for x in b])] if r else []
+    form = _scaled_form(a, r)
+    y_star = [-x / 2 for x in rational_solve(a, b)[1]]
     qmin = c + sum(x * y for x, y in zip(b, y_star)) / 2
     centre = [form.lam * y for y in y_star]
     headroom = form.lam * (bound - qmin)
@@ -219,16 +216,27 @@ class TestCertificateEdges:
         assert got.is_zero() and not cert.feasible
 
     def test_indefinite_form_is_rejected(self):
-        with pytest.raises(NoCertificate):
-            ldl_of([[1, 2], [2, 1]])
-        with pytest.raises(NoCertificate):
-            ldl_of([[-1]])
+        with pytest.raises(NoCertificate, match="leading minor 2 is -3"):
+            _scaled_form([[1, 2], [2, 1]], 2)
+        with pytest.raises(NoCertificate, match="leading minor 1 is -1"):
+            _scaled_form([[-1]], 1)
+
+    def test_product_with_a_singular_form_is_refused(self):
+        # the restricted form of this product (kernel rank 6) has a zero sixth
+        # leading minor: the call raises before it yields any target
+        cfg = AlgebraConfig(2)
+        prod = product_of(
+            cfg, [(1, 1), (1, -1), (2, 1), (2, 1), (1, 1), (1, 1), (2, 1), (2, 1)]
+        )
+        calls = product_coefficients(prod, window_targets(cfg, (1, 2), 1), 8)
+        with pytest.raises(NoCertificate, match=r"leading minor 6 is 0\)"):
+            next(calls)
 
     def test_sublevel_enumeration_matches_scan(self):
         # Q(y) = 2 y0^2 + 2 y0 y1 + 3 y1^2 - y0 + c, walked over y >= 0
         a = [[2, 1], [1, 3]]
         b = [-1, 0]
-        assert _scaled_form(a).minors == (2, 5)
+        assert _scaled_form(a, 2).minors == (2, 5)
 
         def q(y0, y1):
             return 2 * y0 * y0 + 2 * y0 * y1 + 3 * y1 * y1 - y0
@@ -262,19 +270,8 @@ class TestCertificateEdges:
                 quad = sum(a[i][j] * y[i] * y[j] for i in range(r) for j in range(r))
                 return quad + sum(bi * yi for bi, yi in zip(b, y)) + c
 
-            # real minimum qmin = c - b^T A^-1 b / 4; A^-1 by Gauss-Jordan
-            inv = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(r)]
-                   for i, row in enumerate(a)]
-            for col in range(r):
-                piv = inv[col][col]
-                inv[col] = [x / piv for x in inv[col]]
-                for row in range(r):
-                    if row != col and inv[row][col]:
-                        f = inv[row][col]
-                        inv[row] = [x - f * y for x, y in zip(inv[row], inv[col])]
-            qmin = c - sum(
-                b[i] * inv[i][r + j] * b[j] for i in range(r) for j in range(r)
-            ) / 4
+            # real minimum qmin = c - b^T A^-1 b / 4, with A^-1 b by Gauss-Jordan
+            qmin = c - sum(x * y for x, y in zip(b, rational_solve(a, b)[1])) / 4
             floor_qmin = math.floor(qmin)
             assert walk_y(a, b, c, floor_qmin) == []
             assert walk_y(a, b, c, floor_qmin - rng.randint(1, 5)) == []
@@ -393,7 +390,7 @@ def _fibre_minimum(factors, target):
     sorting gives; at each site, p = eps_first * T_s at its first factor
     index, and a kernel basis vector per other index j, 1 at j and
     -eps_first * eps_j at the first; then y* = -A^-1 b / 2 from the Fraction
-    LDL^T solve, and qmin = c + b^T y* / 2."""
+    Gauss-Jordan solve, and qmin = c + b^T y* / 2."""
     n = len(factors)
 
     def valuation(k):
@@ -414,7 +411,7 @@ def _fibre_minimum(factors, target):
             basis.append(vec)
     a = [[form(u, v) for v in basis] for u in basis]
     b = [2 * form(u, particular) for u in basis]
-    y_star = [-x / 2 for x in _ldl_solve(*_ldl(a), b)] if basis else []
+    y_star = [-x / 2 for x in rational_solve(a, b)[1]]
     return y_star, valuation(particular) + sum(x * y for x, y in zip(b, y_star)) / 2, particular
 
 
@@ -440,14 +437,14 @@ class TestCoefficientOracle:
         # (kernel rank 0) and the empty product; a target with qmin >= P
         # must have no tuple in a blind search
         maps = []
-        inner = verifier._fibre_maps
+        inner = verifier._scaled_form
 
-        def capturing(form, b_map, c_map):
-            out = inner(form, b_map, c_map)
-            maps.append((form.lam, *out))
-            return out
+        def capturing(full, rank):
+            form = inner(full, rank)
+            maps.append((form.lam, form.centre_map, form.h_terms))
+            return form
 
-        monkeypatch.setattr(verifier, "_fibre_maps", capturing)
+        monkeypatch.setattr(verifier, "_scaled_form", capturing)
         cases = [case[:3] for case in _seeded_products(random.Random(20261018))]
         for sites, letters in ((2, [(1, 1), (2, -1)]), (3, [(2, -1), (1, 1), (3, 1)]), (2, [])):
             prod = product_of(AlgebraConfig(sites), letters)
@@ -529,9 +526,9 @@ class TestProductCoefficients:
         setups = []
         inner = verifier._scaled_form
 
-        def counting(a):
-            setups.append(a)
-            return inner(a)
+        def counting(full, rank):
+            setups.append(full)
+            return inner(full, rank)
 
         monkeypatch.setattr(verifier, "_scaled_form", counting)
         got = list(product_coefficients(prod, targets, 10))
@@ -621,6 +618,105 @@ class TestProductCoefficients:
         if len(letters) == 3:
             # expansions are in powers of q^2
             assert 2 * lengths[(3, 3, 3)] >= precision + 9
+
+
+# sha256 of the distinct setup records of `_scaled_form`, one JSON list
+# [minors, lam, di, li_cols, centre_map, h_terms] per line, sorted, over the
+# 87 products met by `verify --identity all --seed 3`, `sigma_alg` at W=3 and
+# `braid_alg` at P=32 W=3 (13 distinct forms); recorded from the Fraction
+# LDL^T setup that the integer elimination replaced.  An unchanged lam keeps
+# every integer of the walk.
+SETUP_SHA256 = "4abde3ea72264db97c1c0b36b7ad99c81091e406cf5d2d3e76749e15abc9acc8"
+
+
+class TestScaledForm:
+    def test_against_rational_oracle(self):
+        # random positive definite A = X^T X + I of rank 0..8, bordered by an
+        # integer B/2 and a symmetric C: the minors, lam, lam*D, lam*L and
+        # the fibre maps against their definitions solved over the rationals
+        def det(rows):
+            return rational_solve(rows, [0] * len(rows))[0]
+
+        rng = random.Random(20261020)
+        grown = 0
+        for r in range(9):
+            for _ in range(8):
+                width = rng.randint(0, 3)
+                xmat = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(r)]
+                a = [
+                    [sum(row[i] * row[j] for row in xmat) + (i == j) for j in range(r)]
+                    for i in range(r)
+                ]
+                half_b = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(r)]
+                c = [[0] * width for _ in range(width)]
+                for s in range(width):
+                    for t in range(s, width):
+                        c[s][t] = c[t][s] = rng.randint(-3, 3)
+                full = [a[i] + half_b[i] for i in range(r)] + [
+                    [row[s] for row in half_b] + c[s] for s in range(width)
+                ]
+                form = _scaled_form(full, r)
+                # m_k, d_k = m_(k+1) / m_k, and L[j][k] as the leading k x k
+                # block bordered by row j and column k over m_(k+1)
+                minors = [int(det([row[:k] for row in a[:k]])) for k in range(1, r + 1)]
+                d = [Fraction(m, below) for m, below in zip(minors, [1] + minors)]
+                low = {
+                    (j, k): det([row[: k + 1] for row in a[:k]] + [a[j][: k + 1]]) / minors[k]
+                    for k in range(r)
+                    for j in range(k + 1, r)
+                }
+                det_a = minors[-1] if minors else 1
+                lam = 4 * det_a
+                for x in d + list(low.values()):
+                    lam = math.lcm(lam, x.denominator)
+                assert form.minors == tuple(minors)
+                assert form.lam == lam
+                assert form.di == tuple(lam * x for x in d)
+                assert form.li_cols == tuple(
+                    tuple((j, lam * low[j, k]) for j in range(k + 1, r) if low[j, k])
+                    for k in range(r)
+                )
+                grown += lam > 4 * det_a
+                for _ in range(3):
+                    p = [rng.randint(-4, 4) for _ in range(width)]
+                    b = [2 * sum(x * y for x, y in zip(row, p)) for row in half_b]
+                    y_star = [-x / 2 for x in rational_solve(a, b)[1]]
+                    qmin = sum(p[s] * c[s][t] * p[t] for s in range(width) for t in range(width))
+                    qmin += sum(x * y for x, y in zip(b, y_star)) / 2
+                    centre = [sum(x * y for x, y in zip(row, p)) for row in form.centre_map]
+                    assert centre == [lam * y for y in y_star]
+                    assert sum(h * p[s] * p[t] for s, t, h in form.h_terms) == lam * qmin
+        # on these forms the denominators of D and L raise lam above 4*det
+        assert grown > 30
+
+    def test_setup_data_is_pinned(self, monkeypatch):
+        records = []
+        inner = verifier._scaled_form
+
+        def capturing(full, rank):
+            form = inner(full, rank)
+            records.append(
+                json.dumps(
+                    [
+                        list(form.minors),
+                        form.lam,
+                        list(form.di),
+                        [[list(pair) for pair in col] for col in form.li_cols],
+                        [list(row) for row in form.centre_map],
+                        [list(term) for term in form.h_terms],
+                    ]
+                )
+            )
+            return form
+
+        monkeypatch.setattr(verifier, "_scaled_form", capturing)
+        for name in catalog.identity_names():
+            catalog.verify_identity(name, seed=3)
+        catalog.verify_identity("sigma_alg", window=3)
+        catalog.verify_identity("braid_alg", precision=32, window=3)
+        lines = sorted(set(records))
+        assert len(lines) == 13
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SETUP_SHA256
 
 
 class TestPinnedCounts:
