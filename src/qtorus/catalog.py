@@ -132,6 +132,32 @@ def _row(label: str, lhs, rhs) -> dict:
     return {"target": label, "lhs": text, "rhs": text if match else str(rhs), "match": match}
 
 
+def _image(factors, lo: int, hi: int, inverted: bool, mirrored: bool) -> tuple:
+    """The (site, sign) sequence of `factors` with every sign flipped if
+    `inverted`, read backwards with each site n sent to lo + hi - n if
+    `mirrored`, and translated so that the span lo..hi starts at site 1."""
+    sign = -1 if inverted else 1
+    if mirrored:
+        return tuple((hi + 1 - f.site, sign * f.exp) for f in reversed(factors))
+    return tuple((f.site + 1 - lo, sign * f.exp) for f in factors)
+
+
+def _symmetry_class(lprod, rprod, support: Sequence[int]) -> tuple[tuple, bool, bool]:
+    """The smallest of the four images of a pair of products under
+    inversion and mirroring over their `support`, translated to site 1, and
+    the (inverted, mirrored) flags that give it; both sides stay in order."""
+    lo, hi = support[0], support[-1]
+    return min(
+        (
+            (_image(lprod.factors, lo, hi, inv, mir), _image(rprod.factors, lo, hi, inv, mir)),
+            inv,
+            mir,
+        )
+        for inv in (False, True)
+        for mir in (False, True)
+    )
+
+
 def _compare_words(
     pairs: Sequence[tuple[str, Word, Word]],
     sites: int,
@@ -139,15 +165,46 @@ def _compare_words(
     precision: int,
 ) -> tuple[bool, list, dict]:
     """Compare the coefficients of labelled word pairs target by target over
-    the box of the sites either word touches; neither table is held."""
+    the box of the sites either word touches; neither table is held.
+
+    A term's valuation  Q(k) = sum k_l^2 - 2 sum eps_i eps_j k_i k_j,  over
+    i < j with n_i = n_j + 1, keeps its value under three maps of a product
+    and its targets: translating every site (the target moves with it),
+    inverting every generator (eps_i eps_j is unchanged; T goes to -T), and
+    reading the factors backwards with the sites mirrored in the support
+    (k is reversed; T is reflected).  The denominator of a term depends only
+    on the multiset of k and its sign only on sum k, so the image product
+    has the same coefficient at the image target, and the same tuple
+    count, kernel rank and largest index there.  So the pairs fall into
+    classes keyed by both words' smallest image, in order; only the first
+    pair of a class is evaluated, and each later pair's row at T copies the
+    first pair's row at the image of T, found in its contiguous run of rows
+    by box-order index arithmetic, and folds nothing new into the summary.
+    """
     per: list = []
     stats: dict = {}
+    classes: dict = {}
+    radix = 2 * window + 1
     for label, lhs, rhs in pairs:
         prefix = f"{label}: " if label else ""
         lprod = word_to_product(lhs, sites)
         rprod = word_to_product(rhs, sites)
         support = sorted(lprod.support_sites() | rprod.support_sites()) or [1]
         targets = window_targets(lprod.config, support, window)
+        key, inverted, mirrored = _symmetry_class(lprod, rprod, support)
+        if key in classes:
+            start, rep_inverted, rep_mirrored = classes[key]
+            sign = -1 if inverted != rep_inverted else 1
+            for target in targets:
+                exps = [target[s - 1] for s in support]
+                if mirrored != rep_mirrored:
+                    exps.reverse()
+                index = 0
+                for e in exps:
+                    index = index * radix + sign * e + window
+                per.append({**per[start + index], "target": prefix + monomial_label(target)})
+            continue
+        classes[key] = (len(per), inverted, mirrored)
         for (_, ls, lc), (_, rs, rc) in zip(
             product_coefficients(lprod, targets, precision),
             product_coefficients(rprod, targets, precision),
@@ -213,16 +270,21 @@ def _run_seven_term(p: dict):
     return _status(ok), per, summary, None
 
 
-def _run_chain_relations(p: dict, length: int):
-    """Check every nearest-neighbour relation of the first `length` sites,
-    then the same-site commutation of each of them, on p["N"] sites."""
-    if p["N"] < 2:
-        raise InvalidParams("needs at least two sites")
+def _chain_pairs(length: int) -> list[tuple[str, Word, Word]]:
+    """Every nearest-neighbour relation of the first `length` sites, then
+    the same-site commutation of each of them, as labelled word pairs."""
     rels: list[Relation] = []
     for n in range(1, length):
         rels.extend((rel1(n), rel2(n), rel3(n), rel4(n)))
     rels.extend(comm0(n) for n in range(1, length + 1))
-    pairs = [(_relation_label(rel), rel.lhs, rel.rhs) for rel in rels]
+    return [(_relation_label(rel), rel.lhs, rel.rhs) for rel in rels]
+
+
+def _run_chain_relations(p: dict, length: int):
+    """Check the pairs of :func:`_chain_pairs` on p["N"] sites."""
+    if p["N"] < 2:
+        raise InvalidParams("needs at least two sites")
+    pairs = _chain_pairs(length)
     ok, per, stats = _compare_words(pairs, p["N"], p["W"], p["P"])
     summary = {"mode": "truncated", "checks": len(pairs), **stats}
     return _status(ok), per, summary, None
@@ -272,14 +334,18 @@ def _run_braid_alg(p: dict):
     return _status(ok), per, summary, None
 
 
-def _run_sigma_alg(p: dict):
-    n = p["n"]
-    s1 = sigma_script1(n, p["N"])
-    s2 = sigma_script2(n, p["N"])
-    pairs = [
+def _sigma_pairs(n: int, sites: int) -> list[tuple[str, Word, Word]]:
+    """Both sides of the two c-letter relations at index n, labelled."""
+    s1 = sigma_script1(n, sites)
+    s2 = sigma_script2(n, sites)
+    return [
         (f"sigma_rel1({n})", s1.start, s1.end),
         (f"sigma_rel2({n})", s2.start, s2.end),
     ]
+
+
+def _run_sigma_alg(p: dict):
+    pairs = _sigma_pairs(p["n"], p["N"])
     ok, per, stats = _compare_words(pairs, p["N"], p["W"], p["P"])
     summary = {"mode": "truncated", **stats}
     return _status(ok), per, summary, None
@@ -372,12 +438,19 @@ def _run_rewrite_walk(p: dict):
     )
     support = (1, 2, 3)
     base = word_image(_WALK_START, n_sites, window, precision, support)
+    # a walk often comes back to a word it has met, so each distinct word
+    # is expanded once
+    tables = {_WALK_START: base}
     last = len(trace) - 1
     marks = sorted({min(i, last) for i in (10, 20, 30, 40, 50)} | {last})
     checkpoints: list = []
     ok = True
     for i in marks:
-        table = word_image(trace[i], n_sites, window, precision, support)
+        table = tables.get(trace[i])
+        if table is None:
+            table = tables[trace[i]] = word_image(
+                trace[i], n_sites, window, precision, support
+            )
         match = table == base
         ok = ok and match
         checkpoints.append({"step": i, "length": len(trace[i]), "match": match})

@@ -54,13 +54,14 @@ single-factor site, which has no walk coordinate, that is the whole
 constraint.  A target settled before any walk pays only the sums that
 decide it: its certificate renders the target's label and rebuilds its
 particular solution only when they are read.  A kept tuple contributes
-(-1)^(sum k) q^(Q(k)) / prod_l (q^2;q^2)_(k_l).  The expansion of that
-denominator counts partitions; it is built once per call for each
-multiset of k, from its parent multiset by one running-sum pass
-(:func:`qexp.euler_expansion`), covering P - min(0, Q) terms since Q(k)
-can be negative, and all are rebuilt longer only when a later target needs
-more.  Each tuple then adds a shifted, signed copy of it, so no series is
-multiplied.
+(-1)^(sum k) q^(Q(k)) / prod_l (q^2;q^2)_(k_l), and every kept tuple of
+target T has sum k of the parity of sum T, so the sign is applied once per
+target.  The expansion of that denominator counts partitions; it is built
+once per call for each multiset of k, from its parent multiset by one
+running-sum pass (:func:`qexp.euler_expansion`), covering P - min(0, Q)
+terms since Q(k) can be negative, and all are rebuilt longer only when a
+later target needs more.  Each tuple then adds a shifted copy of it, so no
+series is multiplied.
 
 A second engine handles products of E(x) for *arbitrary* polynomial
 arguments x (sums of monomials with all site exponents >= 0) exactly, with
@@ -570,12 +571,16 @@ def product_coefficients(
             continue
         kept.sort()
 
-        # group the signed numerators q^Q(k) by the multiset of k (sorted k:
-        # every k here has length L, so its zeros do not change the key)
+        # count the numerators q^Q(k) by the multiset of k (sorted k: every
+        # k here has length L, so its zeros do not change the key); each
+        # basis vector changes sum k by 1 + coeff, 0 or 2, so every kept k
+        # has the parity of sum p, that is of sum T, and one sign
+        # (-1)^(sum k) serves the whole target
         groups: dict[tuple[int, ...], dict[int, int]] = {}
         for k, qval in kept:
             num = groups.setdefault(tuple(sorted(k)), {})
-            num[qval] = num.get(qval, 0) + (-1 if sum(k) % 2 else 1)
+            num[qval] = num.get(qval, 0) + 1
+        sign = -1 if sum(target) % 2 else 1
         min_val = min(qval for _, qval in kept)
         # Q(k) can be negative, so the expansions used here must cover
         # P - min(0, Q) powers of q, which is this many powers of q^2
@@ -592,7 +597,9 @@ def product_coefficients(
             for qval, c in num.items():
                 lo = qval - min_val
                 acc[lo::2] = [a + c * d for a, d in zip(acc[lo::2], denom)]
-        total = LaurentSeries({min_val + i: c for i, c in enumerate(acc) if c}, precision)
+        total = LaurentSeries(
+            {min_val + i: sign * c for i, c in enumerate(acc) if c}, precision
+        )
 
         cert = TupleCertificate(
             shared,

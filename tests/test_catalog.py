@@ -16,10 +16,20 @@ from qtorus.catalog import (
     verify_identity,
 )
 from qtorus.algebra import AlgebraConfig, Element, monomial_label
-from qtorus.catalog import _compare_exact, _row  # internal, exercised below
+from qtorus.catalog import (  # internal, exercised below
+    _BY_NAME,
+    _chain_pairs,
+    _compare_exact,
+    _compare_words,
+    _row,
+    _sigma_pairs,
+)
 from qtorus.errors import InvalidParams
 from qtorus.series import FactoredRational, LaurentSeries
 from qtorus.verifier import exact_window_map
+from qtorus.words import S, expand_composites
+
+import qtorus.catalog as catalog
 
 # canonical-report hashes that the benchmark checks every run against
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -250,8 +260,76 @@ def test_sigma_alg_deep_report_is_pinned():
         # the documented window and precision limits: long Euler expansions
         ("braid_alg", {"window": 8, "precision": 64},
          "6e930b676ba947e61793a20d1ba6f825d7bad9a66e5a0802fb4800603e064dee"),
+        # every documented limit at once: 156 word pairs in two classes
+        ("lattice_set", {"sites": 32, "window": 8, "precision": 64},
+         "00ca5d45183d071e76a59620e01f4e9f4f4e6fc274e39bbaf4b1c7810e5bc76a"),
+        # seeds whose checkpoints repeat a word, among them the start word
+        ("rewrite_walk", {"seed": 0},
+         "27321de518d36be7febc1a1695329f4d2f579a10936cd316c27f1cde6f8a93b8"),
+        ("rewrite_walk", {"seed": 7},
+         "c6491394cb3d84592fd95870a3b2fc7e3268b7638f576c2512a7838cfbf1b462"),
     ],
-    ids=["sigma_alg-W5", "braid_alg-W8-P64"],
+    ids=["sigma_alg-W5", "braid_alg-W8-P64", "lattice_set-N32-W8-P64",
+         "rewrite_walk-seed0", "rewrite_walk-seed7"],
 )
 def test_heavy_grid_report_is_pinned(name, params, want):
     assert _report_hash(verify_identity(name, **params)) == want
+
+
+@pytest.mark.parametrize(
+    "name,pairs",
+    [
+        ("two_site_set", _chain_pairs(2)),
+        ("lattice_set", _chain_pairs(6)),
+        ("sigma_alg", _sigma_pairs(2, 4)),
+    ],
+    ids=["two_site_set", "lattice_set", "sigma_alg"],
+)
+def test_shared_rows_equal_rows_of_pairs_run_alone(name, pairs):
+    # a pair whose rows come from its class's first pair gets exactly the
+    # rows it gets when it is evaluated by itself, at the item's defaults
+    d = _BY_NAME[name].defaults
+    args = (d["N"], d["W"], d["P"])
+    ok, per, stats = _compare_words(pairs, *args)
+    assert ok
+    start, alone = 0, []
+    for pair in pairs:
+        _, rows, pair_stats = _compare_words([pair], *args)
+        assert per[start:start + len(rows)] == rows, pair[0]
+        start += len(rows)
+        alone.append(pair_stats)
+    assert start == len(per)
+    assert stats == {k: max(s[k] for s in alone) for k in stats}
+
+
+def test_corrupted_pair_is_evaluated_not_shared():
+    # the second sigma_alg pair, the first's mirrored inverse, with one
+    # sign of its right side flipped: it shares no class, so it is
+    # evaluated and fails
+    first, (label, lhs, rhs) = _sigma_pairs(2, 4)
+    letters = expand_composites(rhs)
+    bad = letters[:-1] + (S(letters[-1].site, -letters[-1].sign),)
+    ok, per, _ = _compare_words([first, (label, lhs, bad)], 4, 2, 10)
+    assert not ok
+    half = len(per) // 2
+    assert all(row["match"] for row in per[:half])
+    assert any(not row["match"] for row in per[half:])
+    assert all(row["target"].startswith(label) for row in per[half:])
+
+
+@pytest.mark.parametrize(
+    "name,calls", [("two_site_set", 4), ("lattice_set", 4), ("sigma_alg", 2)]
+)
+def test_one_evaluation_per_symmetry_class(monkeypatch, name, calls):
+    # one product_coefficients call per side of each class's first pair
+    # (12, 52 and 4 when every pair was evaluated)
+    made = []
+    inner = catalog.product_coefficients
+
+    def counting(product, targets, precision):
+        made.append(product)
+        return inner(product, targets, precision)
+
+    monkeypatch.setattr(catalog, "product_coefficients", counting)
+    assert verify_identity(name).status == "PASS"
+    assert len(made) == calls

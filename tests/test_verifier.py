@@ -22,6 +22,7 @@ from qtorus.verifier import (
     window_targets,
 )
 from qtorus.verifier import _scaled_form, _walk_levels, _walk_sublevel
+from qtorus.words import rel1
 
 import qtorus.catalog as catalog
 import qtorus.qexp as qexp
@@ -622,10 +623,11 @@ class TestProductCoefficients:
 
 # sha256 of the distinct setup records of `_scaled_form`, one JSON list
 # [minors, lam, di, li_cols, centre_map, h_terms] per line, sorted, over the
-# 87 products met by `verify --identity all --seed 3`, `sigma_alg` at W=3 and
-# `braid_alg` at P=32 W=3 (13 distinct forms); recorded from the Fraction
-# LDL^T setup that the integer elimination replaced.  An unchanged lam keeps
-# every integer of the walk.
+# products of every word pair the catalog compares at the defaults and of
+# the probe and the seed-3 walk (13 distinct forms; the same set as the 87
+# products `verify --identity all --seed 3` set up while every pair was
+# evaluated); recorded from the Fraction LDL^T setup that the integer
+# elimination replaced.  An unchanged lam keeps every integer of the walk.
 SETUP_SHA256 = "4abde3ea72264db97c1c0b36b7ad99c81091e406cf5d2d3e76749e15abc9acc8"
 
 
@@ -710,10 +712,25 @@ class TestScaledForm:
             return form
 
         monkeypatch.setattr(verifier, "_scaled_form", capturing)
-        for name in catalog.identity_names():
+        # the catalog sets up one pair per symmetry class, so every side of
+        # every word pair it compares is set up here directly (a form
+        # depends on the product only, so no target is needed); the probe
+        # and the walk set up each product they meet
+        rel = rel1(1)
+        braid = braid_script(1, 3)
+        runs = [
+            ([("", rel.lhs, rel.rhs)], 2),
+            (catalog._chain_pairs(2), 2),
+            (catalog._chain_pairs(6), 6),
+            ([("", braid.start, braid.end)], 3),
+            (catalog._sigma_pairs(2, 4), 4),
+        ]
+        for pairs, sites in runs:
+            for _, lhs, rhs in pairs:
+                for word in (lhs, rhs):
+                    list(product_coefficients(word_to_product(word, sites), [], 10))
+        for name in ("lattice_family2_probe", "rewrite_walk"):
             catalog.verify_identity(name, seed=3)
-        catalog.verify_identity("sigma_alg", window=3)
-        catalog.verify_identity("braid_alg", precision=32, window=3)
         lines = sorted(set(records))
         assert len(lines) == 13
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SETUP_SHA256
@@ -732,7 +749,9 @@ class TestPinnedCounts:
 
         monkeypatch.setattr(catalog, "product_coefficients", counting)
         assert catalog.verify_identity("sigma_alg").status == "PASS"
-        assert sum(kept) == 5836
+        # the second pair is the first's mirrored inverse and is not
+        # evaluated (5,836 when it was)
+        assert sum(kept) == 2918
 
     def test_sigma_alg_walked_points(self, monkeypatch):
         # points the sublevel walk returns: it prunes k >= 0 on every index,
@@ -747,12 +766,13 @@ class TestPinnedCounts:
 
         monkeypatch.setattr(verifier, "_walk_sublevel", counting)
         assert catalog.verify_identity("sigma_alg").status == "PASS"
-        assert sum(walked) == 5836
+        assert sum(walked) == 2918
 
     @pytest.mark.parametrize(
         "name,params,tuples",
         [
-            ("sigma_alg", {"window": 3}, 11500),
+            # 11,500 before sigma_alg's second pair shared the first's rows
+            ("sigma_alg", {"window": 3}, 5750),
             ("braid_alg", {"precision": 32, "window": 3}, 10574),
         ],
     )
@@ -779,14 +799,15 @@ class TestPinnedCounts:
     @pytest.mark.parametrize(
         "name,params,passes",
         [
-            ("sigma_alg", {"window": 3}, 874),
+            ("sigma_alg", {"window": 3}, 437),
             ("braid_alg", {"precision": 32, "window": 3}, 396),
         ],
     )
     def test_running_sum_passes(self, monkeypatch, name, params, passes):
         # one pass per multiset of k expanded in a product call, its parents
         # included, as no catalog valuation is negative (864 and 398 calls of
-        # the old whole-multiset build, each of sum k passes over q-powers)
+        # the old whole-multiset build, each of sum k passes over q-powers;
+        # 874 for sigma_alg while both its pairs were evaluated)
         calls = []
         inner = qexp.divide_by_one_minus
 
@@ -800,11 +821,12 @@ class TestPinnedCounts:
 
     @pytest.mark.parametrize(
         "params,walks",
-        [({}, 884), ({"window": 3}, 2528)],
+        [({}, 442), ({"window": 3}, 1264)],
     )
     def test_sigma_alg_walk_calls(self, monkeypatch, params, walks):
         # targets with qmin(T) >= P are settled without a walk (900 and
-        # 3,136 walks when each target past the one-sign test walked)
+        # 3,136 walks when each target past the one-sign test walked, 884
+        # and 2,528 while both pairs were evaluated)
         calls = []
         inner = verifier._walk_sublevel
 
@@ -984,6 +1006,87 @@ class TestSiteEmbedding:
             want, want_cert = coefficient_of(small_prod, target, precision)
             assert got == want
             assert got_cert.tuples == want_cert.tuples
+
+
+def _random_letters(rng, sites):
+    """Up to 7 factors of both signs on sites 1..`sites`."""
+    return [(rng.randint(1, sites), rng.choice((1, -1))) for _ in range(rng.randint(1, 7))]
+
+
+# how far the translation moves the sites of the symmetry tests
+SHIFT = 2
+
+
+def _symmetric_image(kind, letters, target, sites):
+    """The image under `kind` of a product's letters and of one target
+    vector, on a chain of sites + SHIFT sites whose box is sites 1..`sites`;
+    the mirror reflects the box."""
+    if kind == "translation":
+        return [(s + SHIFT, e) for s, e in letters], (0,) * SHIFT + target[:sites]
+    if kind == "inversion":
+        return [(s, -e) for s, e in letters], tuple(-x for x in target)
+    mirrored = [(sites + 1 - s, e) for s, e in reversed(letters)]
+    return mirrored, tuple(reversed(target[:sites])) + target[sites:]
+
+
+class TestSymmetries:
+    """The three maps under which the catalog shares one pair's rows with
+    another: translating the sites, inverting every generator, and reading
+    the factors backwards with the sites mirrored.  Each sends a product and
+    a target to a product and a target with the same coefficient and an
+    equivalent certificate, on seeded random products of 2-4 sites."""
+
+    @pytest.mark.parametrize("kind", ["translation", "inversion", "mirror"])
+    def test_image_has_equal_coefficients(self, kind):
+        rng = random.Random(20261018)
+        precision, checked, walked = 10, 0, 0
+        for _ in range(25):
+            sites = rng.randint(2, 4)
+            cfg = AlgebraConfig(sites + SHIFT)
+            letters = _random_letters(rng, sites)
+            targets = window_targets(cfg, range(1, sites + 1), 2 if sites < 4 else 1)
+            images = [_symmetric_image(kind, letters, t, sites) for t in targets]
+            prod = product_of(cfg, letters)
+            image = product_of(cfg, images[0][0])
+            try:
+                got = list(product_coefficients(prod, targets, precision))
+            except NoCertificate:
+                with pytest.raises(NoCertificate):
+                    list(product_coefficients(image, [], precision))
+                continue
+            want = product_coefficients(image, [t for _, t in images], precision)
+            for (_, series, cert), (_, image_series, image_cert) in zip(got, want):
+                assert series == image_series, (letters, cert.exponents)
+                assert cert.reason == image_cert.reason
+                assert cert.min_valuation == image_cert.min_valuation
+                assert cert.max_index == image_cert.max_index
+                assert cert.kernel_rank == image_cert.kernel_rank
+                tuples = cert.tuples
+                if kind == "mirror":
+                    tuples = tuple(sorted(tuple(reversed(k)) for k in tuples))
+                assert tuples == image_cert.tuples
+                checked += 1
+                walked += bool(tuples)
+        assert checked > 1000 and walked > 100
+
+    def test_kept_tuples_have_the_targets_parity(self):
+        # each kernel basis vector changes sum k by 0 or 2, so the sign
+        # (-1)^(sum k) of every kept tuple is (-1)^(sum T)
+        rng = random.Random(20261019)
+        tuples = 0
+        for _ in range(40):
+            sites = rng.randint(1, 4)
+            cfg = AlgebraConfig(sites)
+            prod = product_of(cfg, _random_letters(rng, sites))
+            targets = window_targets(cfg, range(1, sites + 1), 2)
+            try:
+                for _, _, cert in product_coefficients(prod, targets, 12):
+                    for k in cert.tuples:
+                        assert sum(k) % 2 == sum(cert.exponents) % 2, (prod, k)
+                        tuples += 1
+            except NoCertificate:
+                continue
+        assert tuples > 1000
 
 
 # the public certificate fields, in the order the pin below hashes them
