@@ -142,20 +142,30 @@ def _image(factors, lo: int, hi: int, inverted: bool, mirrored: bool) -> tuple:
     return tuple((f.site + 1 - lo, sign * f.exp) for f in factors)
 
 
-def _symmetry_class(lprod, rprod, support: Sequence[int]) -> tuple[tuple, bool, bool]:
-    """The smallest of the four images of a pair of products under
-    inversion and mirroring over their `support`, translated to site 1, and
-    the (inverted, mirrored) flags that give it; both sides stay in order."""
+def _side_class(factors, support: Sequence[int]) -> tuple[tuple, bool, bool]:
+    """The smallest of the four images of one side's `factors` and of its
+    pair's `support` under inversion and mirroring over that support,
+    translated to site 1, and the (inverted, mirrored) flags that give it."""
     lo, hi = support[0], support[-1]
+    supports = (
+        tuple(s + 1 - lo for s in support),
+        tuple(hi + 1 - s for s in reversed(support)),
+    )
     return min(
-        (
-            (_image(lprod.factors, lo, hi, inv, mir), _image(rprod.factors, lo, hi, inv, mir)),
-            inv,
-            mir,
-        )
+        ((_image(factors, lo, hi, inv, mir), supports[mir]), inv, mir)
         for inv in (False, True)
         for mir in (False, True)
     )
+
+
+def _mirror_index(digits: int, radix: int) -> list[int]:
+    """For each index of a box of `digits` base-`radix` digits, in box
+    order, the index of the target with its digits reversed."""
+    index = [0]
+    for place in range(digits):
+        step = radix**place
+        index = [i + d for i in index for d in range(0, radix * step, step)]
+    return index
 
 
 def _compare_words(
@@ -165,7 +175,7 @@ def _compare_words(
     precision: int,
 ) -> tuple[bool, list, dict]:
     """Compare the coefficients of labelled word pairs target by target over
-    the box of the sites either word touches; neither table is held.
+    the box of the sites either word touches.
 
     A term's valuation  Q(k) = sum k_l^2 - 2 sum eps_i eps_j k_i k_j,  over
     i < j with n_i = n_j + 1, keeps its value under three maps of a product
@@ -175,11 +185,20 @@ def _compare_words(
     (k is reversed; T is reflected).  The denominator of a term depends only
     on the multiset of k and its sign only on sum k, so the image product
     has the same coefficient at the image target, and the same tuple
-    count, kernel rank and largest index there.  So the pairs fall into
-    classes keyed by both words' smallest image, in order; only the first
-    pair of a class is evaluated, and each later pair's row at T copies the
-    first pair's row at the image of T, found in its contiguous run of rows
-    by box-order index arithmetic, and folds nothing new into the summary.
+    count, kernel rank and largest index there.  So the sides fall into
+    classes keyed by a side's smallest image together with the image of
+    its pair's support.  Only the first side of a class is evaluated; its
+    table is the rendered text of each target of its pair's box, in box
+    order, and every later side of the class reads that table through the
+    map between them: inversion negates every digit, so the table is read
+    backwards, and mirroring reverses the digit order.  Later sides fold
+    nothing new into the summary.
+
+    A pair whose sides open two new classes is evaluated in step, rendering
+    its right side only where the two differ; otherwise each new side is
+    evaluated alone and the rows compare text.  Every series of one call
+    has the same precision, and its text lists the sorted exponents, each
+    with its signed coefficient, so equal text means equal series.
     """
     per: list = []
     stats: dict = {}
@@ -191,27 +210,51 @@ def _compare_words(
         rprod = word_to_product(rhs, sites)
         support = sorted(lprod.support_sites() | rprod.support_sites()) or [1]
         targets = window_targets(lprod.config, support, window)
-        key, inverted, mirrored = _symmetry_class(lprod, rprod, support)
-        if key in classes:
-            start, rep_inverted, rep_mirrored = classes[key]
-            sign = -1 if inverted != rep_inverted else 1
-            for target in targets:
-                exps = [target[s - 1] for s in support]
-                if mirrored != rep_mirrored:
-                    exps.reverse()
-                index = 0
-                for e in exps:
-                    index = index * radix + sign * e + window
-                per.append({**per[start + index], "target": prefix + monomial_label(target)})
+        lclass = _side_class(lprod.factors, support)
+        rclass = _side_class(rprod.factors, support)
+        lkey, rkey = lclass[0], rclass[0]
+        if lkey != rkey and lkey not in classes and rkey not in classes:
+            ltable: list = []
+            rtable: list = []
+            for (_, ls, lc), (_, rs, rc) in zip(
+                product_coefficients(lprod, targets, precision),
+                product_coefficients(rprod, targets, precision),
+            ):
+                row = _row(prefix + lc.target, ls, rs)
+                per.append(row)
+                ltable.append(row["lhs"])
+                rtable.append(row["rhs"])
+                fold_certificate(stats, lc)
+                fold_certificate(stats, rc)
+            classes[lkey] = (ltable, *lclass[1:])
+            classes[rkey] = (rtable, *rclass[1:])
             continue
-        classes[key] = (len(per), inverted, mirrored)
-        for (_, ls, lc), (_, rs, rc) in zip(
-            product_coefficients(lprod, targets, precision),
-            product_coefficients(rprod, targets, precision),
-        ):
-            per.append(_row(prefix + lc.target, ls, rs))
-            fold_certificate(stats, lc)
-            fold_certificate(stats, rc)
+        views = []
+        mirror = None
+        for prod, (key, inverted, mirrored) in ((lprod, lclass), (rprod, rclass)):
+            if key not in classes:
+                table = []
+                for _, series, cert in product_coefficients(prod, targets, precision):
+                    table.append(str(series))
+                    fold_certificate(stats, cert)
+                classes[key] = (table, inverted, mirrored)
+            table, rep_inverted, rep_mirrored = classes[key]
+            if inverted != rep_inverted:
+                table = table[::-1]
+            if mirrored != rep_mirrored:
+                if mirror is None:
+                    mirror = _mirror_index(len(support), radix)
+                table = [table[i] for i in mirror]
+            views.append(table)
+        for target, ltext, rtext in zip(targets, *views):
+            per.append(
+                {
+                    "target": prefix + monomial_label(target),
+                    "lhs": ltext,
+                    "rhs": rtext,
+                    "match": ltext == rtext,
+                }
+            )
     return all(row["match"] for row in per), per, stats
 
 

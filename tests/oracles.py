@@ -11,8 +11,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product as iproduct
 
-from qtorus.algebra import Element
+from qtorus.algebra import Element, monomial_label
+from qtorus.catalog import _row
+from qtorus.scripts import fold_certificate, word_to_product
 from qtorus.series import LaurentSeries
+from qtorus.verifier import product_coefficients, window_targets
 
 
 # ---------------------------------------------------------------------------
@@ -216,3 +219,30 @@ def finite_qexp(x: Element, depth: int) -> Element:
     for n in range(depth):
         acc = acc * (one - x.scale(LaurentSeries.monomial(2 * n + 1)))
     return acc
+
+
+# ---------------------------------------------------------------------------
+# catalog oracle: every side of every word pair evaluated
+# ---------------------------------------------------------------------------
+
+
+def compare_words_unshared(pairs, sites: int, window: int, precision: int):
+    """``(ok, rows, summary)`` of labelled word pairs as the catalog reports
+    them, with both sides of every pair evaluated over the box of the sites
+    either side touches, rows built from the two series, and every
+    certificate folded into the summary: no side borrows another's rows."""
+    rows: list = []
+    stats: dict = {}
+    for label, lhs, rhs in pairs:
+        prefix = f"{label}: " if label else ""
+        lprod = word_to_product(lhs, sites)
+        rprod = word_to_product(rhs, sites)
+        support = sorted(lprod.support_sites() | rprod.support_sites()) or [1]
+        targets = window_targets(lprod.config, support, window)
+        left = list(product_coefficients(lprod, targets, precision))
+        right = list(product_coefficients(rprod, targets, precision))
+        for target, (_, ls, lc), (_, rs, rc) in zip(targets, left, right):
+            rows.append(_row(prefix + monomial_label(target), ls, rs))
+            fold_certificate(stats, lc)
+            fold_certificate(stats, rc)
+    return all(row["match"] for row in rows), rows, stats

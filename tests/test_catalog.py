@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from collections import Counter
 from pathlib import Path
 
@@ -25,11 +26,13 @@ from qtorus.catalog import (  # internal, exercised below
     _sigma_pairs,
 )
 from qtorus.errors import InvalidParams
+from qtorus.scripts import braid_script
 from qtorus.series import FactoredRational, LaurentSeries
 from qtorus.verifier import exact_window_map
 from qtorus.words import S, expand_composites
 
 import qtorus.catalog as catalog
+from oracles import compare_words_unshared
 
 # canonical-report hashes that the benchmark checks every run against
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -260,9 +263,14 @@ def test_sigma_alg_deep_report_is_pinned():
         # the documented window and precision limits: long Euler expansions
         ("braid_alg", {"window": 8, "precision": 64},
          "6e930b676ba947e61793a20d1ba6f825d7bad9a66e5a0802fb4800603e064dee"),
-        # every documented limit at once: 156 word pairs in two classes
+        # every documented limit at once: 156 word pairs, 312 sides in
+        # three classes
         ("lattice_set", {"sites": 32, "window": 8, "precision": 64},
          "00ca5d45183d071e76a59620e01f4e9f4f4e6fc274e39bbaf4b1c7810e5bc76a"),
+        # the window and precision limits where each comm0 side shares its
+        # class with the other side
+        ("two_site_set", {"window": 8, "precision": 64},
+         "e1d88dda6e2f6f70292cd9ed699bdad5bd0a264f96a4704b327b1f4d78f754ee"),
         # seeds whose checkpoints repeat a word, among them the start word
         ("rewrite_walk", {"seed": 0},
          "27321de518d36be7febc1a1695329f4d2f579a10936cd316c27f1cde6f8a93b8"),
@@ -270,7 +278,7 @@ def test_sigma_alg_deep_report_is_pinned():
          "c6491394cb3d84592fd95870a3b2fc7e3268b7638f576c2512a7838cfbf1b462"),
     ],
     ids=["sigma_alg-W5", "braid_alg-W8-P64", "lattice_set-N32-W8-P64",
-         "rewrite_walk-seed0", "rewrite_walk-seed7"],
+         "two_site_set-W8-P64", "rewrite_walk-seed0", "rewrite_walk-seed7"],
 )
 def test_heavy_grid_report_is_pinned(name, params, want):
     assert _report_hash(verify_identity(name, **params)) == want
@@ -286,8 +294,8 @@ def test_heavy_grid_report_is_pinned(name, params, want):
     ids=["two_site_set", "lattice_set", "sigma_alg"],
 )
 def test_shared_rows_equal_rows_of_pairs_run_alone(name, pairs):
-    # a pair whose rows come from its class's first pair gets exactly the
-    # rows it gets when it is evaluated by itself, at the item's defaults
+    # a pair whose sides read earlier sides' tables gets exactly the rows
+    # it gets when it is evaluated by itself, at the item's defaults
     d = _BY_NAME[name].defaults
     args = (d["N"], d["W"], d["P"])
     ok, per, stats = _compare_words(pairs, *args)
@@ -304,8 +312,8 @@ def test_shared_rows_equal_rows_of_pairs_run_alone(name, pairs):
 
 def test_corrupted_pair_is_evaluated_not_shared():
     # the second sigma_alg pair, the first's mirrored inverse, with one
-    # sign of its right side flipped: it shares no class, so it is
-    # evaluated and fails
+    # sign of its right side flipped: that side shares no class, so it is
+    # evaluated and the pair fails
     first, (label, lhs, rhs) = _sigma_pairs(2, 4)
     letters = expand_composites(rhs)
     bad = letters[:-1] + (S(letters[-1].site, -letters[-1].sign),)
@@ -317,12 +325,8 @@ def test_corrupted_pair_is_evaluated_not_shared():
     assert all(row["target"].startswith(label) for row in per[half:])
 
 
-@pytest.mark.parametrize(
-    "name,calls", [("two_site_set", 4), ("lattice_set", 4), ("sigma_alg", 2)]
-)
-def test_one_evaluation_per_symmetry_class(monkeypatch, name, calls):
-    # one product_coefficients call per side of each class's first pair
-    # (12, 52 and 4 when every pair was evaluated)
+def _count_evaluations(monkeypatch) -> list:
+    """Patch the catalog's engine call to record each product it sets up."""
     made = []
     inner = catalog.product_coefficients
 
@@ -331,5 +335,137 @@ def test_one_evaluation_per_symmetry_class(monkeypatch, name, calls):
         return inner(product, targets, precision)
 
     monkeypatch.setattr(catalog, "product_coefficients", counting)
+    return made
+
+
+@pytest.mark.parametrize(
+    "name,calls",
+    [
+        ("two_site_set", 3),
+        ("lattice_set", 3),
+        ("sigma_alg", 2),
+        ("braid_alg", 1),
+        ("seven_term", 2),
+    ],
+)
+def test_one_evaluation_per_symmetry_class(monkeypatch, name, calls):
+    # one product_coefficients call per class of sides: 12, 52, 4, 2 and 2
+    # when every side was evaluated, and 4, 4, 2, 2 and 2 while the classes
+    # keyed both sides of a pair together
+    made = _count_evaluations(monkeypatch)
     assert verify_identity(name).status == "PASS"
     assert len(made) == calls
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        ("seven_term", {}),
+        ("two_site_set", {}),
+        ("lattice_set", {}),
+        ("braid_alg", {}),
+        ("sigma_alg", {}),
+        ("sigma_alg", {"window": 3}),
+        ("braid_alg", {"precision": 32, "window": 3}),
+    ],
+    ids=["seven_term", "two_site_set", "lattice_set", "braid_alg", "sigma_alg",
+         "sigma_alg-W3", "braid_alg-P32-W3"],
+)
+def test_compare_words_matches_unshared_reference(monkeypatch, name, params):
+    # every call the item makes gives the rows and summary of the reference
+    # that evaluates every side, summary keys in the same order
+    calls = []
+
+    def checked(pairs, sites, window, precision):
+        got = _compare_words(pairs, sites, window, precision)
+        want = compare_words_unshared(pairs, sites, window, precision)
+        assert got == want
+        assert list(got[2]) == list(want[2])
+        calls.append(pairs)
+        return got
+
+    monkeypatch.setattr(catalog, "_compare_words", checked)
+    assert verify_identity(name, **params).status == "PASS"
+    assert calls
+
+
+def _random_word(rng, sites):
+    """Up to 7 letters of both signs on the given sites, each site once at least."""
+    letters = [S(site, rng.choice((1, -1))) for site in sites]
+    letters += [S(rng.choice(sites), rng.choice((1, -1))) for _ in range(rng.randint(0, 3))]
+    rng.shuffle(letters)
+    return tuple(letters)
+
+
+def _word_image(rng, word, lo, hi, shift):
+    """`word` inverted, mirrored over lo..hi or both (never neither), then
+    every site moved by `shift`."""
+    inverted, mirrored = rng.choice([(True, False), (False, True), (True, True)])
+    sign = -1 if inverted else 1
+    if mirrored:
+        return tuple(S(lo + hi - x.site + shift, sign * x.sign) for x in reversed(word))
+    return tuple(S(x.site + shift, sign * x.sign) for x in word)
+
+
+def test_compare_words_matches_unshared_reference_on_random_pairs(monkeypatch):
+    # seeded pairs on 2-4 of 6 sites, in an order that makes every kind of
+    # sharing: a pair with two new sides, a pair whose right side is an
+    # image of its left, a later pair that shares only one side, a pair
+    # with a side narrower than the pair's support, and that side again in
+    # a pair with a wider support, where it opens a class of its own
+    rng = random.Random(20261019)
+    made = _count_evaluations(monkeypatch)
+    sites, precision = 6, 8
+    for _ in range(40):
+        width = rng.randint(2, 4)
+        lo = rng.randint(1, sites + 1 - width)
+        span = list(range(lo, lo + width))
+        hi = span[-1]
+        a, b = _random_word(rng, span), _random_word(rng, span)
+        shift = rng.randint(1 - lo, sites - hi)
+        moved = [site + shift for site in span]
+        narrow = tuple(x for x in _random_word(rng, span) if x.site != hi) or (S(lo, 1),)
+        wider = span + [hi + 1] if hi < sites else [lo - 1] + span
+        pairs = [
+            ("new", a, b),
+            ("image", b, _word_image(rng, b, lo, hi, 0)),
+            ("one", _word_image(rng, a, lo, hi, shift), _random_word(rng, moved)),
+            ("narrow", _random_word(rng, span), narrow),
+            ("wider", narrow, _random_word(rng, wider)),
+        ]
+        window = 2 if width < 4 else 1
+        made.clear()
+        got = _compare_words(pairs, sites, window, precision)
+        want = compare_words_unshared(pairs, sites, window, precision)
+        assert got == want, pairs
+        assert list(got[2]) == list(want[2])
+        # the image pair and the moved side are read, not evaluated
+        assert len(made) <= 7
+
+
+def test_side_class_keys_the_image_of_the_support():
+    # E(w4) in a pair on sites 1, 2, 3, 4, 6 and its mirror image E(w3) in
+    # a pair on the same sites: the support is not its own mirror image, so
+    # the two sides are in different classes; reversing the digits of the
+    # box would read b's exponent at site 3 from site 3 of a's box, not 4
+    pairs = [
+        ("a", (S(4, 1),), (S(1, 1), S(2, 1), S(3, 1), S(6, -1))),
+        ("b", (S(3, 1),), (S(1, -1), S(2, -1), S(4, -1), S(6, -1))),
+    ]
+    assert _compare_words(pairs, 6, 1, 6) == compare_words_unshared(pairs, 6, 1, 6)
+
+
+def test_corrupted_braid_side_is_evaluated_not_shared(monkeypatch):
+    # braid_alg's right word is its left word inverted and mirrored; with
+    # one sign flipped it leaves the left side's class, so it is evaluated
+    # and its rows fail
+    script = braid_script(1, 3)
+    letters = expand_composites(script.end)
+    bad = letters[:-1] + (S(letters[-1].site, -letters[-1].sign),)
+    pairs = [("", script.start, bad)]
+    made = _count_evaluations(monkeypatch)
+    ok, per, stats = _compare_words(pairs, 3, 2, 10)
+    assert len(made) == 2
+    assert not ok
+    assert any(not row["match"] for row in per)
+    assert (ok, per, stats) == compare_words_unshared(pairs, 3, 2, 10)

@@ -712,7 +712,7 @@ class TestScaledForm:
             return form
 
         monkeypatch.setattr(verifier, "_scaled_form", capturing)
-        # the catalog sets up one pair per symmetry class, so every side of
+        # the catalog sets up one side per symmetry class, so every side of
         # every word pair it compares is set up here directly (a form
         # depends on the product only, so no target is needed); the probe
         # and the walk set up each product they meet
@@ -773,7 +773,7 @@ class TestPinnedCounts:
         [
             # 11,500 before sigma_alg's second pair shared the first's rows
             ("sigma_alg", {"window": 3}, 5750),
-            ("braid_alg", {"precision": 32, "window": 3}, 10574),
+            ("braid_alg", {"precision": 32, "window": 3}, 5287),
         ],
     )
     def test_walked_points_are_kept_tuples(self, monkeypatch, name, params, tuples):
@@ -800,7 +800,7 @@ class TestPinnedCounts:
         "name,params,passes",
         [
             ("sigma_alg", {"window": 3}, 437),
-            ("braid_alg", {"precision": 32, "window": 3}, 396),
+            ("braid_alg", {"precision": 32, "window": 3}, 198),
         ],
     )
     def test_running_sum_passes(self, monkeypatch, name, params, passes):
