@@ -73,7 +73,6 @@ from .scripts import (
     sigma_translation_fwd,
     sigma_translation_rev,
     structural_relations,
-    word_image,
     word_to_product,
 )
 from .catalog import (
@@ -146,7 +145,6 @@ __all__ = [
     "sigma_translation_fwd",
     "sigma_translation_rev",
     "word_to_product",
-    "word_image",
     "structural_relations",
     "applicable_steps",
     "random_walk",

@@ -11,6 +11,10 @@ together), carries its default parameters, and knows how to verify itself:
 * the walk item drives a seeded random rewrite walk and checks that the
   algebra image of the word never changes.
 
+Every truncated item, the probe and the walk among them, compares word
+pairs through :func:`_compare_words`, which evaluates one side of each
+symmetry class and reads every other side of the class through a map.
+
 :func:`verify_identity` resolves parameter overrides against the defaults,
 runs the item, and returns a :class:`Report` whose dictionary form is stable
 and canonically serializable.
@@ -38,7 +42,6 @@ from .scripts import (
     sigma_script2,
     sigma_translation_fwd,
     sigma_translation_rev,
-    word_image,
     word_to_product,
 )
 from .series import FactoredRational, LaurentSeries
@@ -194,44 +197,22 @@ def _compare_words(
     backwards, and mirroring reverses the digit order.  Later sides fold
     nothing new into the summary.
 
-    A pair whose sides open two new classes is evaluated in step, rendering
-    its right side only where the two differ; otherwise each new side is
-    evaluated alone and the rows compare text.  Every series of one call
-    has the same precision, and its text lists the sorted exponents, each
-    with its signed coefficient, so equal text means equal series.
+    The rows compare text: every series of one call has the same precision,
+    and its text lists the sorted exponents, each with its signed
+    coefficient, so equal text means equal series.
     """
     per: list = []
     stats: dict = {}
     classes: dict = {}
-    radix = 2 * window + 1
     for label, lhs, rhs in pairs:
         prefix = f"{label}: " if label else ""
         lprod = word_to_product(lhs, sites)
         rprod = word_to_product(rhs, sites)
         support = sorted(lprod.support_sites() | rprod.support_sites()) or [1]
         targets = window_targets(lprod.config, support, window)
-        lclass = _side_class(lprod.factors, support)
-        rclass = _side_class(rprod.factors, support)
-        lkey, rkey = lclass[0], rclass[0]
-        if lkey != rkey and lkey not in classes and rkey not in classes:
-            ltable: list = []
-            rtable: list = []
-            for (_, ls, lc), (_, rs, rc) in zip(
-                product_coefficients(lprod, targets, precision),
-                product_coefficients(rprod, targets, precision),
-            ):
-                row = _row(prefix + lc.target, ls, rs)
-                per.append(row)
-                ltable.append(row["lhs"])
-                rtable.append(row["rhs"])
-                fold_certificate(stats, lc)
-                fold_certificate(stats, rc)
-            classes[lkey] = (ltable, *lclass[1:])
-            classes[rkey] = (rtable, *rclass[1:])
-            continue
         views = []
-        mirror = None
-        for prod, (key, inverted, mirrored) in ((lprod, lclass), (rprod, rclass)):
+        for prod in (lprod, rprod):
+            key, inverted, mirrored = _side_class(prod.factors, support)
             if key not in classes:
                 table = []
                 for _, series, cert in product_coefficients(prod, targets, precision):
@@ -242,9 +223,7 @@ def _compare_words(
             if inverted != rep_inverted:
                 table = table[::-1]
             if mirrored != rep_mirrored:
-                if mirror is None:
-                    mirror = _mirror_index(len(support), radix)
-                table = [table[i] for i in mirror]
+                table = [table[i] for i in _mirror_index(len(support), 2 * window + 1)]
             views.append(table)
         for target, ltext, rtext in zip(targets, *views):
             per.append(
@@ -339,20 +318,12 @@ def _run_family2_probe(p: dict):
         raise InvalidParams("relation index exceeds the configured sites")
     rel = rel4(n)
     printed_rhs = (S(n + 1, -1), S(n, -1), S(n, 1))
-    support = (n, n + 1)
-    lhs_table = word_image(rel.lhs, n_sites, window, precision, support)
-    corrected_table = word_image(rel.rhs, n_sites, window, precision, support)
-    printed_table = word_image(printed_rhs, n_sites, window, precision, support)
-
-    targets = sorted(lhs_table)
-    per = [
-        _row(monomial_label(t), lhs_table[t], corrected_table[t]) for t in targets
-    ]
+    pairs = [("", rel.lhs, rel.rhs), ("", rel.lhs, printed_rhs)]
+    _, rows, _ = _compare_words(pairs, n_sites, window, precision)
+    # both pairs span sites n and n + 1, so each has half of the rows
+    per, printed = rows[: len(rows) // 2], rows[len(rows) // 2 :]
     corrected_ok = all(row["match"] for row in per)
     # the first printed-side row that fails, reported without its match flag
-    printed = (
-        _row(monomial_label(t), lhs_table[t], printed_table[t]) for t in targets
-    )
     first_mismatch = next((row for row in printed if not row.pop("match")), None)
     printed_ok = first_mismatch is None
 
@@ -410,25 +381,17 @@ def _run_script_set(scripts) -> tuple[str, list, dict, None]:
     return _status(ok), [], summary, None
 
 
-def _script_indices(p: dict, low: int) -> list[int]:
-    if p["n"] is not None:
-        return [p["n"]]
-    upper = p["N"] - 1
-    if upper <= low:
-        raise InvalidParams("sites too small for any relation index")
-    return list(range(low, upper))
+def _indexed_replay(script: Callable, low: int):
+    """A runner that replays ``script(n, N)`` at the item's index n, or at
+    every index from `low` up to N - 2 when none is given."""
 
+    def run(p: dict):
+        indices = [p["n"]] if p["n"] is not None else range(low, p["N"] - 1)
+        if not indices:
+            raise InvalidParams("sites too small for any relation index")
+        return _run_script_set(script(n, p["N"]) for n in indices)
 
-def _run_braid_scripts(p: dict):
-    return _run_script_set(braid_script(n, p["N"]) for n in _script_indices(p, 1))
-
-
-def _run_sigma1_scripts(p: dict):
-    return _run_script_set(sigma_script1(n, p["N"]) for n in _script_indices(p, 2))
-
-
-def _run_sigma2_scripts(p: dict):
-    return _run_script_set(sigma_script2(n, p["N"]) for n in _script_indices(p, 2))
+    return run
 
 
 def _run_sigma_commute_scripts(p: dict):
@@ -479,24 +442,18 @@ def _run_rewrite_walk(p: dict):
     trace, steps = random_walk(
         _WALK_START, n_sites, _WALK_STEPS, rng, _WALK_LENGTH_CAP
     )
-    support = (1, 2, 3)
-    base = word_image(_WALK_START, n_sites, window, precision, support)
-    # a walk often comes back to a word it has met, so each distinct word
-    # is expanded once
-    tables = {_WALK_START: base}
     last = len(trace) - 1
     marks = sorted({min(i, last) for i in (10, 20, 30, 40, 50)} | {last})
-    checkpoints: list = []
-    ok = True
-    for i in marks:
-        table = tables.get(trace[i])
-        if table is None:
-            table = tables[trace[i]] = word_image(
-                trace[i], n_sites, window, precision, support
-            )
-        match = table == base
-        ok = ok and match
+    pairs = [("", _WALK_START, trace[i]) for i in marks]
+    _, rows, _ = _compare_words(pairs, n_sites, window, precision)
+    # every structural relation keeps the set of sites a word touches, so
+    # every pair's box is that of sites 1..3 and has as many rows
+    size = len(rows) // len(marks)
+    checkpoints = []
+    for j, i in enumerate(marks):
+        match = all(row["match"] for row in rows[j * size : (j + 1) * size])
         checkpoints.append({"step": i, "length": len(trace[i]), "match": match})
+    ok = all(point["match"] for point in checkpoints)
     summary = {
         "mode": "walk",
         "seed": seed,
@@ -580,19 +537,19 @@ _ITEMS: list[CatalogItem] = [
         "braid_script",
         "replay the stored hexagon derivations",
         {"N": 6, "n": None, "W": None, "P": None},
-        _run_braid_scripts,
+        _indexed_replay(braid_script, 1),
     ),
     CatalogItem(
         "sigma_rel1_script",
         "replay the stored derivations of the first c-letter relation",
         {"N": 6, "n": None, "W": None, "P": None},
-        _run_sigma1_scripts,
+        _indexed_replay(sigma_script1, 2),
     ),
     CatalogItem(
         "sigma_rel2_script",
         "replay the stored derivations of the second c-letter relation",
         {"N": 6, "n": None, "W": None, "P": None},
-        _run_sigma2_scripts,
+        _indexed_replay(sigma_script2, 2),
     ),
     CatalogItem(
         "sigma_commute_script",

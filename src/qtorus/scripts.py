@@ -1,4 +1,4 @@
-"""Concrete derivation scripts and word-image utilities.
+"""Concrete derivation scripts, factor-word products and the rewrite walk.
 
 Every generator in this module returns a :class:`~qtorus.words.DerivationScript`
 whose steps were chosen by hand once and are re-checked mechanically on every
@@ -19,27 +19,20 @@ replay; no generator "discovers" a proof at run time.  The families are:
   ascending or descending run, shifting its index; these are the word-level
   lemmas used to reorder products of ``b`` or ``c`` letters.
 
-:func:`word_image` tabulates the window-restricted coefficients of the
-product of q-exponentials a word of factor letters stands for, so script
-start/end words can be compared as algebra elements.  :func:`random_walk`
-drives a seeded walk through the structural rewrite system.
+:func:`word_to_product` reads a word of factor letters as the product of
+q-exponentials it stands for, so the catalog can compare script start/end
+words as algebra elements.  :func:`random_walk` drives a seeded walk
+through the structural rewrite system.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .algebra import AlgebraConfig, Element
 from .errors import InvalidParams
-from .series import LaurentSeries
-from .verifier import (
-    FactorProduct,
-    QExpFactor,
-    TupleCertificate,
-    product_coefficients,
-    window_targets,
-)
+from .verifier import FactorProduct, QExpFactor, TupleCertificate
 from .words import (
     B,
     C,
@@ -82,7 +75,6 @@ __all__ = [
     "sigma_translation_rev",
     "word_to_product",
     "fold_certificate",
-    "word_image",
     "structural_relations",
     "applicable_steps",
     "random_walk",
@@ -90,7 +82,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# factor-word images
+# factor-word products
 # ---------------------------------------------------------------------------
 
 
@@ -118,31 +110,6 @@ def fold_certificate(stats: dict, cert: TupleCertificate) -> None:
         stats["max_kernel_rank"] = rank
     if index > stats.setdefault("max_index", 0):
         stats["max_index"] = index
-
-
-def word_image(
-    word: Sequence[Letter],
-    sites: int,
-    window: int,
-    precision: int,
-    support: Optional[Sequence[int]] = None,
-) -> dict[tuple, LaurentSeries]:
-    """Coefficient table of a factor word over the symmetric exponent box
-    ``|e_i| <= window`` of the `support` sites.
-
-    By default the box ranges only over the sites the word touches: a
-    monomial with a nonzero exponent on an untouched site has coefficient
-    zero in every factor word over the same letters.  Pass ``support`` to
-    fix a common box when comparing two words.
-    """
-    product = word_to_product(word, sites)
-    if support is None:
-        support = sorted(product.support_sites()) or [1]
-    targets = window_targets(product.config, support, window)
-    return {
-        target: series
-        for target, series, _ in product_coefficients(product, targets, precision)
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,9 @@ from qtorus.catalog import (
 from qtorus.algebra import AlgebraConfig, Element, monomial_label
 from qtorus.catalog import (  # internal, exercised below
     _BY_NAME,
+    _WALK_LENGTH_CAP,
+    _WALK_START,
+    _WALK_STEPS,
     _chain_pairs,
     _compare_exact,
     _compare_words,
@@ -26,7 +29,7 @@ from qtorus.catalog import (  # internal, exercised below
     _sigma_pairs,
 )
 from qtorus.errors import InvalidParams
-from qtorus.scripts import braid_script
+from qtorus.scripts import braid_script, random_walk, structural_relations
 from qtorus.series import FactoredRational, LaurentSeries
 from qtorus.verifier import exact_window_map
 from qtorus.words import S, expand_composites
@@ -339,21 +342,28 @@ def _count_evaluations(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize(
-    "name,calls",
+    "name,seed,calls",
     [
-        ("two_site_set", 3),
-        ("lattice_set", 3),
-        ("sigma_alg", 2),
-        ("braid_alg", 1),
-        ("seven_term", 2),
+        ("two_site_set", None, 3),
+        ("lattice_set", None, 3),
+        ("sigma_alg", None, 2),
+        ("braid_alg", None, 1),
+        ("seven_term", None, 2),
+        ("lattice_family2_probe", None, 3),
+        ("rewrite_walk", 0, 2),
+        ("rewrite_walk", 7, 3),
     ],
+    ids=["two_site_set-3", "lattice_set-3", "sigma_alg-2", "braid_alg-1",
+         "seven_term-2", "lattice_family2_probe-3", "rewrite_walk-2",
+         "rewrite_walk-seed7-3"],
 )
-def test_one_evaluation_per_symmetry_class(monkeypatch, name, calls):
+def test_one_evaluation_per_symmetry_class(monkeypatch, name, seed, calls):
     # one product_coefficients call per class of sides: 12, 52, 4, 2 and 2
     # when every side was evaluated, and 4, 4, 2, 2 and 2 while the classes
-    # keyed both sides of a pair together
+    # keyed both sides of a pair together; the probe's three words share
+    # the left one, and at seed 0 one walk word is an image of another
     made = _count_evaluations(monkeypatch)
-    assert verify_identity(name).status == "PASS"
+    assert verify_identity(name, seed=seed).status == "PASS"
     assert len(made) == calls
 
 
@@ -367,9 +377,14 @@ def test_one_evaluation_per_symmetry_class(monkeypatch, name, calls):
         ("sigma_alg", {}),
         ("sigma_alg", {"window": 3}),
         ("braid_alg", {"precision": 32, "window": 3}),
+        ("lattice_family2_probe", {}),
+        ("lattice_family2_probe", {"window": 3, "precision": 20}),
+        ("rewrite_walk", {"seed": 0}),
+        ("rewrite_walk", {"seed": 7}),
     ],
     ids=["seven_term", "two_site_set", "lattice_set", "braid_alg", "sigma_alg",
-         "sigma_alg-W3", "braid_alg-P32-W3"],
+         "sigma_alg-W3", "braid_alg-P32-W3", "lattice_family2_probe",
+         "lattice_family2_probe-W3-P20", "rewrite_walk-seed0", "rewrite_walk-seed7"],
 )
 def test_compare_words_matches_unshared_reference(monkeypatch, name, params):
     # every call the item makes gives the rows and summary of the reference
@@ -387,6 +402,37 @@ def test_compare_words_matches_unshared_reference(monkeypatch, name, params):
     monkeypatch.setattr(catalog, "_compare_words", checked)
     assert verify_identity(name, **params).status == "PASS"
     assert calls
+
+
+@pytest.mark.parametrize("sites", [4, 6])
+def test_walk_words_touch_the_start_sites(sites):
+    # the walk's checkpoints share one box because every structural
+    # relation keeps the set of sites a word touches
+    for rel in structural_relations(sites):
+        assert {x.site for x in rel.lhs} == {x.site for x in rel.rhs}, rel.rid
+    for seed in range(20):
+        trace, _ = random_walk(
+            _WALK_START, sites, _WALK_STEPS, random.Random(seed), _WALK_LENGTH_CAP
+        )
+        assert all({x.site for x in word} == {1, 2, 3} for word in trace), seed
+
+
+def test_walk_flags_only_the_checkpoint_whose_word_changed(monkeypatch):
+    # a walk word at step 30 with its last sign flipped no longer has the
+    # start word's image: its checkpoint alone fails, and so does the item
+    def corrupted(*args):
+        trace, steps = random_walk(*args)
+        letters = trace[30]
+        trace[30] = letters[:-1] + (S(letters[-1].site, -letters[-1].sign),)
+        return trace, steps
+
+    monkeypatch.setattr(catalog, "random_walk", corrupted)
+    d = verify_identity("rewrite_walk", seed=0).to_dict()
+    assert d["status"] == "FAIL"
+    points = d["certificate_summary"]["checkpoints"]
+    assert [(p["step"], p["match"]) for p in points] == [
+        (10, True), (20, True), (30, False), (40, True), (50, True)
+    ]
 
 
 def _random_word(rng, sites):
