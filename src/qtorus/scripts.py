@@ -103,7 +103,7 @@ def fold_certificate(stats: dict, cert: TupleCertificate) -> None:
     """Fold one certificate into the running maxima of a summary: tuples
     kept, kernel rank and factor index (an absent key counts as 0, and the
     keys are added in that order)."""
-    tuples, rank, index = len(cert.tuples), cert.kernel_rank, cert.max_index
+    tuples, rank, index = cert.tuple_count, cert.kernel_rank, cert.max_index
     if tuples > stats.setdefault("max_tuples", 0):
         stats["max_tuples"] = tuples
     if rank > stats.setdefault("max_kernel_rank", 0):

@@ -63,6 +63,23 @@ terms since Q(k) can be negative, and all are rebuilt longer only when a
 later target needs more.  Each tuple then adds a shifted copy of it, so no
 series is multiplied.
 
+Adjacent inverse pairs are collapsed.  By the Jacobi triple product
+(Gasper and Rahman, Basic Hypergeometric Series, 2nd ed., 2004, sec. 1.6),
+E(z) E(z^-1) = sum_(m in Z) (-1)^m q^(m^2) z^m / (q^2;q^2)_inf, and the
+phase of a pair E(w^e) E(w^-e) with any other factor is its first
+member's times its net index m = k_a - k_b.  So each such pair, taken
+greedily from the left, is one factor with index m in Z: m^2 on the
+diagonal of the form, no k >= 0 clamp in the walk, and a factor
+1/(q^2;q^2)_inf in its terms, grown with the rest from one expansion of
+1/(q^2;q^2)_inf^pairs per call.  The walk runs on this collapsed form,
+from a second elimination; the first still gives the certificate and the
+qmin settle, and a target whose collapsed fibre minimum is at least P
+keeps reason "walk" without a walk.  Certificates describe the
+uncollapsed product: as k_a^2 + k_b^2 = m^2 + 2b(b + |m|) with
+b = min(k_a, k_b), a point of budget B = P - Q splits into the b-vectors
+with sum 2 b_i (b_i + |m_i|) < B, which gives the tuple count and the
+largest index; the tuples themselves are listed only when read.
+
 A second engine handles products of E(x) for *arbitrary* polynomial
 arguments x (sums of monomials with all site exponents >= 0) exactly, with
 coefficients as rational functions of q, compared by their canonical forms:
@@ -76,7 +93,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product as iproduct
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .algebra import AlgebraConfig, Element, monomial_label
@@ -245,30 +262,36 @@ def _scaled_form(full: Sequence[Sequence[int]], rank: int) -> _ScaledForm:
 
 def _walk_levels(
     basis: Sequence[tuple[int, int, int]],
-) -> tuple[tuple[int, int, int, bool], ...]:
+    free: Iterable[int] = (),
+) -> tuple[tuple[int, int, int, bool, bool], ...]:
     """The walk's level layout for walk coordinates ``(j, first, coeff)``,
     listed from coordinate 0 up: each level's factor index j, its side's
-    first index, its coefficient there, and whether it clamps.
+    first index, its coefficient there, whether it clamps and whether
+    y_i >= 0.  The indices in `free` are collapsed pairs, whose entry is
+    any integer.
 
     Coordinate i is y_i = k_j, and its side constraint reads
     k_first = p_first + sum coeff * y >= 0  over the coordinates sharing that
-    first index.  The walk fixes coordinates last to first, so a level
-    clamps when no coordinate below it on the same side can raise the sum
-    (all their coeffs are -1); then  partial + coeff * y_i >= 0  is necessary
-    there, and at a side's lowest coordinate it is exact.
+    first index, unless that first index is free.  The walk fixes
+    coordinates last to first, so a level clamps when no coordinate below
+    it on the same side can raise the sum (all their coeffs are -1 and none
+    is free); then  partial + coeff * y_i >= 0  is necessary there, and at
+    a side's lowest coordinate it is exact.
     """
-    can_raise: set[int] = set()
+    free = set(free)
+    # a side whose first index is free has no constraint to clamp
+    can_raise: set[int] = set(free)
     levels = []
     for j, first, coeff in basis:
-        levels.append((j, first, coeff, first not in can_raise))
-        if coeff > 0:
+        levels.append((j, first, coeff, first not in can_raise, j not in free))
+        if coeff > 0 or j in free:
             can_raise.add(first)
     return tuple(levels)
 
 
 def _walk_sublevel(
     form: _ScaledForm,
-    levels: Sequence[tuple[int, int, int, bool]],
+    levels: Sequence[tuple[int, int, int, bool, bool]],
     start: Sequence[int],
     centre: Sequence[int],
     headroom: int,
@@ -290,9 +313,10 @@ def _walk_sublevel(
     C2 = lam^2 * center and offset U = lam^2 * (y_i - center), a level admits
     y_i when  DI * U^2 < budget,  with DI = lam*d_i and budgets scaled by
     lam^5; that is  |U| <= s = isqrt((budget - 1) // DI),  one interval of
-    integers around the center, clamped to [lo, hi]: lo >= 0 always, and a
-    clamping level also keeps k_first >= 0.  The budget left at a leaf is
-    exactly  lam^5 * (bound - Q(y)),  so it gives Q(y) for free.
+    integers around the center, clamped to [lo, hi]: lo >= 0 unless the
+    level is a collapsed pair, and a clamping level also keeps k_first >= 0.
+    The budget left at a leaf is exactly  lam^5 * (bound - Q(y)),  so it
+    gives Q(y) for free.
     """
     if headroom <= 0:
         return []
@@ -312,12 +336,12 @@ def _walk_sublevel(
         for m, lim in li_cols[i]:
             c2 -= lim * zed[m]
         di = di_scaled[i]
-        j, first, coeff, clamps = levels[i]
+        j, first, coeff, clamps, floor = levels[i]
         part = k[first]
         s = math.isqrt((budget - 1) // di)
         y_lo = -((s - c2) // lam2)
         y_hi = (c2 + s) // lam2
-        if y_lo < 0:
+        if floor and y_lo < 0:
             y_lo = 0
         if clamps:
             if coeff > 0:
@@ -360,7 +384,9 @@ class ProductCertificate:
     `firsts` lists, for each site of the product in order, its first factor
     index f, that factor's sign e and the site's position i in a target
     vector: a target's particular solution is e * target[i] at each f and 0
-    elsewhere.
+    elsewhere.  `pairs` lists the first factor index of each adjacent
+    inverse pair that the walk collapsed; everything else describes the
+    uncollapsed product.
     """
 
     factors: tuple[str, ...]
@@ -369,6 +395,7 @@ class ProductCertificate:
     gram_restricted: tuple[tuple[int, ...], ...]
     minors: tuple[int, ...]
     firsts: tuple[tuple[int, int, int], ...]
+    pairs: tuple[int, ...] = ()
 
     def particular_solution(self, exponents: Sequence[int]) -> list[int]:
         """The particular solution k of the exponent constraints for the
@@ -377,6 +404,52 @@ class ProductCertificate:
         for f, e, i in self.firsts:
             vec[f] = e * exponents[i]
         return vec
+
+
+def _split(ms: Sequence[int], budget: int) -> tuple[int, int]:
+    """Number and largest entry of the uncollapsed tuples over one collapsed
+    point whose pairs have net indices `ms`, with `budget` = P - Q(point).
+
+    A pair with net m is (b + |m|, b) or (b, b + |m|) for a b >= 0, and
+    k_a^2 + k_b^2 = m^2 + 2b(b + |m|), so the kept b-vectors are those with
+    sum 2 b_i (b_i + |m_i|) < budget.  With `left` of the budget, a pair
+    admits every b <= (isqrt(2 left - 2 + m^2) - |m|) // 2: the first pairs'
+    b are listed with the budget each leaves, and the last pair's counted;
+    each pair's largest entry comes with the others' b at 0.
+    """
+    ms = [abs(m) for m in ms]
+    lefts = [budget]
+    for m in ms[:-1]:
+        lefts = [
+            left - 2 * b * (b + m)
+            for left in lefts
+            for b in range((math.isqrt(2 * left - 2 + m * m) - m) // 2 + 1)
+        ]
+    m = ms[-1]
+    count = sum((math.isqrt(2 * left - 2 + m * m) - m) // 2 + 1 for left in lefts)
+    return count, max((math.isqrt(2 * budget - 2 + m * m) + m) // 2 for m in ms)
+
+
+def _expand_points(
+    product: ProductCertificate, points: Iterable[tuple[tuple[int, ...], int]]
+) -> tuple[tuple[int, ...], ...]:
+    """The sorted uncollapsed tuples over collapsed `points`, pairs of a
+    point and its valuation Q: each pair's net m splits as in :func:`_split`."""
+    out = []
+    for point, qval in points:
+        partial = [((), product.precision - qval)]
+        f = 0
+        for m in point:
+            pair = f in product.pairs
+            partial = [
+                (k + ((b + max(m, 0), b + max(-m, 0)) if pair else (m,)), left - cost)
+                for k, left in partial
+                for b in (range(left) if pair else (0,))
+                if (cost := 2 * b * (b + abs(m))) < left
+            ]
+            f += 1 + pair
+        out.extend(k for k, _ in partial)
+    return tuple(sorted(out))
 
 
 class TupleCertificate(NamedTuple):
@@ -389,20 +462,30 @@ class TupleCertificate(NamedTuple):
     touch, so the target is infeasible), ``"one_sign"`` (e * T_s < 0 at a
     site whose factors all have sign e), ``"qmin"`` (the fibre minimum of Q
     is at least the precision) or ``"walk"`` (the sublevel walk enumerated
-    `tuples`, possibly none).  The first three leave no tuple.  The fields
-    a certificate has always had read through to the product certificate
-    and are rendered or rebuilt only when read; an infeasible target reads
-    kernel rank 0 and an empty matrix, minors and particular solution.
-    A named tuple, as the engine builds one per target: it builds in about
-    a quarter of the time of a frozen dataclass.
+    `points`, possibly none).  The first three leave no tuple.  `points`
+    are the walk's points, each with its valuation, in the walk's order:
+    a point is a tuple k, except that each collapsed pair of the product
+    has one entry, its net index.  `tuple_count` and `max_index` describe
+    the uncollapsed tuples, counted without listing them, and `tuples`
+    lists them, sorted, only when read.  The fields a certificate has
+    always had read through to the product certificate and are rendered or
+    rebuilt only when read; an infeasible target reads kernel rank 0 and
+    an empty matrix, minors and particular solution.  A named tuple, as
+    the engine builds one per target: it builds in about a quarter of the
+    time of a frozen dataclass.
     """
 
     product: ProductCertificate
     exponents: tuple[int, ...]
     reason: str
-    tuples: tuple[tuple[int, ...], ...] = ()
+    points: tuple[tuple[tuple[int, ...], int], ...] = ()
+    tuple_count: int = 0
     max_index: int = 0
     min_valuation: Optional[int] = None
+
+    @property
+    def tuples(self) -> tuple[tuple[int, ...], ...]:
+        return _expand_points(self.product, self.points)
 
     @property
     def factors(self) -> tuple[str, ...]:
@@ -444,35 +527,16 @@ class TupleCertificate(NamedTuple):
             "feasible": self.feasible,
             "kernel_rank": self.kernel_rank,
             "minors": list(self.minors),
-            "tuples": len(self.tuples),
+            "tuples": self.tuple_count,
             "max_index": self.max_index,
             "min_valuation": self.min_valuation,
         }
 
 
-def product_coefficients(
-    product: FactorProduct,
-    targets: Iterable[Sequence[int]],
-    precision: int,
-) -> Iterator[tuple[tuple[int, ...], LaurentSeries, TupleCertificate]]:
-    """Yield ``(target, series, certificate)`` for each target in order: the
-    coefficient of the normal-ordered monomial `target` in the expansion of
-    `product`, complete mod q^precision.
-
-    The kernel lattice and the restricted form depend only on the product
-    and are built once per call, and so is one integer elimination of the
-    valuation form that certifies the restricted form positive definite
-    (raising NoCertificate before the first target otherwise) and gives its
-    integer-scaled LDL^T data and the maps from a target to its fibre
-    minimum qmin and to the walk's centre; so are the walk's level layout
-    and the Euler expansion of each multiset of k met.  A target with
-    qmin >= precision has no tuple and gets no walk; any other costs a few
-    short sums, at most one walk and a shifted add per kept tuple.
-    """
-    cfg = product.config
-    factors = product.factors
+def _lattice(factors: Sequence[QExpFactor]) -> tuple[tuple, tuple, list[list[int]]]:
+    """The kernel basis, first-index layout and bordered valuation form of
+    a factor list, for :func:`product_coefficients`."""
     L = len(factors)
-
     by_site: dict[int, list[int]] = {}
     for idx, f in enumerate(factors):
         by_site.setdefault(f.site, []).append(idx)
@@ -505,22 +569,90 @@ def product_coefficients(
     )
     vecs = [((j, 1), (f, c)) for j, f, c in basis] + [((g, 1),) for g, _, _ in firsts]
     full = [[sum(a * b * gram[x][y] for x, a in u for y, b in v) for v in vecs] for u in vecs]
+    return basis, firsts, full
+
+
+def _headroom(form: _ScaledForm, pvec: Sequence[int], bound: int) -> int:
+    """lam * (bound - qmin) on the fibre whose first-index entries are `pvec`."""
+    headroom = bound * form.lam
+    for s, t, h in form.h_terms:
+        headroom -= h * pvec[s] * pvec[t]
+    return headroom
+
+
+def product_coefficients(
+    product: FactorProduct,
+    targets: Iterable[Sequence[int]],
+    precision: int,
+) -> Iterator[tuple[tuple[int, ...], LaurentSeries, TupleCertificate]]:
+    """Yield ``(target, series, certificate)`` for each target in order: the
+    coefficient of the normal-ordered monomial `target` in the expansion of
+    `product`, complete mod q^precision.
+
+    The kernel lattice and the restricted form depend only on the product
+    and are built once per call, and so is one integer elimination of the
+    valuation form that certifies the restricted form positive definite
+    (raising NoCertificate before the first target otherwise) and gives
+    the map from a target to its fibre minimum qmin; so is a second one of
+    the collapsed form when the product has an adjacent inverse pair, for
+    the walk; so are the walk's level layout and the Euler expansion of
+    each multiset of k met.  A target with qmin >= precision has no tuple
+    and gets no walk; any other costs a few short sums, at most one walk
+    and a shifted add per point the walk keeps.
+    """
+    cfg = product.config
+    factors = product.factors
+
+    basis, firsts, full = _lattice(factors)
     rank = len(basis)
-    a_mat = tuple(tuple(row[:rank]) for row in full[:rank])
     form = _scaled_form(full, rank)
+
+    # each adjacent pair E(w^e) E(w^-e), taken greedily from the left, is
+    # one unit E(w^e) of the walk whose index is the pair's net m in Z
+    # (free: no k >= 0 clamp): by the Jacobi triple product the pair is
+    # sum_m (-1)^m q^(m^2) w^(e m) / (q^2;q^2)_inf, and its phase with any
+    # other factor is its first member's times m
+    units: list[QExpFactor] = []
+    pairs: list[int] = []
+    free: list[int] = []
+    idx = 0
+    while idx < len(factors):
+        f = factors[idx]
+        if factors[idx + 1 : idx + 2] == (QExpFactor(f.site, -f.exp),):
+            pairs.append(idx)
+            free.append(len(units))
+            idx += 1
+        units.append(f)
+        idx += 1
     shared = ProductCertificate(
-        tuple(str(f) for f in factors), precision, rank, a_mat, form.minors, firsts
+        tuple(str(f) for f in factors),
+        precision,
+        rank,
+        tuple(tuple(row[:rank]) for row in full[:rank]),
+        form.minors,
+        firsts,
+        tuple(pairs),
+    )
+    walk_basis, walk_firsts, walk_form = basis, firsts, form
+    if pairs:
+        walk_basis, walk_firsts, walk_full = _lattice(units)
+        walk_form = _scaled_form(walk_full, len(walk_basis))
+    levels = _walk_levels(walk_basis, free)
+    # a point's single entries key its expansion, and its pairs' nets its split
+    singles = [u for u in range(len(units)) if u not in free]
+    pick, nets = (
+        itemgetter(*idxs) if len(idxs) > 1 else lambda k, i=idxs: tuple(k[u] for u in i)
+        for idxs in (singles, free)
     )
 
     # k_first = p_first + sum coeff * y over the site's walk coordinates is
     # the walk's side constraint; at a site whose factors share one sign
     # every coeff is -1 (a single factor has none), so p_first < 0 there
     # leaves no tuple at all
-    levels = _walk_levels(basis)
     raisers = {f for _, f, coeff in basis if coeff > 0}
     one_sign = [(i, e) for f, e, i in firsts if f not in raisers]
-    outside = [i for i in range(cfg.sites) if i + 1 not in by_site]
-    scaled_bound = precision * form.lam
+    touched = {i for _, _, i in firsts}
+    outside = [i for i in range(cfg.sites) if i not in touched]
 
     def settled(target: tuple[int, ...]) -> Optional[str]:
         # the reason a target has no tuple when its exponents alone decide
@@ -535,13 +667,17 @@ def product_coefficients(
                 return "one_sign"
         return None
 
-    # prod c_(k_i) = (-1)^(sum k) q^(sum k^2) / prod (q^2;q^2)_(k_i): the
-    # expansion of each multiset's denominator, in `size` powers of q^2, is
-    # built once per call; a lower valuation that needs more terms makes
-    # them all longer
+    # prod c_(k_i) = (-1)^(sum k) q^(sum k^2) / prod (q^2;q^2)_(k_i), and a
+    # pair's term carries 1/(q^2;q^2)_inf: the expansion of each multiset
+    # of the singles' k, in `size` powers of q^2, is built once per call
+    # from one expansion of 1/(q^2;q^2)_inf^pairs (1 without a pair), and
+    # a lower valuation that needs more terms makes them all longer
     zero = LaurentSeries.zero(precision)
+    root = (0,) * len(singles)
     expansions: dict[tuple[int, ...], list[int]] = {}
     size = (precision + 1) // 2
+    # the split of each (pairs' nets, Q) met, counted once per call
+    splits: dict[tuple[tuple[int, ...], int], tuple[int, int]] = {}
 
     for target in targets:
         target = tuple(target)
@@ -553,41 +689,48 @@ def product_coefficients(
             yield target, zero, TupleCertificate(shared, target, reason)
             continue
 
-        # every point the walk returns is a tuple k >= 0 with Q(k) < P, and
-        # its value Q(y) is that tuple's valuation; a target whose fibre
-        # minimum qmin is at least P has none
+        # every point the walk returns has Q < P, and its value Q(y) is its
+        # valuation; a target whose fibre minimum qmin is at least P has
+        # none, and the collapsed fibre's minimum is at least the
+        # uncollapsed one's (it is the form on a subspace of that fibre)
         pvec = [e * target[i] for _, e, i in firsts]
-        headroom = scaled_bound
-        for s, t, h in form.h_terms:
-            headroom -= h * pvec[s] * pvec[t]
+        headroom = _headroom(form, pvec, precision)
         if headroom <= 0:
             yield target, zero, TupleCertificate(shared, target, "qmin")
             continue
-        centre = [sum(map(mul, row, pvec)) for row in form.centre_map]
-        start = shared.particular_solution(target)
-        kept = _walk_sublevel(form, levels, start, centre, headroom, precision)
+        if pairs:
+            headroom = _headroom(walk_form, pvec, precision)
+        kept = []
+        if headroom > 0:
+            centre = [sum(map(mul, row, pvec)) for row in walk_form.centre_map]
+            start = [0] * len(units)
+            for (f, _, _), p in zip(walk_firsts, pvec):
+                start[f] = p
+            kept = _walk_sublevel(walk_form, levels, start, centre, headroom, precision)
         if not kept:
             yield target, zero, TupleCertificate(shared, target, "walk")
             continue
-        kept.sort()
 
-        # count the numerators q^Q(k) by the multiset of k (sorted k: every
-        # k here has length L, so its zeros do not change the key); each
-        # basis vector changes sum k by 1 + coeff, 0 or 2, so every kept k
-        # has the parity of sum p, that is of sum T, and one sign
+        # count the numerators q^Q by the multiset of the singles' k (sorted:
+        # every key of a call has the same length, so its zeros do not
+        # change it); each basis vector changes sum k by 1 + coeff, 0 or 2,
+        # and a pair's net m has the parity of its k_a + k_b, so every kept
+        # point has the parity of sum p, that is of sum T, and one sign
         # (-1)^(sum k) serves the whole target
         groups: dict[tuple[int, ...], dict[int, int]] = {}
         for k, qval in kept:
-            num = groups.setdefault(tuple(sorted(k)), {})
+            num = groups.setdefault(tuple(sorted(pick(k) if pairs else k)), {})
             num[qval] = num.get(qval, 0) + 1
         sign = -1 if sum(target) % 2 else 1
         min_val = min(qval for _, qval in kept)
-        # Q(k) can be negative, so the expansions used here must cover
+        # Q can be negative, so the expansions used here must cover
         # P - min(0, Q) powers of q, which is this many powers of q^2
         need = (precision - min(0, min_val) + 1) // 2
-        if need > size:
-            size = need
-            expansions.clear()
+        if need > size or not expansions:
+            size = max(size, need)
+            # 1/(q^2;q^2)_inf and 1/(q^2;q^2)_(size-1) agree on `size`
+            # powers of q^2
+            expansions = {root: euler_expansion({}, (size - 1,) * len(pairs), size)}
 
         # each numerator term adds a shifted multiple of its group's
         # expansion to the even or odd powers of a dense accumulator
@@ -601,15 +744,22 @@ def product_coefficients(
             {min_val + i: sign * c for i, c in enumerate(acc) if c}, precision
         )
 
-        cert = TupleCertificate(
-            shared,
-            target,
-            "walk",
-            tuple(k for k, _ in kept),
-            max(orders[-1] if orders else 0 for orders in groups),
-            min_val,
+        count, top = len(kept), max(orders[-1] if orders else 0 for orders in groups)
+        if pairs:
+            count = 0
+            for (ms, qval), w in Counter((nets(k), qval) for k, qval in kept).items():
+                if (ms, qval) not in splits:
+                    # the split depends only on the multiset of |m|
+                    ms_abs = tuple(sorted(map(abs, ms)))
+                    if (ms_abs, qval) not in splits:
+                        splits[ms_abs, qval] = _split(ms_abs, precision - qval)
+                    splits[ms, qval] = splits[ms_abs, qval]
+                n, t = splits[ms, qval]
+                count += w * n
+                top = max(top, t)
+        yield target, total, TupleCertificate(
+            shared, target, "walk", tuple(kept), count, top, min_val
         )
-        yield target, total, cert
 
 
 def coefficient_of(

@@ -240,7 +240,10 @@ class TestWalks:
 
 def _record(rank, tuples, max_index):
     shared = ProductCertificate(("E(w1)",), 10, rank, (), (), ((0, 1, 0),))
-    return TupleCertificate(shared, (1,), "walk", tuples, max_index, 1 if tuples else None)
+    points = tuple((k, 1) for k in tuples)
+    return TupleCertificate(
+        shared, (1,), "walk", points, len(points), max_index, 1 if tuples else None
+    )
 
 
 class TestFoldCertificate:

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from oracles import (
     blind_tuples_by_target,
     finite_qexp,
     longdiv_expand,
+    naive_poly_mul,
     oracle_euler,
     phase_by_sorting,
     rational_solve,
@@ -385,6 +387,19 @@ def _seeded_products(rng):
         yield FactorProduct(cfg, factors), precision, targets, rng.sample(targets, min(3, len(targets)))
 
 
+def _collapsed(factors):
+    """The factors with each adjacent pair E(w^e) E(w^-e), taken greedily
+    from the left, replaced by its first member: the collapsed product,
+    whose index at a pair is the pair's net m."""
+    units, i = [], 0
+    while i < len(factors):
+        f = factors[i]
+        units.append(f)
+        pair = i + 1 < len(factors) and factors[i + 1] == QExpFactor(f.site, -f.exp)
+        i += 2 if pair else 1
+    return tuple(units)
+
+
 def _fibre_minimum(factors, target):
     """(y*, qmin, p) for the fibre of `target`, as fractions, built without
     the engine's maps: the form by polarising the valuation that letter
@@ -451,21 +466,27 @@ class TestCoefficientOracle:
             prod = product_of(AlgebraConfig(sites), letters)
             support = {f.site for f in prod.factors}
             cases.append((prod, 6, window_targets(prod.config, support, 2)))
-        settled = below = 0
+        settled = below = collapsed = 0
         for prod, precision, targets in cases:
             factors = prod.factors
+            units = _collapsed(factors)
             support = sorted({f.site for f in factors})
             maps.clear()
             certs = {t: cert for t, _, cert in product_coefficients(prod, targets, precision)}
-            (lam, centre_map, h_terms), = maps
+            # the uncollapsed form, then the collapsed one's if there is a pair
+            assert len(maps) == 1 + (len(units) < len(factors))
             buckets = _blind_buckets(factors, 6)
             for target in targets:
-                y_star, qmin, particular = _fibre_minimum(factors, target)
+                _, qmin, particular = _fibre_minimum(factors, target)
                 assert list(certs[target].particular) == particular
                 pvec = [particular[[f.site for f in factors].index(s)] for s in support]
-                assert sum(h * pvec[s] * pvec[t] for s, t, h in h_terms) == lam * qmin, target
-                centre = [sum(x * p for x, p in zip(row, pvec)) for row in centre_map]
-                assert centre == [lam * y for y in y_star], target
+                # each form's maps against its own product's fibre minimum
+                for (lam, centre_map, h_terms), fibre in zip(maps, (factors, units)):
+                    y_star, fibre_min, _ = _fibre_minimum(fibre, target)
+                    assert sum(h * pvec[s] * pvec[t] for s, t, h in h_terms) == lam * fibre_min
+                    centre = [sum(x * p for x, p in zip(row, pvec)) for row in centre_map]
+                    assert centre == [lam * y for y in y_star], target
+                collapsed += len(maps) - 1
                 if qmin < precision:
                     below += 1
                     continue
@@ -473,7 +494,7 @@ class TestCoefficientOracle:
                 kept, want = _blind_coefficient(factors, buckets, target, precision, 6)
                 assert kept == [] and want == {}, (factors, target)
                 settled += 1
-        assert settled >= 50 and below >= 400
+        assert settled >= 50 and below >= 400 and collapsed >= 80
 
     @pytest.mark.parametrize(
         "sites,window,letters",
@@ -516,6 +537,138 @@ class TestCoefficientOracle:
         assert nonzero >= 5 and bool(settled) == bool(single)
 
 
+def _seeded_pair_products(rng):
+    """Products with adjacent inverse pairs and their precisions: first the
+    three shapes the collapse must handle, then products of 0-2 random
+    letters with 1-3 adjacent inverse pairs inserted at random places, at
+    most 6 factors, drawn from `rng`."""
+    shapes = [
+        # a pair at site 1's first index, then a single factor there
+        (2, [(1, 1), (1, -1), (2, 1), (1, 1)]),
+        # site 1 holds only a pair; site 2's two factors are not adjacent
+        (2, [(2, 1), (1, -1), (1, 1), (2, -1)]),
+        # two pairs back to back on site 1
+        (2, [(2, -1), (1, 1), (1, -1), (1, 1), (1, -1)]),
+    ]
+    for sites, letters in shapes:
+        yield product_of(AlgebraConfig(sites), letters), 10
+    for _ in range(40):
+        sites = rng.randint(1, 3)
+        letters = [(rng.randint(1, sites), rng.choice((1, -1))) for _ in range(rng.randint(0, 2))]
+        for _ in range(rng.randint(1, 3)):
+            if len(letters) > 4:
+                break
+            site, exp = rng.randint(1, sites), rng.choice((1, -1))
+            at = rng.randint(0, len(letters))
+            letters[at:at] = [(site, exp), (site, -exp)]
+        yield product_of(AlgebraConfig(sites), letters), rng.randint(4, 10)
+
+
+class TestTripleProductCollapse:
+    """The collapse of each adjacent pair E(w^e) E(w^-e) into one factor
+    with a signed index, checked against the blind oracle."""
+
+    def test_pair_coefficient_is_the_triple_product(self):
+        # the coefficient of w^(e m) in E(w^e) E(w^-e), summed over the
+        # blind box of (k_a, k_b) with c_k by long division (an entry above
+        # 6 has valuation above 40), against (-1)^m q^(m^2) / (q^2;q^2)_inf,
+        # whose factors (1 - q^2j) from j = 20 on start at q^40
+        precision = 40
+        den = [1]
+        for j in range(1, 20):
+            den = naive_poly_mul(den, [1] + [0] * (2 * j - 1) + [-1])
+        inverse = longdiv_expand({0: 1}, {e: c for e, c in enumerate(den) if c}, precision)
+        euler = {k: oracle_euler(k, precision) for k in range(9)}
+        for eps in (1, -1):
+            buckets = blind_tuples_by_target([eps, -eps], [1, 1], 8)
+            for m in range(-6, 7):
+                got = {}
+                for ka, kb in buckets[target_key({1: eps * m})]:
+                    term = _oracle_truncated_mul(euler[ka], euler[kb], precision)
+                    for e, c in term.items():
+                        got[e] = got.get(e, 0) + c
+                want = {
+                    e + m * m: (-1) ** m * c for e, c in inverse.items() if e + m * m < precision
+                }
+                assert {e: c for e, c in got.items() if c} == want, (eps, m)
+
+    def test_split_count_against_pair_entries(self):
+        # the tuples over one collapsed point: each pair's entries
+        # (k_a, k_b) with k_a - k_b = m, adding k_a^2 + k_b^2 - m^2 to the
+        # valuation, scanned in a box; for every budget B the kept entries
+        # (extra below B) and their largest entry against the engine's
+        # closed count
+        box = 12
+        checked = 0
+        for n, span in ((1, 6), (2, 3), (3, 2)):
+            for ms in itertools.product(range(-span, span + 1), repeat=n):
+                options = [
+                    [(ka, ka - m) for ka in range(box) if 0 <= ka - m < box] for m in ms
+                ]
+                combos = []
+                for combo in itertools.product(*options):
+                    extra = sum(a * a + b * b - (a - b) ** 2 for a, b in combo)
+                    combos.append((extra, max(max(pair) for pair in combo)))
+                for budget in range(1, 65):
+                    kept = [top for extra, top in combos if extra < budget]
+                    assert max(kept) < box - 1
+                    assert verifier._split(ms, budget) == (len(kept), max(kept)), (ms, budget)
+                    checked += 1
+        assert checked == 64 * (13 + 49 + 125)
+
+    def test_random_products_with_pairs_against_blind_sum(self):
+        rng = random.Random(20261021)
+        products = with_pairs = targets_checked = walked = 0
+        reasons = Counter()
+        for prod, precision in _seeded_pair_products(rng):
+            factors = prod.factors
+            targets = window_targets(prod.config, range(1, prod.config.sites + 1), 2)
+            try:
+                got = list(product_coefficients(prod, targets, precision))
+            except NoCertificate:
+                continue
+            products += 1
+            with_pairs += len(_collapsed(factors)) < len(factors)
+            buckets = _blind_buckets(factors, 5)
+            for target, series, cert in got:
+                kept, want = _blind_coefficient(factors, buckets, target, precision, 5)
+                assert series.coeffs == want and series.precision == precision
+                assert cert.tuples == tuple(kept), (factors, target)
+                assert cert.tuple_count == len(kept)
+                assert cert.max_index == max((max(k) for k in kept), default=0)
+                values = [
+                    sum(x * x for x in k)
+                    + phase_by_sorting([(f.site, f.exp * x) for f, x in zip(factors, k)])[1]
+                    for k in kept
+                ]
+                assert cert.min_valuation == min(values, default=None)
+                assert cert.reason == _oracle_reason(factors, target, precision), target
+                reasons[cert.reason, bool(kept)] += 1
+                targets_checked += 1
+                walked += bool(kept)
+        assert products == with_pairs >= 40
+        assert targets_checked >= 900 and walked >= 500
+        # every reason, and walks that keep nothing
+        assert set(reasons) == {
+            ("outside", False), ("one_sign", False), ("qmin", False),
+            ("walk", False), ("walk", True),
+        }
+
+
+def _oracle_reason(factors, target, precision):
+    """The reason a certificate should give for `target`: a nonzero exponent
+    off the product's sites, then e * T_s < 0 at a site whose factors all
+    have sign e, then a fibre minimum at least the precision, else a walk."""
+    sites = {f.site for f in factors}
+    if any(e and i + 1 not in sites for i, e in enumerate(target)):
+        return "outside"
+    for site in sites:
+        signs = {f.exp for f in factors if f.site == site}
+        if len(signs) == 1 and signs.pop() * target[site - 1] < 0:
+            return "one_sign"
+    return "qmin" if _fibre_minimum(factors, target)[1] >= precision else "walk"
+
+
 class TestProductCoefficients:
     def test_window_matches_one_target_calls_with_one_setup(self, monkeypatch):
         # site 3 is outside the product, so the box mixes infeasible targets
@@ -534,7 +687,9 @@ class TestProductCoefficients:
         monkeypatch.setattr(verifier, "_scaled_form", counting)
         got = list(product_coefficients(prod, targets, 10))
         assert got == want
-        assert len(setups) == 1
+        # one elimination of the form, and one of the collapsed form, as
+        # E(w1^-1) E(w1) is an adjacent inverse pair
+        assert len(setups) == 2
         certs = [cert for _, _, cert in got]
         assert any(not c.feasible for c in certs) and any(c.tuples for c in certs)
 
@@ -629,6 +784,13 @@ class TestProductCoefficients:
 # evaluated); recorded from the Fraction LDL^T setup that the integer
 # elimination replaced.  An unchanged lam keeps every integer of the walk.
 SETUP_SHA256 = "4abde3ea72264db97c1c0b36b7ad99c81091e406cf5d2d3e76749e15abc9acc8"
+# the same over the second elimination, of the collapsed form, of each of
+# those products that has an adjacent inverse pair (8 distinct forms),
+# recorded when the collapse went in; test_fibre_maps_give_lam_qmin checks
+# such forms against the collapsed product's fibre minimum over the
+# rationals
+COLLAPSED_SETUPS = 8
+COLLAPSED_SHA256 = "390b89c52a0e34f0bfb03d6da351f060fdb897e21a99df8a34bfdf2865c365c5"
 
 
 class TestScaledForm:
@@ -692,12 +854,13 @@ class TestScaledForm:
         assert grown > 30
 
     def test_setup_data_is_pinned(self, monkeypatch):
-        records = []
+        calls = []
         inner = verifier._scaled_form
+        coefficients = verifier.product_coefficients
 
         def capturing(full, rank):
             form = inner(full, rank)
-            records.append(
+            calls[-1].append(
                 json.dumps(
                     [
                         list(form.minors),
@@ -711,7 +874,13 @@ class TestScaledForm:
             )
             return form
 
+        def calling(product, targets, precision):
+            # each call's records: its form's, then its collapsed form's
+            calls.append([])
+            yield from coefficients(product, targets, precision)
+
         monkeypatch.setattr(verifier, "_scaled_form", capturing)
+        monkeypatch.setattr(catalog, "product_coefficients", calling)
         # the catalog sets up one side per symmetry class, so every side of
         # every word pair it compares is set up here directly (a form
         # depends on the product only, so no target is needed); the probe
@@ -728,45 +897,58 @@ class TestScaledForm:
         for pairs, sites in runs:
             for _, lhs, rhs in pairs:
                 for word in (lhs, rhs):
-                    list(product_coefficients(word_to_product(word, sites), [], 10))
+                    list(calling(word_to_product(word, sites), [], 10))
         for name in ("lattice_family2_probe", "rewrite_walk"):
             catalog.verify_identity(name, seed=3)
-        lines = sorted(set(records))
+        assert all(1 <= len(records) <= 2 for records in calls)
+        lines = sorted({records[0] for records in calls})
         assert len(lines) == 13
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SETUP_SHA256
+        lines = sorted({records[1] for records in calls if len(records) == 2})
+        assert len(lines) == COLLAPSED_SETUPS
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == COLLAPSED_SHA256
+
+
+def _walks_and_certificates(monkeypatch, name, params):
+    """The number of points of each sublevel walk and the certificate of
+    each target of the catalog item `name`."""
+    walked, certs = [], []
+    walk = verifier._walk_sublevel
+    coefficients = catalog.product_coefficients
+
+    def counting_walk(*args):
+        points = walk(*args)
+        walked.append(len(points))
+        return points
+
+    def counting_coefficients(product, targets, precision):
+        for target, got, cert in coefficients(product, targets, precision):
+            certs.append(cert)
+            yield target, got, cert
+
+    monkeypatch.setattr(verifier, "_walk_sublevel", counting_walk)
+    monkeypatch.setattr(catalog, "product_coefficients", counting_coefficients)
+    assert catalog.verify_identity(name, **params).status == "PASS"
+    return walked, certs
 
 
 class TestPinnedCounts:
     def test_sigma_alg_kept_tuples(self, monkeypatch):
-        # a deterministic work count: a pruning bug that drops tuples moves it
-        kept = []
-        inner = catalog.product_coefficients
-
-        def counting(product, targets, precision):
-            for target, got, cert in inner(product, targets, precision):
-                kept.append(len(cert.tuples))
-                yield target, got, cert
-
-        monkeypatch.setattr(catalog, "product_coefficients", counting)
-        assert catalog.verify_identity("sigma_alg").status == "PASS"
+        # a deterministic work count: a pruning bug that drops tuples moves
+        # it; read from the certificates' counts, as the catalog never
+        # lists the tuples
+        _, certs = _walks_and_certificates(monkeypatch, "sigma_alg", {})
         # the second pair is the first's mirrored inverse and is not
         # evaluated (5,836 when it was)
-        assert sum(kept) == 2918
+        assert sum(cert.tuple_count for cert in certs) == 2918
 
     def test_sigma_alg_walked_points(self, monkeypatch):
-        # points the sublevel walk returns: it prunes k >= 0 on every index,
-        # so each one is a kept tuple (33,828 when it filtered k_first after)
-        walked = []
-        inner = verifier._walk_sublevel
-
-        def counting(*args):
-            points = inner(*args)
-            walked.append(len(points))
-            return points
-
-        monkeypatch.setattr(verifier, "_walk_sublevel", counting)
-        assert catalog.verify_identity("sigma_alg").status == "PASS"
-        assert sum(walked) == 2918
+        # points the sublevel walk returns: it prunes k >= 0 on every index
+        # but a collapsed pair's, so each one is a kept point (33,828 when
+        # it filtered k_first after; 2,918, one per kept tuple, before
+        # adjacent inverse pairs were collapsed)
+        walked, _ = _walks_and_certificates(monkeypatch, "sigma_alg", {})
+        assert sum(walked) == 1989
 
     @pytest.mark.parametrize(
         "name,params,tuples",
@@ -777,37 +959,42 @@ class TestPinnedCounts:
         ],
     )
     def test_walked_points_are_kept_tuples(self, monkeypatch, name, params, tuples):
-        walked, kept = [], []
-        walk = verifier._walk_sublevel
-        coefficients = catalog.product_coefficients
+        # every walked point is kept, and the kept points split into the
+        # uncollapsed tuples the walk found one by one before adjacent
+        # inverse pairs were collapsed
+        walked, certs = _walks_and_certificates(monkeypatch, name, params)
+        assert sum(walked) == sum(len(cert.points) for cert in certs)
+        assert sum(cert.tuple_count for cert in certs) == tuples
 
-        def counting_walk(*args):
-            points = walk(*args)
-            walked.append(len(points))
-            return points
-
-        def counting_coefficients(product, targets, precision):
-            for target, got, cert in coefficients(product, targets, precision):
-                kept.append(len(cert.tuples))
-                yield target, got, cert
-
-        monkeypatch.setattr(verifier, "_walk_sublevel", counting_walk)
-        monkeypatch.setattr(catalog, "product_coefficients", counting_coefficients)
-        assert catalog.verify_identity(name, **params).status == "PASS"
-        assert sum(walked) == sum(kept) == tuples
+    @pytest.mark.parametrize(
+        "name,params,points",
+        [
+            # 5,750 and 5,287, one point per kept tuple, before collapsing:
+            # sigma_alg's 8-factor side has two adjacent inverse pairs and
+            # braid_alg's evaluated side is three of them
+            ("sigma_alg", {"window": 3}, 4239),
+            ("braid_alg", {"precision": 32, "window": 3}, 355),
+        ],
+    )
+    def test_walked_points_are_collapsed(self, monkeypatch, name, params, points):
+        walked, _ = _walks_and_certificates(monkeypatch, name, params)
+        assert sum(walked) == points
 
     @pytest.mark.parametrize(
         "name,params,passes",
         [
-            ("sigma_alg", {"window": 3}, 437),
-            ("braid_alg", {"precision": 32, "window": 3}, 198),
+            ("sigma_alg", {"window": 3}, 326),
+            ("braid_alg", {"precision": 32, "window": 3}, 45),
         ],
     )
     def test_running_sum_passes(self, monkeypatch, name, params, passes):
-        # one pass per multiset of k expanded in a product call, its parents
-        # included, as no catalog valuation is negative (864 and 398 calls of
-        # the old whole-multiset build, each of sum k passes over q-powers;
-        # 874 for sigma_alg while both its pairs were evaluated)
+        # one pass per multiset of the singles' k expanded in a product
+        # call, its parents included, as no catalog valuation is negative,
+        # plus size - 1 passes per collapsed pair for the call's expansion
+        # of 1/(q^2;q^2)_inf^pairs (437 and 198 before adjacent inverse
+        # pairs were collapsed; 864 and 398 calls of the old whole-multiset
+        # build, each of sum k passes over q-powers; 874 for sigma_alg while
+        # both its pairs were evaluated)
         calls = []
         inner = qexp.divide_by_one_minus
 
@@ -820,23 +1007,35 @@ class TestPinnedCounts:
         assert len(calls) == passes
 
     @pytest.mark.parametrize(
-        "params,walks",
-        [({}, 442), ({"window": 3}, 1264)],
+        "params,reached,walks",
+        [
+            pytest.param({}, 442, 438, id="params0-442"),
+            pytest.param({"window": 3}, 1264, 1144, id="params1-1264"),
+        ],
     )
-    def test_sigma_alg_walk_calls(self, monkeypatch, params, walks):
+    def test_sigma_alg_walk_calls(self, monkeypatch, params, reached, walks):
         # targets with qmin(T) >= P are settled without a walk (900 and
         # 3,136 walks when each target past the one-sign test walked, 884
-        # and 2,528 while both pairs were evaluated)
-        calls = []
-        inner = verifier._walk_sublevel
+        # and 2,528 while both pairs were evaluated), and so are the
+        # `reached` - `walks` targets past that whose collapsed fibre
+        # minimum is at least P; every target that reaches the walk stage
+        # keeps the reason "walk" (`reached` walks before collapsing)
+        walked, certs = _walks_and_certificates(monkeypatch, "sigma_alg", params)
+        assert sum(cert.reason == "walk" for cert in certs) == reached
+        assert len(walked) == walks
 
-        def counting(*args):
-            calls.append(args)
-            return inner(*args)
+    def test_certificates_never_list_tuples_in_the_catalog(self, monkeypatch):
+        # the catalog reads each certificate's count, so the lazy expansion
+        # of the points into tuples never runs; reading `tuples` does
+        def refuse(product, points):
+            raise AssertionError("the catalog listed a certificate's tuples")
 
-        monkeypatch.setattr(verifier, "_walk_sublevel", counting)
-        assert catalog.verify_identity("sigma_alg", **params).status == "PASS"
-        assert len(calls) == walks
+        monkeypatch.setattr(verifier, "_expand_points", refuse)
+        assert catalog.verify_identity("braid_alg", precision=32, window=3).status == "PASS"
+        cfg = AlgebraConfig(1)
+        _, cert = coefficient_of(product_of(cfg, [(1, 1), (1, -1)]), (0,), 4)
+        with pytest.raises(AssertionError, match="listed"):
+            cert.tuples
 
 
 U_V_WINDOW = 3
