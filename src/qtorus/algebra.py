@@ -22,11 +22,10 @@ so that  monomial(a) * monomial(b) = q^phase(a,b) * monomial(a + b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, mul
 from typing import Iterable, Mapping
 
-from .errors import InvalidParams, PrecisionError
+from .errors import FrozenRecord, InvalidParams, PrecisionError
 from .series import LaurentSeries
 
 __all__ = ["AlgebraConfig", "Element", "monomial_label", "phase_exponent"]
@@ -37,15 +36,26 @@ def monomial_label(exponents: Iterable[int]) -> str:
     return Element._monomial_str(tuple(exponents))
 
 
-@dataclass(frozen=True)
-class AlgebraConfig:
+class AlgebraConfig(FrozenRecord):
     """Shape of the chain: generators w_1 .. w_sites."""
 
-    sites: int
+    __slots__ = ("sites",)
 
-    def __post_init__(self) -> None:
-        if self.sites < 1:
+    def __init__(self, sites: int) -> None:
+        if sites < 1:
             raise InvalidParams("need at least one site")
+        object.__setattr__(self, "sites", sites)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sites == other.sites
+
+    def __hash__(self) -> int:
+        return hash((self.sites,))
+
+    def __repr__(self) -> str:
+        return f"AlgebraConfig(sites={self.sites!r})"
 
     def check_site(self, site: int) -> None:
         if not 1 <= site <= self.sites:

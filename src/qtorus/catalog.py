@@ -25,11 +25,10 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .algebra import AlgebraConfig, Element, monomial_label
-from .errors import InvalidParams
+from .errors import FrozenRecord, InvalidParams
 from .scripts import (
     braid_script,
     braid_translation_fwd,
@@ -67,17 +66,53 @@ _WALK_STEPS = 50
 _WALK_LENGTH_CAP = 16
 
 
-@dataclass
 class Report:
-    """Outcome of verifying one catalog item."""
+    """Outcome of verifying one catalog item: a mutable value record, so
+    unhashable."""
 
-    schema_version: int
-    identity: str
-    params: dict
-    status: str
-    per_monomial: list
-    certificate_summary: dict
-    elapsed_ms: int
+    __slots__ = (
+        "schema_version", "identity", "params", "status", "per_monomial",
+        "certificate_summary", "elapsed_ms",
+    )
+
+    def __init__(
+        self,
+        schema_version: int,
+        identity: str,
+        params: dict,
+        status: str,
+        per_monomial: list,
+        certificate_summary: dict,
+        elapsed_ms: int,
+    ) -> None:
+        self.schema_version = schema_version
+        self.identity = identity
+        self.params = params
+        self.status = status
+        self.per_monomial = per_monomial
+        self.certificate_summary = certificate_summary
+        self.elapsed_ms = elapsed_ms
+
+    def _values(self) -> tuple:
+        return (
+            self.schema_version, self.identity, self.params, self.status,
+            self.per_monomial, self.certificate_summary, self.elapsed_ms,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"Report(schema_version={self.schema_version!r}, identity={self.identity!r}, "
+            f"params={self.params!r}, status={self.status!r}, "
+            f"per_monomial={self.per_monomial!r}, "
+            f"certificate_summary={self.certificate_summary!r}, elapsed_ms={self.elapsed_ms!r})"
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -469,13 +504,39 @@ def _run_rewrite_walk(p: dict):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CatalogItem:
-    name: str
-    description: str
-    defaults: dict
-    runner: Callable[[dict], tuple[str, list, dict, Optional[int]]]
-    uses_seed: bool = False
+class CatalogItem(FrozenRecord):
+    __slots__ = ("name", "description", "defaults", "runner", "uses_seed")
+
+    def __init__(
+        self,
+        name: str,
+        description: str,
+        defaults: dict,
+        runner: Callable[[dict], tuple[str, list, dict, Optional[int]]],
+        uses_seed: bool = False,
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "defaults", defaults)
+        object.__setattr__(self, "runner", runner)
+        object.__setattr__(self, "uses_seed", uses_seed)
+
+    def _values(self) -> tuple:
+        return (self.name, self.description, self.defaults, self.runner, self.uses_seed)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return (
+            f"CatalogItem(name={self.name!r}, description={self.description!r}, "
+            f"defaults={self.defaults!r}, runner={self.runner!r}, uses_seed={self.uses_seed!r})"
+        )
 
 
 _ITEMS: list[CatalogItem] = [

@@ -28,6 +28,7 @@ through the structural rewrite system.
 from __future__ import annotations
 
 import random
+from operator import itemgetter
 from typing import Sequence
 
 from .algebra import AlgebraConfig, Element
@@ -360,18 +361,47 @@ def structural_relations(sites: int) -> list[Relation]:
     return rels
 
 
+def _pattern_index(relations: Sequence[Relation]) -> dict:
+    """Both sides of every relation, keyed by their first letter, as
+    (relation index, 0 for lhs or 1 for rhs, pattern, relation).  An
+    ExpLetter is unhashable, so the sides that start with one share the key
+    None; an empty side matches at every position and has the key ()."""
+    index: dict = {}
+    for r, rel in enumerate(relations):
+        for rev, side in enumerate((rel.lhs, rel.rhs)):
+            pattern = tuple(side)
+            if not pattern:
+                key = ()
+            elif isinstance(pattern[0], Letter):
+                key = pattern[0]
+            else:
+                key = None
+            index.setdefault(key, []).append((r, rev, pattern, rel))
+    return index
+
+
+def _matching_steps(word: tuple, index: dict) -> list[Step]:
+    """Every step whose pattern, from :func:`_pattern_index`, matches the
+    word, ordered by relation index, then forward before reverse, then
+    position."""
+    found = [
+        (r, rev, pos, rel)
+        for pos, letter in enumerate(word)
+        for r, rev, pattern, rel in index.get(letter if isinstance(letter, Letter) else None, ())
+        if word[pos : pos + len(pattern)] == pattern
+    ]
+    found.extend(
+        (r, rev, pos, rel) for r, rev, _, rel in index.get((), ()) for pos in range(len(word) + 1)
+    )
+    found.sort(key=itemgetter(0, 1, 2))
+    return [Step(pos, rel, not rev) for _, rev, pos, rel in found]
+
+
 def applicable_steps(word: Word, relations: Sequence[Relation]) -> list[Step]:
-    """Every (position, relation, direction) whose pattern matches the word."""
-    word = tuple(word)
-    out: list[Step] = []
-    for rel in relations:
-        for forward in (True, False):
-            pattern = rel.lhs if forward else rel.rhs
-            span = len(pattern)
-            for pos in range(len(word) - span + 1):
-                if word[pos : pos + span] == tuple(pattern):
-                    out.append(Step(pos, rel, forward))
-    return out
+    """Every (position, relation, direction) whose pattern matches the word,
+    ordered by the relation's index in `relations`, then forward before
+    reverse, then position."""
+    return _matching_steps(tuple(word), _pattern_index(relations))
 
 
 def random_walk(
@@ -387,12 +417,12 @@ def random_walk(
     Returns the word trace (including the start) and the steps taken; the
     walk stops early if no step is admissible.
     """
-    relations = structural_relations(sites)
+    index = _pattern_index(structural_relations(sites))
     word = tuple(start)
     trace = [word]
     taken: list[Step] = []
     for _ in range(steps):
-        candidates = applicable_steps(word, relations)
+        candidates = _matching_steps(word, index)
         weighted: list[tuple[Step, int]] = []
         for st in candidates:
             pattern = st.relation.lhs if st.forward else st.relation.rhs

@@ -30,11 +30,10 @@ format below covers the structural letters only:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from .algebra import Element
-from .errors import InvalidParams, InvalidStep, NoMatch
+from .errors import FrozenRecord, InvalidParams, InvalidStep, NoMatch
 from .series import LaurentSeries
 
 __all__ = [
@@ -77,23 +76,34 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Letter:
+class Letter(FrozenRecord):
     """Structural letter: kind 'S' (sign +-1), 'B', or 'C' (sign 0)."""
 
-    kind: str
-    site: int
-    sign: int = 0
+    __slots__ = ("kind", "site", "sign")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("S", "B", "C"):
-            raise InvalidParams(f"unknown letter kind {self.kind!r}")
-        if self.site < 1:
+    def __init__(self, kind: str, site: int, sign: int = 0) -> None:
+        if kind not in ("S", "B", "C"):
+            raise InvalidParams(f"unknown letter kind {kind!r}")
+        if site < 1:
             raise InvalidParams("site must be >= 1")
-        if self.kind == "S" and self.sign not in (1, -1):
+        if kind == "S" and sign not in (1, -1):
             raise InvalidParams("an s-letter needs sign +1 or -1")
-        if self.kind != "S" and self.sign != 0:
+        if kind != "S" and sign != 0:
             raise InvalidParams("composite letters carry no sign")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "site", site)
+        object.__setattr__(self, "sign", sign)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.site == other.site and self.sign == other.sign and self.kind == other.kind
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.site, self.sign))
+
+    def __repr__(self) -> str:
+        return f"Letter(kind={self.kind!r}, site={self.site!r}, sign={self.sign!r})"
 
     def __str__(self) -> str:
         if self.kind == "S":
@@ -188,14 +198,33 @@ def expand_composites(word: Sequence[AnyLetter]) -> Word:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(FrozenRecord):
     """Oriented rewrite  lhs <-> rhs  produced by a named factory."""
 
-    rid: str
-    bindings: tuple[tuple[str, str], ...]
-    lhs: Word
-    rhs: Word
+    __slots__ = ("rid", "bindings", "lhs", "rhs")
+
+    def __init__(self, rid: str, bindings: tuple[tuple[str, str], ...], lhs: Word, rhs: Word) -> None:
+        object.__setattr__(self, "rid", rid)
+        object.__setattr__(self, "bindings", bindings)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+
+    def _values(self) -> tuple:
+        return (self.rid, self.bindings, self.lhs, self.rhs)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return (
+            f"Relation(rid={self.rid!r}, bindings={self.bindings!r}, "
+            f"lhs={self.lhs!r}, rhs={self.rhs!r})"
+        )
 
     @property
     def full_id(self) -> str:
@@ -392,11 +421,28 @@ def commute_rule(x: ExpLetter, y: ExpLetter) -> Relation:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Step:
-    position: int
-    relation: Relation
-    forward: bool = True
+class Step(FrozenRecord):
+    __slots__ = ("position", "relation", "forward")
+
+    def __init__(self, position: int, relation: Relation, forward: bool = True) -> None:
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "forward", forward)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.position == other.position
+            and self.forward == other.forward
+            and self.relation == other.relation
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.position, self.relation, self.forward))
+
+    def __repr__(self) -> str:
+        return f"Step(position={self.position!r}, relation={self.relation!r}, forward={self.forward!r})"
 
     def __str__(self) -> str:
         return f"@{self.position} {self.relation.full_id} {'fwd' if self.forward else 'rev'}"
@@ -417,21 +463,66 @@ def apply_step(word: Word, step: Step) -> Word:
     return tuple(word[:pos]) + tuple(replacement) + tuple(word[pos + len(pattern) :])
 
 
-@dataclass(frozen=True)
-class DerivationScript:
-    name: str
-    start: Word
-    steps: tuple[Step, ...]
-    end: Word
+class DerivationScript(FrozenRecord):
+    __slots__ = ("name", "start", "steps", "end")
+
+    def __init__(self, name: str, start: Word, steps: tuple[Step, ...], end: Word) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "end", end)
+
+    def _values(self) -> tuple:
+        return (self.name, self.start, self.steps, self.end)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return (
+            f"DerivationScript(name={self.name!r}, start={self.start!r}, "
+            f"steps={self.steps!r}, end={self.end!r})"
+        )
 
 
-@dataclass(frozen=True)
-class ReplayResult:
-    ok: bool
-    steps_applied: int
-    final: Word
-    trace: tuple[Word, ...]
-    error: Optional[str] = None
+class ReplayResult(FrozenRecord):
+    __slots__ = ("ok", "steps_applied", "final", "trace", "error")
+
+    def __init__(
+        self,
+        ok: bool,
+        steps_applied: int,
+        final: Word,
+        trace: tuple[Word, ...],
+        error: Optional[str] = None,
+    ) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "steps_applied", steps_applied)
+        object.__setattr__(self, "final", final)
+        object.__setattr__(self, "trace", trace)
+        object.__setattr__(self, "error", error)
+
+    def _values(self) -> tuple:
+        return (self.ok, self.steps_applied, self.final, self.trace, self.error)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return (
+            f"ReplayResult(ok={self.ok!r}, steps_applied={self.steps_applied!r}, "
+            f"final={self.final!r}, trace={self.trace!r}, error={self.error!r})"
+        )
 
 
 def replay(script: DerivationScript) -> ReplayResult:

@@ -16,6 +16,7 @@ from qtorus.catalog import _row
 from qtorus.scripts import fold_certificate, word_to_product
 from qtorus.series import LaurentSeries
 from qtorus.verifier import product_coefficients, window_targets
+from qtorus.words import Step
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +220,26 @@ def finite_qexp(x: Element, depth: int) -> Element:
     for n in range(depth):
         acc = acc * (one - x.scale(LaurentSeries.monomial(2 * n + 1)))
     return acc
+
+
+# ---------------------------------------------------------------------------
+# rewrite oracle: every relation side tried at every position
+# ---------------------------------------------------------------------------
+
+
+def scan_applicable_steps(word, relations) -> list[Step]:
+    """Every (position, relation, direction) whose pattern matches the word,
+    by slicing the word at every position for every relation side."""
+    word = tuple(word)
+    out: list[Step] = []
+    for rel in relations:
+        for forward in (True, False):
+            pattern = rel.lhs if forward else rel.rhs
+            span = len(pattern)
+            for pos in range(len(word) - span + 1):
+                if word[pos : pos + span] == tuple(pattern):
+                    out.append(Step(pos, rel, forward))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,28 @@
 """The public names of the package and the README's library example."""
 
 import ast
+import copy
 import importlib
+import pickle
 import re
 from pathlib import Path
 
 import pytest
 
 import qtorus
+from qtorus.algebra import AlgebraConfig
+from qtorus.catalog import CatalogItem, Report
+from qtorus.errors import InvalidParams
+from qtorus.verifier import FactorProduct, ProductCertificate, QExpFactor, _ScaledForm
+from qtorus.words import (
+    DerivationScript,
+    Letter,
+    Relation,
+    ReplayResult,
+    S,
+    Step,
+    comm0,
+)
 
 SUBMODULES = ("series", "algebra", "qexp", "verifier", "words", "scripts", "catalog", "cli")
 
@@ -34,3 +49,139 @@ def test_readme_library_example_runs(capsys):
     assert series_line.endswith(" (mod q^14)")
     summary = ast.literal_eval(summary_line)
     assert summary["tuples"] == 6 and summary["minors"] == [2, 4]
+
+
+_WORD = (S(1, 1), S(1, -1))
+_SWAPPED = (S(1, -1), S(1, 1))
+
+# (class, its fields in order with a value each, another value for each field
+# that can change alone, the defaults of the trailing fields, whether the
+# record is frozen, whether its values are hashable)
+RECORDS = [
+    (AlgebraConfig, {"sites": 2}, {"sites": 3}, {}, True, True),
+    (QExpFactor, {"site": 1, "exp": -1}, {"site": 2, "exp": 1}, {"exp": 1}, True, True),
+    (
+        FactorProduct,
+        {"config": AlgebraConfig(2), "factors": (QExpFactor(1), QExpFactor(2, -1))},
+        {"config": AlgebraConfig(3), "factors": (QExpFactor(1),)},
+        {}, True, True,
+    ),
+    (
+        _ScaledForm,
+        {"minors": (2,), "lam": 8, "di": (8,), "li_cols": ((),), "centre_map": ((-4,),), "h_terms": ((0, 0, 6),)},
+        {"minors": (3,), "lam": 4, "di": (4,), "li_cols": ((), ()), "centre_map": ((4,),), "h_terms": ()},
+        {}, True, True,
+    ),
+    (
+        ProductCertificate,
+        {
+            "factors": ("E(w1)", "E(w2^-1)"), "precision": 8, "kernel_rank": 1,
+            "gram_restricted": ((2,),), "minors": (2,), "firsts": ((0, 1, 0),), "pairs": (0,),
+        },
+        {
+            "factors": ("E(w1)",), "precision": 9, "kernel_rank": 0,
+            "gram_restricted": (), "minors": (), "firsts": (), "pairs": (),
+        },
+        {"pairs": ()}, True, True,
+    ),
+    (Letter, {"kind": "B", "site": 1, "sign": 0}, {"kind": "C", "site": 2}, {"sign": 0}, True, True),
+    (
+        Relation,
+        {"rid": "comm0", "bindings": (("n", "1"),), "lhs": _WORD, "rhs": _SWAPPED},
+        {"rid": "far", "bindings": (), "lhs": _SWAPPED, "rhs": _WORD},
+        {}, True, True,
+    ),
+    (
+        Step,
+        {"position": 2, "relation": comm0(1), "forward": False},
+        {"position": 0, "relation": comm0(2), "forward": True},
+        {"forward": True}, True, True,
+    ),
+    (
+        DerivationScript,
+        {"name": "swap", "start": _WORD, "steps": (Step(0, comm0(1)),), "end": _SWAPPED},
+        {"name": "other", "start": _SWAPPED, "steps": (), "end": _WORD},
+        {}, True, True,
+    ),
+    (
+        ReplayResult,
+        {"ok": False, "steps_applied": 1, "final": _SWAPPED, "trace": (_WORD,), "error": "no"},
+        {"ok": True, "steps_applied": 0, "final": _WORD, "trace": (), "error": None},
+        {"error": None}, True, True,
+    ),
+    (
+        Report,
+        {
+            "schema_version": 1, "identity": "mult1", "params": {"N": 2}, "status": "PASS",
+            "per_monomial": [], "certificate_summary": {"mode": "exact"}, "elapsed_ms": 3,
+        },
+        {
+            "schema_version": 2, "identity": "mult2", "params": {}, "status": "FAIL",
+            "per_monomial": [{}], "certificate_summary": {}, "elapsed_ms": 4,
+        },
+        {}, False, False,
+    ),
+    (
+        CatalogItem,
+        {"name": "x", "description": "y", "defaults": {"N": 2}, "runner": len, "uses_seed": True},
+        {"name": "z", "description": "w", "defaults": {}, "runner": abs, "uses_seed": False},
+        {"uses_seed": False}, True, False,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, fields, others, defaults, frozen, hashable", RECORDS, ids=[r[0].__name__ for r in RECORDS]
+)
+def test_record_semantics(cls, fields, others, defaults, frozen, hashable):
+    values = tuple(fields.values())
+    record = cls(*values)
+    assert [getattr(record, name) for name in fields] == list(values)
+    # by value, by keyword, over every field, and only against the same class
+    assert record == cls(*values) == cls(**fields)
+    for name, other in others.items():
+        assert record != cls(**dict(fields, **{name: other}))
+    assert record != values and values != record
+    assert copy.copy(record) == copy.deepcopy(record) == pickle.loads(pickle.dumps(record)) == record
+    assert repr(record) == f"{cls.__name__}(" + ", ".join(f"{k}={v!r}" for k, v in fields.items()) + ")"
+    required = values[: len(values) - len(defaults)]
+    assert cls(*required) == cls(*required, *defaults.values())
+    assert [getattr(cls(*required), name) for name in defaults] == list(defaults.values())
+    if hashable:
+        assert hash(record) == hash(cls(*values))
+    else:
+        with pytest.raises(TypeError):
+            hash(record)
+    first = next(iter(fields))
+    if frozen:
+        with pytest.raises(AttributeError):
+            setattr(record, first, values[0])
+        with pytest.raises(AttributeError):
+            delattr(record, first)
+    else:
+        record.status = "FAIL"
+        assert record.status == "FAIL" and record != cls(*values)
+
+
+def test_record_repr_text():
+    assert repr(S(2, 1)) == "Letter(kind='S', site=2, sign=1)"
+    assert repr(QExpFactor(3)) == "QExpFactor(site=3, exp=1)"
+    assert repr(FactorProduct(AlgebraConfig(1), ())) == "FactorProduct(config=AlgebraConfig(sites=1), factors=())"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Letter("X", 1),
+        lambda: Letter("S", 0, 1),
+        lambda: Letter("S", 1),
+        lambda: Letter("B", 1, 1),
+        lambda: QExpFactor(1, 2),
+        lambda: AlgebraConfig(0),
+        lambda: FactorProduct(AlgebraConfig(2), (QExpFactor(3),)),
+    ],
+    ids=["kind", "site", "s_sign", "b_sign", "exp", "sites", "factor_site"],
+)
+def test_record_validation(build):
+    with pytest.raises(InvalidParams):
+        build()

@@ -1,6 +1,5 @@
 """Tests for the command-line front end."""
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -13,7 +12,7 @@ import pytest
 
 import qtorus
 import qtorus.cli as cli
-from qtorus.catalog import identity_names, verify_identity
+from qtorus.catalog import Report, identity_names, verify_identity
 from qtorus.scripts import braid_script
 from qtorus.words import render_script
 
@@ -179,10 +178,14 @@ def test_verify_exact_text_format_pinned(capsys):
 def test_report_text_marks_mismatches():
     report = verify_identity("mult1", window=2)
     row = dict(report.per_monomial[1], match=False, rhs="0")
-    broken = dataclasses.replace(
-        report,
-        status="FAIL",
-        per_monomial=[report.per_monomial[0], row],
+    broken = Report(
+        report.schema_version,
+        report.identity,
+        report.params,
+        "FAIL",
+        [report.per_monomial[0], row],
+        report.certificate_summary,
+        report.elapsed_ms,
     )
     text = broken.to_text()
     assert text.startswith("mult1: FAIL")
@@ -224,7 +227,16 @@ def test_verify_deterministic_across_runs(capsys):
 
 def test_verify_forced_fail_exits_one(capsys, monkeypatch):
     def failing(name, **kw):
-        return dataclasses.replace(verify_identity(name, **kw), status="FAIL")
+        report = verify_identity(name, **kw)
+        return Report(
+            report.schema_version,
+            report.identity,
+            report.params,
+            "FAIL",
+            report.per_monomial,
+            report.certificate_summary,
+            report.elapsed_ms,
+        )
 
     monkeypatch.setattr(cli, "verify_identity", failing)
     code, out, _ = run_cli(["verify", "--identity", "mult1"], capsys)

@@ -56,17 +56,32 @@ def test_scan_sees_an_unused_import(tmp_path):
     assert unused_imports(module) == [(2, "os"), (2, "system")]
 
 
-def test_cli_import_loads_no_rational_arithmetic():
-    # the engine is integer-only, so importing the command line must not
-    # pull in the standard library's fractions module
+def modules_loaded_by_cli_import(names: tuple[str, ...]) -> list[str]:
+    """Which of `names` a fresh interpreter has loaded after ``import qtorus.cli``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, qtorus.cli; print('fractions' in sys.modules)"],
+        [
+            sys.executable,
+            "-c",
+            f"import sys, qtorus.cli; print([m for m in {names!r} if m in sys.modules])",
+        ],
         capture_output=True,
         env=env,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return ast.literal_eval(proc.stdout.strip())
+
+
+def test_cli_import_loads_no_rational_arithmetic():
+    # the engine is integer-only, so importing the command line must not
+    # pull in the standard library's fractions module
+    assert modules_loaded_by_cli_import(("fractions",)) == []
+
+
+def test_cli_import_loads_no_dataclasses():
+    # every command pays for its imports: the records are written out by
+    # hand, as dataclasses alone brings in inspect, ast, dis and tokenize
+    assert modules_loaded_by_cli_import(("dataclasses", "inspect")) == []
