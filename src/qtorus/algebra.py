@@ -23,12 +23,12 @@ so that  monomial(a) * monomial(b) = q^phase(a,b) * monomial(a + b).
 from __future__ import annotations
 
 from operator import add, mul
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 from .errors import FrozenRecord, InvalidParams, PrecisionError
 from .series import LaurentSeries
 
-__all__ = ["AlgebraConfig", "Element", "monomial_label", "phase_exponent"]
+__all__ = ["AlgebraConfig", "Element", "monomial_label", "mul_terms", "phase_exponent"]
 
 
 def monomial_label(exponents: Iterable[int]) -> str:
@@ -46,17 +46,6 @@ class AlgebraConfig(FrozenRecord):
             raise InvalidParams("need at least one site")
         object.__setattr__(self, "sites", sites)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.sites == other.sites
-
-    def __hash__(self) -> int:
-        return hash((self.sites,))
-
-    def __repr__(self) -> str:
-        return f"AlgebraConfig(sites={self.sites!r})"
-
     def check_site(self, site: int) -> None:
         if not 1 <= site <= self.sites:
             raise InvalidParams(f"site {site} outside 1..{self.sites}")
@@ -65,6 +54,38 @@ class AlgebraConfig(FrozenRecord):
 def phase_exponent(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     """Power of q produced when monomial(a) * monomial(b) is normal-ordered."""
     return -2 * sum(map(mul, a[1:], b))
+
+
+def mul_terms(
+    left: Mapping[tuple[int, ...], Mapping[int, int]],
+    right: Mapping[tuple[int, ...], Mapping[int, int]],
+    cap: Optional[int] = None,
+) -> dict[tuple[int, ...], dict[int, int]]:
+    """Normal-ordered product of two sums of monomials, each held as exponent
+    vector -> Laurent coefficient (exponent of q -> int).  With `cap`, a term
+    pair whose exponent vector has a component above `cap` is skipped.
+    Zero coefficients and monomials left with none are dropped."""
+    # every output monomial's coefficient accumulates in one exponent -> int
+    # dict across all term pairs
+    right_items = [(b, cb.items()) for b, cb in right.items()]
+    acc: dict[tuple[int, ...], dict[int, int]] = {}
+    for a, ca in left.items():
+        left_items = ca.items()
+        for b, cb in right_items:
+            key = tuple(map(add, a, b))
+            if cap is not None and max(key) > cap:
+                continue
+            out = acc.setdefault(key, {})
+            phase = phase_exponent(a, b)
+            for ea, xa in left_items:
+                for eb, xb in cb:
+                    e = ea + eb + phase
+                    out[e] = out.get(e, 0) + xa * xb
+    terms = {}
+    for key, out in acc.items():
+        if out := {e: x for e, x in out.items() if x}:
+            terms[key] = out
+    return terms
 
 
 class Element:
@@ -133,21 +154,11 @@ class Element:
                     "element products need exact coefficients; got one known "
                     f"only mod q^{coeff.precision}"
                 )
-        # every output monomial's coefficient accumulates in one exponent ->
-        # int dict across all term pairs
-        right = [(b, cb.coeffs.items()) for b, cb in other.terms.items()]
-        acc: dict[tuple[int, ...], dict[int, int]] = {}
-        for a, ca in self.terms.items():
-            left = ca.coeffs.items()
-            for b, cb in right:
-                key = tuple(map(add, a, b))
-                out = acc.setdefault(key, {})
-                phase = phase_exponent(a, b)
-                for ea, xa in left:
-                    for eb, xb in cb:
-                        e = ea + eb + phase
-                        out[e] = out.get(e, 0) + xa * xb
-        return Element(self.config, {k: LaurentSeries(c) for k, c in acc.items()})
+        terms = mul_terms(
+            {a: c.coeffs for a, c in self.terms.items()},
+            {b: c.coeffs for b, c in other.terms.items()},
+        )
+        return Element(self.config, {k: LaurentSeries(c) for k, c in terms.items()})
 
     def scale(self, coeff: LaurentSeries) -> "Element":
         return Element(self.config, {v: c * coeff for v, c in self.terms.items()})

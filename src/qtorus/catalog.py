@@ -521,23 +521,6 @@ class CatalogItem(FrozenRecord):
         object.__setattr__(self, "runner", runner)
         object.__setattr__(self, "uses_seed", uses_seed)
 
-    def _values(self) -> tuple:
-        return (self.name, self.description, self.defaults, self.runner, self.uses_seed)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        return (
-            f"CatalogItem(name={self.name!r}, description={self.description!r}, "
-            f"defaults={self.defaults!r}, runner={self.runner!r}, uses_seed={self.uses_seed!r})"
-        )
-
 
 _ITEMS: list[CatalogItem] = [
     CatalogItem(

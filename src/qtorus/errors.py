@@ -39,16 +39,32 @@ class InfiniteSupport(KernelError):
 class FrozenRecord:
     """Base of the package's read-only value records: assigning to or
     deleting an attribute raises AttributeError.  Each record lists its
-    fields in ``__slots__`` in the order its constructor takes them, sets
-    them in ``__init__`` through ``object.__setattr__`` and writes out its
-    own ``__eq__``, ``__hash__`` and ``__repr__``."""
+    fields in ``__slots__`` in the order its constructor takes them and sets
+    them in ``__init__`` through ``object.__setattr__``; equality (same class
+    only, field by field), hashing, ``repr`` and copying read the fields in
+    that order."""
 
     __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
 
     def __reduce__(self) -> tuple:
         # copy and pickle rebuild a record through its constructor, as
         # restoring the slots one by one would assign to them
-        return (self.__class__, tuple(getattr(self, name) for name in self.__slots__))
+        return (self.__class__, self._values())
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

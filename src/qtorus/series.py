@@ -24,12 +24,13 @@ or rational coefficients, and a monomial numerator needs none at all.
 :class:`FactoredRational` equality needs no reduction either: it brings
 both numerators to a common denominator and compares them.
 
-Every product of cyclotomic polynomials, single ones included, is expanded
-by one function, ``_expand_factors``, whose cache is bounded.  By Moebius
+Every multiplication by a product of cyclotomic polynomials, single ones
+included, runs through one function, ``_times_factors``: by Moebius
 inversion of  q^n - 1 = prod_{d|n} cyclotomic(d)  the product is a signed
-product and quotient of factors (1 - q^n): each multiplication is one
+product and quotient of factors (1 - q^n), so each multiplication is one
 in-place pass and each exact division one running sum, cut at the known
-degree.
+degree.  ``_expand_factors`` keeps expansions in a bounded cache, and
+:func:`widen` runs the passes on a Laurent numerator, with no expansion.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
     "RationalQ",
     "FactoredRational",
     "cyclotomic",
+    "widen",
 ]
 
 
@@ -71,7 +73,7 @@ def _ladd(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
 
 def _lmul(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
     """Product of two Laurent dicts.  Zero entries are skipped: the dense
-    denominator expansions that :meth:`FactoredRational.__add__` passes hold them."""
+    denominator expansions that :meth:`FactoredRational._over` passes hold them."""
     out: dict[int, int] = {}
     for ea, ca in a.items():
         if not ca:
@@ -236,18 +238,6 @@ def _ptrim(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p[:n])
 
 
-def _pmul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-    return _ptrim(tuple(out))
-
-
 def _pdiv_monic(a: tuple[int, ...], b: tuple[int, ...]) -> Optional[tuple[int, ...]]:
     """Quotient a/b in Z[q] for trimmed a and monic b, or None when b does
     not divide a."""
@@ -335,36 +325,54 @@ def _factor_key(factors: Counter) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((d, m) for d, m in factors.items() if m > 0))
 
 
-@lru_cache(maxsize=256)
-def _expand_factors(key: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-    """Dense product of cyclotomic(d)**m over the (d, m) pairs of `key`.
+def _times_factors(dense: list[int], factors: Mapping[int, int]) -> list[int]:
+    """Multiply the integer polynomial `dense` (index = exponent) in place
+    by the product of cyclotomic(d)**m over the items (d, m) of `factors`,
+    and return it.
 
     Peeling  q^n - 1 = prod_{d|n} cyclotomic(d)  off the largest index first
     (Moebius inversion) writes the product as  prod_n (q^n - 1)^e_n, that
-    is  (-1)^(sum e_n) * prod_n (1 - q^n)^e_n.  Each factor with e_n > 0 is
-    one in-place multiplication pass; the quotient is a polynomial of the
-    known degree sum_n n * e_n, so each division is a running sum cut at
-    that degree.
+    is  (-1)^(sum e_n) * prod_n (1 - q^n)^e_n,  of known degree
+    D = sum_n n * e_n.  The list grows by D, and every pass works modulo
+    q^len: each factor with e_n > 0 is one in-place multiplication pass, and
+    as the quotient is a polynomial of that length, each division is one
+    running sum.
     """
-    rest = Counter(dict(key))
+    rest = dict(factors)
     exps: dict[int, int] = {}
-    for n in range(max(rest, default=0), 0, -1):
-        e = rest[n]
-        if e:
+    while rest:
+        n = max(rest)
+        if e := rest.pop(n):
             exps[n] = e
             for d in range(1, n // 2 + 1):
                 if n % d == 0:
-                    rest[d] -= e
-    degree = sum(n * e for n, e in exps.items())
-    out = [0] * (degree + 1)
-    out[0] = -1 if sum(exps.values()) % 2 else 1
+                    rest[d] = rest.get(d, 0) - e
+    dense.extend([0] * sum(n * e for n, e in exps.items()))
+    if sum(exps.values()) % 2:
+        dense[:] = [-c for c in dense]
     for n, e in exps.items():
         for _ in range(e):
-            out[n:] = [a - b for a, b in zip(out[n:], out)]
+            dense[n:] = [a - b for a, b in zip(dense[n:], dense)]
     for n, e in exps.items():
         for _ in range(-e):
-            divide_by_one_minus(out, n)
-    return tuple(out)
+            divide_by_one_minus(dense, n)
+    return dense
+
+
+def widen(num: Mapping[int, int], factors: Mapping[int, int]) -> dict[int, int]:
+    """The Laurent polynomial `num` times the product of cyclotomic(d)**m
+    over the items (d, m) of `factors`, by :func:`_times_factors`."""
+    if not num:
+        return {}
+    lo = min(num)
+    dense = _times_factors([num.get(e, 0) for e in range(lo, max(num) + 1)], factors)
+    return {e: c for e, c in enumerate(dense, lo) if c}
+
+
+@lru_cache(maxsize=256)
+def _expand_factors(key: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """Dense product of cyclotomic(d)**m over the (d, m) pairs of `key`."""
+    return tuple(_times_factors([1], dict(key)))
 
 
 class FactoredRational:
@@ -395,12 +403,12 @@ class FactoredRational:
         if other.is_zero():
             return self
         union = self.den | other.den  # pointwise max
-        return FactoredRational(_ladd(self._over(union), other._over(union)), union)
+        return FactoredRational(_ladd(self._over(other), other._over(self)), union)
 
-    def _over(self, den: Counter) -> dict[int, int]:
-        """The numerator of this value over `den`, a multiple of its own
-        denominator."""
-        extra = den - self.den
+    def _over(self, other: "FactoredRational") -> dict[int, int]:
+        """The numerator of this value over the pointwise max of its own
+        denominator and `other`'s."""
+        extra = other.den - self.den
         if not extra:
             return self.num
         return _lmul(self.num, dict(enumerate(_expand_factors(_factor_key(extra)))))
@@ -411,8 +419,7 @@ class FactoredRational:
         exactly when their canonical forms are."""
         if not isinstance(other, FactoredRational):
             return NotImplemented
-        union = self.den | other.den
-        return self._over(union) == other._over(union)
+        return self._over(other) == other._over(self)
 
     __hash__ = None  # type: ignore[assignment]
 

@@ -82,9 +82,14 @@ largest index; the tuples themselves are listed only when read.
 
 A second engine handles products of E(x) for *arbitrary* polynomial
 arguments x (sums of monomials with all site exponents >= 0) exactly, with
-coefficients as rational functions of q, compared by their canonical forms:
-exponent vectors only grow under multiplication, so a degree window bounds
-the series orders that can contribute, and no truncation is ever introduced.
+coefficients as rational functions of q, compared without division over a
+common denominator: exponent vectors only grow under multiplication, so a
+degree window bounds the series orders that can contribute, and no
+truncation is ever introduced.  Each argument's powers are built once,
+inside the window, and every product skips the term pairs that leave it.
+A target's terms are summed as integers per multiset of k, which fixes
+their denominator, and the classes are brought to one denominator per
+target, smallest multiset first, by (1 - q^n) passes.
 """
 
 from __future__ import annotations
@@ -95,10 +100,10 @@ from itertools import product as iproduct
 from operator import itemgetter, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .algebra import AlgebraConfig, Element, monomial_label
+from .algebra import AlgebraConfig, Element, monomial_label, mul_terms
 from .errors import FrozenRecord, InfiniteSupport, InvalidParams, NoCertificate
 from .qexp import euler_denominator_factors, euler_expansion
-from .series import FactoredRational, LaurentSeries
+from .series import FactoredRational, LaurentSeries, widen
 
 __all__ = [
     "QExpFactor",
@@ -128,17 +133,6 @@ class QExpFactor(FrozenRecord):
         object.__setattr__(self, "site", site)
         object.__setattr__(self, "exp", exp)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.site == other.site and self.exp == other.exp
-
-    def __hash__(self) -> int:
-        return hash((self.site, self.exp))
-
-    def __repr__(self) -> str:
-        return f"QExpFactor(site={self.site!r}, exp={self.exp!r})"
-
     def __str__(self) -> str:
         return f"E(w{self.site}" + ("^-1)" if self.exp < 0 else ")")
 
@@ -153,17 +147,6 @@ class FactorProduct(FrozenRecord):
             config.check_site(f.site)
         object.__setattr__(self, "config", config)
         object.__setattr__(self, "factors", factors)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.config, self.factors) == (other.config, other.factors)
-
-    def __hash__(self) -> int:
-        return hash((self.config, self.factors))
-
-    def __repr__(self) -> str:
-        return f"FactorProduct(config={self.config!r}, factors={self.factors!r})"
 
     def support_sites(self) -> set[int]:
         return {f.site for f in self.factors}
@@ -231,23 +214,6 @@ class _ScaledForm(FrozenRecord):
         object.__setattr__(self, "li_cols", li_cols)
         object.__setattr__(self, "centre_map", centre_map)
         object.__setattr__(self, "h_terms", h_terms)
-
-    def _values(self) -> tuple:
-        return (self.minors, self.lam, self.di, self.li_cols, self.centre_map, self.h_terms)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        return (
-            f"_ScaledForm(minors={self.minors!r}, lam={self.lam!r}, di={self.di!r}, "
-            f"li_cols={self.li_cols!r}, centre_map={self.centre_map!r}, h_terms={self.h_terms!r})"
-        )
 
 
 def _scaled_form(full: Sequence[Sequence[int]], rank: int) -> _ScaledForm:
@@ -455,27 +421,6 @@ class ProductCertificate(FrozenRecord):
         object.__setattr__(self, "minors", minors)
         object.__setattr__(self, "firsts", firsts)
         object.__setattr__(self, "pairs", pairs)
-
-    def _values(self) -> tuple:
-        return (
-            self.factors, self.precision, self.kernel_rank, self.gram_restricted,
-            self.minors, self.firsts, self.pairs,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        return (
-            f"ProductCertificate(factors={self.factors!r}, precision={self.precision!r}, "
-            f"kernel_rank={self.kernel_rank!r}, gram_restricted={self.gram_restricted!r}, "
-            f"minors={self.minors!r}, firsts={self.firsts!r}, pairs={self.pairs!r})"
-        )
 
     def particular_solution(self, exponents: Sequence[int]) -> list[int]:
         """The particular solution k of the exponent constraints for the
@@ -889,55 +834,68 @@ def exact_window_map(
             if not coeff.known_exactly():
                 raise InvalidParams("exact expansion needs exact argument coefficients")
 
-    def in_window(el: Element) -> Element:
-        kept = {
-            v: c for v, c in el.terms.items() if all(e <= window for e in v)
-        }
-        return Element(cfg, kept)
-
-    pruned_args = [in_window(x) for x in args]
-    out: dict[tuple[int, ...], FactoredRational] = {}
-    max_order = 0
+    # exponent vectors only grow along a product, so every product is taken
+    # inside the window, and each argument's powers are built once
     k_cap = cfg.sites * window + 1  # total degree of any window target
+    one = {(0,) * cfg.sites: {0: 1}}
+    tables = []
+    for x in args:
+        power = one
+        base = mul_terms(one, {v: c.coeffs for v, c in x.terms.items()}, window)
+        table = [one]
+        while len(table) <= k_cap and (power := mul_terms(power, base, window)):
+            table.append(power)
+        tables.append(table)
 
-    def leaf(partial: Element, qpow: int, den: Counter) -> None:
-        for vec, coeff in partial.terms.items():
-            contrib = FactoredRational(
-                {e + qpow: c for e, c in coeff.coeffs.items()}, den
-            )
-            prev = out.get(vec)
-            out[vec] = contrib if prev is None else prev + contrib
+    # leaf numerators summed as integers: target -> multiset of the nonzero
+    # k -> Laurent numerator over that multiset's denominator
+    sums: dict[tuple[int, ...], dict[tuple[int, ...], dict[int, int]]] = {}
+    max_order = 0
 
-
-    def descend(i: int, partial: Element, qpow: int, den: Counter, kmax: int) -> None:
+    def descend(i: int, partial: dict, qpow: int, ks: tuple[int, ...]) -> None:
         nonlocal max_order
-        if i == len(pruned_args):
-            if kmax > max_order:
-                max_order = kmax
-            leaf(partial, qpow, den)
+        if i == len(tables):
+            max_order = max(max_order, *ks, 0)
+            ks = tuple(sorted(ks))
+            for vec, coeff in partial.items():
+                num = sums.setdefault(vec, {}).setdefault(ks, {})
+                for e, c in coeff.items():
+                    num[e + qpow] = num.get(e + qpow, 0) + c
             return
-        x = pruned_args[i]
-        power = Element.identity(cfg)
-        k = 0
-        while True:
-            branch = in_window(partial * power)
-            if k > 0 and branch.is_zero():
+        descend(i + 1, partial, qpow, ks)
+        for k, power in enumerate(tables[i][1:], 1):
+            branch = mul_terms(partial, power, window)
+            if not branch:
                 break
-            if not branch.is_zero():
-                descend(
-                    i + 1,
-                    branch,
-                    qpow + k * k,
-                    den + euler_denominator_factors(k),
-                    max(kmax, k),
-                )
-            k += 1
-            if k > k_cap:
-                break
-            power = in_window(power * x)
-            if power.is_zero():
-                break
-        return
+            descend(i + 1, branch, qpow + k * k, ks + (k,))
 
-    descend(0, Element.identity(cfg), 0, Counter(), 0)
-    return {v: f for v, f in out.items() if not f.is_zero()}, max_order
+    descend(0, one, 0, ())
+
+    # each target's classes, smallest multiset first, join one running sum:
+    # the factors a class lacks widen it, and those the sum lacks widen the sum
+    euler: dict[int, Counter] = {}
+    dens: dict[tuple[int, ...], dict[int, int]] = {}
+    out: dict[tuple[int, ...], FactoredRational] = {}
+    for vec, classes in sums.items():
+        total: dict[int, int] = {}
+        den: dict[int, int] = {}
+        for ks in sorted(classes):
+            if ks not in dens:
+                dens[ks] = d = {}
+                for k in ks:
+                    if k not in euler:
+                        euler[k] = euler_denominator_factors(k)
+                    for f, m in euler[k].items():
+                        d[f] = d.get(f, 0) + m
+            d, num = dens[ks], classes[ks]
+            grow = {f: m - den.get(f, 0) for f, m in d.items() if m > den.get(f, 0)}
+            lift = {f: m - d.get(f, 0) for f, m in den.items() if m > d.get(f, 0)}
+            if grow and total:
+                total = widen(total, grow)
+            for e, c in (widen(num, lift) if lift else num).items():
+                total[e] = total.get(e, 0) + c
+            den.update((f, d[f]) for f in grow)
+        value = FactoredRational(total, den)
+        if not value.is_zero():
+            out[vec] = value
+    return out, max_order

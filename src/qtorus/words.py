@@ -30,6 +30,7 @@ format below covers the structural letters only:
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
 from .algebra import Element
@@ -94,6 +95,7 @@ class Letter(FrozenRecord):
         object.__setattr__(self, "site", site)
         object.__setattr__(self, "sign", sign)
 
+    # written out, as the rewrite walk compares and hashes letters most
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -101,9 +103,6 @@ class Letter(FrozenRecord):
 
     def __hash__(self) -> int:
         return hash((self.kind, self.site, self.sign))
-
-    def __repr__(self) -> str:
-        return f"Letter(kind={self.kind!r}, site={self.site!r}, sign={self.sign!r})"
 
     def __str__(self) -> str:
         if self.kind == "S":
@@ -142,14 +141,19 @@ AnyLetter = Union[Letter, ExpLetter]
 Word = tuple
 
 
+# the factories share one frozen letter per argument tuple, so words built
+# from them compare letter by letter through the identity shortcut
+@lru_cache(maxsize=256)
 def S(site: int, sign: int) -> Letter:
     return Letter("S", site, sign)
 
 
+@lru_cache(maxsize=256)
 def B(site: int) -> Letter:
     return Letter("B", site)
 
 
+@lru_cache(maxsize=256)
 def C(site: int) -> Letter:
     return Letter("C", site)
 
@@ -208,23 +212,6 @@ class Relation(FrozenRecord):
         object.__setattr__(self, "bindings", bindings)
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs", rhs)
-
-    def _values(self) -> tuple:
-        return (self.rid, self.bindings, self.lhs, self.rhs)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        return (
-            f"Relation(rid={self.rid!r}, bindings={self.bindings!r}, "
-            f"lhs={self.lhs!r}, rhs={self.rhs!r})"
-        )
 
     @property
     def full_id(self) -> str:
@@ -429,21 +416,6 @@ class Step(FrozenRecord):
         object.__setattr__(self, "relation", relation)
         object.__setattr__(self, "forward", forward)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.position == other.position
-            and self.forward == other.forward
-            and self.relation == other.relation
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.position, self.relation, self.forward))
-
-    def __repr__(self) -> str:
-        return f"Step(position={self.position!r}, relation={self.relation!r}, forward={self.forward!r})"
-
     def __str__(self) -> str:
         return f"@{self.position} {self.relation.full_id} {'fwd' if self.forward else 'rev'}"
 
@@ -472,23 +444,6 @@ class DerivationScript(FrozenRecord):
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "end", end)
 
-    def _values(self) -> tuple:
-        return (self.name, self.start, self.steps, self.end)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        return (
-            f"DerivationScript(name={self.name!r}, start={self.start!r}, "
-            f"steps={self.steps!r}, end={self.end!r})"
-        )
-
 
 class ReplayResult(FrozenRecord):
     __slots__ = ("ok", "steps_applied", "final", "trace", "error")
@@ -506,23 +461,6 @@ class ReplayResult(FrozenRecord):
         object.__setattr__(self, "final", final)
         object.__setattr__(self, "trace", trace)
         object.__setattr__(self, "error", error)
-
-    def _values(self) -> tuple:
-        return (self.ok, self.steps_applied, self.final, self.trace, self.error)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        return (
-            f"ReplayResult(ok={self.ok!r}, steps_applied={self.steps_applied!r}, "
-            f"final={self.final!r}, trace={self.trace!r}, error={self.error!r})"
-        )
 
 
 def replay(script: DerivationScript) -> ReplayResult:

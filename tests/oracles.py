@@ -8,13 +8,17 @@ evidence of correctness.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
+from typing import Sequence
 
 from qtorus.algebra import Element, monomial_label
 from qtorus.catalog import _row
+from qtorus.errors import InfiniteSupport, InvalidParams
+from qtorus.qexp import euler_denominator_factors
 from qtorus.scripts import fold_certificate, word_to_product
-from qtorus.series import LaurentSeries
+from qtorus.series import FactoredRational, LaurentSeries
 from qtorus.verifier import product_coefficients, window_targets
 from qtorus.words import Step
 
@@ -72,6 +76,18 @@ def naive_poly_mul(a: list[int], b: list[int]) -> list[int]:
     while out and out[-1] == 0:
         out.pop()
     return out
+
+
+def naive_cyclotomic(n: int) -> list[int]:
+    """The n-th cyclotomic polynomial as a coefficient list, from
+    q^n - 1 = prod_{d|n} cyclotomic(d): q^n - 1 divided by the product of
+    the proper divisors' polynomials, by long division."""
+    den = [1]
+    for d in range(1, n):
+        if n % d == 0:
+            den = naive_poly_mul(den, naive_cyclotomic(d))
+    quot = longdiv_expand({0: -1, n: 1}, {e: c for e, c in enumerate(den) if c}, n + 1)
+    return [quot.get(e, 0) for e in range(max(quot) + 1)]
 
 
 def _trim(p: list) -> list:
@@ -267,3 +283,91 @@ def compare_words_unshared(pairs, sites: int, window: int, precision: int):
             fold_certificate(stats, lc)
             fold_certificate(stats, rc)
     return all(row["match"] for row in rows), rows, stats
+
+
+# ---------------------------------------------------------------------------
+# exact-engine oracle: Element products on every branch, one addition a term
+# ---------------------------------------------------------------------------
+
+
+def exact_window_map_by_elements(
+    args: Sequence[Element],
+    window: int,
+) -> tuple[dict[tuple[int, ...], FactoredRational], int]:
+    """The exact engine's coefficients of  E(x_1) ... E(x_L)  on the window
+    of exponent vectors with every component in 0..window, as it computed
+    them before its power tables: a depth-first walk over the orders
+    (k_1, .., k_L) that rebuilds every power of the later factors on every
+    branch with :class:`Element` products, cuts each product to the window
+    afterwards, and adds one :class:`FactoredRational` per leaf term.
+    Returns (target -> coefficient, largest series order that contributed).
+    """
+    if not args:
+        raise InvalidParams("need at least one factor")
+    cfg = args[0].config
+    for x in args:
+        if x.config != cfg:
+            raise InvalidParams("factors live on different chains")
+        if x.is_zero():
+            raise InvalidParams("zero argument")
+        for vec, coeff in x.terms.items():
+            if any(e < 0 for e in vec) or not any(vec):
+                raise InfiniteSupport(
+                    "exact expansion needs arguments whose monomials have "
+                    "nonnegative exponents and positive total degree"
+                )
+            if not coeff.known_exactly():
+                raise InvalidParams("exact expansion needs exact argument coefficients")
+
+    def in_window(el: Element) -> Element:
+        kept = {
+            v: c for v, c in el.terms.items() if all(e <= window for e in v)
+        }
+        return Element(cfg, kept)
+
+    pruned_args = [in_window(x) for x in args]
+    out: dict[tuple[int, ...], FactoredRational] = {}
+    max_order = 0
+    k_cap = cfg.sites * window + 1  # total degree of any window target
+
+    def leaf(partial: Element, qpow: int, den: Counter) -> None:
+        for vec, coeff in partial.terms.items():
+            contrib = FactoredRational(
+                {e + qpow: c for e, c in coeff.coeffs.items()}, den
+            )
+            prev = out.get(vec)
+            out[vec] = contrib if prev is None else prev + contrib
+
+
+    def descend(i: int, partial: Element, qpow: int, den: Counter, kmax: int) -> None:
+        nonlocal max_order
+        if i == len(pruned_args):
+            if kmax > max_order:
+                max_order = kmax
+            leaf(partial, qpow, den)
+            return
+        x = pruned_args[i]
+        power = Element.identity(cfg)
+        k = 0
+        while True:
+            branch = in_window(partial * power)
+            if k > 0 and branch.is_zero():
+                break
+            if not branch.is_zero():
+                descend(
+                    i + 1,
+                    branch,
+                    qpow + k * k,
+                    den + euler_denominator_factors(k),
+                    max(kmax, k),
+                )
+            k += 1
+            if k > k_cap:
+                break
+            power = in_window(power * x)
+            if power.is_zero():
+                break
+        return
+
+    descend(0, Element.identity(cfg), 0, Counter(), 0)
+    return {v: f for v, f in out.items() if not f.is_zero()}, max_order

@@ -11,10 +11,11 @@ from qtorus.series import (
     LaurentSeries,
     RationalQ,
     cyclotomic,
+    widen,
 )
-from qtorus.series import _expand_factors, _lmul, _pdiv_monic, _pmul, _ptrim  # internal, exercised below
+from qtorus.series import _expand_factors, _lmul, _pdiv_monic, _ptrim  # internal, exercised below
 
-from oracles import coprime, rational_add, rational_equal
+from oracles import coprime, naive_cyclotomic, naive_poly_mul, rational_add, rational_equal
 
 
 L = LaurentSeries
@@ -98,12 +99,11 @@ class TestCyclotomic:
         # q^n - 1 = prod_{d | n} cyclotomic(d) fixes every cyclotomic(n) by
         # induction on n, however `cyclotomic` is built
         for n in range(1, 129):
-            prod = (1,)
+            prod = [1]
             for d in range(1, n + 1):
                 if n % d == 0:
-                    prod = _pmul(prod, cyclotomic(d))
-            expect = tuple([-1] + [0] * (n - 1) + [1])
-            assert prod == expect, n
+                    prod = naive_poly_mul(prod, list(cyclotomic(d)))
+            assert prod == [-1] + [0] * (n - 1) + [1], n
 
     def test_expand_factors_against_product_chain(self):
         rng = random.Random(17)
@@ -111,23 +111,39 @@ class TestCyclotomic:
             factors = {d: rng.randint(1, 4) for d in rng.sample(range(2, 41), rng.randint(0, 4))}
             factors[1] = trial % 5  # odd and even powers of cyclotomic(1), and none
             key = tuple(sorted((d, m) for d, m in factors.items() if m))
-            prod = (1,)
+            prod = [1]
             for d, m in key:
                 for _ in range(m):
-                    prod = _pmul(prod, cyclotomic(d))
-            assert _expand_factors(key) == prod, key
+                    prod = naive_poly_mul(prod, list(cyclotomic(d)))
+            assert list(_expand_factors(key)) == prod, key
+
+    def test_widen_against_product_chain(self):
+        # a Laurent numerator, negative exponents included, times a product
+        # of cyclotomic polynomials, against multiplying them in one by one
+        rng = random.Random(23)
+        for trial in range(60):
+            factors = {d: rng.randint(1, 3) for d in rng.sample(range(2, 31), rng.randint(0, 4))}
+            factors[1] = trial % 3  # odd and even powers of cyclotomic(1), and none
+            lo = rng.randint(-6, 3)
+            num = {e: rng.randint(-3, 3) for e in range(lo, lo + rng.randint(0, 6))}
+            want = [num.get(e, 0) for e in range(lo, lo + len(num))]
+            for d, m in factors.items():
+                for _ in range(m):
+                    want = naive_poly_mul(want, naive_cyclotomic(d))
+            got = widen(num, factors)
+            assert got == {lo + i: c for i, c in enumerate(want) if c}, (num, factors)
 
     def test_one_minus_q2j_factorization(self):
         # 1 - q^(2j) = - prod_{d | 2j} cyclotomic_d(q)
         for j in (1, 2, 3, 5):
-            prod = (1,)
+            prod = [1]
             for d in range(1, 2 * j + 1):
                 if (2 * j) % d == 0:
-                    prod = _pmul(prod, cyclotomic(d))
+                    prod = naive_poly_mul(prod, list(cyclotomic(d)))
             expect = [0] * (2 * j + 1)
             expect[0] = 1
             expect[2 * j] = -1
-            assert tuple(-c for c in prod) == tuple(expect)
+            assert [-c for c in prod] == expect
 
 
 class TestRationalQ:
@@ -256,7 +272,7 @@ class TestMonicDivision:
         for _ in range(60):
             b = _ptrim(tuple(rng.randint(-3, 3) for _ in range(rng.randint(0, 4))) + (1,))
             q = _ptrim(tuple(rng.randint(-4, 4) for _ in range(rng.randint(0, 6))))
-            assert _pdiv_monic(_pmul(q, b), b) == q
+            assert _pdiv_monic(tuple(naive_poly_mul(list(q), list(b))), b) == q
 
     def test_non_divisible(self):
         assert _pdiv_monic((1, 0, 1), (1, 1)) is None  # 1 + q^2 at q = -1 is 2

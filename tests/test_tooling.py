@@ -1,8 +1,10 @@
-"""Source hygiene checks: unused imports, read from the code, and the
-modules that importing the command line loads."""
+"""Source hygiene checks: unused imports and private helpers without a
+caller, read from the code, and the modules that importing the command line
+loads."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,6 +56,57 @@ def test_scan_sees_an_unused_import(tmp_path):
         "    return None\n"
     )
     assert unused_imports(module) == [(2, "os"), (2, "system")]
+
+
+def private_helpers_without_caller(files: list[Path]) -> list[str]:
+    """Single-underscore module-level functions and methods of module-level
+    classes whose name appears in none of `files` outside their own ``def``."""
+    lines = {path: path.read_text().splitlines() for path in files}
+    dead = []
+    for path in files:
+        tree = ast.parse("\n".join(lines[path]), str(path))
+        defs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            defs += [node for node in cls.body if isinstance(node, ast.FunctionDef)]
+        for node in defs:
+            name = node.name
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            word = re.compile(rf"\b{name}\b")
+            own = range(node.lineno - 1, node.end_lineno)
+            if not any(
+                word.search(line)
+                for other in files
+                for i, line in enumerate(lines[other])
+                if not (other == path and i in own)
+            ):
+                dead.append(f"{path.name}: {name}")
+    return dead
+
+
+def test_private_helpers_have_a_src_caller():
+    # a private helper that only the tests call is dead code
+    files = sorted((ROOT / "src" / "qtorus").glob("*.py"))
+    assert len(files) > 5
+    assert private_helpers_without_caller(files) == []
+
+
+def test_scan_sees_a_private_helper_without_caller(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "def _used(x):\n"
+        "    return _used(x - 1) if x else 0\n"
+        "def _dead():\n"
+        "    return _used(2)\n"
+        "class K:\n"
+        "    def _method(self):\n"
+        "        return 1\n"
+        "    def __eq__(self, other):\n"
+        "        return self._method() == 1\n"
+        "    def _unused(self):\n"
+        "        return None\n"
+    )
+    assert private_helpers_without_caller([module]) == ["m.py: _dead", "m.py: _unused"]
 
 
 def modules_loaded_by_cli_import(names: tuple[str, ...]) -> list[str]:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from qtorus.algebra import AlgebraConfig, Element, monomial_label
+from qtorus.algebra import AlgebraConfig, Element, monomial_label, mul_terms
 from qtorus.errors import InfiniteSupport, InvalidParams, NoCertificate
 from qtorus.scripts import braid_script, sigma_script1, sigma_script2, word_to_product
 from qtorus.series import LaurentSeries, RationalQ
@@ -30,6 +30,7 @@ import qtorus.qexp as qexp
 import qtorus.verifier as verifier
 from oracles import (
     blind_tuples_by_target,
+    exact_window_map_by_elements,
     finite_qexp,
     longdiv_expand,
     naive_poly_mul,
@@ -1102,6 +1103,68 @@ class TestExactEngine:
     def test_max_order_reported(self):
         _, k = exact_window_map([self.u + self.v], 2)
         assert k == 4  # (u+v)^4 can still land inside the 2-window box
+
+
+def _catalog_argument_lists(cfg):
+    """The six argument lists of the catalog's exact items: both sides of
+    mult1, mult2 and pentagon."""
+    u, v = Element.generator(cfg, 1), Element.generator(cfg, 2)
+    return [
+        [u, v], [u + v],
+        [v, u], [u + v - (v * u).scale(L({1: 1}))],
+        [v, u], [u, (v * u).scale(L({1: -1})), v],
+    ]
+
+
+def _random_argument_list(rng, cfg):
+    """1-3 polynomial arguments, each of 1-3 monomials with nonnegative
+    exponents and positive degree, with Laurent-polynomial coefficients in q
+    whose exponents may be negative."""
+    args = []
+    for _ in range(rng.randint(1, 3)):
+        terms, size = {}, rng.randint(1, 3)
+        while len(terms) < size:
+            vec = tuple(rng.randint(0, 2) for _ in range(cfg.sites))
+            if any(vec):
+                coeff = {rng.randint(-3, 3): rng.choice([-2, -1, 1, 2]) for _ in range(rng.randint(1, 2))}
+                terms[vec] = L(coeff)
+        args.append(Element(cfg, terms))
+    return args
+
+
+class TestExactEngineOracle:
+    """The exact engine against its reference, which rebuilds every power on
+    every branch with Element products, cuts each product to the window
+    afterwards and adds one FactoredRational per leaf term: the same targets,
+    equal values and the same largest order."""
+
+    def check(self, args, window):
+        got, got_k = exact_window_map(args, window)
+        want, want_k = exact_window_map_by_elements(args, window)
+        assert got.keys() == want.keys()
+        for target, value in want.items():
+            assert got[target] == value, target
+        assert got_k == want_k
+
+    def test_catalog_argument_lists(self):
+        for args in _catalog_argument_lists(AlgebraConfig(2)):
+            self.check(args, 8)
+
+    def test_seeded_random_argument_lists(self):
+        rng = random.Random(19)
+        for _ in range(60):
+            self.check(_random_argument_list(rng, AlgebraConfig(rng.choice([2, 3]))), rng.randint(0, 4))
+
+    def test_a_window_product_cancels_a_whole_term(self):
+        cfg = AlgebraConfig(2)
+        u, v = Element.generator(cfg, 1), Element.generator(cfg, 2)
+        x, y = u + v, u.scale(L({2: -1})) + v
+        # u * v + v * (-q^2 u) = (1 - q^2 q^-2) w1 w2: the term w1 w2 cancels
+        product = mul_terms({(1, 0): {0: 1}, (0, 1): {0: 1}}, {(1, 0): {2: -1}, (0, 1): {0: 1}}, 2)
+        assert (1, 1) not in product and (x * y).coefficient((1, 1)).is_zero()
+        for window in range(4):
+            self.check([x, y], window)
+            self.check([y, x, y], window)
 
 
 def _in_box(el, window):

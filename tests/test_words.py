@@ -1,5 +1,8 @@
 """Letters, relations, step application, replay, and the script file format."""
 
+import copy
+import pickle
+
 import pytest
 
 from qtorus.algebra import AlgebraConfig, Element
@@ -63,6 +66,21 @@ class TestLetters:
             Letter("B", 1, 1)
         with pytest.raises(InvalidParams):
             Letter("S", 0, 1)
+
+    def test_factories_share_one_letter_per_argument_tuple(self):
+        assert S(1, 1) is S(1, 1)
+        assert B(3) is B(3) and C(3) is C(3)
+        assert S(1, 1) is not S(1, -1) and B(3) is not C(3)
+        # shared letters are still frozen values: copies are equal, not shared
+        for letter in (S(1, 1), B(3), C(4)):
+            assert copy.copy(letter) == copy.deepcopy(letter) == letter
+            assert pickle.loads(pickle.dumps(letter)) == Letter(letter.kind, letter.site, letter.sign)
+            with pytest.raises(AttributeError):
+                letter.site = 2
+        with pytest.raises(InvalidParams):
+            S(0, 1)  # a rejected argument tuple is not cached
+        with pytest.raises(InvalidParams):
+            S(0, 1)
 
     def test_expand_composites(self):
         word = (B(2), C(3), S(1, 1))
