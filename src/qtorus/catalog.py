@@ -1,12 +1,15 @@
 """Catalog of verifiable identities and machine-readable reports.
 
 Each catalog item names one identity (or one family of sub-checks run
-together), carries its default parameters, and knows how to verify itself:
+together), carries its default parameters, and plans its own check: the
+plan raises every parameter error the item can raise, builds what the item
+compares, and names the evaluator of its engine mode that runs it:
 
 * exact items compare window-restricted coefficient tables of products of
   q-exponentials with closed-form rational coefficients;
 * truncated items compare certified coefficient extractions at a stated
   q-adic precision over a monomial window;
+* the probe compares a corrected and a printed variant of one relation;
 * replay items re-run stored derivation scripts step by step;
 * the walk item drives a seeded random rewrite walk and checks that the
   algebra image of the word never changes.
@@ -16,8 +19,8 @@ pairs through :func:`_compare_words`, which evaluates one side of each
 symmetry class and reads every other side of the class through a map.
 
 :func:`verify_identity` resolves parameter overrides against the defaults,
-runs the item, and returns a :class:`Report` whose dictionary form is stable
-and canonically serializable.
+plans the item, runs the plan, and returns a :class:`Report` whose
+dictionary form is stable and canonically serializable.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import time
 from typing import Callable, Optional, Sequence
 
 from .algebra import AlgebraConfig, Element, monomial_label
-from .errors import FrozenRecord, InvalidParams
+from .errors import FrozenRecord, InvalidParams, Record
 from .scripts import (
     braid_script,
     braid_translation_fwd,
@@ -66,7 +69,7 @@ _WALK_STEPS = 50
 _WALK_LENGTH_CAP = 16
 
 
-class Report:
+class Report(Record):
     """Outcome of verifying one catalog item: a mutable value record, so
     unhashable."""
 
@@ -93,37 +96,8 @@ class Report:
         self.certificate_summary = certificate_summary
         self.elapsed_ms = elapsed_ms
 
-    def _values(self) -> tuple:
-        return (
-            self.schema_version, self.identity, self.params, self.status,
-            self.per_monomial, self.certificate_summary, self.elapsed_ms,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return (
-            f"Report(schema_version={self.schema_version!r}, identity={self.identity!r}, "
-            f"params={self.params!r}, status={self.status!r}, "
-            f"per_monomial={self.per_monomial!r}, "
-            f"certificate_summary={self.certificate_summary!r}, elapsed_ms={self.elapsed_ms!r})"
-        )
-
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "identity": self.identity,
-            "params": self.params,
-            "status": self.status,
-            "per_monomial": self.per_monomial,
-            "certificate_summary": self.certificate_summary,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return dict(zip(self.__slots__, self._values()))
 
     def to_text(self) -> str:
         """Human-readable rendering of the same data as :meth:`to_dict`."""
@@ -272,11 +246,21 @@ def _compare_words(
     return all(row["match"] for row in per), per, stats
 
 
-def _compare_exact(
+def _status(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
+
+
+# ---------------------------------------------------------------------------
+# evaluators: one per engine mode, each returning (status, rows, summary)
+# ---------------------------------------------------------------------------
+
+
+def _exact(
     lhs_args: Sequence[Element], rhs_args: Sequence[Element], window: int
-) -> tuple[list, int]:
-    """Rows comparing the exact coefficients of  E(lhs_1) E(lhs_2) ...  and
-    E(rhs_1) ...  on the window, and the largest series order used."""
+) -> tuple[str, list, dict]:
+    """Compare the exact coefficients of  E(lhs_1) E(lhs_2) ...  and
+    E(rhs_1) ...  on the window; the summary gives the largest series order
+    used."""
     lhs_map, k_lhs = exact_window_map(lhs_args, window)
     rhs_map, k_rhs = exact_window_map(rhs_args, window)
     zero = FactoredRational.zero()
@@ -284,84 +268,27 @@ def _compare_exact(
         _row(monomial_label(target), lhs_map.get(target, zero), rhs_map.get(target, zero))
         for target in sorted(set(lhs_map) | set(rhs_map))
     ]
-    return per, max(k_lhs, k_rhs)
+    summary = {"mode": "exact", "max_order": max(k_lhs, k_rhs), "window": window}
+    return _status(all(row["match"] for row in per)), per, summary
 
 
-def _status(ok: bool) -> str:
-    return "PASS" if ok else "FAIL"
+def _truncated(head: dict, pairs, sites: int, window: int, precision: int):
+    """Compare word pairs; `head` goes into the summary after its mode."""
+    ok, per, stats = _compare_words(pairs, sites, window, precision)
+    return _status(ok), per, {"mode": "truncated", **head, **stats}
 
 
-# ---------------------------------------------------------------------------
-# runners
-# ---------------------------------------------------------------------------
-
-
-def _run_exact(name: str, p: dict):
-    n_sites, window = p["N"], p["W"]
-    if n_sites < 2:
-        raise InvalidParams("needs at least two sites")
-    cfg = AlgebraConfig(n_sites)
-    u = Element.generator(cfg, 1)
-    v = Element.generator(cfg, 2)
-    q_neg = LaurentSeries.monomial(1, -1)
-    q_pos = LaurentSeries.monomial(1)
-    if name == "mult1":
-        lhs_args, rhs_args = [u, v], [u + v]
-    elif name == "mult2":
-        lhs_args, rhs_args = [v, u], [u + v - (v * u).scale(q_pos)]
-    else:  # pentagon
-        lhs_args, rhs_args = [v, u], [u, (v * u).scale(q_neg), v]
-    per, max_order = _compare_exact(lhs_args, rhs_args, window)
-    ok = all(row["match"] for row in per)
-    summary = {"mode": "exact", "max_order": max_order, "window": window}
-    return _status(ok), per, summary, max_order
-
-
-def _run_seven_term(p: dict):
-    if p["N"] < 2:
-        raise InvalidParams("needs at least two sites")
-    # the four-factor vs three-factor identity is the first two-site relation
-    rel = rel1(1)
-    ok, per, stats = _compare_words([("", rel.lhs, rel.rhs)], p["N"], p["W"], p["P"])
-    summary = {"mode": "truncated", **stats}
-    return _status(ok), per, summary, None
-
-
-def _chain_pairs(length: int) -> list[tuple[str, Word, Word]]:
-    """Every nearest-neighbour relation of the first `length` sites, then
-    the same-site commutation of each of them, as labelled word pairs."""
-    rels: list[Relation] = []
-    for n in range(1, length):
-        rels.extend((rel1(n), rel2(n), rel3(n), rel4(n)))
-    rels.extend(comm0(n) for n in range(1, length + 1))
-    return [(_relation_label(rel), rel.lhs, rel.rhs) for rel in rels]
-
-
-def _run_chain_relations(p: dict, length: int):
-    """Check the pairs of :func:`_chain_pairs` on p["N"] sites."""
-    if p["N"] < 2:
-        raise InvalidParams("needs at least two sites")
-    pairs = _chain_pairs(length)
-    ok, per, stats = _compare_words(pairs, p["N"], p["W"], p["P"])
-    summary = {"mode": "truncated", "checks": len(pairs), **stats}
-    return _status(ok), per, summary, None
-
-
-def _run_family2_probe(p: dict):
-    n_sites, n, window, precision = p["N"], p["n"], p["W"], p["P"]
-    if n + 1 > n_sites:
-        raise InvalidParams("relation index exceeds the configured sites")
-    rel = rel4(n)
-    printed_rhs = (S(n + 1, -1), S(n, -1), S(n, 1))
-    pairs = [("", rel.lhs, rel.rhs), ("", rel.lhs, printed_rhs)]
-    _, rows, _ = _compare_words(pairs, n_sites, window, precision)
+def _probe(pairs, sites: int, window: int, precision: int):
+    """Compare the corrected pair, then the printed one.  The probe passes
+    when the corrected form verifies and the printed variant demonstrably
+    does not; its rows are the corrected pair's."""
+    _, rows, _ = _compare_words(pairs, sites, window, precision)
     # both pairs span sites n and n + 1, so each has half of the rows
     per, printed = rows[: len(rows) // 2], rows[len(rows) // 2 :]
     corrected_ok = all(row["match"] for row in per)
     # the first printed-side row that fails, reported without its match flag
     first_mismatch = next((row for row in printed if not row.pop("match")), None)
     printed_ok = first_mismatch is None
-
     summary = {
         "mode": "truncated",
         "probe": {
@@ -370,37 +297,10 @@ def _run_family2_probe(p: dict):
             "printed_first_mismatch": first_mismatch,
         },
     }
-    # the probe passes when the corrected form verifies and the printed
-    # variant demonstrably does not
-    return _status(corrected_ok and not printed_ok), per, summary, None
+    return _status(corrected_ok and not printed_ok), per, summary
 
 
-def _run_braid_alg(p: dict):
-    script = braid_script(p["n"], p["N"])
-    pairs = [("", script.start, script.end)]
-    ok, per, stats = _compare_words(pairs, p["N"], p["W"], p["P"])
-    summary = {"mode": "truncated", "script": script.name, **stats}
-    return _status(ok), per, summary, None
-
-
-def _sigma_pairs(n: int, sites: int) -> list[tuple[str, Word, Word]]:
-    """Both sides of the two c-letter relations at index n, labelled."""
-    s1 = sigma_script1(n, sites)
-    s2 = sigma_script2(n, sites)
-    return [
-        (f"sigma_rel1({n})", s1.start, s1.end),
-        (f"sigma_rel2({n})", s2.start, s2.end),
-    ]
-
-
-def _run_sigma_alg(p: dict):
-    pairs = _sigma_pairs(p["n"], p["N"])
-    ok, per, stats = _compare_words(pairs, p["N"], p["W"], p["P"])
-    summary = {"mode": "truncated", **stats}
-    return _status(ok), per, summary, None
-
-
-def _run_script_set(scripts) -> tuple[str, list, dict, None]:
+def _replay(scripts):
     details = []
     total = 0
     ok = True
@@ -413,23 +313,126 @@ def _run_script_set(scripts) -> tuple[str, list, dict, None]:
             entry["error"] = res.error
         details.append(entry)
     summary = {"mode": "replay", "scripts": details, "total_steps": total}
-    return _status(ok), [], summary, None
+    return _status(ok), [], summary
+
+
+def _walk(seed: int, trace: list, steps_taken: int, sites: int, window: int, precision: int):
+    """Compare the walk's start word with its words at the checkpoints."""
+    last = len(trace) - 1
+    marks = sorted({min(i, last) for i in (10, 20, 30, 40, 50)} | {last})
+    pairs = [("", _WALK_START, trace[i]) for i in marks]
+    _, rows, _ = _compare_words(pairs, sites, window, precision)
+    # every structural relation keeps the set of sites a word touches, so
+    # every pair's box is that of sites 1..3 and has as many rows
+    size = len(rows) // len(marks)
+    checkpoints = []
+    for j, i in enumerate(marks):
+        match = all(row["match"] for row in rows[j * size : (j + 1) * size])
+        checkpoints.append({"step": i, "length": len(trace[i]), "match": match})
+    ok = all(point["match"] for point in checkpoints)
+    summary = {
+        "mode": "walk",
+        "seed": seed,
+        "steps_taken": steps_taken,
+        "final_length": len(trace[-1]),
+        "checkpoints": checkpoints,
+    }
+    return _status(ok), [], summary
+
+
+# ---------------------------------------------------------------------------
+# plans: each checks one item's parameters and builds what it compares,
+# returning its evaluator and the evaluator's arguments
+# ---------------------------------------------------------------------------
+
+
+def _two_sites(p: dict) -> None:
+    if p["N"] < 2:
+        raise InvalidParams("needs at least two sites")
+
+
+def _plan_exact(name: str, p: dict):
+    _two_sites(p)
+    cfg = AlgebraConfig(p["N"])
+    u = Element.generator(cfg, 1)
+    v = Element.generator(cfg, 2)
+    if name == "mult1":
+        lhs_args, rhs_args = [u, v], [u + v]
+    elif name == "mult2":
+        lhs_args, rhs_args = [v, u], [u + v - (v * u).scale(LaurentSeries.monomial(1))]
+    else:  # pentagon
+        lhs_args, rhs_args = [v, u], [u, (v * u).scale(LaurentSeries.monomial(1, -1)), v]
+    return _exact, (lhs_args, rhs_args, p["W"])
+
+
+def _words(p: dict, pairs, **head):
+    """The truncated plan of labelled word pairs at the item's parameters."""
+    return _truncated, (head, pairs, p["N"], p["W"], p["P"])
+
+
+def _plan_seven_term(p: dict):
+    _two_sites(p)
+    # the four-factor vs three-factor identity is the first two-site relation
+    rel = rel1(1)
+    return _words(p, [("", rel.lhs, rel.rhs)])
+
+
+def _chain_pairs(length: int) -> list[tuple[str, Word, Word]]:
+    """Every nearest-neighbour relation of the first `length` sites, then
+    the same-site commutation of each of them, as labelled word pairs."""
+    rels: list[Relation] = []
+    for n in range(1, length):
+        rels.extend((rel1(n), rel2(n), rel3(n), rel4(n)))
+    rels.extend(comm0(n) for n in range(1, length + 1))
+    return [(_relation_label(rel), rel.lhs, rel.rhs) for rel in rels]
+
+
+def _plan_chain(p: dict, length: int):
+    """Check the pairs of :func:`_chain_pairs` on p["N"] sites."""
+    _two_sites(p)
+    pairs = _chain_pairs(length)
+    return _words(p, pairs, checks=len(pairs))
+
+
+def _plan_probe(p: dict):
+    n = p["n"]
+    if n + 1 > p["N"]:
+        raise InvalidParams("relation index exceeds the configured sites")
+    rel = rel4(n)
+    printed_rhs = (S(n + 1, -1), S(n, -1), S(n, 1))
+    pairs = [("", rel.lhs, rel.rhs), ("", rel.lhs, printed_rhs)]
+    return _probe, (pairs, p["N"], p["W"], p["P"])
+
+
+def _plan_braid_alg(p: dict):
+    script = braid_script(p["n"], p["N"])
+    return _words(p, [("", script.start, script.end)], script=script.name)
+
+
+def _sigma_pairs(n: int, sites: int) -> list[tuple[str, Word, Word]]:
+    """Both sides of the two c-letter relations at index n, labelled."""
+    s1 = sigma_script1(n, sites)
+    s2 = sigma_script2(n, sites)
+    return [
+        (f"sigma_rel1({n})", s1.start, s1.end),
+        (f"sigma_rel2({n})", s2.start, s2.end),
+    ]
 
 
 def _indexed_replay(script: Callable, low: int):
-    """A runner that replays ``script(n, N)`` at the item's index n, or at
+    """A plan that replays ``script(n, N)`` at the item's index n, or at
     every index from `low` up to N - 2 when none is given."""
 
-    def run(p: dict):
+    def plan(p: dict):
         indices = [p["n"]] if p["n"] is not None else range(low, p["N"] - 1)
         if not indices:
             raise InvalidParams("sites too small for any relation index")
-        return _run_script_set(script(n, p["N"]) for n in indices)
+        return _replay, ([script(n, p["N"]) for n in indices],)
 
-    return run
+    return plan
 
 
-def _run_sigma_commute_scripts(p: dict):
+def _plan_sigma_commute(p: dict):
     n_sites = p["N"]
     pairs = [
         (m, n)
@@ -438,14 +441,10 @@ def _run_sigma_commute_scripts(p: dict):
     ]
     if not pairs:
         raise InvalidParams("sites too small for any distant pair")
-    return _run_script_set(sigma_commute_script(m, n, n_sites) for m, n in pairs)
+    return _replay, ([sigma_commute_script(m, n, n_sites) for m, n in pairs],)
 
 
-def _run_seven_term_replay(p: dict):
-    return _run_script_set([seven_term_script()])
-
-
-def _run_translations(p: dict):
+def _plan_translations(p: dict):
     max_n = p["N"]
     if max_n < 3:
         raise InvalidParams("needs indices up to at least 3")
@@ -461,7 +460,7 @@ def _run_translations(p: dict):
                 scripts.append(sigma_translation_fwd(m, n, k))
             for k in range(m + 1, n - 1):
                 scripts.append(sigma_translation_rev(m, n, k))
-    return _run_script_set(scripts)
+    return _replay, (scripts,)
 
 
 _WALK_START = tuple(
@@ -469,34 +468,14 @@ _WALK_START = tuple(
 )
 
 
-def _run_rewrite_walk(p: dict):
-    n_sites, window, precision, seed = p["N"], p["W"], p["P"], p["seed"]
+def _plan_walk(p: dict):
+    n_sites, seed = p["N"], p["seed"]
     if n_sites < 3:
         raise InvalidParams("walk words need at least three sites")
-    rng = random.Random(seed)
     trace, steps = random_walk(
-        _WALK_START, n_sites, _WALK_STEPS, rng, _WALK_LENGTH_CAP
+        _WALK_START, n_sites, _WALK_STEPS, random.Random(seed), _WALK_LENGTH_CAP
     )
-    last = len(trace) - 1
-    marks = sorted({min(i, last) for i in (10, 20, 30, 40, 50)} | {last})
-    pairs = [("", _WALK_START, trace[i]) for i in marks]
-    _, rows, _ = _compare_words(pairs, n_sites, window, precision)
-    # every structural relation keeps the set of sites a word touches, so
-    # every pair's box is that of sites 1..3 and has as many rows
-    size = len(rows) // len(marks)
-    checkpoints = []
-    for j, i in enumerate(marks):
-        match = all(row["match"] for row in rows[j * size : (j + 1) * size])
-        checkpoints.append({"step": i, "length": len(trace[i]), "match": match})
-    ok = all(point["match"] for point in checkpoints)
-    summary = {
-        "mode": "walk",
-        "seed": seed,
-        "steps_taken": len(steps),
-        "final_length": len(trace[-1]),
-        "checkpoints": checkpoints,
-    }
-    return _status(ok), [], summary, None
+    return _walk, (seed, trace, len(steps), n_sites, p["W"], p["P"])
 
 
 # ---------------------------------------------------------------------------
@@ -505,21 +484,19 @@ def _run_rewrite_walk(p: dict):
 
 
 class CatalogItem(FrozenRecord):
-    __slots__ = ("name", "description", "defaults", "runner", "uses_seed")
+    __slots__ = ("name", "description", "defaults", "plan")
 
     def __init__(
         self,
         name: str,
         description: str,
         defaults: dict,
-        runner: Callable[[dict], tuple[str, list, dict, Optional[int]]],
-        uses_seed: bool = False,
+        plan: Callable[[dict], tuple[Callable[..., tuple[str, list, dict]], tuple]],
     ) -> None:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "description", description)
         object.__setattr__(self, "defaults", defaults)
-        object.__setattr__(self, "runner", runner)
-        object.__setattr__(self, "uses_seed", uses_seed)
+        object.__setattr__(self, "plan", plan)
 
 
 _ITEMS: list[CatalogItem] = [
@@ -527,55 +504,55 @@ _ITEMS: list[CatalogItem] = [
         "mult1",
         "E(u) E(v) = E(u+v) with exact rational coefficients on a window",
         {"N": 2, "n": None, "W": 3, "P": None},
-        lambda p: _run_exact("mult1", p),
+        lambda p: _plan_exact("mult1", p),
     ),
     CatalogItem(
         "mult2",
         "E(v) E(u) = E(u+v-q v u) with exact rational coefficients",
         {"N": 2, "n": None, "W": 3, "P": None},
-        lambda p: _run_exact("mult2", p),
+        lambda p: _plan_exact("mult2", p),
     ),
     CatalogItem(
         "pentagon",
         "E(v) E(u) = E(u) E(-q v u) E(v) with exact rational coefficients",
         {"N": 2, "n": None, "W": 3, "P": None},
-        lambda p: _run_exact("pentagon", p),
+        lambda p: _plan_exact("pentagon", p),
     ),
     CatalogItem(
         "seven_term",
         "four-factor vs three-factor identity for E(w2), E(w1^-1), E(w1)",
         {"N": 2, "n": None, "W": 3, "P": 20},
-        _run_seven_term,
+        _plan_seven_term,
     ),
     CatalogItem(
         "two_site_set",
         "the six commutation identities on sites 1 and 2",
         {"N": 2, "n": None, "W": 3, "P": 14},
-        lambda p: _run_chain_relations(p, 2),
+        lambda p: _plan_chain(p, 2),
     ),
     CatalogItem(
         "lattice_set",
         "all nearest-neighbour and same-site identities on the chain",
         {"N": 6, "n": None, "W": 2, "P": 14},
-        lambda p: _run_chain_relations(p, p["N"]),
+        lambda p: _plan_chain(p, p["N"]),
     ),
     CatalogItem(
         "lattice_family2_probe",
         "corrected vs printed right side of the fourth two-site identity",
         {"N": 2, "n": 1, "W": 2, "P": 14},
-        _run_family2_probe,
+        _plan_probe,
     ),
     CatalogItem(
         "braid_alg",
         "hexagon words for b_n map to equal algebra elements",
         {"N": 3, "n": 1, "W": 2, "P": 10},
-        _run_braid_alg,
+        _plan_braid_alg,
     ),
     CatalogItem(
         "sigma_alg",
         "both c-letter relation word pairs map to equal algebra elements",
         {"N": 4, "n": 2, "W": 2, "P": 10},
-        _run_sigma_alg,
+        lambda p: _words(p, _sigma_pairs(p["n"], p["N"])),
     ),
     CatalogItem(
         "braid_script",
@@ -599,26 +576,25 @@ _ITEMS: list[CatalogItem] = [
         "sigma_commute_script",
         "replay distant c-letter commutation derivations",
         {"N": 8, "n": None, "W": None, "P": None},
-        _run_sigma_commute_scripts,
+        _plan_sigma_commute,
     ),
     CatalogItem(
         "seven_term_script",
         "replay the merge/split derivation of the seven-term identity",
         {"N": 2, "n": None, "W": None, "P": None},
-        _run_seven_term_replay,
+        lambda p: (_replay, ([seven_term_script()],)),
     ),
     CatalogItem(
         "translations",
         "replay every letter-translation derivation with index span <= 6",
         {"N": 10, "n": None, "W": None, "P": None},
-        _run_translations,
+        _plan_translations,
     ),
     CatalogItem(
         "rewrite_walk",
         "seeded rewrite walk preserves the algebra image of the word",
         {"N": 4, "n": None, "W": 1, "P": 8},
-        _run_rewrite_walk,
-        uses_seed=True,
+        _plan_walk,
     ),
 ]
 
@@ -658,6 +634,37 @@ def _resolve(item: CatalogItem, sites, n, window, precision, seed) -> dict:
     return resolved
 
 
+def _plan(name: str, sites, n, window, precision, seed) -> tuple:
+    """Resolve one item's parameters and build what it compares, raising any
+    InvalidParams the item can raise before any engine work.  A plan is the
+    item's name, its resolved parameters, its evaluator with the
+    evaluator's arguments, and the seconds planning took."""
+    start = time.perf_counter()
+    item = _BY_NAME.get(name)
+    if item is None:
+        raise InvalidParams(f"unknown identity {name!r}")
+    resolved = _resolve(item, sites, n, window, precision, seed)
+    evaluate, args = item.plan(resolved)
+    return name, resolved, evaluate, args, time.perf_counter() - start
+
+
+def _run(plan: tuple) -> Report:
+    """Evaluate a plan of :func:`_plan`; its time counts the planning too."""
+    name, resolved, evaluate, args, planned = plan
+    start = time.perf_counter()
+    status, per_monomial, summary = evaluate(*args)
+    elapsed_ms = int(round((planned + time.perf_counter() - start) * 1000))
+    params = {
+        "N": resolved["N"],
+        "n": resolved["n"],
+        "W": resolved["W"],
+        # exact items run without a q-adic cutoff: report P as absent
+        "P": None if summary["mode"] == "exact" else resolved["P"],
+        "K": summary.get("max_order"),
+    }
+    return Report(SCHEMA_VERSION, name, params, status, per_monomial, summary, elapsed_ms)
+
+
 def verify_identity(
     name: str,
     sites: Optional[int] = None,
@@ -667,28 +674,4 @@ def verify_identity(
     seed: Optional[int] = None,
 ) -> Report:
     """Verify one catalog item, applying any parameter overrides."""
-    item = _BY_NAME.get(name)
-    if item is None:
-        raise InvalidParams(f"unknown identity {name!r}")
-    resolved = _resolve(item, sites, n, window, precision, seed)
-    start = time.perf_counter()
-    status, per_monomial, summary, max_order = item.runner(resolved)
-    elapsed_ms = int(round((time.perf_counter() - start) * 1000))
-    # exact items run without a q-adic cutoff: report P as absent
-    reported_p = None if summary.get("mode") == "exact" else resolved["P"]
-    params = {
-        "N": resolved["N"],
-        "n": resolved["n"],
-        "W": resolved["W"],
-        "P": reported_p,
-        "K": max_order,
-    }
-    return Report(
-        schema_version=SCHEMA_VERSION,
-        identity=name,
-        params=params,
-        status=status,
-        per_monomial=per_monomial,
-        certificate_summary=summary,
-        elapsed_ms=elapsed_ms,
-    )
+    return _run(_plan(name, sites, n, window, precision, seed))

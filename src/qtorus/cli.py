@@ -5,9 +5,10 @@ Three subcommands:
 ``qtorus verify``
     Run catalog items and emit one canonical JSON report per line followed
     by a summary line (``--format json`` for a single object, ``--format
-    text`` for a plain-text rendering).  Exit status: 0 when every selected
-    item passes, 1 when any item reports FAIL, 2 on configuration or
-    certificate errors.
+    text`` for a plain-text rendering).  Every selected item's parameters,
+    then the ``--output`` file, are checked before the first item runs.
+    Exit status: 0 when every selected item passes, 1 when any item reports
+    FAIL, 2 on configuration or certificate errors.
 
 ``qtorus list``
     Print the catalog with descriptions and default parameters.
@@ -28,12 +29,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .catalog import (
-    SCHEMA_VERSION,
-    identity_names,
-    list_identities,
-    verify_identity,
-)
+from .catalog import SCHEMA_VERSION, _plan, _run, identity_names, list_identities
 from .errors import InvalidParams, KernelError
 from .words import parse_script, render_word, replay
 
@@ -79,25 +75,9 @@ def _selected_names(raw: Optional[list[str]]) -> list[str]:
     return [name for name in names if name in chunks]
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        reports = [
-            verify_identity(
-                name,
-                sites=args.sites,
-                window=args.window,
-                precision=args.precision,
-                seed=args.seed,
-            )
-            for name in _selected_names(args.identity)
-        ]
-    except KernelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    dicts = [r.to_dict() for r in reports]
-    passed = sum(r.status == "PASS" for r in reports)
-    failed = len(reports) - passed
+def _verify_text(reports: list, failed: int, layout: str) -> str:
+    """The reports and their summary in the `--format` layout."""
+    passed = len(reports) - failed
     overall = "PASS" if failed == 0 else "FAIL"
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -108,18 +88,40 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "status": overall,
         },
     }
-    if args.format == "jsonl":
-        lines = [_canonical(d) for d in dicts] + [_canonical(summary)]
-        text = "\n".join(lines) + "\n"
-    elif args.format == "json":
-        text = _canonical({"reports": dicts, **summary}) + "\n"
-    else:
-        blocks = [r.to_text() for r in reports]
-        blocks.append(
-            f"summary: total={len(reports)} passed={passed} failed={failed} {overall}"
-        )
-        text = "\n\n".join(blocks) + "\n"
-    return _emit(text, args.output, 0 if failed == 0 else 1)
+    if layout == "jsonl":
+        lines = [_canonical(r.to_dict()) for r in reports] + [_canonical(summary)]
+        return "\n".join(lines) + "\n"
+    if layout == "json":
+        return _canonical({"reports": [r.to_dict() for r in reports], **summary}) + "\n"
+    blocks = [r.to_text() for r in reports]
+    blocks.append(
+        f"summary: total={len(reports)} passed={passed} failed={failed} {overall}"
+    )
+    return "\n\n".join(blocks) + "\n"
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    try:
+        # every selected item's parameters, then the output file, are
+        # checked before the first item runs
+        plans = [
+            _plan(name, args.sites, None, args.window, args.precision, args.seed)
+            for name in _selected_names(args.identity)
+        ]
+        out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
+        try:
+            reports = []
+            while plans:  # drop each plan, and what it built, once it has run
+                reports.append(_run(plans.pop(0)))
+            failed = sum(r.status != "PASS" for r in reports)
+            out.write(_verify_text(reports, failed, args.format))
+        finally:
+            if out is not sys.stdout:
+                out.close()
+    except (OSError, KernelError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0 if failed == 0 else 1
 
 
 def _cmd_list(args: argparse.Namespace) -> int:

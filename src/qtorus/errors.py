@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the base of its read-only
+"""Exception types shared across the package, and the bases of its value
 records."""
 
 from __future__ import annotations
@@ -36,13 +36,11 @@ class InfiniteSupport(KernelError):
     product whose matching tuple set is not provably finite."""
 
 
-class FrozenRecord:
-    """Base of the package's read-only value records: assigning to or
-    deleting an attribute raises AttributeError.  Each record lists its
-    fields in ``__slots__`` in the order its constructor takes them and sets
-    them in ``__init__`` through ``object.__setattr__``; equality (same class
-    only, field by field), hashing, ``repr`` and copying read the fields in
-    that order."""
+class Record:
+    """Base of the package's value records.  Each record lists its fields in
+    ``__slots__`` in the order its constructor takes them; equality (same
+    class only, field by field), ``repr`` and copying read the fields in
+    that order.  A record is unhashable unless it is frozen."""
 
     __slots__ = ()
 
@@ -54,8 +52,7 @@ class FrozenRecord:
             return NotImplemented
         return self._values() == other._values()
 
-    def __hash__(self) -> int:
-        return hash(self._values())
+    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
@@ -63,8 +60,19 @@ class FrozenRecord:
 
     def __reduce__(self) -> tuple:
         # copy and pickle rebuild a record through its constructor, as
-        # restoring the slots one by one would assign to them
+        # restoring the slots one by one would assign to a frozen record
         return (self.__class__, self._values())
+
+
+class FrozenRecord(Record):
+    """A read-only, hashable record: assigning to or deleting an attribute
+    raises AttributeError, so its constructor sets its fields through
+    ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

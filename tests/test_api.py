@@ -123,9 +123,9 @@ RECORDS = [
     ),
     (
         CatalogItem,
-        {"name": "x", "description": "y", "defaults": {"N": 2}, "runner": len, "uses_seed": True},
-        {"name": "z", "description": "w", "defaults": {}, "runner": abs, "uses_seed": False},
-        {"uses_seed": False}, True, False,
+        {"name": "x", "description": "y", "defaults": {"N": 2}, "plan": len},
+        {"name": "z", "description": "w", "defaults": {}, "plan": abs},
+        {}, True, False,
     ),
 ]
 

@@ -23,8 +23,8 @@ from qtorus.catalog import (  # internal, exercised below
     _WALK_START,
     _WALK_STEPS,
     _chain_pairs,
-    _compare_exact,
     _compare_words,
+    _exact,
     _row,
     _sigma_pairs,
 )
@@ -144,7 +144,7 @@ def test_exact_mismatch_rows_render_both_sides():
     cfg = AlgebraConfig(2)
     u, v = Element.generator(cfg, 1), Element.generator(cfg, 2)
     lhs_args, rhs_args = [u, v], [u + v - (v * u).scale(LaurentSeries.monomial(1))]
-    per, _ = _compare_exact(lhs_args, rhs_args, 3)
+    _, per, _ = _exact(lhs_args, rhs_args, 3)
     lhs_map, _ = exact_window_map(lhs_args, 3)
     rhs_map, _ = exact_window_map(rhs_args, 3)
     zero = FactoredRational.zero()

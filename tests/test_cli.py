@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import qtorus
+import qtorus.catalog as catalog
 import qtorus.cli as cli
 from qtorus.catalog import Report, identity_names, verify_identity
+from qtorus.errors import NoCertificate
 from qtorus.scripts import braid_script
 from qtorus.words import render_script
 
@@ -217,6 +219,51 @@ def test_unwritable_output_exits_two(capsys, tmp_path, argv):
     assert not target.exists()
 
 
+def _forbid_engine_work(monkeypatch):
+    def engine(*args, **kwargs):
+        raise AssertionError("an engine ran")
+
+    monkeypatch.setattr(catalog, "product_coefficients", engine)
+    monkeypatch.setattr(catalog, "exact_window_map", engine)
+
+
+def test_verify_checks_every_item_before_running_any(capsys, monkeypatch):
+    # sigma_commute_script, the 13th item, has no distant pair on 4 sites:
+    # the run stops there before the first item's engine is called
+    _forbid_engine_work(monkeypatch)
+    code, out, err = run_cli(
+        ["verify", "--identity", "all", "--sites", "4", "--window", "8", "--precision", "64"],
+        capsys,
+    )
+    assert (code, out, err) == (2, "", "error: sites too small for any distant pair\n")
+
+
+def test_verify_opens_output_before_running_any_item(capsys, monkeypatch, tmp_path):
+    _forbid_engine_work(monkeypatch)
+    target = tmp_path / "no_such_dir" / "x.jsonl"
+    code, out, err = run_cli(
+        ["verify", "--identity", "all", "--sites", "32", "--window", "8",
+         "--precision", "64", "--output", str(target)],
+        capsys,
+    )
+    assert code == 2 and out == "" and err.startswith("error: [Errno 2] ")
+    assert not target.exists()
+
+
+def test_engine_error_after_output_opened_exits_two(capsys, monkeypatch, tmp_path):
+    # a run that raises once the file is open leaves the file empty
+    def engine(*args, **kwargs):
+        raise NoCertificate("form not positive definite")
+
+    monkeypatch.setattr(catalog, "product_coefficients", engine)
+    target = tmp_path / "r.jsonl"
+    code, out, err = run_cli(
+        ["verify", "--identity", "seven_term", "--output", str(target)], capsys
+    )
+    assert (code, out, err) == (2, "", "error: form not positive definite\n")
+    assert target.read_text() == ""
+
+
 def test_verify_deterministic_across_runs(capsys):
     argv = ["verify", "--identity", "seven_term,rewrite_walk",
             "--precision", "10", "--seed", "5"]
@@ -226,8 +273,8 @@ def test_verify_deterministic_across_runs(capsys):
 
 
 def test_verify_forced_fail_exits_one(capsys, monkeypatch):
-    def failing(name, **kw):
-        report = verify_identity(name, **kw)
+    def failing(plan):
+        report = catalog._run(plan)
         return Report(
             report.schema_version,
             report.identity,
@@ -238,7 +285,7 @@ def test_verify_forced_fail_exits_one(capsys, monkeypatch):
             report.elapsed_ms,
         )
 
-    monkeypatch.setattr(cli, "verify_identity", failing)
+    monkeypatch.setattr(cli, "_run", failing)
     code, out, _ = run_cli(["verify", "--identity", "mult1"], capsys)
     assert code == 1
     rows = parse_jsonl(out)
