@@ -209,24 +209,42 @@ def _compare_words(
     The rows compare text: every series of one call has the same precision,
     and its text lists the sorted exponents, each with its signed
     coefficient, so equal text means equal series.
+
+    The work per target is kept to its own: each support's box and its
+    labels are built once per call and read by every pair on that support,
+    a series object is rendered once however many targets yield it (every
+    settled target of a product call yields the engine's one zero), and
+    only the certificates that can raise a maximum are folded: those with
+    points, and the first of each reason in a product call, which sets the
+    summary keys in their order and carries the call's kernel rank.
     """
     per: list = []
     stats: dict = {}
     classes: dict = {}
+    boxes: dict = {}
     for label, lhs, rhs in pairs:
         prefix = f"{label}: " if label else ""
         lprod = word_to_product(lhs, sites)
         rprod = word_to_product(rhs, sites)
-        support = sorted(lprod.support_sites() | rprod.support_sites()) or [1]
-        targets = window_targets(lprod.config, support, window)
+        support = tuple(sorted(lprod.support_sites() | rprod.support_sites())) or (1,)
+        if support not in boxes:
+            targets = window_targets(lprod.config, support, window)
+            boxes[support] = targets, [monomial_label(target) for target in targets]
+        targets, labels = boxes[support]
         views = []
         for prod in (lprod, rprod):
             key, inverted, mirrored = _side_class(prod.factors, support)
             if key not in classes:
                 table = []
+                last = text = None
+                reasons = set()
                 for _, series, cert in product_coefficients(prod, targets, precision):
-                    table.append(str(series))
-                    fold_certificate(stats, cert)
+                    if series is not last:
+                        last, text = series, str(series)
+                    table.append(text)
+                    if cert.points or cert.reason not in reasons:
+                        reasons.add(cert.reason)
+                        fold_certificate(stats, cert)
                 classes[key] = (table, inverted, mirrored)
             table, rep_inverted, rep_mirrored = classes[key]
             if inverted != rep_inverted:
@@ -234,10 +252,10 @@ def _compare_words(
             if mirrored != rep_mirrored:
                 table = [table[i] for i in _mirror_index(len(support), 2 * window + 1)]
             views.append(table)
-        for target, ltext, rtext in zip(targets, *views):
+        for monomial, ltext, rtext in zip(labels, *views):
             per.append(
                 {
-                    "target": prefix + monomial_label(target),
+                    "target": prefix + monomial,
                     "lhs": ltext,
                     "rhs": rtext,
                     "match": ltext == rtext,
@@ -398,6 +416,13 @@ def _plan_probe(p: dict):
     n = p["n"]
     if n + 1 > p["N"]:
         raise InvalidParams("relation index exceeds the configured sites")
+    # below these both variants agree on every target, at every n, as the
+    # probe's words translate with n, so the probe could only fail
+    if p["W"] < 1 or p["P"] < 2:
+        raise InvalidParams(
+            "lattice_family2_probe needs window >= 1 and precision >= 2 "
+            "to refute the printed variant"
+        )
     rel = rel4(n)
     printed_rhs = (S(n + 1, -1), S(n, -1), S(n, 1))
     pairs = [("", rel.lhs, rel.rhs), ("", rel.lhs, printed_rhs)]

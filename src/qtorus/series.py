@@ -143,6 +143,18 @@ class LaurentSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _trusted(
+        cls, coeffs: dict[int, int], precision: Optional[int]
+    ) -> "LaurentSeries":
+        """A series that keeps `coeffs` as given: the caller guarantees that
+        every coefficient is nonzero and, with a finite precision, every
+        exponent lies below it, which the public constructor would check."""
+        series = cls.__new__(cls)
+        series._coeffs = coeffs
+        series._precision = precision
+        return series
+
+    @classmethod
     def zero(cls, precision: Optional[int] = None) -> "LaurentSeries":
         return cls({}, precision)
 

@@ -52,16 +52,17 @@ a site whose factors share one sign e sum to e*T_s, so a target with
 e*T_s < 0 there has no tuple and is settled before any walk; for a
 single-factor site, which has no walk coordinate, that is the whole
 constraint.  A target settled before any walk pays only the sums that
-decide it: its certificate renders the target's label and rebuilds its
-particular solution only when they are read.  A kept tuple contributes
-(-1)^(sum k) q^(Q(k)) / prod_l (q^2;q^2)_(k_l), and every kept tuple of
-target T has sum k of the parity of sum T, so the sign is applied once per
-target.  The expansion of that denominator counts partitions; it is built
+decide it: its series is the call's one zero, and its certificate renders
+the target's label and rebuilds its particular solution only when they are
+read.  A kept tuple contributes  (-1)^(sum k) q^(Q(k)) / prod_l
+(q^2;q^2)_(k_l),  and every kept tuple of target T has sum k of the parity
+of sum T, so the sign is applied once per target.  The expansion of that denominator counts partitions; it is built
 once per call for each multiset of k, from its parent multiset by one
 running-sum pass (:func:`qexp.euler_expansion`), covering P - min(0, Q)
 terms since Q(k) can be negative, and all are rebuilt longer only when a
-later target needs more.  Each tuple then adds a shifted copy of it, so no
-series is multiplied.
+later target needs more.  Each distinct pair of multiset and valuation
+then adds a shifted multiple of it, so no series is multiplied, and the
+nonzero sums below P are the coefficient as they stand.
 
 Adjacent inverse pairs are collapsed.  By the Jacobi triple product
 (Gasper and Rahman, Basic Hypergeometric Series, 2nd ed., 2004, sec. 1.6),
@@ -162,17 +163,14 @@ def window_targets(
 ) -> list[tuple[int, ...]]:
     """All exponent vectors supported on `sites` with every exponent in
     -window..window, sorted."""
-    site_list = sorted(set(sites))
-    for s in site_list:
+    chosen = set(sites)
+    for s in chosen:
         config.check_site(s)
+    # one range per site, each sorted, so the product runs in sorted order
     span = range(-window, window + 1)
-    out = []
-    for combo in iproduct(span, repeat=len(site_list)):
-        vec = [0] * config.sites
-        for s, e in zip(site_list, combo):
-            vec[s - 1] = e
-        out.append(tuple(vec))
-    return out
+    return list(
+        iproduct(*(span if s in chosen else (0,) for s in range(1, config.sites + 1)))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -598,14 +596,6 @@ def _lattice(factors: Sequence[QExpFactor]) -> tuple[tuple, tuple, list[list[int
     return basis, firsts, full
 
 
-def _headroom(form: _ScaledForm, pvec: Sequence[int], bound: int) -> int:
-    """lam * (bound - qmin) on the fibre whose first-index entries are `pvec`."""
-    headroom = bound * form.lam
-    for s, t, h in form.h_terms:
-        headroom -= h * pvec[s] * pvec[t]
-    return headroom
-
-
 def product_coefficients(
     product: FactorProduct,
     targets: Iterable[Sequence[int]],
@@ -621,10 +611,15 @@ def product_coefficients(
     (raising NoCertificate before the first target otherwise) and gives
     the map from a target to its fibre minimum qmin; so is a second one of
     the collapsed form when the product has an adjacent inverse pair, for
-    the walk; so are the walk's level layout and the Euler expansion of
-    each multiset of k met.  A target with qmin >= precision has no tuple
-    and gets no walk; any other costs a few short sums, at most one walk
-    and a shifted add per point the walk keeps.
+    the walk; so are the walk's level layout, lam * precision and the
+    Schur-complement terms of each form, the walk's start template and the
+    Euler expansion of each multiset of k met.  Every target settled
+    before the walk yields the call's one zero series.  A target with
+    qmin >= precision has no tuple and gets no walk; any other costs a few
+    short sums, at most one walk, one dict update per point it keeps to
+    count that point's term and one lookup per point to count its split,
+    and a shifted add per distinct term.  Each accumulated entry is
+    nonzero and below the precision, so the series takes it as it is.
     """
     cfg = product.config
     factors = product.factors
@@ -705,6 +700,12 @@ def product_coefficients(
     # the split of each (pairs' nets, Q) met, counted once per call
     splits: dict[tuple[tuple[int, ...], int], tuple[int, int]] = {}
 
+    # lam * (P - qmin) = lam * P - p^T H p on a target's fibre, for the
+    # certificate's form and the walk's
+    lam_p, h_terms = precision * form.lam, form.h_terms
+    walk_lam_p, walk_h_terms = precision * walk_form.lam, walk_form.h_terms
+    blank = [0] * len(units)
+
     for target in targets:
         target = tuple(target)
         if len(target) != cfg.sites:
@@ -720,16 +721,20 @@ def product_coefficients(
         # none, and the collapsed fibre's minimum is at least the
         # uncollapsed one's (it is the form on a subspace of that fibre)
         pvec = [e * target[i] for _, e, i in firsts]
-        headroom = _headroom(form, pvec, precision)
+        headroom = lam_p
+        for s, t, h in h_terms:
+            headroom -= h * pvec[s] * pvec[t]
         if headroom <= 0:
             yield target, zero, TupleCertificate(shared, target, "qmin")
             continue
         if pairs:
-            headroom = _headroom(walk_form, pvec, precision)
+            headroom = walk_lam_p
+            for s, t, h in walk_h_terms:
+                headroom -= h * pvec[s] * pvec[t]
         kept = []
         if headroom > 0:
             centre = [sum(map(mul, row, pvec)) for row in walk_form.centre_map]
-            start = [0] * len(units)
+            start = blank[:]
             for (f, _, _), p in zip(walk_firsts, pvec):
                 start[f] = p
             kept = _walk_sublevel(walk_form, levels, start, centre, headroom, precision)
@@ -737,16 +742,16 @@ def product_coefficients(
             yield target, zero, TupleCertificate(shared, target, "walk")
             continue
 
-        # count the numerators q^Q by the multiset of the singles' k (sorted:
-        # every key of a call has the same length, so its zeros do not
-        # change it); each basis vector changes sum k by 1 + coeff, 0 or 2,
-        # and a pair's net m has the parity of its k_a + k_b, so every kept
-        # point has the parity of sum p, that is of sum T, and one sign
-        # (-1)^(sum k) serves the whole target
-        groups: dict[tuple[int, ...], dict[int, int]] = {}
+        # count the numerators q^Q by the multiset of the singles' k and Q
+        # (sorted: every key of a call has the same length, so its zeros do
+        # not change it); each basis vector changes sum k by 1 + coeff, 0
+        # or 2, and a pair's net m has the parity of its k_a + k_b, so
+        # every kept point has the parity of sum p, that is of sum T, and
+        # one sign (-1)^(sum k) serves the whole target
+        terms: dict[tuple[tuple[int, ...], int], int] = {}
         for k, qval in kept:
-            num = groups.setdefault(tuple(sorted(pick(k) if pairs else k)), {})
-            num[qval] = num.get(qval, 0) + 1
+            key = tuple(sorted(pick(k) if pairs else k)), qval
+            terms[key] = terms.get(key, 0) + 1
         sign = -1 if sum(target) % 2 else 1
         min_val = min(qval for _, qval in kept)
         # Q can be negative, so the expansions used here must cover
@@ -758,31 +763,38 @@ def product_coefficients(
             # powers of q^2
             expansions = {root: euler_expansion({}, (size - 1,) * len(pairs), size)}
 
-        # each numerator term adds a shifted multiple of its group's
+        # each numerator term adds a shifted multiple of its multiset's
         # expansion to the even or odd powers of a dense accumulator
         acc = [0] * (precision - min_val)
-        for orders, num in groups.items():
-            denom = euler_expansion(expansions, orders, size)
-            for qval, c in num.items():
-                lo = qval - min_val
-                acc[lo::2] = [a + c * d for a, d in zip(acc[lo::2], denom)]
-        total = LaurentSeries(
+        top = 0
+        for (orders, qval), c in terms.items():
+            denom = expansions.get(orders) or euler_expansion(expansions, orders, size)
+            lo = qval - min_val
+            acc[lo::2] = [a + c * d for a, d in zip(acc[lo::2], denom)]
+            if orders and orders[-1] > top:
+                top = orders[-1]
+        # every entry of `acc` lies below P, so the nonzero ones need no
+        # further cleaning
+        total = LaurentSeries._trusted(
             {min_val + i: sign * c for i, c in enumerate(acc) if c}, precision
         )
 
-        count, top = len(kept), max(orders[-1] if orders else 0 for orders in groups)
+        count = len(kept)
         if pairs:
             count = 0
-            for (ms, qval), w in Counter((nets(k), qval) for k, qval in kept).items():
-                if (ms, qval) not in splits:
+            for k, qval in kept:
+                key = nets(k), qval
+                split = splits.get(key)
+                if split is None:
                     # the split depends only on the multiset of |m|
-                    ms_abs = tuple(sorted(map(abs, ms)))
-                    if (ms_abs, qval) not in splits:
-                        splits[ms_abs, qval] = _split(ms_abs, precision - qval)
-                    splits[ms, qval] = splits[ms_abs, qval]
-                n, t = splits[ms, qval]
-                count += w * n
-                top = max(top, t)
+                    ms_abs = tuple(sorted(map(abs, key[0]))), qval
+                    split = splits.get(ms_abs)
+                    if split is None:
+                        split = splits[ms_abs] = _split(ms_abs[0], precision - qval)
+                    splits[key] = split
+                count += split[0]
+                if split[1] > top:
+                    top = split[1]
         yield target, total, TupleCertificate(
             shared, target, "walk", tuple(kept), count, top, min_val
         )

@@ -129,6 +129,30 @@ def test_probe_reports_corrected_pass_and_printed_fail():
     assert d["per_monomial"] and all(e["match"] for e in d["per_monomial"])
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_probe_decides_from_window_one_and_precision_two(n):
+    # the smallest parameters at which the printed variant is refuted, at
+    # every relation index: the probe's words translate with n
+    d = verify_identity(
+        "lattice_family2_probe", sites=n + 1, n=n, window=1, precision=2
+    ).to_dict()
+    assert d["status"] == "PASS"
+    assert d["certificate_summary"]["probe"]["printed_status"] == "FAIL"
+
+
+@pytest.mark.parametrize(
+    "params",
+    [{"window": 0}, {"precision": 1}],
+    ids=["W0", "P1"],
+)
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_probe_rejects_parameters_too_small_to_decide_it(n, params):
+    # below window 1 or precision 2 both variants agree on every target,
+    # so the probe could only report FAIL on an identity that holds
+    with pytest.raises(InvalidParams, match="window >= 1 and precision >= 2"):
+        verify_identity("lattice_family2_probe", sites=n + 1, n=n, **params)
+
+
 def test_probe_first_mismatch_is_pinned():
     # the printed variant's first failing row at the defaults: both sides
     # rendered, in canonical JSON
@@ -365,6 +389,36 @@ def test_one_evaluation_per_symmetry_class(monkeypatch, name, seed, calls):
     made = _count_evaluations(monkeypatch)
     assert verify_identity(name, seed=seed).status == "PASS"
     assert len(made) == calls
+
+
+@pytest.mark.parametrize(
+    "name,params,boxes",
+    [
+        # 2, 2, 6, 26, 2 and 5 while each pair built its own box
+        ("sigma_alg", {}, 1),
+        ("sigma_alg", {"window": 3}, 1),
+        ("two_site_set", {}, 3),
+        ("lattice_set", {}, 11),
+        ("lattice_family2_probe", {}, 1),
+        ("rewrite_walk", {"seed": 0}, 1),
+    ],
+    ids=["sigma_alg", "sigma_alg-W3", "two_site_set", "lattice_set",
+         "lattice_family2_probe", "rewrite_walk"],
+)
+def test_one_box_per_support(monkeypatch, name, params, boxes):
+    # every pair on one support reads the box and labels built for the
+    # first: two_site_set's pairs span sites 1..2, 1 or 2, and lattice_set's
+    # the five nearest-neighbour spans and the six single sites
+    built = []
+    inner = catalog.window_targets
+
+    def counting(config, sites, window):
+        built.append(tuple(sites))
+        return inner(config, sites, window)
+
+    monkeypatch.setattr(catalog, "window_targets", counting)
+    assert verify_identity(name, **params).status == "PASS"
+    assert len(built) == boxes == len(set(built))
 
 
 @pytest.mark.parametrize(

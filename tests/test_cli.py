@@ -306,6 +306,30 @@ def test_verify_unknown_identity_next_to_all_exits_two(capsys):
     assert "unknown identity 'octagon'" in err
 
 
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["--window", "0"], 2),
+        (["--precision", "1"], 2),
+        (["--window", "1", "--precision", "2"], 0),
+    ],
+    ids=["W0", "P1", "W1-P2"],
+)
+def test_verify_all_exits_two_only_below_the_probe_bound(capsys, argv, code):
+    # every identity holds at these parameters, but the probe cannot refute
+    # its printed variant below window 1 or precision 2
+    got, out, err = run_cli(["verify", "--identity", "all", *argv], capsys)
+    assert got == code
+    if code == 2:
+        assert out == ""
+        assert err == (
+            "error: lattice_family2_probe needs window >= 1 and precision >= 2 "
+            "to refute the printed variant\n"
+        )
+    else:
+        assert err == "" and parse_jsonl(out)[-1]["summary"]["status"] == "PASS"
+
+
 def test_verify_bad_params_exit_two(capsys):
     code, _, err = run_cli(
         ["verify", "--identity", "seven_term", "--precision", "100"], capsys

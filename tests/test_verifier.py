@@ -1008,22 +1008,28 @@ class TestPinnedCounts:
         assert len(calls) == passes
 
     @pytest.mark.parametrize(
-        "params,reached,walks",
+        "name,params,reached,walks,empty",
         [
-            pytest.param({}, 442, 438, id="params0-442"),
-            pytest.param({"window": 3}, 1264, 1144, id="params1-1264"),
+            pytest.param("sigma_alg", {}, 442, 438, 22, id="params0-442"),
+            pytest.param("sigma_alg", {"window": 3}, 1264, 1144, 286, id="params1-1264"),
+            pytest.param(
+                "braid_alg", {"precision": 32, "window": 3}, 49, 49, 0, id="braid_alg-P32-W3"
+            ),
         ],
     )
-    def test_sigma_alg_walk_calls(self, monkeypatch, params, reached, walks):
+    def test_sigma_alg_walk_calls(self, monkeypatch, name, params, reached, walks, empty):
         # targets with qmin(T) >= P are settled without a walk (900 and
         # 3,136 walks when each target past the one-sign test walked, 884
         # and 2,528 while both pairs were evaluated), and so are the
         # `reached` - `walks` targets past that whose collapsed fibre
         # minimum is at least P; every target that reaches the walk stage
-        # keeps the reason "walk" (`reached` walks before collapsing)
-        walked, certs = _walks_and_certificates(monkeypatch, "sigma_alg", params)
+        # keeps the reason "walk" (`reached` walks before collapsing).
+        # `empty` walks return no point: their fibre holds no lattice point
+        # with Q < P although its real minimum lies below P
+        walked, certs = _walks_and_certificates(monkeypatch, name, params)
         assert sum(cert.reason == "walk" for cert in certs) == reached
         assert len(walked) == walks
+        assert walked.count(0) == empty
 
     def test_certificates_never_list_tuples_in_the_catalog(self, monkeypatch):
         # the catalog reads each certificate's count, so the lazy expansion
@@ -1037,6 +1043,55 @@ class TestPinnedCounts:
         _, cert = coefficient_of(product_of(cfg, [(1, 1), (1, -1)]), (0,), 4)
         with pytest.raises(AssertionError, match="listed"):
             cert.tuples
+
+
+def _catalog_series(monkeypatch, name, params):
+    """(precision, series) of every coefficient the engine yields while the
+    catalog verifies `name`."""
+    got = []
+    coefficients = catalog.product_coefficients
+
+    def recording(product, targets, precision):
+        for target, series, cert in coefficients(product, targets, precision):
+            got.append((precision, series))
+            yield target, series, cert
+
+    monkeypatch.setattr(catalog, "product_coefficients", recording)
+    assert catalog.verify_identity(name, **params).status == "PASS"
+    return got
+
+
+class TestCleanSeries:
+    """Every series the engine yields is what the public constructor would
+    build from its coefficients: no zero coefficient and no exponent at or
+    above the precision."""
+
+    @staticmethod
+    def _check(runs):
+        nonzero = 0
+        for precision, series in runs:
+            coeffs = series.coeffs
+            assert series.precision == precision
+            assert all(coeffs.values())
+            assert all(e < precision for e in coeffs)
+            assert series == L(coeffs, precision)
+            nonzero += bool(coeffs)
+        return nonzero
+
+    @pytest.mark.parametrize(
+        "name,params",
+        [("sigma_alg", {"window": 3}), ("braid_alg", {"precision": 32, "window": 3})],
+        ids=["sigma_alg-W3", "braid_alg-P32-W3"],
+    )
+    def test_catalog_series(self, monkeypatch, name, params):
+        assert self._check(_catalog_series(monkeypatch, name, params)) > 0
+
+    def test_random_series(self):
+        runs = []
+        for product, precision, targets, _ in _seeded_products(random.Random(20261019)):
+            for _, series, _ in product_coefficients(product, targets, precision):
+                runs.append((precision, series))
+        assert self._check(runs) >= 50
 
 
 U_V_WINDOW = 3
@@ -1103,6 +1158,54 @@ class TestExactEngine:
     def test_max_order_reported(self):
         _, k = exact_window_map([self.u + self.v], 2)
         assert k == 4  # (u+v)^4 can still land inside the 2-window box
+
+
+class TestTwoEngines:
+    """The truncated engine agrees mod q^P with the exact engine's rational
+    coefficients expanded by long division, on every target of a window
+    with all exponents in 0..W; a target the exact map omits has
+    coefficient 0."""
+
+    @staticmethod
+    def _agree(product, exact, window, precision):
+        sites = product.config.sites
+        targets = window_targets(product.config, range(1, sites + 1), window)
+        targets = [t for t in targets if min(t) >= 0]
+        nonzero = 0
+        for target, got, _ in product_coefficients(product, targets, precision):
+            want = expand(exact[target], precision) if target in exact else L.zero(precision)
+            assert got == want, (str(product), target)
+            nonzero += not got.is_zero()
+        return nonzero
+
+    @pytest.mark.parametrize("sites", [2, 3])
+    def test_random_positive_products(self, sites):
+        rng = random.Random(20261019 + sites)
+        cfg = AlgebraConfig(sites)
+        nonzero = 0
+        for _ in range(8):
+            letters = [(rng.randint(1, sites), 1) for _ in range(rng.randint(1, 4))]
+            exact, _ = exact_window_map([Element.generator(cfg, s) for s, _ in letters], 3)
+            nonzero += self._agree(product_of(cfg, letters), exact, 3, 16)
+        assert nonzero >= 40
+
+    @pytest.mark.parametrize(
+        "name,letters,nonzero",
+        [
+            # u^a v^b has valuation a^2 + b^2 in E(u) E(v), below 64 at 56
+            # of the 81 targets, and (a - b)^2 in E(v) E(u), below 64 at 79
+            ("mult1", [(1, 1), (2, 1)], 56),
+            ("mult2", [(2, 1), (1, 1)], 79),
+        ],
+    )
+    def test_catalog_product_rules(self, name, letters, nonzero):
+        # the right side of each exact catalog rule, E(u+v) and
+        # E(u+v-q v u), against the truncated product of its left side
+        _, (_, rhs_args, window) = catalog._plan_exact(name, {"N": 2, "W": 8})
+        exact, _ = exact_window_map(rhs_args, window)
+        assert len(exact) == 81
+        product = product_of(AlgebraConfig(2), letters)
+        assert self._agree(product, exact, window, 64) == nonzero
 
 
 def _catalog_argument_lists(cfg):
