@@ -2,12 +2,14 @@
 
 The package provides, bottom up:
 
-- :mod:`qtorus.series` — exact integer Laurent series (a series known only
-  mod a power of q is a result: it is compared and printed, never fed to
+- :mod:`qtorus.series` — integer Laurent series known mod a power of q
+  (the truncated engine's result: compared and printed, never fed to
   arithmetic), rational functions of q, and factored rational forms whose
   denominators are products of cyclotomic polynomials.
 - :mod:`qtorus.algebra` — the quantum-torus algebra of a finite chain of
-  sites, with adjacent generators commuting up to a fixed power of q.
+  sites, with adjacent generators commuting up to a fixed power of q; its
+  coefficients are exact Laurent polynomials held as plain
+  ``{q-exponent: int}`` dicts.
 - :mod:`qtorus.qexp` — the coefficients c_k of the q-exponential's power
   series: their cyclotomic denominators, and their expansion mod a power
   of q by partition counts.
@@ -29,7 +31,6 @@ from .errors import (
     KernelError,
     NoCertificate,
     NoMatch,
-    PrecisionError,
 )
 from .series import FactoredRational, LaurentSeries, RationalQ, cyclotomic
 from .algebra import AlgebraConfig, Element, monomial_label, phase_exponent
@@ -61,7 +62,6 @@ from .words import (
     replay,
 )
 from .scripts import (
-    applicable_steps,
     braid_script,
     braid_translation_fwd,
     braid_translation_rev,
@@ -92,7 +92,6 @@ __all__ = [
     "__version__",
     # errors
     "KernelError",
-    "PrecisionError",
     "InvalidParams",
     "NoMatch",
     "InvalidStep",
@@ -146,7 +145,6 @@ __all__ = [
     "sigma_translation_rev",
     "word_to_product",
     "structural_relations",
-    "applicable_steps",
     "random_walk",
     # catalog
     "SCHEMA_VERSION",

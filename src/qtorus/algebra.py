@@ -8,12 +8,14 @@ chain.  Nearest neighbours q-commute,
 while generators two or more sites apart commute.  Every product of
 generator powers therefore equals a power of q times a *normal-ordered*
 monomial, the site-ascending product  w_1^e1 * ... * w_N^eN, and the algebra
-has the normal-ordered monomials as a basis over Laurent series in q.
+has the normal-ordered monomials as a basis over Laurent polynomials in q.
 
 :class:`Element` stores a finite sum  coefficient * monomial  keyed by the
-dense exponent vector (e1, .., eN).  Multiplication accumulates the q-power
-produced by reordering through :func:`phase_exponent`, which is the bilinear
-form counting signed adjacent crossings:
+dense exponent vector (e1, .., eN), each coefficient an exact Laurent
+polynomial held as a dict  exponent of q -> nonzero int.  Multiplication
+accumulates the q-power produced by reordering through
+:func:`phase_exponent`, which is the bilinear form counting signed adjacent
+crossings:
 
     phase_exponent(a, b) = -2 * sum_i a[i+1] * b[i]
 
@@ -25,8 +27,8 @@ from __future__ import annotations
 from operator import add, mul
 from typing import Iterable, Mapping, Optional
 
-from .errors import FrozenRecord, InvalidParams, PrecisionError
-from .series import LaurentSeries
+from .errors import FrozenRecord, InvalidParams
+from .series import _ladd, _laurent_str
 
 __all__ = ["AlgebraConfig", "Element", "monomial_label", "mul_terms", "phase_exponent"]
 
@@ -89,17 +91,20 @@ def mul_terms(
 
 
 class Element:
-    """Finite sum of Laurent-series coefficients times normal-ordered monomials."""
+    """Finite sum of Laurent-polynomial coefficients times normal-ordered
+    monomials: `terms` maps each exponent vector to its coefficient, a dict
+    exponent of q -> nonzero int.  The constructor copies the caller's dicts
+    and drops zero entries and the terms they leave empty."""
 
     __slots__ = ("config", "terms")
 
-    def __init__(self, config: AlgebraConfig, terms: Mapping[tuple[int, ...], LaurentSeries]) -> None:
+    def __init__(self, config: AlgebraConfig, terms: Mapping[tuple[int, ...], Mapping[int, int]]) -> None:
         self.config = config
-        clean: dict[tuple[int, ...], LaurentSeries] = {}
+        clean: dict[tuple[int, ...], dict[int, int]] = {}
         for vec, coeff in terms.items():
             if len(vec) != config.sites:
                 raise InvalidParams("exponent vector length does not match the chain")
-            if not coeff.is_zero():
+            if coeff := {e: c for e, c in coeff.items() if c}:
                 clean[tuple(vec)] = coeff
         self.terms = clean
 
@@ -107,22 +112,19 @@ class Element:
 
     @classmethod
     def identity(cls, config: AlgebraConfig) -> "Element":
-        return cls(config, {(0,) * config.sites: LaurentSeries.one()})
+        return cls(config, {(0,) * config.sites: {0: 1}})
 
     @classmethod
     def generator(cls, config: AlgebraConfig, site: int, exp: int = 1) -> "Element":
         config.check_site(site)
         vec = [0] * config.sites
         vec[site - 1] = exp
-        return cls(config, {tuple(vec): LaurentSeries.one()})
+        return cls(config, {tuple(vec): {0: 1}})
 
     # -- inspection --------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, vec: Iterable[int]) -> LaurentSeries:
-        return self.terms.get(tuple(vec), LaurentSeries.zero())
 
     # -- arithmetic --------------------------------------------------------
 
@@ -134,34 +136,25 @@ class Element:
         self._same_chain(other)
         out = dict(self.terms)
         for vec, coeff in other.terms.items():
-            prev = out.get(vec)
-            out[vec] = coeff if prev is None else prev + coeff
+            out[vec] = _ladd(out[vec], coeff) if vec in out else coeff
         return Element(self.config, out)
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
 
     def __neg__(self) -> "Element":
-        return Element(self.config, {v: -c for v, c in self.terms.items()})
+        return self.scale(0, -1)
 
     def __mul__(self, other: "Element") -> "Element":
         self._same_chain(other)
-        if not (self.terms and other.terms):
-            return Element(self.config, {})
-        for coeff in (*self.terms.values(), *other.terms.values()):
-            if not coeff.known_exactly():
-                raise PrecisionError(
-                    "element products need exact coefficients; got one known "
-                    f"only mod q^{coeff.precision}"
-                )
-        terms = mul_terms(
-            {a: c.coeffs for a, c in self.terms.items()},
-            {b: c.coeffs for b, c in other.terms.items()},
-        )
-        return Element(self.config, {k: LaurentSeries(c) for k, c in terms.items()})
+        return Element(self.config, mul_terms(self.terms, other.terms))
 
-    def scale(self, coeff: LaurentSeries) -> "Element":
-        return Element(self.config, {v: c * coeff for v, c in self.terms.items()})
+    def scale(self, power: int, sign: int = 1) -> "Element":
+        """This element times  sign * q^power."""
+        return Element(
+            self.config,
+            {v: {e + power: sign * c for e, c in coeff.items()} for v, coeff in self.terms.items()},
+        )
 
     # -- comparison / rendering -------------------------------------------
 
@@ -183,7 +176,7 @@ class Element:
         chunks = []
         for vec in sorted(self.terms):
             mono = self._monomial_str(vec)
-            coeff = str(self.terms[vec])
+            coeff = _laurent_str(self.terms[vec])
             chunks.append(f"({coeff})" if mono == "1" else f"({coeff}) * {mono}")
         return " + ".join(chunks)
 

@@ -46,7 +46,7 @@ from .scripts import (
     sigma_translation_rev,
     word_to_product,
 )
-from .series import FactoredRational, LaurentSeries
+from .series import FactoredRational
 from .verifier import exact_window_map, product_coefficients, window_targets
 from .words import Relation, S, Word, comm0, rel1, rel2, rel3, rel4, replay
 
@@ -377,9 +377,9 @@ def _plan_exact(name: str, p: dict):
     if name == "mult1":
         lhs_args, rhs_args = [u, v], [u + v]
     elif name == "mult2":
-        lhs_args, rhs_args = [v, u], [u + v - (v * u).scale(LaurentSeries.monomial(1))]
+        lhs_args, rhs_args = [v, u], [u + v - (v * u).scale(1)]
     else:  # pentagon
-        lhs_args, rhs_args = [v, u], [u, (v * u).scale(LaurentSeries.monomial(1, -1)), v]
+        lhs_args, rhs_args = [v, u], [u, (v * u).scale(1, -1), v]
     return _exact, (lhs_args, rhs_args, p["W"])
 
 

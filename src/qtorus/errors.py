@@ -8,10 +8,6 @@ class KernelError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class PrecisionError(KernelError):
-    """An operation needed coefficient data beyond the tracked precision."""
-
-
 class InvalidParams(KernelError):
     """Parameters passed to a relation, identity, or script generator are
     outside the domain where the object is defined."""

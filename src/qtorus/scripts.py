@@ -77,7 +77,6 @@ __all__ = [
     "word_to_product",
     "fold_certificate",
     "structural_relations",
-    "applicable_steps",
     "random_walk",
 ]
 
@@ -395,13 +394,6 @@ def _matching_steps(word: tuple, index: dict) -> list[Step]:
     )
     found.sort(key=itemgetter(0, 1, 2))
     return [Step(pos, rel, not rev) for _, rev, pos, rel in found]
-
-
-def applicable_steps(word: Word, relations: Sequence[Relation]) -> list[Step]:
-    """Every (position, relation, direction) whose pattern matches the word,
-    ordered by the relation's index in `relations`, then forward before
-    reverse, then position."""
-    return _matching_steps(tuple(word), _pattern_index(relations))
 
 
 def random_walk(

@@ -1,15 +1,13 @@
-"""Integer Laurent series with a truncation order, and exact rational
-functions of q.
+"""Truncated integer Laurent series, and exact rational functions of q.
 
 Two coefficient domains are provided:
 
-* :class:`LaurentSeries` -- a Laurent polynomial in q with integer
-  coefficients, together with an optional *precision* P.  ``precision is
-  None`` means the series is exact, and only exact series take part in
-  arithmetic.  A finite precision means coefficients of ``q**e`` for
-  ``e >= P`` are unknown; such a series is a result (of the truncated
-  engine): it can be built, compared, printed and read coefficient by
-  coefficient, and any arithmetic on it raises :class:`PrecisionError`.
+* :class:`LaurentSeries` -- the truncated engine's result: a Laurent
+  polynomial in q with integer coefficients known mod q^P for a precision
+  P, so coefficients of ``q**e`` for ``e >= P`` are unknown.  It is built,
+  compared and printed, never fed to arithmetic.  Exact Laurent polynomials
+  (the coefficients of an :class:`~qtorus.algebra.Element`) are plain
+  ``{exponent: int}`` dicts.
 
 * :class:`RationalQ` -- a quotient of integer polynomials in q in canonical
   reduced form (coprime, monic denominator), so that equality is structural.
@@ -39,7 +37,6 @@ from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional
 
-from .errors import PrecisionError
 from .qexp import divide_by_one_minus
 
 __all__ = [
@@ -54,10 +51,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # dict-backed Laurent polynomial kernels (exponent -> nonzero int coefficient)
 # ---------------------------------------------------------------------------
-
-
-def _lclean(d: dict[int, int]) -> dict[int, int]:
-    return {e: c for e, c in d.items() if c}
 
 
 def _ladd(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
@@ -118,106 +111,52 @@ def _laurent_str(coeffs: Mapping[int, int]) -> str:
 
 
 class LaurentSeries:
-    """Integer Laurent polynomial in q with an optional truncation order.
+    """Integer Laurent polynomial in q known mod q^precision.
 
-    ``precision is None`` marks an exact series.  With finite precision P the
-    stored coefficients cover exactly the exponents below P; anything at or
-    above P is unknown.  Arithmetic (``+``, unary ``-``, ``*`` and
-    :meth:`shift`) is defined on exact series only and raises
-    :class:`PrecisionError` when an operand is truncated.
+    The stored coefficients cover exactly the exponents below the
+    precision P; anything at or above P is unknown.  A series is a result:
+    it has no arithmetic.
     """
 
     __slots__ = ("_coeffs", "_precision")
 
     def __init__(
         self,
-        coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = (),
-        precision: Optional[int] = None,
+        coeffs: Mapping[int, int] | Iterable[tuple[int, int]],
+        precision: int,
     ) -> None:
-        d = _lclean(dict(coeffs))
-        if precision is not None:
-            d = {e: c for e, c in d.items() if e < precision}
-        self._coeffs = d
+        self._coeffs = {e: c for e, c in dict(coeffs).items() if c and e < precision}
         self._precision = precision
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _trusted(
-        cls, coeffs: dict[int, int], precision: Optional[int]
-    ) -> "LaurentSeries":
+    def _trusted(cls, coeffs: dict[int, int], precision: int) -> "LaurentSeries":
         """A series that keeps `coeffs` as given: the caller guarantees that
-        every coefficient is nonzero and, with a finite precision, every
-        exponent lies below it, which the public constructor would check."""
+        every coefficient is nonzero and every exponent lies below the
+        precision, which the public constructor would check."""
         series = cls.__new__(cls)
         series._coeffs = coeffs
         series._precision = precision
         return series
 
     @classmethod
-    def zero(cls, precision: Optional[int] = None) -> "LaurentSeries":
+    def zero(cls, precision: int) -> "LaurentSeries":
         return cls({}, precision)
-
-    @classmethod
-    def one(cls) -> "LaurentSeries":
-        return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, exp: int, coeff: int = 1) -> "LaurentSeries":
-        return cls({exp: coeff})
 
     # -- inspection --------------------------------------------------------
 
     @property
-    def precision(self) -> Optional[int]:
+    def precision(self) -> int:
         return self._precision
 
     @property
     def coeffs(self) -> dict[int, int]:
         return dict(self._coeffs)
 
-    def coefficient(self, exp: int) -> int:
-        if self._precision is not None and exp >= self._precision:
-            raise PrecisionError(
-                f"coefficient of q^{exp} requested but series is only known mod q^{self._precision}"
-            )
-        return self._coeffs.get(exp, 0)
-
     def is_zero(self) -> bool:
-        """True when every known coefficient vanishes (mod q^P if truncated)."""
+        """True when every known coefficient vanishes mod q^P."""
         return not self._coeffs
-
-    def known_exactly(self) -> bool:
-        return self._precision is None
-
-    # -- arithmetic (exact series only) -------------------------------------
-
-    def _exact(self, *others: "LaurentSeries") -> None:
-        for s in (self, *others):
-            if s._precision is not None:
-                raise PrecisionError(
-                    f"series arithmetic needs exact operands; got one known only mod q^{s._precision}"
-                )
-
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        self._exact(other)
-        return LaurentSeries(_ladd(self._coeffs, other._coeffs))
-
-    def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self + (-other)
-
-    def __neg__(self) -> "LaurentSeries":
-        self._exact()
-        return LaurentSeries({e: -c for e, c in self._coeffs.items()})
-
-    def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
-        self._exact(other)
-        return LaurentSeries(_lmul(self._coeffs, other._coeffs))
-
-    def shift(self, m: int) -> "LaurentSeries":
-        """Multiply by q**m."""
-        self._exact()
-        return LaurentSeries({e + m: c for e, c in self._coeffs.items()})
 
     # -- comparison / rendering -------------------------------------------
 
@@ -232,10 +171,7 @@ class LaurentSeries:
         return f"LaurentSeries({self._coeffs!r}, precision={self._precision!r})"
 
     def __str__(self) -> str:
-        body = _laurent_str(self._coeffs)
-        if self._precision is None:
-            return body
-        return f"{body} (mod q^{self._precision})"
+        return f"{_laurent_str(self._coeffs)} (mod q^{self._precision})"
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +332,7 @@ class FactoredRational:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Mapping[int, int] = (), den: Optional[Counter] = None) -> None:
-        self.num = _lclean(dict(num))
+        self.num = {e: c for e, c in dict(num).items() if c}
         d = Counter() if den is None else Counter({k: v for k, v in den.items() if v})
         if any(v < 0 for v in d.values()):
             raise ValueError("negative factor multiplicity")

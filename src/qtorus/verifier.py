@@ -825,8 +825,7 @@ def exact_window_map(
 
     Every argument must be a polynomial in the generators: each monomial
     needs all site exponents >= 0 (and at least one positive), so exponent
-    vectors only grow along a product and the window prunes soundly.  The
-    coefficients of the arguments must be exact Laurent polynomials in q.
+    vectors only grow along a product and the window prunes soundly.
     Returns (target -> coefficient, largest series order that contributed).
     """
     if not args:
@@ -837,14 +836,12 @@ def exact_window_map(
             raise InvalidParams("factors live on different chains")
         if x.is_zero():
             raise InvalidParams("zero argument")
-        for vec, coeff in x.terms.items():
+        for vec in x.terms:
             if any(e < 0 for e in vec) or not any(vec):
                 raise InfiniteSupport(
                     "exact expansion needs arguments whose monomials have "
                     "nonnegative exponents and positive total degree"
                 )
-            if not coeff.known_exactly():
-                raise InvalidParams("exact expansion needs exact argument coefficients")
 
     # exponent vectors only grow along a product, so every product is taken
     # inside the window, and each argument's powers are built once
@@ -853,7 +850,7 @@ def exact_window_map(
     tables = []
     for x in args:
         power = one
-        base = mul_terms(one, {v: c.coeffs for v, c in x.terms.items()}, window)
+        base = mul_terms(one, x.terms, window)
         table = [one]
         while len(table) <= k_cap and (power := mul_terms(power, base, window)):
             table.append(power)

@@ -35,7 +35,6 @@ from typing import Callable, Optional, Sequence, Union
 
 from .algebra import Element
 from .errors import FrozenRecord, InvalidParams, InvalidStep, NoMatch
-from .series import LaurentSeries
 
 __all__ = [
     "Letter",
@@ -361,12 +360,8 @@ def scomm(m: int, n: int) -> Relation:
 
 def _require_weyl(a: Element, b: Element) -> None:
     """The pair must satisfy  a b = q^2 b a  exactly."""
-    if a * b != (b * a).scale(LaurentSeries.monomial(2)):
+    if a * b != (b * a).scale(2):
         raise InvalidStep("premise failed: arguments are not a q^2-commuting pair")
-
-
-def _q_scaled(el: Element, power: int, sign: int = 1) -> Element:
-    return el.scale(LaurentSeries.monomial(power, sign))
 
 
 def mult1_rule(x: ExpLetter, y: ExpLetter) -> Relation:
@@ -383,7 +378,7 @@ def mult2_rule(x: ExpLetter, y: ExpLetter) -> Relation:
     _require_weyl(a, b)
     merged = ExpLetter(
         f"{x.label}+{y.label}-q{y.label}{x.label}",
-        a + b - _q_scaled(b * a, 1),
+        a + b - (b * a).scale(1),
     )
     return Relation("mult2", (("a", x.label), ("b", y.label)), (y, x), (merged,))
 
@@ -392,7 +387,7 @@ def pentagon_rule(x: ExpLetter, y: ExpLetter) -> Relation:
     """E(b) E(a) = E(a) E(-q b a) E(b)  for a q^2-commuting pair (a, b)."""
     a, b = x.element, y.element
     _require_weyl(a, b)
-    middle = ExpLetter(f"-q{y.label}{x.label}", _q_scaled(b * a, 1, -1))
+    middle = ExpLetter(f"-q{y.label}{x.label}", (b * a).scale(1, -1))
     return Relation("pentagon", (("a", x.label), ("b", y.label)), (y, x), (x, middle, y))
 
 
@@ -515,6 +510,9 @@ _STEP_RE = re.compile(r"^@([0-9]+)\s+([a-z0-9]+)(?:\[([^\]]*)\])?\s+(fwd|rev)$")
 
 
 def render_script(script: DerivationScript) -> str:
+    """The script in the text format that :func:`parse_script` and
+    ``qtorus replay`` read: its name, its start word, one step per line and
+    its end word.  Only scripts of structural letters have this form."""
     for w in (script.start, script.end):
         if any(not isinstance(x, Letter) for x in w):
             raise InvalidParams("only structural-letter scripts have a file form")

@@ -18,7 +18,7 @@ from qtorus.catalog import _row
 from qtorus.errors import InfiniteSupport, InvalidParams
 from qtorus.qexp import euler_denominator_factors
 from qtorus.scripts import fold_certificate, word_to_product
-from qtorus.series import FactoredRational, LaurentSeries
+from qtorus.series import FactoredRational
 from qtorus.verifier import product_coefficients, window_targets
 from qtorus.words import Step
 
@@ -234,7 +234,7 @@ def finite_qexp(x: Element, depth: int) -> Element:
     one = Element.identity(x.config)
     acc = one
     for n in range(depth):
-        acc = acc * (one - x.scale(LaurentSeries.monomial(2 * n + 1)))
+        acc = acc * (one - x.scale(2 * n + 1))
     return acc
 
 
@@ -310,14 +310,12 @@ def exact_window_map_by_elements(
             raise InvalidParams("factors live on different chains")
         if x.is_zero():
             raise InvalidParams("zero argument")
-        for vec, coeff in x.terms.items():
+        for vec in x.terms:
             if any(e < 0 for e in vec) or not any(vec):
                 raise InfiniteSupport(
                     "exact expansion needs arguments whose monomials have "
                     "nonnegative exponents and positive total degree"
                 )
-            if not coeff.known_exactly():
-                raise InvalidParams("exact expansion needs exact argument coefficients")
 
     def in_window(el: Element) -> Element:
         kept = {
@@ -333,7 +331,7 @@ def exact_window_map_by_elements(
     def leaf(partial: Element, qpow: int, den: Counter) -> None:
         for vec, coeff in partial.terms.items():
             contrib = FactoredRational(
-                {e + qpow: c for e, c in coeff.coeffs.items()}, den
+                {e + qpow: c for e, c in coeff.items()}, den
             )
             prev = out.get(vec)
             out[vec] = contrib if prev is None else prev + contrib

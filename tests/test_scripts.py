@@ -7,7 +7,8 @@ import pytest
 from qtorus.algebra import AlgebraConfig, Element
 from qtorus.errors import InvalidParams
 from qtorus.scripts import (
-    applicable_steps,
+    _matching_steps,
+    _pattern_index,
     bcomm_script,
     braid_script,
     braid_translation_fwd,
@@ -219,7 +220,7 @@ class TestWalks:
     def test_applicable_steps_basics(self):
         rels = structural_relations(2)
         word = parse_word("s1+ s1-")
-        steps = applicable_steps(word, rels)
+        steps = _matching_steps(word, _pattern_index(rels))
         assert Step(0, comm0(1), True) in steps
         assert all(st.position == 0 for st in steps)
 
@@ -228,9 +229,10 @@ class TestWalks:
         rels = structural_relations(sites)
         rng = random.Random(sites)
         letters = [S(n, e) for n in range(1, sites + 1) for e in (1, -1)] + [B(1)]
+        index = _pattern_index(rels)
         for _ in range(200):
             word = tuple(rng.choice(letters) for _ in range(rng.randrange(13)))
-            assert applicable_steps(word, rels) == scan_applicable_steps(word, rels)
+            assert _matching_steps(word, index) == scan_applicable_steps(word, rels)
 
     def test_applicable_steps_matches_scan_on_exp_letters(self):
         cfg = AlgebraConfig(2)
@@ -243,7 +245,7 @@ class TestWalks:
             Relation("empty", (), (), (u,)), commute_rule(u, u),
         ]
         for word in [(), (v2, u, u, v), (S(1, 1), S(1, -1), u, v2, u), (v, u, S(1, 1))]:
-            assert applicable_steps(word, rels) == scan_applicable_steps(word, rels)
+            assert _matching_steps(word, _pattern_index(rels)) == scan_applicable_steps(word, rels)
 
     def test_walk_deterministic_under_seed(self):
         start = expand_composites((B(1), B(2)))

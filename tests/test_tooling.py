@@ -109,6 +109,82 @@ def test_scan_sees_a_private_helper_without_caller(tmp_path):
     assert private_helpers_without_caller([module]) == ["m.py: _dead", "m.py: _unused"]
 
 
+def public_names_without_caller(files: list[Path]) -> list[str]:
+    """Public module-level functions and public methods of module-level
+    classes whose name no ``ast.Name`` or ``ast.Attribute`` in `files`
+    carries outside their own ``def``, as ``file: name`` or
+    ``file: Class.name``."""
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
+    uses: dict[str, list[tuple[Path, int]]] = {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.setdefault(node.id, []).append((path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, []).append((path, node.lineno))
+    dead = []
+    for path, tree in trees.items():
+        defs = [(node, node.name) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            defs += [
+                (node, f"{cls.name}.{node.name}")
+                for node in cls.body
+                if isinstance(node, ast.FunctionDef)
+            ]
+        for node, label in defs:
+            if node.name.startswith("_"):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            if all(other == path and line in own for other, line in uses.get(node.name, ())):
+                dead.append(f"{path.name}: {label}")
+    return sorted(dead)
+
+
+# public names that no code in src/ calls, kept as library API that README
+# documents
+DOCUMENTED_API = [
+    "catalog.py: verify_identity",
+    "scripts.py: bcomm_script",
+    "verifier.py: TupleCertificate.particular",
+    "verifier.py: coefficient_of",
+    "words.py: render_script",
+]
+
+
+def test_public_names_have_a_src_caller_or_are_documented():
+    # a public name nothing in src/ uses is either documented API or dead code
+    files = [p for p in sorted((ROOT / "src" / "qtorus").glob("*.py")) if p.name != "__init__.py"]
+    assert len(files) > 5
+    assert public_names_without_caller(files) == DOCUMENTED_API
+    readme = (ROOT / "README.md").read_text()
+    for entry in DOCUMENTED_API:
+        name = entry.split(": ")[1].split(".")[-1]
+        assert re.search(rf"\b{name}\b", readme), entry
+
+
+def test_scan_sees_a_public_name_without_caller(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "def used(x):\n"
+        "    return used(x - 1) if x else 0\n"
+        "def dead():\n"
+        "    return used(2)\n"
+        "def _private():\n"
+        "    return used\n"
+        "class K:\n"
+        "    @property\n"
+        "    def called(self):\n"
+        "        return 1\n"
+        "    def __eq__(self, other):\n"
+        "        return self.called == 1\n"
+        "    def unused(self):\n"
+        "        return self.unused\n"
+        "    def orphan(self):\n"
+        "        return None\n"
+    )
+    assert public_names_without_caller([module]) == ["m.py: K.orphan", "m.py: K.unused", "m.py: dead"]
+
+
 def modules_loaded_by_cli_import(names: tuple[str, ...]) -> list[str]:
     """Which of `names` a fresh interpreter has loaded after ``import qtorus.cli``."""
     env = dict(os.environ)

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from qtorus.algebra import AlgebraConfig, Element, monomial_label, mul_terms
-from qtorus.errors import InfiniteSupport, InvalidParams, NoCertificate
+from qtorus.errors import InfiniteSupport, NoCertificate
 from qtorus.scripts import braid_script, sigma_script1, sigma_script2, word_to_product
 from qtorus.series import LaurentSeries, RationalQ
 from qtorus.verifier import (
@@ -136,7 +136,7 @@ class TestAgainstElementProducts:
             el = el * el
             for m in range(4):
                 got, _ = coefficient_of(prod, (m,), 8)
-                assert got == L(el.coefficient((m,)).coeffs, 8), (depth, m)
+                assert got == L(el.terms.get((m,), {}), 8), (depth, m)
 
     def test_adjacent_sites_mixed(self):
         cfg = AlgebraConfig(2)
@@ -148,7 +148,7 @@ class TestAgainstElementProducts:
             for a in range(-2, 1):
                 for b in range(0, 3):
                     got, _ = coefficient_of(prod, (a, b), 7)
-                    assert got == L(el.coefficient((a, b)).coeffs, 7), (depth, a, b)
+                    assert got == L(el.terms.get((a, b), {}), 7), (depth, a, b)
 
 
 SEVEN_LHS = [(2, 1), (1, -1), (1, 1), (2, 1)]
@@ -1120,7 +1120,7 @@ class TestExactEngine:
 
     def test_reversed_product_rule(self):
         # E(v) E(u) = E(u + v - q^-1 u v)
-        z = self.u + self.v - (self.v * self.u).scale(L({1: 1}))
+        z = self.u + self.v - (self.v * self.u).scale(1)
         lhs, _ = exact_window_map([self.v, self.u], U_V_WINDOW)
         rhs, _ = exact_window_map([z], U_V_WINDOW)
         for t in sorted(set(lhs) | set(rhs)):
@@ -1133,7 +1133,7 @@ class TestExactEngine:
 
     def test_three_factor_splitting(self):
         # E(v) E(u) = E(u) E(-q v u) E(v)
-        m = (self.v * self.u).scale(L({1: -1}))
+        m = (self.v * self.u).scale(1, -1)
         lhs, _ = exact_window_map([self.v, self.u], U_V_WINDOW)
         rhs, _ = exact_window_map([self.u, m, self.v], U_V_WINDOW)
         for t in sorted(set(lhs) | set(rhs)):
@@ -1150,10 +1150,6 @@ class TestExactEngine:
     def test_negative_exponent_rejected(self):
         with pytest.raises(InfiniteSupport):
             exact_window_map([Element.generator(self.cfg, 1, -1)], 2)
-
-    def test_truncated_coefficient_rejected(self):
-        with pytest.raises(InvalidParams):
-            exact_window_map([Element(self.cfg, {(1, 0): L({0: 1}, 5)})], 2)
 
     def test_max_order_reported(self):
         _, k = exact_window_map([self.u + self.v], 2)
@@ -1214,8 +1210,8 @@ def _catalog_argument_lists(cfg):
     u, v = Element.generator(cfg, 1), Element.generator(cfg, 2)
     return [
         [u, v], [u + v],
-        [v, u], [u + v - (v * u).scale(L({1: 1}))],
-        [v, u], [u, (v * u).scale(L({1: -1})), v],
+        [v, u], [u + v - (v * u).scale(1)],
+        [v, u], [u, (v * u).scale(1, -1), v],
     ]
 
 
@@ -1230,7 +1226,7 @@ def _random_argument_list(rng, cfg):
             vec = tuple(rng.randint(0, 2) for _ in range(cfg.sites))
             if any(vec):
                 coeff = {rng.randint(-3, 3): rng.choice([-2, -1, 1, 2]) for _ in range(rng.randint(1, 2))}
-                terms[vec] = L(coeff)
+                terms[vec] = coeff
         args.append(Element(cfg, terms))
     return args
 
@@ -1261,10 +1257,10 @@ class TestExactEngineOracle:
     def test_a_window_product_cancels_a_whole_term(self):
         cfg = AlgebraConfig(2)
         u, v = Element.generator(cfg, 1), Element.generator(cfg, 2)
-        x, y = u + v, u.scale(L({2: -1})) + v
+        x, y = u + v, u.scale(2, -1) + v
         # u * v + v * (-q^2 u) = (1 - q^2 q^-2) w1 w2: the term w1 w2 cancels
         product = mul_terms({(1, 0): {0: 1}, (0, 1): {0: 1}}, {(1, 0): {2: -1}, (0, 1): {0: 1}}, 2)
-        assert (1, 1) not in product and (x * y).coefficient((1, 1)).is_zero()
+        assert (1, 1) not in product and (1, 1) not in (x * y).terms
         for window in range(4):
             self.check([x, y], window)
             self.check([y, x, y], window)
@@ -1294,8 +1290,8 @@ class TestRuleCrossRepresentation:
     @pytest.mark.parametrize("window,precision", [(2, 12)])
     def test_all_three_rules(self, window, precision):
         u, v = self.u, self.v
-        vu_neg_q = (v * u).scale(L({1: -1}))
-        z = u + v - (v * u).scale(L({1: 1}))
+        vu_neg_q = (v * u).scale(1, -1)
+        z = u + v - (v * u).scale(1)
         rules = [
             ([u, v], [u + v]),
             ([v, u], [z]),
@@ -1314,8 +1310,8 @@ class TestRuleCrossRepresentation:
                 for target in targets:
                     want = expand(exact_lhs[target], precision)
                     assert expand(exact_rhs[target], precision) == want
-                    assert L(fin_lhs.coefficient(target).coeffs, precision) == want, (d, target)
-                    assert L(fin_rhs.coefficient(target).coeffs, precision) == want, (d, target)
+                    assert L(fin_lhs.terms.get(target, {}), precision) == want, (d, target)
+                    assert L(fin_rhs.terms.get(target, {}), precision) == want, (d, target)
 
 
 class TestScalingGrading:
@@ -1328,8 +1324,8 @@ class TestScalingGrading:
     def test_mult1_grading(self):
         window = 4
         big = AlgebraConfig(4)
-        tu = Element(big, {(1, 0, 0, 1): L.one()})
-        tv = Element(big, {(0, 1, 0, 1): L.one()})
+        tu = Element(big, {(1, 0, 0, 1): {0: 1}})
+        tv = Element(big, {(0, 1, 0, 1): {0: 1}})
         lhs, _ = exact_window_map([tu, tv], window)
         rhs, _ = exact_window_map([tu + tv], window)
         assert lhs.keys() == rhs.keys()
