@@ -4,8 +4,8 @@ The package provides, bottom up:
 
 - :mod:`qtorus.series` — integer Laurent series known mod a power of q
   (the truncated engine's result: compared and printed, never fed to
-  arithmetic), rational functions of q, and factored rational forms whose
-  denominators are products of cyclotomic polynomials.
+  arithmetic), and exact rational functions of q held over products of
+  cyclotomic polynomials.
 - :mod:`qtorus.algebra` — the quantum-torus algebra of a finite chain of
   sites, with adjacent generators commuting up to a fixed power of q; its
   coefficients are exact Laurent polynomials held as plain
@@ -32,7 +32,7 @@ from .errors import (
     NoCertificate,
     NoMatch,
 )
-from .series import FactoredRational, LaurentSeries, RationalQ, cyclotomic
+from .series import FactoredRational, LaurentSeries, cyclotomic
 from .algebra import AlgebraConfig, Element, monomial_label, phase_exponent
 from .qexp import euler_denominator_factors
 from .verifier import (
@@ -99,7 +99,6 @@ __all__ = [
     "InfiniteSupport",
     # series
     "LaurentSeries",
-    "RationalQ",
     "FactoredRational",
     "cyclotomic",
     # algebra

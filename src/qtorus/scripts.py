@@ -362,36 +362,27 @@ def structural_relations(sites: int) -> list[Relation]:
 
 def _pattern_index(relations: Sequence[Relation]) -> dict:
     """Both sides of every relation, keyed by their first letter, as
-    (relation index, 0 for lhs or 1 for rhs, pattern, relation).  An
-    ExpLetter is unhashable, so the sides that start with one share the key
-    None; an empty side matches at every position and has the key ()."""
+    (relation index, 0 for lhs or 1 for rhs, pattern, relation).  Every
+    side is a non-empty word of :class:`Letter`, as in
+    :func:`structural_relations`."""
     index: dict = {}
     for r, rel in enumerate(relations):
         for rev, side in enumerate((rel.lhs, rel.rhs)):
             pattern = tuple(side)
-            if not pattern:
-                key = ()
-            elif isinstance(pattern[0], Letter):
-                key = pattern[0]
-            else:
-                key = None
-            index.setdefault(key, []).append((r, rev, pattern, rel))
+            index.setdefault(pattern[0], []).append((r, rev, pattern, rel))
     return index
 
 
 def _matching_steps(word: tuple, index: dict) -> list[Step]:
     """Every step whose pattern, from :func:`_pattern_index`, matches the
-    word, ordered by relation index, then forward before reverse, then
-    position."""
+    word of :class:`Letter`, ordered by relation index, then forward before
+    reverse, then position."""
     found = [
         (r, rev, pos, rel)
         for pos, letter in enumerate(word)
-        for r, rev, pattern, rel in index.get(letter if isinstance(letter, Letter) else None, ())
+        for r, rev, pattern, rel in index.get(letter, ())
         if word[pos : pos + len(pattern)] == pattern
     ]
-    found.extend(
-        (r, rev, pos, rel) for r, rev, _, rel in index.get((), ()) for pos in range(len(word) + 1)
-    )
     found.sort(key=itemgetter(0, 1, 2))
     return [Step(pos, rel, not rev) for _, rev, pos, rel in found]
 

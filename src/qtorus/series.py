@@ -9,26 +9,23 @@ Two coefficient domains are provided:
   (the coefficients of an :class:`~qtorus.algebra.Element`) are plain
   ``{exponent: int}`` dicts.
 
-* :class:`RationalQ` -- a quotient of integer polynomials in q in canonical
-  reduced form (coprime, monic denominator), so that equality is structural.
-  Its constructor trusts the caller; canonical values come from
-  :meth:`FactoredRational.to_rational_q`.
+* :class:`FactoredRational` -- the exact engine's result: a rational
+  function of q held as a Laurent numerator over a product of cyclotomic
+  polynomials.  Equality needs no reduction: :func:`widen` brings both
+  numerators to a common denominator and they are compared.
+  :meth:`FactoredRational.canonical` reduces a value to its coprime
+  (numerator, monic denominator) pair, which is what ``str`` prints.
+  Cyclotomic polynomials are monic, so that reduction needs only exact
+  division over Z, never a polynomial gcd or rational coefficients, and a
+  monomial numerator needs none at all.
 
-:class:`FactoredRational` is an accumulator for sums of rational functions
-whose denominators are products of cyclotomic polynomials.  Cyclotomic
-polynomials are monic, so reducing such a sum to its canonical
-:class:`RationalQ` needs only exact division over Z, never a polynomial gcd
-or rational coefficients, and a monomial numerator needs none at all.
-:class:`FactoredRational` equality needs no reduction either: it brings
-both numerators to a common denominator and compares them.
-
-Every multiplication by a product of cyclotomic polynomials, single ones
-included, runs through one function, ``_times_factors``: by Moebius
-inversion of  q^n - 1 = prod_{d|n} cyclotomic(d)  the product is a signed
-product and quotient of factors (1 - q^n), so each multiplication is one
-in-place pass and each exact division one running sum, cut at the known
-degree.  ``_expand_factors`` keeps expansions in a bounded cache, and
-:func:`widen` runs the passes on a Laurent numerator, with no expansion.
+A product of cyclotomic polynomials is expanded once per multiset of
+factors by ``_expand_factors``, which keeps expansions in a bounded cache:
+by Moebius inversion of  q^n - 1 = prod_{d|n} cyclotomic(d)  the product is
+a signed product and quotient of factors (1 - q^n), so each multiplication
+is one in-place pass and each exact division one running sum, cut at the
+known degree.  :func:`widen`, the one function that puts a value over a
+larger denominator, multiplies a Laurent numerator by that expansion.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ from .qexp import divide_by_one_minus
 
 __all__ = [
     "LaurentSeries",
-    "RationalQ",
     "FactoredRational",
     "cyclotomic",
     "widen",
@@ -61,25 +57,6 @@ def _ladd(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
             out[e] = v
         else:
             out.pop(e, None)
-    return out
-
-
-def _lmul(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
-    """Product of two Laurent dicts.  Zero entries are skipped: the dense
-    denominator expansions that :meth:`FactoredRational._over` passes hold them."""
-    out: dict[int, int] = {}
-    for ea, ca in a.items():
-        if not ca:
-            continue
-        for eb, cb in b.items():
-            if not cb:
-                continue
-            e = ea + eb
-            v = out.get(e, 0) + ca * cb
-            if v:
-                out[e] = v
-            else:
-                del out[e]
     return out
 
 
@@ -213,7 +190,6 @@ def _poly_str(p: tuple[int, ...]) -> str:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=256)
 def cyclotomic(n: int) -> tuple[int, ...]:
     """Dense coefficient tuple of the n-th cyclotomic polynomial."""
     if n < 1:
@@ -222,71 +198,26 @@ def cyclotomic(n: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# RationalQ
+# FactoredRational: rational functions over cyclotomic-product denominators
 # ---------------------------------------------------------------------------
 
 
-class RationalQ:
-    """Quotient of integer polynomials in q in canonical reduced form.
-
-    Canonical form: numerator and denominator are coprime in Z[q], the
-    denominator is monic, and zero is stored as 0/1.  Equality is structural.
-    The constructor only trims trailing zeros; the caller guarantees the
-    rest, as :meth:`FactoredRational.to_rational_q` does.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Iterable[int] = (), den: Iterable[int] = (1,)) -> None:
-        n = _ptrim(tuple(num))
-        self.num, self.den = n, _ptrim(tuple(den)) if n else (1,)
-
-    def is_zero(self) -> bool:
-        return not self.num
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalQ):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __repr__(self) -> str:
-        return f"RationalQ({list(self.num)!r}, {list(self.den)!r})"
-
-    def __str__(self) -> str:
-        ns = _poly_str(self.num)
-        if self.den == (1,):
-            return ns
-        if len([c for c in self.num if c]) > 1:
-            ns = f"({ns})"
-        return f"{ns}/({_poly_str(self.den)})"
-
-
-# ---------------------------------------------------------------------------
-# FactoredRational: sums over cyclotomic-product denominators
-# ---------------------------------------------------------------------------
-
-
-def _factor_key(factors: Counter) -> tuple[tuple[int, int], ...]:
+def _factor_key(factors: Mapping[int, int]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((d, m) for d, m in factors.items() if m > 0))
 
 
-def _times_factors(dense: list[int], factors: Mapping[int, int]) -> list[int]:
-    """Multiply the integer polynomial `dense` (index = exponent) in place
-    by the product of cyclotomic(d)**m over the items (d, m) of `factors`,
-    and return it.
+@lru_cache(maxsize=256)
+def _expand_factors(key: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """Dense product of cyclotomic(d)**m over the (d, m) pairs of `key`.
 
     Peeling  q^n - 1 = prod_{d|n} cyclotomic(d)  off the largest index first
     (Moebius inversion) writes the product as  prod_n (q^n - 1)^e_n, that
     is  (-1)^(sum e_n) * prod_n (1 - q^n)^e_n,  of known degree
-    D = sum_n n * e_n.  The list grows by D, and every pass works modulo
-    q^len: each factor with e_n > 0 is one in-place multiplication pass, and
-    as the quotient is a polynomial of that length, each division is one
-    running sum.
+    D = sum_n n * e_n.  Every pass works modulo q^(D+1): each factor with
+    e_n > 0 is one in-place multiplication pass, and as the quotient is a
+    polynomial of that length, each division is one running sum.
     """
-    rest = dict(factors)
+    rest = dict(key)
     exps: dict[int, int] = {}
     while rest:
         n = max(rest)
@@ -295,38 +226,39 @@ def _times_factors(dense: list[int], factors: Mapping[int, int]) -> list[int]:
             for d in range(1, n // 2 + 1):
                 if n % d == 0:
                     rest[d] = rest.get(d, 0) - e
-    dense.extend([0] * sum(n * e for n, e in exps.items()))
-    if sum(exps.values()) % 2:
-        dense[:] = [-c for c in dense]
+    dense = [-1 if sum(exps.values()) % 2 else 1] + [0] * sum(n * e for n, e in exps.items())
     for n, e in exps.items():
         for _ in range(e):
             dense[n:] = [a - b for a, b in zip(dense[n:], dense)]
     for n, e in exps.items():
         for _ in range(-e):
             divide_by_one_minus(dense, n)
-    return dense
+    return tuple(dense)
 
 
 def widen(num: Mapping[int, int], factors: Mapping[int, int]) -> dict[int, int]:
     """The Laurent polynomial `num` times the product of cyclotomic(d)**m
-    over the items (d, m) of `factors`, by :func:`_times_factors`."""
-    if not num:
-        return {}
-    lo = min(num)
-    dense = _times_factors([num.get(e, 0) for e in range(lo, max(num) + 1)], factors)
-    return {e: c for e, c in enumerate(dense, lo) if c}
-
-
-@lru_cache(maxsize=256)
-def _expand_factors(key: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-    """Dense product of cyclotomic(d)**m over the (d, m) pairs of `key`."""
-    return tuple(_times_factors([1], dict(key)))
+    over the items (d, m) of `factors`, from that product's cached
+    expansion.  Zero entries of either side are skipped."""
+    terms = [(e, c) for e, c in enumerate(_expand_factors(_factor_key(factors))) if c]
+    out: dict[int, int] = {}
+    for ea, ca in num.items():
+        if not ca:
+            continue
+        for eb, cb in terms:
+            e = ea + eb
+            v = out.get(e, 0) + ca * cb
+            if v:
+                out[e] = v
+            else:
+                del out[e]
+    return out
 
 
 class FactoredRational:
     """A rational function of q held as (Laurent numerator) / (product of
-    cyclotomic polynomials).  Cheap to add when denominators share factors;
-    converts to canonical :class:`RationalQ` on demand.
+    cyclotomic polynomials).  ``==`` compares values without division;
+    :meth:`canonical` gives the reduced form, which ``str`` prints.
     """
 
     __slots__ = ("num", "den")
@@ -345,35 +277,22 @@ class FactoredRational:
     def is_zero(self) -> bool:
         return not self.num
 
-    def __add__(self, other: "FactoredRational") -> "FactoredRational":
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        union = self.den | other.den  # pointwise max
-        return FactoredRational(_ladd(self._over(other), other._over(self)), union)
-
-    def _over(self, other: "FactoredRational") -> dict[int, int]:
-        """The numerator of this value over the pointwise max of its own
-        denominator and `other`'s."""
-        extra = other.den - self.den
-        if not extra:
-            return self.num
-        return _lmul(self.num, dict(enumerate(_expand_factors(_factor_key(extra)))))
-
     def __eq__(self, other: object) -> bool:
-        """Value equality without division: both numerators are brought to
+        """Value equality without division: both numerators are widened to
         the pointwise-max denominator and compared, so two values are equal
         exactly when their canonical forms are."""
         if not isinstance(other, FactoredRational):
             return NotImplemented
-        return self._over(other) == other._over(self)
+        return widen(self.num, other.den - self.den) == widen(other.num, self.den - other.den)
 
     __hash__ = None  # type: ignore[assignment]
 
-    def to_rational_q(self) -> RationalQ:
+    def canonical(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(numerator, denominator) as dense coefficient tuples (index =
+        exponent), coprime in Z[q], with a monic denominator; zero is
+        ``((), (1,))``."""
         if not self.num:
-            return RationalQ()
+            return (), (1,)
         shift = min(self.num)
         num_poly = _ptrim(tuple(self.num.get(e, 0) for e in range(min(shift, 0), max(self.num) + 1)))
         q_power = max(0, -shift)
@@ -395,10 +314,16 @@ class FactoredRational:
             if drop:
                 num_poly = num_poly[drop:]
                 q_power -= drop
-        return RationalQ(num_poly, (0,) * q_power + _expand_factors(_factor_key(den)))
+        return num_poly, (0,) * q_power + _expand_factors(_factor_key(den))
 
     def __repr__(self) -> str:
         return f"FactoredRational({self.num!r}, {dict(self.den)!r})"
 
     def __str__(self) -> str:
-        return str(self.to_rational_q())
+        num, den = self.canonical()
+        ns = _poly_str(num)
+        if den == (1,):
+            return ns
+        if len([c for c in num if c]) > 1:
+            ns = f"({ns})"
+        return f"{ns}/({_poly_str(den)})"

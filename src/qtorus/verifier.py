@@ -90,7 +90,10 @@ truncation is ever introduced.  Each argument's powers are built once,
 inside the window, and every product skips the term pairs that leave it.
 A target's terms are summed as integers per multiset of k, which fixes
 their denominator, and the classes are brought to one denominator per
-target, smallest multiset first, by (1 - q^n) passes.
+target, smallest multiset first, by :func:`~qtorus.series.widen`: a
+numerator times the cached expansion of the cyclotomic factors its
+denominator lacks.  Each coefficient is a
+:class:`~qtorus.series.FactoredRational`.
 """
 
 from __future__ import annotations
@@ -826,7 +829,9 @@ def exact_window_map(
     Every argument must be a polynomial in the generators: each monomial
     needs all site exponents >= 0 (and at least one positive), so exponent
     vectors only grow along a product and the window prunes soundly.
-    Returns (target -> coefficient, largest series order that contributed).
+    Returns (target -> coefficient, largest series order that contributed);
+    each coefficient is a nonzero :class:`FactoredRational`, compared with
+    ``==`` and printed in its canonical form.
     """
     if not args:
         raise InvalidParams("need at least one factor")

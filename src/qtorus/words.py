@@ -441,20 +441,18 @@ class DerivationScript(FrozenRecord):
 
 
 class ReplayResult(FrozenRecord):
-    __slots__ = ("ok", "steps_applied", "final", "trace", "error")
+    __slots__ = ("ok", "steps_applied", "final", "error")
 
     def __init__(
         self,
         ok: bool,
         steps_applied: int,
         final: Word,
-        trace: tuple[Word, ...],
         error: Optional[str] = None,
     ) -> None:
         object.__setattr__(self, "ok", ok)
         object.__setattr__(self, "steps_applied", steps_applied)
         object.__setattr__(self, "final", final)
-        object.__setattr__(self, "trace", trace)
         object.__setattr__(self, "error", error)
 
 
@@ -462,22 +460,19 @@ def replay(script: DerivationScript) -> ReplayResult:
     """Re-apply every step of the script; succeed only if each step matches
     and the final word equals the claimed end word."""
     word = tuple(script.start)
-    trace = [word]
     for i, step in enumerate(script.steps):
         try:
             word = apply_step(word, step)
         except NoMatch as exc:
-            return ReplayResult(False, i, word, tuple(trace), str(exc))
-        trace.append(word)
+            return ReplayResult(False, i, word, str(exc))
     if word != tuple(script.end):
         return ReplayResult(
             False,
             len(script.steps),
             word,
-            tuple(trace),
             f"final word {render_word(word)} differs from claimed {render_word(script.end)}",
         )
-    return ReplayResult(True, len(script.steps), word, tuple(trace))
+    return ReplayResult(True, len(script.steps), word)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from qtorus.catalog import _row
 from qtorus.errors import InfiniteSupport, InvalidParams
 from qtorus.qexp import euler_denominator_factors
 from qtorus.scripts import fold_certificate, word_to_product
-from qtorus.series import FactoredRational
 from qtorus.verifier import product_coefficients, window_targets
 from qtorus.words import Step
 
@@ -286,21 +285,24 @@ def compare_words_unshared(pairs, sites: int, window: int, precision: int):
 
 
 # ---------------------------------------------------------------------------
-# exact-engine oracle: Element products on every branch, one addition a term
+# exact-engine oracle: Element products on every branch, one rational_add a term
 # ---------------------------------------------------------------------------
 
 
 def exact_window_map_by_elements(
     args: Sequence[Element],
     window: int,
-) -> tuple[dict[tuple[int, ...], FactoredRational], int]:
+) -> tuple[dict[tuple[int, ...], tuple[list[int], list[int]]], int]:
     """The exact engine's coefficients of  E(x_1) ... E(x_L)  on the window
     of exponent vectors with every component in 0..window, as it computed
     them before its power tables: a depth-first walk over the orders
     (k_1, .., k_L) that rebuilds every power of the later factors on every
-    branch with :class:`Element` products, cuts each product to the window
-    afterwards, and adds one :class:`FactoredRational` per leaf term.
-    Returns (target -> coefficient, largest series order that contributed).
+    branch with :class:`Element` products, and cuts each product to the
+    window afterwards.  Each leaf term is a dense (numerator, denominator)
+    pair, its denominator multiplied out from :func:`naive_cyclotomic`, and
+    a target's terms are summed by :func:`rational_add`, unreduced.
+    Returns (target -> (numerator, denominator), largest series order that
+    contributed); targets whose sum vanishes are left out.
     """
     if not args:
         raise InvalidParams("need at least one factor")
@@ -324,18 +326,22 @@ def exact_window_map_by_elements(
         return Element(cfg, kept)
 
     pruned_args = [in_window(x) for x in args]
-    out: dict[tuple[int, ...], FactoredRational] = {}
+    out: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
     max_order = 0
     k_cap = cfg.sites * window + 1  # total degree of any window target
 
     def leaf(partial: Element, qpow: int, den: Counter) -> None:
+        dense_den = [1]
+        for d, m in den.items():
+            for _ in range(m):
+                dense_den = naive_poly_mul(dense_den, naive_cyclotomic(d))
         for vec, coeff in partial.terms.items():
-            contrib = FactoredRational(
-                {e + qpow: c for e, c in coeff.items()}, den
-            )
+            # a negative power of q moves to the denominator
+            lo = min(0, min(coeff) + qpow)
+            num = [coeff.get(e - qpow, 0) for e in range(lo, max(coeff) + qpow + 1)]
+            contrib = (num, [0] * -lo + dense_den)
             prev = out.get(vec)
-            out[vec] = contrib if prev is None else prev + contrib
-
+            out[vec] = contrib if prev is None else rational_add(prev, contrib)
 
     def descend(i: int, partial: Element, qpow: int, den: Counter, kmax: int) -> None:
         nonlocal max_order
@@ -368,4 +374,4 @@ def exact_window_map_by_elements(
         return
 
     descend(0, Element.identity(cfg), 0, Counter(), 0)
-    return {v: f for v, f in out.items() if not f.is_zero()}, max_order
+    return {v: f for v, f in out.items() if f[0]}, max_order

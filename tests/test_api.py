@@ -105,8 +105,8 @@ RECORDS = [
     ),
     (
         ReplayResult,
-        {"ok": False, "steps_applied": 1, "final": _SWAPPED, "trace": (_WORD,), "error": "no"},
-        {"ok": True, "steps_applied": 0, "final": _WORD, "trace": (), "error": None},
+        {"ok": False, "steps_applied": 1, "final": _SWAPPED, "error": "no"},
+        {"ok": True, "steps_applied": 0, "final": _WORD, "error": None},
         {"error": None}, True, True,
     ),
     (

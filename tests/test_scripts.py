@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from qtorus.algebra import AlgebraConfig, Element
 from qtorus.errors import InvalidParams
 from qtorus.scripts import (
     _matching_steps,
@@ -29,16 +28,12 @@ from qtorus.words import (
     B,
     C,
     ExpLetter,
-    Relation,
     S,
     Step,
     comm0,
-    commute_rule,
     expand_composites,
-    mult1_rule,
     parse_script,
     parse_word,
-    pentagon_rule,
     render_script,
     replay,
 )
@@ -233,19 +228,6 @@ class TestWalks:
         for _ in range(200):
             word = tuple(rng.choice(letters) for _ in range(rng.randrange(13)))
             assert _matching_steps(word, index) == scan_applicable_steps(word, rels)
-
-    def test_applicable_steps_matches_scan_on_exp_letters(self):
-        cfg = AlgebraConfig(2)
-        u = ExpLetter("u", Element.generator(cfg, 1))
-        v = ExpLetter("v", Element.generator(cfg, 2))
-        # an equal argument under another label matches the same patterns
-        v2 = ExpLetter("w", Element.generator(cfg, 2))
-        rels = [
-            mult1_rule(u, v), pentagon_rule(u, v), comm0(1),
-            Relation("empty", (), (), (u,)), commute_rule(u, u),
-        ]
-        for word in [(), (v2, u, u, v), (S(1, 1), S(1, -1), u, v2, u), (v, u, S(1, 1))]:
-            assert _matching_steps(word, _pattern_index(rels)) == scan_applicable_steps(word, rels)
 
     def test_walk_deterministic_under_seed(self):
         start = expand_composites((B(1), B(2)))

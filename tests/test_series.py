@@ -8,13 +8,12 @@ import pytest
 from qtorus.series import (
     FactoredRational,
     LaurentSeries,
-    RationalQ,
     cyclotomic,
     widen,
 )
-from qtorus.series import _expand_factors, _laurent_str, _lmul, _pdiv_monic, _ptrim  # internal, exercised below
+from qtorus.series import _expand_factors, _laurent_str, _pdiv_monic, _ptrim  # internal, exercised below
 
-from oracles import coprime, naive_cyclotomic, naive_poly_mul, rational_add, rational_equal
+from oracles import coprime, naive_cyclotomic, naive_poly_mul, rational_equal
 
 
 L = LaurentSeries
@@ -131,52 +130,39 @@ class TestCyclotomic:
 
 
 class TestRationalQ:
+    """Canonical (numerator, denominator) pairs of rational functions of q."""
+
     def test_reduction(self):
-        r = FactoredRational({0: -1, 2: 1}, Counter({1: 1})).to_rational_q()
-        assert r.num == (1, 1)  # (q^2-1)/(q-1) = q+1
-        assert r.den == (1,)
+        num, den = FactoredRational({0: -1, 2: 1}, Counter({1: 1})).canonical()
+        assert num == (1, 1)  # (q^2-1)/(q-1) = q+1
+        assert den == (1,)
 
     def test_denominator_sign_is_normalized(self):
-        r = FactoredRational({0: -1}, Counter({1: 1})).to_rational_q()  # 1/(1-q)
-        assert r.den[-1] > 0
-        assert r == RationalQ((-1,), (-1, 1))
-
-    def test_zero(self):
-        assert RationalQ((), (1, 2)).is_zero()
-        assert RationalQ((0, 0), (5,)) == RationalQ()
-
-    def test_arithmetic_matches_polynomial_identities(self):
-        r = FactoredRational({0: -1}, Counter({1: 1, 2: 1}))  # 1/(1-q^2)
-        s = r + FactoredRational({0: 1}, Counter({1: 1, 2: 1}))
-        assert s.to_rational_q().is_zero()
+        num, den = FactoredRational({0: -1}, Counter({1: 1})).canonical()  # 1/(1-q)
+        assert den[-1] > 0
+        assert (num, den) == ((-1,), (-1, 1))
 
     def test_str(self):
-        assert str(RationalQ((0, 1), (-1, 0, 1))) == "q^1/(-1 + q^2)"
-        assert str(RationalQ((1, 1))) == "1 + q^1"
-        assert str(RationalQ((1, 0, 1), (0, 0, 1))) == "(1 + q^2)/(q^2)"
+        # q/(cyc_1 cyc_2), 1 + q, and q^-2 + 1
+        assert str(FactoredRational({1: 1}, Counter({1: 1, 2: 1}))) == "q^1/(-1 + q^2)"
+        assert str(FactoredRational({0: 1, 1: 1})) == "1 + q^1"
+        assert str(FactoredRational({-2: 1, 0: 1})) == "(1 + q^2)/(q^2)"
 
 
 class TestFactoredRational:
     def test_matches_canonical_form(self):
         # q / (cyc_1 * cyc_2) = q/(q^2 - 1) = -q/(1-q^2)
         f = FactoredRational({1: 1}, Counter({1: 1, 2: 1}))
-        assert f.to_rational_q() == RationalQ((0, 1), (-1, 0, 1))
-
-    def test_add_with_shared_factors(self):
-        f = FactoredRational({1: 1}, Counter({1: 1, 2: 1}))
-        g = FactoredRational({0: 1}, Counter())
-        h = f + g
-        assert h.to_rational_q() == RationalQ((-1, 1, 1), (-1, 0, 1))
+        assert f.canonical() == ((0, 1), (-1, 0, 1))
 
     def test_cancellation_produces_polynomial(self):
         # (q^2 - 1)/ (cyc_1 cyc_2) = 1
         f = FactoredRational({0: -1, 2: 1}, Counter({1: 1, 2: 1}))
-        r = f.to_rational_q()
-        assert r == RationalQ((1,))
+        assert f.canonical() == ((1,), (1,))
 
     def test_negative_exponents_move_to_denominator(self):
         f = FactoredRational({-2: 1, 0: 1}, None)  # q^-2 + 1
-        assert f.to_rational_q() == RationalQ((1, 0, 1), (0, 0, 1))
+        assert f.canonical() == ((1, 0, 1), (0, 0, 1))
 
     def test_equality_by_cross_multiplication(self):
         a = FactoredRational({0: 1}, Counter({1: 1}))      # 1/(q-1)
@@ -185,23 +171,33 @@ class TestFactoredRational:
         assert not (a == FactoredRational({0: 1}, Counter({2: 1})))
 
     def test_random_sums_against_rational_q(self):
+        # random values against their unreduced (numerator, denominator)
+        # pairs, built with the oracle's own polynomial products
         rng = random.Random(3)
-        for _ in range(30):
-            terms = []
-            for _ in range(rng.randint(2, 4)):
-                num = {rng.randint(-3, 6): rng.randint(-5, 5) for _ in range(rng.randint(1, 3))}
-                den = Counter({rng.choice([1, 2, 3, 4, 6]): rng.randint(0, 2) for _ in range(2)})
-                terms.append(FactoredRational(num, den))
-            total = FactoredRational.zero()
-            ref = ([], [1])
-            for t in terms:
-                total = total + t
-                r = t.to_rational_q()
-                ref = rational_add(ref, (r.num, r.den))
-            got = total.to_rational_q()
-            assert rational_equal((got.num, got.den), ref)
-            assert got.den[-1] == 1
-            assert coprime(got.num, got.den)
+        for _ in range(100):
+            num = {rng.randint(-3, 6): rng.randint(-5, 5) for _ in range(rng.randint(1, 6))}
+            den = Counter({rng.choice([1, 2, 3, 4, 6]): rng.randint(0, 2) for _ in range(3)})
+            shift = min(0, *num)
+            ref_num = [num.get(e, 0) for e in range(shift, max(num) + 1)]
+            ref_den = [0] * -shift + [1]
+            for d, m in den.items():
+                for _ in range(m):
+                    ref_den = naive_poly_mul(ref_den, naive_cyclotomic(d))
+            got = FactoredRational(num, den).canonical()
+            assert rational_equal(got, (ref_num, ref_den))
+            assert got[1][-1] == 1
+            assert coprime(*got)
+            if not any(num.values()):
+                assert got == ((), (1,))
+
+
+def _times_cyclotomic(num, d):
+    """The Laurent dict `num` times cyclotomic(d), by the oracle's products."""
+    if not num:
+        return {}
+    lo = min(num)
+    dense = naive_poly_mul([num.get(e, 0) for e in range(lo, max(num) + 1)], naive_cyclotomic(d))
+    return {e: c for e, c in enumerate(dense, lo) if c}
 
 
 class TestFactoredEquality:
@@ -209,17 +205,18 @@ class TestFactoredEquality:
 
     @staticmethod
     def random_value(rng):
-        total = FactoredRational.zero()
-        for _ in range(rng.randint(1, 3)):
-            num = {rng.randint(-4, 6): rng.randint(-3, 3) for _ in range(rng.randint(1, 3))}
-            # cyclotomic(1) at every multiplicity 0..3, odd ones included
-            den = Counter({rng.choice([1, 2, 3, 4, 5, 6, 8, 12]): rng.randint(0, 3) for _ in range(3)})
-            total = total + FactoredRational(num, den)
-        return total
+        num = {rng.randint(-4, 6): rng.randint(-3, 3) for _ in range(rng.randint(1, 5))}
+        # cyclotomic(1) at every multiplicity 0..4, odd ones included
+        den = Counter({rng.choice([1, 2, 3, 4, 5, 6, 8, 12]): rng.randint(0, 4) for _ in range(4)})
+        # half the numerators carry denominator factors to cancel
+        if rng.random() < 0.5:
+            for d in rng.sample(sorted(den), rng.randint(0, len(den))):
+                num = _times_cyclotomic(num, d)
+        return FactoredRational(num, den)
 
     @staticmethod
     def check(a, b):
-        want = a.to_rational_q() == b.to_rational_q()
+        want = a.canonical() == b.canonical()
         assert (a == b) is want
         assert (b == a) is want
         return want
@@ -227,15 +224,17 @@ class TestFactoredEquality:
     def test_random_pairs(self):
         rng = random.Random(29)
         zero = FactoredRational.zero()
-        seen_negative = seen_odd_phi1 = False
+        seen_negative = seen_odd_phi1 = seen_cancel = False
+        degree = lambda den: sum((len(cyclotomic(d)) - 1) * m for d, m in den.items())
         for _ in range(150):
             a = self.random_value(rng)
             seen_negative |= any(e < 0 for e in a.num)
             seen_odd_phi1 |= a.den[1] % 2 == 1
+            seen_cancel |= len(a.canonical()[1]) - 1 < degree(a.den) + max(0, -min(a.num, default=0))
             # an independent value, and the same value over a larger denominator
             self.check(a, self.random_value(rng))
             d = rng.choice([1, 2, 3, 7, 10])
-            same = FactoredRational(_lmul(a.num, dict(enumerate(cyclotomic(d)))), a.den + Counter({d: 1}))
+            same = FactoredRational(_times_cyclotomic(a.num, d), a.den + Counter({d: 1}))
             assert self.check(a, same)
             # zero on either side, written with and without a denominator
             for z in (zero, FactoredRational({}, Counter({1: 3, 2: 1}))):
@@ -247,7 +246,7 @@ class TestFactoredEquality:
                 moved = FactoredRational({**a.num, e: a.num[e] + rng.choice([-1, 1])}, a.den)
                 assert not self.check(a, moved)
                 assert not self.check(same, moved)
-        assert seen_negative and seen_odd_phi1
+        assert seen_negative and seen_odd_phi1 and seen_cancel
 
 
 class TestMonicDivision:

@@ -111,31 +111,35 @@ def test_scan_sees_a_private_helper_without_caller(tmp_path):
 
 def public_names_without_caller(files: list[Path]) -> list[str]:
     """Public module-level functions and public methods of module-level
-    classes whose name no ``ast.Name`` or ``ast.Attribute`` in `files`
-    carries outside their own ``def``, as ``file: name`` or
-    ``file: Class.name``."""
+    classes that nothing in `files` uses outside their own ``def``, as
+    ``file: name`` or ``file: Class.name``.  A function is used by an
+    ``ast.Name`` or an ``ast.Attribute`` that carries its name; a method
+    only by an ``ast.Attribute``, so a local variable of the same name does
+    not count as a call."""
     trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
-    uses: dict[str, list[tuple[Path, int]]] = {}
+    names: dict[str, list[tuple[Path, int]]] = {}
+    attrs: dict[str, list[tuple[Path, int]]] = {}
     for path, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                uses.setdefault(node.id, []).append((path, node.lineno))
+                names.setdefault(node.id, []).append((path, node.lineno))
             elif isinstance(node, ast.Attribute):
-                uses.setdefault(node.attr, []).append((path, node.lineno))
+                attrs.setdefault(node.attr, []).append((path, node.lineno))
     dead = []
     for path, tree in trees.items():
-        defs = [(node, node.name) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        defs = [(node, node.name, True) for node in tree.body if isinstance(node, ast.FunctionDef)]
         for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
             defs += [
-                (node, f"{cls.name}.{node.name}")
+                (node, f"{cls.name}.{node.name}", False)
                 for node in cls.body
                 if isinstance(node, ast.FunctionDef)
             ]
-        for node, label in defs:
+        for node, label, module_level in defs:
             if node.name.startswith("_"):
                 continue
+            uses = attrs.get(node.name, []) + (names.get(node.name, []) if module_level else [])
             own = range(node.lineno, node.end_lineno + 1)
-            if all(other == path and line in own for other, line in uses.get(node.name, ())):
+            if all(other == path and line in own for other, line in uses):
                 dead.append(f"{path.name}: {label}")
     return sorted(dead)
 
@@ -145,7 +149,11 @@ def public_names_without_caller(files: list[Path]) -> list[str]:
 DOCUMENTED_API = [
     "catalog.py: verify_identity",
     "scripts.py: bcomm_script",
+    "series.py: LaurentSeries.coeffs",
+    "verifier.py: TupleCertificate.gram_restricted",
     "verifier.py: TupleCertificate.particular",
+    "verifier.py: TupleCertificate.summary",
+    "verifier.py: TupleCertificate.tuples",
     "verifier.py: coefficient_of",
     "words.py: render_script",
 ]
@@ -168,7 +176,8 @@ def test_scan_sees_a_public_name_without_caller(tmp_path):
         "def used(x):\n"
         "    return used(x - 1) if x else 0\n"
         "def dead():\n"
-        "    return used(2)\n"
+        "    shadowed = 2\n"
+        "    return used(shadowed)\n"
         "def _private():\n"
         "    return used\n"
         "class K:\n"
@@ -181,8 +190,12 @@ def test_scan_sees_a_public_name_without_caller(tmp_path):
         "        return self.unused\n"
         "    def orphan(self):\n"
         "        return None\n"
+        "    def shadowed(self):\n"
+        "        return None\n"
     )
-    assert public_names_without_caller([module]) == ["m.py: K.orphan", "m.py: K.unused", "m.py: dead"]
+    assert public_names_without_caller([module]) == [
+        "m.py: K.orphan", "m.py: K.shadowed", "m.py: K.unused", "m.py: dead"
+    ]
 
 
 def modules_loaded_by_cli_import(names: tuple[str, ...]) -> list[str]:

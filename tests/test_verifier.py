@@ -13,7 +13,7 @@ import pytest
 from qtorus.algebra import AlgebraConfig, Element, monomial_label, mul_terms
 from qtorus.errors import InfiniteSupport, NoCertificate
 from qtorus.scripts import braid_script, sigma_script1, sigma_script2, word_to_product
-from qtorus.series import LaurentSeries, RationalQ
+from qtorus.series import LaurentSeries
 from qtorus.verifier import (
     FactorProduct,
     QExpFactor,
@@ -36,6 +36,7 @@ from oracles import (
     naive_poly_mul,
     oracle_euler,
     phase_by_sorting,
+    rational_equal,
     rational_solve,
     target_key,
 )
@@ -45,9 +46,9 @@ L = LaurentSeries
 
 def expand(frac, precision):
     """Series of an exact coefficient mod q^precision, by long division."""
-    r = frac.to_rational_q()
-    num = {e: c for e, c in enumerate(r.num) if c}
-    den = {e: c for e, c in enumerate(r.den) if c}
+    r_num, r_den = frac.canonical()
+    num = {e: c for e, c in enumerate(r_num) if c}
+    den = {e: c for e, c in enumerate(r_den) if c}
     return L(longdiv_expand(num, den, precision), precision)
 
 
@@ -1115,8 +1116,8 @@ class TestExactEngine:
 
     def test_product_rule_uv_value(self):
         lhs, _ = exact_window_map([self.u, self.v], U_V_WINDOW)
-        got = lhs[(1, 1)].to_rational_q()
-        assert got == RationalQ((0, 0, 1), (1, 0, -2, 0, 1))  # q^2/(1-q^2)^2
+        got = lhs[(1, 1)].canonical()
+        assert got == ((0, 0, 1), (1, 0, -2, 0, 1))  # q^2/(1-q^2)^2
 
     def test_reversed_product_rule(self):
         # E(v) E(u) = E(u + v - q^-1 u v)
@@ -1128,8 +1129,8 @@ class TestExactEngine:
 
     def test_reversed_uv_value(self):
         lhs, _ = exact_window_map([self.v, self.u], U_V_WINDOW)
-        got = lhs[(1, 1)].to_rational_q()
-        assert got == RationalQ((1,), (1, 0, -2, 0, 1))  # 1/(1-q^2)^2
+        got = lhs[(1, 1)].canonical()
+        assert got == ((1,), (1, 0, -2, 0, 1))  # 1/(1-q^2)^2
 
     def test_three_factor_splitting(self):
         # E(v) E(u) = E(u) E(-q v u) E(v)
@@ -1234,15 +1235,15 @@ def _random_argument_list(rng, cfg):
 class TestExactEngineOracle:
     """The exact engine against its reference, which rebuilds every power on
     every branch with Element products, cuts each product to the window
-    afterwards and adds one FactoredRational per leaf term: the same targets,
-    equal values and the same largest order."""
+    afterwards and sums each target's leaf terms with its own rational
+    arithmetic: the same targets, equal values and the same largest order."""
 
     def check(self, args, window):
         got, got_k = exact_window_map(args, window)
         want, want_k = exact_window_map_by_elements(args, window)
         assert got.keys() == want.keys()
         for target, value in want.items():
-            assert got[target] == value, target
+            assert rational_equal(got[target].canonical(), value), target
         assert got_k == want_k
 
     def test_catalog_argument_lists(self):

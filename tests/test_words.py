@@ -166,7 +166,7 @@ class TestReplay:
         )
         res = replay(script)
         assert res.ok and res.steps_applied == 2
-        assert len(res.trace) == 3
+        assert res.final == parse_word("s1+ s1-") and res.error is None
 
     def test_bad_step_reports_index(self):
         script = DerivationScript(
