@@ -13,13 +13,16 @@ The package provides, bottom up:
 - :mod:`qtorus.qexp` — the coefficients c_k of the q-exponential's power
   series: their cyclotomic denominators, and their expansion mod a power
   of q by partition counts.
+- :mod:`qtorus.words` — the rewriting layer's letters and words: words of
+  q-exponential letters, verified local relations, and derivation scripts
+  that are replayed step by step.
 - :mod:`qtorus.verifier` — two verification engines: an exact engine for
   identities whose coefficients close in rational functions of q, and a
-  certified truncated engine that enumerates, per monomial, the finite
-  tuple set contributing below a q-adic precision.
-- :mod:`qtorus.words` / :mod:`qtorus.scripts` — a rewriting layer: words
-  of q-exponential letters, verified local relations, and derivation
-  scripts that are replayed step by step.
+  certified truncated engine that reads a word of s-letters and
+  enumerates, per monomial, the finite tuple set contributing below a
+  q-adic precision.
+- :mod:`qtorus.scripts` — the concrete derivation scripts and the seeded
+  rewrite walk.
 - :mod:`qtorus.catalog` / :mod:`qtorus.cli` — the named identity catalog
   and the ``qtorus`` command-line front end producing JSON reports.
 """
@@ -35,16 +38,6 @@ from .errors import (
 from .series import FactoredRational, LaurentSeries, cyclotomic
 from .algebra import AlgebraConfig, Element, monomial_label, phase_exponent
 from .qexp import euler_denominator_factors
-from .verifier import (
-    FactorProduct,
-    ProductCertificate,
-    QExpFactor,
-    TupleCertificate,
-    coefficient_of,
-    exact_window_map,
-    product_coefficients,
-    window_targets,
-)
 from .words import (
     DerivationScript,
     ExpLetter,
@@ -61,6 +54,14 @@ from .words import (
     render_word,
     replay,
 )
+from .verifier import (
+    ProductCertificate,
+    TupleCertificate,
+    coefficient_of,
+    exact_window_map,
+    product_coefficients,
+    window_targets,
+)
 from .scripts import (
     braid_script,
     braid_translation_fwd,
@@ -73,7 +74,6 @@ from .scripts import (
     sigma_translation_fwd,
     sigma_translation_rev,
     structural_relations,
-    word_to_product,
 )
 from .catalog import (
     MAX_PRECISION,
@@ -108,15 +108,6 @@ __all__ = [
     "phase_exponent",
     # q-exponential
     "euler_denominator_factors",
-    # verifier
-    "QExpFactor",
-    "FactorProduct",
-    "ProductCertificate",
-    "TupleCertificate",
-    "coefficient_of",
-    "product_coefficients",
-    "window_targets",
-    "exact_window_map",
     # words
     "Letter",
     "ExpLetter",
@@ -132,6 +123,13 @@ __all__ = [
     "render_word",
     "parse_script",
     "render_script",
+    # verifier
+    "ProductCertificate",
+    "TupleCertificate",
+    "coefficient_of",
+    "product_coefficients",
+    "window_targets",
+    "exact_window_map",
     # scripts
     "braid_script",
     "sigma_script1",
@@ -142,7 +140,6 @@ __all__ = [
     "braid_translation_rev",
     "sigma_translation_fwd",
     "sigma_translation_rev",
-    "word_to_product",
     "structural_relations",
     "random_walk",
     # catalog

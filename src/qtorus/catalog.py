@@ -44,11 +44,10 @@ from .scripts import (
     sigma_script2,
     sigma_translation_fwd,
     sigma_translation_rev,
-    word_to_product,
 )
 from .series import FactoredRational
 from .verifier import exact_window_map, product_coefficients, window_targets
-from .words import Relation, S, Word, comm0, rel1, rel2, rel3, rel4, replay
+from .words import Relation, S, Word, comm0, expand_composites, rel1, rel2, rel3, rel4, replay
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -144,18 +143,18 @@ def _row(label: str, lhs, rhs) -> dict:
     return {"target": label, "lhs": text, "rhs": text if match else str(rhs), "match": match}
 
 
-def _image(factors, lo: int, hi: int, inverted: bool, mirrored: bool) -> tuple:
-    """The (site, sign) sequence of `factors` with every sign flipped if
-    `inverted`, read backwards with each site n sent to lo + hi - n if
-    `mirrored`, and translated so that the span lo..hi starts at site 1."""
+def _image(word: Word, lo: int, hi: int, inverted: bool, mirrored: bool) -> tuple:
+    """The (site, sign) sequence of the s-letters of `word` with every sign
+    flipped if `inverted`, read backwards with each site n sent to lo + hi - n
+    if `mirrored`, and translated so that the span lo..hi starts at site 1."""
     sign = -1 if inverted else 1
     if mirrored:
-        return tuple((hi + 1 - f.site, sign * f.exp) for f in reversed(factors))
-    return tuple((f.site + 1 - lo, sign * f.exp) for f in factors)
+        return tuple((hi + 1 - x.site, sign * x.sign) for x in reversed(word))
+    return tuple((x.site + 1 - lo, sign * x.sign) for x in word)
 
 
-def _side_class(factors, support: Sequence[int]) -> tuple[tuple, bool, bool]:
-    """The smallest of the four images of one side's `factors` and of its
+def _side_class(word: Word, support: Sequence[int]) -> tuple[tuple, bool, bool]:
+    """The smallest of the four images of one side's s-letter `word` and of its
     pair's `support` under inversion and mirroring over that support,
     translated to site 1, and the (inverted, mirrored) flags that give it."""
     lo, hi = support[0], support[-1]
@@ -164,7 +163,7 @@ def _side_class(factors, support: Sequence[int]) -> tuple[tuple, bool, bool]:
         tuple(hi + 1 - s for s in reversed(support)),
     )
     return min(
-        ((_image(factors, lo, hi, inv, mir), supports[mir]), inv, mir)
+        ((_image(word, lo, hi, inv, mir), supports[mir]), inv, mir)
         for inv in (False, True)
         for mir in (False, True)
     )
@@ -187,7 +186,8 @@ def _compare_words(
     precision: int,
 ) -> tuple[bool, list, dict]:
     """Compare the coefficients of labelled word pairs target by target over
-    the box of the sites either word touches.
+    the box of the sites either word touches.  Each word's composite
+    letters are expanded once, and the engine reads the expanded words.
 
     A term's valuation  Q(k) = sum k_l^2 - 2 sum eps_i eps_j k_i k_j,  over
     i < j with n_i = n_j + 1, keeps its value under three maps of a product
@@ -224,21 +224,20 @@ def _compare_words(
     boxes: dict = {}
     for label, lhs, rhs in pairs:
         prefix = f"{label}: " if label else ""
-        lprod = word_to_product(lhs, sites)
-        rprod = word_to_product(rhs, sites)
-        support = tuple(sorted(lprod.support_sites() | rprod.support_sites())) or (1,)
+        lhs, rhs = expand_composites(lhs), expand_composites(rhs)
+        support = tuple(sorted({x.site for x in lhs + rhs})) or (1,)
         if support not in boxes:
-            targets = window_targets(lprod.config, support, window)
+            targets = window_targets(sites, support, window)
             boxes[support] = targets, [monomial_label(target) for target in targets]
         targets, labels = boxes[support]
         views = []
-        for prod in (lprod, rprod):
-            key, inverted, mirrored = _side_class(prod.factors, support)
+        for word in (lhs, rhs):
+            key, inverted, mirrored = _side_class(word, support)
             if key not in classes:
                 table = []
                 last = text = None
                 reasons = set()
-                for _, series, cert in product_coefficients(prod, targets, precision):
+                for _, series, cert in product_coefficients(word, sites, targets, precision):
                     if series is not last:
                         last, text = series, str(series)
                     table.append(text)

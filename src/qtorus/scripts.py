@@ -1,4 +1,4 @@
-"""Concrete derivation scripts, factor-word products and the rewrite walk.
+"""Concrete derivation scripts, certificate summaries and the rewrite walk.
 
 Every generator in this module returns a :class:`~qtorus.words.DerivationScript`
 whose steps were chosen by hand once and are re-checked mechanically on every
@@ -19,9 +19,8 @@ replay; no generator "discovers" a proof at run time.  The families are:
   ascending or descending run, shifting its index; these are the word-level
   lemmas used to reorder products of ``b`` or ``c`` letters.
 
-:func:`word_to_product` reads a word of factor letters as the product of
-q-exponentials it stands for, so the catalog can compare script start/end
-words as algebra elements.  :func:`random_walk` drives a seeded walk
+:func:`fold_certificate` folds a truncated coefficient's certificate into a
+summary's running maxima, and :func:`random_walk` drives a seeded walk
 through the structural rewrite system.
 """
 
@@ -33,13 +32,12 @@ from typing import Sequence
 
 from .algebra import AlgebraConfig, Element
 from .errors import InvalidParams
-from .verifier import FactorProduct, QExpFactor, TupleCertificate
+from .verifier import TupleCertificate
 from .words import (
     B,
     C,
     DerivationScript,
     ExpLetter,
-    Letter,
     Relation,
     Step,
     Word,
@@ -74,7 +72,6 @@ __all__ = [
     "braid_translation_rev",
     "sigma_translation_fwd",
     "sigma_translation_rev",
-    "word_to_product",
     "fold_certificate",
     "structural_relations",
     "random_walk",
@@ -82,21 +79,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# factor-word products
+# certificate summaries
 # ---------------------------------------------------------------------------
-
-
-def word_to_product(word: Sequence[Letter], sites: int) -> FactorProduct:
-    """Interpret a word of letters as a product of q-exponential factors."""
-    expanded = expand_composites(word)
-    factors = []
-    for x in expanded:
-        if not isinstance(x, Letter) or x.kind != "S":
-            raise InvalidParams(f"not a factor letter: {x}")
-        if x.site > sites:
-            raise InvalidParams(f"letter {x} exceeds the configured {sites} sites")
-        factors.append(QExpFactor(x.site, x.sign))
-    return FactorProduct(AlgebraConfig(sites), tuple(factors))
 
 
 def fold_certificate(stats: dict, cert: TupleCertificate) -> None:

@@ -2,8 +2,10 @@
 
 A *factor product* is an ordered product  E(x_1) E(x_2) ... E(x_L)  where each
 argument x_l = w_(n_l)^(eps_l), eps_l = +-1, is a single generator or inverse
-generator.  Expanding every factor through its series form and
-normal-ordering gives, for each exponent vector T,
+generator.  The truncated engine reads it as a word of the rewriting layer's
+s-letters (:mod:`qtorus.words`), s_n+ for E(w_n) and s_n- for E(w_n^-1), on a
+chain of a given number of sites.  Expanding every factor through its series
+form and normal-ordering gives, for each exponent vector T,
 
     coefficient(T) = sum over k in Z_{>=0}^L with  sum_l k_l eps_l e_(n_l) = T
                      of  q^(Phi(k)) prod_l c_(k_l),
@@ -108,10 +110,9 @@ from .algebra import AlgebraConfig, Element, monomial_label, mul_terms
 from .errors import FrozenRecord, InfiniteSupport, InvalidParams, NoCertificate
 from .qexp import euler_denominator_factors, euler_expansion
 from .series import FactoredRational, LaurentSeries, widen
+from .words import Letter, S
 
 __all__ = [
-    "QExpFactor",
-    "FactorProduct",
     "ProductCertificate",
     "TupleCertificate",
     "coefficient_of",
@@ -122,58 +123,24 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# factor products
+# target boxes
 # ---------------------------------------------------------------------------
 
 
-class QExpFactor(FrozenRecord):
-    """One factor E(w_site^exp) with exp in {+1, -1}."""
-
-    __slots__ = ("site", "exp")
-
-    def __init__(self, site: int, exp: int = 1) -> None:
-        if exp not in (1, -1):
-            raise InvalidParams("factor exponent must be +1 or -1")
-        object.__setattr__(self, "site", site)
-        object.__setattr__(self, "exp", exp)
-
-    def __str__(self) -> str:
-        return f"E(w{self.site}" + ("^-1)" if self.exp < 0 else ")")
-
-
-class FactorProduct(FrozenRecord):
-    """Ordered product of q-exponential factors on a common chain."""
-
-    __slots__ = ("config", "factors")
-
-    def __init__(self, config: AlgebraConfig, factors: tuple[QExpFactor, ...]) -> None:
-        for f in factors:
-            config.check_site(f.site)
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "factors", factors)
-
-    def support_sites(self) -> set[int]:
-        return {f.site for f in self.factors}
-
-    def __str__(self) -> str:
-        return " ".join(str(f) for f in self.factors) if self.factors else "1"
-
-
 def window_targets(
-    config: AlgebraConfig,
-    sites: Iterable[int],
+    sites: int,
+    support: Iterable[int],
     window: int,
 ) -> list[tuple[int, ...]]:
-    """All exponent vectors supported on `sites` with every exponent in
-    -window..window, sorted."""
-    chosen = set(sites)
+    """All exponent vectors on a chain of `sites` sites that are supported on
+    the sites of `support`, with every exponent in -window..window, sorted."""
+    chosen = set(support)
+    config = AlgebraConfig(sites)
     for s in chosen:
         config.check_site(s)
     # one range per site, each sorted, so the product runs in sorted order
     span = range(-window, window + 1)
-    return list(
-        iproduct(*(span if s in chosen else (0,) for s in range(1, config.sites + 1)))
-    )
+    return list(iproduct(*(span if s in chosen else (0,) for s in range(1, sites + 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -560,9 +527,9 @@ class TupleCertificate(NamedTuple):
         }
 
 
-def _lattice(factors: Sequence[QExpFactor]) -> tuple[tuple, tuple, list[list[int]]]:
+def _lattice(factors: Sequence[Letter]) -> tuple[tuple, tuple, list[list[int]]]:
     """The kernel basis, first-index layout and bordered valuation form of
-    a factor list, for :func:`product_coefficients`."""
+    a word of s-letters, for :func:`product_coefficients`."""
     L = len(factors)
     by_site: dict[int, list[int]] = {}
     for idx, f in enumerate(factors):
@@ -572,7 +539,7 @@ def _lattice(factors: Sequence[QExpFactor]) -> tuple[tuple, tuple, list[list[int
     # +1 at a non-first index j of its site and `coeff` at the site's first
     # index, so walk coordinate y_i is k_j itself
     basis = tuple(
-        (j, idxs[0], -factors[idxs[0]].exp * factors[j].exp)
+        (j, idxs[0], -factors[idxs[0]].sign * factors[j].sign)
         for _, idxs in sorted(by_site.items())
         for j in idxs[1:]
     )
@@ -583,7 +550,7 @@ def _lattice(factors: Sequence[QExpFactor]) -> tuple[tuple, tuple, list[list[int
     for i, left in enumerate(factors):
         for j in range(i + 1, L):
             if left.site == factors[j].site + 1:
-                gram[i][j] = gram[j][i] = -left.exp * factors[j].exp
+                gram[i][j] = gram[j][i] = -left.sign * factors[j].sign
 
     # the particular solution is e * T_s at the first index of each site s
     # (e the sign there) and 0 elsewhere; with p those entries, k is
@@ -592,7 +559,7 @@ def _lattice(factors: Sequence[QExpFactor]) -> tuple[tuple, tuple, list[list[int
     # walk coordinates, bordered by the blocks that give the walk's linear
     # term b = B p and its constant term c = p^T C p
     firsts = tuple(
-        (idxs[0], factors[idxs[0]].exp, site - 1) for site, idxs in sorted(by_site.items())
+        (idxs[0], factors[idxs[0]].sign, site - 1) for site, idxs in sorted(by_site.items())
     )
     vecs = [((j, 1), (f, c)) for j, f, c in basis] + [((g, 1),) for g, _, _ in firsts]
     full = [[sum(a * b * gram[x][y] for x, a in u for y, b in v) for v in vecs] for u in vecs]
@@ -600,13 +567,16 @@ def _lattice(factors: Sequence[QExpFactor]) -> tuple[tuple, tuple, list[list[int
 
 
 def product_coefficients(
-    product: FactorProduct,
+    word: Sequence[Letter],
+    sites: int,
     targets: Iterable[Sequence[int]],
     precision: int,
 ) -> Iterator[tuple[tuple[int, ...], LaurentSeries, TupleCertificate]]:
     """Yield ``(target, series, certificate)`` for each target in order: the
     coefficient of the normal-ordered monomial `target` in the expansion of
-    `product`, complete mod q^precision.
+    the product that `word` stands for on a chain of `sites` sites, complete
+    mod q^precision.  Every letter of `word` must be an s-letter on a site
+    in 1..sites, and every target a vector of `sites` exponents.
 
     The kernel lattice and the restricted form depend only on the product
     and are built once per call, and so is one integer elimination of the
@@ -624,8 +594,12 @@ def product_coefficients(
     and a shifted add per distinct term.  Each accumulated entry is
     nonzero and below the precision, so the series takes it as it is.
     """
-    cfg = product.config
-    factors = product.factors
+    factors = tuple(word)
+    for x in factors:
+        if not isinstance(x, Letter) or x.kind != "S":
+            raise InvalidParams(f"not a factor letter: {x}")
+        if x.site > sites:
+            raise InvalidParams(f"letter {x} exceeds the configured {sites} sites")
 
     basis, firsts, full = _lattice(factors)
     rank = len(basis)
@@ -636,20 +610,20 @@ def product_coefficients(
     # (free: no k >= 0 clamp): by the Jacobi triple product the pair is
     # sum_m (-1)^m q^(m^2) w^(e m) / (q^2;q^2)_inf, and its phase with any
     # other factor is its first member's times m
-    units: list[QExpFactor] = []
+    units: list[Letter] = []
     pairs: list[int] = []
     free: list[int] = []
     idx = 0
     while idx < len(factors):
         f = factors[idx]
-        if factors[idx + 1 : idx + 2] == (QExpFactor(f.site, -f.exp),):
+        if factors[idx + 1 : idx + 2] == (S(f.site, -f.sign),):
             pairs.append(idx)
             free.append(len(units))
             idx += 1
         units.append(f)
         idx += 1
     shared = ProductCertificate(
-        tuple(str(f) for f in factors),
+        tuple(f"E(w{f.site}" + ("^-1)" if f.sign < 0 else ")") for f in factors),
         precision,
         rank,
         tuple(tuple(row[:rank]) for row in full[:rank]),
@@ -676,7 +650,7 @@ def product_coefficients(
     raisers = {f for _, f, coeff in basis if coeff > 0}
     one_sign = [(i, e) for f, e, i in firsts if f not in raisers]
     touched = {i for _, _, i in firsts}
-    outside = [i for i in range(cfg.sites) if i not in touched]
+    outside = [i for i in range(sites) if i not in touched]
 
     def settled(target: tuple[int, ...]) -> Optional[str]:
         # the reason a target has no tuple when its exponents alone decide
@@ -711,7 +685,7 @@ def product_coefficients(
 
     for target in targets:
         target = tuple(target)
-        if len(target) != cfg.sites:
+        if len(target) != sites:
             raise InvalidParams("target length does not match the chain")
 
         reason = settled(target)
@@ -804,13 +778,15 @@ def product_coefficients(
 
 
 def coefficient_of(
-    product: FactorProduct,
+    word: Sequence[Letter],
+    sites: int,
     target: Sequence[int],
     precision: int,
 ) -> tuple[LaurentSeries, TupleCertificate]:
     """The coefficient of the normal-ordered monomial `target` in the
-    expansion of `product`, complete mod q^precision, with its certificate."""
-    _, series, cert = next(product_coefficients(product, [target], precision))
+    expansion of the product that `word` stands for on a chain of `sites`
+    sites, complete mod q^precision, with its certificate."""
+    _, series, cert = next(product_coefficients(word, sites, [target], precision))
     return series, cert
 
 

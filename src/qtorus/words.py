@@ -519,20 +519,19 @@ def render_script(script: DerivationScript) -> str:
 
 
 def parse_script(text: str) -> DerivationScript:
-    name = None
-    start: Optional[Word] = None
-    end: Optional[Word] = None
+    """The script of the text format :func:`render_script` writes: one
+    ``script:``, ``start:`` and ``end:`` line each, and one step per line."""
+    header: dict = {}
     steps: list[Step] = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("script:"):
-            name = line[len("script:") :].strip()
-        elif line.startswith("start:"):
-            start = parse_word(line[len("start:") :])
-        elif line.startswith("end:"):
-            end = parse_word(line[len("end:") :])
+        key, sep, value = line.partition(":")
+        if sep and key in ("script", "start", "end"):
+            if key in header:
+                raise InvalidParams(f"{key!r} line given twice: {raw!r}")
+            header[key] = value.strip() if key == "script" else parse_word(value)
         else:
             m = _STEP_RE.match(line)
             if not m:
@@ -559,6 +558,6 @@ def parse_script(text: str) -> DerivationScript:
             if unknown:
                 raise InvalidParams(f"{rid} takes no binding {min(unknown)!r}: {raw!r}")
             steps.append(Step(int(pos), relation, direction == "fwd"))
-    if name is None or start is None or end is None:
+    if len(header) < 3:
         raise InvalidParams("script needs name, start, and end lines")
-    return DerivationScript(name, start, tuple(steps), end)
+    return DerivationScript(header["script"], header["start"], tuple(steps), header["end"])

@@ -17,9 +17,9 @@ from qtorus.algebra import Element, monomial_label
 from qtorus.catalog import _row
 from qtorus.errors import InfiniteSupport, InvalidParams
 from qtorus.qexp import euler_denominator_factors
-from qtorus.scripts import fold_certificate, word_to_product
+from qtorus.scripts import fold_certificate
 from qtorus.verifier import product_coefficients, window_targets
-from qtorus.words import Step
+from qtorus.words import Step, expand_composites
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +271,11 @@ def compare_words_unshared(pairs, sites: int, window: int, precision: int):
     stats: dict = {}
     for label, lhs, rhs in pairs:
         prefix = f"{label}: " if label else ""
-        lprod = word_to_product(lhs, sites)
-        rprod = word_to_product(rhs, sites)
-        support = sorted(lprod.support_sites() | rprod.support_sites()) or [1]
-        targets = window_targets(lprod.config, support, window)
-        left = list(product_coefficients(lprod, targets, precision))
-        right = list(product_coefficients(rprod, targets, precision))
+        lhs, rhs = expand_composites(lhs), expand_composites(rhs)
+        support = sorted({x.site for x in lhs + rhs}) or [1]
+        targets = window_targets(sites, support, window)
+        left = list(product_coefficients(lhs, sites, targets, precision))
+        right = list(product_coefficients(rhs, sites, targets, precision))
         for target, (_, ls, lc), (_, rs, rc) in zip(targets, left, right):
             rows.append(_row(prefix + monomial_label(target), ls, rs))
             fold_certificate(stats, lc)

@@ -39,9 +39,9 @@ import qtorus.cli as cli
 from qtorus.algebra import AlgebraConfig, Element
 from qtorus.catalog import verify_identity
 from qtorus.series import LaurentSeries
-from qtorus.verifier import FactorProduct, QExpFactor, coefficient_of, window_targets
-from qtorus.words import comm0, rel1, rel2, rel3, rel4, replay
-from qtorus.scripts import braid_script, word_to_product
+from qtorus.verifier import coefficient_of, window_targets
+from qtorus.words import S, comm0, rel1, rel2, rel3, rel4, replay
+from qtorus.scripts import braid_script
 
 from oracles import blind_tuples_by_target, finite_qexp, phase_by_sorting, target_key
 
@@ -52,9 +52,8 @@ def _report(num: int, label: str, ok: bool) -> None:
     assert ok, f"criterion {num} ({label}) failed"
 
 
-def _product(pairs, sites=2) -> FactorProduct:
-    cfg = AlgebraConfig(sites)
-    return FactorProduct(cfg, tuple(QExpFactor(s, e) for s, e in pairs))
+def _word(pairs) -> tuple:
+    return tuple(S(s, e) for s, e in pairs)
 
 
 SEVEN_LHS = ((2, 1), (1, -1), (1, 1), (2, 1))
@@ -82,22 +81,21 @@ def test_criterion_1_exact_product_rules():
 
 
 def test_criterion_2_four_vs_three_factor_window():
-    cfg = AlgebraConfig(2)
-    lhs = _product(SEVEN_LHS)
-    rhs = _product(SEVEN_RHS)
+    lhs = _word(SEVEN_LHS)
+    rhs = _word(SEVEN_RHS)
     # e_1 in -3..3 and e_2 in 0..6, cut from the symmetric box of half-width 6
     targets = [
-        t for t in window_targets(cfg, (1, 2), 6) if abs(t[0]) <= 3 and t[1] >= 0
+        t for t in window_targets(2, (1, 2), 6) if abs(t[0]) <= 3 and t[1] >= 0
     ]
     ok = len(targets) == 49
     for target in targets:
-        ls, _ = coefficient_of(lhs, target, 20)
-        rs, _ = coefficient_of(rhs, target, 20)
+        ls, _ = coefficient_of(lhs, 2, target, 20)
+        rs, _ = coefficient_of(rhs, 2, target, 20)
         ok = ok and ls == rs
     # pinned low-order values on the identity and w2 monomials, both sides
     for side in (lhs, rhs):
-        unit, _ = coefficient_of(side, (0, 0), 6)
-        w2, _ = coefficient_of(side, (0, 1), 6)
+        unit, _ = coefficient_of(side, 2, (0, 0), 6)
+        w2, _ = coefficient_of(side, 2, (0, 1), 6)
         ok = ok and unit == LaurentSeries({0: 1, 2: 1, 4: 2}, 6)
         ok = ok and w2 == LaurentSeries({1: -2, 3: -4, 5: -8}, 6)
     _report(2, "four-vs-three factor table mod q^20", ok)
@@ -155,9 +153,9 @@ def test_criterion_5_product_vs_series():
     ok = True
     for exp in (1, -1):
         x = Element.generator(cfg, 1, exp)
-        engine = FactorProduct(cfg, (QExpFactor(1, exp),))
         series = [
-            coefficient_of(engine, (exp * k,), precision)[0] for k in range(order + 1)
+            coefficient_of((S(1, exp),), 1, (exp * k,), precision)[0]
+            for k in range(order + 1)
         ]
 
         def product(d):
@@ -176,14 +174,14 @@ def test_criterion_5_product_vs_series():
 # ------------------------------------------------------------ criterion 6
 
 
-def _oracle_tuple_set(product: FactorProduct, hits, precision):
+def _oracle_tuple_set(word, hits, precision):
     """Independent enumeration: the blind search's `hits` for one target,
     then a valuation filter computed by letter-sorting rather than by the
     certified quadratic form."""
     keep = set()
     for ks in hits:
         _, phase = phase_by_sorting(
-            [(f.site, f.exp * k) for f, k in zip(product.factors, ks)]
+            [(f.site, f.sign * k) for f, k in zip(word, ks)]
         )
         if sum(k * k for k in ks) + phase < precision:
             keep.add(ks)
@@ -192,29 +190,28 @@ def _oracle_tuple_set(product: FactorProduct, hits, precision):
 
 def test_criterion_6_certificates_match_blind_search():
     precision, kmax = 12, 12
-    products = [_product(SEVEN_LHS), _product(SEVEN_RHS)]
+    words = [_word(SEVEN_LHS), _word(SEVEN_RHS)]
     for rel in (rel1(1), rel2(1), rel3(1), rel4(1), comm0(1), comm0(2)):
-        products.append(word_to_product(rel.lhs, 2))
-        products.append(word_to_product(rel.rhs, 2))
-    cfg = AlgebraConfig(2)
+        words.append(rel.lhs)
+        words.append(rel.rhs)
     ok = True
-    for product in products:
+    for word in words:
         # one blind scan of the product's box serves all its targets
         buckets = blind_tuples_by_target(
-            [f.exp for f in product.factors], [f.site for f in product.factors], kmax
+            [f.sign for f in word], [f.site for f in word], kmax
         )
-        for target in window_targets(cfg, (1, 2), 2):
-            _, cert = coefficient_of(product, target, precision)
+        for target in window_targets(2, (1, 2), 2):
+            _, cert = coefficient_of(word, 2, target, precision)
             hits = buckets.get(target_key({s + 1: e for s, e in enumerate(target)}), [])
-            expected = _oracle_tuple_set(product, hits, precision)
+            expected = _oracle_tuple_set(word, hits, precision)
             ok = ok and set(cert.tuples) == expected
             if expected:
                 ok = ok and cert.min_valuation == min(
                     sum(k * k for k in ks)
                     + phase_by_sorting(
                         [
-                            (f.site, f.exp * k)
-                            for f, k in zip(product.factors, ks)
+                            (f.site, f.sign * k)
+                            for f, k in zip(word, ks)
                         ]
                     )[1]
                     for ks in expected

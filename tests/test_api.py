@@ -13,7 +13,7 @@ import qtorus
 from qtorus.algebra import AlgebraConfig
 from qtorus.catalog import CatalogItem, Report
 from qtorus.errors import InvalidParams
-from qtorus.verifier import FactorProduct, ProductCertificate, QExpFactor, _ScaledForm
+from qtorus.verifier import ProductCertificate, _ScaledForm
 from qtorus.words import (
     DerivationScript,
     Letter,
@@ -40,15 +40,24 @@ def test_submodule_names_resolve(module):
 
 
 def test_readme_library_example_runs(capsys):
+    # every python block of the section, in order, in one namespace
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("## Library use", 1)[1]
-    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
-    exec(compile(code, "README.md", "exec"), {})
-    series_line, summary_line = capsys.readouterr().out.splitlines()
+    section = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 4
+    namespace: dict = {}
+    for code in blocks:
+        exec(compile(code, "README.md", "exec"), namespace)
+    series_line, summary_line, *window_lines, terms_line = capsys.readouterr().out.splitlines()
     assert series_line.startswith("-2*q^1 - 4*q^3 - 8*q^5 - ")
     assert series_line.endswith(" (mod q^14)")
     summary = ast.literal_eval(summary_line)
     assert summary["tuples"] == 6 and summary["minors"] == [2, 4]
+    # the window's 25 targets, the (0, 1) target among them with the series
+    assert len(window_lines) == 25
+    assert f"(0, 1) walk {series_line}" in window_lines
+    assert ast.literal_eval(terms_line) == {(1, 0): {0: 1}, (0, 1): {0: 1}, (1, 1): {-1: -1}}
+    assert namespace["failed"].status == "FAIL" and namespace["report"].status == "PASS"
 
 
 _WORD = (S(1, 1), S(1, -1))
@@ -59,13 +68,6 @@ _SWAPPED = (S(1, -1), S(1, 1))
 # record is frozen, whether its values are hashable)
 RECORDS = [
     (AlgebraConfig, {"sites": 2}, {"sites": 3}, {}, True, True),
-    (QExpFactor, {"site": 1, "exp": -1}, {"site": 2, "exp": 1}, {"exp": 1}, True, True),
-    (
-        FactorProduct,
-        {"config": AlgebraConfig(2), "factors": (QExpFactor(1), QExpFactor(2, -1))},
-        {"config": AlgebraConfig(3), "factors": (QExpFactor(1),)},
-        {}, True, True,
-    ),
     (
         _ScaledForm,
         {"minors": (2,), "lam": 8, "di": (8,), "li_cols": ((),), "centre_map": ((-4,),), "h_terms": ((0, 0, 6),)},
@@ -165,8 +167,7 @@ def test_record_semantics(cls, fields, others, defaults, frozen, hashable):
 
 def test_record_repr_text():
     assert repr(S(2, 1)) == "Letter(kind='S', site=2, sign=1)"
-    assert repr(QExpFactor(3)) == "QExpFactor(site=3, exp=1)"
-    assert repr(FactorProduct(AlgebraConfig(1), ())) == "FactorProduct(config=AlgebraConfig(sites=1), factors=())"
+    assert repr(AlgebraConfig(1)) == "AlgebraConfig(sites=1)"
 
 
 @pytest.mark.parametrize(
@@ -176,11 +177,9 @@ def test_record_repr_text():
         lambda: Letter("S", 0, 1),
         lambda: Letter("S", 1),
         lambda: Letter("B", 1, 1),
-        lambda: QExpFactor(1, 2),
         lambda: AlgebraConfig(0),
-        lambda: FactorProduct(AlgebraConfig(2), (QExpFactor(3),)),
     ],
-    ids=["kind", "site", "s_sign", "b_sign", "exp", "sites", "factor_site"],
+    ids=["kind", "site", "s_sign", "b_sign", "sites"],
 )
 def test_record_validation(build):
     with pytest.raises(InvalidParams):

@@ -357,9 +357,9 @@ def _count_evaluations(monkeypatch) -> list:
     made = []
     inner = catalog.product_coefficients
 
-    def counting(product, targets, precision):
-        made.append(product)
-        return inner(product, targets, precision)
+    def counting(word, sites, targets, precision):
+        made.append(word)
+        return inner(word, sites, targets, precision)
 
     monkeypatch.setattr(catalog, "product_coefficients", counting)
     return made
@@ -412,9 +412,9 @@ def test_one_box_per_support(monkeypatch, name, params, boxes):
     built = []
     inner = catalog.window_targets
 
-    def counting(config, sites, window):
-        built.append(tuple(sites))
-        return inner(config, sites, window)
+    def counting(sites, support, window):
+        built.append(tuple(support))
+        return inner(sites, support, window)
 
     monkeypatch.setattr(catalog, "window_targets", counting)
     assert verify_identity(name, **params).status == "PASS"

@@ -426,6 +426,16 @@ def test_replay_unparsable_file_exits_two(capsys, tmp_path, step):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("line", ["script: b", "start: s1- s1+", "end: s1+ s1-"])
+def test_replay_repeated_header_line_exits_two(capsys, tmp_path, line):
+    # without the check, the second start word replays to the end word
+    # with ok: true and exit 0
+    path = tmp_path / "twice.txt"
+    path.write_text(f"script: a\nstart: s1+ s1-\n{line}\nend: s1- s1+\n")
+    code, out, err = run_cli(["replay", str(path)], capsys)
+    assert code == 2 and out == "" and err.startswith("error: ") and "given twice" in err
+
+
 def test_replay_missing_file_exits_two(capsys, tmp_path):
     code, _, err = run_cli(["replay", str(tmp_path / "absent.txt")], capsys)
     assert code == 2 and err

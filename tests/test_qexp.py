@@ -6,7 +6,8 @@ from collections import Counter
 from qtorus.algebra import AlgebraConfig, Element
 from qtorus.qexp import divide_by_one_minus, euler_denominator_factors, euler_expansion
 from qtorus.series import FactoredRational, LaurentSeries, cyclotomic
-from qtorus.verifier import FactorProduct, QExpFactor, coefficient_of, exact_window_map
+from qtorus.verifier import coefficient_of, exact_window_map
+from qtorus.words import S
 
 from oracles import finite_qexp, longdiv_expand, naive_poly_mul, oracle_euler, rational_equal
 
@@ -21,8 +22,7 @@ def exact_c(k):
 
 def engine_c(k, precision, exp=1):
     """The truncated engine's coefficient of w^(exp*k) in E(w^exp)."""
-    prod = FactorProduct(AlgebraConfig(1), (QExpFactor(1, exp),))
-    return coefficient_of(prod, (exp * k,), precision)[0]
+    return coefficient_of((S(1, exp),), 1, (exp * k,), precision)[0]
 
 
 def threshold_depth(order, precision):
@@ -55,9 +55,8 @@ class TestEulerCoefficients:
         assert engine_c(2, 10) == L({4: 1, 6: 1, 8: 2}, 10)
 
     def test_valuation_is_k_squared(self):
-        prod = FactorProduct(AlgebraConfig(1), (QExpFactor(1),))
         for k in range(7):
-            s, cert = coefficient_of(prod, (k,), k * k + 3)
+            s, cert = coefficient_of((S(1, 1),), 1, (k,), k * k + 3)
             assert min(s.coeffs) == cert.min_valuation == k * k
 
     def test_leading_coefficient_sign(self):
@@ -166,9 +165,8 @@ class TestSeriesForm:
         # E(w^-1) = sum c_k w^-k: nothing lands on positive powers
         for k in range(4):
             assert engine_c(k, 10, exp=-1) == L(oracle_euler(k, 10), 10)
-        prod = FactorProduct(AlgebraConfig(1), (QExpFactor(1, -1),))
         for k in (1, 2):
-            got, cert = coefficient_of(prod, (k,), 10)
+            got, cert = coefficient_of((S(1, -1),), 1, (k,), 10)
             assert got.is_zero() and cert.tuples == ()
 
 

@@ -21,8 +21,8 @@ from qtorus.scripts import (
     sigma_translation_fwd,
     sigma_translation_rev,
     structural_relations,
-    word_to_product,
 )
+from qtorus.catalog import _compare_words
 from qtorus.verifier import ProductCertificate, TupleCertificate
 from qtorus.words import (
     B,
@@ -199,8 +199,12 @@ class TestTranslations:
 
 class TestWordImages:
     def test_site_bound_enforced(self):
-        with pytest.raises(InvalidParams):
-            word_to_product((S(3, 1),), 2)
+        # a word on a site beyond the chain has no box there, on either side
+        for word in ((S(3, 1),), (B(3),)):
+            with pytest.raises(InvalidParams):
+                compare_words_unshared([("", (S(1, 1),), word)], 2, 1, 6)
+            with pytest.raises(InvalidParams):
+                _compare_words([("", word, (S(1, 1),))], 2, 1, 6)
 
     def test_untouched_sites_not_enumerated(self):
         _, rows, _ = compare_words_unshared([("", (S(1, 1),), (S(1, 1),))], 4, 1, 6)

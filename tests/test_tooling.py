@@ -198,6 +198,67 @@ def test_scan_sees_a_public_name_without_caller(tmp_path):
     ]
 
 
+def record_classes(files: list[Path]) -> list[str]:
+    """Public module-level classes of `files` that derive from ``Record`` or
+    ``FrozenRecord``, directly or through another class of `files`."""
+    bases: dict[str, set] = {}
+    for path in files:
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases}
+    roots = {"Record", "FrozenRecord"}
+    records = set(roots)
+    while grown := {name for name, base in bases.items() if base & records} - records:
+        records |= grown
+    return sorted(name for name in records - roots if not name.startswith("_"))
+
+
+def readme_record_names(text: str) -> list[str]:
+    """The classes README's value-records paragraph names: the backticked
+    names of its sentence that begins "They are", without a module prefix."""
+    paragraph = text.split("The package's records are value records", 1)[1].split("\n\n", 1)[0]
+    sentence = re.search(r"They are\s(.*?)\.\s", paragraph, re.S).group(1)
+    return sorted(re.findall(r"`(?:\w+\.)?(\w+)`", sentence))
+
+
+def test_readme_names_every_record_class():
+    # a record class added or removed must be added to or removed from the
+    # README's list of value records
+    files = sorted((ROOT / "src" / "qtorus").glob("*.py"))
+    found = record_classes(files)
+    assert len(found) > 5
+    assert readme_record_names((ROOT / "README.md").read_text()) == found
+
+
+def test_scan_sees_every_record_class(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from qtorus import errors\n"
+        "from qtorus.errors import FrozenRecord, Record\n"
+        "class Plain:\n"
+        "    pass\n"
+        "class Kept(Plain, FrozenRecord):\n"
+        "    pass\n"
+        "class Later(Earlier):\n"
+        "    pass\n"
+        "class Earlier(errors.Record):\n"
+        "    pass\n"
+        "class _Hidden(Record):\n"
+        "    pass\n"
+        "class Child(_Hidden):\n"
+        "    pass\n"
+        "def f():\n"
+        "    class Inner(Record):\n"
+        "        pass\n"
+    )
+    assert record_classes([module]) == ["Child", "Earlier", "Kept", "Later"]
+    readme = (
+        "The package's records are value records: plain classes.  They are\n"
+        "`Kept` and `m.Later`; `Earlier`.  Also `NotListed`.\n\n`Other`\n"
+    )
+    assert readme_record_names(readme) == ["Earlier", "Kept", "Later"]
+
+
 def modules_loaded_by_cli_import(names: tuple[str, ...]) -> list[str]:
     """Which of `names` a fresh interpreter has loaded after ``import qtorus.cli``."""
     env = dict(os.environ)

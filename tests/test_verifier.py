@@ -11,19 +11,17 @@ from fractions import Fraction
 import pytest
 
 from qtorus.algebra import AlgebraConfig, Element, monomial_label, mul_terms
-from qtorus.errors import InfiniteSupport, NoCertificate
-from qtorus.scripts import braid_script, sigma_script1, sigma_script2, word_to_product
+from qtorus.errors import InfiniteSupport, InvalidParams, NoCertificate
+from qtorus.scripts import braid_script, sigma_script1, sigma_script2
 from qtorus.series import LaurentSeries
 from qtorus.verifier import (
-    FactorProduct,
-    QExpFactor,
     coefficient_of,
     exact_window_map,
     product_coefficients,
     window_targets,
 )
 from qtorus.verifier import _scaled_form, _walk_levels, _walk_sublevel
-from qtorus.words import rel1
+from qtorus.words import B, C, ExpLetter, S, rel1, render_word
 
 import qtorus.catalog as catalog
 import qtorus.qexp as qexp
@@ -52,8 +50,9 @@ def expand(frac, precision):
     return L(longdiv_expand(num, den, precision), precision)
 
 
-def product_of(cfg, letters):
-    return FactorProduct(cfg, tuple(QExpFactor(site, exp) for site, exp in letters))
+def word_of(letters):
+    """The word of s-letters for a list of (site, sign) pairs."""
+    return tuple(S(site, sign) for site, sign in letters)
 
 
 def walk_y(a, b, c, bound, sides=()):
@@ -97,28 +96,23 @@ def walk_y(a, b, c, bound, sides=()):
 
 class TestSingleFactors:
     def test_one_factor_reproduces_series_coefficients(self):
-        cfg = AlgebraConfig(1)
-        prod = product_of(cfg, [(1, 1)])
+        word = word_of([(1, 1)])
         for k in range(4):
-            got, cert = coefficient_of(prod, (k,), 10)
+            got, cert = coefficient_of(word, 1, (k,), 10)
             assert got == L(oracle_euler(k, 10), 10)
             assert cert.tuples == ((k,),)
-        got, cert = coefficient_of(prod, (-1,), 10)
+        got, cert = coefficient_of(word, 1, (-1,), 10)
         assert got == L({}, 10)
         assert cert.tuples == ()
 
     def test_inverse_factor(self):
-        cfg = AlgebraConfig(1)
-        prod = product_of(cfg, [(1, -1)])
-        got, _ = coefficient_of(prod, (-2,), 12)
+        got, _ = coefficient_of(word_of([(1, -1)]), 1, (-2,), 12)
         assert got == L(oracle_euler(2, 12), 12)
 
     def test_empty_product_is_identity(self):
-        cfg = AlgebraConfig(2)
-        prod = FactorProduct(cfg, ())
-        got, cert = coefficient_of(prod, (0, 0), 6)
+        got, cert = coefficient_of((), 2, (0, 0), 6)
         assert got == L({0: 1}, 6)
-        got, cert = coefficient_of(prod, (1, 0), 6)
+        got, cert = coefficient_of((), 2, (1, 0), 6)
         assert got.is_zero() and not cert.feasible
 
 
@@ -131,24 +125,24 @@ class TestAgainstElementProducts:
     def test_same_site_square(self):
         # E(w) E(w) expanded two ways: certificates vs normal-ordered products
         cfg = AlgebraConfig(1)
-        prod = product_of(cfg, [(1, 1), (1, 1)])
+        word = word_of([(1, 1), (1, 1)])
         for depth in (4, 6):
             el = finite_qexp(Element.generator(cfg, 1), depth)
             el = el * el
             for m in range(4):
-                got, _ = coefficient_of(prod, (m,), 8)
+                got, _ = coefficient_of(word, 1, (m,), 8)
                 assert got == L(el.terms.get((m,), {}), 8), (depth, m)
 
     def test_adjacent_sites_mixed(self):
         cfg = AlgebraConfig(2)
-        prod = product_of(cfg, [(2, 1), (1, -1)])
+        word = word_of([(2, 1), (1, -1)])
         for depth in (3, 5):
             e2 = finite_qexp(Element.generator(cfg, 2), depth)
             e1 = finite_qexp(Element.generator(cfg, 1, -1), depth)
             el = e2 * e1
             for a in range(-2, 1):
                 for b in range(0, 3):
-                    got, _ = coefficient_of(prod, (a, b), 7)
+                    got, _ = coefficient_of(word, 2, (a, b), 7)
                     assert got == L(el.terms.get((a, b), {}), 7), (depth, a, b)
 
 
@@ -158,37 +152,36 @@ SEVEN_RHS = [(1, -1), (2, 1), (1, 1)]
 
 class TestSevenTermValues:
     def setup_method(self):
-        self.cfg = AlgebraConfig(2)
-        self.lhs = product_of(self.cfg, SEVEN_LHS)
-        self.rhs = product_of(self.cfg, SEVEN_RHS)
+        self.lhs = word_of(SEVEN_LHS)
+        self.rhs = word_of(SEVEN_RHS)
 
     def test_constant_coefficient(self):
         want = L({0: 1, 2: 1, 4: 2}, 6)
-        got_l, _ = coefficient_of(self.lhs, (0, 0), 6)
-        got_r, _ = coefficient_of(self.rhs, (0, 0), 6)
+        got_l, _ = coefficient_of(self.lhs, 2, (0, 0), 6)
+        got_r, _ = coefficient_of(self.rhs, 2, (0, 0), 6)
         assert got_l == want and got_r == want
 
     def test_first_v_coefficient(self):
         want = L({1: -2, 3: -4, 5: -8}, 6)
-        got_l, _ = coefficient_of(self.lhs, (0, 1), 6)
-        got_r, _ = coefficient_of(self.rhs, (0, 1), 6)
+        got_l, _ = coefficient_of(self.lhs, 2, (0, 1), 6)
+        got_r, _ = coefficient_of(self.rhs, 2, (0, 1), 6)
         assert got_l == want and got_r == want
         assert str(want) == "-2*q^1 - 4*q^3 - 8*q^5 (mod q^6)"
 
     def test_certificate_contents(self):
-        _, cert = coefficient_of(self.rhs, (0, 1), 6)
+        _, cert = coefficient_of(self.rhs, 2, (0, 1), 6)
         assert cert.kernel_rank == 1
         assert cert.tuples == ((0, 1, 0), (1, 1, 1), (2, 1, 2))
         assert cert.max_index == 2
         assert cert.min_valuation == 1
         assert all(m > 0 for m in cert.minors)
-        _, cert = coefficient_of(self.lhs, (0, 1), 6)
+        _, cert = coefficient_of(self.lhs, 2, (0, 1), 6)
         assert cert.tuples == ((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 0, 0), (1, 1, 1, 0))
 
     def test_full_window_equality(self):
-        for target in window_targets(self.cfg, {1, 2}, 2):
-            got_l, _ = coefficient_of(self.lhs, target, 10)
-            got_r, _ = coefficient_of(self.rhs, target, 10)
+        for target in window_targets(2, {1, 2}, 2):
+            got_l, _ = coefficient_of(self.lhs, 2, target, 10)
+            got_r, _ = coefficient_of(self.rhs, 2, target, 10)
             assert got_l == got_r, target
 
     def test_brute_force_tuple_sets(self):
@@ -196,8 +189,8 @@ class TestSevenTermValues:
         sites = [s for s, _ in SEVEN_LHS]
         signs = [e for _, e in SEVEN_LHS]
         buckets = blind_tuples_by_target(signs, sites, 6)
-        for target in window_targets(self.cfg, {1, 2}, 2):
-            _, cert = coefficient_of(self.lhs, target, P)
+        for target in window_targets(2, {1, 2}, 2):
+            _, cert = coefficient_of(self.lhs, 2, target, P)
             tgt = {i + 1: e for i, e in enumerate(target)}
             blind = buckets.get(target_key(tgt), [])
             # blind search then the valuation filter Q < P
@@ -213,11 +206,45 @@ class TestSevenTermValues:
             assert set(cert.tuples) == keep, target
 
 
+class TestWordInput:
+    """The engine reads a word of s-letters on a chain of `sites` sites and
+    refuses anything else with InvalidParams, before any target."""
+
+    @pytest.mark.parametrize(
+        "word",
+        [
+            (S(1, 1), B(1)),
+            (C(1), S(2, -1)),
+            (ExpLetter("u", Element.generator(AlgebraConfig(2), 1)),),
+            (S(1, 1), S(3, -1)),
+        ],
+        ids=["b_letter", "c_letter", "exp_letter", "beyond_sites"],
+    )
+    def test_rejects_a_letter(self, word):
+        with pytest.raises(InvalidParams):
+            coefficient_of(word, 2, (0, 0), 6)
+        with pytest.raises(InvalidParams):
+            list(product_coefficients(word, 2, [], 6))
+
+    @pytest.mark.parametrize("target", [(0,), (0, 0, 0)], ids=["short", "long"])
+    def test_rejects_a_target_of_the_wrong_length(self, target):
+        word = word_of([(1, 1), (2, -1)])
+        with pytest.raises(InvalidParams):
+            coefficient_of(word, 2, target, 6)
+        calls = product_coefficients(word, 2, [(0, 0), target], 6)
+        next(calls)
+        with pytest.raises(InvalidParams):
+            next(calls)
+
+    @pytest.mark.parametrize("support", [(0,), (3,), (1, 3)])
+    def test_window_targets_rejects_a_site_off_the_chain(self, support):
+        with pytest.raises(InvalidParams):
+            window_targets(2, support, 1)
+
+
 class TestCertificateEdges:
     def test_uninvolved_site_must_be_zero(self):
-        cfg = AlgebraConfig(3)
-        prod = product_of(cfg, [(1, 1), (2, 1)])
-        got, cert = coefficient_of(prod, (0, 0, 1), 8)
+        got, cert = coefficient_of(word_of([(1, 1), (2, 1)]), 3, (0, 0, 1), 8)
         assert got.is_zero() and not cert.feasible
 
     def test_indefinite_form_is_rejected(self):
@@ -229,11 +256,8 @@ class TestCertificateEdges:
     def test_product_with_a_singular_form_is_refused(self):
         # the restricted form of this product (kernel rank 6) has a zero sixth
         # leading minor: the call raises before it yields any target
-        cfg = AlgebraConfig(2)
-        prod = product_of(
-            cfg, [(1, 1), (1, -1), (2, 1), (2, 1), (1, 1), (1, 1), (2, 1), (2, 1)]
-        )
-        calls = product_coefficients(prod, window_targets(cfg, (1, 2), 1), 8)
+        word = word_of([(1, 1), (1, -1), (2, 1), (2, 1), (1, 1), (1, 1), (2, 1), (2, 1)])
+        calls = product_coefficients(word, 2, window_targets(2, (1, 2), 1), 8)
         with pytest.raises(NoCertificate, match=r"leading minor 6 is 0\)"):
             next(calls)
 
@@ -348,7 +372,7 @@ def _oracle_truncated_mul(a, b, precision):
 def _blind_buckets(factors, kmax):
     """One blind scan of the box 0 <= k_i <= kmax of `factors`, bucketed by
     target, for :func:`_blind_coefficient`."""
-    return blind_tuples_by_target([f.exp for f in factors], [f.site for f in factors], kmax)
+    return blind_tuples_by_target([f.sign for f in factors], [f.site for f in factors], kmax)
 
 
 def _blind_coefficient(factors, buckets, target, precision, kmax):
@@ -360,7 +384,7 @@ def _blind_coefficient(factors, buckets, target, precision, kmax):
     want = {}
     kept = []
     for ks in blind:
-        _, phase = phase_by_sorting([(f.site, f.exp * k) for f, k in zip(factors, ks)])
+        _, phase = phase_by_sorting([(f.site, f.sign * k) for f, k in zip(factors, ks)])
         if sum(k * k for k in ks) + phase >= precision:
             continue
         kept.append(ks)
@@ -375,18 +399,17 @@ def _blind_coefficient(factors, buckets, target, precision, kmax):
 
 
 def _seeded_products(rng):
-    """The oracle's random products, with a window-2 box of targets each and a
-    sample of three of them, drawn from `rng` in turn."""
+    """The oracle's random words of s-letters with their chain's site count,
+    precision, a window-2 box of targets each and a sample of three of them,
+    drawn from `rng` in turn."""
     for _ in range(14):
         sites = rng.randint(2, 3)
-        factors = tuple(
-            QExpFactor(rng.randint(1, sites), rng.choice((1, -1)))
-            for _ in range(rng.randint(2, 5))
+        word = tuple(
+            S(rng.randint(1, sites), rng.choice((1, -1))) for _ in range(rng.randint(2, 5))
         )
-        cfg = AlgebraConfig(sites)
         precision = rng.randint(4, 24)
-        targets = window_targets(cfg, sorted({f.site for f in factors}), 2)
-        yield FactorProduct(cfg, factors), precision, targets, rng.sample(targets, min(3, len(targets)))
+        targets = window_targets(sites, sorted({f.site for f in word}), 2)
+        yield word, sites, precision, targets, rng.sample(targets, min(3, len(targets)))
 
 
 def _collapsed(factors):
@@ -397,7 +420,7 @@ def _collapsed(factors):
     while i < len(factors):
         f = factors[i]
         units.append(f)
-        pair = i + 1 < len(factors) and factors[i + 1] == QExpFactor(f.site, -f.exp)
+        pair = i + 1 < len(factors) and factors[i + 1] == S(f.site, -f.sign)
         i += 2 if pair else 1
     return tuple(units)
 
@@ -412,7 +435,7 @@ def _fibre_minimum(factors, target):
     n = len(factors)
 
     def valuation(k):
-        _, phase = phase_by_sorting([(f.site, f.exp * x) for f, x in zip(factors, k)])
+        _, phase = phase_by_sorting([(f.site, f.sign * x) for f, x in zip(factors, k)])
         return sum(x * x for x in k) + phase
 
     def form(u, v):
@@ -422,10 +445,10 @@ def _fibre_minimum(factors, target):
     for site in sorted({f.site for f in factors}):
         idxs = [i for i, f in enumerate(factors) if f.site == site]
         first = idxs[0]
-        particular[first] = factors[first].exp * target[site - 1]
+        particular[first] = factors[first].sign * target[site - 1]
         for j in idxs[1:]:
             vec = [int(i == j) for i in range(n)]
-            vec[first] = -factors[first].exp * factors[j].exp
+            vec[first] = -factors[first].sign * factors[j].sign
             basis.append(vec)
     a = [[form(u, v) for v in basis] for u in basis]
     b = [2 * form(u, particular) for u in basis]
@@ -437,11 +460,10 @@ class TestCoefficientOracle:
     def test_random_products_against_blind_sum(self):
         rng = random.Random(20261018)
         checked = nonzero = 0
-        for prod, precision, _, sample in _seeded_products(rng):
-            factors = prod.factors
+        for factors, sites, precision, _, sample in _seeded_products(rng):
             buckets = _blind_buckets(factors, 6)
             for target in sample:
-                got, cert = coefficient_of(prod, target, precision)
+                got, cert = coefficient_of(factors, sites, target, precision)
                 kept, want = _blind_coefficient(factors, buckets, target, precision, 6)
                 assert list(cert.tuples) == kept, (factors, target)
                 assert got.coeffs == want and got.precision == precision
@@ -463,18 +485,18 @@ class TestCoefficientOracle:
             return form
 
         monkeypatch.setattr(verifier, "_scaled_form", capturing)
-        cases = [case[:3] for case in _seeded_products(random.Random(20261018))]
+        cases = [case[:4] for case in _seeded_products(random.Random(20261018))]
         for sites, letters in ((2, [(1, 1), (2, -1)]), (3, [(2, -1), (1, 1), (3, 1)]), (2, [])):
-            prod = product_of(AlgebraConfig(sites), letters)
-            support = {f.site for f in prod.factors}
-            cases.append((prod, 6, window_targets(prod.config, support, 2)))
+            support = {site for site, _ in letters}
+            cases.append((word_of(letters), sites, 6, window_targets(sites, support, 2)))
         settled = below = collapsed = 0
-        for prod, precision, targets in cases:
-            factors = prod.factors
+        for factors, sites, precision, targets in cases:
             units = _collapsed(factors)
             support = sorted({f.site for f in factors})
             maps.clear()
-            certs = {t: cert for t, _, cert in product_coefficients(prod, targets, precision)}
+            certs = {
+                t: cert for t, _, cert in product_coefficients(factors, sites, targets, precision)
+            }
             # the uncollapsed form, then the collapsed one's if there is a pair
             assert len(maps) == 1 + (len(units) < len(factors))
             buckets = _blind_buckets(factors, 6)
@@ -510,9 +532,7 @@ class TestCoefficientOracle:
         ],
     )
     def test_many_factor_sites_against_blind_sum(self, monkeypatch, sites, window, letters):
-        cfg = AlgebraConfig(sites)
-        prod = product_of(cfg, letters)
-        factors = prod.factors
+        factors = word_of(letters)
         single = {s for s in range(1, sites + 1) if [f.site for f in factors].count(s) == 1}
         walks = []
         inner = verifier._walk_sublevel
@@ -525,13 +545,13 @@ class TestCoefficientOracle:
         precision = 10
         settled = nonzero = 0
         buckets = _blind_buckets(factors, 5)
-        for target in window_targets(cfg, range(1, sites + 1), window):
+        for target in window_targets(sites, range(1, sites + 1), window):
             walks.clear()
-            got, cert = coefficient_of(prod, target, precision)
+            got, cert = coefficient_of(factors, sites, target, precision)
             kept, want = _blind_coefficient(factors, buckets, target, precision, 5)
             assert list(cert.tuples) == kept, target
             assert got.coeffs == want and got.precision == precision
-            if any(f.exp * target[f.site - 1] < 0 for f in factors if f.site in single):
+            if any(f.sign * target[f.site - 1] < 0 for f in factors if f.site in single):
                 # no tuple, known before any walk; still a feasible certificate
                 assert cert.feasible and not cert.tuples and not walks
                 settled += 1
@@ -540,7 +560,8 @@ class TestCoefficientOracle:
 
 
 def _seeded_pair_products(rng):
-    """Products with adjacent inverse pairs and their precisions: first the
+    """Words with adjacent inverse pairs, with their chain's site count and
+    precision: first the
     three shapes the collapse must handle, then products of 0-2 random
     letters with 1-3 adjacent inverse pairs inserted at random places, at
     most 6 factors, drawn from `rng`."""
@@ -553,7 +574,7 @@ def _seeded_pair_products(rng):
         (2, [(2, -1), (1, 1), (1, -1), (1, 1), (1, -1)]),
     ]
     for sites, letters in shapes:
-        yield product_of(AlgebraConfig(sites), letters), 10
+        yield word_of(letters), sites, 10
     for _ in range(40):
         sites = rng.randint(1, 3)
         letters = [(rng.randint(1, sites), rng.choice((1, -1))) for _ in range(rng.randint(0, 2))]
@@ -563,7 +584,7 @@ def _seeded_pair_products(rng):
             site, exp = rng.randint(1, sites), rng.choice((1, -1))
             at = rng.randint(0, len(letters))
             letters[at:at] = [(site, exp), (site, -exp)]
-        yield product_of(AlgebraConfig(sites), letters), rng.randint(4, 10)
+        yield word_of(letters), sites, rng.randint(4, 10)
 
 
 class TestTripleProductCollapse:
@@ -622,11 +643,10 @@ class TestTripleProductCollapse:
         rng = random.Random(20261021)
         products = with_pairs = targets_checked = walked = 0
         reasons = Counter()
-        for prod, precision in _seeded_pair_products(rng):
-            factors = prod.factors
-            targets = window_targets(prod.config, range(1, prod.config.sites + 1), 2)
+        for factors, sites, precision in _seeded_pair_products(rng):
+            targets = window_targets(sites, range(1, sites + 1), 2)
             try:
-                got = list(product_coefficients(prod, targets, precision))
+                got = list(product_coefficients(factors, sites, targets, precision))
             except NoCertificate:
                 continue
             products += 1
@@ -640,7 +660,7 @@ class TestTripleProductCollapse:
                 assert cert.max_index == max((max(k) for k in kept), default=0)
                 values = [
                     sum(x * x for x in k)
-                    + phase_by_sorting([(f.site, f.exp * x) for f, x in zip(factors, k)])[1]
+                    + phase_by_sorting([(f.site, f.sign * x) for f, x in zip(factors, k)])[1]
                     for k in kept
                 ]
                 assert cert.min_valuation == min(values, default=None)
@@ -665,7 +685,7 @@ def _oracle_reason(factors, target, precision):
     if any(e and i + 1 not in sites for i, e in enumerate(target)):
         return "outside"
     for site in sites:
-        signs = {f.exp for f in factors if f.site == site}
+        signs = {f.sign for f in factors if f.site == site}
         if len(signs) == 1 and signs.pop() * target[site - 1] < 0:
             return "one_sign"
     return "qmin" if _fibre_minimum(factors, target)[1] >= precision else "walk"
@@ -675,10 +695,9 @@ class TestProductCoefficients:
     def test_window_matches_one_target_calls_with_one_setup(self, monkeypatch):
         # site 3 is outside the product, so the box mixes infeasible targets
         # with ones that keep tuples
-        cfg = AlgebraConfig(3)
-        prod = product_of(cfg, [(2, 1), (1, -1), (1, 1), (2, 1)])
-        targets = window_targets(cfg, (1, 2, 3), 1)
-        want = [(t, *coefficient_of(prod, t, 10)) for t in targets]
+        word = word_of([(2, 1), (1, -1), (1, 1), (2, 1)])
+        targets = window_targets(3, (1, 2, 3), 1)
+        want = [(t, *coefficient_of(word, 3, t, 10)) for t in targets]
         setups = []
         inner = verifier._scaled_form
 
@@ -687,7 +706,7 @@ class TestProductCoefficients:
             return inner(full, rank)
 
         monkeypatch.setattr(verifier, "_scaled_form", counting)
-        got = list(product_coefficients(prod, targets, 10))
+        got = list(product_coefficients(word, 3, targets, 10))
         assert got == want
         # one elimination of the form, and one of the collapsed form, as
         # E(w1^-1) E(w1) is an adjacent inverse pair
@@ -698,8 +717,7 @@ class TestProductCoefficients:
     def test_each_reason_keeps_the_certificate_fields(self):
         # site 1 mixes signs and site 2 has one sign (+1 twice); site 3 is
         # outside the product
-        cfg = AlgebraConfig(3)
-        prod = product_of(cfg, [(2, 1), (1, -1), (1, 1), (2, 1)])
+        word = word_of([(2, 1), (1, -1), (1, 1), (2, 1)])
         kept = ((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 0, 0), (1, 1, 1, 0))
         # target: reason, feasible, kernel_rank, particular, tuples, min_valuation
         cases = {
@@ -709,7 +727,7 @@ class TestProductCoefficients:
             (2, 0, 0): ("walk", True, 2, (0, -2, 0, 0), (), None),
             (0, 1, 0): ("walk", True, 2, (1, 0, 0, 0), kept, 1),
         }
-        first = list(product_coefficients(prod, cases, 4))
+        first = list(product_coefficients(word, 3, cases, 4))
         for target, _, cert in first:
             reason, feasible, rank, particular, tuples, min_valuation = cases[target]
             assert cert.reason == reason, target
@@ -724,7 +742,7 @@ class TestProductCoefficients:
             else:
                 assert cert.gram_restricted == () and cert.minors == ()
         # one shared product certificate per call, equal across calls
-        second = list(product_coefficients(prod, cases, 4))
+        second = list(product_coefficients(word, 3, cases, 4))
         assert len({id(cert.product) for _, _, cert in first}) == 1
         assert first[0][2].product == second[0][2].product
         assert first == second and hash(first[4][2]) == hash(second[4][2])
@@ -743,8 +761,7 @@ class TestProductCoefficients:
         ],
     )
     def test_negative_valuations_grow_the_expansion(self, monkeypatch, letters):
-        cfg = AlgebraConfig(3)
-        prod = product_of(cfg, letters)
+        word = word_of(letters)
         precision = 4
         built = []
         inner = verifier.euler_expansion
@@ -756,11 +773,11 @@ class TestProductCoefficients:
             return dense
 
         monkeypatch.setattr(verifier, "euler_expansion", recording)
-        targets = window_targets(cfg, (1, 2, 3), 3)
+        targets = window_targets(3, (1, 2, 3), 3)
         lowest = 0
-        buckets = _blind_buckets(prod.factors, 5)
-        for target, got, cert in product_coefficients(prod, targets, precision):
-            kept, want = _blind_coefficient(prod.factors, buckets, target, precision, 5)
+        buckets = _blind_buckets(word, 5)
+        for target, got, cert in product_coefficients(word, 3, targets, precision):
+            kept, want = _blind_coefficient(word, buckets, target, precision, 5)
             assert list(cert.tuples) == kept, target
             assert got.coeffs == want and got.precision == precision, target
             if kept:
@@ -876,10 +893,10 @@ class TestScaledForm:
             )
             return form
 
-        def calling(product, targets, precision):
+        def calling(word, sites, targets, precision):
             # each call's records: its form's, then its collapsed form's
             calls.append([])
-            yield from coefficients(product, targets, precision)
+            yield from coefficients(word, sites, targets, precision)
 
         monkeypatch.setattr(verifier, "_scaled_form", capturing)
         monkeypatch.setattr(catalog, "product_coefficients", calling)
@@ -899,7 +916,7 @@ class TestScaledForm:
         for pairs, sites in runs:
             for _, lhs, rhs in pairs:
                 for word in (lhs, rhs):
-                    list(calling(word_to_product(word, sites), [], 10))
+                    list(calling(word, sites, [], 10))
         for name in ("lattice_family2_probe", "rewrite_walk"):
             catalog.verify_identity(name, seed=3)
         assert all(1 <= len(records) <= 2 for records in calls)
@@ -923,8 +940,8 @@ def _walks_and_certificates(monkeypatch, name, params):
         walked.append(len(points))
         return points
 
-    def counting_coefficients(product, targets, precision):
-        for target, got, cert in coefficients(product, targets, precision):
+    def counting_coefficients(word, sites, targets, precision):
+        for target, got, cert in coefficients(word, sites, targets, precision):
             certs.append(cert)
             yield target, got, cert
 
@@ -1040,8 +1057,7 @@ class TestPinnedCounts:
 
         monkeypatch.setattr(verifier, "_expand_points", refuse)
         assert catalog.verify_identity("braid_alg", precision=32, window=3).status == "PASS"
-        cfg = AlgebraConfig(1)
-        _, cert = coefficient_of(product_of(cfg, [(1, 1), (1, -1)]), (0,), 4)
+        _, cert = coefficient_of(word_of([(1, 1), (1, -1)]), 1, (0,), 4)
         with pytest.raises(AssertionError, match="listed"):
             cert.tuples
 
@@ -1052,8 +1068,8 @@ def _catalog_series(monkeypatch, name, params):
     got = []
     coefficients = catalog.product_coefficients
 
-    def recording(product, targets, precision):
-        for target, series, cert in coefficients(product, targets, precision):
+    def recording(word, sites, targets, precision):
+        for target, series, cert in coefficients(word, sites, targets, precision):
             got.append((precision, series))
             yield target, series, cert
 
@@ -1089,8 +1105,8 @@ class TestCleanSeries:
 
     def test_random_series(self):
         runs = []
-        for product, precision, targets, _ in _seeded_products(random.Random(20261019)):
-            for _, series, _ in product_coefficients(product, targets, precision):
+        for word, sites, precision, targets, _ in _seeded_products(random.Random(20261019)):
+            for _, series, _ in product_coefficients(word, sites, targets, precision):
                 runs.append((precision, series))
         assert self._check(runs) >= 50
 
@@ -1142,10 +1158,10 @@ class TestExactEngine:
 
     def test_cross_engine_agreement(self):
         exact, _ = exact_window_map([self.u, self.v], 2)
-        prod = product_of(self.cfg, [(1, 1), (2, 1)])
+        word = word_of([(1, 1), (2, 1)])
         P = 9
         for t, frac in sorted(exact.items()):
-            trunc, _ = coefficient_of(prod, t, P)
+            trunc, _ = coefficient_of(word, 2, t, P)
             assert trunc == expand(frac, P), t
 
     def test_negative_exponent_rejected(self):
@@ -1164,14 +1180,13 @@ class TestTwoEngines:
     coefficient 0."""
 
     @staticmethod
-    def _agree(product, exact, window, precision):
-        sites = product.config.sites
-        targets = window_targets(product.config, range(1, sites + 1), window)
+    def _agree(word, sites, exact, window, precision):
+        targets = window_targets(sites, range(1, sites + 1), window)
         targets = [t for t in targets if min(t) >= 0]
         nonzero = 0
-        for target, got, _ in product_coefficients(product, targets, precision):
+        for target, got, _ in product_coefficients(word, sites, targets, precision):
             want = expand(exact[target], precision) if target in exact else L.zero(precision)
-            assert got == want, (str(product), target)
+            assert got == want, (render_word(word), target)
             nonzero += not got.is_zero()
         return nonzero
 
@@ -1183,7 +1198,7 @@ class TestTwoEngines:
         for _ in range(8):
             letters = [(rng.randint(1, sites), 1) for _ in range(rng.randint(1, 4))]
             exact, _ = exact_window_map([Element.generator(cfg, s) for s, _ in letters], 3)
-            nonzero += self._agree(product_of(cfg, letters), exact, 3, 16)
+            nonzero += self._agree(word_of(letters), sites, exact, 3, 16)
         assert nonzero >= 40
 
     @pytest.mark.parametrize(
@@ -1201,8 +1216,7 @@ class TestTwoEngines:
         _, (_, rhs_args, window) = catalog._plan_exact(name, {"N": 2, "W": 8})
         exact, _ = exact_window_map(rhs_args, window)
         assert len(exact) == 81
-        product = product_of(AlgebraConfig(2), letters)
-        assert self._agree(product, exact, window, 64) == nonzero
+        assert self._agree(word_of(letters), 2, exact, window, 64) == nonzero
 
 
 def _catalog_argument_lists(cfg):
@@ -1301,7 +1315,7 @@ class TestRuleCrossRepresentation:
         # arguments with q^-1 phases need more factors than precision / 2;
         # the depth is certified by depth + 2 agreeing with it
         depth = precision // 2 + 2 * window
-        targets = [t for t in window_targets(self.cfg, (1, 2), window) if min(t) >= 0]
+        targets = [t for t in window_targets(2, (1, 2), window) if min(t) >= 0]
         for lhs_args, rhs_args in rules:
             exact_lhs, _ = exact_window_map(lhs_args, window)
             exact_rhs, _ = exact_window_map(rhs_args, window)
@@ -1353,19 +1367,17 @@ class TestSiteEmbedding:
     @pytest.mark.parametrize("shift", [0, 1, 2])
     def test_four_site_reduction(self, shift):
         # E(w_{n+1}) E(w_n^-1) E(w_n) E(w_{n+1}) on sites (n, n+1) = (1+shift, 2+shift)
-        small = AlgebraConfig(2)
-        big = AlgebraConfig(4)
         base = [(2, 1), (1, -1), (1, 1), (2, 1)]
-        small_prod = product_of(small, base)
-        big_prod = product_of(big, [(s + shift, e) for s, e in base])
+        small_word = word_of(base)
+        big_word = word_of([(s + shift, e) for s, e in base])
         precision = 10
-        for target in window_targets(small, (1, 2), 2):
+        for target in window_targets(2, (1, 2), 2):
             a, b = target
             big_target = [0] * 4
             big_target[shift] = a
             big_target[shift + 1] = b
-            got, got_cert = coefficient_of(big_prod, tuple(big_target), precision)
-            want, want_cert = coefficient_of(small_prod, target, precision)
+            got, got_cert = coefficient_of(big_word, 4, tuple(big_target), precision)
+            want, want_cert = coefficient_of(small_word, 2, target, precision)
             assert got == want
             assert got_cert.tuples == want_cert.tuples
 
@@ -1404,19 +1416,19 @@ class TestSymmetries:
         precision, checked, walked = 10, 0, 0
         for _ in range(25):
             sites = rng.randint(2, 4)
-            cfg = AlgebraConfig(sites + SHIFT)
+            chain = sites + SHIFT
             letters = _random_letters(rng, sites)
-            targets = window_targets(cfg, range(1, sites + 1), 2 if sites < 4 else 1)
+            targets = window_targets(chain, range(1, sites + 1), 2 if sites < 4 else 1)
             images = [_symmetric_image(kind, letters, t, sites) for t in targets]
-            prod = product_of(cfg, letters)
-            image = product_of(cfg, images[0][0])
+            word = word_of(letters)
+            image = word_of(images[0][0])
             try:
-                got = list(product_coefficients(prod, targets, precision))
+                got = list(product_coefficients(word, chain, targets, precision))
             except NoCertificate:
                 with pytest.raises(NoCertificate):
-                    list(product_coefficients(image, [], precision))
+                    list(product_coefficients(image, chain, [], precision))
                 continue
-            want = product_coefficients(image, [t for _, t in images], precision)
+            want = product_coefficients(image, chain, [t for _, t in images], precision)
             for (_, series, cert), (_, image_series, image_cert) in zip(got, want):
                 assert series == image_series, (letters, cert.exponents)
                 assert cert.reason == image_cert.reason
@@ -1438,13 +1450,12 @@ class TestSymmetries:
         tuples = 0
         for _ in range(40):
             sites = rng.randint(1, 4)
-            cfg = AlgebraConfig(sites)
-            prod = product_of(cfg, _random_letters(rng, sites))
-            targets = window_targets(cfg, range(1, sites + 1), 2)
+            word = word_of(_random_letters(rng, sites))
+            targets = window_targets(sites, range(1, sites + 1), 2)
             try:
-                for _, _, cert in product_coefficients(prod, targets, 12):
+                for _, _, cert in product_coefficients(word, sites, targets, 12):
                     for k in cert.tuples:
-                        assert sum(k) % 2 == sum(cert.exponents) % 2, (prod, k)
+                        assert sum(k) % 2 == sum(cert.exponents) % 2, (word, k)
                         tuples += 1
             except NoCertificate:
                 continue
@@ -1465,12 +1476,10 @@ def _certificate_digest(runs) -> str:
     digest = hashlib.sha256()
     for pairs, sites, window, precision in runs:
         for script in pairs:
-            lprod = word_to_product(script.start, sites)
-            rprod = word_to_product(script.end, sites)
-            support = sorted(lprod.support_sites() | rprod.support_sites())
-            targets = window_targets(lprod.config, support, window)
-            for prod in (lprod, rprod):
-                for _, _, cert in product_coefficients(prod, targets, precision):
+            support = sorted({x.site for x in script.start + script.end})
+            targets = window_targets(sites, support, window)
+            for word in (script.start, script.end):
+                for _, _, cert in product_coefficients(word, sites, targets, precision):
                     fields = [getattr(cert, name) for name in CERT_FIELDS]
                     line = json.dumps([fields, cert.summary()], separators=(",", ":"))
                     digest.update(line.encode() + b"\n")

@@ -220,6 +220,21 @@ class TestScriptFiles:
         with pytest.raises(InvalidParams):
             parse_script("start: s1+\nend: s1+\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "script: a\nscript: b\nstart: s1+ s1-\nend: s1+ s1-\n",
+            "script: a\nstart: s1+ s1-\nstart: s1- s1+\nend: s1- s1+\n",
+            "script: a\nstart: s1+\nend: s1+\n@0 comm0[n=1] fwd\nend: s1+\n",
+        ],
+        ids=["script", "start", "end"],
+    )
+    def test_parse_rejects_a_repeated_header_line(self, text):
+        # the last line would otherwise win silently: the second start word
+        # replays to its end word and the first is dropped
+        with pytest.raises(InvalidParams, match="given twice"):
+            parse_script(text)
+
     def test_comments_and_blank_lines_ignored(self):
         text = (
             "# a comment\nscript: c\n\nstart: s1+ s1-\n"
