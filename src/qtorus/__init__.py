@@ -36,7 +36,7 @@ from .errors import (
     NoMatch,
 )
 from .series import FactoredRational, LaurentSeries, cyclotomic
-from .algebra import AlgebraConfig, Element, monomial_label, phase_exponent
+from .algebra import Element, monomial_label, phase_exponent
 from .qexp import euler_denominator_factors
 from .words import (
     DerivationScript,
@@ -102,7 +102,6 @@ __all__ = [
     "FactoredRational",
     "cyclotomic",
     # algebra
-    "AlgebraConfig",
     "Element",
     "monomial_label",
     "phase_exponent",

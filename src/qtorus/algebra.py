@@ -27,30 +27,15 @@ from __future__ import annotations
 from operator import add, mul
 from typing import Iterable, Mapping, Optional
 
-from .errors import FrozenRecord, InvalidParams
+from .errors import InvalidParams
 from .series import _ladd, _laurent_str
 
-__all__ = ["AlgebraConfig", "Element", "monomial_label", "mul_terms", "phase_exponent"]
+__all__ = ["Element", "monomial_label", "mul_terms", "phase_exponent"]
 
 
 def monomial_label(exponents: Iterable[int]) -> str:
     """Render an exponent vector the way elements print their monomials."""
     return Element._monomial_str(tuple(exponents))
-
-
-class AlgebraConfig(FrozenRecord):
-    """Shape of the chain: generators w_1 .. w_sites."""
-
-    __slots__ = ("sites",)
-
-    def __init__(self, sites: int) -> None:
-        if sites < 1:
-            raise InvalidParams("need at least one site")
-        object.__setattr__(self, "sites", sites)
-
-    def check_site(self, site: int) -> None:
-        if not 1 <= site <= self.sites:
-            raise InvalidParams(f"site {site} outside 1..{self.sites}")
 
 
 def phase_exponent(a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -92,17 +77,20 @@ def mul_terms(
 
 class Element:
     """Finite sum of Laurent-polynomial coefficients times normal-ordered
-    monomials: `terms` maps each exponent vector to its coefficient, a dict
-    exponent of q -> nonzero int.  The constructor copies the caller's dicts
-    and drops zero entries and the terms they leave empty."""
+    monomials on a chain of `sites` generators w_1 .. w_sites: `terms` maps
+    each exponent vector to its coefficient, a dict exponent of q -> nonzero
+    int.  The constructor copies the caller's dicts and drops zero entries
+    and the terms they leave empty."""
 
-    __slots__ = ("config", "terms")
+    __slots__ = ("sites", "terms")
 
-    def __init__(self, config: AlgebraConfig, terms: Mapping[tuple[int, ...], Mapping[int, int]]) -> None:
-        self.config = config
+    def __init__(self, sites: int, terms: Mapping[tuple[int, ...], Mapping[int, int]]) -> None:
+        if sites < 1:
+            raise InvalidParams("need at least one site")
+        self.sites = sites
         clean: dict[tuple[int, ...], dict[int, int]] = {}
         for vec, coeff in terms.items():
-            if len(vec) != config.sites:
+            if len(vec) != sites:
                 raise InvalidParams("exponent vector length does not match the chain")
             if coeff := {e: c for e, c in coeff.items() if c}:
                 clean[tuple(vec)] = coeff
@@ -111,15 +99,16 @@ class Element:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def identity(cls, config: AlgebraConfig) -> "Element":
-        return cls(config, {(0,) * config.sites: {0: 1}})
+    def identity(cls, sites: int) -> "Element":
+        return cls(sites, {(0,) * sites: {0: 1}})
 
     @classmethod
-    def generator(cls, config: AlgebraConfig, site: int, exp: int = 1) -> "Element":
-        config.check_site(site)
-        vec = [0] * config.sites
+    def generator(cls, sites: int, site: int, exp: int = 1) -> "Element":
+        if not 1 <= site <= sites:
+            raise InvalidParams(f"site {site} outside 1..{sites}")
+        vec = [0] * sites
         vec[site - 1] = exp
-        return cls(config, {tuple(vec): {0: 1}})
+        return cls(sites, {tuple(vec): {0: 1}})
 
     # -- inspection --------------------------------------------------------
 
@@ -129,7 +118,7 @@ class Element:
     # -- arithmetic --------------------------------------------------------
 
     def _same_chain(self, other: "Element") -> None:
-        if self.config != other.config:
+        if self.sites != other.sites:
             raise InvalidParams("elements live on different chains")
 
     def __add__(self, other: "Element") -> "Element":
@@ -137,7 +126,7 @@ class Element:
         out = dict(self.terms)
         for vec, coeff in other.terms.items():
             out[vec] = _ladd(out[vec], coeff) if vec in out else coeff
-        return Element(self.config, out)
+        return Element(self.sites, out)
 
     def __sub__(self, other: "Element") -> "Element":
         return self + (-other)
@@ -147,12 +136,12 @@ class Element:
 
     def __mul__(self, other: "Element") -> "Element":
         self._same_chain(other)
-        return Element(self.config, mul_terms(self.terms, other.terms))
+        return Element(self.sites, mul_terms(self.terms, other.terms))
 
     def scale(self, power: int, sign: int = 1) -> "Element":
         """This element times  sign * q^power."""
         return Element(
-            self.config,
+            self.sites,
             {v: {e + power: sign * c for e, c in coeff.items()} for v, coeff in self.terms.items()},
         )
 
@@ -161,7 +150,7 @@ class Element:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Element):
             return NotImplemented
-        return self.config == other.config and self.terms == other.terms
+        return self.sites == other.sites and self.terms == other.terms
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -181,4 +170,4 @@ class Element:
         return " + ".join(chunks)
 
     def __repr__(self) -> str:
-        return f"Element(sites={self.config.sites}, terms={len(self.terms)})"
+        return f"Element(sites={self.sites}, terms={len(self.terms)})"

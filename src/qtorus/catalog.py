@@ -30,7 +30,7 @@ import random
 import time
 from typing import Callable, Optional, Sequence
 
-from .algebra import AlgebraConfig, Element, monomial_label
+from .algebra import Element, monomial_label
 from .errors import FrozenRecord, InvalidParams, Record
 from .scripts import (
     braid_script,
@@ -214,9 +214,9 @@ def _compare_words(
     labels are built once per call and read by every pair on that support,
     a series object is rendered once however many targets yield it (every
     settled target of a product call yields the engine's one zero), and
-    only the certificates that can raise a maximum are folded: those with
-    points, and the first of each reason in a product call, which sets the
-    summary keys in their order and carries the call's kernel rank.
+    only the certificates that can raise a maximum are folded: the first of
+    each product call, which sets the summary keys in their order and
+    carries the call's kernel rank, and every later one with points.
     """
     per: list = []
     stats: dict = {}
@@ -236,13 +236,11 @@ def _compare_words(
             if key not in classes:
                 table = []
                 last = text = None
-                reasons = set()
                 for _, series, cert in product_coefficients(word, sites, targets, precision):
                     if series is not last:
                         last, text = series, str(series)
                     table.append(text)
-                    if cert.points or cert.reason not in reasons:
-                        reasons.add(cert.reason)
+                    if cert.points or len(table) == 1:
                         fold_certificate(stats, cert)
                 classes[key] = (table, inverted, mirrored)
             table, rep_inverted, rep_mirrored = classes[key]
@@ -370,9 +368,8 @@ def _two_sites(p: dict) -> None:
 
 def _plan_exact(name: str, p: dict):
     _two_sites(p)
-    cfg = AlgebraConfig(p["N"])
-    u = Element.generator(cfg, 1)
-    v = Element.generator(cfg, 2)
+    u = Element.generator(p["N"], 1)
+    v = Element.generator(p["N"], 2)
     if name == "mult1":
         lhs_args, rhs_args = [u, v], [u + v]
     elif name == "mult2":
@@ -392,6 +389,11 @@ def _plan_seven_term(p: dict):
     # the four-factor vs three-factor identity is the first two-site relation
     rel = rel1(1)
     return _words(p, [("", rel.lhs, rel.rhs)])
+
+
+def _plan_seven_term_script(p: dict):
+    _two_sites(p)
+    return _replay, ([seven_term_script()],)
 
 
 def _chain_pairs(length: int) -> list[tuple[str, Word, Word]]:
@@ -606,7 +608,7 @@ _ITEMS: list[CatalogItem] = [
         "seven_term_script",
         "replay the merge/split derivation of the seven-term identity",
         {"N": 2, "n": None, "W": None, "P": None},
-        lambda p: (_replay, ([seven_term_script()],)),
+        _plan_seven_term_script,
     ),
     CatalogItem(
         "translations",

@@ -30,7 +30,7 @@ import random
 from operator import itemgetter
 from typing import Sequence
 
-from .algebra import AlgebraConfig, Element
+from .algebra import Element
 from .errors import InvalidParams
 from .verifier import TupleCertificate
 from .words import (
@@ -85,9 +85,9 @@ __all__ = [
 
 def fold_certificate(stats: dict, cert: TupleCertificate) -> None:
     """Fold one certificate into the running maxima of a summary: tuples
-    kept, kernel rank and factor index (an absent key counts as 0, and the
-    keys are added in that order)."""
-    tuples, rank, index = cert.tuple_count, cert.kernel_rank, cert.max_index
+    kept, the call's kernel rank and factor index (an absent key counts as
+    0, and the keys are added in that order)."""
+    tuples, rank, index = cert.tuple_count, cert.product.kernel_rank, cert.max_index
     if tuples > stats.setdefault("max_tuples", 0):
         stats["max_tuples"] = tuples
     if rank > stats.setdefault("max_kernel_rank", 0):
@@ -213,10 +213,9 @@ def seven_term_script() -> DerivationScript:
     in the middle mechanically confirms that both merge orders produce the
     same combined argument.
     """
-    cfg = AlgebraConfig(2)
-    u = Element.generator(cfg, 1)
-    v = Element.generator(cfg, 2)
-    ui = Element.generator(cfg, 1, -1)
+    u = Element.generator(2, 1)
+    v = Element.generator(2, 2)
+    ui = Element.generator(2, 1, -1)
 
     lu = ExpLetter("u", u)
     lv = ExpLetter("v", v)

@@ -54,11 +54,11 @@ a site whose factors share one sign e sum to e*T_s, so a target with
 e*T_s < 0 there has no tuple and is settled before any walk; for a
 single-factor site, which has no walk coordinate, that is the whole
 constraint.  A target settled before any walk pays only the sums that
-decide it: its series is the call's one zero, and its certificate renders
-the target's label and rebuilds its particular solution only when they are
-read.  A kept tuple contributes  (-1)^(sum k) q^(Q(k)) / prod_l
-(q^2;q^2)_(k_l),  and every kept tuple of target T has sum k of the parity
-of sum T, so the sign is applied once per target.  The expansion of that denominator counts partitions; it is built
+decide it: its series is the call's one zero, and its certificate holds
+only the target and its reason.  A kept tuple contributes
+(-1)^(sum k) q^(Q(k)) / prod_l (q^2;q^2)_(k_l),  and every kept tuple of
+target T has sum k of the parity of sum T, so the sign is applied once
+per target.  The expansion of that denominator counts partitions; it is built
 once per call for each multiset of k, from its parent multiset by one
 running-sum pass (:func:`qexp.euler_expansion`), covering P - min(0, Q)
 terms since Q(k) can be negative, and all are rebuilt longer only when a
@@ -106,7 +106,7 @@ from itertools import product as iproduct
 from operator import itemgetter, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .algebra import AlgebraConfig, Element, monomial_label, mul_terms
+from .algebra import Element, mul_terms
 from .errors import FrozenRecord, InfiniteSupport, InvalidParams, NoCertificate
 from .qexp import euler_denominator_factors, euler_expansion
 from .series import FactoredRational, LaurentSeries, widen
@@ -135,9 +135,9 @@ def window_targets(
     """All exponent vectors on a chain of `sites` sites that are supported on
     the sites of `support`, with every exponent in -window..window, sorted."""
     chosen = set(support)
-    config = AlgebraConfig(sites)
     for s in chosen:
-        config.check_site(s)
+        if not 1 <= s <= sites:
+            raise InvalidParams(f"site {s} outside 1..{sites}")
     # one range per site, each sorted, so the product runs in sorted order
     span = range(-window, window + 1)
     return list(iproduct(*(span if s in chosen else (0,) for s in range(1, sites + 1))))
@@ -390,14 +390,6 @@ class ProductCertificate(FrozenRecord):
         object.__setattr__(self, "firsts", firsts)
         object.__setattr__(self, "pairs", pairs)
 
-    def particular_solution(self, exponents: Sequence[int]) -> list[int]:
-        """The particular solution k of the exponent constraints for the
-        target vector `exponents`, as `firsts` lays it out."""
-        vec = [0] * len(self.factors)
-        for f, e, i in self.firsts:
-            vec[f] = e * exponents[i]
-        return vec
-
 
 def _split(ms: Sequence[int], budget: int) -> tuple[int, int]:
     """Number and largest entry of the uncollapsed tuples over one collapsed
@@ -460,10 +452,10 @@ class TupleCertificate(NamedTuple):
     a point is a tuple k, except that each collapsed pair of the product
     has one entry, its net index.  `tuple_count` and `max_index` describe
     the uncollapsed tuples, counted without listing them, and `tuples`
-    lists them, sorted, only when read.  The fields a certificate has
-    always had read through to the product certificate and are rendered or
-    rebuilt only when read; an infeasible target reads kernel rank 0 and
-    an empty matrix, minors and particular solution.  A named tuple, as
+    lists them, sorted, only when read.  What every target of the call
+    shares -- the factors, the precision, the kernel rank, the restricted
+    matrix and its minors -- is read from `product`, and the target's
+    particular solution is laid out by ``product.firsts``.  A named tuple, as
     the engine builds one per target: it builds in under a third of the
     time of a frozen record that sets each field through
     ``object.__setattr__``.
@@ -480,51 +472,6 @@ class TupleCertificate(NamedTuple):
     @property
     def tuples(self) -> tuple[tuple[int, ...], ...]:
         return _expand_points(self.product, self.points)
-
-    @property
-    def factors(self) -> tuple[str, ...]:
-        return self.product.factors
-
-    @property
-    def target(self) -> str:
-        return monomial_label(self.exponents)
-
-    @property
-    def precision(self) -> int:
-        return self.product.precision
-
-    @property
-    def feasible(self) -> bool:
-        return self.reason != "outside"
-
-    @property
-    def kernel_rank(self) -> int:
-        return self.product.kernel_rank if self.reason != "outside" else 0
-
-    @property
-    def gram_restricted(self) -> tuple[tuple[int, ...], ...]:
-        return self.product.gram_restricted if self.reason != "outside" else ()
-
-    @property
-    def minors(self) -> tuple[int, ...]:
-        return self.product.minors if self.reason != "outside" else ()
-
-    @property
-    def particular(self) -> tuple[int, ...]:
-        if self.reason == "outside":
-            return ()
-        return tuple(self.product.particular_solution(self.exponents))
-
-    def summary(self) -> dict:
-        return {
-            "target": self.target,
-            "feasible": self.feasible,
-            "kernel_rank": self.kernel_rank,
-            "minors": list(self.minors),
-            "tuples": self.tuple_count,
-            "max_index": self.max_index,
-            "min_valuation": self.min_valuation,
-        }
 
 
 def _lattice(factors: Sequence[Letter]) -> tuple[tuple, tuple, list[list[int]]]:
@@ -811,9 +758,9 @@ def exact_window_map(
     """
     if not args:
         raise InvalidParams("need at least one factor")
-    cfg = args[0].config
+    sites = args[0].sites
     for x in args:
-        if x.config != cfg:
+        if x.sites != sites:
             raise InvalidParams("factors live on different chains")
         if x.is_zero():
             raise InvalidParams("zero argument")
@@ -826,8 +773,8 @@ def exact_window_map(
 
     # exponent vectors only grow along a product, so every product is taken
     # inside the window, and each argument's powers are built once
-    k_cap = cfg.sites * window + 1  # total degree of any window target
-    one = {(0,) * cfg.sites: {0: 1}}
+    k_cap = sites * window + 1  # total degree of any window target
+    one = {(0,) * sites: {0: 1}}
     tables = []
     for x in args:
         power = one

@@ -230,7 +230,7 @@ def finite_qexp(x: Element, depth: int) -> Element:
     exact Element arithmetic.  It agrees with E(x) only below the power of q
     that the first omitted factor can reach, so callers compare low-order
     terms and certify a depth by checking that depth + 2 agrees with it."""
-    one = Element.identity(x.config)
+    one = Element.identity(x.sites)
     acc = one
     for n in range(depth):
         acc = acc * (one - x.scale(2 * n + 1))
@@ -305,9 +305,9 @@ def exact_window_map_by_elements(
     """
     if not args:
         raise InvalidParams("need at least one factor")
-    cfg = args[0].config
+    sites = args[0].sites
     for x in args:
-        if x.config != cfg:
+        if x.sites != sites:
             raise InvalidParams("factors live on different chains")
         if x.is_zero():
             raise InvalidParams("zero argument")
@@ -322,12 +322,12 @@ def exact_window_map_by_elements(
         kept = {
             v: c for v, c in el.terms.items() if all(e <= window for e in v)
         }
-        return Element(cfg, kept)
+        return Element(sites, kept)
 
     pruned_args = [in_window(x) for x in args]
     out: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
     max_order = 0
-    k_cap = cfg.sites * window + 1  # total degree of any window target
+    k_cap = sites * window + 1  # total degree of any window target
 
     def leaf(partial: Element, qpow: int, den: Counter) -> None:
         dense_den = [1]
@@ -350,7 +350,7 @@ def exact_window_map_by_elements(
             leaf(partial, qpow, den)
             return
         x = pruned_args[i]
-        power = Element.identity(cfg)
+        power = Element.identity(sites)
         k = 0
         while True:
             branch = in_window(partial * power)
@@ -372,5 +372,5 @@ def exact_window_map_by_elements(
                 break
         return
 
-    descend(0, Element.identity(cfg), 0, Counter(), 0)
+    descend(0, Element.identity(sites), 0, Counter(), 0)
     return {v: f for v, f in out.items() if f[0]}, max_order

@@ -36,7 +36,7 @@ import random
 import sys
 
 import qtorus.cli as cli
-from qtorus.algebra import AlgebraConfig, Element
+from qtorus.algebra import Element
 from qtorus.catalog import verify_identity
 from qtorus.series import LaurentSeries
 from qtorus.verifier import coefficient_of, window_targets
@@ -145,14 +145,13 @@ def test_criterion_4_all_replays():
 
 
 def test_criterion_5_product_vs_series():
-    cfg = AlgebraConfig(1)
     order, precision = 4, 16
     # the threshold depth: factor n first reaches the coefficient of x^k at
     # q^((k-1)^2 + 2n + 1)
     depth = max((precision - k * k + 1) // 2 + k for k in range(1, order + 1))
     ok = True
     for exp in (1, -1):
-        x = Element.generator(cfg, 1, exp)
+        x = Element.generator(1, 1, exp)
         series = [
             coefficient_of((S(1, exp),), 1, (exp * k,), precision)[0]
             for k in range(order + 1)
@@ -240,13 +239,12 @@ def test_criterion_7_robustness(tmp_path):
     # (a) associativity of 1000 random monomial triples
     rng = random.Random(20260814)
     ok = True
-    configs = {n: AlgebraConfig(n) for n in (1, 2, 3, 4)}
     for _ in range(1000):
-        cfg = configs[rng.randint(1, 4)]
+        sites = rng.randint(1, 4)
         a, b, c = (
             Element(
-                cfg,
-                {tuple(rng.randint(-3, 3) for _ in range(cfg.sites)): {0: 1}},
+                sites,
+                {tuple(rng.randint(-3, 3) for _ in range(sites)): {0: 1}},
             )
             for _ in range(3)
         )

@@ -4,17 +4,17 @@ import random
 
 import pytest
 
-from qtorus.algebra import AlgebraConfig, Element, phase_exponent
+from qtorus.algebra import Element, phase_exponent
 from qtorus.errors import InvalidParams
 
 from oracles import phase_by_sorting
 
 
-def mono(cfg, coeffs_by_site, coeff=None):
-    vec = [0] * cfg.sites
+def mono(sites, coeffs_by_site, coeff=None):
+    vec = [0] * sites
     for site, exp in coeffs_by_site.items():
         vec[site - 1] = exp
-    return Element(cfg, {tuple(vec): {0: 1} if coeff is None else coeff})
+    return Element(sites, {tuple(vec): {0: 1} if coeff is None else coeff})
 
 
 class TestPhaseForm:
@@ -47,39 +47,38 @@ class TestPhaseForm:
 
 class TestElementArithmetic:
     def setup_method(self):
-        self.cfg = AlgebraConfig(3)
+        self.sites = 3
 
     def test_nearest_neighbour_rule(self):
-        w1 = Element.generator(self.cfg, 1)
-        w2 = Element.generator(self.cfg, 2)
+        w1 = Element.generator(self.sites, 1)
+        w2 = Element.generator(self.sites, 2)
         lhs = w2 * w1
         rhs = (w1 * w2).scale(-2)
         assert lhs == rhs
 
     def test_identity(self):
-        one = Element.identity(self.cfg)
-        x = mono(self.cfg, {1: 2, 3: -1}, {0: 3, 1: -1})
+        one = Element.identity(self.sites)
+        x = mono(self.sites, {1: 2, 3: -1}, {0: 3, 1: -1})
         assert one * x == x
         assert x * one == x
 
     def test_inverse_generator_cancels(self):
-        w2 = Element.generator(self.cfg, 2)
-        w2inv = Element.generator(self.cfg, 2, -1)
-        assert w2 * w2inv == Element.identity(self.cfg)
-        assert w2inv * w2 == Element.identity(self.cfg)
+        w2 = Element.generator(self.sites, 2)
+        w2inv = Element.generator(self.sites, 2, -1)
+        assert w2 * w2inv == Element.identity(self.sites)
+        assert w2inv * w2 == Element.identity(self.sites)
 
     def test_monomial_associativity_random(self):
         rng = random.Random(23)
         for _ in range(200):
             n = rng.randint(2, 4)
-            cfg = AlgebraConfig(n)
             vecs = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(3)]
-            a, b, c = (Element(cfg, {v: {0: 1}}) for v in vecs)
+            a, b, c = (Element(n, {v: {0: 1}}) for v in vecs)
             assert (a * b) * c == a * (b * c)
 
     def test_sum_collection_and_zero_drop(self):
-        x = mono(self.cfg, {1: 1}, {0: 1})
-        y = mono(self.cfg, {1: 1}, {0: -1})
+        x = mono(self.sites, {1: 1}, {0: 1})
+        y = mono(self.sites, {1: 1}, {0: -1})
         assert (x + y).is_zero()
 
     def test_fused_product_matches_pairwise_sum(self):
@@ -94,42 +93,42 @@ class TestElementArithmetic:
                         for eb, xb in cb.items():
                             e = ea + eb + phase_exponent(a, b)
                             c[e] = c.get(e, 0) + xa * xb
-            return Element(x.config, out)
+            return Element(x.sites, out)
 
-        def random_element(rng, cfg):
+        def random_element(rng, sites):
             terms = {}
             for _ in range(rng.randint(0, 4)):
-                vec = tuple(rng.randint(-2, 2) for _ in range(cfg.sites))
+                vec = tuple(rng.randint(-2, 2) for _ in range(sites))
                 terms[vec] = {rng.randint(-3, 3): rng.randint(-3, 3) for _ in range(rng.randint(1, 3))}
-            return Element(cfg, terms)
+            return Element(sites, terms)
 
         rng = random.Random(31)
         for _ in range(200):
-            cfg = AlgebraConfig(rng.randint(2, 3))
-            x, y = random_element(rng, cfg), random_element(rng, cfg)
+            sites = rng.randint(2, 3)
+            x, y = random_element(rng, sites), random_element(rng, sites)
             assert x * y == pairwise(x, y)
 
     def test_chain_mismatch_rejected(self):
         with pytest.raises(InvalidParams):
-            Element.identity(self.cfg) * Element.identity(AlgebraConfig(4))
+            Element.identity(self.sites) * Element.identity(4)
 
 
 class TestLaurentDictTerms:
     """Coefficients are plain dicts, q-exponent -> nonzero int."""
 
     def setup_method(self):
-        self.cfg = AlgebraConfig(2)
+        self.sites = 2
 
     def pair(self):
         return (
-            Element(self.cfg, {(1, 0): {0: 1, 2: -1}}),
-            Element(self.cfg, {(1, 0): {1: 1}, (0, 1): {-1: 3}}),
+            Element(self.sites, {(1, 0): {0: 1, 2: -1}}),
+            Element(self.sites, {(1, 0): {1: 1}, (0, 1): {-1: 3}}),
         )
 
     def test_zero_entries_and_empty_terms_are_dropped(self):
-        x = Element(self.cfg, {(1, 0): {0: 2, 3: 0}, (0, 1): {1: 0, 2: 0}, (1, 1): {}})
+        x = Element(self.sites, {(1, 0): {0: 2, 3: 0}, (0, 1): {1: 0, 2: 0}, (1, 1): {}})
         assert x.terms == {(1, 0): {0: 2}}
-        assert Element(self.cfg, {(0, 1): {4: 0}}).is_zero()
+        assert Element(self.sites, {(0, 1): {4: 0}}).is_zero()
 
     def test_scale_by_signed_power_of_q(self):
         _, y = self.pair()
@@ -145,7 +144,7 @@ class TestLaurentDictTerms:
 
     def test_no_aliasing(self):
         given = {0: 1, 2: -1}
-        x = Element(self.cfg, {(1, 0): given})
+        x = Element(self.sites, {(1, 0): given})
         given[0] = 7
         given[5] = 1
         assert x == self.pair()[0]
@@ -161,9 +160,9 @@ class TestLaurentDictTerms:
 
 class TestRendering:
     def test_str(self):
-        cfg = AlgebraConfig(2)
-        x = mono(cfg, {1: 1, 2: -1}, {2: 1, 5: -3}) + mono(cfg, {}, {0: 1})
+        sites = 2
+        x = mono(sites, {1: 1, 2: -1}, {2: 1, 5: -3}) + mono(sites, {}, {0: 1})
         assert str(x) == "(1) + (q^2 - 3*q^5) * w1^1*w2^-1"
 
     def test_zero(self):
-        assert str(Element(AlgebraConfig(2), {})) == "0"
+        assert str(Element(2, {})) == "0"

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import qtorus
-from qtorus.algebra import AlgebraConfig
+from qtorus.algebra import Element
 from qtorus.catalog import CatalogItem, Report
 from qtorus.errors import InvalidParams
 from qtorus.verifier import ProductCertificate, _ScaledForm
@@ -48,11 +48,11 @@ def test_readme_library_example_runs(capsys):
     namespace: dict = {}
     for code in blocks:
         exec(compile(code, "README.md", "exec"), namespace)
-    series_line, summary_line, *window_lines, terms_line = capsys.readouterr().out.splitlines()
+    series_line, fields_line, *window_lines, terms_line = capsys.readouterr().out.splitlines()
     assert series_line.startswith("-2*q^1 - 4*q^3 - 8*q^5 - ")
     assert series_line.endswith(" (mod q^14)")
-    summary = ast.literal_eval(summary_line)
-    assert summary["tuples"] == 6 and summary["minors"] == [2, 4]
+    # tuple count, the product's minors and the minimum valuation
+    assert fields_line == "6 (2, 4) 1"
     # the window's 25 targets, the (0, 1) target among them with the series
     assert len(window_lines) == 25
     assert f"(0, 1) walk {series_line}" in window_lines
@@ -67,7 +67,6 @@ _SWAPPED = (S(1, -1), S(1, 1))
 # that can change alone, the defaults of the trailing fields, whether the
 # record is frozen, whether its values are hashable)
 RECORDS = [
-    (AlgebraConfig, {"sites": 2}, {"sites": 3}, {}, True, True),
     (
         _ScaledForm,
         {"minors": (2,), "lam": 8, "di": (8,), "li_cols": ((),), "centre_map": ((-4,),), "h_terms": ((0, 0, 6),)},
@@ -167,7 +166,6 @@ def test_record_semantics(cls, fields, others, defaults, frozen, hashable):
 
 def test_record_repr_text():
     assert repr(S(2, 1)) == "Letter(kind='S', site=2, sign=1)"
-    assert repr(AlgebraConfig(1)) == "AlgebraConfig(sites=1)"
 
 
 @pytest.mark.parametrize(
@@ -177,9 +175,10 @@ def test_record_repr_text():
         lambda: Letter("S", 0, 1),
         lambda: Letter("S", 1),
         lambda: Letter("B", 1, 1),
-        lambda: AlgebraConfig(0),
+        lambda: Element.identity(0),
+        lambda: Element.generator(2, 3),
     ],
-    ids=["kind", "site", "s_sign", "b_sign", "sites"],
+    ids=["kind", "site", "s_sign", "b_sign", "sites", "generator_site"],
 )
 def test_record_validation(build):
     with pytest.raises(InvalidParams):

@@ -16,7 +16,7 @@ from qtorus.catalog import (
     list_identities,
     verify_identity,
 )
-from qtorus.algebra import AlgebraConfig, Element, monomial_label
+from qtorus.algebra import Element, monomial_label
 from qtorus.catalog import (  # internal, exercised below
     _BY_NAME,
     _WALK_LENGTH_CAP,
@@ -31,7 +31,7 @@ from qtorus.catalog import (  # internal, exercised below
 from qtorus.errors import InvalidParams
 from qtorus.scripts import braid_script, random_walk, structural_relations
 from qtorus.series import FactoredRational, LaurentSeries
-from qtorus.verifier import exact_window_map
+from qtorus.verifier import coefficient_of, exact_window_map, product_coefficients, window_targets
 from qtorus.words import S, expand_composites
 
 import qtorus.catalog as catalog
@@ -165,8 +165,7 @@ def test_probe_first_mismatch_is_pinned():
 
 def test_exact_mismatch_rows_render_both_sides():
     # E(u)E(v) against the reversed rule's right side E(u + v - q vu): false
-    cfg = AlgebraConfig(2)
-    u, v = Element.generator(cfg, 1), Element.generator(cfg, 2)
+    u, v = Element.generator(2, 1), Element.generator(2, 2)
     lhs_args, rhs_args = [u, v], [u + v - (v * u).scale(1)]
     _, per, _ = _exact(lhs_args, rhs_args, 3)
     lhs_map, _ = exact_window_map(lhs_args, 3)
@@ -211,6 +210,17 @@ def test_script_items_reject_too_small_chain():
         verify_identity("sigma_rel1_script", sites=3)
     with pytest.raises(InvalidParams):
         verify_identity("sigma_commute_script", sites=4)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["mult1", "mult2", "pentagon", "seven_term", "two_site_set", "lattice_set", "seven_term_script"],
+)
+def test_two_site_items_reject_one_site(name):
+    # each of these identities lives on two sites, so a one-site chain is
+    # refused before anything runs
+    with pytest.raises(InvalidParams, match="needs at least two sites"):
+        verify_identity(name, sites=1)
 
 
 def test_walk_is_seed_deterministic():
@@ -541,6 +551,38 @@ def test_compare_words_matches_unshared_reference_on_random_pairs(monkeypatch):
         assert list(got[2]) == list(want[2])
         # the image pair and the moved side are read, not evaluated
         assert len(made) <= 7
+
+
+def test_compare_words_folds_each_rank_when_the_sides_touch_different_sites():
+    # the left side lives on site 1 and the right on site 2, so the first
+    # target of the shared box, and every target off a side's site, is
+    # "outside" that side's product
+    lhs, rhs = (S(1, 1), S(1, -1), S(1, 1)), (S(2, 1), S(2, 1))
+    targets = window_targets(2, (1, 2), 1)
+    for word in (lhs, rhs):
+        reasons = [cert.reason for _, _, cert in product_coefficients(word, 2, targets, 6)]
+        assert reasons[0] == "outside" and reasons.count("outside") == 6
+    ranks = [coefficient_of(word, 2, (0, 0), 6)[1].product.kernel_rank for word in (lhs, rhs)]
+    assert ranks == [2, 1]
+    got = _compare_words([("", lhs, rhs)], 2, 1, 6)
+    assert list(got[2]) == ["max_tuples", "max_kernel_rank", "max_index"]
+    assert got[2]["max_kernel_rank"] == max(ranks)
+    assert got == compare_words_unshared([("", lhs, rhs)], 2, 1, 6)
+
+
+def test_compare_words_keeps_the_rank_of_a_call_without_points(monkeypatch):
+    # with every certificate's points and counts dropped, each call's first
+    # certificate still carries its kernel rank into the summary
+    inner = catalog.product_coefficients
+
+    def pointless(*args):
+        for target, series, cert in inner(*args):
+            yield target, series, cert._replace(points=(), tuple_count=0, max_index=0)
+
+    monkeypatch.setattr(catalog, "product_coefficients", pointless)
+    rel = _chain_pairs(2)[0]
+    _, _, stats = _compare_words([rel], 2, 1, 8)
+    assert list(stats.items()) == [("max_tuples", 0), ("max_kernel_rank", 2), ("max_index", 0)]
 
 
 def test_side_class_keys_the_image_of_the_support():

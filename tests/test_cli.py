@@ -335,10 +335,10 @@ def test_verify_bad_params_exit_two(capsys):
         ["verify", "--identity", "seven_term", "--precision", "100"], capsys
     )
     assert code == 2 and "error" in err
-    code, _, _ = run_cli(
-        ["verify", "--identity", "seven_term", "--sites", "1"], capsys
-    )
-    assert code == 2
+    # the identity and its derivation both live on two sites
+    for name in ("seven_term", "seven_term_script"):
+        code, out, err = run_cli(["verify", "--identity", name, "--sites", "1"], capsys)
+        assert (code, out, err) == (2, "", "error: needs at least two sites\n")
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@
 import random
 from collections import Counter
 
-from qtorus.algebra import AlgebraConfig, Element
+from qtorus.algebra import Element
 from qtorus.qexp import divide_by_one_minus, euler_denominator_factors, euler_expansion
 from qtorus.series import FactoredRational, LaurentSeries, cyclotomic
 from qtorus.verifier import coefficient_of, exact_window_map
@@ -151,7 +151,7 @@ class TestEulerCoefficients:
 class TestSeriesForm:
     def test_single_generator(self):
         # the exact engine on E(w) gives sum c_k w^k, term by term
-        w = Element.generator(AlgebraConfig(1), 1)
+        w = Element.generator(1, 1)
         table, order = exact_window_map([w], 3)
         assert sorted(table) == [(0,), (1,), (2,), (3,)] and order == 3
         for k in range(4):
@@ -172,17 +172,16 @@ class TestSeriesForm:
 
 class TestProductForm:
     def test_matches_series_on_generator(self):
-        cfg = AlgebraConfig(1)
         P, order = 12, 5
         depth = threshold_depth(order, P)
         for exp in (1, -1):
-            prod = finite_qexp(Element.generator(cfg, 1, exp), depth)
+            prod = finite_qexp(Element.generator(1, 1, exp), depth)
             for k in range(order + 1):
                 assert below(prod, (exp * k,), P) == engine_c(k, P, exp), (exp, k)
 
     def test_depth_boundary_is_sharp(self):
         # coefficient of x^1 mod q^8 needs exactly 4 factors
-        x = Element.generator(AlgebraConfig(1), 1)
+        x = Element.generator(1, 1)
         deep = below(finite_qexp(x, 4), (1,), 8)
         assert deep == L({1: -1, 3: -1, 5: -1, 7: -1}, 8)
         shallow = below(finite_qexp(x, 3), (1,), 8)
@@ -190,7 +189,7 @@ class TestProductForm:
         assert shallow != deep
 
     def test_stable_depth_bound_is_safe(self):
-        x = Element.generator(AlgebraConfig(1), 1)
+        x = Element.generator(1, 1)
         for P in (6, 9, 16):
             for K in (1, 2, 4):
                 d = threshold_depth(K, P)
@@ -203,9 +202,8 @@ class TestProductForm:
         # and x^k carries q^(-k^2), so factor n first reaches the coefficient
         # of x^k at q^((k-1)^2 + 2n + 1 - k^2) and the plain-generator depth
         # is not enough
-        cfg = AlgebraConfig(2)
-        u = Element.generator(cfg, 1)
-        v = Element.generator(cfg, 2)
+        u = Element.generator(2, 1)
+        v = Element.generator(2, 2)
         arg = (v * u).scale(1, -1)
         P, order = 10, 3
         series, _ = exact_window_map([arg], order)

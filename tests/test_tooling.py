@@ -150,9 +150,6 @@ DOCUMENTED_API = [
     "catalog.py: verify_identity",
     "scripts.py: bcomm_script",
     "series.py: LaurentSeries.coeffs",
-    "verifier.py: TupleCertificate.gram_restricted",
-    "verifier.py: TupleCertificate.particular",
-    "verifier.py: TupleCertificate.summary",
     "verifier.py: TupleCertificate.tuples",
     "verifier.py: coefficient_of",
     "words.py: render_script",

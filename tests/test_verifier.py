@@ -10,11 +10,12 @@ from fractions import Fraction
 
 import pytest
 
-from qtorus.algebra import AlgebraConfig, Element, monomial_label, mul_terms
+from qtorus.algebra import Element, monomial_label, mul_terms
 from qtorus.errors import InfiniteSupport, InvalidParams, NoCertificate
 from qtorus.scripts import braid_script, sigma_script1, sigma_script2
 from qtorus.series import LaurentSeries
 from qtorus.verifier import (
+    ProductCertificate,
     coefficient_of,
     exact_window_map,
     product_coefficients,
@@ -53,6 +54,15 @@ def expand(frac, precision):
 def word_of(letters):
     """The word of s-letters for a list of (site, sign) pairs."""
     return tuple(S(site, sign) for site, sign in letters)
+
+
+def particular_of(cert):
+    """The target's particular solution, as ``cert.product.firsts`` lays it
+    out: e * T_i at each site's first factor index f, 0 elsewhere."""
+    vec = [0] * len(cert.product.factors)
+    for f, e, i in cert.product.firsts:
+        vec[f] = e * cert.exponents[i]
+    return tuple(vec)
 
 
 def walk_y(a, b, c, bound, sides=()):
@@ -113,7 +123,7 @@ class TestSingleFactors:
         got, cert = coefficient_of((), 2, (0, 0), 6)
         assert got == L({0: 1}, 6)
         got, cert = coefficient_of((), 2, (1, 0), 6)
-        assert got.is_zero() and not cert.feasible
+        assert got.is_zero() and cert.reason == "outside"
 
 
 class TestAgainstElementProducts:
@@ -124,21 +134,21 @@ class TestAgainstElementProducts:
 
     def test_same_site_square(self):
         # E(w) E(w) expanded two ways: certificates vs normal-ordered products
-        cfg = AlgebraConfig(1)
+        sites = 1
         word = word_of([(1, 1), (1, 1)])
         for depth in (4, 6):
-            el = finite_qexp(Element.generator(cfg, 1), depth)
+            el = finite_qexp(Element.generator(sites, 1), depth)
             el = el * el
             for m in range(4):
                 got, _ = coefficient_of(word, 1, (m,), 8)
                 assert got == L(el.terms.get((m,), {}), 8), (depth, m)
 
     def test_adjacent_sites_mixed(self):
-        cfg = AlgebraConfig(2)
+        sites = 2
         word = word_of([(2, 1), (1, -1)])
         for depth in (3, 5):
-            e2 = finite_qexp(Element.generator(cfg, 2), depth)
-            e1 = finite_qexp(Element.generator(cfg, 1, -1), depth)
+            e2 = finite_qexp(Element.generator(sites, 2), depth)
+            e1 = finite_qexp(Element.generator(sites, 1, -1), depth)
             el = e2 * e1
             for a in range(-2, 1):
                 for b in range(0, 3):
@@ -170,11 +180,11 @@ class TestSevenTermValues:
 
     def test_certificate_contents(self):
         _, cert = coefficient_of(self.rhs, 2, (0, 1), 6)
-        assert cert.kernel_rank == 1
+        assert cert.product.kernel_rank == 1
         assert cert.tuples == ((0, 1, 0), (1, 1, 1), (2, 1, 2))
         assert cert.max_index == 2
         assert cert.min_valuation == 1
-        assert all(m > 0 for m in cert.minors)
+        assert all(m > 0 for m in cert.product.minors)
         _, cert = coefficient_of(self.lhs, 2, (0, 1), 6)
         assert cert.tuples == ((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 0, 0), (1, 1, 1, 0))
 
@@ -215,7 +225,7 @@ class TestWordInput:
         [
             (S(1, 1), B(1)),
             (C(1), S(2, -1)),
-            (ExpLetter("u", Element.generator(AlgebraConfig(2), 1)),),
+            (ExpLetter("u", Element.generator(2, 1)),),
             (S(1, 1), S(3, -1)),
         ],
         ids=["b_letter", "c_letter", "exp_letter", "beyond_sites"],
@@ -245,7 +255,7 @@ class TestWordInput:
 class TestCertificateEdges:
     def test_uninvolved_site_must_be_zero(self):
         got, cert = coefficient_of(word_of([(1, 1), (2, 1)]), 3, (0, 0, 1), 8)
-        assert got.is_zero() and not cert.feasible
+        assert got.is_zero() and cert.reason == "outside"
 
     def test_indefinite_form_is_rejected(self):
         with pytest.raises(NoCertificate, match="leading minor 2 is -3"):
@@ -502,7 +512,7 @@ class TestCoefficientOracle:
             buckets = _blind_buckets(factors, 6)
             for target in targets:
                 _, qmin, particular = _fibre_minimum(factors, target)
-                assert list(certs[target].particular) == particular
+                assert list(particular_of(certs[target])) == particular
                 pvec = [particular[[f.site for f in factors].index(s)] for s in support]
                 # each form's maps against its own product's fibre minimum
                 for (lam, centre_map, h_terms), fibre in zip(maps, (factors, units)):
@@ -553,7 +563,7 @@ class TestCoefficientOracle:
             assert got.coeffs == want and got.precision == precision
             if any(f.sign * target[f.site - 1] < 0 for f in factors if f.site in single):
                 # no tuple, known before any walk; still a feasible certificate
-                assert cert.feasible and not cert.tuples and not walks
+                assert cert.reason == "one_sign" and not cert.tuples and not walks
                 settled += 1
             nonzero += bool(want)
         assert nonzero >= 5 and bool(settled) == bool(single)
@@ -712,35 +722,33 @@ class TestProductCoefficients:
         # E(w1^-1) E(w1) is an adjacent inverse pair
         assert len(setups) == 2
         certs = [cert for _, _, cert in got]
-        assert any(not c.feasible for c in certs) and any(c.tuples for c in certs)
+        assert any(c.reason == "outside" for c in certs) and any(c.tuples for c in certs)
 
     def test_each_reason_keeps_the_certificate_fields(self):
         # site 1 mixes signs and site 2 has one sign (+1 twice); site 3 is
         # outside the product
         word = word_of([(2, 1), (1, -1), (1, 1), (2, 1)])
         kept = ((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 0, 0), (1, 1, 1, 0))
-        # target: reason, feasible, kernel_rank, particular, tuples, min_valuation
+        # target: reason, particular, tuples, min_valuation
         cases = {
-            (0, 1, 1): ("outside", False, 0, (), (), None),
-            (0, -1, 0): ("one_sign", True, 2, (-1, 0, 0, 0), (), None),
-            (-1, 2, 0): ("qmin", True, 2, (2, 1, 0, 0), (), None),
-            (2, 0, 0): ("walk", True, 2, (0, -2, 0, 0), (), None),
-            (0, 1, 0): ("walk", True, 2, (1, 0, 0, 0), kept, 1),
+            (0, 1, 1): ("outside", (1, 0, 0, 0), (), None),
+            (0, -1, 0): ("one_sign", (-1, 0, 0, 0), (), None),
+            (-1, 2, 0): ("qmin", (2, 1, 0, 0), (), None),
+            (2, 0, 0): ("walk", (0, -2, 0, 0), (), None),
+            (0, 1, 0): ("walk", (1, 0, 0, 0), kept, 1),
         }
         first = list(product_coefficients(word, 3, cases, 4))
         for target, _, cert in first:
-            reason, feasible, rank, particular, tuples, min_valuation = cases[target]
+            reason, particular, tuples, min_valuation = cases[target]
             assert cert.reason == reason, target
-            assert cert.feasible == feasible and cert.kernel_rank == rank, target
-            assert cert.particular == particular and cert.tuples == tuples, target
+            assert particular_of(cert) == particular and cert.tuples == tuples, target
             assert cert.min_valuation == min_valuation, target
-            assert cert.exponents == target and cert.target == monomial_label(target)
-            assert cert.factors == ("E(w2)", "E(w1^-1)", "E(w1)", "E(w2)")
-            assert cert.precision == 4
-            if feasible:
-                assert cert.gram_restricted == ((2, 0), (0, 2)) and cert.minors == (2, 4)
-            else:
-                assert cert.gram_restricted == () and cert.minors == ()
+            assert cert.exponents == target
+        # whatever the reason, the product certificate describes the product
+        assert first[0][2].product == ProductCertificate(
+            ("E(w2)", "E(w1^-1)", "E(w1)", "E(w2)"), 4, 2, ((2, 0), (0, 2)), (2, 4),
+            ((1, -1, 0), (0, 1, 1)), (1,),
+        )
         # one shared product certificate per call, equal across calls
         second = list(product_coefficients(word, 3, cases, 4))
         assert len({id(cert.product) for _, _, cert in first}) == 1
@@ -1116,9 +1124,9 @@ U_V_WINDOW = 3
 
 class TestExactEngine:
     def setup_method(self):
-        self.cfg = AlgebraConfig(2)
-        self.u = Element.generator(self.cfg, 1)
-        self.v = Element.generator(self.cfg, 2)
+        self.sites = 2
+        self.u = Element.generator(self.sites, 1)
+        self.v = Element.generator(self.sites, 2)
 
     def test_product_rule_same_phase(self):
         # E(u) E(v) = E(u + v)   (u v = q^2 v u)
@@ -1166,7 +1174,7 @@ class TestExactEngine:
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(InfiniteSupport):
-            exact_window_map([Element.generator(self.cfg, 1, -1)], 2)
+            exact_window_map([Element.generator(self.sites, 1, -1)], 2)
 
     def test_max_order_reported(self):
         _, k = exact_window_map([self.u + self.v], 2)
@@ -1193,11 +1201,10 @@ class TestTwoEngines:
     @pytest.mark.parametrize("sites", [2, 3])
     def test_random_positive_products(self, sites):
         rng = random.Random(20261019 + sites)
-        cfg = AlgebraConfig(sites)
         nonzero = 0
         for _ in range(8):
             letters = [(rng.randint(1, sites), 1) for _ in range(rng.randint(1, 4))]
-            exact, _ = exact_window_map([Element.generator(cfg, s) for s, _ in letters], 3)
+            exact, _ = exact_window_map([Element.generator(sites, s) for s, _ in letters], 3)
             nonzero += self._agree(word_of(letters), sites, exact, 3, 16)
         assert nonzero >= 40
 
@@ -1219,10 +1226,10 @@ class TestTwoEngines:
         assert self._agree(word_of(letters), 2, exact, window, 64) == nonzero
 
 
-def _catalog_argument_lists(cfg):
+def _catalog_argument_lists(sites):
     """The six argument lists of the catalog's exact items: both sides of
     mult1, mult2 and pentagon."""
-    u, v = Element.generator(cfg, 1), Element.generator(cfg, 2)
+    u, v = Element.generator(sites, 1), Element.generator(sites, 2)
     return [
         [u, v], [u + v],
         [v, u], [u + v - (v * u).scale(1)],
@@ -1230,7 +1237,7 @@ def _catalog_argument_lists(cfg):
     ]
 
 
-def _random_argument_list(rng, cfg):
+def _random_argument_list(rng, sites):
     """1-3 polynomial arguments, each of 1-3 monomials with nonnegative
     exponents and positive degree, with Laurent-polynomial coefficients in q
     whose exponents may be negative."""
@@ -1238,11 +1245,11 @@ def _random_argument_list(rng, cfg):
     for _ in range(rng.randint(1, 3)):
         terms, size = {}, rng.randint(1, 3)
         while len(terms) < size:
-            vec = tuple(rng.randint(0, 2) for _ in range(cfg.sites))
+            vec = tuple(rng.randint(0, 2) for _ in range(sites))
             if any(vec):
                 coeff = {rng.randint(-3, 3): rng.choice([-2, -1, 1, 2]) for _ in range(rng.randint(1, 2))}
                 terms[vec] = coeff
-        args.append(Element(cfg, terms))
+        args.append(Element(sites, terms))
     return args
 
 
@@ -1261,17 +1268,17 @@ class TestExactEngineOracle:
         assert got_k == want_k
 
     def test_catalog_argument_lists(self):
-        for args in _catalog_argument_lists(AlgebraConfig(2)):
+        for args in _catalog_argument_lists(2):
             self.check(args, 8)
 
     def test_seeded_random_argument_lists(self):
         rng = random.Random(19)
         for _ in range(60):
-            self.check(_random_argument_list(rng, AlgebraConfig(rng.choice([2, 3]))), rng.randint(0, 4))
+            self.check(_random_argument_list(rng, rng.choice([2, 3])), rng.randint(0, 4))
 
     def test_a_window_product_cancels_a_whole_term(self):
-        cfg = AlgebraConfig(2)
-        u, v = Element.generator(cfg, 1), Element.generator(cfg, 2)
+        sites = 2
+        u, v = Element.generator(sites, 1), Element.generator(sites, 2)
         x, y = u + v, u.scale(2, -1) + v
         # u * v + v * (-q^2 u) = (1 - q^2 q^-2) w1 w2: the term w1 w2 cancels
         product = mul_terms({(1, 0): {0: 1}, (0, 1): {0: 1}}, {(1, 0): {2: -1}, (0, 1): {0: 1}}, 2)
@@ -1282,7 +1289,7 @@ class TestExactEngineOracle:
 
 
 def _in_box(el, window):
-    return Element(el.config, {v: c for v, c in el.terms.items() if max(v) <= window})
+    return Element(el.sites, {v: c for v, c in el.terms.items() if max(v) <= window})
 
 
 class TestRuleCrossRepresentation:
@@ -1292,12 +1299,12 @@ class TestRuleCrossRepresentation:
     nonnegative and only grow, so cutting after each product is sound)."""
 
     def setup_method(self):
-        self.cfg = AlgebraConfig(2)
-        self.u = Element.generator(self.cfg, 1)
-        self.v = Element.generator(self.cfg, 2)
+        self.sites = 2
+        self.u = Element.generator(self.sites, 1)
+        self.v = Element.generator(self.sites, 2)
 
     def _finite(self, args, depth, window):
-        acc = Element.identity(self.cfg)
+        acc = Element.identity(self.sites)
         for arg in args:
             acc = _in_box(acc * _in_box(finite_qexp(arg, depth), window), window)
         return acc
@@ -1338,9 +1345,8 @@ class TestScalingGrading:
 
     def test_mult1_grading(self):
         window = 4
-        big = AlgebraConfig(4)
-        tu = Element(big, {(1, 0, 0, 1): {0: 1}})
-        tv = Element(big, {(0, 1, 0, 1): {0: 1}})
+        tu = Element(4, {(1, 0, 0, 1): {0: 1}})
+        tv = Element(4, {(0, 1, 0, 1): {0: 1}})
         lhs, _ = exact_window_map([tu, tv], window)
         rhs, _ = exact_window_map([tu + tv], window)
         assert lhs.keys() == rhs.keys()
@@ -1349,10 +1355,7 @@ class TestScalingGrading:
             assert zero == 0 and t == a + b  # homogeneous in the scalar
             assert coeff == rhs[vec], vec
 
-        small = AlgebraConfig(2)
-        flat, _ = exact_window_map(
-            [Element.generator(small, 1), Element.generator(small, 2)], window
-        )
+        flat, _ = exact_window_map([Element.generator(2, 1), Element.generator(2, 2)], window)
         graded = {(a, b, 0, a + b): c for (a, b), c in flat.items() if a + b <= window}
         assert graded.keys() == lhs.keys()
         for vec, coeff in graded.items():
@@ -1434,7 +1437,7 @@ class TestSymmetries:
                 assert cert.reason == image_cert.reason
                 assert cert.min_valuation == image_cert.min_valuation
                 assert cert.max_index == image_cert.max_index
-                assert cert.kernel_rank == image_cert.kernel_rank
+                assert cert.product.kernel_rank == image_cert.product.kernel_rank
                 tuples = cert.tuples
                 if kind == "mirror":
                     tuples = tuple(sorted(tuple(reversed(k)) for k in tuples))
@@ -1462,17 +1465,39 @@ class TestSymmetries:
         assert tuples > 1000
 
 
-# the public certificate fields, in the order the pin below hashes them
-CERT_FIELDS = (
-    "factors", "target", "precision", "feasible", "kernel_rank", "gram_restricted",
-    "minors", "particular", "tuples", "max_index", "min_valuation",
-)
+def _certificate_view(cert) -> tuple[list, dict]:
+    """A certificate's fields as the pin below hashes them, in the layout
+    it was pinned in: factors, target label, precision, feasibility, kernel
+    rank, restricted matrix, minors, particular solution, tuples, largest
+    index and minimum valuation, then a summary of them; an "outside"
+    target reads rank 0 and an empty matrix, minors and solution."""
+    product, feasible = cert.product, cert.reason != "outside"
+    rank, gram, minors, particular = (
+        (product.kernel_rank, product.gram_restricted, product.minors, particular_of(cert))
+        if feasible
+        else (0, (), (), ())
+    )
+    target = monomial_label(cert.exponents)
+    fields = [
+        product.factors, target, product.precision, feasible, rank, gram,
+        minors, particular, cert.tuples, cert.max_index, cert.min_valuation,
+    ]
+    summary = {
+        "target": target,
+        "feasible": feasible,
+        "kernel_rank": rank,
+        "minors": list(minors),
+        "tuples": cert.tuple_count,
+        "max_index": cert.max_index,
+        "min_valuation": cert.min_valuation,
+    }
+    return fields, summary
 
 
 def _certificate_digest(runs) -> str:
     """sha256 over every certificate of the catalog products of `runs`, a
     list of ``(script pairs, sites, window, precision)``: each certificate's
-    public fields in CERT_FIELDS order, then its summary(), as one JSON line."""
+    view from :func:`_certificate_view` as one JSON line."""
     digest = hashlib.sha256()
     for pairs, sites, window, precision in runs:
         for script in pairs:
@@ -1480,8 +1505,7 @@ def _certificate_digest(runs) -> str:
             targets = window_targets(sites, support, window)
             for word in (script.start, script.end):
                 for _, _, cert in product_coefficients(word, sites, targets, precision):
-                    fields = [getattr(cert, name) for name in CERT_FIELDS]
-                    line = json.dumps([fields, cert.summary()], separators=(",", ":"))
+                    line = json.dumps(_certificate_view(cert), separators=(",", ":"))
                     digest.update(line.encode() + b"\n")
     return digest.hexdigest()
 

@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from qtorus.algebra import AlgebraConfig, Element
+from qtorus.algebra import Element
 from qtorus.errors import InvalidParams, InvalidStep, NoMatch
 from qtorus.words import (
     B,
@@ -244,8 +244,7 @@ class TestScriptFiles:
         assert replay(script).ok
 
     def test_extended_letters_have_no_file_form(self):
-        cfg = AlgebraConfig(1)
-        u = ExpLetter("u", Element.generator(cfg, 1))
+        u = ExpLetter("u", Element.generator(1, 1))
         script = DerivationScript("x", (u,), (), (u,))
         with pytest.raises(InvalidParams):
             render_script(script)
@@ -253,9 +252,9 @@ class TestScriptFiles:
 
 class TestAlgebraPremiseRules:
     def setup_method(self):
-        self.cfg = AlgebraConfig(2)
-        self.u = Element.generator(self.cfg, 1)
-        self.v = Element.generator(self.cfg, 2)
+        self.sites = 2
+        self.u = Element.generator(self.sites, 1)
+        self.v = Element.generator(self.sites, 2)
 
     def test_exp_letter_equality_ignores_label(self):
         a = ExpLetter("u", self.u)
@@ -289,12 +288,11 @@ class TestAlgebraPremiseRules:
         assert [x.element for x in r.rhs] == [self.u, middle, self.v]
 
     def test_commute_rule_premise(self):
-        cfg3 = AlgebraConfig(3)
-        a = ExpLetter("w1", Element.generator(cfg3, 1))
-        c = ExpLetter("w3", Element.generator(cfg3, 3))
+        a = ExpLetter("w1", Element.generator(3, 1))
+        c = ExpLetter("w3", Element.generator(3, 3))
         r = commute_rule(a, c)
         assert r.lhs == (a, c) and r.rhs == (c, a)
-        b = ExpLetter("w2", Element.generator(cfg3, 2))
+        b = ExpLetter("w2", Element.generator(3, 2))
         with pytest.raises(InvalidStep):
             commute_rule(a, b)
 
