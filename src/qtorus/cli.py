@@ -16,7 +16,7 @@ Three subcommands:
 ``qtorus replay <file>``
     Parse a derivation-script file, re-apply every step, and report the
     outcome.  Exit status 0 when the replay succeeds, 1 when it does not,
-    2 when the file cannot be parsed.
+    2 when the file cannot be read as UTF-8 text or parsed.
 
 Every subcommand writes to ``--output`` instead of stdout when given, and
 exits 2 with an ``error:`` line when that file cannot be written.
@@ -133,7 +133,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             script = parse_script(fh.read())
-    except (OSError, KernelError) as exc:
+    except (OSError, UnicodeDecodeError, KernelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     result = replay(script)

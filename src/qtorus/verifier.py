@@ -31,19 +31,21 @@ holds what every target shares, the factors, the restricted matrix and its
 minors.
 
 :func:`product_coefficients` takes a product and a list of targets and sets
-up everything that depends only on the product once: the kernel basis and,
-from one fraction-free elimination of the valuation form (Bareiss, Math.
-Comp. 22, 1968), in integers throughout, the leading minors and the LDL^T
-data of the restricted matrix, scaled by one common integer lam so that
+up everything that depends only on the product once: it collapses the
+adjacent inverse pairs (below), and builds the kernel basis of the units
+and, from one fraction-free elimination of their valuation form (Bareiss,
+Math. Comp. 22, 1968), in integers throughout, the leading minors and the
+LDL^T data of the restricted matrix, scaled by one common integer lam so that
 every step of the walk is integer arithmetic, and two integer maps of the
 particular solution's entries, one to the walk's centre and one to
 lam * qmin, where qmin is the real minimum of the form on the target's
 fibre (a Schur complement).  A target with qmin >= P has no tuple and is
 settled without a walk.  :func:`coefficient_of` is its one-target call.
-Each kernel basis vector is +1 at exactly one factor index where the
+Each kernel basis vector is +1 at exactly one unit index where the
 particular solution is 0, so the walk coordinates are entries of k itself
-and the walk stays in the nonnegative orthant.  The other entries, one per
-site at its first factor index, are  k_first = p_first + sum +-y  over that
+and the walk stays in the nonnegative orthant but for the pairs' entries.
+The other entries, one per site at its first unit index, are
+k_first = p_first + sum +-y  over that
 site's coordinates; the walk clamps each level's interval (one integer
 square root, as in Fincke-Pohst enumeration) by these linear side
 constraints, so it enforces k >= 0 on every index and each point it
@@ -71,17 +73,21 @@ Adjacent inverse pairs are collapsed.  By the Jacobi triple product
 E(z) E(z^-1) = sum_(m in Z) (-1)^m q^(m^2) z^m / (q^2;q^2)_inf, and the
 phase of a pair E(w^e) E(w^-e) with any other factor is its first
 member's times its net index m = k_a - k_b.  So each such pair, taken
-greedily from the left, is one factor with index m in Z: m^2 on the
+greedily from the left, is one unit with index m in Z: m^2 on the
 diagonal of the form, no k >= 0 clamp in the walk, and a factor
 1/(q^2;q^2)_inf in its terms, grown with the rest from one expansion of
-1/(q^2;q^2)_inf^pairs per call.  The walk runs on this collapsed form,
-from a second elimination; the first still gives the certificate and the
-qmin settle, and a target whose collapsed fibre minimum is at least P
-keeps reason "walk" without a walk.  Certificates describe the
-uncollapsed product: as k_a^2 + k_b^2 = m^2 + 2b(b + |m|) with
-b = min(k_a, k_b), a point of budget B = P - Q splits into the b-vectors
-with sum 2 b_i (b_i + |m_i|) < B, which gives the tuple count and the
-largest index; the tuples themselves are listed only when read.
+1/(q^2;q^2)_inf^pairs per call.  The units' form is the product's one
+form: its one elimination certifies it, settles the targets with
+qmin >= P and drives the walk, and the certificate's matrix, minors,
+particular-solution layout and pairs index the units.  The pair lemma
+completes the certificate: with b = min(k_a, k_b) >= 0,
+k_a^2 + k_b^2 = m^2 + 2b(b + |m|), so the uncollapsed valuation is the
+collapsed one plus sum 2 b_i (b_i + |m_i|) >= 0, and a point of budget
+B = P - Q splits into the b-vectors with sum 2 b_i (b_i + |m_i|) < B,
+which gives the tuple count and the largest index; the tuples themselves
+are listed only when read.  So the uncollapsed form need not be positive
+definite.  The kernel rank reported is the uncollapsed one: the units'
+rank plus one per pair.
 
 A second engine handles products of E(x) for *arbitrary* polynomial
 arguments x (sums of monomials with all site exponents >= 0) exactly, with
@@ -244,29 +250,29 @@ def _scaled_form(full: Sequence[Sequence[int]], rank: int) -> _ScaledForm:
 
 def _walk_levels(
     basis: Sequence[tuple[int, int, int]],
-    free: Iterable[int] = (),
+    pairs: Iterable[int] = (),
 ) -> tuple[tuple[int, int, int, bool, bool], ...]:
     """The walk's level layout for walk coordinates ``(j, first, coeff)``,
-    listed from coordinate 0 up: each level's factor index j, its side's
+    listed from coordinate 0 up: each level's unit index j, its side's
     first index, its coefficient there, whether it clamps and whether
-    y_i >= 0.  The indices in `free` are collapsed pairs, whose entry is
+    y_i >= 0.  The indices in `pairs` are collapsed pairs, whose entry is
     any integer.
 
     Coordinate i is y_i = k_j, and its side constraint reads
     k_first = p_first + sum coeff * y >= 0  over the coordinates sharing that
-    first index, unless that first index is free.  The walk fixes
+    first index, unless that first index is a pair.  The walk fixes
     coordinates last to first, so a level clamps when no coordinate below
     it on the same side can raise the sum (all their coeffs are -1 and none
-    is free); then  partial + coeff * y_i >= 0  is necessary there, and at
+    is a pair); then  partial + coeff * y_i >= 0  is necessary there, and at
     a side's lowest coordinate it is exact.
     """
-    free = set(free)
-    # a side whose first index is free has no constraint to clamp
-    can_raise: set[int] = set(free)
+    pairs = set(pairs)
+    # a side whose first index is a pair has no constraint to clamp
+    can_raise: set[int] = set(pairs)
     levels = []
     for j, first, coeff in basis:
-        levels.append((j, first, coeff, first not in can_raise, j not in free))
-        if coeff > 0 or j in free:
+        levels.append((j, first, coeff, first not in can_raise, j not in pairs))
+        if coeff > 0 or j in pairs:
             can_raise.add(first)
     return tuple(levels)
 
@@ -356,18 +362,20 @@ def _walk_sublevel(
 class ProductCertificate(FrozenRecord):
     """What every target's certificate from one :func:`product_coefficients`
     call shares: the product's factors, the precision, and the restricted
-    form of the valuation Q.
+    form of the valuation Q of its units, the factors with each adjacent
+    inverse pair collapsed into one unit whose index is the pair's net m.
 
     `gram_restricted` is the matrix of Q on the kernel lattice of the
-    exponent constraints, whose rank is `kernel_rank`; `minors` are its
-    leading principal minors, all positive, which proves Q is positive
-    definite there, so each sublevel set Q < precision is finite.
-    `firsts` lists, for each site of the product in order, its first factor
-    index f, that factor's sign e and the site's position i in a target
-    vector: a target's particular solution is e * target[i] at each f and 0
-    elsewhere.  `pairs` lists the first factor index of each adjacent
-    inverse pair that the walk collapsed; everything else describes the
-    uncollapsed product.
+    units' exponent constraints; `minors` are its leading principal
+    minors, all positive, which proves Q is positive definite there, so
+    each sublevel set Q < precision is finite, and by the pair lemma (see
+    :func:`_split`) so is the set of uncollapsed tuples over it.
+    `kernel_rank` is the rank of the uncollapsed kernel lattice, the units'
+    rank plus one per pair.  `firsts` lists, for each site of the product
+    in order, its first unit index f, that unit's sign e and the site's
+    position i in a target vector: a target's particular solution is
+    e * target[i] at each f and 0 elsewhere.  `pairs` lists the unit index
+    of each collapsed pair.
     """
 
     __slots__ = ("factors", "precision", "kernel_rank", "gram_restricted", "minors", "firsts", "pairs")
@@ -423,16 +431,14 @@ def _expand_points(
     out = []
     for point, qval in points:
         partial = [((), product.precision - qval)]
-        f = 0
-        for m in point:
-            pair = f in product.pairs
+        for u, m in enumerate(point):
+            pair = u in product.pairs
             partial = [
                 (k + ((b + max(m, 0), b + max(-m, 0)) if pair else (m,)), left - cost)
                 for k, left in partial
                 for b in (range(left) if pair else (0,))
                 if (cost := 2 * b * (b + abs(m))) < left
             ]
-            f += 1 + pair
         out.extend(k for k, _ in partial)
     return tuple(sorted(out))
 
@@ -476,7 +482,7 @@ class TupleCertificate(NamedTuple):
 
 def _lattice(factors: Sequence[Letter]) -> tuple[tuple, tuple, list[list[int]]]:
     """The kernel basis, first-index layout and bordered valuation form of
-    a word of s-letters, for :func:`product_coefficients`."""
+    a word of s-letters, a product's units, for :func:`product_coefficients`."""
     L = len(factors)
     by_site: dict[int, list[int]] = {}
     for idx, f in enumerate(factors):
@@ -525,16 +531,16 @@ def product_coefficients(
     mod q^precision.  Every letter of `word` must be an s-letter on a site
     in 1..sites, and every target a vector of `sites` exponents.
 
-    The kernel lattice and the restricted form depend only on the product
-    and are built once per call, and so is one integer elimination of the
-    valuation form that certifies the restricted form positive definite
-    (raising NoCertificate before the first target otherwise) and gives
-    the map from a target to its fibre minimum qmin; so is a second one of
-    the collapsed form when the product has an adjacent inverse pair, for
-    the walk; so are the walk's level layout, lam * precision and the
-    Schur-complement terms of each form, the walk's start template and the
-    Euler expansion of each multiset of k met.  Every target settled
-    before the walk yields the call's one zero series.  A target with
+    The units, the product with each adjacent inverse pair collapsed, their
+    kernel lattice and their restricted form depend only on the product and
+    are built once per call, and so is the one integer elimination of that
+    form, which certifies it positive definite (raising NoCertificate
+    before the first target otherwise) and gives the maps from a target to
+    its fibre minimum qmin and to the walk's centre; so are the walk's
+    level layout, lam * precision, the Schur-complement terms, the walk's
+    start template and the Euler expansion of each multiset of k met.
+    Every target settled before the walk yields the call's one zero
+    series.  A target with
     qmin >= precision has no tuple and gets no walk; any other costs a few
     short sums, at most one walk, one dict update per point it keeps to
     count that point's term and one lookup per point to count its split,
@@ -548,53 +554,48 @@ def product_coefficients(
         if x.site > sites:
             raise InvalidParams(f"letter {x} exceeds the configured {sites} sites")
 
-    basis, firsts, full = _lattice(factors)
-    rank = len(basis)
-    form = _scaled_form(full, rank)
-
     # each adjacent pair E(w^e) E(w^-e), taken greedily from the left, is
-    # one unit E(w^e) of the walk whose index is the pair's net m in Z
-    # (free: no k >= 0 clamp): by the Jacobi triple product the pair is
+    # one unit E(w^e) whose index is the pair's net m in Z (no k >= 0
+    # clamp): by the Jacobi triple product the pair is
     # sum_m (-1)^m q^(m^2) w^(e m) / (q^2;q^2)_inf, and its phase with any
     # other factor is its first member's times m
     units: list[Letter] = []
     pairs: list[int] = []
-    free: list[int] = []
     idx = 0
     while idx < len(factors):
         f = factors[idx]
         if factors[idx + 1 : idx + 2] == (S(f.site, -f.sign),):
-            pairs.append(idx)
-            free.append(len(units))
+            pairs.append(len(units))
             idx += 1
         units.append(f)
         idx += 1
+
+    basis, firsts, full = _lattice(units)
+    rank = len(basis)
+    form = _scaled_form(full, rank)
+    # a pair's two entries are one kernel direction more than its net index
     shared = ProductCertificate(
         tuple(f"E(w{f.site}" + ("^-1)" if f.sign < 0 else ")") for f in factors),
         precision,
-        rank,
+        rank + len(pairs),
         tuple(tuple(row[:rank]) for row in full[:rank]),
         form.minors,
         firsts,
         tuple(pairs),
     )
-    walk_basis, walk_firsts, walk_form = basis, firsts, form
-    if pairs:
-        walk_basis, walk_firsts, walk_full = _lattice(units)
-        walk_form = _scaled_form(walk_full, len(walk_basis))
-    levels = _walk_levels(walk_basis, free)
+    levels = _walk_levels(basis, pairs)
     # a point's single entries key its expansion, and its pairs' nets its split
-    singles = [u for u in range(len(units)) if u not in free]
+    singles = [u for u in range(len(units)) if u not in pairs]
     pick, nets = (
         itemgetter(*idxs) if len(idxs) > 1 else lambda k, i=idxs: tuple(k[u] for u in i)
-        for idxs in (singles, free)
+        for idxs in (singles, pairs)
     )
 
     # k_first = p_first + sum coeff * y over the site's walk coordinates is
-    # the walk's side constraint; at a site whose factors share one sign
-    # every coeff is -1 (a single factor has none), so p_first < 0 there
-    # leaves no tuple at all
-    raisers = {f for _, f, coeff in basis if coeff > 0}
+    # the walk's side constraint; at a site whose units share one sign and
+    # hold no pair every coeff is -1 (a single unit has none), so p_first < 0
+    # there leaves no tuple at all
+    raisers = set(pairs) | {f for j, f, coeff in basis if coeff > 0 or j in pairs}
     one_sign = [(i, e) for f, e, i in firsts if f not in raisers]
     touched = {i for _, _, i in firsts}
     outside = [i for i in range(sites) if i not in touched]
@@ -624,10 +625,8 @@ def product_coefficients(
     # the split of each (pairs' nets, Q) met, counted once per call
     splits: dict[tuple[tuple[int, ...], int], tuple[int, int]] = {}
 
-    # lam * (P - qmin) = lam * P - p^T H p on a target's fibre, for the
-    # certificate's form and the walk's
+    # lam * (P - qmin) = lam * P - p^T H p on a target's fibre
     lam_p, h_terms = precision * form.lam, form.h_terms
-    walk_lam_p, walk_h_terms = precision * walk_form.lam, walk_form.h_terms
     blank = [0] * len(units)
 
     for target in targets:
@@ -641,9 +640,7 @@ def product_coefficients(
             continue
 
         # every point the walk returns has Q < P, and its value Q(y) is its
-        # valuation; a target whose fibre minimum qmin is at least P has
-        # none, and the collapsed fibre's minimum is at least the
-        # uncollapsed one's (it is the form on a subspace of that fibre)
+        # valuation; a target whose fibre minimum qmin is at least P has none
         pvec = [e * target[i] for _, e, i in firsts]
         headroom = lam_p
         for s, t, h in h_terms:
@@ -651,17 +648,11 @@ def product_coefficients(
         if headroom <= 0:
             yield target, zero, TupleCertificate(shared, target, "qmin")
             continue
-        if pairs:
-            headroom = walk_lam_p
-            for s, t, h in walk_h_terms:
-                headroom -= h * pvec[s] * pvec[t]
-        kept = []
-        if headroom > 0:
-            centre = [sum(map(mul, row, pvec)) for row in walk_form.centre_map]
-            start = blank[:]
-            for (f, _, _), p in zip(walk_firsts, pvec):
-                start[f] = p
-            kept = _walk_sublevel(walk_form, levels, start, centre, headroom, precision)
+        centre = [sum(map(mul, row, pvec)) for row in form.centre_map]
+        start = blank[:]
+        for (f, _, _), p in zip(firsts, pvec):
+            start[f] = p
+        kept = _walk_sublevel(form, levels, start, centre, headroom, precision)
         if not kept:
             yield target, zero, TupleCertificate(shared, target, "walk")
             continue

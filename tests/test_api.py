@@ -51,8 +51,9 @@ def test_readme_library_example_runs(capsys):
     series_line, fields_line, *window_lines, terms_line = capsys.readouterr().out.splitlines()
     assert series_line.startswith("-2*q^1 - 4*q^3 - 8*q^5 - ")
     assert series_line.endswith(" (mod q^14)")
-    # tuple count, the product's minors and the minimum valuation
-    assert fields_line == "6 (2, 4) 1"
+    # tuple count, the minors of the product's units (E(w1^-1) E(w1) is one
+    # unit) and the minimum valuation
+    assert fields_line == "6 (2,) 1"
     # the window's 25 targets, the (0, 1) target among them with the series
     assert len(window_lines) == 25
     assert f"(0, 1) walk {series_line}" in window_lines

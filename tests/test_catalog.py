@@ -29,10 +29,11 @@ from qtorus.catalog import (  # internal, exercised below
     _sigma_pairs,
 )
 from qtorus.errors import InvalidParams
+from qtorus.scripts import _matching_steps, _pattern_index
 from qtorus.scripts import braid_script, random_walk, structural_relations
 from qtorus.series import FactoredRational, LaurentSeries
 from qtorus.verifier import coefficient_of, exact_window_map, product_coefficients, window_targets
-from qtorus.words import S, expand_composites
+from qtorus.words import S, apply_step, expand_composites, render_word
 
 import qtorus.catalog as catalog
 from oracles import compare_words_unshared
@@ -230,6 +231,31 @@ def test_walk_is_seed_deterministic():
     assert a == b
     c = verify_identity("rewrite_walk", seed=12).to_dict()
     assert c["certificate_summary"]["seed"] == 12
+
+
+def test_walk_start_orbit_is_checked_exhaustively():
+    # every word reachable from the walk's start under the length cap, by
+    # breadth-first search over the matching steps at the item's default N,
+    # agrees with the start at its default W and P; only comm0 ever applies,
+    # so the orbit is the 2^3 swaps of the three adjacent inverse pairs
+    defaults = _BY_NAME["rewrite_walk"].defaults
+    sites, window, precision = defaults["N"], defaults["W"], defaults["P"]
+    index = _pattern_index(structural_relations(sites))
+    orbit, frontier, families = {_WALK_START}, [_WALK_START], set()
+    while frontier:
+        word = frontier.pop(0)
+        for step in _matching_steps(word, index):
+            image = apply_step(word, step)
+            if len(image) > _WALK_LENGTH_CAP:
+                continue
+            families.add(step.relation.rid)
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    assert families == {"comm0"} and len(orbit) == 8
+    pairs = [("", _WALK_START, word) for word in sorted(orbit, key=render_word)]
+    ok, rows, _ = _compare_words(pairs, sites, window, precision)
+    assert ok and rows and all(row["match"] for row in rows)
 
 
 def test_caps_are_enforced():

@@ -439,3 +439,12 @@ def test_replay_repeated_header_line_exits_two(capsys, tmp_path, line):
 def test_replay_missing_file_exits_two(capsys, tmp_path):
     code, _, err = run_cli(["replay", str(tmp_path / "absent.txt")], capsys)
     assert code == 2 and err
+
+
+def test_replay_file_that_is_not_utf8_exits_two(capsys, tmp_path):
+    # a UTF-16 byte-order mark cannot start UTF-8 text; without the check the
+    # decode error escapes as a traceback, which reads as a failed replay
+    path = tmp_path / "utf16.txt"
+    path.write_bytes(b"\xff\xfe" + "script: a\nstart: s1+\nend: s1+\n".encode("utf-16-le"))
+    code, out, err = run_cli(["replay", str(path)], capsys)
+    assert code == 2 and out == "" and err.startswith("error: ") and "utf-8" in err

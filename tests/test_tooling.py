@@ -1,5 +1,6 @@
 """Source hygiene checks: unused imports and private helpers without a
-caller, read from the code, and the modules that importing the command line
+caller, read from the code, README's lists of records and certificate
+fields against the code, and the modules that importing the command line
 loads."""
 
 import ast
@@ -8,6 +9,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+from qtorus.verifier import ProductCertificate, TupleCertificate
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -254,6 +257,38 @@ def test_scan_sees_every_record_class(tmp_path):
         "`Kept` and `m.Later`; `Earlier`.  Also `NotListed`.\n\n`Other`\n"
     )
     assert readme_record_names(readme) == ["Earlier", "Kept", "Later"]
+
+
+def readme_certificate_fields(text: str, name: str) -> list[str]:
+    """The backticked names, in order, that README's "Library use" section
+    gives as the fields of the class `name`: the rest of the sentence after
+    "`name`, ... of" or "`name`, ... fields"; empty when no sentence does."""
+    section = text.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    listing = re.search(rf"`{name}`,[^`.]*?\b(?:of|fields)\s(.*?)\.\s", section, re.S)
+    return re.findall(r"`(\w+)`", listing.group(1)) if listing else []
+
+
+def test_readme_lists_the_certificate_fields_in_order():
+    # a certificate field added, removed, renamed or moved must be so in
+    # README too
+    readme = (ROOT / "README.md").read_text()
+    assert readme_certificate_fields(readme, "TupleCertificate") == list(TupleCertificate._fields)
+    assert readme_certificate_fields(readme, "ProductCertificate") == list(
+        ProductCertificate.__slots__
+    )
+
+
+def test_scan_sees_the_certificate_fields():
+    readme = (
+        "`Outer`, a record of `u`.  \n## Library use\n\nEach is a `K`, a record\n"
+        "of `a`, `b` and `c`.  Its `L` is one `M`, with the fields `y`, `x`,\n"
+        "and `z`.  Then `K` again.\n\n## Next\n\n`N`, a record of `q`.  \n"
+    )
+    assert readme_certificate_fields(readme, "K") == ["a", "b", "c"]
+    assert readme_certificate_fields(readme, "M") == ["y", "x", "z"]
+    assert readme_certificate_fields(readme, "L") == []
+    assert readme_certificate_fields(readme, "N") == []
+    assert readme_certificate_fields(readme, "Outer") == []
 
 
 def modules_loaded_by_cli_import(names: tuple[str, ...]) -> list[str]:

@@ -57,9 +57,10 @@ def word_of(letters):
 
 
 def particular_of(cert):
-    """The target's particular solution, as ``cert.product.firsts`` lays it
-    out: e * T_i at each site's first factor index f, 0 elsewhere."""
-    vec = [0] * len(cert.product.factors)
+    """The target's particular solution on the collapsed units, as
+    ``cert.product.firsts`` lays it out: e * T_i at each site's first unit
+    index f, 0 elsewhere."""
+    vec = [0] * (len(cert.product.factors) - len(cert.product.pairs))
     for f, e, i in cert.product.firsts:
         vec[f] = e * cert.exponents[i]
     return tuple(vec)
@@ -264,11 +265,14 @@ class TestCertificateEdges:
             _scaled_form([[-1]], 1)
 
     def test_product_with_a_singular_form_is_refused(self):
-        # the restricted form of this product (kernel rank 6) has a zero sixth
-        # leading minor: the call raises before it yields any target
-        word = word_of([(1, 1), (1, -1), (2, 1), (2, 1), (1, 1), (1, 1), (2, 1), (2, 1)])
+        # the collapsed form of s2- s1+ s1- s1+ s2- s1+ s2- s1- s1- s2- (one
+        # pair, collapsed kernel rank 7) has a zero seventh leading minor:
+        # the call raises before it yields any target
+        word = word_of(
+            [(2, -1), (1, 1), (1, -1), (1, 1), (2, -1), (1, 1), (2, -1), (1, -1), (1, -1), (2, -1)]
+        )
         calls = product_coefficients(word, 2, window_targets(2, (1, 2), 1), 8)
-        with pytest.raises(NoCertificate, match=r"leading minor 6 is 0\)"):
+        with pytest.raises(NoCertificate, match=r"leading minor 7 is 0\)"):
             next(calls)
 
     def test_sublevel_enumeration_matches_scan(self):
@@ -507,20 +511,19 @@ class TestCoefficientOracle:
             certs = {
                 t: cert for t, _, cert in product_coefficients(factors, sites, targets, precision)
             }
-            # the uncollapsed form, then the collapsed one's if there is a pair
-            assert len(maps) == 1 + (len(units) < len(factors))
+            # one elimination per call, of the collapsed form
+            assert len(maps) == 1
+            (lam, centre_map, h_terms), = maps
             buckets = _blind_buckets(factors, 6)
             for target in targets:
-                _, qmin, particular = _fibre_minimum(factors, target)
+                # the maps against the collapsed product's fibre minimum
+                y_star, qmin, particular = _fibre_minimum(units, target)
                 assert list(particular_of(certs[target])) == particular
-                pvec = [particular[[f.site for f in factors].index(s)] for s in support]
-                # each form's maps against its own product's fibre minimum
-                for (lam, centre_map, h_terms), fibre in zip(maps, (factors, units)):
-                    y_star, fibre_min, _ = _fibre_minimum(fibre, target)
-                    assert sum(h * pvec[s] * pvec[t] for s, t, h in h_terms) == lam * fibre_min
-                    centre = [sum(x * p for x, p in zip(row, pvec)) for row in centre_map]
-                    assert centre == [lam * y for y in y_star], target
-                collapsed += len(maps) - 1
+                pvec = [particular[[f.site for f in units].index(s)] for s in support]
+                assert sum(h * pvec[s] * pvec[t] for s, t, h in h_terms) == lam * qmin
+                centre = [sum(x * p for x, p in zip(row, pvec)) for row in centre_map]
+                assert centre == [lam * y for y in y_star], target
+                collapsed += len(units) < len(factors)
                 if qmin < precision:
                     below += 1
                     continue
@@ -686,11 +689,30 @@ class TestTripleProductCollapse:
             ("walk", False), ("walk", True),
         }
 
+    def test_product_with_a_singular_uncollapsed_form_is_certified(self):
+        # the uncollapsed form of s1+ s1- s2+ s2+ s1+ s1+ s2+ s2+ has a zero
+        # sixth leading minor, but on the orthant Q is at least its
+        # collapsed form, which is positive definite: every coefficient of
+        # the box against the blind sum
+        word = word_of([(1, 1), (1, -1), (2, 1), (2, 1), (1, 1), (1, 1), (2, 1), (2, 1)])
+        kmax, precision = 5, 8
+        buckets = _blind_buckets(word, kmax)
+        got = list(product_coefficients(word, 2, window_targets(2, (1, 2), 2), precision))
+        nonzero = top = 0
+        for target, series, cert in got:
+            kept, want = _blind_coefficient(word, buckets, target, precision, kmax)
+            assert series.coeffs == want and cert.tuples == tuple(kept), target
+            assert cert.tuple_count == len(kept)
+            nonzero += bool(want)
+            top = max(top, cert.max_index)
+        assert (len(got), nonzero, top) == (25, 15, 4) and top < kmax
+
 
 def _oracle_reason(factors, target, precision):
     """The reason a certificate should give for `target`: a nonzero exponent
     off the product's sites, then e * T_s < 0 at a site whose factors all
-    have sign e, then a fibre minimum at least the precision, else a walk."""
+    have sign e, then a fibre minimum of the collapsed product at least the
+    precision, else a walk."""
     sites = {f.site for f in factors}
     if any(e and i + 1 not in sites for i, e in enumerate(target)):
         return "outside"
@@ -698,7 +720,7 @@ def _oracle_reason(factors, target, precision):
         signs = {f.sign for f in factors if f.site == site}
         if len(signs) == 1 and signs.pop() * target[site - 1] < 0:
             return "one_sign"
-    return "qmin" if _fibre_minimum(factors, target)[1] >= precision else "walk"
+    return "qmin" if _fibre_minimum(_collapsed(factors), target)[1] >= precision else "walk"
 
 
 class TestProductCoefficients:
@@ -718,9 +740,9 @@ class TestProductCoefficients:
         monkeypatch.setattr(verifier, "_scaled_form", counting)
         got = list(product_coefficients(word, 3, targets, 10))
         assert got == want
-        # one elimination of the form, and one of the collapsed form, as
-        # E(w1^-1) E(w1) is an adjacent inverse pair
-        assert len(setups) == 2
+        # one elimination, of the collapsed form, though E(w1^-1) E(w1) is
+        # an adjacent inverse pair
+        assert len(setups) == 1
         certs = [cert for _, _, cert in got]
         assert any(c.reason == "outside" for c in certs) and any(c.tuples for c in certs)
 
@@ -729,13 +751,14 @@ class TestProductCoefficients:
         # outside the product
         word = word_of([(2, 1), (1, -1), (1, 1), (2, 1)])
         kept = ((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 0, 0), (1, 1, 1, 0))
-        # target: reason, particular, tuples, min_valuation
+        # target: reason, particular on the units E(w2), E(w1^-1) (the
+        # pair's net index) and E(w2), tuples, min_valuation
         cases = {
-            (0, 1, 1): ("outside", (1, 0, 0, 0), (), None),
-            (0, -1, 0): ("one_sign", (-1, 0, 0, 0), (), None),
-            (-1, 2, 0): ("qmin", (2, 1, 0, 0), (), None),
-            (2, 0, 0): ("walk", (0, -2, 0, 0), (), None),
-            (0, 1, 0): ("walk", (1, 0, 0, 0), kept, 1),
+            (0, 1, 1): ("outside", (1, 0, 0), (), None),
+            (0, -1, 0): ("one_sign", (-1, 0, 0), (), None),
+            (-1, 2, 0): ("qmin", (2, 1, 0), (), None),
+            (2, 0, 0): ("walk", (0, -2, 0), (), None),
+            (0, 1, 0): ("walk", (1, 0, 0), kept, 1),
         }
         first = list(product_coefficients(word, 3, cases, 4))
         for target, _, cert in first:
@@ -744,9 +767,11 @@ class TestProductCoefficients:
             assert particular_of(cert) == particular and cert.tuples == tuples, target
             assert cert.min_valuation == min_valuation, target
             assert cert.exponents == target
-        # whatever the reason, the product certificate describes the product
+        # whatever the reason, the product certificate describes the
+        # product: its collapsed form on the units, whose unit 1 is a pair,
+        # and the uncollapsed kernel rank
         assert first[0][2].product == ProductCertificate(
-            ("E(w2)", "E(w1^-1)", "E(w1)", "E(w2)"), 4, 2, ((2, 0), (0, 2)), (2, 4),
+            ("E(w2)", "E(w1^-1)", "E(w1)", "E(w2)"), 4, 2, ((2,),), (2,),
             ((1, -1, 0), (0, 1, 1)), (1,),
         )
         # one shared product certificate per call, equal across calls
@@ -806,18 +831,13 @@ class TestProductCoefficients:
 # sha256 of the distinct setup records of `_scaled_form`, one JSON list
 # [minors, lam, di, li_cols, centre_map, h_terms] per line, sorted, over the
 # products of every word pair the catalog compares at the defaults and of
-# the probe and the seed-3 walk (13 distinct forms; the same set as the 87
-# products `verify --identity all --seed 3` set up while every pair was
-# evaluated); recorded from the Fraction LDL^T setup that the integer
-# elimination replaced.  An unchanged lam keeps every integer of the walk.
-SETUP_SHA256 = "4abde3ea72264db97c1c0b36b7ad99c81091e406cf5d2d3e76749e15abc9acc8"
-# the same over the second elimination, of the collapsed form, of each of
-# those products that has an adjacent inverse pair (8 distinct forms),
-# recorded when the collapse went in; test_fibre_maps_give_lam_qmin checks
-# such forms against the collapsed product's fibre minimum over the
-# rationals
-COLLAPSED_SETUPS = 8
-COLLAPSED_SHA256 = "390b89c52a0e34f0bfb03d6da351f060fdb897e21a99df8a34bfdf2865c365c5"
+# the probe and the seed-3 walk (12 distinct forms, each of its product's
+# collapsed form); recorded as each call's last form while a product with
+# an adjacent inverse pair was also set up uncollapsed, and that set as the
+# uncollapsed forms of the products without a pair came from the Fraction
+# LDL^T setup that the integer elimination replaced.  An unchanged lam keeps
+# every integer of the walk.
+SETUP_SHA256 = "aca3397e9550f8c4974f632141e6fb654817a56ea9fe6c51e90ead6fc5b8469e"
 
 
 class TestScaledForm:
@@ -902,7 +922,7 @@ class TestScaledForm:
             return form
 
         def calling(word, sites, targets, precision):
-            # each call's records: its form's, then its collapsed form's
+            # each call's records: its one form's
             calls.append([])
             yield from coefficients(word, sites, targets, precision)
 
@@ -927,13 +947,10 @@ class TestScaledForm:
                     list(calling(word, sites, [], 10))
         for name in ("lattice_family2_probe", "rewrite_walk"):
             catalog.verify_identity(name, seed=3)
-        assert all(1 <= len(records) <= 2 for records in calls)
+        assert all(len(records) == 1 for records in calls)
         lines = sorted({records[0] for records in calls})
-        assert len(lines) == 13
+        assert len(lines) == 12
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SETUP_SHA256
-        lines = sorted({records[1] for records in calls if len(records) == 2})
-        assert len(lines) == COLLAPSED_SETUPS
-        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == COLLAPSED_SHA256
 
 
 def _walks_and_certificates(monkeypatch, name, params):
@@ -1034,27 +1051,25 @@ class TestPinnedCounts:
         assert len(calls) == passes
 
     @pytest.mark.parametrize(
-        "name,params,reached,walks,empty",
+        "name,params,walks,empty",
         [
-            pytest.param("sigma_alg", {}, 442, 438, 22, id="params0-442"),
-            pytest.param("sigma_alg", {"window": 3}, 1264, 1144, 286, id="params1-1264"),
-            pytest.param(
-                "braid_alg", {"precision": 32, "window": 3}, 49, 49, 0, id="braid_alg-P32-W3"
-            ),
+            # the ids keep the "walk" reasons counted while the uncollapsed
+            # form settled targets: 442 and 1,264, of which 4 and 120 had a
+            # collapsed fibre minimum at least P and were not walked
+            pytest.param("sigma_alg", {}, 438, 22, id="params0-442"),
+            pytest.param("sigma_alg", {"window": 3}, 1144, 286, id="params1-1264"),
+            pytest.param("braid_alg", {"precision": 32, "window": 3}, 49, 0, id="braid_alg-P32-W3"),
         ],
     )
-    def test_sigma_alg_walk_calls(self, monkeypatch, name, params, reached, walks, empty):
-        # targets with qmin(T) >= P are settled without a walk (900 and
-        # 3,136 walks when each target past the one-sign test walked, 884
-        # and 2,528 while both pairs were evaluated), and so are the
-        # `reached` - `walks` targets past that whose collapsed fibre
-        # minimum is at least P; every target that reaches the walk stage
-        # keeps the reason "walk" (`reached` walks before collapsing).
+    def test_sigma_alg_walk_calls(self, monkeypatch, name, params, walks, empty):
+        # targets with qmin(T) >= P, of the collapsed form, are settled
+        # without a walk (900 and 3,136 walks when each target past the
+        # one-sign test walked, 884 and 2,528 while both pairs were
+        # evaluated), and each target with reason "walk" is walked once.
         # `empty` walks return no point: their fibre holds no lattice point
         # with Q < P although its real minimum lies below P
         walked, certs = _walks_and_certificates(monkeypatch, name, params)
-        assert sum(cert.reason == "walk" for cert in certs) == reached
-        assert len(walked) == walks
+        assert sum(cert.reason == "walk" for cert in certs) == len(walked) == walks
         assert walked.count(0) == empty
 
     def test_certificates_never_list_tuples_in_the_catalog(self, monkeypatch):
@@ -1513,10 +1528,13 @@ def _certificate_digest(runs) -> str:
 def test_certificate_fields_are_pinned():
     # every target of the four products of sigma_alg W=3 and the two of
     # braid_alg P=32 W=3, hashed field by field so the pin does not depend
-    # on how a certificate is stored
+    # on how a certificate is stored; the matrix, minors and particular
+    # solution are those of the collapsed units (83983bfd... while they
+    # described the uncollapsed product, with the same tuples, ranks,
+    # largest indices and minimum valuations)
     runs = [
         ([sigma_script1(2, 4), sigma_script2(2, 4)], 4, 3, 10),
         ([braid_script(1, 3)], 3, 3, 32),
     ]
-    want = "83983bfdbb6552fd4f069716ec9b3d1c85a78e96f557a5605817f86cf982808e"
+    want = "9c4e12359bf7049b1ad9c58639c8ecd663a3f2c3d4d07a225813b769dfbe3033"
     assert _certificate_digest(runs) == want
