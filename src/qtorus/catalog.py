@@ -16,7 +16,9 @@ compares, and names the evaluator of its engine mode that runs it:
 
 Every truncated item, the probe and the walk among them, compares word
 pairs through :func:`_compare_words`, which evaluates one side of each
-symmetry class and reads every other side of the class through a map.
+symmetry class and reads every other side of the class through a map,
+and folds the certificates it evaluates into the item's summary with
+:func:`fold_certificate`.
 
 :func:`verify_identity` resolves parameter overrides against the defaults,
 plans the item, runs the plan, and returns a :class:`Report` whose
@@ -36,7 +38,6 @@ from .scripts import (
     braid_script,
     braid_translation_fwd,
     braid_translation_rev,
-    fold_certificate,
     random_walk,
     seven_term_script,
     sigma_commute_script,
@@ -46,7 +47,7 @@ from .scripts import (
     sigma_translation_rev,
 )
 from .series import FactoredRational
-from .verifier import exact_window_map, product_coefficients, window_targets
+from .verifier import TupleCertificate, exact_window_map, product_coefficients, window_targets
 from .words import Relation, S, Word, comm0, expand_composites, rel1, rel2, rel3, rel4, replay
 
 __all__ = [
@@ -76,24 +77,6 @@ class Report(Record):
         "schema_version", "identity", "params", "status", "per_monomial",
         "certificate_summary", "elapsed_ms",
     )
-
-    def __init__(
-        self,
-        schema_version: int,
-        identity: str,
-        params: dict,
-        status: str,
-        per_monomial: list,
-        certificate_summary: dict,
-        elapsed_ms: int,
-    ) -> None:
-        self.schema_version = schema_version
-        self.identity = identity
-        self.params = params
-        self.status = status
-        self.per_monomial = per_monomial
-        self.certificate_summary = certificate_summary
-        self.elapsed_ms = elapsed_ms
 
     def to_dict(self) -> dict:
         return dict(zip(self.__slots__, self._values()))
@@ -177,6 +160,19 @@ def _mirror_index(digits: int, radix: int) -> list[int]:
         step = radix**place
         index = [i + d for i in index for d in range(0, radix * step, step)]
     return index
+
+
+def fold_certificate(stats: dict, cert: TupleCertificate) -> None:
+    """Fold one certificate into the running maxima of a summary: tuples
+    kept, the call's kernel rank and factor index (an absent key counts as
+    0, and the keys are added in that order)."""
+    tuples, rank, index = cert.tuple_count, cert.product.kernel_rank, cert.max_index
+    if tuples > stats.setdefault("max_tuples", 0):
+        stats["max_tuples"] = tuples
+    if rank > stats.setdefault("max_kernel_rank", 0):
+        stats["max_kernel_rank"] = rank
+    if index > stats.setdefault("max_index", 0):
+        stats["max_index"] = index
 
 
 def _compare_words(
@@ -512,18 +508,6 @@ def _plan_walk(p: dict):
 class CatalogItem(FrozenRecord):
     __slots__ = ("name", "description", "defaults", "plan")
 
-    def __init__(
-        self,
-        name: str,
-        description: str,
-        defaults: dict,
-        plan: Callable[[dict], tuple[Callable[..., tuple[str, list, dict]], tuple]],
-    ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "description", description)
-        object.__setattr__(self, "defaults", defaults)
-        object.__setattr__(self, "plan", plan)
-
 
 _ITEMS: list[CatalogItem] = [
     CatalogItem(
@@ -639,25 +623,28 @@ def list_identities() -> list[dict]:
 
 
 def _resolve(item: CatalogItem, sites, n, window, precision, seed) -> dict:
-    def pick(value, key):
-        return value if value is not None else item.defaults.get(key)
+    if sites is not None and not 1 <= sites <= MAX_SITES:
+        raise InvalidParams(f"sites must lie in 1..{MAX_SITES}")
+    if window is not None and not 0 <= window <= MAX_WINDOW:
+        raise InvalidParams(f"window must lie in 0..{MAX_WINDOW}")
+    if precision is not None and not 1 <= precision <= MAX_PRECISION:
+        raise InvalidParams(f"precision must lie in 1..{MAX_PRECISION}")
+    if n is not None and n < 1:
+        raise InvalidParams("relation index must be >= 1")
 
-    resolved = {
+    def pick(value, key):
+        # a flag overrides only a parameter the item reads: one whose
+        # default is None (a replay's W and P, an exact item's P) stays None
+        default = item.defaults[key]
+        return default if value is None or default is None else value
+
+    return {
         "N": pick(sites, "N"),
-        "n": n if n is not None else item.defaults.get("n"),
+        "n": n if n is not None else item.defaults["n"],
         "W": pick(window, "W"),
         "P": pick(precision, "P"),
         "seed": seed if seed is not None else 0,
     }
-    if resolved["N"] is not None and not 1 <= resolved["N"] <= MAX_SITES:
-        raise InvalidParams(f"sites must lie in 1..{MAX_SITES}")
-    if resolved["W"] is not None and not 0 <= resolved["W"] <= MAX_WINDOW:
-        raise InvalidParams(f"window must lie in 0..{MAX_WINDOW}")
-    if resolved["P"] is not None and not 1 <= resolved["P"] <= MAX_PRECISION:
-        raise InvalidParams(f"precision must lie in 1..{MAX_PRECISION}")
-    if resolved["n"] is not None and resolved["n"] < 1:
-        raise InvalidParams("relation index must be >= 1")
-    return resolved
 
 
 def _plan(name: str, sites, n, window, precision, seed) -> tuple:
@@ -684,8 +671,7 @@ def _run(plan: tuple) -> Report:
         "N": resolved["N"],
         "n": resolved["n"],
         "W": resolved["W"],
-        # exact items run without a q-adic cutoff: report P as absent
-        "P": None if summary["mode"] == "exact" else resolved["P"],
+        "P": resolved["P"],
         "K": summary.get("max_order"),
     }
     return Report(SCHEMA_VERSION, name, params, status, per_monomial, summary, elapsed_ms)

@@ -34,11 +34,30 @@ class InfiniteSupport(KernelError):
 
 class Record:
     """Base of the package's value records.  Each record lists its fields in
-    ``__slots__`` in the order its constructor takes them; equality (same
-    class only, field by field), ``repr`` and copying read the fields in
-    that order.  A record is unhashable unless it is frozen."""
+    ``__slots__`` in the order its constructor takes them, and a record that
+    writes no ``__init__`` gets one built from that list, whose trailing
+    fields default to the values of the class's ``_defaults`` dict; the
+    built constructor's signature shows the fields.  Equality (same class
+    only, field by field), ``repr`` and copying read the fields in the same
+    order.  A record is unhashable unless it is frozen."""
 
     __slots__ = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls) -> None:
+        # one fixed template over the slot names, as collections.namedtuple
+        # builds __new__, so Python itself binds the arguments; the fields
+        # are set through object.__setattr__, which a frozen record allows
+        names = cls.__slots__
+        if "__init__" in vars(cls) or not names:
+            return
+        body = "".join(f"\n    _set(self, {name!r}, {name})" for name in names)
+        namespace = {"_set": object.__setattr__}
+        exec(f"def __init__(self, {', '.join(names)}):{body}", namespace)
+        init = namespace["__init__"]
+        init.__defaults__ = tuple(cls._defaults[name] for name in names[len(names) - len(cls._defaults):])
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -62,8 +81,8 @@ class Record:
 
 class FrozenRecord(Record):
     """A read-only, hashable record: assigning to or deleting an attribute
-    raises AttributeError, so its constructor sets its fields through
-    ``object.__setattr__``."""
+    raises AttributeError, so a constructor written by hand sets its fields
+    through ``object.__setattr__``."""
 
     __slots__ = ()
 

@@ -1,4 +1,4 @@
-"""Concrete derivation scripts, certificate summaries and the rewrite walk.
+"""Concrete derivation scripts and the rewrite walk.
 
 Every generator in this module returns a :class:`~qtorus.words.DerivationScript`
 whose steps were chosen by hand once and are re-checked mechanically on every
@@ -19,9 +19,8 @@ replay; no generator "discovers" a proof at run time.  The families are:
   ascending or descending run, shifting its index; these are the word-level
   lemmas used to reorder products of ``b`` or ``c`` letters.
 
-:func:`fold_certificate` folds a truncated coefficient's certificate into a
-summary's running maxima, and :func:`random_walk` drives a seeded walk
-through the structural rewrite system.
+:func:`random_walk` drives a seeded walk through the structural rewrite
+system.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from typing import Sequence
 
 from .algebra import Element
 from .errors import InvalidParams
-from .verifier import TupleCertificate
 from .words import (
     B,
     C,
@@ -72,28 +70,9 @@ __all__ = [
     "braid_translation_rev",
     "sigma_translation_fwd",
     "sigma_translation_rev",
-    "fold_certificate",
     "structural_relations",
     "random_walk",
 ]
-
-
-# ---------------------------------------------------------------------------
-# certificate summaries
-# ---------------------------------------------------------------------------
-
-
-def fold_certificate(stats: dict, cert: TupleCertificate) -> None:
-    """Fold one certificate into the running maxima of a summary: tuples
-    kept, the call's kernel rank and factor index (an absent key counts as
-    0, and the keys are added in that order)."""
-    tuples, rank, index = cert.tuple_count, cert.product.kernel_rank, cert.max_index
-    if tuples > stats.setdefault("max_tuples", 0):
-        stats["max_tuples"] = tuples
-    if rank > stats.setdefault("max_kernel_rank", 0):
-        stats["max_kernel_rank"] = rank
-    if index > stats.setdefault("max_index", 0):
-        stats["max_index"] = index
 
 
 # ---------------------------------------------------------------------------

@@ -173,22 +173,6 @@ class _ScaledForm(FrozenRecord):
 
     __slots__ = ("minors", "lam", "di", "li_cols", "centre_map", "h_terms")
 
-    def __init__(
-        self,
-        minors: tuple[int, ...],
-        lam: int,
-        di: tuple[int, ...],
-        li_cols: tuple[tuple[tuple[int, int], ...], ...],
-        centre_map: tuple[tuple[int, ...], ...],
-        h_terms: tuple[tuple[int, int, int], ...],
-    ) -> None:
-        object.__setattr__(self, "minors", minors)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "di", di)
-        object.__setattr__(self, "li_cols", li_cols)
-        object.__setattr__(self, "centre_map", centre_map)
-        object.__setattr__(self, "h_terms", h_terms)
-
 
 def _scaled_form(full: Sequence[Sequence[int]], rank: int) -> _ScaledForm:
     """Certify the leading `rank` x `rank` block A of the integer symmetric
@@ -379,24 +363,7 @@ class ProductCertificate(FrozenRecord):
     """
 
     __slots__ = ("factors", "precision", "kernel_rank", "gram_restricted", "minors", "firsts", "pairs")
-
-    def __init__(
-        self,
-        factors: tuple[str, ...],
-        precision: int,
-        kernel_rank: int,
-        gram_restricted: tuple[tuple[int, ...], ...],
-        minors: tuple[int, ...],
-        firsts: tuple[tuple[int, int, int], ...],
-        pairs: tuple[int, ...] = (),
-    ) -> None:
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "kernel_rank", kernel_rank)
-        object.__setattr__(self, "gram_restricted", gram_restricted)
-        object.__setattr__(self, "minors", minors)
-        object.__setattr__(self, "firsts", firsts)
-        object.__setattr__(self, "pairs", pairs)
+    _defaults = {"pairs": ()}
 
 
 def _split(ms: Sequence[int], budget: int) -> tuple[int, int]:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .algebra import Element
 from .errors import FrozenRecord, InvalidParams, InvalidStep, NoMatch
@@ -205,12 +205,6 @@ class Relation(FrozenRecord):
     """Oriented rewrite  lhs <-> rhs  produced by a named factory."""
 
     __slots__ = ("rid", "bindings", "lhs", "rhs")
-
-    def __init__(self, rid: str, bindings: tuple[tuple[str, str], ...], lhs: Word, rhs: Word) -> None:
-        object.__setattr__(self, "rid", rid)
-        object.__setattr__(self, "bindings", bindings)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
 
     @property
     def full_id(self) -> str:
@@ -405,11 +399,7 @@ def commute_rule(x: ExpLetter, y: ExpLetter) -> Relation:
 
 class Step(FrozenRecord):
     __slots__ = ("position", "relation", "forward")
-
-    def __init__(self, position: int, relation: Relation, forward: bool = True) -> None:
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "forward", forward)
+    _defaults = {"forward": True}
 
     def __str__(self) -> str:
         return f"@{self.position} {self.relation.full_id} {'fwd' if self.forward else 'rev'}"
@@ -433,27 +423,10 @@ def apply_step(word: Word, step: Step) -> Word:
 class DerivationScript(FrozenRecord):
     __slots__ = ("name", "start", "steps", "end")
 
-    def __init__(self, name: str, start: Word, steps: tuple[Step, ...], end: Word) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "end", end)
-
 
 class ReplayResult(FrozenRecord):
     __slots__ = ("ok", "steps_applied", "final", "error")
-
-    def __init__(
-        self,
-        ok: bool,
-        steps_applied: int,
-        final: Word,
-        error: Optional[str] = None,
-    ) -> None:
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "steps_applied", steps_applied)
-        object.__setattr__(self, "final", final)
-        object.__setattr__(self, "error", error)
+    _defaults = {"error": None}
 
 
 def replay(script: DerivationScript) -> ReplayResult:

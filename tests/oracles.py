@@ -14,10 +14,9 @@ from itertools import product as iproduct
 from typing import Sequence
 
 from qtorus.algebra import Element, monomial_label
-from qtorus.catalog import _row
+from qtorus.catalog import _row, fold_certificate
 from qtorus.errors import InfiniteSupport, InvalidParams
 from qtorus.qexp import euler_denominator_factors
-from qtorus.scripts import fold_certificate
 from qtorus.verifier import product_coefficients, window_targets
 from qtorus.words import Step, expand_composites
 

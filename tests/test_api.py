@@ -3,8 +3,10 @@
 import ast
 import copy
 import importlib
+import inspect
 import pickle
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,7 @@ import pytest
 import qtorus
 from qtorus.algebra import Element
 from qtorus.catalog import CatalogItem, Report
-from qtorus.errors import InvalidParams
+from qtorus.errors import InvalidParams, Record
 from qtorus.verifier import ProductCertificate, _ScaledForm
 from qtorus.words import (
     DerivationScript,
@@ -149,6 +151,10 @@ def test_record_semantics(cls, fields, others, defaults, frozen, hashable):
     required = values[: len(values) - len(defaults)]
     assert cls(*required) == cls(*required, *defaults.values())
     assert [getattr(cls(*required), name) for name in defaults] == list(defaults.values())
+    # the constructor's signature shows the fields in order, with the defaults
+    parameters = inspect.signature(cls).parameters
+    assert list(parameters) == list(fields) == list(cls.__slots__)
+    assert {k: p.default for k, p in parameters.items() if p.default is not p.empty} == defaults
     if hashable:
         assert hash(record) == hash(cls(*values))
     else:
@@ -163,6 +169,21 @@ def test_record_semantics(cls, fields, others, defaults, frozen, hashable):
     else:
         record.status = "FAIL"
         assert record.status == "FAIL" and record != cls(*values)
+
+
+def test_records_get_their_constructors_from_their_slots():
+    # Letter alone writes a constructor in its module, as it validates its
+    # fields; every other record's is built from its slots
+    for name in SUBMODULES:
+        importlib.import_module(f"qtorus.{name}")
+    classes, written = [Record], []
+    for cls in classes:
+        classes.extend(cls.__subclasses__())
+        init = vars(cls).get("__init__")
+        if init is not None and init.__code__.co_filename == sys.modules[cls.__module__].__file__:
+            written.append(cls)
+    assert {cls for cls, *_ in RECORDS} <= set(classes)
+    assert written == [Letter]
 
 
 def test_record_repr_text():

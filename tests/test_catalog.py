@@ -33,7 +33,7 @@ from qtorus.scripts import _matching_steps, _pattern_index
 from qtorus.scripts import braid_script, random_walk, structural_relations
 from qtorus.series import FactoredRational, LaurentSeries
 from qtorus.verifier import coefficient_of, exact_window_map, product_coefficients, window_targets
-from qtorus.words import S, apply_step, expand_composites, render_word
+from qtorus.words import S, apply_step, expand_composites, parse_word, render_word
 
 import qtorus.catalog as catalog
 from oracles import compare_words_unshared
@@ -107,6 +107,23 @@ def test_exact_items_ignore_precision():
     assert d["params"]["P"] is None
     assert d["params"]["K"] == 4
     assert d["certificate_summary"]["mode"] == "exact"
+
+
+@pytest.mark.parametrize("name", sorted(n for n, item in _BY_NAME.items() if item.defaults["P"] is None))
+def test_overrides_reach_only_the_parameters_an_item_reads(name):
+    # a replay reads neither W nor P, and an exact item reads no P: the
+    # flags leave those null, yet their range checks still apply
+    report = verify_identity(name, window=2, precision=9)
+    params, defaults = report.params, _BY_NAME[name].defaults
+    assert params["P"] is None
+    assert params["W"] == (None if defaults["W"] is None else 2)
+    if defaults["W"] is None:
+        assert report.certificate_summary["mode"] == "replay"
+        assert report.to_text().splitlines()[1] == f"  params: N={params['N']}"
+    with pytest.raises(InvalidParams, match="window"):
+        verify_identity(name, window=MAX_WINDOW + 1)
+    with pytest.raises(InvalidParams, match="precision"):
+        verify_identity(name, precision=0)
 
 
 def test_truncated_items_report_precision_not_order():
@@ -233,28 +250,46 @@ def test_walk_is_seed_deterministic():
     assert c["certificate_summary"]["seed"] == 12
 
 
-def test_walk_start_orbit_is_checked_exhaustively():
-    # every word reachable from the walk's start under the length cap, by
-    # breadth-first search over the matching steps at the item's default N,
-    # agrees with the start at its default W and P; only comm0 ever applies,
-    # so the orbit is the 2^3 swaps of the three adjacent inverse pairs
+_FAMILIES = ("comm0", "rel1", "rel2", "rel3", "rel4", "far")
+
+
+@pytest.mark.parametrize(
+    "start, cap, sites, size, pairs",
+    [
+        # the walk's own start: only comm0 ever applies, so the orbit is the
+        # 2^3 swaps of its three adjacent inverse pairs
+        (_WALK_START, _WALK_LENGTH_CAP, 4, 8, {("comm0", True), ("comm0", False)}),
+        # a start that every family matches, each forward and reverse
+        (
+            parse_word("s1+ s2- s1- s3+ s2+ s3-"), 8, 4, 62,
+            {(rid, forward) for rid in _FAMILIES for forward in (True, False)},
+        ),
+    ],
+    ids=["walk_start", "all_families"],
+)
+def test_walk_start_orbit_is_checked_exhaustively(start, cap, sites, size, pairs):
+    # every word reachable from the start under the length cap, by
+    # breadth-first search over the matching steps on `sites` sites, agrees
+    # with the start at the walk's default W and P; the (family, direction)
+    # pairs the search applies are recorded
     defaults = _BY_NAME["rewrite_walk"].defaults
-    sites, window, precision = defaults["N"], defaults["W"], defaults["P"]
+    assert sites == defaults["N"]
+    window, precision = defaults["W"], defaults["P"]
     index = _pattern_index(structural_relations(sites))
-    orbit, frontier, families = {_WALK_START}, [_WALK_START], set()
+    orbit, frontier, applied = {start}, [start], set()
     while frontier:
         word = frontier.pop(0)
         for step in _matching_steps(word, index):
             image = apply_step(word, step)
-            if len(image) > _WALK_LENGTH_CAP:
+            if len(image) > cap:
                 continue
-            families.add(step.relation.rid)
+            applied.add((step.relation.rid, step.forward))
             if image not in orbit:
                 orbit.add(image)
                 frontier.append(image)
-    assert families == {"comm0"} and len(orbit) == 8
-    pairs = [("", _WALK_START, word) for word in sorted(orbit, key=render_word)]
-    ok, rows, _ = _compare_words(pairs, sites, window, precision)
+    assert applied == pairs and len(orbit) == size
+    words = [("", start, word) for word in sorted(orbit, key=render_word)]
+    ok, rows, _ = _compare_words(words, sites, window, precision)
     assert ok and rows and all(row["match"] for row in rows)
 
 

@@ -12,7 +12,6 @@ from qtorus.scripts import (
     braid_script,
     braid_translation_fwd,
     braid_translation_rev,
-    fold_certificate,
     random_walk,
     seven_term_script,
     sigma_commute_script,
@@ -22,7 +21,7 @@ from qtorus.scripts import (
     sigma_translation_rev,
     structural_relations,
 )
-from qtorus.catalog import _compare_words
+from qtorus.catalog import _compare_words, fold_certificate
 from qtorus.verifier import ProductCertificate, TupleCertificate
 from qtorus.words import (
     B,

@@ -1,8 +1,9 @@
 """Source hygiene checks: unused imports and private helpers without a
 caller, read from the code, README's lists of records and certificate
-fields against the code, and the modules that importing the command line
-loads."""
+fields and of the ``verify`` flags against the code, and the modules that
+importing the command line loads."""
 
+import argparse
 import ast
 import os
 import re
@@ -10,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from qtorus.cli import _build_parser
 from qtorus.verifier import ProductCertificate, TupleCertificate
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -291,6 +293,48 @@ def test_scan_sees_the_certificate_fields():
     assert readme_certificate_fields(readme, "Outer") == []
 
 
+def readme_verify_flags(text: str) -> tuple[list[str], dict[str, list[str]]]:
+    """The distinct backticked flags, in order, of README's "Flags:"
+    paragraph, and the choices a span such as `--format a|b` lists."""
+    paragraph = text.split("\nFlags: ", 1)[1].split("\n\n", 1)[0]
+    spans = re.findall(r"`(--[\w-]+)(?: (\w+(?:\|\w+)+))?[^`]*`", paragraph)
+    flags = list(dict.fromkeys(flag for flag, _ in spans))
+    return flags, {flag: listed.split("|") for flag, listed in spans if listed}
+
+
+def parser_verify_flags(parser: argparse.ArgumentParser) -> tuple[list[str], dict[str, list[str]]]:
+    """The long option strings of the parser's ``verify`` subcommand, in
+    order and without ``--help``, and the choices of those that have any."""
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = [a for a in commands.choices["verify"]._actions if "--help" not in a.option_strings]
+    flags = [s for a in actions for s in a.option_strings if s.startswith("--")]
+    return flags, {a.option_strings[-1]: list(a.choices) for a in actions if a.choices}
+
+
+def test_readme_lists_the_verify_flags_in_order():
+    # a verify flag or format added, removed, renamed or moved must be so in
+    # README's list of flags too
+    flags, choices = readme_verify_flags((ROOT / "README.md").read_text())
+    assert len(flags) > 5
+    assert (flags, choices) == parser_verify_flags(_build_parser())
+
+
+def test_scan_sees_the_verify_flags():
+    readme = (
+        "`--early`\n\nFlags: `--a` (or `--a \"\"`), `--b x|y`, `--a`,\n"
+        "`--c-d`, `plain`.\n\n`--later`\n"
+    )
+    assert readme_verify_flags(readme) == (["--a", "--b", "--c-d"], {"--b": ["x", "y"]})
+    parser = argparse.ArgumentParser()
+    commands = parser.add_subparsers()
+    verify = commands.add_parser("verify")
+    verify.add_argument("-a", "--a")
+    verify.add_argument("--b", choices=("x", "y"))
+    verify.add_argument("--c-d", type=int)
+    commands.add_parser("other").add_argument("--e")
+    assert parser_verify_flags(parser) == (["--a", "--b", "--c-d"], {"--b": ["x", "y"]})
+
+
 def modules_loaded_by_cli_import(names: tuple[str, ...]) -> list[str]:
     """Which of `names` a fresh interpreter has loaded after ``import qtorus.cli``."""
     env = dict(os.environ)
@@ -317,6 +361,7 @@ def test_cli_import_loads_no_rational_arithmetic():
 
 
 def test_cli_import_loads_no_dataclasses():
-    # every command pays for its imports: the records are written out by
-    # hand, as dataclasses alone brings in inspect, ast, dis and tokenize
+    # every command pays for its imports: the records build their
+    # constructors without dataclasses, which alone brings in inspect, ast,
+    # dis and tokenize
     assert modules_loaded_by_cli_import(("dataclasses", "inspect")) == []
