@@ -48,7 +48,10 @@ from .scripts import (
 )
 from .series import FactoredRational
 from .verifier import TupleCertificate, exact_window_map, product_coefficients, window_targets
-from .words import Relation, S, Word, comm0, expand_composites, rel1, rel2, rel3, rel4, replay
+from .words import (
+    ExpLetter, Relation, S, Word, comm0, expand_composites, mult1_rule, mult2_rule,
+    pentagon_rule, rel1, rel2, rel3, rel4, replay,
+)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -363,16 +366,12 @@ def _two_sites(p: dict) -> None:
 
 
 def _plan_exact(name: str, p: dict):
+    """Compare the two sides of the `words` rule `name` at u = w1 and v = w2;
+    the rule checks its own q^2-commuting premise."""
     _two_sites(p)
-    u = Element.generator(p["N"], 1)
-    v = Element.generator(p["N"], 2)
-    if name == "mult1":
-        lhs_args, rhs_args = [u, v], [u + v]
-    elif name == "mult2":
-        lhs_args, rhs_args = [v, u], [u + v - (v * u).scale(1)]
-    else:  # pentagon
-        lhs_args, rhs_args = [v, u], [u, (v * u).scale(1, -1), v]
-    return _exact, (lhs_args, rhs_args, p["W"])
+    u, v = (ExpLetter(f"w{i}", Element.generator(p["N"], i)) for i in (1, 2))
+    rel = {"mult1": mult1_rule, "mult2": mult2_rule, "pentagon": pentagon_rule}[name](u, v)
+    return _exact, ([x.element for x in rel.lhs], [x.element for x in rel.rhs], p["W"])
 
 
 def _words(p: dict, pairs, **head):
@@ -432,13 +431,9 @@ def _plan_braid_alg(p: dict):
 
 
 def _sigma_pairs(n: int, sites: int) -> list[tuple[str, Word, Word]]:
-    """Both sides of the two c-letter relations at index n, labelled."""
-    s1 = sigma_script1(n, sites)
-    s2 = sigma_script2(n, sites)
-    return [
-        (f"sigma_rel1({n})", s1.start, s1.end),
-        (f"sigma_rel2({n})", s2.start, s2.end),
-    ]
+    """Both sides of the two c-letter relations at index n, named as scripts."""
+    scripts = (sigma_script1(n, sites), sigma_script2(n, sites))
+    return [(script.name, script.start, script.end) for script in scripts]
 
 
 def _indexed_replay(script: Callable, low: int):
@@ -513,37 +508,37 @@ _ITEMS: list[CatalogItem] = [
     CatalogItem(
         "mult1",
         "E(u) E(v) = E(u+v) with exact rational coefficients on a window",
-        {"N": 2, "n": None, "W": 3, "P": None},
+        {"N": 2, "W": 3},
         lambda p: _plan_exact("mult1", p),
     ),
     CatalogItem(
         "mult2",
         "E(v) E(u) = E(u+v-q v u) with exact rational coefficients",
-        {"N": 2, "n": None, "W": 3, "P": None},
+        {"N": 2, "W": 3},
         lambda p: _plan_exact("mult2", p),
     ),
     CatalogItem(
         "pentagon",
         "E(v) E(u) = E(u) E(-q v u) E(v) with exact rational coefficients",
-        {"N": 2, "n": None, "W": 3, "P": None},
+        {"N": 2, "W": 3},
         lambda p: _plan_exact("pentagon", p),
     ),
     CatalogItem(
         "seven_term",
         "four-factor vs three-factor identity for E(w2), E(w1^-1), E(w1)",
-        {"N": 2, "n": None, "W": 3, "P": 20},
+        {"N": 2, "W": 3, "P": 20},
         _plan_seven_term,
     ),
     CatalogItem(
         "two_site_set",
         "the six commutation identities on sites 1 and 2",
-        {"N": 2, "n": None, "W": 3, "P": 14},
+        {"N": 2, "W": 3, "P": 14},
         lambda p: _plan_chain(p, 2),
     ),
     CatalogItem(
         "lattice_set",
         "all nearest-neighbour and same-site identities on the chain",
-        {"N": 6, "n": None, "W": 2, "P": 14},
+        {"N": 6, "W": 2, "P": 14},
         lambda p: _plan_chain(p, p["N"]),
     ),
     CatalogItem(
@@ -567,43 +562,43 @@ _ITEMS: list[CatalogItem] = [
     CatalogItem(
         "braid_script",
         "replay the stored hexagon derivations",
-        {"N": 6, "n": None, "W": None, "P": None},
+        {"N": 6, "n": None},
         _indexed_replay(braid_script, 1),
     ),
     CatalogItem(
         "sigma_rel1_script",
         "replay the stored derivations of the first c-letter relation",
-        {"N": 6, "n": None, "W": None, "P": None},
+        {"N": 6, "n": None},
         _indexed_replay(sigma_script1, 2),
     ),
     CatalogItem(
         "sigma_rel2_script",
         "replay the stored derivations of the second c-letter relation",
-        {"N": 6, "n": None, "W": None, "P": None},
+        {"N": 6, "n": None},
         _indexed_replay(sigma_script2, 2),
     ),
     CatalogItem(
         "sigma_commute_script",
         "replay distant c-letter commutation derivations",
-        {"N": 8, "n": None, "W": None, "P": None},
+        {"N": 8},
         _plan_sigma_commute,
     ),
     CatalogItem(
         "seven_term_script",
         "replay the merge/split derivation of the seven-term identity",
-        {"N": 2, "n": None, "W": None, "P": None},
+        {"N": 2},
         _plan_seven_term_script,
     ),
     CatalogItem(
         "translations",
         "replay every letter-translation derivation with index span <= 6",
-        {"N": 10, "n": None, "W": None, "P": None},
+        {"N": 10},
         _plan_translations,
     ),
     CatalogItem(
         "rewrite_walk",
         "seeded rewrite walk preserves the algebra image of the word",
-        {"N": 4, "n": None, "W": 1, "P": 8},
+        {"N": 4, "W": 1, "P": 8, "seed": 0},
         _plan_walk,
     ),
 ]
@@ -615,9 +610,14 @@ def identity_names() -> list[str]:
     return [item.name for item in _ITEMS]
 
 
+def _shown(params: dict) -> dict:
+    """The N, n, W and P of a report or listing, null where not read."""
+    return {key: params.get(key) for key in ("N", "n", "W", "P")}
+
+
 def list_identities() -> list[dict]:
     return [
-        {"name": item.name, "description": item.description, "defaults": item.defaults}
+        {"name": item.name, "description": item.description, "defaults": _shown(item.defaults)}
         for item in _ITEMS
     ]
 
@@ -631,19 +631,11 @@ def _resolve(item: CatalogItem, sites, n, window, precision, seed) -> dict:
         raise InvalidParams(f"precision must lie in 1..{MAX_PRECISION}")
     if n is not None and n < 1:
         raise InvalidParams("relation index must be >= 1")
-
-    def pick(value, key):
-        # a flag overrides only a parameter the item reads: one whose
-        # default is None (a replay's W and P, an exact item's P) stays None
-        default = item.defaults[key]
-        return default if value is None or default is None else value
-
+    # an override reaches a parameter only when the item lists it
+    given = {"N": sites, "n": n, "W": window, "P": precision, "seed": seed}
     return {
-        "N": pick(sites, "N"),
-        "n": n if n is not None else item.defaults["n"],
-        "W": pick(window, "W"),
-        "P": pick(precision, "P"),
-        "seed": seed if seed is not None else 0,
+        key: default if given[key] is None else given[key]
+        for key, default in item.defaults.items()
     }
 
 
@@ -667,13 +659,7 @@ def _run(plan: tuple) -> Report:
     start = time.perf_counter()
     status, per_monomial, summary = evaluate(*args)
     elapsed_ms = int(round((planned + time.perf_counter() - start) * 1000))
-    params = {
-        "N": resolved["N"],
-        "n": resolved["n"],
-        "W": resolved["W"],
-        "P": resolved["P"],
-        "K": summary.get("max_order"),
-    }
+    params = {**_shown(resolved), "K": summary.get("max_order")}
     return Report(SCHEMA_VERSION, name, params, status, per_monomial, summary, elapsed_ms)
 
 

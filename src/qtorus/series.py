@@ -266,8 +266,8 @@ class FactoredRational:
     def __init__(self, num: Mapping[int, int] = (), den: Optional[Counter] = None) -> None:
         self.num = {e: c for e, c in dict(num).items() if c}
         d = Counter() if den is None else Counter({k: v for k, v in den.items() if v})
-        if any(v < 0 for v in d.values()):
-            raise ValueError("negative factor multiplicity")
+        if any(k < 1 or v < 0 for k, v in d.items()):
+            raise ValueError("cyclotomic index below 1 or negative factor multiplicity")
         self.den = d if self.num else Counter()
 
     @classmethod

@@ -140,6 +140,8 @@ def window_targets(
 ) -> list[tuple[int, ...]]:
     """All exponent vectors on a chain of `sites` sites that are supported on
     the sites of `support`, with every exponent in -window..window, sorted."""
+    if window < 0:
+        raise InvalidParams("window must be >= 0")
     chosen = set(support)
     for s in chosen:
         if not 1 <= s <= sites:
@@ -514,6 +516,8 @@ def product_coefficients(
     and a shifted add per distinct term.  Each accumulated entry is
     nonzero and below the precision, so the series takes it as it is.
     """
+    if precision < 1:
+        raise InvalidParams("precision must be >= 1")
     factors = tuple(word)
     for x in factors:
         if not isinstance(x, Letter) or x.kind != "S":
@@ -716,6 +720,8 @@ def exact_window_map(
     """
     if not args:
         raise InvalidParams("need at least one factor")
+    if window < 0:
+        raise InvalidParams("window must be >= 0")
     sites = args[0].sites
     for x in args:
         if x.sites != sites:

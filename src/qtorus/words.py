@@ -460,18 +460,25 @@ def _parse_binding_letter(tok: str) -> tuple[int, int]:
     return int(m.group(1)), (1 if m.group(2) == "+" else -1)
 
 
+def _index(text: str) -> int:
+    """A binding's integer: ASCII digits only, where int() reads more."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 RELATION_BUILDERS: dict[str, Callable[[dict[str, str]], Relation]] = {
-    "comm0": lambda b: comm0(int(b["n"])),
-    "rel1": lambda b: rel1(int(b["n"])),
-    "rel2": lambda b: rel2(int(b["n"])),
-    "rel3": lambda b: rel3(int(b["n"])),
-    "rel4": lambda b: rel4(int(b["n"])),
+    "comm0": lambda b: comm0(_index(b["n"])),
+    "rel1": lambda b: rel1(_index(b["n"])),
+    "rel2": lambda b: rel2(_index(b["n"])),
+    "rel3": lambda b: rel3(_index(b["n"])),
+    "rel4": lambda b: rel4(_index(b["n"])),
     "far": lambda b: far(*_parse_binding_letter(b["a"]), *_parse_binding_letter(b["b"])),
-    "artin": lambda b: artin(int(b["n"])),
-    "bcomm": lambda b: bcomm(int(b["m"]), int(b["n"])),
-    "sig1": lambda b: sig1(int(b["n"])),
-    "sig2": lambda b: sig2(int(b["n"])),
-    "scomm": lambda b: scomm(int(b["m"]), int(b["n"])),
+    "artin": lambda b: artin(_index(b["n"])),
+    "bcomm": lambda b: bcomm(_index(b["m"]), _index(b["n"])),
+    "sig1": lambda b: sig1(_index(b["n"])),
+    "sig2": lambda b: sig2(_index(b["n"])),
+    "scomm": lambda b: scomm(_index(b["m"]), _index(b["n"])),
 }
 
 _STEP_RE = re.compile(r"^@([0-9]+)\s+([a-z0-9]+)(?:\[([^\]]*)\])?\s+(fwd|rev)$")

@@ -109,21 +109,52 @@ def test_exact_items_ignore_precision():
     assert d["certificate_summary"]["mode"] == "exact"
 
 
-@pytest.mark.parametrize("name", sorted(n for n, item in _BY_NAME.items() if item.defaults["P"] is None))
+@pytest.mark.parametrize("name", sorted(n for n, item in _BY_NAME.items() if item.defaults.get("P") is None))
 def test_overrides_reach_only_the_parameters_an_item_reads(name):
     # a replay reads neither W nor P, and an exact item reads no P: the
     # flags leave those null, yet their range checks still apply
     report = verify_identity(name, window=2, precision=9)
     params, defaults = report.params, _BY_NAME[name].defaults
     assert params["P"] is None
-    assert params["W"] == (None if defaults["W"] is None else 2)
-    if defaults["W"] is None:
+    assert params["W"] == (None if defaults.get("W") is None else 2)
+    if defaults.get("W") is None:
         assert report.certificate_summary["mode"] == "replay"
         assert report.to_text().splitlines()[1] == f"  params: N={params['N']}"
     with pytest.raises(InvalidParams, match="window"):
         verify_identity(name, window=MAX_WINDOW + 1)
     with pytest.raises(InvalidParams, match="precision"):
         verify_identity(name, precision=0)
+
+
+@pytest.mark.parametrize(
+    "name, overrides",
+    [("mult1", {"n": 3, "window": 1}), ("translations", {"n": 2}), ("rewrite_walk", {"n": 5})],
+)
+def test_index_override_reaches_only_items_that_read_an_index(name, overrides):
+    assert verify_identity(name, **overrides).params["n"] is None
+
+
+class _Reads(dict):
+    """A parameter dict that records the keys a plan reads."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("name", sorted(_BY_NAME))
+def test_defaults_list_exactly_the_parameters_the_plan_reads(name):
+    # an override reaches only a listed parameter, so a misspelt key would
+    # silently stop one: the keys are the five names, each one read
+    item = _BY_NAME[name]
+    assert set(item.defaults) <= {"N", "n", "W", "P", "seed"}
+    params = _Reads(item.defaults)
+    item.plan(params)
+    assert params.read == set(item.defaults)
 
 
 def test_truncated_items_report_precision_not_order():

@@ -361,6 +361,17 @@ def test_list_outputs_catalog(capsys):
     assert all(set(r) == {"name", "description", "defaults"} for r in rows)
 
 
+# sha256 of `qtorus list`: it pins every item's listed defaults, with null
+# for a parameter the item does not read and for an indexed replay's n
+LIST_SHA256 = "4b5cf1842eb8ab843fc7a01fba861e3e10aafae8a49f9c93865f07f0d5174d52"
+
+
+def test_list_output_pinned(capsys):
+    code, out, _ = run_cli(["list"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LIST_SHA256
+
+
 def test_python_dash_m_runs_the_cli():
     env = dict(os.environ)
     src = str(Path(qtorus.__file__).resolve().parents[1])
@@ -409,6 +420,9 @@ def test_replay_wrong_end_exits_one(capsys, tmp_path):
         "@0 comm0 fwd",
         "@0 comm0[n=1,zzz=7] fwd",
         "@0 comm0[n=1,n=2] fwd",
+        "@0 comm0[n=1_0] fwd",
+        "@0 comm0[n=\u0661] fwd",
+        "@0 comm0[n=+1] fwd",
     ],
     ids=[
         "unknown_relation",
@@ -417,6 +431,9 @@ def test_replay_wrong_end_exits_one(capsys, tmp_path):
         "no_binding",
         "extra_binding",
         "repeated_binding",
+        "underscored_binding",
+        "non_ascii_digit_binding",
+        "signed_binding",
     ],
 )
 def test_replay_unparsable_file_exits_two(capsys, tmp_path, step):

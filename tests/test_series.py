@@ -160,6 +160,14 @@ class TestFactoredRational:
         f = FactoredRational({0: -1, 2: 1}, Counter({1: 1, 2: 1}))
         assert f.canonical() == ((1,), (1,))
 
+    @pytest.mark.parametrize(
+        "den", [{0: 1}, {-2: 1}, {1: -1}], ids=["index_0", "index_-2", "negative_multiplicity"]
+    )
+    def test_rejects_a_factor_that_is_no_cyclotomic_power(self, den):
+        # cyclotomic(0) raises too: the denominator holds only indices >= 1
+        with pytest.raises(ValueError):
+            FactoredRational({0: 1}, Counter(den))
+
     def test_negative_exponents_move_to_denominator(self):
         f = FactoredRational({-2: 1, 0: 1}, None)  # q^-2 + 1
         assert f.canonical() == ((1, 0, 1), (0, 0, 1))

@@ -252,6 +252,20 @@ class TestWordInput:
         with pytest.raises(InvalidParams):
             window_targets(2, support, 1)
 
+    def test_rejects_a_negative_window(self):
+        with pytest.raises(InvalidParams, match="window"):
+            window_targets(2, (1,), -1)
+        with pytest.raises(InvalidParams, match="window"):
+            exact_window_map([Element.generator(2, 1)], -1)
+
+    @pytest.mark.parametrize("precision", [0, -3])
+    def test_rejects_a_precision_below_one(self, precision):
+        word = word_of([(1, 1), (1, -1)])
+        with pytest.raises(InvalidParams, match="precision"):
+            coefficient_of(word, 1, (0,), precision)
+        with pytest.raises(InvalidParams, match="precision"):
+            list(product_coefficients(word, 1, [], precision))
+
 
 class TestCertificateEdges:
     def test_uninvolved_site_must_be_zero(self):
