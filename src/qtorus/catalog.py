@@ -183,9 +183,10 @@ def _compare_words(
     sites: int,
     window: int,
     precision: int,
-) -> tuple[bool, list, dict]:
+) -> tuple[list, dict]:
     """Compare the coefficients of labelled word pairs target by target over
-    the box of the sites either word touches.  Each word's composite
+    the box of the sites either word touches, returning one block of rows
+    per pair, in pair order, and the summary.  Each word's composite
     letters are expanded once, and the engine reads the expanded words.
 
     A term's valuation  Q(k) = sum k_l^2 - 2 sum eps_i eps_j k_i k_j,  over
@@ -217,7 +218,7 @@ def _compare_words(
     each product call, which sets the summary keys in their order and
     carries the call's kernel rank, and every later one with points.
     """
-    per: list = []
+    blocks: list = []
     stats: dict = {}
     classes: dict = {}
     boxes: dict = {}
@@ -248,16 +249,13 @@ def _compare_words(
             if mirrored != rep_mirrored:
                 table = [table[i] for i in _mirror_index(len(support), 2 * window + 1)]
             views.append(table)
-        for monomial, ltext, rtext in zip(labels, *views):
-            per.append(
-                {
-                    "target": prefix + monomial,
-                    "lhs": ltext,
-                    "rhs": rtext,
-                    "match": ltext == rtext,
-                }
-            )
-    return all(row["match"] for row in per), per, stats
+        blocks.append(
+            [
+                {"target": prefix + monomial, "lhs": ltext, "rhs": rtext, "match": ltext == rtext}
+                for monomial, ltext, rtext in zip(labels, *views)
+            ]
+        )
+    return blocks, stats
 
 
 def _status(ok: bool) -> str:
@@ -288,17 +286,16 @@ def _exact(
 
 def _truncated(head: dict, pairs, sites: int, window: int, precision: int):
     """Compare word pairs; `head` goes into the summary after its mode."""
-    ok, per, stats = _compare_words(pairs, sites, window, precision)
-    return _status(ok), per, {"mode": "truncated", **head, **stats}
+    blocks, stats = _compare_words(pairs, sites, window, precision)
+    per = [row for rows in blocks for row in rows]
+    return _status(all(row["match"] for row in per)), per, {"mode": "truncated", **head, **stats}
 
 
 def _probe(pairs, sites: int, window: int, precision: int):
-    """Compare the corrected pair, then the printed one.  The probe passes
-    when the corrected form verifies and the printed variant demonstrably
-    does not; its rows are the corrected pair's."""
-    _, rows, _ = _compare_words(pairs, sites, window, precision)
-    # both pairs span sites n and n + 1, so each has half of the rows
-    per, printed = rows[: len(rows) // 2], rows[len(rows) // 2 :]
+    """Compare the corrected pair, then the printed one, each by its block.
+    The probe passes when the corrected form verifies and the printed
+    variant demonstrably does not; its rows are the corrected pair's."""
+    (per, printed), _ = _compare_words(pairs, sites, window, precision)
     corrected_ok = all(row["match"] for row in per)
     # the first printed-side row that fails, reported without its match flag
     first_mismatch = next((row for row in printed if not row.pop("match")), None)
@@ -330,24 +327,22 @@ def _replay(scripts):
     return _status(ok), [], summary
 
 
-def _walk(seed: int, trace: list, steps_taken: int, sites: int, window: int, precision: int):
-    """Compare the walk's start word with its words at the checkpoints."""
+def _walk(seed: int, trace: list, sites: int, window: int, precision: int):
+    """Compare the walk's start word with its words at the checkpoints; each
+    checkpoint matches when every row of its own pair's block does."""
     last = len(trace) - 1
     marks = sorted({min(i, last) for i in (10, 20, 30, 40, 50)} | {last})
     pairs = [("", _WALK_START, trace[i]) for i in marks]
-    _, rows, _ = _compare_words(pairs, sites, window, precision)
-    # every structural relation keeps the set of sites a word touches, so
-    # every pair's box is that of sites 1..3 and has as many rows
-    size = len(rows) // len(marks)
-    checkpoints = []
-    for j, i in enumerate(marks):
-        match = all(row["match"] for row in rows[j * size : (j + 1) * size])
-        checkpoints.append({"step": i, "length": len(trace[i]), "match": match})
+    blocks, _ = _compare_words(pairs, sites, window, precision)
+    checkpoints = [
+        {"step": i, "length": len(trace[i]), "match": all(row["match"] for row in rows)}
+        for i, rows in zip(marks, blocks)
+    ]
     ok = all(point["match"] for point in checkpoints)
     summary = {
         "mode": "walk",
         "seed": seed,
-        "steps_taken": steps_taken,
+        "steps_taken": last,
         "final_length": len(trace[-1]),
         "checkpoints": checkpoints,
     }
@@ -489,10 +484,10 @@ def _plan_walk(p: dict):
     n_sites, seed = p["N"], p["seed"]
     if n_sites < 3:
         raise InvalidParams("walk words need at least three sites")
-    trace, steps = random_walk(
+    trace, _ = random_walk(
         _WALK_START, n_sites, _WALK_STEPS, random.Random(seed), _WALK_LENGTH_CAP
     )
-    return _walk, (seed, trace, len(steps), n_sites, p["W"], p["P"])
+    return _walk, (seed, trace, n_sites, p["W"], p["P"])
 
 
 # ---------------------------------------------------------------------------

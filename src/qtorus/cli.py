@@ -131,7 +131,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     try:
-        with open(args.file, "r", encoding="utf-8") as fh:
+        with open(args.file, "r", encoding="utf-8-sig") as fh:
             script = parse_script(fh.read())
     except (OSError, UnicodeDecodeError, KernelError) as exc:
         print(f"error: {exc}", file=sys.stderr)

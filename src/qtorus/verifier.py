@@ -237,12 +237,12 @@ def _scaled_form(full: Sequence[Sequence[int]], rank: int) -> _ScaledForm:
 def _walk_levels(
     basis: Sequence[tuple[int, int, int]],
     pairs: Iterable[int] = (),
-) -> tuple[tuple[int, int, int, bool, bool], ...]:
+) -> tuple[tuple[tuple[int, int, int, bool, bool], ...], set[int]]:
     """The walk's level layout for walk coordinates ``(j, first, coeff)``,
     listed from coordinate 0 up: each level's unit index j, its side's
     first index, its coefficient there, whether it clamps and whether
-    y_i >= 0.  The indices in `pairs` are collapsed pairs, whose entry is
-    any integer.
+    y_i >= 0; and the first indices of the sides some coordinate can raise.
+    The indices in `pairs` are collapsed pairs, whose entry is any integer.
 
     Coordinate i is y_i = k_j, and its side constraint reads
     k_first = p_first + sum coeff * y >= 0  over the coordinates sharing that
@@ -260,7 +260,7 @@ def _walk_levels(
         levels.append((j, first, coeff, first not in can_raise, j not in pairs))
         if coeff > 0 or j in pairs:
             can_raise.add(first)
-    return tuple(levels)
+    return tuple(levels), can_raise
 
 
 def _walk_sublevel(
@@ -554,7 +554,7 @@ def product_coefficients(
         firsts,
         tuple(pairs),
     )
-    levels = _walk_levels(basis, pairs)
+    levels, raisers = _walk_levels(basis, pairs)
     # a point's single entries key its expansion, and its pairs' nets its split
     singles = [u for u in range(len(units)) if u not in pairs]
     pick, nets = (
@@ -566,7 +566,6 @@ def product_coefficients(
     # the walk's side constraint; at a site whose units share one sign and
     # hold no pair every coeff is -1 (a single unit has none), so p_first < 0
     # there leaves no tuple at all
-    raisers = set(pairs) | {f for j, f, coeff in basis if coeff > 0 or j in pairs}
     one_sign = [(i, e) for f, e, i in firsts if f not in raisers]
     touched = {i for _, _, i in firsts}
     outside = [i for i in range(sites) if i not in touched]

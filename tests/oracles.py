@@ -262,11 +262,12 @@ def scan_applicable_steps(word, relations) -> list[Step]:
 
 
 def compare_words_unshared(pairs, sites: int, window: int, precision: int):
-    """``(ok, rows, summary)`` of labelled word pairs as the catalog reports
-    them, with both sides of every pair evaluated over the box of the sites
-    either side touches, rows built from the two series, and every
-    certificate folded into the summary: no side borrows another's rows."""
-    rows: list = []
+    """``(blocks, summary)`` of labelled word pairs as the catalog reports
+    them, one block of rows per pair, with both sides of every pair
+    evaluated over the box of the sites either side touches, rows built
+    from the two series, and every certificate folded into the summary: no
+    side borrows another's rows."""
+    blocks: list = []
     stats: dict = {}
     for label, lhs, rhs in pairs:
         prefix = f"{label}: " if label else ""
@@ -275,11 +276,13 @@ def compare_words_unshared(pairs, sites: int, window: int, precision: int):
         targets = window_targets(sites, support, window)
         left = list(product_coefficients(lhs, sites, targets, precision))
         right = list(product_coefficients(rhs, sites, targets, precision))
+        rows = []
         for target, (_, ls, lc), (_, rs, rc) in zip(targets, left, right):
             rows.append(_row(prefix + monomial_label(target), ls, rs))
             fold_certificate(stats, lc)
             fold_certificate(stats, rc)
-    return all(row["match"] for row in rows), rows, stats
+        blocks.append(rows)
+    return blocks, stats
 
 
 # ---------------------------------------------------------------------------

@@ -320,8 +320,9 @@ def test_walk_start_orbit_is_checked_exhaustively(start, cap, sites, size, pairs
                 frontier.append(image)
     assert applied == pairs and len(orbit) == size
     words = [("", start, word) for word in sorted(orbit, key=render_word)]
-    ok, rows, _ = _compare_words(words, sites, window, precision)
-    assert ok and rows and all(row["match"] for row in rows)
+    blocks, _ = _compare_words(words, sites, window, precision)
+    assert len(blocks) == len(words)
+    assert all(rows and all(row["match"] for row in rows) for rows in blocks)
 
 
 def test_caps_are_enforced():
@@ -427,15 +428,14 @@ def test_shared_rows_equal_rows_of_pairs_run_alone(name, pairs):
     # it gets when it is evaluated by itself, at the item's defaults
     d = _BY_NAME[name].defaults
     args = (d["N"], d["W"], d["P"])
-    ok, per, stats = _compare_words(pairs, *args)
-    assert ok
-    start, alone = 0, []
-    for pair in pairs:
-        _, rows, pair_stats = _compare_words([pair], *args)
-        assert per[start:start + len(rows)] == rows, pair[0]
-        start += len(rows)
+    blocks, stats = _compare_words(pairs, *args)
+    assert len(blocks) == len(pairs)
+    assert all(row["match"] for rows in blocks for row in rows)
+    alone = []
+    for pair, rows in zip(pairs, blocks):
+        (block,), pair_stats = _compare_words([pair], *args)
+        assert rows == block, pair[0]
         alone.append(pair_stats)
-    assert start == len(per)
     assert stats == {k: max(s[k] for s in alone) for k in stats}
 
 
@@ -446,12 +446,10 @@ def test_corrupted_pair_is_evaluated_not_shared():
     first, (label, lhs, rhs) = _sigma_pairs(2, 4)
     letters = expand_composites(rhs)
     bad = letters[:-1] + (S(letters[-1].site, -letters[-1].sign),)
-    ok, per, _ = _compare_words([first, (label, lhs, bad)], 4, 2, 10)
-    assert not ok
-    half = len(per) // 2
-    assert all(row["match"] for row in per[:half])
-    assert any(not row["match"] for row in per[half:])
-    assert all(row["target"].startswith(label) for row in per[half:])
+    (kept, broken), _ = _compare_words([first, (label, lhs, bad)], 4, 2, 10)
+    assert all(row["match"] for row in kept)
+    assert any(not row["match"] for row in broken)
+    assert all(row["target"].startswith(label) for row in broken)
 
 
 def _count_evaluations(monkeypatch) -> list:
@@ -551,7 +549,7 @@ def test_compare_words_matches_unshared_reference(monkeypatch, name, params):
         got = _compare_words(pairs, sites, window, precision)
         want = compare_words_unshared(pairs, sites, window, precision)
         assert got == want
-        assert list(got[2]) == list(want[2])
+        assert list(got[1]) == list(want[1])
         calls.append(pairs)
         return got
 
@@ -562,8 +560,9 @@ def test_compare_words_matches_unshared_reference(monkeypatch, name, params):
 
 @pytest.mark.parametrize("sites", [4, 6])
 def test_walk_words_touch_the_start_sites(sites):
-    # the walk's checkpoints share one box because every structural
-    # relation keeps the set of sites a word touches
+    # every structural relation keeps the set of sites a word touches, so
+    # every walk word lives on the start's sites 1..3; the walk judges each
+    # checkpoint by its own pair's rows and does not rely on this
     for rel in structural_relations(sites):
         assert {x.site for x in rel.lhs} == {x.site for x in rel.rhs}, rel.rid
     for seed in range(20):
@@ -573,13 +572,22 @@ def test_walk_words_touch_the_start_sites(sites):
         assert all({x.site for x in word} == {1, 2, 3} for word in trace), seed
 
 
-def test_walk_flags_only_the_checkpoint_whose_word_changed(monkeypatch):
-    # a walk word at step 30 with its last sign flipped no longer has the
-    # start word's image: its checkpoint alone fails, and so does the item
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda letters: letters[:-1] + (S(letters[-1].site, -letters[-1].sign),),
+        lambda letters: letters + (S(4, 1), S(4, -1)),
+    ],
+    ids=["last_sign_flipped", "site_4_appended"],
+)
+def test_walk_flags_only_the_checkpoint_whose_word_changed(monkeypatch, corrupt):
+    # a walk word at step 30 with its last sign flipped, or with a site-4
+    # pair appended (so its box is wider than the other checkpoints'), no
+    # longer has the start word's image: its checkpoint alone fails, and so
+    # does the item
     def corrupted(*args):
         trace, steps = random_walk(*args)
-        letters = trace[30]
-        trace[30] = letters[:-1] + (S(letters[-1].site, -letters[-1].sign),)
+        trace[30] = corrupt(trace[30])
         return trace, steps
 
     monkeypatch.setattr(catalog, "random_walk", corrupted)
@@ -640,7 +648,7 @@ def test_compare_words_matches_unshared_reference_on_random_pairs(monkeypatch):
         got = _compare_words(pairs, sites, window, precision)
         want = compare_words_unshared(pairs, sites, window, precision)
         assert got == want, pairs
-        assert list(got[2]) == list(want[2])
+        assert list(got[1]) == list(want[1])
         # the image pair and the moved side are read, not evaluated
         assert len(made) <= 7
 
@@ -657,8 +665,8 @@ def test_compare_words_folds_each_rank_when_the_sides_touch_different_sites():
     ranks = [coefficient_of(word, 2, (0, 0), 6)[1].product.kernel_rank for word in (lhs, rhs)]
     assert ranks == [2, 1]
     got = _compare_words([("", lhs, rhs)], 2, 1, 6)
-    assert list(got[2]) == ["max_tuples", "max_kernel_rank", "max_index"]
-    assert got[2]["max_kernel_rank"] == max(ranks)
+    assert list(got[1]) == ["max_tuples", "max_kernel_rank", "max_index"]
+    assert got[1]["max_kernel_rank"] == max(ranks)
     assert got == compare_words_unshared([("", lhs, rhs)], 2, 1, 6)
 
 
@@ -673,7 +681,7 @@ def test_compare_words_keeps_the_rank_of_a_call_without_points(monkeypatch):
 
     monkeypatch.setattr(catalog, "product_coefficients", pointless)
     rel = _chain_pairs(2)[0]
-    _, _, stats = _compare_words([rel], 2, 1, 8)
+    _, stats = _compare_words([rel], 2, 1, 8)
     assert list(stats.items()) == [("max_tuples", 0), ("max_kernel_rank", 2), ("max_index", 0)]
 
 
@@ -698,8 +706,7 @@ def test_corrupted_braid_side_is_evaluated_not_shared(monkeypatch):
     bad = letters[:-1] + (S(letters[-1].site, -letters[-1].sign),)
     pairs = [("", script.start, bad)]
     made = _count_evaluations(monkeypatch)
-    ok, per, stats = _compare_words(pairs, 3, 2, 10)
+    (rows,), stats = _compare_words(pairs, 3, 2, 10)
     assert len(made) == 2
-    assert not ok
-    assert any(not row["match"] for row in per)
-    assert (ok, per, stats) == compare_words_unshared(pairs, 3, 2, 10)
+    assert any(not row["match"] for row in rows)
+    assert ([rows], stats) == compare_words_unshared(pairs, 3, 2, 10)

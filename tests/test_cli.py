@@ -386,9 +386,11 @@ def test_python_dash_m_runs_the_cli():
 # ---------------------------------------------------------------- replay
 
 
-def test_replay_script_file(capsys, tmp_path):
+@pytest.mark.parametrize("prefix", [b"", b"\xef\xbb\xbf"], ids=["plain", "utf8_bom"])
+def test_replay_script_file(capsys, tmp_path, prefix):
+    # a UTF-8 byte-order mark before the first line is skipped
     path = tmp_path / "braid.txt"
-    path.write_text(render_script(braid_script(1, 3)))
+    path.write_bytes(prefix + render_script(braid_script(1, 3)).encode("utf-8"))
     code, out, err = run_cli(["replay", str(path)], capsys)
     assert code == 0 and err == ""
     doc = json.loads(out)

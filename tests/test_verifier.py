@@ -86,7 +86,7 @@ def walk_y(a, b, c, bound, sides=()):
         if i not in side_of:
             side_of[i] = (len(start), 1)
             start.append(0)
-    levels = _walk_levels([(i, *side_of[i]) for i in range(r)])
+    levels, _ = _walk_levels([(i, *side_of[i]) for i in range(r)])
     form = _scaled_form(a, r)
     y_star = [-x / 2 for x in rational_solve(a, b)[1]]
     qmin = c + sum(x * y for x, y in zip(b, y_star)) / 2
