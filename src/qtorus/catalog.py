@@ -49,7 +49,7 @@ from .scripts import (
 from .series import FactoredRational
 from .verifier import TupleCertificate, exact_window_map, product_coefficients, window_targets
 from .words import (
-    ExpLetter, Relation, S, Word, comm0, expand_composites, mult1_rule, mult2_rule,
+    ExpLetter, Relation, S, Word, comm0, mult1_rule, mult2_rule,
     pentagon_rule, rel1, rel2, rel3, rel4, replay,
 )
 
@@ -70,6 +70,11 @@ MAX_WINDOW = 8
 MAX_PRECISION = 64
 _WALK_STEPS = 50
 _WALK_LENGTH_CAP = 16
+
+
+def _canonical(obj) -> str:
+    """`obj` as canonical JSON: sorted keys and no spaces."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 class Report(Record):
@@ -103,7 +108,7 @@ class Report(Record):
         rendered = []
         for k, v in self.certificate_summary.items():
             if isinstance(v, (dict, list)):
-                rendered.append(f"{k}={json.dumps(v, sort_keys=True, separators=(',', ':'))}")
+                rendered.append(f"{k}={_canonical(v)}")
             else:
                 rendered.append(f"{k}={v}")
         if rendered:
@@ -186,8 +191,8 @@ def _compare_words(
 ) -> tuple[list, dict]:
     """Compare the coefficients of labelled word pairs target by target over
     the box of the sites either word touches, returning one block of rows
-    per pair, in pair order, and the summary.  Each word's composite
-    letters are expanded once, and the engine reads the expanded words.
+    per pair, in pair order, and the summary.  The words are s-letter
+    words, as the engine reads them; it rejects a composite letter.
 
     A term's valuation  Q(k) = sum k_l^2 - 2 sum eps_i eps_j k_i k_j,  over
     i < j with n_i = n_j + 1, keeps its value under three maps of a product
@@ -224,7 +229,6 @@ def _compare_words(
     boxes: dict = {}
     for label, lhs, rhs in pairs:
         prefix = f"{label}: " if label else ""
-        lhs, rhs = expand_composites(lhs), expand_composites(rhs)
         support = tuple(sorted({x.site for x in lhs + rhs})) or (1,)
         if support not in boxes:
             targets = window_targets(sites, support, window)

@@ -6,53 +6,47 @@ Three subcommands:
     Run catalog items and emit one canonical JSON report per line followed
     by a summary line (``--format json`` for a single object, ``--format
     text`` for a plain-text rendering).  Every selected item's parameters,
-    then the ``--output`` file, are checked before the first item runs.
-    Exit status: 0 when every selected item passes, 1 when any item reports
-    FAIL, 2 on configuration or certificate errors.
+    then the output, are checked before the first item runs.  Exit status:
+    0 when every selected item passes, 1 when any item reports FAIL.
 
 ``qtorus list``
     Print the catalog with descriptions and default parameters.
 
 ``qtorus replay <file>``
     Parse a derivation-script file, re-apply every step, and report the
-    outcome.  Exit status 0 when the replay succeeds, 1 when it does not,
-    2 when the file cannot be read as UTF-8 text or parsed.
+    outcome.  Exit status 0 when the replay succeeds, 1 when it does not.
 
 Every subcommand writes to ``--output`` instead of stdout when given, and
-exits 2 with an ``error:`` line when that file cannot be written.
+exits 2 with one ``error:`` line on stderr when an input cannot be read or
+parsed, a parameter is invalid, a certificate cannot be produced, or the
+output (``--output`` or stdout) cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from contextlib import contextmanager
 from typing import Optional, Sequence
 
-from .catalog import SCHEMA_VERSION, _plan, _run, identity_names, list_identities
+from .catalog import SCHEMA_VERSION, _canonical, _plan, _run, identity_names, list_identities
 from .errors import InvalidParams, KernelError
 from .words import parse_script, render_word, replay
 
 __all__ = ["main"]
 
 
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _emit(text: str, output: Optional[str], status: int) -> int:
-    """Write `text` to the file `output`, or to stdout when it is None, and
-    return `status`; return 2 when the file cannot be written."""
-    if output:
-        try:
-            with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+@contextmanager
+def _output(path: Optional[str]):
+    """Yield the file `path` opened for writing, or stdout when `path` is
+    None; stdout is flushed on leaving, so that a write its buffer held
+    back fails inside the command too."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
     else:
-        sys.stdout.write(text)
-    return status
+        yield sys.stdout
+        sys.stdout.flush()
 
 
 def _selected_names(raw: Optional[list[str]]) -> list[str]:
@@ -101,43 +95,32 @@ def _verify_text(reports: list, failed: int, layout: str) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        # every selected item's parameters, then the output file, are
-        # checked before the first item runs
-        plans = [
-            _plan(name, args.sites, None, args.window, args.precision, args.seed)
-            for name in _selected_names(args.identity)
-        ]
-        out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
-        try:
-            reports = []
-            while plans:  # drop each plan, and what it built, once it has run
-                reports.append(_run(plans.pop(0)))
-            failed = sum(r.status != "PASS" for r in reports)
-            out.write(_verify_text(reports, failed, args.format))
-        finally:
-            if out is not sys.stdout:
-                out.close()
-    except (OSError, KernelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # every selected item's parameters, then the output, are checked
+    # before the first item runs
+    plans = [
+        _plan(name, args.sites, None, args.window, args.precision, args.seed)
+        for name in _selected_names(args.identity)
+    ]
+    with _output(args.output) as out:
+        reports = []
+        while plans:  # drop each plan, and what it built, once it has run
+            reports.append(_run(plans.pop(0)))
+        failed = sum(r.status != "PASS" for r in reports)
+        out.write(_verify_text(reports, failed, args.format))
     return 0 if failed == 0 else 1
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    lines = [_canonical(entry) for entry in list_identities()]
-    return _emit("\n".join(lines) + "\n", args.output, 0)
+    with _output(args.output) as out:
+        out.write("\n".join(_canonical(entry) for entry in list_identities()) + "\n")
+    return 0
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    try:
-        with open(args.file, "r", encoding="utf-8-sig") as fh:
-            script = parse_script(fh.read())
-    except (OSError, UnicodeDecodeError, KernelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with open(args.file, "r", encoding="utf-8-sig") as fh:
+        script = parse_script(fh.read())
     result = replay(script)
-    out = {
+    outcome = {
         "name": script.name,
         "ok": result.ok,
         "steps": len(script.steps),
@@ -145,7 +128,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         "final": render_word(result.final),
         "error": result.error,
     }
-    return _emit(_canonical(out) + "\n", args.output, 0 if result.ok else 1)
+    with _output(args.output) as out:
+        out.write(_canonical(outcome) + "\n")
+    return 0 if result.ok else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -187,9 +172,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = _build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (OSError, UnicodeDecodeError, KernelError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

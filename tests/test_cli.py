@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import errno
 import hashlib
 import json
 import os
@@ -204,18 +205,49 @@ def test_verify_output_file_leaves_stdout_empty(capsys, tmp_path):
     assert parse_jsonl(path.read_text())[-1]["summary"]["status"] == "PASS"
 
 
+class FailingStdout:
+    """A stdout whose `write` fails as on a full disk (`where` is
+    "stdout_write"), or whose writes succeed and whose `flush` fails as on
+    a closed pipe ("stdout_flush")."""
+
+    def __init__(self, where):
+        self.where = where
+
+    def write(self, text):
+        if self.where == "stdout_write":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return len(text)
+
+    def flush(self):
+        if self.where == "stdout_flush":
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+# the write fails in the --output file (ids without a suffix), or on stdout
 @pytest.mark.parametrize(
-    "argv",
-    [["verify", "--identity", "mult1"], ["list"], ["replay", "SCRIPT"]],
-    ids=["verify", "list", "replay"],
+    "argv, where",
+    [
+        pytest.param(argv, where, id=name if where == "output" else f"{name}-{where}")
+        for where in ("output", "stdout_write", "stdout_flush")
+        for name, argv in (
+            ("verify", ["verify", "--identity", "mult1"]),
+            ("list", ["list"]),
+            ("replay", ["replay", "SCRIPT"]),
+        )
+    ],
 )
-def test_unwritable_output_exits_two(capsys, tmp_path, argv):
+def test_unwritable_output_exits_two(capsys, monkeypatch, tmp_path, argv, where):
     script = tmp_path / "braid.txt"
     script.write_text(render_script(braid_script(1, 3)))
     argv = [str(script) if a == "SCRIPT" else a for a in argv]
     target = tmp_path / "no_such_dir" / "out.txt"
-    code, out, err = run_cli([*argv, "--output", str(target)], capsys)
+    if where == "output":
+        argv = [*argv, "--output", str(target)]
+    else:
+        monkeypatch.setattr(sys, "stdout", FailingStdout(where))
+    code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == "" and err.startswith("error: ")
+    assert len(err.splitlines()) == 1
     assert not target.exists()
 
 

@@ -204,6 +204,10 @@ class TestWordImages:
                 compare_words_unshared([("", (S(1, 1),), word)], 2, 1, 6)
             with pytest.raises(InvalidParams):
                 _compare_words([("", word, (S(1, 1),))], 2, 1, 6)
+        # the catalog compares s-letter words only: a composite letter, which
+        # the oracle expands, reaches the engine as it is
+        with pytest.raises(InvalidParams, match="not a factor letter"):
+            _compare_words([("", (B(1),), (S(1, 1), S(1, -1)))], 2, 1, 6)
 
     def test_untouched_sites_not_enumerated(self):
         (rows,), _ = compare_words_unshared([("", (S(1, 1),), (S(1, 1),))], 4, 1, 6)

@@ -1,7 +1,8 @@
 """Source hygiene checks: unused imports and private helpers without a
 caller, read from the code, README's lists of records and certificate
-fields and of the ``verify`` flags against the code, and the modules that
-importing the command line loads."""
+fields and of the ``verify`` flags against the code, the command line's
+one place that catches errors, and the modules that importing the command
+line loads."""
 
 import argparse
 import ast
@@ -333,6 +334,57 @@ def test_scan_sees_the_verify_flags():
     verify.add_argument("--c-d", type=int)
     commands.add_parser("other").add_argument("--e")
     assert parser_verify_flags(parser) == (["--a", "--b", "--c-d"], {"--b": ["x", "y"]})
+
+
+def handlers_outside(path: Path, function: str) -> list[int]:
+    """Lines of the ``except`` clauses of a module that lie outside its
+    module-level function `function`."""
+    tree = ast.parse(path.read_text(), str(path))
+    inside = {
+        id(node)
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef) and top.name == function
+        for node in ast.walk(top)
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler) and id(node) not in inside
+    ]
+
+
+def test_cli_catches_only_in_main():
+    # one error policy: a subcommand raises, and main alone turns a read,
+    # write or kernel error into one error line and exit status 2
+    assert handlers_outside(ROOT / "src" / "qtorus" / "cli.py", "main") == []
+
+
+def test_scan_sees_a_handler_outside_main(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "def _cmd():\n"
+        "    try:\n"
+        "        return 1\n"
+        "    except OSError:\n"
+        "        return 2\n"
+        "class K:\n"
+        "    def main(self):\n"
+        "        try:\n"
+        "            pass\n"
+        "        except ValueError:\n"
+        "            pass\n"
+        "def main():\n"
+        "    try:\n"
+        "        return _cmd()\n"
+        "    except (OSError, KeyError):\n"
+        "        def inner():\n"
+        "            try:\n"
+        "                pass\n"
+        "            except Exception:\n"
+        "                pass\n"
+        "        return 2\n"
+    )
+    assert handlers_outside(module, "main") == [4, 10]
 
 
 def modules_loaded_by_cli_import(names: tuple[str, ...]) -> list[str]:
