@@ -6,8 +6,11 @@ Three subcommands:
     Run catalog items and emit one canonical JSON report per line followed
     by a summary line (``--format json`` for a single object, ``--format
     text`` for a plain-text rendering).  Every selected item's parameters,
-    then the output, are checked before the first item runs.  Exit status:
-    0 when every selected item passes, 1 when any item reports FAIL.
+    then the output, are checked before the first item runs.  Each report
+    is written when its item finishes, so a run that fails later exits 2
+    with the finished items' reports and no summary line (with ``--format
+    json``, an unterminated document).  Exit status: 0 when every selected
+    item passes, 1 when any item reports FAIL.
 
 ``qtorus list``
     Print the catalog with descriptions and default parameters.
@@ -69,31 +72,6 @@ def _selected_names(raw: Optional[list[str]]) -> list[str]:
     return [name for name in names if name in chunks]
 
 
-def _verify_text(reports: list, failed: int, layout: str) -> str:
-    """The reports and their summary in the `--format` layout."""
-    passed = len(reports) - failed
-    overall = "PASS" if failed == 0 else "FAIL"
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "summary": {
-            "total": len(reports),
-            "passed": passed,
-            "failed": failed,
-            "status": overall,
-        },
-    }
-    if layout == "jsonl":
-        lines = [_canonical(r.to_dict()) for r in reports] + [_canonical(summary)]
-        return "\n".join(lines) + "\n"
-    if layout == "json":
-        return _canonical({"reports": [r.to_dict() for r in reports], **summary}) + "\n"
-    blocks = [r.to_text() for r in reports]
-    blocks.append(
-        f"summary: total={len(reports)} passed={passed} failed={failed} {overall}"
-    )
-    return "\n\n".join(blocks) + "\n"
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     # every selected item's parameters, then the output, are checked
     # before the first item runs
@@ -101,12 +79,31 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         _plan(name, args.sites, None, args.window, args.precision, args.seed)
         for name in _selected_names(args.identity)
     ]
+    layout = args.format
     with _output(args.output) as out:
-        reports = []
-        while plans:  # drop each plan, and what it built, once it has run
-            reports.append(_run(plans.pop(0)))
-        failed = sum(r.status != "PASS" for r in reports)
-        out.write(_verify_text(reports, failed, args.format))
+        total = failed = 0
+        while plans:  # write each report once its item has run, then drop both
+            report = _run(plans.pop(0))
+            if layout == "jsonl":
+                out.write(_canonical(report.to_dict()) + "\n")
+            elif layout == "json":
+                out.write(("," if total else '{"reports":[') + _canonical(report.to_dict()))
+            else:
+                out.write(report.to_text() + "\n\n")
+            total += 1
+            failed += report.status != "PASS"
+            del report
+        passed, overall = total - failed, "PASS" if failed == 0 else "FAIL"
+        if layout == "text":
+            out.write(f"summary: total={total} passed={passed} failed={failed} {overall}\n")
+        else:
+            summary = _canonical({
+                "schema_version": SCHEMA_VERSION,
+                "summary": {"total": total, "passed": passed, "failed": failed, "status": overall},
+            })
+            # json closes the list its first report opened; "reports" sorts
+            # before "schema_version" and "summary"
+            out.write(summary + "\n" if layout == "jsonl" else "]," + summary[1:] + "\n")
     return 0 if failed == 0 else 1
 
 

@@ -296,6 +296,91 @@ def test_engine_error_after_output_opened_exits_two(capsys, monkeypatch, tmp_pat
     assert target.read_text() == ""
 
 
+def test_failed_run_keeps_the_finished_reports(capsys, monkeypatch, tmp_path):
+    # mult1 runs on the exact engine and finishes; seven_term then raises:
+    # the file keeps mult1's report line and gets no summary line
+    _, alone, _ = run_cli(["verify", "--identity", "mult1"], capsys)
+
+    def engine(*args, **kwargs):
+        raise NoCertificate("form not positive definite")
+
+    monkeypatch.setattr(catalog, "product_coefficients", engine)
+    target = tmp_path / "r.jsonl"
+    code, out, err = run_cli(
+        ["verify", "--identity", "mult1,seven_term", "--output", str(target)], capsys
+    )
+    assert (code, out, err) == (2, "", "error: form not positive definite\n")
+    (line,) = target.read_text().split("\n")[:-1]
+    assert line == catalog._canonical(json.loads(line))
+    assert normalized(line) == normalized(alone)[:1]
+
+
+class RecordingStdout:
+    """A stdout that logs each `write` into a shared event list."""
+
+    def __init__(self, events):
+        self.events = events
+
+    def write(self, text):
+        self.events.append(("write", text))
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("layout", ["jsonl", "json", "text"])
+def test_verify_writes_each_report_when_its_item_finishes(monkeypatch, layout):
+    events = []
+
+    def recorded_run(plan):
+        events.append(("run", None))
+        report = catalog._run(plan)
+        events.append(("report", report))
+        return report
+
+    monkeypatch.setattr(cli, "_run", recorded_run)
+    monkeypatch.setattr(sys, "stdout", RecordingStdout(events))
+    code = cli.main(
+        ["verify", "--identity", "mult1,seven_term,braid_script", "--format", layout]
+    )
+    assert code == 0
+    reports = [value for kind, value in events if kind == "report"]
+    assert [r.identity for r in reports] == ["mult1", "seven_term", "braid_script"]
+    rendered = [
+        r.to_text() if layout == "text" else catalog._canonical(r.to_dict())
+        for r in reports
+    ]
+    writes = [(i, text) for i, (kind, text) in enumerate(events) if kind == "write"]
+    # no single write carries more than one report
+    for _, text in writes:
+        assert sum(body in text for body in rendered) <= 1
+    runs = [i for i, (kind, _) in enumerate(events) if kind == "run"]
+    for k, body in enumerate(rendered):
+        (at,) = [i for i, text in writes if body in text]
+        # written after its own item ran and before the next item starts
+        assert runs[k] < at
+        if k + 1 < len(runs):
+            assert at < runs[k + 1]
+
+
+def test_verify_json_layout_holds_the_jsonl_reports(capsys):
+    argv = ["verify", "--identity", "all", "--seed", "3"]
+    code, out, _ = run_cli([*argv, "--format", "json"], capsys)
+    assert code == 0
+    _, lines, _ = run_cli(argv, capsys)
+    rows = parse_jsonl(lines)
+    doc = json.loads(out)
+
+    def dropped(report):
+        return {k: v for k, v in report.items() if k != "elapsed_ms"}
+
+    assert [dropped(r) for r in doc["reports"]] == [dropped(r) for r in rows[:-1]]
+    assert len(doc["reports"]) == len(identity_names())
+    assert {k: doc[k] for k in ("schema_version", "summary")} == rows[-1]
+    assert out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def test_verify_deterministic_across_runs(capsys):
     argv = ["verify", "--identity", "seven_term,rewrite_walk",
             "--precision", "10", "--seed", "5"]
