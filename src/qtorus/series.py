@@ -156,16 +156,9 @@ class LaurentSeries:
 # ---------------------------------------------------------------------------
 
 
-def _ptrim(p: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(p)
-    while n and p[n - 1] == 0:
-        n -= 1
-    return tuple(p[:n])
-
-
 def _pdiv_monic(a: tuple[int, ...], b: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-    """Quotient a/b in Z[q] for trimmed a and monic b, or None when b does
-    not divide a."""
+    """Quotient a/b in Z[q] for trimmed a and monic b, trimmed as its top
+    coefficient is a's, or None when b does not divide a."""
     n = len(b) - 1
     low_terms = [(j, c) for j, c in enumerate(b[:n]) if c]
     rem = list(a)
@@ -178,7 +171,7 @@ def _pdiv_monic(a: tuple[int, ...], b: tuple[int, ...]) -> Optional[tuple[int, .
                 rem[i + j] -= c * bj
     if any(rem[:n]):
         return None
-    return _ptrim(tuple(quot))
+    return tuple(quot)
 
 
 def _poly_str(p: tuple[int, ...]) -> str:
@@ -294,10 +287,10 @@ class FactoredRational:
         if not self.num:
             return (), (1,)
         shift = min(self.num)
-        num_poly = _ptrim(tuple(self.num.get(e, 0) for e in range(min(shift, 0), max(self.num) + 1)))
-        q_power = max(0, -shift)
+        num_poly = tuple(self.num.get(e, 0) for e in range(min(shift, 0), max(self.num) + 1))
         # strip cyclotomic factors shared with the numerator; none divides a
-        # monomial, since cyclotomic(d) has constant term +-1
+        # monomial, since cyclotomic(d) has constant term +-1, and for shift < 0
+        # the numerator keeps its nonzero constant term, coprime to q^-shift
         den = Counter(self.den)
         for d in sorted(den) if len(self.num) > 1 else ():
             phi = cyclotomic(d)
@@ -307,14 +300,7 @@ class FactoredRational:
                     break
                 num_poly = q
                 den[d] -= 1
-        # strip powers of q shared with the numerator
-        if q_power:
-            val = next(i for i, c in enumerate(num_poly) if c)
-            drop = min(q_power, val)
-            if drop:
-                num_poly = num_poly[drop:]
-                q_power -= drop
-        return num_poly, (0,) * q_power + _expand_factors(_factor_key(den))
+        return num_poly, (0,) * max(0, -shift) + _expand_factors(_factor_key(den))
 
     def __repr__(self) -> str:
         return f"FactoredRational({self.num!r}, {dict(self.den)!r})"

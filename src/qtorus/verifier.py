@@ -671,12 +671,7 @@ def product_coefficients(
                 key = nets(k), qval
                 split = splits.get(key)
                 if split is None:
-                    # the split depends only on the multiset of |m|
-                    ms_abs = tuple(sorted(map(abs, key[0]))), qval
-                    split = splits.get(ms_abs)
-                    if split is None:
-                        split = splits[ms_abs] = _split(ms_abs[0], precision - qval)
-                    splits[key] = split
+                    split = splits[key] = _split(key[0], precision - qval)
                 count += split[0]
                 if split[1] > top:
                     top = split[1]

@@ -217,14 +217,8 @@ class Relation(FrozenRecord):
         return f"{self.full_id}: {render_word(self.lhs)} <-> {render_word(self.rhs)}"
 
 
-def _site_ok(n: int) -> None:
-    if n < 1:
-        raise InvalidParams("site must be >= 1")
-
-
 def comm0(n: int) -> Relation:
     """Same-site factors commute:  s_n+ s_n- = s_n- s_n+ ."""
-    _site_ok(n)
     return Relation(
         "comm0", (("n", str(n)),),
         (S(n, 1), S(n, -1)),
@@ -242,7 +236,6 @@ def seven_term_words(
 
 def rel1(n: int) -> Relation:
     """s_(n+1)+ s_n- s_n+ s_(n+1)+  =  s_n- s_(n+1)+ s_n+ ."""
-    _site_ok(n)
     return Relation(
         "rel1", (("n", str(n)),), *seven_term_words(S(n, 1), S(n, -1), S(n + 1, 1))
     )
@@ -250,7 +243,6 @@ def rel1(n: int) -> Relation:
 
 def rel2(n: int) -> Relation:
     """s_(n+1)- s_n+ s_n- s_(n+1)-  =  s_n+ s_(n+1)- s_n- ."""
-    _site_ok(n)
     return Relation(
         "rel2", (("n", str(n)),), *seven_term_words(S(n, -1), S(n, 1), S(n + 1, -1))
     )
@@ -258,7 +250,6 @@ def rel2(n: int) -> Relation:
 
 def rel3(n: int) -> Relation:
     """s_n+ s_(n+1)+ s_(n+1)- s_n+  =  s_(n+1)+ s_n+ s_(n+1)- ."""
-    _site_ok(n)
     return Relation(
         "rel3", (("n", str(n)),), *seven_term_words(S(n + 1, -1), S(n + 1, 1), S(n, 1))
     )
@@ -266,7 +257,6 @@ def rel3(n: int) -> Relation:
 
 def rel4(n: int) -> Relation:
     """s_n- s_(n+1)- s_(n+1)+ s_n-  =  s_(n+1)- s_n- s_(n+1)+ ."""
-    _site_ok(n)
     return Relation(
         "rel4", (("n", str(n)),), *seven_term_words(S(n + 1, 1), S(n + 1, -1), S(n, -1))
     )
@@ -278,8 +268,6 @@ def _sgn_token(site: int, sign: int) -> str:
 
 def far(a_site: int, a_sign: int, b_site: int, b_sign: int) -> Relation:
     """Distant factors commute (sites two or more apart)."""
-    _site_ok(a_site)
-    _site_ok(b_site)
     if abs(a_site - b_site) < 2:
         raise InvalidParams("far-commutation needs sites two or more apart")
     return Relation(
@@ -292,7 +280,6 @@ def far(a_site: int, a_sign: int, b_site: int, b_sign: int) -> Relation:
 
 def artin(n: int) -> Relation:
     """b_n b_(n+1) b_n = b_(n+1) b_n b_(n+1) ."""
-    _site_ok(n)
     p = n + 1
     return Relation(
         "artin", (("n", str(n)),),
@@ -303,8 +290,6 @@ def artin(n: int) -> Relation:
 
 def bcomm(m: int, n: int) -> Relation:
     """b_m b_n = b_n b_m for |m - n| > 1."""
-    _site_ok(m)
-    _site_ok(n)
     if abs(m - n) <= 1:
         raise InvalidParams("b-commutation needs |m - n| > 1")
     return Relation(
@@ -338,8 +323,6 @@ def sig2(n: int) -> Relation:
 
 def scomm(m: int, n: int) -> Relation:
     """c_m c_n = c_n c_m for |m - n| > 2."""
-    _site_ok(m)
-    _site_ok(n)
     if abs(m - n) <= 2:
         raise InvalidParams("c-commutation needs |m - n| > 2")
     return Relation(

@@ -108,6 +108,10 @@ class TestElementArithmetic:
             x, y = random_element(rng, sites), random_element(rng, sites)
             assert x * y == pairwise(x, y)
 
+    def test_exponent_vector_of_wrong_length_rejected(self):
+        with pytest.raises(InvalidParams, match="exponent vector length"):
+            Element(self.sites, {(1, 0): {0: 1}})
+
     def test_chain_mismatch_rejected(self):
         with pytest.raises(InvalidParams):
             Element.identity(self.sites) * Element.identity(4)

@@ -33,7 +33,14 @@ from qtorus.scripts import _matching_steps, _pattern_index
 from qtorus.scripts import braid_script, random_walk, structural_relations
 from qtorus.series import FactoredRational, LaurentSeries
 from qtorus.verifier import coefficient_of, exact_window_map, product_coefficients, window_targets
-from qtorus.words import S, apply_step, expand_composites, parse_word, render_word
+from qtorus.words import (
+    DerivationScript,
+    S,
+    apply_step,
+    expand_composites,
+    parse_word,
+    render_word,
+)
 
 import qtorus.catalog as catalog
 from oracles import compare_words_unshared
@@ -259,6 +266,23 @@ def test_script_items_reject_too_small_chain():
         verify_identity("sigma_rel1_script", sites=3)
     with pytest.raises(InvalidParams):
         verify_identity("sigma_commute_script", sites=4)
+
+
+def test_relation_index_below_one_is_refused():
+    with pytest.raises(InvalidParams, match="relation index must be >= 1"):
+        verify_identity("braid_script", n=0)
+
+
+def test_replay_item_reports_a_failed_script(monkeypatch):
+    # a script whose steps do not reach its claimed end word fails the item,
+    # and its entry carries the replay's error
+    good = catalog.seven_term_script()
+    bad = DerivationScript(good.name, good.start, good.steps, good.start)
+    monkeypatch.setattr(catalog, "seven_term_script", lambda: bad)
+    report = verify_identity("seven_term_script")
+    assert report.status == "FAIL"
+    (entry,) = report.certificate_summary["scripts"]
+    assert entry["ok"] is False and entry["error"].startswith("final word ")
 
 
 @pytest.mark.parametrize(

@@ -99,6 +99,14 @@ def test_verify_all_is_default_and_explicit(capsys, tmp_path):
     assert rows[-1]["summary"]["total"] == len(identity_names())
 
 
+def test_verify_without_identity_selects_every_item(capsys):
+    code, out, err = run_cli(["verify", "--window", "1", "--precision", "2"], capsys)
+    assert code == 0 and err == ""
+    rows = parse_jsonl(out)
+    assert [r["identity"] for r in rows[:-1]] == identity_names()
+    assert rows[-1]["summary"]["total"] == len(identity_names())
+
+
 def test_verify_spec_example_exits_zero(capsys, tmp_path):
     out_path = tmp_path / "full.jsonl"
     code = cli.main(
@@ -456,6 +464,19 @@ def test_verify_bad_params_exit_two(capsys):
     for name in ("seven_term", "seven_term_script"):
         code, out, err = run_cli(["verify", "--identity", name, "--sites", "1"], capsys)
         assert (code, out, err) == (2, "", "error: needs at least two sites\n")
+
+
+@pytest.mark.parametrize(
+    "name, sites, message",
+    [
+        ("lattice_family2_probe", "1", "relation index exceeds the configured sites"),
+        ("translations", "2", "needs indices up to at least 3"),
+        ("rewrite_walk", "2", "walk words need at least three sites"),
+    ],
+)
+def test_verify_too_few_sites_exits_two(capsys, name, sites, message):
+    code, out, err = run_cli(["verify", "--identity", name, "--sites", sites], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,8 @@
 import random
 from collections import Counter
 
+import pytest
+
 from qtorus.algebra import Element
 from qtorus.qexp import divide_by_one_minus, euler_denominator_factors, euler_expansion
 from qtorus.series import FactoredRational, LaurentSeries, cyclotomic
@@ -41,6 +43,10 @@ class TestEulerCoefficients:
         assert exact_c(0) == ((1,), (1,))
         # c_1 = -q/(1-q^2) = q/(q^2-1)
         assert exact_c(1) == ((0, 1), (-1, 0, 1))
+
+    def test_negative_order_is_refused(self):
+        with pytest.raises(ValueError, match="order must be >= 0"):
+            euler_denominator_factors(-1)
 
     def test_c1_series(self):
         # c_1 / q mod q^8 in powers of q^2: one running-sum pass of 1/(1 - q^2)

@@ -29,6 +29,7 @@ from qtorus.words import (
     ExpLetter,
     S,
     Step,
+    apply_step,
     comm0,
     expand_composites,
     parse_script,
@@ -118,6 +119,14 @@ class TestCommutationScripts:
     def test_bcomm_rejects_adjacent(self):
         with pytest.raises(InvalidParams):
             bcomm_script(2, 3, 6)
+
+    @pytest.mark.parametrize(
+        "build, args", [(sigma_commute_script, (1, 4, 4)), (bcomm_script, (1, 3, 2))]
+    )
+    def test_rejects_too_few_sites(self, build, args):
+        # c_4 reaches site 5, and b_3 site 3
+        with pytest.raises(InvalidParams, match="sites too small for the letters"):
+            build(*args)
 
     def test_distance_two_letters_do_not_commute(self):
         # images of c1 c3 and c3 c1 differ, so no commutation relation is
@@ -245,9 +254,17 @@ class TestWalks:
         assert t3 != t1  # overwhelmingly likely under a different seed
 
     def test_walk_respects_length_cap(self):
-        start = expand_composites((B(1), B(2), B(1)))
-        trace, _ = random_walk(start, 3, 60, random.Random(3), length_cap=10)
-        assert all(len(w) <= 10 for w in trace)
+        # capped at its own length, a start that a growing step matches
+        start = parse_word("s1+ s2- s1- s3+ s2+ s3-")
+        index = _pattern_index(structural_relations(4))
+        assert any(len(apply_step(start, st)) > len(start) for st in _matching_steps(start, index))
+        trace, _ = random_walk(start, 4, 60, random.Random(3), length_cap=len(start))
+        assert all(len(w) <= len(start) for w in trace)
+
+    def test_walk_stops_when_no_step_applies(self):
+        start = parse_word("s1+ s1+")
+        trace, steps = random_walk(start, 3, 10, random.Random(0))
+        assert trace == [start] and steps == []
 
     def test_walk_preserves_image(self):
         start = expand_composites((B(1), B(2)))

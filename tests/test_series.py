@@ -11,9 +11,9 @@ from qtorus.series import (
     cyclotomic,
     widen,
 )
-from qtorus.series import _expand_factors, _laurent_str, _pdiv_monic, _ptrim  # internal, exercised below
+from qtorus.series import _expand_factors, _laurent_str, _pdiv_monic  # internal, exercised below
 
-from oracles import coprime, naive_cyclotomic, naive_poly_mul, rational_equal
+from oracles import _trim, coprime, naive_cyclotomic, naive_poly_mul, rational_equal
 
 
 L = LaurentSeries
@@ -168,6 +168,10 @@ class TestFactoredRational:
         with pytest.raises(ValueError):
             FactoredRational({0: 1}, Counter(den))
 
+    def test_cyclotomic_index_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="cyclotomic index must be >= 1"):
+            cyclotomic(0)
+
     def test_negative_exponents_move_to_denominator(self):
         f = FactoredRational({-2: 1, 0: 1}, None)  # q^-2 + 1
         assert f.canonical() == ((1, 0, 1), (0, 0, 1))
@@ -261,8 +265,8 @@ class TestMonicDivision:
     def test_random_exact_products(self):
         rng = random.Random(5)
         for _ in range(60):
-            b = _ptrim(tuple(rng.randint(-3, 3) for _ in range(rng.randint(0, 4))) + (1,))
-            q = _ptrim(tuple(rng.randint(-4, 4) for _ in range(rng.randint(0, 6))))
+            b = tuple(_trim([rng.randint(-3, 3) for _ in range(rng.randint(0, 4))] + [1]))
+            q = tuple(_trim([rng.randint(-4, 4) for _ in range(rng.randint(0, 6))]))
             assert _pdiv_monic(tuple(naive_poly_mul(list(q), list(b))), b) == q
 
     def test_non_divisible(self):

@@ -1205,6 +1205,19 @@ class TestExactEngine:
         with pytest.raises(InfiniteSupport):
             exact_window_map([Element.generator(self.sites, 1, -1)], 2)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ([], "need at least one factor"),
+            ([Element.generator(2, 1), Element.generator(3, 1)], "different chains"),
+            ([Element.generator(2, 1), Element(2, {})], "zero argument"),
+        ],
+        ids=["no_factor", "two_chains", "zero"],
+    )
+    def test_bad_arguments_are_refused(self, args, message):
+        with pytest.raises(InvalidParams, match=message):
+            exact_window_map(args, 2)
+
     def test_max_order_reported(self):
         _, k = exact_window_map([self.u + self.v], 2)
         assert k == 4  # (u+v)^4 can still land inside the 2-window box

@@ -117,6 +117,32 @@ class TestRelationFactories:
         with pytest.raises(InvalidParams):
             rel1(0)
 
+    @pytest.mark.parametrize(
+        "factory, args, message",
+        [
+            (comm0, (0,), "site must be >= 1"),
+            (rel1, (0,), "site must be >= 1"),
+            (rel2, (0,), "site must be >= 1"),
+            (rel3, (0,), "site must be >= 1"),
+            (rel4, (-1,), "site must be >= 1"),
+            (W.artin, (0,), "site must be >= 1"),
+            (far, (0, 1, 3, -1), "site must be >= 1"),
+            (far, (3, 1, -1, -1), "site must be >= 1"),
+            (bcomm, (0, 3), "site must be >= 1"),
+            (bcomm, (4, -2), "site must be >= 1"),
+            (scomm, (-1, 4), "site must be >= 1"),
+            (scomm, (5, 0), "site must be >= 1"),
+            # site n-1 of a sigma relation is below 1 exactly when n < 2
+            (sig1, (1,), "needs n >= 2"),
+            (sig2, (1,), "needs n >= 2"),
+        ],
+    )
+    def test_site_below_one(self, factory, args, message):
+        # the letters a factory builds check their sites; each case's other
+        # arguments are valid, so no other check can raise first
+        with pytest.raises(InvalidParams, match=message):
+            factory(*args)
+
     def test_sigma_shapes(self):
         assert sig1(2).lhs == (C(3), C(1), C(2), C(3))
         assert sig1(2).rhs == (C(1), C(3), C(2))
@@ -215,6 +241,18 @@ class TestScriptFiles:
         text = "script: x\nstart: s1+\n@0 nosuch[n=1] fwd\nend: s1+\n"
         with pytest.raises(InvalidParams):
             parse_script(text)
+
+    @pytest.mark.parametrize(
+        "step, message",
+        [
+            ("@0 far[a=1+,b=3] fwd", "cannot parse signed site '3'"),
+            ("@0 comm0[n=1] sideways", "cannot parse script line"),
+        ],
+        ids=["signed_site", "script_line"],
+    )
+    def test_parse_rejects_an_unreadable_step(self, step, message):
+        with pytest.raises(InvalidParams, match=message):
+            parse_script(f"script: x\nstart: s1+ s3+\n{step}\nend: s3+ s1+\n")
 
     def test_parse_requires_header_lines(self):
         with pytest.raises(InvalidParams):
