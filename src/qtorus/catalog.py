@@ -217,11 +217,8 @@ def _compare_words(
 
     The work per target is kept to its own: each support's box and its
     labels are built once per call and read by every pair on that support,
-    a series object is rendered once however many targets yield it (every
-    settled target of a product call yields the engine's one zero), and
-    only the certificates that can raise a maximum are folded: the first of
-    each product call, which sets the summary keys in their order and
-    carries the call's kernel rank, and every later one with points.
+    and a series object is rendered once however many targets yield it
+    (every settled target of a product call yields the engine's one zero).
     """
     blocks: list = []
     stats: dict = {}
@@ -244,8 +241,7 @@ def _compare_words(
                     if series is not last:
                         last, text = series, str(series)
                     table.append(text)
-                    if cert.points or len(table) == 1:
-                        fold_certificate(stats, cert)
+                    fold_certificate(stats, cert)
                 classes[key] = (table, inverted, mirrored)
             table, rep_inverted, rep_mirrored = classes[key]
             if inverted != rep_inverted:

@@ -82,8 +82,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     layout = args.format
     with _output(args.output) as out:
         total = failed = 0
-        while plans:  # write each report once its item has run, then drop both
-            report = _run(plans.pop(0))
+        for plan in plans:  # write each report once its item has run
+            report = _run(plan)
             if layout == "jsonl":
                 out.write(_canonical(report.to_dict()) + "\n")
             elif layout == "json":
@@ -92,7 +92,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 out.write(report.to_text() + "\n\n")
             total += 1
             failed += report.status != "PASS"
-            del report
         passed, overall = total - failed, "PASS" if failed == 0 else "FAIL"
         if layout == "text":
             out.write(f"summary: total={total} passed={passed} failed={failed} {overall}\n")

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .qexp import divide_by_one_minus
 
@@ -88,34 +88,21 @@ def _laurent_str(coeffs: Mapping[int, int]) -> str:
 
 
 class LaurentSeries:
-    """Integer Laurent polynomial in q known mod q^precision.
+    """Integer Laurent polynomial in q known mod q^precision, built from a
+    mapping exponent -> coefficient.
 
-    The stored coefficients cover exactly the exponents below the
-    precision P; anything at or above P is unknown.  A series is a result:
-    it has no arithmetic.
+    The stored coefficients are the nonzero ones below the precision P;
+    anything at or above P is unknown.  A series is a result: it has no
+    arithmetic.
     """
 
     __slots__ = ("_coeffs", "_precision")
 
-    def __init__(
-        self,
-        coeffs: Mapping[int, int] | Iterable[tuple[int, int]],
-        precision: int,
-    ) -> None:
-        self._coeffs = {e: c for e, c in dict(coeffs).items() if c and e < precision}
+    def __init__(self, coeffs: Mapping[int, int], precision: int) -> None:
+        self._coeffs = {e: c for e, c in coeffs.items() if c and e < precision}
         self._precision = precision
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def _trusted(cls, coeffs: dict[int, int], precision: int) -> "LaurentSeries":
-        """A series that keeps `coeffs` as given: the caller guarantees that
-        every coefficient is nonzero and every exponent lies below the
-        precision, which the public constructor would check."""
-        series = cls.__new__(cls)
-        series._coeffs = coeffs
-        series._precision = precision
-        return series
 
     @classmethod
     def zero(cls, precision: int) -> "LaurentSeries":

@@ -64,9 +64,9 @@ per target.  The expansion of that denominator counts partitions; it is built
 once per call for each multiset of k, from its parent multiset by one
 running-sum pass (:func:`qexp.euler_expansion`), covering P - min(0, Q)
 terms since Q(k) can be negative, and all are rebuilt longer only when a
-later target needs more.  Each distinct pair of multiset and valuation
-then adds a shifted multiple of it, so no series is multiplied, and the
-nonzero sums below P are the coefficient as they stand.
+later target needs more.  Each kept point then adds its multiset's
+expansion shifted by its valuation, so no series is multiplied, and the
+sums below P are the coefficient.
 
 Adjacent inverse pairs are collapsed.  By the Jacobi triple product
 (Gasper and Rahman, Basic Hypergeometric Series, 2nd ed., 2004, sec. 1.6),
@@ -509,12 +509,10 @@ def product_coefficients(
     level layout, lam * precision, the Schur-complement terms, the walk's
     start template and the Euler expansion of each multiset of k met.
     Every target settled before the walk yields the call's one zero
-    series.  A target with
-    qmin >= precision has no tuple and gets no walk; any other costs a few
-    short sums, at most one walk, one dict update per point it keeps to
-    count that point's term and one lookup per point to count its split,
-    and a shifted add per distinct term.  Each accumulated entry is
-    nonzero and below the precision, so the series takes it as it is.
+    series.  A target with qmin >= precision has no tuple and gets no
+    walk; any other costs a few short sums, at most one walk, and per
+    point it keeps one shifted add of its multiset's expansion and, in a
+    product with pairs, one lookup to count its split.
     """
     if precision < 1:
         raise InvalidParams("precision must be >= 1")
@@ -627,16 +625,10 @@ def product_coefficients(
             yield target, zero, TupleCertificate(shared, target, "walk")
             continue
 
-        # count the numerators q^Q by the multiset of the singles' k and Q
-        # (sorted: every key of a call has the same length, so its zeros do
-        # not change it); each basis vector changes sum k by 1 + coeff, 0
-        # or 2, and a pair's net m has the parity of its k_a + k_b, so
-        # every kept point has the parity of sum p, that is of sum T, and
-        # one sign (-1)^(sum k) serves the whole target
-        terms: dict[tuple[tuple[int, ...], int], int] = {}
-        for k, qval in kept:
-            key = tuple(sorted(pick(k) if pairs else k)), qval
-            terms[key] = terms.get(key, 0) + 1
+        # each basis vector changes sum k by 1 + coeff, 0 or 2, and a pair's
+        # net m has the parity of its k_a + k_b, so every kept point has the
+        # parity of sum p, that is of sum T, and one sign (-1)^(sum k) serves
+        # the whole target
         sign = -1 if sum(target) % 2 else 1
         min_val = min(qval for _, qval in kept)
         # Q can be negative, so the expansions used here must cover
@@ -648,21 +640,20 @@ def product_coefficients(
             # powers of q^2
             expansions = {root: euler_expansion({}, (size - 1,) * len(pairs), size)}
 
-        # each numerator term adds a shifted multiple of its multiset's
-        # expansion to the even or odd powers of a dense accumulator
+        # each kept point adds its numerator q^Q times the expansion of the
+        # multiset of its singles' k (sorted: every key of a call has the
+        # same length, so its zeros do not change it) to the even or odd
+        # powers of a dense accumulator
         acc = [0] * (precision - min_val)
         top = 0
-        for (orders, qval), c in terms.items():
+        for k, qval in kept:
+            orders = tuple(sorted(pick(k) if pairs else k))
             denom = expansions.get(orders) or euler_expansion(expansions, orders, size)
             lo = qval - min_val
-            acc[lo::2] = [a + c * d for a, d in zip(acc[lo::2], denom)]
+            acc[lo::2] = [a + d for a, d in zip(acc[lo::2], denom)]
             if orders and orders[-1] > top:
                 top = orders[-1]
-        # every entry of `acc` lies below P, so the nonzero ones need no
-        # further cleaning
-        total = LaurentSeries._trusted(
-            {min_val + i: sign * c for i, c in enumerate(acc) if c}, precision
-        )
+        total = LaurentSeries({min_val + i: sign * c for i, c in enumerate(acc)}, precision)
 
         count = len(kept)
         if pairs:

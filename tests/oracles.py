@@ -17,6 +17,7 @@ from qtorus.algebra import Element, monomial_label
 from qtorus.catalog import _row, fold_certificate
 from qtorus.errors import InfiniteSupport, InvalidParams
 from qtorus.qexp import euler_denominator_factors
+from qtorus.series import LaurentSeries
 from qtorus.verifier import product_coefficients, window_targets
 from qtorus.words import Step, expand_composites
 
@@ -51,6 +52,23 @@ def longdiv_expand(num: dict[int, int], den: dict[int, int], precision: int) -> 
                     rem.pop(k, None)
         e += 1
     return out
+
+
+def series_of(frac, precision: int) -> LaurentSeries:
+    """The series of the exact value `frac` mod q^precision, by long
+    division of its canonical (numerator, denominator) pair."""
+    num, den = ({e: c for e, c in enumerate(p) if c} for p in frac.canonical())
+    return LaurentSeries(longdiv_expand(num, den, precision), precision)
+
+
+def truncated_mul(a: dict[int, int], b: dict[int, int], precision: int) -> dict[int, int]:
+    """The product of two Laurent polynomials below q^precision, term by term."""
+    out: dict[int, int] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            if ea + eb < precision:
+                out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
 
 
 def oracle_euler(k: int, precision: int) -> dict[int, int]:
@@ -159,6 +177,14 @@ def rational_solve(a, rhs) -> tuple[Fraction, list[Fraction] | None]:
     return det, [row[n] for row in rows]
 
 
+def minimiser(a, b, c) -> tuple[list[Fraction], Fraction]:
+    """(y*, qmin) of  Q(y) = y^T a y + b^T y + c  for a positive definite
+    `a`, as fractions: y* = -a^-1 b / 2 by :func:`rational_solve`, and
+    qmin = Q(y*) = c + b^T y* / 2."""
+    y_star = [-x / 2 for x in rational_solve(a, b)[1]]
+    return y_star, c + Fraction(sum(x * y for x, y in zip(b, y_star))) / 2
+
+
 # ---------------------------------------------------------------------------
 # algebra oracle: sort a word of single-site generators letter by letter
 # ---------------------------------------------------------------------------
@@ -191,6 +217,14 @@ def phase_by_sorting(exponents: list[tuple[int, int]]) -> tuple[dict[int, int], 
     return {s: e for s, e in totals.items() if e}, phase
 
 
+def valuation(factors, k) -> int:
+    """The valuation Q(k) of the term k of the product of s-letters
+    `factors`: sum k^2 plus the phase of sorting w_(n_l)^(eps_l k_l) into
+    site order by :func:`phase_by_sorting`."""
+    _, phase = phase_by_sorting([(f.site, f.sign * x) for f, x in zip(factors, k)])
+    return sum(x * x for x in k) + phase
+
+
 # ---------------------------------------------------------------------------
 # verifier oracle: brute-force tuple enumeration with nested bounded loops
 # ---------------------------------------------------------------------------
@@ -217,6 +251,38 @@ def target_key(target: dict[int, int]) -> tuple[tuple[int, int], ...]:
     """The bucket key of :func:`blind_tuples_by_target` for a target given
     as site -> exponent."""
     return tuple(sorted((site, e) for site, e in target.items() if e))
+
+
+def blind_buckets(factors, kmax: int):
+    """One blind scan of the box 0 <= k_i <= kmax of the s-letters
+    `factors`, bucketed by target, for :func:`blind_kept`."""
+    return blind_tuples_by_target([f.sign for f in factors], [f.site for f in factors], kmax)
+
+
+def blind_kept(factors, buckets, target, precision: int) -> list[tuple[tuple[int, ...], int]]:
+    """Sorted (k, Q(k)) over the tuples of `target`'s bucket of `buckets`
+    whose :func:`valuation` is below `precision`: the kept tuples, by blind
+    search and letter sorting rather than the engine's valuation form."""
+    hits = buckets.get(target_key({i + 1: e for i, e in enumerate(target)}), [])
+    return sorted((k, q) for k in hits if (q := valuation(factors, k)) < precision)
+
+
+def blind_coefficient(factors, buckets, target, precision: int, kmax: int):
+    """Kept tuples and coefficient of `target` by :func:`blind_kept` on
+    `buckets`, the scan of :func:`blind_buckets` with this `kmax`, and each
+    term's series by long division: nothing here shares the engine's code."""
+    kept = blind_kept(factors, buckets, target, precision)
+    want: dict[int, int] = {}
+    for ks, q in kept:
+        phase = q - sum(k * k for k in ks)
+        term = {phase: 1}
+        for k in ks:
+            term = truncated_mul(term, oracle_euler(k, precision - phase), precision)
+        for e, c in term.items():
+            want[e] = want.get(e, 0) + c
+    # the blind box must not be what stops the search
+    assert all(max(ks) < kmax for ks, _ in kept)
+    return [ks for ks, _ in kept], {e: c for e, c in want.items() if c}
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from qtorus.verifier import coefficient_of, window_targets
 from qtorus.words import S, comm0, rel1, rel2, rel3, rel4, replay
 from qtorus.scripts import braid_script
 
-from oracles import blind_tuples_by_target, finite_qexp, phase_by_sorting, target_key
+from oracles import blind_buckets, blind_kept, finite_qexp
 
 
 def _report(num: int, label: str, ok: bool) -> None:
@@ -173,20 +173,6 @@ def test_criterion_5_product_vs_series():
 # ------------------------------------------------------------ criterion 6
 
 
-def _oracle_tuple_set(word, hits, precision):
-    """Independent enumeration: the blind search's `hits` for one target,
-    then a valuation filter computed by letter-sorting rather than by the
-    certified quadratic form."""
-    keep = set()
-    for ks in hits:
-        _, phase = phase_by_sorting(
-            [(f.site, f.sign * k) for f, k in zip(word, ks)]
-        )
-        if sum(k * k for k in ks) + phase < precision:
-            keep.add(ks)
-    return keep
-
-
 def test_criterion_6_certificates_match_blind_search():
     precision, kmax = 12, 12
     words = [_word(SEVEN_LHS), _word(SEVEN_RHS)]
@@ -196,25 +182,17 @@ def test_criterion_6_certificates_match_blind_search():
     ok = True
     for word in words:
         # one blind scan of the product's box serves all its targets
-        buckets = blind_tuples_by_target(
-            [f.sign for f in word], [f.site for f in word], kmax
-        )
+        buckets = blind_buckets(word, kmax)
         for target in window_targets(2, (1, 2), 2):
             _, cert = coefficient_of(word, 2, target, precision)
-            hits = buckets.get(target_key({s + 1: e for s, e in enumerate(target)}), [])
-            expected = _oracle_tuple_set(word, hits, precision)
+            # independent enumeration: the blind search's hits for the
+            # target, then a valuation filter computed by letter sorting
+            # rather than by the certified quadratic form
+            kept = blind_kept(word, buckets, target, precision)
+            expected = {ks for ks, _ in kept}
             ok = ok and set(cert.tuples) == expected
             if expected:
-                ok = ok and cert.min_valuation == min(
-                    sum(k * k for k in ks)
-                    + phase_by_sorting(
-                        [
-                            (f.site, f.sign * k)
-                            for f, k in zip(word, ks)
-                        ]
-                    )[1]
-                    for ks in expected
-                )
+                ok = ok and cert.min_valuation == min(q for _, q in kept)
     # the certified braid comparison agrees with the replay verdict
     alg = verify_identity("braid_alg", sites=3, window=2, precision=10)
     replayed = replay(braid_script(1, 3))

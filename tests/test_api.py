@@ -15,9 +15,11 @@ import qtorus
 from qtorus.algebra import Element
 from qtorus.catalog import CatalogItem, Report
 from qtorus.errors import InvalidParams, Record
+from qtorus.series import FactoredRational, LaurentSeries
 from qtorus.verifier import ProductCertificate, _ScaledForm
 from qtorus.words import (
     DerivationScript,
+    ExpLetter,
     Letter,
     Relation,
     ReplayResult,
@@ -188,6 +190,26 @@ def test_records_get_their_constructors_from_their_slots():
 
 def test_record_repr_text():
     assert repr(S(2, 1)) == "Letter(kind='S', site=2, sign=1)"
+
+
+@pytest.mark.parametrize(
+    "value, render, text",
+    [
+        (Relation("demo", (), (S(1, 1),), (S(1, -1),)), str, "demo: s1+ <-> s1-"),
+        (LaurentSeries({0: 1, 2: -3, 5: 1}, 4), repr, "LaurentSeries({0: 1, 2: -3}, precision=4)"),
+        (FactoredRational({1: 2}, {1: 1}), repr, "FactoredRational({1: 2}, {1: 1})"),
+        (ExpLetter("u", Element.generator(2, 1)), repr, "ExpLetter('u')"),
+        (Element.generator(2, 1), repr, "Element(sites=2, terms=1)"),
+    ],
+    ids=["Relation", "LaurentSeries", "FactoredRational", "ExpLetter", "Element"],
+)
+def test_value_text_and_foreign_equality(value, render, text):
+    # the text of a relation without bindings and the repr of each value
+    # class; against an unrelated object each __eq__ returns
+    # NotImplemented, so == is False and != is True
+    assert render(value) == text
+    assert (value == object()) is False
+    assert (value != object()) is True
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,9 @@ from qtorus.series import FactoredRational, LaurentSeries, cyclotomic
 from qtorus.verifier import coefficient_of, exact_window_map
 from qtorus.words import S
 
-from oracles import finite_qexp, longdiv_expand, naive_poly_mul, oracle_euler, rational_equal
+from oracles import (
+    finite_qexp, longdiv_expand, naive_poly_mul, oracle_euler, rational_equal, series_of,
+)
 
 L = LaurentSeries
 
@@ -160,9 +162,7 @@ class TestSeriesForm:
         for k in range(4):
             r = table[(k,)].canonical()
             assert r == exact_c(k)
-            num = {e: c for e, c in enumerate(r[0]) if c}
-            den = {e: c for e, c in enumerate(r[1]) if c}
-            assert longdiv_expand(num, den, 20) == oracle_euler(k, 20)
+            assert series_of(table[(k,)], 20).coeffs == oracle_euler(k, 20)
 
     def test_inverse_generator(self):
         # E(w^-1) = sum c_k w^-k: nothing lands on positive powers
@@ -214,10 +214,7 @@ class TestProductForm:
         assert sorted(series) == targets
 
         def expand(vec):
-            r_num, r_den = series[vec].canonical()
-            num = {e: c for e, c in enumerate(r_num) if c}
-            den = {e: c for e, c in enumerate(r_den) if c}
-            return L(longdiv_expand(num, den, P), P)
+            return series_of(series[vec], P)
 
         # coefficient of (uv)^k is 1 / prod_{j<=k} (1 - q^(2j)): the number
         # of partitions into parts <= k, in q^2 units

@@ -28,27 +28,25 @@ import qtorus.catalog as catalog
 import qtorus.qexp as qexp
 import qtorus.verifier as verifier
 from oracles import (
+    blind_buckets,
+    blind_coefficient,
+    blind_kept,
     blind_tuples_by_target,
     exact_window_map_by_elements,
     finite_qexp,
     longdiv_expand,
+    minimiser,
     naive_poly_mul,
     oracle_euler,
-    phase_by_sorting,
     rational_equal,
     rational_solve,
+    series_of,
     target_key,
+    truncated_mul,
+    valuation,
 )
 
 L = LaurentSeries
-
-
-def expand(frac, precision):
-    """Series of an exact coefficient mod q^precision, by long division."""
-    r_num, r_den = frac.canonical()
-    num = {e: c for e, c in enumerate(r_num) if c}
-    den = {e: c for e, c in enumerate(r_den) if c}
-    return L(longdiv_expand(num, den, precision), precision)
 
 
 def word_of(letters):
@@ -88,8 +86,7 @@ def walk_y(a, b, c, bound, sides=()):
             start.append(0)
     levels, _ = _walk_levels([(i, *side_of[i]) for i in range(r)])
     form = _scaled_form(a, r)
-    y_star = [-x / 2 for x in rational_solve(a, b)[1]]
-    qmin = c + sum(x * y for x, y in zip(b, y_star)) / 2
+    y_star, qmin = minimiser(a, b, c)
     centre = [form.lam * y for y in y_star]
     headroom = form.lam * (bound - qmin)
     assert all(x.denominator == 1 for x in centre + [headroom])
@@ -197,23 +194,11 @@ class TestSevenTermValues:
 
     def test_brute_force_tuple_sets(self):
         P = 8
-        sites = [s for s, _ in SEVEN_LHS]
-        signs = [e for _, e in SEVEN_LHS]
-        buckets = blind_tuples_by_target(signs, sites, 6)
+        buckets = blind_buckets(self.lhs, 6)
         for target in window_targets(2, {1, 2}, 2):
             _, cert = coefficient_of(self.lhs, 2, target, P)
-            tgt = {i + 1: e for i, e in enumerate(target)}
-            blind = buckets.get(target_key(tgt), [])
-            # blind search then the valuation filter Q < P
-            keep = set()
-            for ks in blind:
-                phi = 0
-                for i in range(len(ks)):
-                    for j in range(i + 1, len(ks)):
-                        if sites[i] == sites[j] + 1:
-                            phi += -2 * signs[i] * signs[j] * ks[i] * ks[j]
-                if sum(k * k for k in ks) + phi < P:
-                    keep.add(ks)
+            # blind search then the valuation filter Q < P, by letter sorting
+            keep = {ks for ks, _ in blind_kept(self.lhs, buckets, target, P)}
             assert set(cert.tuples) == keep, target
 
 
@@ -328,7 +313,7 @@ class TestCertificateEdges:
                 return quad + sum(bi * yi for bi, yi in zip(b, y)) + c
 
             # real minimum qmin = c - b^T A^-1 b / 4, with A^-1 b by Gauss-Jordan
-            qmin = c - sum(x * y for x, y in zip(b, rational_solve(a, b)[1])) / 4
+            _, qmin = minimiser(a, b, c)
             floor_qmin = math.floor(qmin)
             assert walk_y(a, b, c, floor_qmin) == []
             assert walk_y(a, b, c, floor_qmin - rng.randint(1, 5)) == []
@@ -388,44 +373,6 @@ class TestCertificateEdges:
         assert cut > 20
 
 
-def _oracle_truncated_mul(a, b, precision):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            if ea + eb < precision:
-                out[ea + eb] = out.get(ea + eb, 0) + ca * cb
-    return {e: c for e, c in out.items() if c}
-
-
-def _blind_buckets(factors, kmax):
-    """One blind scan of the box 0 <= k_i <= kmax of `factors`, bucketed by
-    target, for :func:`_blind_coefficient`."""
-    return blind_tuples_by_target([f.sign for f in factors], [f.site for f in factors], kmax)
-
-
-def _blind_coefficient(factors, buckets, target, precision, kmax):
-    """Kept tuples and coefficient of `target` by blind tuple search (its
-    bucket of `buckets`, the scan of :func:`_blind_buckets` with this
-    `kmax`), valuation by letter sorting, and each term's series by long
-    division: nothing here shares the engine's code."""
-    blind = buckets.get(target_key({i + 1: e for i, e in enumerate(target)}), [])
-    want = {}
-    kept = []
-    for ks in blind:
-        _, phase = phase_by_sorting([(f.site, f.sign * k) for f, k in zip(factors, ks)])
-        if sum(k * k for k in ks) + phase >= precision:
-            continue
-        kept.append(ks)
-        term = {phase: 1}
-        for k in ks:
-            term = _oracle_truncated_mul(term, oracle_euler(k, precision - phase), precision)
-        for e, c in term.items():
-            want[e] = want.get(e, 0) + c
-    # the blind box must not be what stops the search
-    assert all(max(ks) < kmax for ks in kept)
-    return sorted(kept), {e: c for e, c in want.items() if c}
-
-
 def _seeded_products(rng):
     """The oracle's random words of s-letters with their chain's site count,
     precision, a window-2 box of targets each and a sample of three of them,
@@ -458,16 +405,13 @@ def _fibre_minimum(factors, target):
     the engine's maps: the form by polarising the valuation that letter
     sorting gives; at each site, p = eps_first * T_s at its first factor
     index, and a kernel basis vector per other index j, 1 at j and
-    -eps_first * eps_j at the first; then y* = -A^-1 b / 2 from the Fraction
-    Gauss-Jordan solve, and qmin = c + b^T y* / 2."""
+    -eps_first * eps_j at the first; then y* and qmin by the Fraction
+    Gauss-Jordan solve."""
     n = len(factors)
 
-    def valuation(k):
-        _, phase = phase_by_sorting([(f.site, f.sign * x) for f, x in zip(factors, k)])
-        return sum(x * x for x in k) + phase
-
     def form(u, v):
-        return Fraction(valuation([x + y for x, y in zip(u, v)]) - valuation(u) - valuation(v), 2)
+        both = [x + y for x, y in zip(u, v)]
+        return Fraction(valuation(factors, both) - valuation(factors, u) - valuation(factors, v), 2)
 
     basis, particular = [], [0] * n
     for site in sorted({f.site for f in factors}):
@@ -480,8 +424,7 @@ def _fibre_minimum(factors, target):
             basis.append(vec)
     a = [[form(u, v) for v in basis] for u in basis]
     b = [2 * form(u, particular) for u in basis]
-    y_star = [-x / 2 for x in rational_solve(a, b)[1]]
-    return y_star, valuation(particular) + sum(x * y for x, y in zip(b, y_star)) / 2, particular
+    return *minimiser(a, b, valuation(factors, particular)), particular
 
 
 class TestCoefficientOracle:
@@ -489,10 +432,10 @@ class TestCoefficientOracle:
         rng = random.Random(20261018)
         checked = nonzero = 0
         for factors, sites, precision, _, sample in _seeded_products(rng):
-            buckets = _blind_buckets(factors, 6)
+            buckets = blind_buckets(factors, 6)
             for target in sample:
                 got, cert = coefficient_of(factors, sites, target, precision)
-                kept, want = _blind_coefficient(factors, buckets, target, precision, 6)
+                kept, want = blind_coefficient(factors, buckets, target, precision, 6)
                 assert list(cert.tuples) == kept, (factors, target)
                 assert got.coeffs == want and got.precision == precision
                 checked += 1
@@ -528,7 +471,7 @@ class TestCoefficientOracle:
             # one elimination per call, of the collapsed form
             assert len(maps) == 1
             (lam, centre_map, h_terms), = maps
-            buckets = _blind_buckets(factors, 6)
+            buckets = blind_buckets(factors, 6)
             for target in targets:
                 # the maps against the collapsed product's fibre minimum
                 y_star, qmin, particular = _fibre_minimum(units, target)
@@ -542,7 +485,7 @@ class TestCoefficientOracle:
                     below += 1
                     continue
                 assert not certs[target].tuples
-                kept, want = _blind_coefficient(factors, buckets, target, precision, 6)
+                kept, want = blind_coefficient(factors, buckets, target, precision, 6)
                 assert kept == [] and want == {}, (factors, target)
                 settled += 1
         assert settled >= 50 and below >= 400 and collapsed >= 80
@@ -571,11 +514,11 @@ class TestCoefficientOracle:
         monkeypatch.setattr(verifier, "_walk_sublevel", counting)
         precision = 10
         settled = nonzero = 0
-        buckets = _blind_buckets(factors, 5)
+        buckets = blind_buckets(factors, 5)
         for target in window_targets(sites, range(1, sites + 1), window):
             walks.clear()
             got, cert = coefficient_of(factors, sites, target, precision)
-            kept, want = _blind_coefficient(factors, buckets, target, precision, 5)
+            kept, want = blind_coefficient(factors, buckets, target, precision, 5)
             assert list(cert.tuples) == kept, target
             assert got.coeffs == want and got.precision == precision
             if any(f.sign * target[f.site - 1] < 0 for f in factors if f.site in single):
@@ -634,7 +577,7 @@ class TestTripleProductCollapse:
             for m in range(-6, 7):
                 got = {}
                 for ka, kb in buckets[target_key({1: eps * m})]:
-                    term = _oracle_truncated_mul(euler[ka], euler[kb], precision)
+                    term = truncated_mul(euler[ka], euler[kb], precision)
                     for e, c in term.items():
                         got[e] = got.get(e, 0) + c
                 want = {
@@ -678,18 +621,14 @@ class TestTripleProductCollapse:
                 continue
             products += 1
             with_pairs += len(_collapsed(factors)) < len(factors)
-            buckets = _blind_buckets(factors, 5)
+            buckets = blind_buckets(factors, 5)
             for target, series, cert in got:
-                kept, want = _blind_coefficient(factors, buckets, target, precision, 5)
+                kept, want = blind_coefficient(factors, buckets, target, precision, 5)
                 assert series.coeffs == want and series.precision == precision
                 assert cert.tuples == tuple(kept), (factors, target)
                 assert cert.tuple_count == len(kept)
                 assert cert.max_index == max((max(k) for k in kept), default=0)
-                values = [
-                    sum(x * x for x in k)
-                    + phase_by_sorting([(f.site, f.sign * x) for f, x in zip(factors, k)])[1]
-                    for k in kept
-                ]
+                values = [valuation(factors, k) for k in kept]
                 assert cert.min_valuation == min(values, default=None)
                 assert cert.reason == _oracle_reason(factors, target, precision), target
                 reasons[cert.reason, bool(kept)] += 1
@@ -710,11 +649,11 @@ class TestTripleProductCollapse:
         # the box against the blind sum
         word = word_of([(1, 1), (1, -1), (2, 1), (2, 1), (1, 1), (1, 1), (2, 1), (2, 1)])
         kmax, precision = 5, 8
-        buckets = _blind_buckets(word, kmax)
+        buckets = blind_buckets(word, kmax)
         got = list(product_coefficients(word, 2, window_targets(2, (1, 2), 2), precision))
         nonzero = top = 0
         for target, series, cert in got:
-            kept, want = _blind_coefficient(word, buckets, target, precision, kmax)
+            kept, want = blind_coefficient(word, buckets, target, precision, kmax)
             assert series.coeffs == want and cert.tuples == tuple(kept), target
             assert cert.tuple_count == len(kept)
             nonzero += bool(want)
@@ -822,9 +761,9 @@ class TestProductCoefficients:
         monkeypatch.setattr(verifier, "euler_expansion", recording)
         targets = window_targets(3, (1, 2, 3), 3)
         lowest = 0
-        buckets = _blind_buckets(word, 5)
+        buckets = blind_buckets(word, 5)
         for target, got, cert in product_coefficients(word, 3, targets, precision):
-            kept, want = _blind_coefficient(word, buckets, target, precision, 5)
+            kept, want = blind_coefficient(word, buckets, target, precision, 5)
             assert list(cert.tuples) == kept, target
             assert got.coeffs == want and got.precision == precision, target
             if kept:
@@ -905,9 +844,9 @@ class TestScaledForm:
                 for _ in range(3):
                     p = [rng.randint(-4, 4) for _ in range(width)]
                     b = [2 * sum(x * y for x, y in zip(row, p)) for row in half_b]
-                    y_star = [-x / 2 for x in rational_solve(a, b)[1]]
-                    qmin = sum(p[s] * c[s][t] * p[t] for s in range(width) for t in range(width))
-                    qmin += sum(x * y for x, y in zip(b, y_star)) / 2
+                    y_star, qmin = minimiser(
+                        a, b, sum(p[s] * c[s][t] * p[t] for s in range(width) for t in range(width))
+                    )
                     centre = [sum(x * y for x, y in zip(row, p)) for row in form.centre_map]
                     assert centre == [lam * y for y in y_star]
                     assert sum(h * p[s] * p[t] for s, t, h in form.h_terms) == lam * qmin
@@ -1099,55 +1038,6 @@ class TestPinnedCounts:
             cert.tuples
 
 
-def _catalog_series(monkeypatch, name, params):
-    """(precision, series) of every coefficient the engine yields while the
-    catalog verifies `name`."""
-    got = []
-    coefficients = catalog.product_coefficients
-
-    def recording(word, sites, targets, precision):
-        for target, series, cert in coefficients(word, sites, targets, precision):
-            got.append((precision, series))
-            yield target, series, cert
-
-    monkeypatch.setattr(catalog, "product_coefficients", recording)
-    assert catalog.verify_identity(name, **params).status == "PASS"
-    return got
-
-
-class TestCleanSeries:
-    """Every series the engine yields is what the public constructor would
-    build from its coefficients: no zero coefficient and no exponent at or
-    above the precision."""
-
-    @staticmethod
-    def _check(runs):
-        nonzero = 0
-        for precision, series in runs:
-            coeffs = series.coeffs
-            assert series.precision == precision
-            assert all(coeffs.values())
-            assert all(e < precision for e in coeffs)
-            assert series == L(coeffs, precision)
-            nonzero += bool(coeffs)
-        return nonzero
-
-    @pytest.mark.parametrize(
-        "name,params",
-        [("sigma_alg", {"window": 3}), ("braid_alg", {"precision": 32, "window": 3})],
-        ids=["sigma_alg-W3", "braid_alg-P32-W3"],
-    )
-    def test_catalog_series(self, monkeypatch, name, params):
-        assert self._check(_catalog_series(monkeypatch, name, params)) > 0
-
-    def test_random_series(self):
-        runs = []
-        for word, sites, precision, targets, _ in _seeded_products(random.Random(20261019)):
-            for _, series, _ in product_coefficients(word, sites, targets, precision):
-                runs.append((precision, series))
-        assert self._check(runs) >= 50
-
-
 U_V_WINDOW = 3
 
 
@@ -1199,7 +1089,7 @@ class TestExactEngine:
         P = 9
         for t, frac in sorted(exact.items()):
             trunc, _ = coefficient_of(word, 2, t, P)
-            assert trunc == expand(frac, P), t
+            assert trunc == series_of(frac, P), t
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(InfiniteSupport):
@@ -1235,7 +1125,7 @@ class TestTwoEngines:
         targets = [t for t in targets if min(t) >= 0]
         nonzero = 0
         for target, got, _ in product_coefficients(word, sites, targets, precision):
-            want = expand(exact[target], precision) if target in exact else L.zero(precision)
+            want = series_of(exact[target], precision) if target in exact else L.zero(precision)
             assert got == want, (render_word(word), target)
             nonzero += not got.is_zero()
         return nonzero
@@ -1372,8 +1262,8 @@ class TestRuleCrossRepresentation:
                 fin_lhs = self._finite(lhs_args, d, window)
                 fin_rhs = self._finite(rhs_args, d, window)
                 for target in targets:
-                    want = expand(exact_lhs[target], precision)
-                    assert expand(exact_rhs[target], precision) == want
+                    want = series_of(exact_lhs[target], precision)
+                    assert series_of(exact_rhs[target], precision) == want
                     assert L(fin_lhs.terms.get(target, {}), precision) == want, (d, target)
                     assert L(fin_rhs.terms.get(target, {}), precision) == want, (d, target)
 
