@@ -34,8 +34,9 @@ __all__ = ["Element", "monomial_label", "mul_terms", "phase_exponent"]
 
 
 def monomial_label(exponents: Iterable[int]) -> str:
-    """Render an exponent vector the way elements print their monomials."""
-    return Element._monomial_str(tuple(exponents))
+    """Render an exponent vector as elements print their monomials."""
+    parts = [f"w{i}^{e}" for i, e in enumerate(exponents, 1) if e]
+    return "*".join(parts) if parts else "1"
 
 
 def phase_exponent(a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -154,17 +155,12 @@ class Element:
 
     __hash__ = None  # type: ignore[assignment]
 
-    @staticmethod
-    def _monomial_str(vec: tuple[int, ...]) -> str:
-        parts = [f"w{i + 1}^{e}" for i, e in enumerate(vec) if e]
-        return "*".join(parts) if parts else "1"
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         chunks = []
         for vec in sorted(self.terms):
-            mono = self._monomial_str(vec)
+            mono = monomial_label(vec)
             coeff = _laurent_str(self.terms[vec])
             chunks.append(f"({coeff})" if mono == "1" else f"({coeff}) * {mono}")
         return " + ".join(chunks)

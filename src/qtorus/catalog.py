@@ -33,7 +33,7 @@ import time
 from typing import Callable, Optional, Sequence
 
 from .algebra import Element, monomial_label
-from .errors import FrozenRecord, InvalidParams, Record
+from .errors import InvalidParams, Record
 from .scripts import (
     braid_script,
     braid_translation_fwd,
@@ -45,12 +45,13 @@ from .scripts import (
     sigma_script2,
     sigma_translation_fwd,
     sigma_translation_rev,
+    structural_relations,
 )
 from .series import FactoredRational
 from .verifier import TupleCertificate, exact_window_map, product_coefficients, window_targets
 from .words import (
-    ExpLetter, Relation, S, Word, comm0, mult1_rule, mult2_rule,
-    pentagon_rule, rel1, rel2, rel3, rel4, replay,
+    ExpLetter, Relation, S, Word, mult1_rule, mult2_rule, pentagon_rule,
+    rel1, rel4, replay,
 )
 
 __all__ = [
@@ -78,8 +79,8 @@ def _canonical(obj) -> str:
 
 
 class Report(Record):
-    """Outcome of verifying one catalog item: a mutable value record, so
-    unhashable."""
+    """Outcome of verifying one catalog item: a read-only value record,
+    unhashable as it holds dicts."""
 
     __slots__ = (
         "schema_version", "identity", "params", "status", "per_monomial",
@@ -275,7 +276,7 @@ def _exact(
     used."""
     lhs_map, k_lhs = exact_window_map(lhs_args, window)
     rhs_map, k_rhs = exact_window_map(rhs_args, window)
-    zero = FactoredRational.zero()
+    zero = FactoredRational()
     per = [
         _row(monomial_label(target), lhs_map.get(target, zero), rhs_map.get(target, zero))
         for target in sorted(set(lhs_map) | set(rhs_map))
@@ -331,7 +332,7 @@ def _walk(seed: int, trace: list, sites: int, window: int, precision: int):
     """Compare the walk's start word with its words at the checkpoints; each
     checkpoint matches when every row of its own pair's block does."""
     last = len(trace) - 1
-    marks = sorted({min(i, last) for i in (10, 20, 30, 40, 50)} | {last})
+    marks = sorted({min(i, last) for i in range(10, _WALK_STEPS + 1, 10)} | {last})
     pairs = [("", _WALK_START, trace[i]) for i in marks]
     blocks, _ = _compare_words(pairs, sites, window, precision)
     checkpoints = [
@@ -387,12 +388,9 @@ def _plan_seven_term_script(p: dict):
 
 
 def _chain_pairs(length: int) -> list[tuple[str, Word, Word]]:
-    """Every nearest-neighbour relation of the first `length` sites, then
-    the same-site commutation of each of them, as labelled word pairs."""
-    rels: list[Relation] = []
-    for n in range(1, length):
-        rels.extend((rel1(n), rel2(n), rel3(n), rel4(n)))
-    rels.extend(comm0(n) for n in range(1, length + 1))
+    """:func:`structural_relations` of the first `length` sites without its
+    far commutations, as labelled word pairs."""
+    rels = [rel for rel in structural_relations(length) if rel.rid != "far"]
     return [(_relation_label(rel), rel.lhs, rel.rhs) for rel in rels]
 
 
@@ -495,7 +493,7 @@ def _plan_walk(p: dict):
 # ---------------------------------------------------------------------------
 
 
-class CatalogItem(FrozenRecord):
+class CatalogItem(Record):
     __slots__ = ("name", "description", "defaults", "plan")
 
 

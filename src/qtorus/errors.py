@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the bases of its value
-records."""
+"""Exception types shared across the package, and :class:`Record`, the one
+base of its value records."""
 
 from __future__ import annotations
 
@@ -39,7 +39,10 @@ class Record:
     fields default to the values of the class's ``_defaults`` dict; the
     built constructor's signature shows the fields.  Equality (same class
     only, field by field), ``repr`` and copying read the fields in the same
-    order.  A record is unhashable unless it is frozen."""
+    order, and so does hashing, which fails on a field that holds a dict.
+    Every record is read-only: assigning to or deleting an attribute raises
+    AttributeError, so a constructor written by hand sets its fields through
+    ``object.__setattr__``."""
 
     __slots__ = ()
     _defaults: dict = {}
@@ -47,7 +50,7 @@ class Record:
     def __init_subclass__(cls) -> None:
         # one fixed template over the slot names, as collections.namedtuple
         # builds __new__, so Python itself binds the arguments; the fields
-        # are set through object.__setattr__, which a frozen record allows
+        # are set through object.__setattr__, which a read-only record allows
         names = cls.__slots__
         if "__init__" in vars(cls) or not names:
             return
@@ -67,25 +70,6 @@ class Record:
             return NotImplemented
         return self._values() == other._values()
 
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__name__}({fields})"
-
-    def __reduce__(self) -> tuple:
-        # copy and pickle rebuild a record through its constructor, as
-        # restoring the slots one by one would assign to a frozen record
-        return (self.__class__, self._values())
-
-
-class FrozenRecord(Record):
-    """A read-only, hashable record: assigning to or deleting an attribute
-    raises AttributeError, so a constructor written by hand sets its fields
-    through ``object.__setattr__``."""
-
-    __slots__ = ()
-
     def __hash__(self) -> int:
         return hash(self._values())
 
@@ -94,3 +78,13 @@ class FrozenRecord(Record):
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild a record through its constructor, as
+        # restoring the slots one by one would assign to a read-only record
+        return (self.__class__, self._values())
+

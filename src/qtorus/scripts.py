@@ -306,19 +306,16 @@ def sigma_translation_rev(m: int, n: int, k: int) -> DerivationScript:
 
 
 def structural_relations(sites: int) -> list[Relation]:
-    """All factor-letter relation instances available on the given sites."""
+    """All factor-letter relation instances on the given sites: rel1..rel4
+    at each n, then comm0 at each site, then far(a, sa, b, sb) once for each
+    pair of sites a < b two or more apart, as its reverse swaps them back."""
     rels: list[Relation] = []
-    for n in range(1, sites + 1):
-        rels.append(comm0(n))
     for n in range(1, sites):
         rels.extend((rel1(n), rel2(n), rel3(n), rel4(n)))
+    rels.extend(comm0(n) for n in range(1, sites + 1))
     for a in range(1, sites + 1):
-        for b in range(1, sites + 1):
-            if abs(a - b) < 2:
-                continue
-            for sa in (1, -1):
-                for sb in (1, -1):
-                    rels.append(far(a, sa, b, sb))
+        for b in range(a + 2, sites + 1):
+            rels.extend(far(a, sa, b, sb) for sa in (1, -1) for sb in (1, -1))
     return rels
 
 

@@ -102,12 +102,6 @@ class LaurentSeries:
         self._coeffs = {e: c for e, c in coeffs.items() if c and e < precision}
         self._precision = precision
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, precision: int) -> "LaurentSeries":
-        return cls({}, precision)
-
     # -- inspection --------------------------------------------------------
 
     @property
@@ -249,10 +243,6 @@ class FactoredRational:
         if any(k < 1 or v < 0 for k, v in d.items()):
             raise ValueError("cyclotomic index below 1 or negative factor multiplicity")
         self.den = d if self.num else Counter()
-
-    @classmethod
-    def zero(cls) -> "FactoredRational":
-        return cls({}, None)
 
     def is_zero(self) -> bool:
         return not self.num

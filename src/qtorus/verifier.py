@@ -113,7 +113,7 @@ from operator import itemgetter, mul
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .algebra import Element, mul_terms
-from .errors import FrozenRecord, InfiniteSupport, InvalidParams, NoCertificate
+from .errors import InfiniteSupport, InvalidParams, NoCertificate, Record
 from .qexp import euler_denominator_factors, euler_expansion
 from .series import FactoredRational, LaurentSeries, widen
 from .words import Letter, S
@@ -156,7 +156,7 @@ def window_targets(
 # ---------------------------------------------------------------------------
 
 
-class _ScaledForm(FrozenRecord):
+class _ScaledForm(Record):
     """Integer data of a valuation form  Q = y^T A y + b^T y + c,  with
     b = B p  and  c = p^T C p,  for :func:`_walk_sublevel` and the targets'
     fibres: A is positive definite on the walk coordinates y, and p fixes a
@@ -345,7 +345,7 @@ def _walk_sublevel(
 # ---------------------------------------------------------------------------
 
 
-class ProductCertificate(FrozenRecord):
+class ProductCertificate(Record):
     """What every target's certificate from one :func:`product_coefficients`
     call shares: the product's factors, the precision, and the restricted
     form of the valuation Q of its units, the factors with each adjacent
@@ -432,7 +432,7 @@ class TupleCertificate(NamedTuple):
     matrix and its minors -- is read from `product`, and the target's
     particular solution is laid out by ``product.firsts``.  A named tuple, as
     the engine builds one per target: it builds in under a third of the
-    time of a frozen record that sets each field through
+    time of a record, which sets each field through
     ``object.__setattr__``.
     """
 
@@ -586,7 +586,7 @@ def product_coefficients(
     # of the singles' k, in `size` powers of q^2, is built once per call
     # from one expansion of 1/(q^2;q^2)_inf^pairs (1 without a pair), and
     # a lower valuation that needs more terms makes them all longer
-    zero = LaurentSeries.zero(precision)
+    zero = LaurentSeries({}, precision)
     root = (0,) * len(singles)
     expansions: dict[tuple[int, ...], list[int]] = {}
     size = (precision + 1) // 2

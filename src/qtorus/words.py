@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import Callable, Sequence, Union
 
 from .algebra import Element
-from .errors import FrozenRecord, InvalidParams, InvalidStep, NoMatch
+from .errors import InvalidParams, InvalidStep, NoMatch, Record
 
 __all__ = [
     "Letter",
@@ -76,7 +76,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-class Letter(FrozenRecord):
+class Letter(Record):
     """Structural letter: kind 'S' (sign +-1), 'B', or 'C' (sign 0)."""
 
     __slots__ = ("kind", "site", "sign")
@@ -140,7 +140,7 @@ AnyLetter = Union[Letter, ExpLetter]
 Word = tuple
 
 
-# the factories share one frozen letter per argument tuple, so words built
+# the factories share one read-only letter per argument tuple, so words built
 # from them compare letter by letter through the identity shortcut
 @lru_cache(maxsize=256)
 def S(site: int, sign: int) -> Letter:
@@ -201,7 +201,7 @@ def expand_composites(word: Sequence[AnyLetter]) -> Word:
 # ---------------------------------------------------------------------------
 
 
-class Relation(FrozenRecord):
+class Relation(Record):
     """Oriented rewrite  lhs <-> rhs  produced by a named factory."""
 
     __slots__ = ("rid", "bindings", "lhs", "rhs")
@@ -380,7 +380,7 @@ def commute_rule(x: ExpLetter, y: ExpLetter) -> Relation:
 # ---------------------------------------------------------------------------
 
 
-class Step(FrozenRecord):
+class Step(Record):
     __slots__ = ("position", "relation", "forward")
     _defaults = {"forward": True}
 
@@ -403,11 +403,11 @@ def apply_step(word: Word, step: Step) -> Word:
     return tuple(word[:pos]) + tuple(replacement) + tuple(word[pos + len(pattern) :])
 
 
-class DerivationScript(FrozenRecord):
+class DerivationScript(Record):
     __slots__ = ("name", "start", "steps", "end")
 
 
-class ReplayResult(FrozenRecord):
+class ReplayResult(Record):
     __slots__ = ("ok", "steps_applied", "final", "error")
     _defaults = {"error": None}
 

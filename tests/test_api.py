@@ -69,14 +69,14 @@ _WORD = (S(1, 1), S(1, -1))
 _SWAPPED = (S(1, -1), S(1, 1))
 
 # (class, its fields in order with a value each, another value for each field
-# that can change alone, the defaults of the trailing fields, whether the
-# record is frozen, whether its values are hashable)
+# that can change alone, the defaults of the trailing fields, whether its
+# values are hashable)
 RECORDS = [
     (
         _ScaledForm,
         {"minors": (2,), "lam": 8, "di": (8,), "li_cols": ((),), "centre_map": ((-4,),), "h_terms": ((0, 0, 6),)},
         {"minors": (3,), "lam": 4, "di": (4,), "li_cols": ((), ()), "centre_map": ((4,),), "h_terms": ()},
-        {}, True, True,
+        {}, True,
     ),
     (
         ProductCertificate,
@@ -88,32 +88,32 @@ RECORDS = [
             "factors": ("E(w1)",), "precision": 9, "kernel_rank": 0,
             "gram_restricted": (), "minors": (), "firsts": (), "pairs": (),
         },
-        {"pairs": ()}, True, True,
+        {"pairs": ()}, True,
     ),
-    (Letter, {"kind": "B", "site": 1, "sign": 0}, {"kind": "C", "site": 2}, {"sign": 0}, True, True),
+    (Letter, {"kind": "B", "site": 1, "sign": 0}, {"kind": "C", "site": 2}, {"sign": 0}, True),
     (
         Relation,
         {"rid": "comm0", "bindings": (("n", "1"),), "lhs": _WORD, "rhs": _SWAPPED},
         {"rid": "far", "bindings": (), "lhs": _SWAPPED, "rhs": _WORD},
-        {}, True, True,
+        {}, True,
     ),
     (
         Step,
         {"position": 2, "relation": comm0(1), "forward": False},
         {"position": 0, "relation": comm0(2), "forward": True},
-        {"forward": True}, True, True,
+        {"forward": True}, True,
     ),
     (
         DerivationScript,
         {"name": "swap", "start": _WORD, "steps": (Step(0, comm0(1)),), "end": _SWAPPED},
         {"name": "other", "start": _SWAPPED, "steps": (), "end": _WORD},
-        {}, True, True,
+        {}, True,
     ),
     (
         ReplayResult,
         {"ok": False, "steps_applied": 1, "final": _SWAPPED, "error": "no"},
         {"ok": True, "steps_applied": 0, "final": _WORD, "error": None},
-        {"error": None}, True, True,
+        {"error": None}, True,
     ),
     (
         Report,
@@ -125,21 +125,21 @@ RECORDS = [
             "schema_version": 2, "identity": "mult2", "params": {}, "status": "FAIL",
             "per_monomial": [{}], "certificate_summary": {}, "elapsed_ms": 4,
         },
-        {}, False, False,
+        {}, False,
     ),
     (
         CatalogItem,
         {"name": "x", "description": "y", "defaults": {"N": 2}, "plan": len},
         {"name": "z", "description": "w", "defaults": {}, "plan": abs},
-        {}, True, False,
+        {}, False,
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "cls, fields, others, defaults, frozen, hashable", RECORDS, ids=[r[0].__name__ for r in RECORDS]
+    "cls, fields, others, defaults, hashable", RECORDS, ids=[r[0].__name__ for r in RECORDS]
 )
-def test_record_semantics(cls, fields, others, defaults, frozen, hashable):
+def test_record_semantics(cls, fields, others, defaults, hashable):
     values = tuple(fields.values())
     record = cls(*values)
     assert [getattr(record, name) for name in fields] == list(values)
@@ -162,15 +162,13 @@ def test_record_semantics(cls, fields, others, defaults, frozen, hashable):
     else:
         with pytest.raises(TypeError):
             hash(record)
+    # every record is read-only
     first = next(iter(fields))
-    if frozen:
-        with pytest.raises(AttributeError):
-            setattr(record, first, values[0])
-        with pytest.raises(AttributeError):
-            delattr(record, first)
-    else:
-        record.status = "FAIL"
-        assert record.status == "FAIL" and record != cls(*values)
+    with pytest.raises(AttributeError):
+        setattr(record, first, values[0])
+    with pytest.raises(AttributeError):
+        delattr(record, first)
+    assert record == cls(*values)
 
 
 def test_records_get_their_constructors_from_their_slots():

@@ -226,7 +226,7 @@ def test_exact_mismatch_rows_render_both_sides():
     _, per, _ = _exact(lhs_args, rhs_args, 3)
     lhs_map, _ = exact_window_map(lhs_args, 3)
     rhs_map, _ = exact_window_map(rhs_args, 3)
-    zero = FactoredRational.zero()
+    zero = FactoredRational()
     labels = {monomial_label(t): t for t in set(lhs_map) | set(rhs_map)}
     assert any(not row["match"] for row in per) and any(row["match"] for row in per)
     for row in per:
@@ -243,7 +243,7 @@ def test_matching_rows_print_equal_values_alike():
         # 1/(q - 1) and (1 + q)/(q^2 - 1)
         (FactoredRational({0: 1}, Counter({1: 1})),
          FactoredRational({0: 1, 1: 1}, Counter({1: 1, 2: 1}))),
-        (FactoredRational.zero(), FactoredRational({}, Counter({3: 2}))),
+        (FactoredRational(), FactoredRational({}, Counter({3: 2}))),
     ]
     for lhs, rhs in pairs:
         assert lhs is not rhs

@@ -235,6 +235,16 @@ class TestWalks:
         assert Step(0, comm0(1), True) in steps
         assert all(st.position == 0 for st in steps)
 
+    @pytest.mark.parametrize("sites", range(2, 7))
+    def test_each_far_commutation_listed_once(self, sites):
+        rels = structural_relations(sites)
+        far_rels = [rel for rel in rels if rel.rid == "far"]
+        # four sign choices per pair of sites two or more apart
+        assert len(far_rels) == 4 * (sites - 1) * (sites - 2) // 2
+        assert all(rel.lhs[0].site < rel.lhs[1].site for rel in far_rels)
+        sides = {(rel.lhs, rel.rhs) for rel in rels}
+        assert not any((rel.rhs, rel.lhs) in sides for rel in rels)
+
     @pytest.mark.parametrize("sites", [4, 6])
     def test_applicable_steps_matches_scan(self, sites):
         rels = structural_relations(sites)

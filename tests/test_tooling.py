@@ -202,14 +202,14 @@ def test_scan_sees_a_public_name_without_caller(tmp_path):
 
 
 def record_classes(files: list[Path]) -> list[str]:
-    """Public module-level classes of `files` that derive from ``Record`` or
-    ``FrozenRecord``, directly or through another class of `files`."""
+    """Public module-level classes of `files` that derive from ``Record``,
+    directly or through another class of `files`."""
     bases: dict[str, set] = {}
     for path in files:
         for node in ast.parse(path.read_text(), str(path)).body:
             if isinstance(node, ast.ClassDef):
                 bases[node.name] = {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases}
-    roots = {"Record", "FrozenRecord"}
+    roots = {"Record"}
     records = set(roots)
     while grown := {name for name, base in bases.items() if base & records} - records:
         records |= grown
@@ -237,10 +237,10 @@ def test_scan_sees_every_record_class(tmp_path):
     module = tmp_path / "m.py"
     module.write_text(
         "from qtorus import errors\n"
-        "from qtorus.errors import FrozenRecord, Record\n"
+        "from qtorus.errors import Record\n"
         "class Plain:\n"
         "    pass\n"
-        "class Kept(Plain, FrozenRecord):\n"
+        "class Kept(Plain, Record):\n"
         "    pass\n"
         "class Later(Earlier):\n"
         "    pass\n"
