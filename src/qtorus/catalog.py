@@ -82,13 +82,14 @@ class Report(Record):
     """Outcome of verifying one catalog item: a read-only value record,
     unhashable as it holds dicts."""
 
-    __slots__ = (
+    __slots__ = ()
+    _fields = (
         "schema_version", "identity", "params", "status", "per_monomial",
         "certificate_summary", "elapsed_ms",
     )
 
     def to_dict(self) -> dict:
-        return dict(zip(self.__slots__, self._values()))
+        return dict(zip(self._fields, self))
 
     def to_text(self) -> str:
         """Human-readable rendering of the same data as :meth:`to_dict`."""
@@ -494,7 +495,8 @@ def _plan_walk(p: dict):
 
 
 class CatalogItem(Record):
-    __slots__ = ("name", "description", "defaults", "plan")
+    __slots__ = ()
+    _fields = ("name", "description", "defaults", "plan")
 
 
 _ITEMS: list[CatalogItem] = [

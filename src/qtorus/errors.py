@@ -1,7 +1,9 @@
 """Exception types shared across the package, and :class:`Record`, the one
-base of its value records."""
+base of its value records: each record is a tuple of named fields."""
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 
 class KernelError(Exception):
@@ -32,59 +34,50 @@ class InfiniteSupport(KernelError):
     product whose matching tuple set is not provably finite."""
 
 
-class Record:
-    """Base of the package's value records.  Each record lists its fields in
-    ``__slots__`` in the order its constructor takes them, and a record that
-    writes no ``__init__`` gets one built from that list, whose trailing
-    fields default to the values of the class's ``_defaults`` dict; the
-    built constructor's signature shows the fields.  Equality (same class
-    only, field by field), ``repr`` and copying read the fields in the same
-    order, and so does hashing, which fails on a field that holds a dict.
-    Every record is read-only: assigning to or deleting an attribute raises
-    AttributeError, so a constructor written by hand sets its fields through
-    ``object.__setattr__``."""
+class Record(tuple):
+    """Base of the package's value records, laid out as namedtuple lays out
+    its classes: a record is the tuple of the fields its class names in
+    ``_fields``, in constructor order, and holds nothing else, as every
+    record class declares an empty ``__slots__``.  A record that writes no
+    ``__new__`` gets one built from ``_fields``, whose trailing fields
+    default to the values of the class's ``_defaults`` dict.  A record is
+    read-only, equals only a record of its own class with equal fields,
+    never a plain tuple, and does not order; its hash fails on a field that
+    holds a dict."""
 
     __slots__ = ()
+    _fields: tuple
     _defaults: dict = {}
 
     def __init_subclass__(cls) -> None:
-        # one fixed template over the slot names, as collections.namedtuple
-        # builds __new__, so Python itself binds the arguments; the fields
-        # are set through object.__setattr__, which a read-only record allows
-        names = cls.__slots__
-        if "__init__" in vars(cls) or not names:
+        # one fixed template over the field names, as namedtuple builds
+        # __new__, so Python itself binds the arguments
+        names = cls._fields
+        for i, name in enumerate(names):
+            setattr(cls, name, property(itemgetter(i)))
+        if "__new__" in vars(cls):
             return
-        body = "".join(f"\n    _set(self, {name!r}, {name})" for name in names)
-        namespace = {"_set": object.__setattr__}
-        exec(f"def __init__(self, {', '.join(names)}):{body}", namespace)
-        init = namespace["__init__"]
-        init.__defaults__ = tuple(cls._defaults[name] for name in names[len(names) - len(cls._defaults):])
-        init.__qualname__ = f"{cls.__qualname__}.__init__"
-        cls.__init__ = init
+        fields = ", ".join(names)
+        new = eval(f"lambda _cls, {fields}: _new(_cls, ({fields},))", {"_new": tuple.__new__})
+        new.__defaults__ = tuple(cls._defaults[name] for name in names[len(names) - len(cls._defaults):])
+        new.__qualname__ = f"{cls.__qualname__}.__new__"
+        cls.__new__ = staticmethod(new)
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
+    # both answer for another class: NotImplemented would fall back to
+    # tuple's methods, which ignore the class, so a record would equal its tuple
     def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return hash(self._values())
+    def __ne__(self, other: object) -> bool:
+        return other.__class__ is not self.__class__ or tuple.__ne__(self, other)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
+    __hash__ = tuple.__hash__
+    __lt__ = __le__ = __gt__ = __ge__ = None
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
         return f"{self.__class__.__name__}({fields})"
 
-    def __reduce__(self) -> tuple:
-        # copy and pickle rebuild a record through its constructor, as
-        # restoring the slots one by one would assign to a read-only record
-        return (self.__class__, self._values())
-
+    def __getnewargs__(self) -> tuple:
+        # copy and pickle rebuild a record through its constructor
+        return tuple(self)

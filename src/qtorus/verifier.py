@@ -110,7 +110,7 @@ import math
 from collections import Counter
 from itertools import product as iproduct
 from operator import itemgetter, mul
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .algebra import Element, mul_terms
 from .errors import InfiniteSupport, InvalidParams, NoCertificate, Record
@@ -173,7 +173,8 @@ class _ScaledForm(Record):
     nonzero terms (s, t, h) over s <= t, with h doubled off the diagonal.
     """
 
-    __slots__ = ("minors", "lam", "di", "li_cols", "centre_map", "h_terms")
+    __slots__ = ()
+    _fields = ("minors", "lam", "di", "li_cols", "centre_map", "h_terms")
 
 
 def _scaled_form(full: Sequence[Sequence[int]], rank: int) -> _ScaledForm:
@@ -364,7 +365,8 @@ class ProductCertificate(Record):
     of each collapsed pair.
     """
 
-    __slots__ = ("factors", "precision", "kernel_rank", "gram_restricted", "minors", "firsts", "pairs")
+    __slots__ = ()
+    _fields = ("factors", "precision", "kernel_rank", "gram_restricted", "minors", "firsts", "pairs")
     _defaults = {"pairs": ()}
 
 
@@ -412,7 +414,7 @@ def _expand_points(
     return tuple(sorted(out))
 
 
-class TupleCertificate(NamedTuple):
+class TupleCertificate(Record):
     """Why the reported coefficient of one target is complete mod
     q^precision: an immutable record over its call's shared `product`
     certificate.
@@ -430,19 +432,12 @@ class TupleCertificate(NamedTuple):
     lists them, sorted, only when read.  What every target of the call
     shares -- the factors, the precision, the kernel rank, the restricted
     matrix and its minors -- is read from `product`, and the target's
-    particular solution is laid out by ``product.firsts``.  A named tuple, as
-    the engine builds one per target: it builds in under a third of the
-    time of a record, which sets each field through
-    ``object.__setattr__``.
+    particular solution is laid out by ``product.firsts``.
     """
 
-    product: ProductCertificate
-    exponents: tuple[int, ...]
-    reason: str
-    points: tuple[tuple[tuple[int, ...], int], ...] = ()
-    tuple_count: int = 0
-    max_index: int = 0
-    min_valuation: Optional[int] = None
+    __slots__ = ()
+    _fields = ("product", "exponents", "reason", "points", "tuple_count", "max_index", "min_valuation")
+    _defaults = {"points": (), "tuple_count": 0, "max_index": 0, "min_valuation": None}
 
     @property
     def tuples(self) -> tuple[tuple[int, ...], ...]:
@@ -722,14 +717,14 @@ def exact_window_map(
 
     # exponent vectors only grow along a product, so every product is taken
     # inside the window, and each argument's powers are built once
-    k_cap = sites * window + 1  # total degree of any window target
     one = {(0,) * sites: {0: 1}}
     tables = []
     for x in args:
         power = one
         base = mul_terms(one, x.terms, window)
         table = [one]
-        while len(table) <= k_cap and (power := mul_terms(power, base, window)):
+        # x's monomials have positive degree, so x^k is empty once k > sites * window
+        while power := mul_terms(power, base, window):
             table.append(power)
         tables.append(table)
 

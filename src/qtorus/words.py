@@ -79,9 +79,10 @@ __all__ = [
 class Letter(Record):
     """Structural letter: kind 'S' (sign +-1), 'B', or 'C' (sign 0)."""
 
-    __slots__ = ("kind", "site", "sign")
+    __slots__ = ()
+    _fields = ("kind", "site", "sign")
 
-    def __init__(self, kind: str, site: int, sign: int = 0) -> None:
+    def __new__(cls, kind: str, site: int, sign: int = 0) -> Letter:
         if kind not in ("S", "B", "C"):
             raise InvalidParams(f"unknown letter kind {kind!r}")
         if site < 1:
@@ -90,18 +91,7 @@ class Letter(Record):
             raise InvalidParams("an s-letter needs sign +1 or -1")
         if kind != "S" and sign != 0:
             raise InvalidParams("composite letters carry no sign")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "site", site)
-        object.__setattr__(self, "sign", sign)
-
-    # written out, as the rewrite walk compares and hashes letters most
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.site == other.site and self.sign == other.sign and self.kind == other.kind
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.site, self.sign))
+        return tuple.__new__(cls, (kind, site, sign))
 
     def __str__(self) -> str:
         if self.kind == "S":
@@ -204,7 +194,8 @@ def expand_composites(word: Sequence[AnyLetter]) -> Word:
 class Relation(Record):
     """Oriented rewrite  lhs <-> rhs  produced by a named factory."""
 
-    __slots__ = ("rid", "bindings", "lhs", "rhs")
+    __slots__ = ()
+    _fields = ("rid", "bindings", "lhs", "rhs")
 
     @property
     def full_id(self) -> str:
@@ -381,7 +372,8 @@ def commute_rule(x: ExpLetter, y: ExpLetter) -> Relation:
 
 
 class Step(Record):
-    __slots__ = ("position", "relation", "forward")
+    __slots__ = ()
+    _fields = ("position", "relation", "forward")
     _defaults = {"forward": True}
 
     def __str__(self) -> str:
@@ -404,11 +396,13 @@ def apply_step(word: Word, step: Step) -> Word:
 
 
 class DerivationScript(Record):
-    __slots__ = ("name", "start", "steps", "end")
+    __slots__ = ()
+    _fields = ("name", "start", "steps", "end")
 
 
 class ReplayResult(Record):
-    __slots__ = ("ok", "steps_applied", "final", "error")
+    __slots__ = ()
+    _fields = ("ok", "steps_applied", "final", "error")
     _defaults = {"error": None}
 
 

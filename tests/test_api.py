@@ -16,7 +16,7 @@ from qtorus.algebra import Element
 from qtorus.catalog import CatalogItem, Report
 from qtorus.errors import InvalidParams, Record
 from qtorus.series import FactoredRational, LaurentSeries
-from qtorus.verifier import ProductCertificate, _ScaledForm
+from qtorus.verifier import ProductCertificate, TupleCertificate, _ScaledForm
 from qtorus.words import (
     DerivationScript,
     ExpLetter,
@@ -90,6 +90,20 @@ RECORDS = [
         },
         {"pairs": ()}, True,
     ),
+    (
+        TupleCertificate,
+        {
+            "product": ProductCertificate(("E(w1)",), 8, 1, ((2,),), (2,), ((0, 1, 0),)),
+            "exponents": (1,), "reason": "walk", "points": (((1,), 1),), "tuple_count": 1,
+            "max_index": 1, "min_valuation": 1,
+        },
+        {
+            "product": ProductCertificate(("E(w2)",), 8, 1, ((2,),), (2,), ((0, 1, 0),)),
+            "exponents": (2,), "reason": "qmin", "points": (), "tuple_count": 0,
+            "max_index": 0, "min_valuation": None,
+        },
+        {"points": (), "tuple_count": 0, "max_index": 0, "min_valuation": None}, True,
+    ),
     (Letter, {"kind": "B", "site": 1, "sign": 0}, {"kind": "C", "site": 2}, {"sign": 0}, True),
     (
         Relation,
@@ -147,7 +161,13 @@ def test_record_semantics(cls, fields, others, defaults, hashable):
     assert record == cls(*values) == cls(**fields)
     for name, other in others.items():
         assert record != cls(**dict(fields, **{name: other}))
+    # a record holds its values in order, but never equals their plain tuple
+    assert tuple(record) == values
+    assert not record == values and not values == record
     assert record != values and values != record
+    # records do not order
+    with pytest.raises(TypeError):
+        record < record
     assert copy.copy(record) == copy.deepcopy(record) == pickle.loads(pickle.dumps(record)) == record
     assert repr(record) == f"{cls.__name__}(" + ", ".join(f"{k}={v!r}" for k, v in fields.items()) + ")"
     required = values[: len(values) - len(defaults)]
@@ -155,32 +175,34 @@ def test_record_semantics(cls, fields, others, defaults, hashable):
     assert [getattr(cls(*required), name) for name in defaults] == list(defaults.values())
     # the constructor's signature shows the fields in order, with the defaults
     parameters = inspect.signature(cls).parameters
-    assert list(parameters) == list(fields) == list(cls.__slots__)
+    assert list(parameters) == list(fields) == list(cls._fields)
     assert {k: p.default for k, p in parameters.items() if p.default is not p.empty} == defaults
     if hashable:
         assert hash(record) == hash(cls(*values))
     else:
         with pytest.raises(TypeError):
             hash(record)
-    # every record is read-only
+    # every record is read-only, and takes no attribute beyond its fields
     first = next(iter(fields))
     with pytest.raises(AttributeError):
         setattr(record, first, values[0])
     with pytest.raises(AttributeError):
         delattr(record, first)
+    with pytest.raises(AttributeError):
+        record.extra = 1
     assert record == cls(*values)
 
 
 def test_records_get_their_constructors_from_their_slots():
     # Letter alone writes a constructor in its module, as it validates its
-    # fields; every other record's is built from its slots
+    # fields; every other record's is built from its fields
     for name in SUBMODULES:
         importlib.import_module(f"qtorus.{name}")
     classes, written = [Record], []
     for cls in classes:
         classes.extend(cls.__subclasses__())
-        init = vars(cls).get("__init__")
-        if init is not None and init.__code__.co_filename == sys.modules[cls.__module__].__file__:
+        new = vars(cls).get("__new__")
+        if new is not None and new.__func__.__code__.co_filename == sys.modules[cls.__module__].__file__:
             written.append(cls)
     assert {cls for cls, *_ in RECORDS} <= set(classes)
     assert written == [Letter]

@@ -32,7 +32,13 @@ from qtorus.errors import InvalidParams
 from qtorus.scripts import _matching_steps, _pattern_index
 from qtorus.scripts import braid_script, random_walk, structural_relations
 from qtorus.series import FactoredRational, LaurentSeries
-from qtorus.verifier import coefficient_of, exact_window_map, product_coefficients, window_targets
+from qtorus.verifier import (
+    TupleCertificate,
+    coefficient_of,
+    exact_window_map,
+    product_coefficients,
+    window_targets,
+)
 from qtorus.words import (
     DerivationScript,
     S,
@@ -701,7 +707,9 @@ def test_compare_words_keeps_the_rank_of_a_call_without_points(monkeypatch):
 
     def pointless(*args):
         for target, series, cert in inner(*args):
-            yield target, series, cert._replace(points=(), tuple_count=0, max_index=0)
+            yield target, series, TupleCertificate(
+                cert.product, cert.exponents, cert.reason, (), 0, 0, cert.min_valuation
+            )
 
     monkeypatch.setattr(catalog, "product_coefficients", pointless)
     rel = _chain_pairs(2)[0]

@@ -277,7 +277,7 @@ def test_readme_lists_the_certificate_fields_in_order():
     readme = (ROOT / "README.md").read_text()
     assert readme_certificate_fields(readme, "TupleCertificate") == list(TupleCertificate._fields)
     assert readme_certificate_fields(readme, "ProductCertificate") == list(
-        ProductCertificate.__slots__
+        ProductCertificate._fields
     )
 
 
