@@ -320,41 +320,37 @@ def structural_relations(sites: int) -> list[Relation]:
 
 
 def _pattern_index(relations: Sequence[Relation]) -> dict:
-    """Both sides of every relation, keyed by their first letter, as
-    (relation index, 0 for lhs or 1 for rhs, pattern, relation).  Every
-    side is a non-empty word of :class:`Letter`, as in
-    :func:`structural_relations`."""
+    """Both sides of every relation, keyed by length, then by the whole side,
+    as (relation index, 0 for lhs or 1 for rhs, relation).  Every side is a
+    non-empty word of :class:`Letter`, as in :func:`structural_relations`."""
     index: dict = {}
     for r, rel in enumerate(relations):
         for rev, side in enumerate((rel.lhs, rel.rhs)):
-            pattern = tuple(side)
-            index.setdefault(pattern[0], []).append((r, rev, pattern, rel))
+            index.setdefault(len(side), {}).setdefault(tuple(side), []).append((r, rev, rel))
     return index
 
 
 def _matching_steps(word: tuple, index: dict) -> list[Step]:
-    """Every step whose pattern, from :func:`_pattern_index`, matches the
-    word of :class:`Letter`, ordered by relation index, then forward before
-    reverse, then position."""
+    """Every step whose whole side, from :func:`_pattern_index`, is a window
+    of the word of :class:`Letter`, ordered by relation index, then forward
+    before reverse, then position."""
     found = [
         (r, rev, pos, rel)
-        for pos, letter in enumerate(word)
-        for r, rev, pattern, rel in index.get(letter, ())
-        if word[pos : pos + len(pattern)] == pattern
+        for n, sides in index.items()
+        for pos in range(len(word) - n + 1)
+        for r, rev, rel in sides.get(word[pos : pos + n], ())
     ]
     found.sort(key=itemgetter(0, 1, 2))
     return [Step(pos, rel, not rev) for _, rev, pos, rel in found]
 
 
 def random_walk(
-    start: Word,
-    sites: int,
-    steps: int,
-    rng: random.Random,
-    length_cap: int = 16,
+    start: Word, sites: int, steps: int, rng: random.Random, length_cap: int
 ) -> tuple[list[Word], list[Step]]:
-    """Seeded walk through the rewrite system, biased toward steps that do
-    not grow the word, and refusing steps that would exceed the length cap.
+    """Seeded walk through the rewrite system: each step that matches a whole
+    side is applied once, images longer than `length_cap` are refused, and a
+    step is weighed by the image: 4 if shorter than the word, 2 if as long,
+    1 if longer.
 
     Returns the word trace (including the start) and the steps taken; the
     walk stops early if no step is admissible.
@@ -364,21 +360,16 @@ def random_walk(
     trace = [word]
     taken: list[Step] = []
     for _ in range(steps):
-        candidates = _matching_steps(word, index)
-        weighted: list[tuple[Step, int]] = []
-        for st in candidates:
-            pattern = st.relation.lhs if st.forward else st.relation.rhs
-            replacement = st.relation.rhs if st.forward else st.relation.lhs
-            delta = len(replacement) - len(pattern)
-            if len(word) + delta > length_cap:
-                continue
-            weighted.append((st, 4 if delta < 0 else (2 if delta == 0 else 1)))
-        if not weighted:
+        candidates = [
+            (step, image)
+            for step in _matching_steps(word, index)
+            if len(image := apply_step(word, step)) <= length_cap
+        ]
+        if not candidates:
             break
-        chosen = rng.choices(
-            [st for st, _ in weighted], weights=[w for _, w in weighted], k=1
-        )[0]
-        word = apply_step(word, chosen)
+        n = len(word)
+        weights = [4 if len(image) < n else 2 if len(image) == n else 1 for _, image in candidates]
+        step, word = rng.choices(candidates, weights=weights)[0]
         trace.append(word)
-        taken.append(chosen)
+        taken.append(step)
     return trace, taken

@@ -370,46 +370,43 @@ class ProductCertificate(Record):
     _defaults = {"pairs": ()}
 
 
+def _pair_range(m: int, left: int) -> range:
+    """The b >= 0 with 2b(b + |m|) < `left` (>= 1), those a pair of net index
+    m admits: b <= (isqrt(2 left - 2 + m^2) - |m|) // 2."""
+    return range((math.isqrt(2 * left - 2 + m * m) - abs(m)) // 2 + 1)
+
+
 def _split(ms: Sequence[int], budget: int) -> tuple[int, int]:
     """Number and largest entry of the uncollapsed tuples over one collapsed
     point whose pairs have net indices `ms`, with `budget` = P - Q(point).
 
     A pair with net m is (b + |m|, b) or (b, b + |m|) for a b >= 0, and
     k_a^2 + k_b^2 = m^2 + 2b(b + |m|), so the kept b-vectors are those with
-    sum 2 b_i (b_i + |m_i|) < budget.  With `left` of the budget, a pair
-    admits every b <= (isqrt(2 left - 2 + m^2) - |m|) // 2: the first pairs'
-    b are listed with the budget each leaves, and the last pair's counted;
-    each pair's largest entry comes with the others' b at 0.
+    sum 2 b_i (b_i + |m_i|) < budget.  The first pairs' b, from
+    :func:`_pair_range`, are listed with the budget each leaves, and the
+    last pair's counted; each pair's largest entry is |m| + its largest b.
     """
-    ms = [abs(m) for m in ms]
     lefts = [budget]
-    for m in ms[:-1]:
-        lefts = [
-            left - 2 * b * (b + m)
-            for left in lefts
-            for b in range((math.isqrt(2 * left - 2 + m * m) - m) // 2 + 1)
-        ]
-    m = ms[-1]
-    count = sum((math.isqrt(2 * left - 2 + m * m) - m) // 2 + 1 for left in lefts)
-    return count, max((math.isqrt(2 * budget - 2 + m * m) + m) // 2 for m in ms)
+    for m in map(abs, ms[:-1]):
+        lefts = [left - 2 * b * (b + m) for left in lefts for b in _pair_range(m, left)]
+    count = sum(len(_pair_range(ms[-1], left)) for left in lefts)
+    return count, max(abs(m) + len(_pair_range(m, budget)) - 1 for m in ms)
 
 
 def _expand_points(
     product: ProductCertificate, points: Iterable[tuple[tuple[int, ...], int]]
 ) -> tuple[tuple[int, ...], ...]:
     """The sorted uncollapsed tuples over collapsed `points`, pairs of a
-    point and its valuation Q: each pair's net m splits as in :func:`_split`."""
+    point and its valuation Q: each pair's net m splits over :func:`_pair_range`."""
     out = []
     for point, qval in points:
         partial = [((), product.precision - qval)]
         for u, m in enumerate(point):
-            pair = u in product.pairs
             partial = [
-                (k + ((b + max(m, 0), b + max(-m, 0)) if pair else (m,)), left - cost)
+                (k + (b + max(m, 0), b + max(-m, 0)), left - 2 * b * (b + abs(m)))
                 for k, left in partial
-                for b in (range(left) if pair else (0,))
-                if (cost := 2 * b * (b + abs(m))) < left
-            ]
+                for b in _pair_range(m, left)
+            ] if u in product.pairs else [(k + (m,), left) for k, left in partial]
         out.extend(k for k, _ in partial)
     return tuple(sorted(out))
 

@@ -34,6 +34,7 @@ from qtorus.words import (
     expand_composites,
     parse_script,
     parse_word,
+    rel1,
     render_script,
     replay,
 )
@@ -235,6 +236,14 @@ class TestWalks:
         assert Step(0, comm0(1), True) in steps
         assert all(st.position == 0 for st in steps)
 
+    def test_applicable_steps_word_ends_in_a_side_prefix(self):
+        # the word is a proper prefix of rel1(1)'s left side: no window of
+        # that length fits in it, and the shorter sides still match
+        rels = structural_relations(4)
+        word = parse_word("s2+ s1- s1+")
+        assert tuple(rel1(1).lhs[:3]) == word and len(rel1(1).lhs) == 4
+        assert _matching_steps(word, _pattern_index(rels)) == scan_applicable_steps(word, rels)
+
     @pytest.mark.parametrize("sites", range(2, 7))
     def test_each_far_commutation_listed_once(self, sites):
         rels = structural_relations(sites)
@@ -257,10 +266,10 @@ class TestWalks:
 
     def test_walk_deterministic_under_seed(self):
         start = expand_composites((B(1), B(2)))
-        t1, s1 = random_walk(start, 3, 30, random.Random(7))
-        t2, s2 = random_walk(start, 3, 30, random.Random(7))
+        t1, s1 = random_walk(start, 3, 30, random.Random(7), 16)
+        t2, s2 = random_walk(start, 3, 30, random.Random(7), 16)
         assert t1 == t2 and s1 == s2
-        t3, _ = random_walk(start, 3, 30, random.Random(8))
+        t3, _ = random_walk(start, 3, 30, random.Random(8), 16)
         assert t3 != t1  # overwhelmingly likely under a different seed
 
     def test_walk_respects_length_cap(self):
@@ -271,14 +280,33 @@ class TestWalks:
         trace, _ = random_walk(start, 4, 60, random.Random(3), length_cap=len(start))
         assert all(len(w) <= len(start) for w in trace)
 
+    def test_walk_reaches_words_as_long_as_its_cap(self):
+        # capped at its own length, the walk still takes the steps whose
+        # image is exactly that long
+        start = parse_word("s1+ s2- s1- s3+ s2+ s3-")
+        trace, _ = random_walk(start, 4, 20, random.Random(3), length_cap=len(start))
+        assert any(len(w) == len(start) for w in trace[1:])
+
+    def test_walk_steps_are_pinned(self):
+        # a fixed-seed walk's (family, direction) sequence: the weights 4, 2
+        # and 1 for shorter, equal and longer images and the cap decide it
+        start = parse_word("s1+ s2- s1- s3+ s2+ s3-")
+        trace, steps = random_walk(start, 4, 12, random.Random(1), 8)
+        assert [(st.relation.rid, st.forward) for st in steps] == [
+            ("rel2", False), ("comm0", True), ("comm0", False), ("rel2", True),
+            ("rel3", False), ("rel3", True), ("far", True), ("far", False),
+            ("rel2", False), ("rel2", True), ("far", True), ("far", False),
+        ]
+        assert [len(w) for w in trace] == [6, 7, 7, 7, 6, 7, 6, 6, 6, 7, 6, 6, 6]
+
     def test_walk_stops_when_no_step_applies(self):
         start = parse_word("s1+ s1+")
-        trace, steps = random_walk(start, 3, 10, random.Random(0))
+        trace, steps = random_walk(start, 3, 10, random.Random(0), 16)
         assert trace == [start] and steps == []
 
     def test_walk_preserves_image(self):
         start = expand_composites((B(1), B(2)))
-        trace, _ = random_walk(start, 3, 12, random.Random(11))
+        trace, _ = random_walk(start, 3, 12, random.Random(11), 16)
         for word in trace[1:]:
             assert _same_image(start, word, 3, 1, 8) is True
 

@@ -585,6 +585,14 @@ class TestTripleProductCollapse:
                 }
                 assert {e: c for e, c in got.items() if c} == want, (eps, m)
 
+    def test_pair_range_against_its_definition(self):
+        # the b a pair of net index m admits with `left` of the budget:
+        # those whose extra valuation 2b(b + |m|) stays below it
+        for m in range(-8, 9):
+            for left in range(1, 201):
+                want = [b for b in range(left) if 2 * b * (b + abs(m)) < left]
+                assert list(verifier._pair_range(m, left)) == want, (m, left)
+
     def test_split_count_against_pair_entries(self):
         # the tuples over one collapsed point: each pair's entries
         # (k_a, k_b) with k_a - k_b = m, adding k_a^2 + k_b^2 - m^2 to the
