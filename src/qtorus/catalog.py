@@ -483,9 +483,7 @@ def _plan_walk(p: dict):
     n_sites, seed = p["N"], p["seed"]
     if n_sites < 3:
         raise InvalidParams("walk words need at least three sites")
-    trace, _ = random_walk(
-        _WALK_START, n_sites, _WALK_STEPS, random.Random(seed), _WALK_LENGTH_CAP
-    )
+    trace, _ = random_walk(_WALK_START, _WALK_STEPS, random.Random(seed), _WALK_LENGTH_CAP)
     return _walk, (seed, trace, n_sites, p["W"], p["P"])
 
 

@@ -20,7 +20,8 @@ replay; no generator "discovers" a proof at run time.  The families are:
   lemmas used to reorder products of ``b`` or ``c`` letters.
 
 :func:`random_walk` drives a seeded walk through the structural rewrite
-system.
+system; it reads only the relations on its start's sites, and a check of the
+chain's size belongs to its caller (the catalog's ``rewrite_walk`` plan).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .words import (
     C,
     DerivationScript,
     ExpLetter,
+    Letter,
     Relation,
     Step,
     Word,
@@ -142,6 +144,17 @@ def sigma_script2(n: int, sites: int) -> DerivationScript:
     return DerivationScript(f"sigma_rel2({n})", start, steps, end)
 
 
+def _far_swap(name: str, x: Letter, y: Letter) -> DerivationScript:
+    """Expansion ``a b c d`` of the composite letters ``x y`` rewrites to
+    ``c d a b``, that of ``y x``, by far-commuting (b, c), (a, c), (b, d), (a, d)."""
+    start = a, b, c, d = expand_composites((x, y))
+    steps = tuple(
+        Step(pos, far(u.site, u.sign, v.site, v.sign), True)
+        for pos, u, v in ((1, b, c), (0, a, c), (2, b, d), (1, a, d))
+    )
+    return DerivationScript(name, start, steps, expand_composites((y, x)))
+
+
 def sigma_commute_script(m: int, n: int, sites: int) -> DerivationScript:
     """Expansion of ``c_m c_n`` rewrites to that of ``c_n c_m`` when the
     letters are more than two sites apart."""
@@ -149,16 +162,7 @@ def sigma_commute_script(m: int, n: int, sites: int) -> DerivationScript:
         raise InvalidParams("needs |m - n| > 2")
     if m < 1 or n < 1 or max(m, n) + 1 > sites:
         raise InvalidParams("sites too small for the letters")
-    mm, nn = m + 1, n + 1
-    start = expand_composites((C(m), C(n)))
-    end = expand_composites((C(n), C(m)))
-    steps = (
-        Step(1, far(mm, 1, n, -1), True),
-        Step(0, far(m, -1, n, -1), True),
-        Step(2, far(mm, 1, nn, 1), True),
-        Step(1, far(m, -1, nn, 1), True),
-    )
-    return DerivationScript(f"sigma_commute({m},{n})", start, steps, end)
+    return _far_swap(f"sigma_commute({m},{n})", C(m), C(n))
 
 
 def bcomm_script(m: int, n: int, sites: int) -> DerivationScript:
@@ -168,15 +172,7 @@ def bcomm_script(m: int, n: int, sites: int) -> DerivationScript:
         raise InvalidParams("needs |m - n| >= 2")
     if m < 1 or n < 1 or max(m, n) > sites:
         raise InvalidParams("sites too small for the letters")
-    start = expand_composites((B(m), B(n)))
-    end = expand_composites((B(n), B(m)))
-    steps = (
-        Step(1, far(m, -1, n, 1), True),
-        Step(0, far(m, 1, n, 1), True),
-        Step(2, far(m, -1, n, -1), True),
-        Step(1, far(m, 1, n, -1), True),
-    )
-    return DerivationScript(f"b_commute({m},{n})", start, steps, end)
+    return _far_swap(f"b_commute({m},{n})", B(m), B(n))
 
 
 # ---------------------------------------------------------------------------
@@ -345,17 +341,21 @@ def _matching_steps(word: tuple, index: dict) -> list[Step]:
 
 
 def random_walk(
-    start: Word, sites: int, steps: int, rng: random.Random, length_cap: int
+    start: Word, steps: int, rng: random.Random, length_cap: int
 ) -> tuple[list[Word], list[Step]]:
     """Seeded walk through the rewrite system: each step that matches a whole
     side is applied once, images longer than `length_cap` are refused, and a
     step is weighed by the image: 4 if shorter than the word, 2 if as long,
     1 if longer.
 
+    Every relation keeps the sites a word touches, so the walk reads only
+    the relations on its start's sites, and is the same on every chain that
+    holds them; checking the chain's size is the caller's part.
+
     Returns the word trace (including the start) and the steps taken; the
     walk stops early if no step is admissible.
     """
-    index = _pattern_index(structural_relations(sites))
+    index = _pattern_index(structural_relations(max((x.site for x in start), default=0)))
     word = tuple(start)
     trace = [word]
     taken: list[Step] = []

@@ -596,9 +596,7 @@ def test_walk_words_touch_the_start_sites(sites):
     for rel in structural_relations(sites):
         assert {x.site for x in rel.lhs} == {x.site for x in rel.rhs}, rel.rid
     for seed in range(20):
-        trace, _ = random_walk(
-            _WALK_START, sites, _WALK_STEPS, random.Random(seed), _WALK_LENGTH_CAP
-        )
+        trace, _ = random_walk(_WALK_START, _WALK_STEPS, random.Random(seed), _WALK_LENGTH_CAP)
         assert all({x.site for x in word} == {1, 2, 3} for word in trace), seed
 
 

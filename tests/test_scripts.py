@@ -1,9 +1,11 @@
 """Derivation-script generators: replay validity, images, and walks."""
 
+import hashlib
 import random
 
 import pytest
 
+from qtorus import scripts
 from qtorus.errors import InvalidParams
 from qtorus.scripts import (
     _matching_steps,
@@ -21,7 +23,7 @@ from qtorus.scripts import (
     sigma_translation_rev,
     structural_relations,
 )
-from qtorus.catalog import _compare_words, fold_certificate
+from qtorus.catalog import _WALK_STEPS, _compare_words, fold_certificate
 from qtorus.verifier import ProductCertificate, TupleCertificate
 from qtorus.words import (
     B,
@@ -36,6 +38,7 @@ from qtorus.words import (
     parse_word,
     rel1,
     render_script,
+    render_word,
     replay,
 )
 
@@ -128,6 +131,27 @@ class TestCommutationScripts:
         # c_4 reaches site 5, and b_3 site 3
         with pytest.raises(InvalidParams, match="sites too small for the letters"):
             build(*args)
+
+    @pytest.mark.parametrize(
+        "build, digest",
+        [
+            (bcomm_script, "d38edac9d8e9aa51619b40843d1b463fd75d3f0b74df8580a7b01ce09c68afa9"),
+            (sigma_commute_script, "2d6b4ff147abb5d629c0448436820fa34434b6907dcfe064e51a127a966220ec"),
+        ],
+        ids=["bcomm", "sigma_commute"],
+    )
+    def test_scripts_are_pinned(self, build, digest):
+        # the name, start, steps and end of the script for every m, n in
+        # 1..11 on 12 sites, or the error for letters too close, as the
+        # generators gave them when each listed its four far steps by hand
+        text = []
+        for m in range(1, 12):
+            for n in range(1, 12):
+                try:
+                    text.append(render_script(build(m, n, 12)))
+                except InvalidParams as exc:
+                    text.append(f"error: {exc}\n")
+        assert hashlib.sha256("".join(text).encode()).hexdigest() == digest
 
     def test_distance_two_letters_do_not_commute(self):
         # images of c1 c3 and c3 c1 differ, so no commutation relation is
@@ -266,10 +290,10 @@ class TestWalks:
 
     def test_walk_deterministic_under_seed(self):
         start = expand_composites((B(1), B(2)))
-        t1, s1 = random_walk(start, 3, 30, random.Random(7), 16)
-        t2, s2 = random_walk(start, 3, 30, random.Random(7), 16)
+        t1, s1 = random_walk(start, 30, random.Random(7), 16)
+        t2, s2 = random_walk(start, 30, random.Random(7), 16)
         assert t1 == t2 and s1 == s2
-        t3, _ = random_walk(start, 3, 30, random.Random(8), 16)
+        t3, _ = random_walk(start, 30, random.Random(8), 16)
         assert t3 != t1  # overwhelmingly likely under a different seed
 
     def test_walk_respects_length_cap(self):
@@ -277,21 +301,21 @@ class TestWalks:
         start = parse_word("s1+ s2- s1- s3+ s2+ s3-")
         index = _pattern_index(structural_relations(4))
         assert any(len(apply_step(start, st)) > len(start) for st in _matching_steps(start, index))
-        trace, _ = random_walk(start, 4, 60, random.Random(3), length_cap=len(start))
+        trace, _ = random_walk(start, 60, random.Random(3), length_cap=len(start))
         assert all(len(w) <= len(start) for w in trace)
 
     def test_walk_reaches_words_as_long_as_its_cap(self):
         # capped at its own length, the walk still takes the steps whose
         # image is exactly that long
         start = parse_word("s1+ s2- s1- s3+ s2+ s3-")
-        trace, _ = random_walk(start, 4, 20, random.Random(3), length_cap=len(start))
+        trace, _ = random_walk(start, 20, random.Random(3), length_cap=len(start))
         assert any(len(w) == len(start) for w in trace[1:])
 
     def test_walk_steps_are_pinned(self):
         # a fixed-seed walk's (family, direction) sequence: the weights 4, 2
         # and 1 for shorter, equal and longer images and the cap decide it
         start = parse_word("s1+ s2- s1- s3+ s2+ s3-")
-        trace, steps = random_walk(start, 4, 12, random.Random(1), 8)
+        trace, steps = random_walk(start, 12, random.Random(1), 8)
         assert [(st.relation.rid, st.forward) for st in steps] == [
             ("rel2", False), ("comm0", True), ("comm0", False), ("rel2", True),
             ("rel3", False), ("rel3", True), ("far", True), ("far", False),
@@ -301,12 +325,44 @@ class TestWalks:
 
     def test_walk_stops_when_no_step_applies(self):
         start = parse_word("s1+ s1+")
-        trace, steps = random_walk(start, 3, 10, random.Random(0), 16)
+        trace, steps = random_walk(start, 10, random.Random(0), 16)
         assert trace == [start] and steps == []
+
+    @pytest.mark.parametrize(
+        "start, digest",
+        [
+            ("s1+ s1- s2+ s2- s3+ s3-", "0361fb883f20ba96fa638d05f4cd12b14f16f5935addb25492b5ce41ccdbeefc"),
+            ("s1+ s2- s1- s3+ s2+ s3-", "3dbf58ac118a3b31c8955e1a642e529f8b876eae863f2526edf39c56983cd873"),
+            ("s2+ s1- s1+ s3- s3+ s2-", "7aa2724c6c1d025f3f631061fe7ee9fe3d7d61571e76cdad96e02852b815ab4c"),
+            ("s3+ s4- s3- s5+ s4+ s5-", "22e82e05fcf500ad019418f780e5ad1129e4d967a14777757c9e24c71e6a2775"),
+        ],
+        ids=["catalog_start", "orbit_start", "from_site_2", "sites_3_to_5"],
+    )
+    def test_walk_is_pinned_on_every_chain(self, monkeypatch, start, digest):
+        # every trace word and step of the walks for seeds 0..9 and caps 8
+        # and 16, as recorded when the walk indexed every relation of a
+        # chain of the start's highest site, of 8 or of 32 sites (all three
+        # gave this digest): indexing the start's sites gives it, and so does
+        # indexing each of those whole chains
+        def digest_of_walks():
+            h = hashlib.sha256()
+            for seed in range(10):
+                for cap in (8, 16):
+                    trace, steps = random_walk(word, _WALK_STEPS, random.Random(seed), cap)
+                    lines = [*map(render_word, trace), *map(str, steps)]
+                    h.update(("\n".join(lines) + "\n\n").encode())
+            return h.hexdigest()
+
+        word = parse_word(start)
+        assert digest_of_walks() == digest
+        chain = scripts.structural_relations
+        for sites in (max(x.site for x in word), 8, 32):
+            monkeypatch.setattr(scripts, "structural_relations", lambda _, n=sites: chain(n))
+            assert digest_of_walks() == digest, sites
 
     def test_walk_preserves_image(self):
         start = expand_composites((B(1), B(2)))
-        trace, _ = random_walk(start, 3, 12, random.Random(11), 16)
+        trace, _ = random_walk(start, 12, random.Random(11), 16)
         for word in trace[1:]:
             assert _same_image(start, word, 3, 1, 8) is True
 
