@@ -68,6 +68,8 @@ def euler_expansion(
     differ by the single factor 1/(1 - x^m), so each expansion is a copy of
     its parent's after one running-sum pass.  A multiset of zeros gives 1.
     """
+    if any(k < 0 for k in orders):
+        raise ValueError("order must be >= 0")
     chain = []
     while orders not in expansions:
         if not orders or not orders[-1]:

@@ -94,14 +94,14 @@ arguments x (sums of monomials with all site exponents >= 0) exactly, with
 coefficients as rational functions of q, compared without division over a
 common denominator: exponent vectors only grow under multiplication, so a
 degree window bounds the series orders that can contribute, and no
-truncation is ever introduced.  Each argument's powers are built once,
-inside the window, and every product skips the term pairs that leave it.
-A target's terms are summed as integers per multiset of k, which fixes
-their denominator, and the classes are brought to one denominator per
-target, smallest multiset first, by :func:`~qtorus.series.widen`: a
-numerator times the cached expansion of the cyclotomic factors its
-denominator lacks.  Each coefficient is a
-:class:`~qtorus.series.FactoredRational`.
+truncation is ever introduced.  Each argument x is multiplied in once per
+series order, a partial product times x^k being the one for k - 1 times x,
+and every product skips the term pairs that leave the window.  A target's
+terms are summed as integers per multiset of k, which fixes their
+denominator, and the classes are brought to one denominator per target,
+smallest multiset first, by :func:`~qtorus.series.widen`: a numerator
+times the cached expansion of the cyclotomic factors its denominator
+lacks.  Each coefficient is a :class:`~qtorus.series.FactoredRational`.
 """
 
 from __future__ import annotations
@@ -713,41 +713,30 @@ def exact_window_map(
                 )
 
     # exponent vectors only grow along a product, so every product is taken
-    # inside the window, and each argument's powers are built once
-    one = {(0,) * sites: {0: 1}}
-    tables = []
+    # inside the window.  A leaf is (partial product, sum of k^2, orders k);
+    # each argument x replaces a leaf by it times x^k for k = 0, 1, ...
+    leaves = [({(0,) * sites: {0: 1}}, 0, ())]
     for x in args:
-        power = one
-        base = mul_terms(one, x.terms, window)
-        table = [one]
-        # x's monomials have positive degree, so x^k is empty once k > sites * window
-        while power := mul_terms(power, base, window):
-            table.append(power)
-        tables.append(table)
+        grown = []
+        for terms, qpow, ks in leaves:
+            k = 0
+            # x's monomials have positive degree, so the product is empty once k > sites * window
+            while terms:
+                grown.append((terms, qpow + k * k, ks + (k,)))
+                terms = mul_terms(terms, x.terms, window)
+                k += 1
+        leaves = grown
+    max_order = max(max(ks) for _, _, ks in leaves)
 
-    # leaf numerators summed as integers: target -> multiset of the nonzero
-    # k -> Laurent numerator over that multiset's denominator
+    # leaf numerators summed as integers: target -> sorted orders -> Laurent
+    # numerator over their denominator (an order 0 adds no factor)
     sums: dict[tuple[int, ...], dict[tuple[int, ...], dict[int, int]]] = {}
-    max_order = 0
-
-    def descend(i: int, partial: dict, qpow: int, ks: tuple[int, ...]) -> None:
-        nonlocal max_order
-        if i == len(tables):
-            max_order = max(max_order, *ks, 0)
-            ks = tuple(sorted(ks))
-            for vec, coeff in partial.items():
-                num = sums.setdefault(vec, {}).setdefault(ks, {})
-                for e, c in coeff.items():
-                    num[e + qpow] = num.get(e + qpow, 0) + c
-            return
-        descend(i + 1, partial, qpow, ks)
-        for k, power in enumerate(tables[i][1:], 1):
-            branch = mul_terms(partial, power, window)
-            if not branch:
-                break
-            descend(i + 1, branch, qpow + k * k, ks + (k,))
-
-    descend(0, one, 0, ())
+    for terms, qpow, ks in leaves:
+        ks = tuple(sorted(ks))
+        for vec, coeff in terms.items():
+            num = sums.setdefault(vec, {}).setdefault(ks, {})
+            for e, c in coeff.items():
+                num[e + qpow] = num.get(e + qpow, 0) + c
 
     # each target's classes, smallest multiset first, join one running sum:
     # the factors a class lacks widen it, and those the sum lacks widen the sum

@@ -361,11 +361,11 @@ def exact_window_map_by_elements(
     window: int,
 ) -> tuple[dict[tuple[int, ...], tuple[list[int], list[int]]], int]:
     """The exact engine's coefficients of  E(x_1) ... E(x_L)  on the window
-    of exponent vectors with every component in 0..window, as it computed
-    them before its power tables: a depth-first walk over the orders
-    (k_1, .., k_L) that rebuilds every power of the later factors on every
-    branch with :class:`Element` products, and cuts each product to the
-    window afterwards.  Each leaf term is a dense (numerator, denominator)
+    of exponent vectors with every component in 0..window, from the series
+    directly: a depth-first walk over the orders (k_1, .., k_L) that
+    rebuilds every power of the later factors on every branch with
+    :class:`Element` products, and cuts each product to the window
+    afterwards.  Each leaf term is a dense (numerator, denominator)
     pair, its denominator multiplied out from :func:`naive_cyclotomic`, and
     a target's terms are summed by :func:`rational_add`, unreduced.
     Returns (target -> (numerator, denominator), largest series order that

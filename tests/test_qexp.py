@@ -50,6 +50,14 @@ class TestEulerCoefficients:
         with pytest.raises(ValueError, match="order must be >= 0"):
             euler_denominator_factors(-1)
 
+    def test_expansion_refuses_negative_order_before_any_work(self):
+        # unchecked, (-1,) lowers itself without end and (-1, 2) reads as (2,)
+        for orders, size in (((-1,), 4), ((-1, 2), 5)):
+            built = {}
+            with pytest.raises(ValueError, match="order must be >= 0"):
+                euler_expansion(built, orders, size)
+            assert built == {}
+
     def test_c1_series(self):
         # c_1 / q mod q^8 in powers of q^2: one running-sum pass of 1/(1 - q^2)
         assert divide_by_one_minus([-1, 0, 0, 0], 1) == [-1, -1, -1, -1]

@@ -1,11 +1,13 @@
 """Source hygiene checks: unused imports and private helpers without a
 caller, read from the code, README's lists of records and certificate
 fields and of the ``verify`` flags against the code, the command line's
-one place that catches errors, and the modules that importing the command
-line loads."""
+one place that catches errors, the modules that importing the command
+line loads, and the planted faults of ``tools/mutate.py`` against the
+code they plant into."""
 
 import argparse
 import ast
+import importlib.util
 import os
 import re
 import subprocess
@@ -385,6 +387,35 @@ def test_scan_sees_a_handler_outside_main(tmp_path):
         "        return 2\n"
     )
     assert handlers_outside(module, "main") == [4, 10]
+
+
+def stale_faults(faults, root: Path) -> list[str]:
+    """The descriptions of the entries of a ``tools/mutate.py``-style fault
+    list whose snippet does not occur exactly once in its file under `root`."""
+    return [
+        why for path, snippet, _, why in faults if (root / path).read_text().count(snippet) != 1
+    ]
+
+
+def test_no_planted_fault_is_stale():
+    # a stale entry plants nothing, so it would only show when the harness runs
+    spec = importlib.util.spec_from_file_location("mutate", ROOT / "tools" / "mutate.py")
+    mutate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutate)
+    assert mutate.FAULTS
+    assert stale_faults(mutate.FAULTS, ROOT) == []
+    # the harness deselects this test by name in its faulted runs
+    assert mutate.STALE_CHECK == f"tests/test_tooling.py::{test_no_planted_fault_is_stale.__name__}"
+
+
+def test_scan_sees_a_stale_fault(tmp_path):
+    (tmp_path / "m.py").write_text("a = 1\nb = 1\n")
+    faults = [
+        ("m.py", "a = 1", "a = 2", "once"),
+        ("m.py", "c = 1", "c = 2", "missing"),
+        ("m.py", " = 1", " = 2", "twice"),
+    ]
+    assert stale_faults(faults, tmp_path) == ["missing", "twice"]
 
 
 def modules_loaded_by_cli_import(names: tuple[str, ...]) -> list[str]:

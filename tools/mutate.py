@@ -11,26 +11,55 @@ why the suite should notice.  For each entry the checkout, without
 ``tests/``), the snippet is replaced there, and
 ``python -m pytest -x -q -p no:cacheprovider`` runs in the copy with
 ``PYTHONPATH=src``, one process at a time.  The fault must make the suite
-fail.  The unchanged copy is run first, and must pass.  The runs have no
-time or memory limit, so a fault that makes the suite loop without end
-has no entry.
+fail.  The unchanged copy is run first, and must pass.  A faulted run
+deselects ``STALE_CHECK``, which checks that every snippet occurs, since
+the fault has just replaced its own.
 
-One line is printed per entry: ``killed``, ``SURVIVED`` (the suite passed
-with the fault in place) or ``STALE`` (the snippet does not occur exactly
-once, so the entry no longer describes the code).  The exit status is 1
-if the unchanged suite fails or any entry survived or is stale.
+Every run is bounded, so a fault that makes the suite loop or grow without
+end still counts.  Each runs in its own session with an address-space cap
+of ``MEMORY_CAP`` bytes (``RLIMIT_AS``, set in the child), so an allocation
+past it raises ``MemoryError``.  A run that outlasts its time bound is
+killed with its whole process group; so is anything a finished run left
+running.  The unchanged run's bound is ``FIRST_TIMEOUT_S``; each faulted
+run's is ``TIMEOUT_FACTOR`` times the unchanged run's wall time, and at
+least ``TIMEOUT_FLOOR_S``.
+
+One line is printed per entry: ``killed``, ``killed (timed out)``,
+``killed (memory)`` (the suite failed, outlasted its bound, or failed with
+a ``MemoryError``), ``SURVIVED`` (the suite passed with the fault in place)
+or ``STALE`` (the snippet does not occur exactly once, so the entry no
+longer describes the code).  The exit status is 1 if the unchanged suite
+fails or exceeds a bound, or any entry survived or is stale.
 """
 
 from __future__ import annotations
 
 import os
+import resource
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# the unchanged suite peaks at about 240 MiB resident
+MEMORY_CAP = 2 << 30
+FIRST_TIMEOUT_S = 1200
+TIMEOUT_FACTOR = 5
+TIMEOUT_FLOOR_S = 120
+STALE_CHECK = "tests/test_tooling.py::test_no_planted_fault_is_stale"
+# a run's outcome -> the line printed for a faulted run that had it
+VERDICTS = {
+    None: "STALE",
+    "passed": "SURVIVED",
+    "failed": "killed",
+    "timed out": "killed (timed out)",
+    "out of memory": "killed (memory)",
+}
 
 FAULTS = [
     # the rewrite layer: matcher, walk, relation list and far swap
@@ -283,6 +312,18 @@ FAULTS = [
     ),
     (
         "src/qtorus/verifier.py",
+        "qpow + k * k",
+        "qpow + k",
+        "exact engine: a leaf's q-power sums k, not k^2",
+    ),
+    (
+        "src/qtorus/verifier.py",
+        "max_order = max(max(ks) for _, _, ks in leaves)",
+        "max_order = max(ks[0] for _, _, ks in leaves)",
+        "exact engine: largest order read from each leaf's first order only",
+    ),
+    (
+        "src/qtorus/verifier.py",
         '    if window < 0:\n        raise InvalidParams("window must be >= 0")\n    chosen',
         "    chosen",
         "window_targets accepts a negative window",
@@ -370,6 +411,12 @@ FAULTS = [
         "one_sign = [(i, e) for f, e, i in firsts if f not in raisers]",
         "one_sign = [(i, e) for f, e, i in firsts]",
         "every site settled as one-sign",
+    ),
+    (
+        "src/qtorus/verifier.py",
+        "one_sign = [(i, e) for f, e, i in firsts if f not in raisers]",
+        "one_sign = []",
+        "no site settled as one-sign: negative k reach the Euler expansions",
     ),
     (
         "src/qtorus/verifier.py",
@@ -647,38 +694,63 @@ FAULTS = [
 ]
 
 
-def _suite_passes(fault: tuple | None = None) -> bool | None:
-    """Whether the suite passes on a copy of the checkout with `fault`, an
-    entry of FAULTS, applied; None if its snippet does not occur exactly once."""
+def _cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
+def _run_suite(fault: tuple | None = None, timeout: float = FIRST_TIMEOUT_S) -> str | None:
+    """The suite's outcome on a copy of the checkout with `fault`, an entry
+    of FAULTS, applied: "passed", "failed", "timed out" or "out of memory";
+    None if its snippet does not occur exactly once."""
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(".git", "__pycache__"))
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
         if fault:
             path, snippet, replacement, _ = fault
             text = (tree / path).read_text()
             if text.count(snippet) != 1:
                 return None
             (tree / path).write_text(text.replace(snippet, replacement))
-        run = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+            # the planted fault removes its own snippet, so this check would kill every fault
+            command += ["--deselect", STALE_CHECK]
+        run = subprocess.Popen(
+            command,
             cwd=tree,
             env={**os.environ, "PYTHONPATH": "src"},
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            start_new_session=True,
+            preexec_fn=_cap_memory,
         )
-        return run.returncode == 0
+        try:
+            output, _ = run.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            output = None
+        try:  # the whole group, or what the run left behind
+            os.killpg(run.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        if output is None:
+            run.communicate()
+            return "timed out"
+        if run.returncode == 0:
+            return "passed"
+        return "out of memory" if b"MemoryError" in output else "failed"
 
 
 def main() -> int:
-    if not _suite_passes():
-        print("the unchanged suite fails", flush=True)
+    start = time.monotonic()
+    outcome = _run_suite()
+    if outcome != "passed":
+        print(f"the unchanged suite did not pass ({outcome})", flush=True)
         return 1
+    timeout = max(TIMEOUT_FLOOR_S, TIMEOUT_FACTOR * (time.monotonic() - start))
     bad = 0
     for fault in FAULTS:
-        passes = _suite_passes(fault)
-        verdict = "STALE" if passes is None else "SURVIVED" if passes else "killed"
-        bad += verdict != "killed"
-        print(f"{verdict:8} {fault[0]}: {fault[3]}", flush=True)
+        verdict = VERDICTS[_run_suite(fault, timeout)]
+        bad += not verdict.startswith("killed")
+        print(f"{verdict:18} {fault[0]}: {fault[3]}", flush=True)
     return 1 if bad else 0
 
 
