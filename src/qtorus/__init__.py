@@ -57,7 +57,6 @@ from .words import (
 from .verifier import (
     ProductCertificate,
     TupleCertificate,
-    coefficient_of,
     exact_window_map,
     product_coefficients,
     window_targets,
@@ -125,7 +124,6 @@ __all__ = [
     # verifier
     "ProductCertificate",
     "TupleCertificate",
-    "coefficient_of",
     "product_coefficients",
     "window_targets",
     "exact_window_map",

@@ -239,7 +239,7 @@ def _compare_words(
             if key not in classes:
                 table = []
                 last = text = None
-                for _, series, cert in product_coefficients(word, sites, targets, precision):
+                for series, cert in product_coefficients(word, sites, targets, precision):
                     if series is not last:
                         last, text = series, str(series)
                     table.append(text)

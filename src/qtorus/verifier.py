@@ -40,7 +40,8 @@ every step of the walk is integer arithmetic, and two integer maps of the
 particular solution's entries, one to the walk's centre and one to
 lam * qmin, where qmin is the real minimum of the form on the target's
 fibre (a Schur complement).  A target with qmin >= P has no tuple and is
-settled without a walk.  :func:`coefficient_of` is its one-target call.
+settled without a walk.  One target's coefficient is the first yield of a
+call on that one target.
 Each kernel basis vector is +1 at exactly one unit index where the
 particular solution is 0, so the walk coordinates are entries of k itself
 and the walk stays in the nonnegative orthant but for the pairs' entries.
@@ -121,7 +122,6 @@ from .words import Letter, S
 __all__ = [
     "ProductCertificate",
     "TupleCertificate",
-    "coefficient_of",
     "product_coefficients",
     "window_targets",
     "exact_window_map",
@@ -357,17 +357,22 @@ class ProductCertificate(Record):
     minors, all positive, which proves Q is positive definite there, so
     each sublevel set Q < precision is finite, and by the pair lemma (see
     :func:`_split`) so is the set of uncollapsed tuples over it.
-    `kernel_rank` is the rank of the uncollapsed kernel lattice, the units'
-    rank plus one per pair.  `firsts` lists, for each site of the product
-    in order, its first unit index f, that unit's sign e and the site's
-    position i in a target vector: a target's particular solution is
-    e * target[i] at each f and 0 elsewhere.  `pairs` lists the unit index
-    of each collapsed pair.
+    `firsts` lists, for each site of the product in order, its first unit
+    index f, that unit's sign e and the site's position i in a target
+    vector: a target's particular solution is e * target[i] at each f and
+    0 elsewhere.  `pairs` lists the unit index of each collapsed pair.
+    `kernel_rank`, read from these, is the rank of the uncollapsed kernel
+    lattice: the units' rank plus one per pair, whose two entries are one
+    kernel direction more than its net index.
     """
 
     __slots__ = ()
-    _fields = ("factors", "precision", "kernel_rank", "gram_restricted", "minors", "firsts", "pairs")
+    _fields = ("factors", "precision", "gram_restricted", "minors", "firsts", "pairs")
     _defaults = {"pairs": ()}
+
+    @property
+    def kernel_rank(self) -> int:
+        return len(self.gram_restricted) + len(self.pairs)
 
 
 def _pair_range(m: int, left: int) -> range:
@@ -424,17 +429,22 @@ class TupleCertificate(Record):
     `points`, possibly none).  The first three leave no tuple.  `points`
     are the walk's points, each with its valuation, in the walk's order:
     a point is a tuple k, except that each collapsed pair of the product
-    has one entry, its net index.  `tuple_count` and `max_index` describe
-    the uncollapsed tuples, counted without listing them, and `tuples`
-    lists them, sorted, only when read.  What every target of the call
-    shares -- the factors, the precision, the kernel rank, the restricted
+    has one entry, its net index, and `min_valuation` is the least
+    valuation among them, None without one.  `tuple_count` and
+    `max_index` describe the uncollapsed tuples, counted without listing
+    them, and `tuples` lists them, sorted, only when read.  What every
+    target of the call shares -- the factors, the precision, the kernel rank, the restricted
     matrix and its minors -- is read from `product`, and the target's
     particular solution is laid out by ``product.firsts``.
     """
 
     __slots__ = ()
-    _fields = ("product", "exponents", "reason", "points", "tuple_count", "max_index", "min_valuation")
-    _defaults = {"points": (), "tuple_count": 0, "max_index": 0, "min_valuation": None}
+    _fields = ("product", "exponents", "reason", "points", "tuple_count", "max_index")
+    _defaults = {"points": (), "tuple_count": 0, "max_index": 0}
+
+    @property
+    def min_valuation(self) -> Optional[int]:
+        return min((q for _, q in self.points), default=None)
 
     @property
     def tuples(self) -> tuple[tuple[int, ...], ...]:
@@ -485,12 +495,14 @@ def product_coefficients(
     sites: int,
     targets: Iterable[Sequence[int]],
     precision: int,
-) -> Iterator[tuple[tuple[int, ...], LaurentSeries, TupleCertificate]]:
-    """Yield ``(target, series, certificate)`` for each target in order: the
-    coefficient of the normal-ordered monomial `target` in the expansion of
-    the product that `word` stands for on a chain of `sites` sites, complete
-    mod q^precision.  Every letter of `word` must be an s-letter on a site
-    in 1..sites, and every target a vector of `sites` exponents.
+) -> Iterator[tuple[LaurentSeries, TupleCertificate]]:
+    """Yield ``(series, certificate)`` for each target in order: the
+    coefficient of the normal-ordered monomial `target`, which the
+    certificate holds as its `exponents`, in the expansion of the product
+    that `word` stands for on a chain of `sites` sites, complete mod
+    q^precision; one target's is ``next(product_coefficients(word, sites,
+    [target], precision))``.  Every letter of `word` must be an s-letter
+    on a site in 1..sites, and every target a vector of `sites` exponents.
 
     The units, the product with each adjacent inverse pair collapsed, their
     kernel lattice and their restricted form depend only on the product and
@@ -534,11 +546,9 @@ def product_coefficients(
     basis, firsts, full = _lattice(units)
     rank = len(basis)
     form = _scaled_form(full, rank)
-    # a pair's two entries are one kernel direction more than its net index
     shared = ProductCertificate(
         tuple(f"E(w{f.site}" + ("^-1)" if f.sign < 0 else ")") for f in factors),
         precision,
-        rank + len(pairs),
         tuple(tuple(row[:rank]) for row in full[:rank]),
         form.minors,
         firsts,
@@ -596,7 +606,7 @@ def product_coefficients(
 
         reason = settled(target)
         if reason:
-            yield target, zero, TupleCertificate(shared, target, reason)
+            yield zero, TupleCertificate(shared, target, reason)
             continue
 
         # every point the walk returns has Q < P, and its value Q(y) is its
@@ -606,7 +616,7 @@ def product_coefficients(
         for s, t, h in h_terms:
             headroom -= h * pvec[s] * pvec[t]
         if headroom <= 0:
-            yield target, zero, TupleCertificate(shared, target, "qmin")
+            yield zero, TupleCertificate(shared, target, "qmin")
             continue
         centre = [sum(map(mul, row, pvec)) for row in form.centre_map]
         start = blank[:]
@@ -614,7 +624,7 @@ def product_coefficients(
             start[f] = p
         kept = _walk_sublevel(form, levels, start, centre, headroom, precision)
         if not kept:
-            yield target, zero, TupleCertificate(shared, target, "walk")
+            yield zero, TupleCertificate(shared, target, "walk")
             continue
 
         # each basis vector changes sum k by 1 + coeff, 0 or 2, and a pair's
@@ -658,22 +668,7 @@ def product_coefficients(
                 count += split[0]
                 if split[1] > top:
                     top = split[1]
-        yield target, total, TupleCertificate(
-            shared, target, "walk", tuple(kept), count, top, min_val
-        )
-
-
-def coefficient_of(
-    word: Sequence[Letter],
-    sites: int,
-    target: Sequence[int],
-    precision: int,
-) -> tuple[LaurentSeries, TupleCertificate]:
-    """The coefficient of the normal-ordered monomial `target` in the
-    expansion of the product that `word` stands for on a chain of `sites`
-    sites, complete mod q^precision, with its certificate."""
-    _, series, cert = next(product_coefficients(word, sites, [target], precision))
-    return series, cert
+        yield total, TupleCertificate(shared, target, "walk", tuple(kept), count, top)
 
 
 # ---------------------------------------------------------------------------

@@ -343,7 +343,7 @@ def compare_words_unshared(pairs, sites: int, window: int, precision: int):
         left = list(product_coefficients(lhs, sites, targets, precision))
         right = list(product_coefficients(rhs, sites, targets, precision))
         rows = []
-        for target, (_, ls, lc), (_, rs, rc) in zip(targets, left, right):
+        for target, (ls, lc), (rs, rc) in zip(targets, left, right):
             rows.append(_row(prefix + monomial_label(target), ls, rs))
             fold_certificate(stats, lc)
             fold_certificate(stats, rc)

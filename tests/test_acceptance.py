@@ -39,7 +39,7 @@ import qtorus.cli as cli
 from qtorus.algebra import Element
 from qtorus.catalog import verify_identity
 from qtorus.series import LaurentSeries
-from qtorus.verifier import coefficient_of, window_targets
+from qtorus.verifier import product_coefficients, window_targets
 from qtorus.words import S, comm0, rel1, rel2, rel3, rel4, replay
 from qtorus.scripts import braid_script
 
@@ -89,13 +89,13 @@ def test_criterion_2_four_vs_three_factor_window():
     ]
     ok = len(targets) == 49
     for target in targets:
-        ls, _ = coefficient_of(lhs, 2, target, 20)
-        rs, _ = coefficient_of(rhs, 2, target, 20)
+        ls, _ = next(product_coefficients(lhs, 2, [target], 20))
+        rs, _ = next(product_coefficients(rhs, 2, [target], 20))
         ok = ok and ls == rs
     # pinned low-order values on the identity and w2 monomials, both sides
     for side in (lhs, rhs):
-        unit, _ = coefficient_of(side, 2, (0, 0), 6)
-        w2, _ = coefficient_of(side, 2, (0, 1), 6)
+        unit, _ = next(product_coefficients(side, 2, [(0, 0)], 6))
+        w2, _ = next(product_coefficients(side, 2, [(0, 1)], 6))
         ok = ok and unit == LaurentSeries({0: 1, 2: 1, 4: 2}, 6)
         ok = ok and w2 == LaurentSeries({1: -2, 3: -4, 5: -8}, 6)
     _report(2, "four-vs-three factor table mod q^20", ok)
@@ -153,7 +153,7 @@ def test_criterion_5_product_vs_series():
     for exp in (1, -1):
         x = Element.generator(1, 1, exp)
         series = [
-            coefficient_of((S(1, exp),), 1, (exp * k,), precision)[0]
+            next(product_coefficients((S(1, exp),), 1, [(exp * k,)], precision))[0]
             for k in range(order + 1)
         ]
 
@@ -184,7 +184,7 @@ def test_criterion_6_certificates_match_blind_search():
         # one blind scan of the product's box serves all its targets
         buckets = blind_buckets(word, kmax)
         for target in window_targets(2, (1, 2), 2):
-            _, cert = coefficient_of(word, 2, target, precision)
+            _, cert = next(product_coefficients(word, 2, [target], precision))
             # independent enumeration: the blind search's hits for the
             # target, then a valuation filter computed by letter sorting
             # rather than by the certified quadratic form

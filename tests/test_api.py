@@ -81,11 +81,11 @@ RECORDS = [
     (
         ProductCertificate,
         {
-            "factors": ("E(w1)", "E(w2^-1)"), "precision": 8, "kernel_rank": 1,
+            "factors": ("E(w1)", "E(w2^-1)"), "precision": 8,
             "gram_restricted": ((2,),), "minors": (2,), "firsts": ((0, 1, 0),), "pairs": (0,),
         },
         {
-            "factors": ("E(w1)",), "precision": 9, "kernel_rank": 0,
+            "factors": ("E(w1)",), "precision": 9,
             "gram_restricted": (), "minors": (), "firsts": (), "pairs": (),
         },
         {"pairs": ()}, True,
@@ -93,16 +93,16 @@ RECORDS = [
     (
         TupleCertificate,
         {
-            "product": ProductCertificate(("E(w1)",), 8, 1, ((2,),), (2,), ((0, 1, 0),)),
+            "product": ProductCertificate(("E(w1)",), 8, ((2,),), (2,), ((0, 1, 0),)),
             "exponents": (1,), "reason": "walk", "points": (((1,), 1),), "tuple_count": 1,
-            "max_index": 1, "min_valuation": 1,
+            "max_index": 1,
         },
         {
-            "product": ProductCertificate(("E(w2)",), 8, 1, ((2,),), (2,), ((0, 1, 0),)),
+            "product": ProductCertificate(("E(w2)",), 8, ((2,),), (2,), ((0, 1, 0),)),
             "exponents": (2,), "reason": "qmin", "points": (), "tuple_count": 0,
-            "max_index": 0, "min_valuation": None,
+            "max_index": 0,
         },
-        {"points": (), "tuple_count": 0, "max_index": 0, "min_valuation": None}, True,
+        {"points": (), "tuple_count": 0, "max_index": 0}, True,
     ),
     (Letter, {"kind": "B", "site": 1, "sign": 0}, {"kind": "C", "site": 2}, {"sign": 0}, True),
     (
@@ -191,6 +191,25 @@ def test_record_semantics(cls, fields, others, defaults, hashable):
     with pytest.raises(AttributeError):
         record.extra = 1
     assert record == cls(*values)
+
+
+def test_certificate_properties_are_read_from_the_fields_they_restate():
+    # the kernel rank is the units' rank plus one per pair, and the least
+    # valuation is that of the points; neither is stored, so neither can
+    # disagree with the data, be set or show in the record's repr
+    form = ((2, -1), (-1, 2))
+    for gram, pairs, rank in (((), (), 0), (form, (), 2), (form, (0,), 3), (((2,),), (0, 2), 3)):
+        product = ProductCertificate(("E(w1)",), 8, gram, (), (), pairs)
+        assert product.kernel_rank == rank
+    product = ProductCertificate(("E(w1)",), 8, ((2,),), (2,), ((0, 1, 0),))
+    for points, least in (((), None), ((((1,), 1),), 1), ((((0,), 3), ((2,), -2), ((1,), 0)), -2)):
+        cert = TupleCertificate(product, (1,), "walk", points, len(points), 2)
+        assert cert.min_valuation == least
+    assert TupleCertificate(product, (2,), "qmin").min_valuation is None
+    for record, name in ((product, "kernel_rank"), (cert, "min_valuation")):
+        assert name not in record._fields and f"{name}=" not in repr(record)
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
 
 
 def test_records_get_their_constructors_from_their_slots():

@@ -34,7 +34,6 @@ from qtorus.scripts import braid_script, random_walk, structural_relations
 from qtorus.series import FactoredRational, LaurentSeries
 from qtorus.verifier import (
     TupleCertificate,
-    coefficient_of,
     exact_window_map,
     product_coefficients,
     window_targets,
@@ -314,28 +313,31 @@ def test_walk_is_seed_deterministic():
 _FAMILIES = ("comm0", "rel1", "rel2", "rel3", "rel4", "far")
 
 
+_ALL_FAMILIES_START = parse_word("s1+ s2- s1- s3+ s2+ s3-")
+_ALL_FAMILIES_PAIRS = {(rid, forward) for rid in _FAMILIES for forward in (True, False)}
+
+
 @pytest.mark.parametrize(
-    "start, cap, sites, size, pairs",
+    "start, cap, sites, size, pairs, box",
     [
         # the walk's own start: only comm0 ever applies, so the orbit is the
         # 2^3 swaps of its three adjacent inverse pairs
-        (_WALK_START, _WALK_LENGTH_CAP, 4, 8, {("comm0", True), ("comm0", False)}),
+        (_WALK_START, _WALK_LENGTH_CAP, 4, 8, {("comm0", True), ("comm0", False)}, None),
         # a start that every family matches, each forward and reverse
-        (
-            parse_word("s1+ s2- s1- s3+ s2+ s3-"), 8, 4, 62,
-            {(rid, forward) for rid in _FAMILIES for forward in (True, False)},
-        ),
+        (_ALL_FAMILIES_START, 8, 4, 62, _ALL_FAMILIES_PAIRS, None),
+        # the same orbit on a box wide enough to tell the blind pair apart
+        (_ALL_FAMILIES_START, 8, 4, 62, _ALL_FAMILIES_PAIRS, (2, 8)),
     ],
-    ids=["walk_start", "all_families"],
+    ids=["walk_start", "all_families", "all_families_W2"],
 )
-def test_walk_start_orbit_is_checked_exhaustively(start, cap, sites, size, pairs):
+def test_walk_start_orbit_is_checked_exhaustively(start, cap, sites, size, pairs, box):
     # every word reachable from the start under the length cap, by
     # breadth-first search over the matching steps on `sites` sites, agrees
-    # with the start at the walk's default W and P; the (family, direction)
-    # pairs the search applies are recorded
+    # with the start at `box`'s W and P, or the walk's defaults; the
+    # (family, direction) pairs the search applies are recorded
     defaults = _BY_NAME["rewrite_walk"].defaults
     assert sites == defaults["N"]
-    window, precision = defaults["W"], defaults["P"]
+    window, precision = box or (defaults["W"], defaults["P"])
     index = _pattern_index(structural_relations(sites))
     orbit, frontier, applied = {start}, [start], set()
     while frontier:
@@ -353,6 +355,29 @@ def test_walk_start_orbit_is_checked_exhaustively(start, cap, sites, size, pairs
     blocks, _ = _compare_words(words, sites, window, precision)
     assert len(blocks) == len(words)
     assert all(rows and all(row["match"] for row in rows) for rows in blocks)
+
+
+def test_walk_default_box_is_blind_to_a_pair_a_wider_box_separates():
+    # s1+ s2+ s2+ s1+ and s2+ s1+ s1+ s2+ agree on every target of the
+    # walk's default window 1, at its precision 8 and at 64, but differ at
+    # window 2 even at precision 4: a walk that reached one from the other
+    # would pass its default check
+    lhs, rhs = parse_word("s1+ s2+ s2+ s1+"), parse_word("s2+ s1+ s1+ s2+")
+    for precision in (8, 64):
+        (rows,), _ = _compare_words([("", lhs, rhs)], 2, 1, precision)
+        assert len(rows) == 9 and all(row["match"] for row in rows)
+    (rows,), _ = _compare_words([("", lhs, rhs)], 2, 2, 4)
+    assert len(rows) == 25
+    assert [row for row in rows if not row["match"]] == [
+        {
+            "target": "w1^1*w2^2", "lhs": "-q^-1 - 5*q^1 - 11*q^3 (mod q^4)",
+            "rhs": "-4*q^1 - 10*q^3 (mod q^4)", "match": False,
+        },
+        {
+            "target": "w1^2*w2^1", "lhs": "-4*q^1 - 10*q^3 (mod q^4)",
+            "rhs": "-q^-1 - 5*q^1 - 11*q^3 (mod q^4)", "match": False,
+        },
+    ]
 
 
 def test_caps_are_enforced():
@@ -688,9 +713,12 @@ def test_compare_words_folds_each_rank_when_the_sides_touch_different_sites():
     lhs, rhs = (S(1, 1), S(1, -1), S(1, 1)), (S(2, 1), S(2, 1))
     targets = window_targets(2, (1, 2), 1)
     for word in (lhs, rhs):
-        reasons = [cert.reason for _, _, cert in product_coefficients(word, 2, targets, 6)]
+        reasons = [cert.reason for _, cert in product_coefficients(word, 2, targets, 6)]
         assert reasons[0] == "outside" and reasons.count("outside") == 6
-    ranks = [coefficient_of(word, 2, (0, 0), 6)[1].product.kernel_rank for word in (lhs, rhs)]
+    ranks = [
+        next(product_coefficients(word, 2, [(0, 0)], 6))[1].product.kernel_rank
+        for word in (lhs, rhs)
+    ]
     assert ranks == [2, 1]
     got = _compare_words([("", lhs, rhs)], 2, 1, 6)
     assert list(got[1]) == ["max_tuples", "max_kernel_rank", "max_index"]
@@ -704,10 +732,8 @@ def test_compare_words_keeps_the_rank_of_a_call_without_points(monkeypatch):
     inner = catalog.product_coefficients
 
     def pointless(*args):
-        for target, series, cert in inner(*args):
-            yield target, series, TupleCertificate(
-                cert.product, cert.exponents, cert.reason, (), 0, 0, cert.min_valuation
-            )
+        for series, cert in inner(*args):
+            yield series, TupleCertificate(cert.product, cert.exponents, cert.reason, (), 0, 0)
 
     monkeypatch.setattr(catalog, "product_coefficients", pointless)
     rel = _chain_pairs(2)[0]

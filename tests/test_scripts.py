@@ -23,20 +23,27 @@ from qtorus.scripts import (
     sigma_translation_rev,
     structural_relations,
 )
-from qtorus.catalog import _WALK_STEPS, _compare_words, fold_certificate
+from qtorus.catalog import _WALK_STEPS, _chain_pairs, _compare_words, _side_class, fold_certificate
 from qtorus.verifier import ProductCertificate, TupleCertificate
 from qtorus.words import (
     B,
     C,
+    RELATION_BUILDERS,
+    DerivationScript,
     ExpLetter,
+    Letter,
     S,
     Step,
     apply_step,
     comm0,
     expand_composites,
+    far,
     parse_script,
     parse_word,
     rel1,
+    rel2,
+    rel3,
+    rel4,
     render_script,
     render_word,
     replay,
@@ -230,6 +237,224 @@ class TestTranslations:
             sigma_translation_rev(1, 5, 1)  # k = m out of range
 
 
+# the mirror image over sites lo..hi flips every sign, sends site j to
+# lo + hi - j and reads every word backwards; rel1 and rel4 are each
+# other's images, as are rel2 and rel3
+_MIRROR_PARTNER = {"rel1": rel4, "rel2": rel3, "rel3": rel2, "rel4": rel1}
+
+
+def _mirror_word(word, total):
+    """The mirror image of an s-letter word over sites lo..hi, with
+    `total` = lo + hi."""
+    return tuple(S(total - x.site, -x.sign) for x in reversed(word))
+
+
+def _mirror_relation(relation, total):
+    """The relation whose sides are the mirror images of `relation`'s."""
+    if relation.rid == "far":
+        a, b = relation.lhs
+        return far(total - b.site, -b.sign, total - a.site, -a.sign)
+    n = int(dict(relation.bindings)["n"])
+    if relation.rid == "comm0":
+        return comm0(total - n)
+    return _MIRROR_PARTNER[relation.rid](total - 1 - n)
+
+
+def _reversed_steps(start, steps, image):
+    """`steps`, applied from the word `start`, read in reversed words: a
+    step at position p of a word w, matching `pattern`, moves to
+    len(w) - p - len(pattern), and `image(step)` gives its relation and
+    direction there."""
+    length, out = len(start), []
+    for step in steps:
+        relation, forward = image(step)
+        pattern, replacement = step.relation.lhs, step.relation.rhs
+        if not step.forward:
+            pattern, replacement = replacement, pattern
+        out.append(Step(length - step.position - len(pattern), relation, forward))
+        length += len(replacement) - len(pattern)
+    return tuple(out)
+
+
+def _mirror_steps(start, steps, total):
+    """The mirror images of `steps`, applied from `start`, over sites
+    lo..hi with `total` = lo + hi; each relation's sides are checked to be
+    the images of the original's."""
+
+    def image(step):
+        relation = _mirror_relation(step.relation, total)
+        sides = (_mirror_word(step.relation.lhs, total), _mirror_word(step.relation.rhs, total))
+        assert (relation.lhs, relation.rhs) == sides, step
+        return relation, step.forward
+
+    return _reversed_steps(start, steps, image)
+
+
+def _inverse(steps):
+    """The steps that undo `steps`: in reverse order, each reversed."""
+    return tuple(Step(s.position, s.relation, not s.forward) for s in reversed(steps))
+
+
+class TestMirrorDerivations:
+    """The hand-written derivations that are mirror images of their
+    partners are exactly those images, record for record.  Replay alone
+    does not see a reordered step that still matches."""
+
+    def test_mirror_of_a_relation_is_its_image(self):
+        for total in range(3, 12):
+            for n in range(1, total - 1):
+                for build in (comm0, rel1, rel2, rel3, rel4):
+                    relation = build(n)
+                    image = _mirror_relation(relation, total)
+                    assert image.lhs == _mirror_word(relation.lhs, total)
+                    assert image.rhs == _mirror_word(relation.rhs, total)
+        assert _mirror_relation(far(1, 1, 4, -1), 5) == far(1, 1, 4, -1)
+        assert _mirror_relation(far(2, -1, 5, 1), 7) == far(2, -1, 5, 1)
+        assert _mirror_relation(rel1(2), 7) == rel4(4)
+
+    def test_sigma_script2_is_the_mirror_image_of_sigma_script1(self):
+        # over sites n-1..n+2
+        checked = 0
+        for sites in range(4, 14):
+            for n in range(2, sites - 1):
+                one, two = sigma_script1(n, sites), sigma_script2(n, sites)
+                total = 2 * n + 1
+                assert two.start == _mirror_word(one.start, total)
+                assert two.end == _mirror_word(one.end, total)
+                assert two.steps == _mirror_steps(one.start, one.steps, total), (n, sites)
+                checked += 1
+        assert checked == sum(sites - 3 for sites in range(4, 14))
+
+    def test_braid_script_undoes_the_mirror_image_of_its_first_half(self):
+        # over sites n..n+1 the start's image is the end, and steps 5-8 are
+        # the inverse of the image of steps 1-4
+        checked = 0
+        for sites in range(2, 14):
+            for n in range(1, sites):
+                script = braid_script(n, sites)
+                total = 2 * n + 1
+                assert _mirror_word(script.start, total) == script.end
+                first, second = script.steps[:4], script.steps[4:]
+                assert second == _inverse(_mirror_steps(script.start, first, total)), n
+                checked += 1
+        assert checked == sum(sites - 1 for sites in range(2, 14))
+
+    def test_braid_translation_rev_undoes_fwd_read_backwards(self):
+        # read in reversed words, bcomm's sides swap, so its direction
+        # flips, and artin's sides are palindromes, so its direction stays
+        def reversed_step(step):
+            forward = step.forward != (step.relation.rid == "bcomm")
+            pattern = step.relation.lhs if step.forward else step.relation.rhs
+            side = step.relation.lhs if forward else step.relation.rhs
+            assert side == tuple(reversed(pattern)), step
+            return step.relation, forward
+
+        checked = 0
+        for m in range(1, 6):
+            for n in range(m + 2, m + 9):
+                for k in range(m, n - 1):
+                    fwd, rev = braid_translation_fwd(m, n, k), braid_translation_rev(m, n, k)
+                    assert rev.start == tuple(reversed(fwd.end))
+                    assert rev.end == tuple(reversed(fwd.start))
+                    steps = _reversed_steps(fwd.start, fwd.steps, reversed_step)
+                    assert rev.steps == _inverse(steps), (m, n, k)
+                    checked += 1
+        assert checked == 140
+
+
+def _shifted(text, d):
+    """A binding's index, with the sign it may carry, moved up by d."""
+    digits = text.rstrip("+-")
+    return str(int(digits) + d) + text[len(digits):]
+
+
+def _translated(script, d):
+    """`script` with every site moved up by d: each letter's site, each
+    relation rebuilt from its moved bindings and the indices inside the
+    name's parentheses; positions and directions are kept."""
+
+    def word(w):
+        return tuple(Letter(x.kind, x.site + d, x.sign) for x in w)
+
+    steps = tuple(
+        Step(
+            step.position,
+            RELATION_BUILDERS[step.relation.rid](
+                {key: _shifted(value, d) for key, value in step.relation.bindings}
+            ),
+            step.forward,
+        )
+        for step in script.steps
+    )
+    head, _, args = script.name.partition("(")
+    name = f"{head}({','.join(str(int(a) + d) for a in args.rstrip(')').split(','))})"
+    return DerivationScript(name, word(script.start), steps, word(script.end))
+
+
+def _indexed_scripts():
+    """(generator, arguments) for every indexed generator over small
+    chains, the sites last where a generator takes them."""
+    for sites in range(2, 9):
+        for n in range(1, sites):
+            yield braid_script, (n, sites)
+        for m in range(1, sites + 1):
+            for n in range(1, sites + 1):
+                if abs(m - n) >= 2:
+                    yield bcomm_script, (m, n, sites)
+                if abs(m - n) > 2 and max(m, n) < sites:
+                    yield sigma_commute_script, (m, n, sites)
+    for sites in range(4, 9):
+        for n in range(2, sites - 1):
+            yield sigma_script1, (n, sites)
+            yield sigma_script2, (n, sites)
+    for m in range(1, 4):
+        for n in range(m + 2, m + 7):
+            for k in range(m, n - 1):
+                yield braid_translation_fwd, (m, n, k)
+                yield braid_translation_rev, (m, n, k)
+                if k <= n - 3:
+                    yield sigma_translation_fwd, (m, n, k)
+                if k > m:
+                    yield sigma_translation_rev, (m, n, k)
+
+
+class TestTranslatedDerivations:
+    """Every indexed derivation translates: the script at indices moved
+    up by d is the translate by d of the script at the indices."""
+
+    def test_translate_moves_sites_bindings_and_name_indices(self):
+        script = sigma_script1(2, 4)
+        moved = _translated(script, 3)
+        assert moved.name == "sigma_rel1(5)"
+        assert moved.start == expand_composites((C(6), C(4), C(5), C(6)))
+        assert moved.steps[0] == Step(1, far(7, 1, 4, -1), True)
+        assert _translated(braid_translation_fwd(1, 4, 2), 2).name == "braid_fwd(3,6,4)"
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_each_generator_translates(self, d):
+        built = set()
+        checked = 0
+        for build, args in _indexed_scripts():
+            moved = build(*(a + d for a in args))
+            assert moved == _translated(build(*args), d), (build.__name__, args)
+            assert replay(moved).ok
+            built.add(build)
+            checked += 1
+        assert len(built) == 9 and checked == 360
+
+    def test_chain_pairs_fall_into_the_same_three_classes_on_every_chain(self):
+        # each relation of the chain is a translate of one on the first sites
+        keys = []
+        for sites in (3, 6, 12, 32):
+            found = set()
+            for _, lhs, rhs in _chain_pairs(sites):
+                support = tuple(sorted({x.site for x in lhs + rhs}))
+                found.update(_side_class(word, support)[0] for word in (lhs, rhs))
+            keys.append(found)
+        assert len(keys[0]) == 3
+        assert all(found == keys[0] for found in keys)
+
+
 class TestWordImages:
     def test_site_bound_enforced(self):
         # a word on a site beyond the chain has no box there, on either side
@@ -368,11 +593,11 @@ class TestWalks:
 
 
 def _record(rank, tuples, max_index):
-    shared = ProductCertificate(("E(w1)",), 10, rank, (), (), ((0, 1, 0),))
+    # a product whose restricted matrix, the identity, has kernel rank `rank`
+    gram = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+    shared = ProductCertificate(("E(w1)",), 10, gram, (1,) * rank, ((0, 1, 0),))
     points = tuple((k, 1) for k in tuples)
-    return TupleCertificate(
-        shared, (1,), "walk", points, len(points), max_index, 1 if tuples else None
-    )
+    return TupleCertificate(shared, (1,), "walk", points, len(points), max_index)
 
 
 class TestFoldCertificate:

@@ -158,8 +158,8 @@ DOCUMENTED_API = [
     "catalog.py: verify_identity",
     "scripts.py: bcomm_script",
     "series.py: LaurentSeries.coeffs",
+    "verifier.py: TupleCertificate.min_valuation",
     "verifier.py: TupleCertificate.tuples",
-    "verifier.py: coefficient_of",
     "words.py: render_script",
 ]
 

@@ -16,7 +16,6 @@ from qtorus.scripts import braid_script, sigma_script1, sigma_script2
 from qtorus.series import LaurentSeries
 from qtorus.verifier import (
     ProductCertificate,
-    coefficient_of,
     exact_window_map,
     product_coefficients,
     window_targets,
@@ -106,21 +105,21 @@ class TestSingleFactors:
     def test_one_factor_reproduces_series_coefficients(self):
         word = word_of([(1, 1)])
         for k in range(4):
-            got, cert = coefficient_of(word, 1, (k,), 10)
+            got, cert = next(product_coefficients(word, 1, [(k,)], 10))
             assert got == L(oracle_euler(k, 10), 10)
             assert cert.tuples == ((k,),)
-        got, cert = coefficient_of(word, 1, (-1,), 10)
+        got, cert = next(product_coefficients(word, 1, [(-1,)], 10))
         assert got == L({}, 10)
         assert cert.tuples == ()
 
     def test_inverse_factor(self):
-        got, _ = coefficient_of(word_of([(1, -1)]), 1, (-2,), 12)
+        got, _ = next(product_coefficients(word_of([(1, -1)]), 1, [(-2,)], 12))
         assert got == L(oracle_euler(2, 12), 12)
 
     def test_empty_product_is_identity(self):
-        got, cert = coefficient_of((), 2, (0, 0), 6)
+        got, cert = next(product_coefficients((), 2, [(0, 0)], 6))
         assert got == L({0: 1}, 6)
-        got, cert = coefficient_of((), 2, (1, 0), 6)
+        got, cert = next(product_coefficients((), 2, [(1, 0)], 6))
         assert got.is_zero() and cert.reason == "outside"
 
 
@@ -138,7 +137,7 @@ class TestAgainstElementProducts:
             el = finite_qexp(Element.generator(sites, 1), depth)
             el = el * el
             for m in range(4):
-                got, _ = coefficient_of(word, 1, (m,), 8)
+                got, _ = next(product_coefficients(word, 1, [(m,)], 8))
                 assert got == L(el.terms.get((m,), {}), 8), (depth, m)
 
     def test_adjacent_sites_mixed(self):
@@ -150,7 +149,7 @@ class TestAgainstElementProducts:
             el = e2 * e1
             for a in range(-2, 1):
                 for b in range(0, 3):
-                    got, _ = coefficient_of(word, 2, (a, b), 7)
+                    got, _ = next(product_coefficients(word, 2, [(a, b)], 7))
                     assert got == L(el.terms.get((a, b), {}), 7), (depth, a, b)
 
 
@@ -165,38 +164,38 @@ class TestSevenTermValues:
 
     def test_constant_coefficient(self):
         want = L({0: 1, 2: 1, 4: 2}, 6)
-        got_l, _ = coefficient_of(self.lhs, 2, (0, 0), 6)
-        got_r, _ = coefficient_of(self.rhs, 2, (0, 0), 6)
+        got_l, _ = next(product_coefficients(self.lhs, 2, [(0, 0)], 6))
+        got_r, _ = next(product_coefficients(self.rhs, 2, [(0, 0)], 6))
         assert got_l == want and got_r == want
 
     def test_first_v_coefficient(self):
         want = L({1: -2, 3: -4, 5: -8}, 6)
-        got_l, _ = coefficient_of(self.lhs, 2, (0, 1), 6)
-        got_r, _ = coefficient_of(self.rhs, 2, (0, 1), 6)
+        got_l, _ = next(product_coefficients(self.lhs, 2, [(0, 1)], 6))
+        got_r, _ = next(product_coefficients(self.rhs, 2, [(0, 1)], 6))
         assert got_l == want and got_r == want
         assert str(want) == "-2*q^1 - 4*q^3 - 8*q^5 (mod q^6)"
 
     def test_certificate_contents(self):
-        _, cert = coefficient_of(self.rhs, 2, (0, 1), 6)
+        _, cert = next(product_coefficients(self.rhs, 2, [(0, 1)], 6))
         assert cert.product.kernel_rank == 1
         assert cert.tuples == ((0, 1, 0), (1, 1, 1), (2, 1, 2))
         assert cert.max_index == 2
         assert cert.min_valuation == 1
         assert all(m > 0 for m in cert.product.minors)
-        _, cert = coefficient_of(self.lhs, 2, (0, 1), 6)
+        _, cert = next(product_coefficients(self.lhs, 2, [(0, 1)], 6))
         assert cert.tuples == ((0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 0, 0), (1, 1, 1, 0))
 
     def test_full_window_equality(self):
         for target in window_targets(2, {1, 2}, 2):
-            got_l, _ = coefficient_of(self.lhs, 2, target, 10)
-            got_r, _ = coefficient_of(self.rhs, 2, target, 10)
+            got_l, _ = next(product_coefficients(self.lhs, 2, [target], 10))
+            got_r, _ = next(product_coefficients(self.rhs, 2, [target], 10))
             assert got_l == got_r, target
 
     def test_brute_force_tuple_sets(self):
         P = 8
         buckets = blind_buckets(self.lhs, 6)
         for target in window_targets(2, {1, 2}, 2):
-            _, cert = coefficient_of(self.lhs, 2, target, P)
+            _, cert = next(product_coefficients(self.lhs, 2, [target], P))
             # blind search then the valuation filter Q < P, by letter sorting
             keep = {ks for ks, _ in blind_kept(self.lhs, buckets, target, P)}
             assert set(cert.tuples) == keep, target
@@ -218,7 +217,7 @@ class TestWordInput:
     )
     def test_rejects_a_letter(self, word):
         with pytest.raises(InvalidParams):
-            coefficient_of(word, 2, (0, 0), 6)
+            next(product_coefficients(word, 2, [(0, 0)], 6))
         with pytest.raises(InvalidParams):
             list(product_coefficients(word, 2, [], 6))
 
@@ -226,7 +225,7 @@ class TestWordInput:
     def test_rejects_a_target_of_the_wrong_length(self, target):
         word = word_of([(1, 1), (2, -1)])
         with pytest.raises(InvalidParams):
-            coefficient_of(word, 2, target, 6)
+            next(product_coefficients(word, 2, [target], 6))
         calls = product_coefficients(word, 2, [(0, 0), target], 6)
         next(calls)
         with pytest.raises(InvalidParams):
@@ -247,14 +246,14 @@ class TestWordInput:
     def test_rejects_a_precision_below_one(self, precision):
         word = word_of([(1, 1), (1, -1)])
         with pytest.raises(InvalidParams, match="precision"):
-            coefficient_of(word, 1, (0,), precision)
+            next(product_coefficients(word, 1, [(0,)], precision))
         with pytest.raises(InvalidParams, match="precision"):
             list(product_coefficients(word, 1, [], precision))
 
 
 class TestCertificateEdges:
     def test_uninvolved_site_must_be_zero(self):
-        got, cert = coefficient_of(word_of([(1, 1), (2, 1)]), 3, (0, 0, 1), 8)
+        got, cert = next(product_coefficients(word_of([(1, 1), (2, 1)]), 3, [(0, 0, 1)], 8))
         assert got.is_zero() and cert.reason == "outside"
 
     def test_indefinite_form_is_rejected(self):
@@ -434,7 +433,7 @@ class TestCoefficientOracle:
         for factors, sites, precision, _, sample in _seeded_products(rng):
             buckets = blind_buckets(factors, 6)
             for target in sample:
-                got, cert = coefficient_of(factors, sites, target, precision)
+                got, cert = next(product_coefficients(factors, sites, [target], precision))
                 kept, want = blind_coefficient(factors, buckets, target, precision, 6)
                 assert list(cert.tuples) == kept, (factors, target)
                 assert got.coeffs == want and got.precision == precision
@@ -466,7 +465,7 @@ class TestCoefficientOracle:
             support = sorted({f.site for f in factors})
             maps.clear()
             certs = {
-                t: cert for t, _, cert in product_coefficients(factors, sites, targets, precision)
+                cert.exponents: cert for _, cert in product_coefficients(factors, sites, targets, precision)
             }
             # one elimination per call, of the collapsed form
             assert len(maps) == 1
@@ -517,7 +516,7 @@ class TestCoefficientOracle:
         buckets = blind_buckets(factors, 5)
         for target in window_targets(sites, range(1, sites + 1), window):
             walks.clear()
-            got, cert = coefficient_of(factors, sites, target, precision)
+            got, cert = next(product_coefficients(factors, sites, [target], precision))
             kept, want = blind_coefficient(factors, buckets, target, precision, 5)
             assert list(cert.tuples) == kept, target
             assert got.coeffs == want and got.precision == precision
@@ -630,7 +629,8 @@ class TestTripleProductCollapse:
             products += 1
             with_pairs += len(_collapsed(factors)) < len(factors)
             buckets = blind_buckets(factors, 5)
-            for target, series, cert in got:
+            for series, cert in got:
+                target = cert.exponents
                 kept, want = blind_coefficient(factors, buckets, target, precision, 5)
                 assert series.coeffs == want and series.precision == precision
                 assert cert.tuples == tuple(kept), (factors, target)
@@ -660,7 +660,8 @@ class TestTripleProductCollapse:
         buckets = blind_buckets(word, kmax)
         got = list(product_coefficients(word, 2, window_targets(2, (1, 2), 2), precision))
         nonzero = top = 0
-        for target, series, cert in got:
+        for series, cert in got:
+            target = cert.exponents
             kept, want = blind_coefficient(word, buckets, target, precision, kmax)
             assert series.coeffs == want and cert.tuples == tuple(kept), target
             assert cert.tuple_count == len(kept)
@@ -690,7 +691,7 @@ class TestProductCoefficients:
         # with ones that keep tuples
         word = word_of([(2, 1), (1, -1), (1, 1), (2, 1)])
         targets = window_targets(3, (1, 2, 3), 1)
-        want = [(t, *coefficient_of(word, 3, t, 10)) for t in targets]
+        want = [next(product_coefficients(word, 3, [t], 10)) for t in targets]
         setups = []
         inner = verifier._scaled_form
 
@@ -704,7 +705,7 @@ class TestProductCoefficients:
         # one elimination, of the collapsed form, though E(w1^-1) E(w1) is
         # an adjacent inverse pair
         assert len(setups) == 1
-        certs = [cert for _, _, cert in got]
+        certs = [cert for _, cert in got]
         assert any(c.reason == "outside" for c in certs) and any(c.tuples for c in certs)
 
     def test_each_reason_keeps_the_certificate_fields(self):
@@ -722,7 +723,7 @@ class TestProductCoefficients:
             (0, 1, 0): ("walk", (1, 0, 0), kept, 1),
         }
         first = list(product_coefficients(word, 3, cases, 4))
-        for target, _, cert in first:
+        for target, (_, cert) in zip(cases, first, strict=True):
             reason, particular, tuples, min_valuation = cases[target]
             assert cert.reason == reason, target
             assert particular_of(cert) == particular and cert.tuples == tuples, target
@@ -731,17 +732,18 @@ class TestProductCoefficients:
         # whatever the reason, the product certificate describes the
         # product: its collapsed form on the units, whose unit 1 is a pair,
         # and the uncollapsed kernel rank
-        assert first[0][2].product == ProductCertificate(
-            ("E(w2)", "E(w1^-1)", "E(w1)", "E(w2)"), 4, 2, ((2,),), (2,),
+        assert first[0][1].product == ProductCertificate(
+            ("E(w2)", "E(w1^-1)", "E(w1)", "E(w2)"), 4, ((2,),), (2,),
             ((1, -1, 0), (0, 1, 1)), (1,),
         )
+        assert first[0][1].product.kernel_rank == 2
         # one shared product certificate per call, equal across calls
         second = list(product_coefficients(word, 3, cases, 4))
-        assert len({id(cert.product) for _, _, cert in first}) == 1
-        assert first[0][2].product == second[0][2].product
-        assert first == second and hash(first[4][2]) == hash(second[4][2])
+        assert len({id(cert.product) for _, cert in first}) == 1
+        assert first[0][1].product == second[0][1].product
+        assert first == second and hash(first[4][1]) == hash(second[4][1])
         with pytest.raises(AttributeError):
-            first[4][2].tuples = ()
+            first[4][1].tuples = ()
 
 
     @pytest.mark.parametrize(
@@ -770,7 +772,8 @@ class TestProductCoefficients:
         targets = window_targets(3, (1, 2, 3), 3)
         lowest = 0
         buckets = blind_buckets(word, 5)
-        for target, got, cert in product_coefficients(word, 3, targets, precision):
+        for got, cert in product_coefficients(word, 3, targets, precision):
+            target = cert.exponents
             kept, want = blind_coefficient(word, buckets, target, precision, 5)
             assert list(cert.tuples) == kept, target
             assert got.coeffs == want and got.precision == precision, target
@@ -927,9 +930,9 @@ def _walks_and_certificates(monkeypatch, name, params):
         return points
 
     def counting_coefficients(word, sites, targets, precision):
-        for target, got, cert in coefficients(word, sites, targets, precision):
+        for got, cert in coefficients(word, sites, targets, precision):
             certs.append(cert)
-            yield target, got, cert
+            yield got, cert
 
     monkeypatch.setattr(verifier, "_walk_sublevel", counting_walk)
     monkeypatch.setattr(catalog, "product_coefficients", counting_coefficients)
@@ -1041,7 +1044,7 @@ class TestPinnedCounts:
 
         monkeypatch.setattr(verifier, "_expand_points", refuse)
         assert catalog.verify_identity("braid_alg", precision=32, window=3).status == "PASS"
-        _, cert = coefficient_of(word_of([(1, 1), (1, -1)]), 1, (0,), 4)
+        _, cert = next(product_coefficients(word_of([(1, 1), (1, -1)]), 1, [(0,)], 4))
         with pytest.raises(AssertionError, match="listed"):
             cert.tuples
 
@@ -1096,7 +1099,7 @@ class TestExactEngine:
         word = word_of([(1, 1), (2, 1)])
         P = 9
         for t, frac in sorted(exact.items()):
-            trunc, _ = coefficient_of(word, 2, t, P)
+            trunc, _ = next(product_coefficients(word, 2, [t], P))
             assert trunc == series_of(frac, P), t
 
     def test_negative_exponent_rejected(self):
@@ -1132,7 +1135,8 @@ class TestTwoEngines:
         targets = window_targets(sites, range(1, sites + 1), window)
         targets = [t for t in targets if min(t) >= 0]
         nonzero = 0
-        for target, got, _ in product_coefficients(word, sites, targets, precision):
+        for got, cert in product_coefficients(word, sites, targets, precision):
+            target = cert.exponents
             want = series_of(exact[target], precision) if target in exact else L({}, precision)
             assert got == want, (render_word(word), target)
             nonzero += not got.is_zero()
@@ -1319,8 +1323,8 @@ class TestSiteEmbedding:
             big_target = [0] * 4
             big_target[shift] = a
             big_target[shift + 1] = b
-            got, got_cert = coefficient_of(big_word, 4, tuple(big_target), precision)
-            want, want_cert = coefficient_of(small_word, 2, target, precision)
+            got, got_cert = next(product_coefficients(big_word, 4, [tuple(big_target)], precision))
+            want, want_cert = next(product_coefficients(small_word, 2, [target], precision))
             assert got == want
             assert got_cert.tuples == want_cert.tuples
 
@@ -1372,7 +1376,7 @@ class TestSymmetries:
                     list(product_coefficients(image, chain, [], precision))
                 continue
             want = product_coefficients(image, chain, [t for _, t in images], precision)
-            for (_, series, cert), (_, image_series, image_cert) in zip(got, want):
+            for (series, cert), (image_series, image_cert) in zip(got, want):
                 assert series == image_series, (letters, cert.exponents)
                 assert cert.reason == image_cert.reason
                 assert cert.min_valuation == image_cert.min_valuation
@@ -1396,7 +1400,7 @@ class TestSymmetries:
             word = word_of(_random_letters(rng, sites))
             targets = window_targets(sites, range(1, sites + 1), 2)
             try:
-                for _, _, cert in product_coefficients(word, sites, targets, 12):
+                for _, cert in product_coefficients(word, sites, targets, 12):
                     for k in cert.tuples:
                         assert sum(k) % 2 == sum(cert.exponents) % 2, (word, k)
                         tuples += 1
@@ -1444,7 +1448,7 @@ def _certificate_digest(runs) -> str:
             support = sorted({x.site for x in script.start + script.end})
             targets = window_targets(sites, support, window)
             for word in (script.start, script.end):
-                for _, _, cert in product_coefficients(word, sites, targets, precision):
+                for _, cert in product_coefficients(word, sites, targets, precision):
                     line = json.dumps(_certificate_view(cert), separators=(",", ":"))
                     digest.update(line.encode() + b"\n")
     return digest.hexdigest()

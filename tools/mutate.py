@@ -111,6 +111,18 @@ FAULTS = [
         "for b in range(a + 1, sites + 1):",
         "far commutations listed from the neighbouring site",
     ),
+    (
+        "src/qtorus/scripts.py",
+        "        Step(5, far(r, 1, m, -1), True),\n"
+        "        Step(4, far(p, -1, m, -1), True),\n"
+        "        Step(3, far(p, 1, m, -1), True),\n"
+        "        Step(1, comm0(n), True),\n",
+        "        Step(1, comm0(n), True),\n"
+        "        Step(5, far(r, 1, m, -1), True),\n"
+        "        Step(4, far(p, -1, m, -1), True),\n"
+        "        Step(3, far(p, 1, m, -1), True),\n",
+        "sigma_script2's same-site swap moved first: it still replays",
+    ),
     # letters, relations and rules
     (
         "src/qtorus/words.py",
@@ -366,9 +378,15 @@ FAULTS = [
     ),
     (
         "src/qtorus/verifier.py",
-        "rank + len(pairs),",
-        "rank,",
+        "return len(self.gram_restricted) + len(self.pairs)",
+        "return len(self.gram_restricted)",
         "certificate's kernel rank without one per collapsed pair",
+    ),
+    (
+        "src/qtorus/verifier.py",
+        "return min((q for _, q in self.points), default=None)",
+        "return max((q for _, q in self.points), default=None)",
+        "certificate's minimum valuation is the largest",
     ),
     (
         "src/qtorus/verifier.py",
@@ -420,8 +438,8 @@ FAULTS = [
     ),
     (
         "src/qtorus/verifier.py",
-        '        if headroom <= 0:\n            yield target, zero, TupleCertificate(shared, target, "qmin")',
-        '        if headroom < 0:\n            yield target, zero, TupleCertificate(shared, target, "qmin")',
+        '        if headroom <= 0:\n            yield zero, TupleCertificate(shared, target, "qmin")',
+        '        if headroom < 0:\n            yield zero, TupleCertificate(shared, target, "qmin")',
         "targets with qmin equal to P walked instead of settled",
     ),
     (
