@@ -35,6 +35,8 @@ from typing import Callable, Optional, Sequence
 from .algebra import Element, monomial_label
 from .errors import InvalidParams, Record
 from .scripts import (
+    _braid_sides,
+    _sigma_sides,
     braid_script,
     braid_translation_fwd,
     braid_translation_rev,
@@ -391,7 +393,7 @@ def _plan_seven_term_script(p: dict):
 def _chain_pairs(length: int) -> list[tuple[str, Word, Word]]:
     """:func:`structural_relations` of the first `length` sites without its
     far commutations, as labelled word pairs."""
-    rels = [rel for rel in structural_relations(length) if rel.rid != "far"]
+    rels = [rel for rel in structural_relations(range(1, length + 1)) if rel.rid != "far"]
     return [(_relation_label(rel), rel.lhs, rel.rhs) for rel in rels]
 
 
@@ -420,14 +422,8 @@ def _plan_probe(p: dict):
 
 
 def _plan_braid_alg(p: dict):
-    script = braid_script(p["n"], p["N"])
-    return _words(p, [("", script.start, script.end)], script=script.name)
-
-
-def _sigma_pairs(n: int, sites: int) -> list[tuple[str, Word, Word]]:
-    """Both sides of the two c-letter relations at index n, named as scripts."""
-    scripts = (sigma_script1(n, sites), sigma_script2(n, sites))
-    return [(script.name, script.start, script.end) for script in scripts]
+    name, start, end = _braid_sides(p["n"], p["N"])
+    return _words(p, [("", start, end)], script=name)
 
 
 def _indexed_replay(script: Callable, low: int):
@@ -550,7 +546,7 @@ _ITEMS: list[CatalogItem] = [
         "sigma_alg",
         "both c-letter relation word pairs map to equal algebra elements",
         {"N": 4, "n": 2, "W": 2, "P": 10},
-        lambda p: _words(p, _sigma_pairs(p["n"], p["N"])),
+        lambda p: _words(p, _sigma_sides(p["n"], p["N"])),
     ),
     CatalogItem(
         "braid_script",

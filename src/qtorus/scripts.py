@@ -1,23 +1,21 @@
-"""Concrete derivation scripts and the rewrite walk.
+"""Derivation scripts, found by search or written in closed form, and the
+rewrite walk.
 
-Every generator in this module returns a :class:`~qtorus.words.DerivationScript`
-whose steps were chosen by hand once and are re-checked mechanically on every
-replay; no generator "discovers" a proof at run time.  The families are:
+The search proposes, :func:`~qtorus.words.replay` checks: every generator
+returns a :class:`~qtorus.words.DerivationScript`, and replay alone decides
+whether it holds.
 
-* :func:`braid_script` -- rewrites the expansion of ``b_n b_(n+1) b_n`` into
-  the expansion of ``b_(n+1) b_n b_(n+1)`` using only the two-site and
-  same-site relations, establishing the hexagon relation for the ``b``
-  letters at the level of factor words.
-* :func:`sigma_script1` / :func:`sigma_script2` -- do the same for the two
-  four-letter relations of the ``c`` letters.
-* :func:`sigma_commute_script` / :func:`bcomm_script` -- distant-letter
-  commutations reduced to far-commutation of factors.
-* :func:`seven_term_script` -- derives the four-factor/three-factor identity
-  for a q^2-commuting pair from the merge, split, and commutation rules,
-  with every premise checked exactly.
-* the four ``*_translation_*`` generators -- move one extra letter through an
-  ascending or descending run, shifting its index; these are the word-level
-  lemmas used to reorder products of ``b`` or ``c`` letters.
+* Found by search: :func:`braid_script` (``artin``), :func:`sigma_script1`
+  (``sig1``), :func:`sigma_script2` (``sig2``), :func:`bcomm_script`
+  (``bcomm``) and :func:`sigma_commute_script` (``scomm``) are each the
+  shortest script from the expansion of their lemma's left side to that of
+  its right side, by the structural relations among its sites, through
+  words no longer than the start, found by one breadth-first search.
+* Closed form: :func:`seven_term_script` derives the four-factor/three-factor
+  identity for a q^2-commuting pair from the merge, split, and commutation
+  rules, with every premise checked exactly; the four ``*_translation_*``
+  generators move one extra letter through an ascending or descending run,
+  shifting its index, as loops over their indices.
 
 :func:`random_walk` drives a seeded walk through the structural rewrite
 system; it reads only the relations on its start's sites, and a check of the
@@ -27,8 +25,9 @@ chain's size belongs to its caller (the catalog's ``rewrite_walk`` plan).
 from __future__ import annotations
 
 import random
+from collections import deque
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .algebra import Element
 from .errors import InvalidParams
@@ -37,7 +36,6 @@ from .words import (
     C,
     DerivationScript,
     ExpLetter,
-    Letter,
     Relation,
     Step,
     Word,
@@ -82,77 +80,39 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def braid_script(n: int, sites: int) -> DerivationScript:
-    """Expansion of ``b_n b_(n+1) b_n`` rewrites to that of ``b_(n+1) b_n b_(n+1)``."""
+def _sides(name: str, lemma: Relation) -> tuple[str, Word, Word]:
+    """`name` and the expansions of `lemma`'s left and right sides."""
+    return name, expand_composites(lemma.lhs), expand_composites(lemma.rhs)
+
+
+def _braid_sides(n: int, sites: int) -> tuple[str, Word, Word]:
     if n < 1 or n + 1 > sites:
         raise InvalidParams("needs 1 <= n and n+1 <= sites")
-    p = n + 1
-    start = expand_composites((B(n), B(p), B(n)))
-    end = expand_composites((B(p), B(n), B(p)))
-    steps = (
-        Step(0, comm0(n), True),
-        Step(1, rel3(n), True),
-        Step(0, rel1(n), False),
-        Step(1, comm0(n), False),
-        Step(3, comm0(p), True),
-        Step(2, rel4(n), True),
-        Step(1, rel2(n), False),
-        Step(4, comm0(p), False),
-    )
-    return DerivationScript(f"braid({n})", start, steps, end)
+    return _sides(f"braid({n})", artin(n))
+
+
+def _sigma_sides(n: int, sites: int) -> list[tuple[str, Word, Word]]:
+    """The name and expanded sides of each c-letter relation at index n."""
+    if n < 2 or n + 2 > sites:
+        raise InvalidParams("needs 2 <= n and n+2 <= sites")
+    return [_sides(f"sigma_rel1({n})", sig1(n)), _sides(f"sigma_rel2({n})", sig2(n))]
+
+
+def braid_script(n: int, sites: int) -> DerivationScript:
+    """Expansion of ``b_n b_(n+1) b_n`` rewrites to that of ``b_(n+1) b_n b_(n+1)``."""
+    return _derive(*_braid_sides(n, sites))
 
 
 def sigma_script1(n: int, sites: int) -> DerivationScript:
     """Expansion of ``c_(n+1) c_(n-1) c_n c_(n+1)`` rewrites to that of
     ``c_(n-1) c_(n+1) c_n``."""
-    if n < 2 or n + 2 > sites:
-        raise InvalidParams("needs 2 <= n and n+2 <= sites")
-    m, p, r = n - 1, n + 1, n + 2
-    start = expand_composites((C(p), C(m), C(n), C(p)))
-    end = expand_composites((C(m), C(p), C(n)))
-    steps = (
-        Step(1, far(r, 1, m, -1), True),
-        Step(2, far(r, 1, n, 1), True),
-        Step(3, far(r, 1, n, -1), True),
-        Step(5, comm0(p), True),
-        Step(4, rel1(p), True),
-        Step(0, far(p, -1, m, -1), True),
-        Step(1, rel2(n), True),
-        Step(3, far(n, -1, r, 1), True),
-    )
-    return DerivationScript(f"sigma_rel1({n})", start, steps, end)
+    return _derive(*_sigma_sides(n, sites)[0])
 
 
 def sigma_script2(n: int, sites: int) -> DerivationScript:
     """Expansion of ``c_(n-1) c_n c_(n+1) c_(n-1)`` rewrites to that of
     ``c_n c_(n-1) c_(n+1)``."""
-    if n < 2 or n + 2 > sites:
-        raise InvalidParams("needs 2 <= n and n+2 <= sites")
-    m, p, r = n - 1, n + 1, n + 2
-    start = expand_composites((C(m), C(n), C(p), C(m)))
-    end = expand_composites((C(n), C(m), C(p)))
-    steps = (
-        Step(5, far(r, 1, m, -1), True),
-        Step(4, far(p, -1, m, -1), True),
-        Step(3, far(p, 1, m, -1), True),
-        Step(1, comm0(n), True),
-        Step(0, rel4(m), True),
-        Step(5, far(r, 1, n, 1), True),
-        Step(2, rel3(n), True),
-        Step(1, far(m, -1, p, 1), True),
-    )
-    return DerivationScript(f"sigma_rel2({n})", start, steps, end)
-
-
-def _far_swap(name: str, x: Letter, y: Letter) -> DerivationScript:
-    """Expansion ``a b c d`` of the composite letters ``x y`` rewrites to
-    ``c d a b``, that of ``y x``, by far-commuting (b, c), (a, c), (b, d), (a, d)."""
-    start = a, b, c, d = expand_composites((x, y))
-    steps = tuple(
-        Step(pos, far(u.site, u.sign, v.site, v.sign), True)
-        for pos, u, v in ((1, b, c), (0, a, c), (2, b, d), (1, a, d))
-    )
-    return DerivationScript(name, start, steps, expand_composites((y, x)))
+    return _derive(*_sigma_sides(n, sites)[1])
 
 
 def sigma_commute_script(m: int, n: int, sites: int) -> DerivationScript:
@@ -162,7 +122,7 @@ def sigma_commute_script(m: int, n: int, sites: int) -> DerivationScript:
         raise InvalidParams("needs |m - n| > 2")
     if m < 1 or n < 1 or max(m, n) + 1 > sites:
         raise InvalidParams("sites too small for the letters")
-    return _far_swap(f"sigma_commute({m},{n})", C(m), C(n))
+    return _derive(*_sides(f"sigma_commute({m},{n})", scomm(m, n)))
 
 
 def bcomm_script(m: int, n: int, sites: int) -> DerivationScript:
@@ -172,7 +132,7 @@ def bcomm_script(m: int, n: int, sites: int) -> DerivationScript:
         raise InvalidParams("needs |m - n| >= 2")
     if m < 1 or n < 1 or max(m, n) > sites:
         raise InvalidParams("sites too small for the letters")
-    return _far_swap(f"b_commute({m},{n})", B(m), B(n))
+    return _derive(*_sides(f"b_commute({m},{n})", bcomm(m, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -297,21 +257,26 @@ def sigma_translation_rev(m: int, n: int, k: int) -> DerivationScript:
 
 
 # ---------------------------------------------------------------------------
-# random walks through the structural rewrite system
+# the structural rewrite system: its relations, the search and the walk
 # ---------------------------------------------------------------------------
 
 
-def structural_relations(sites: int) -> list[Relation]:
-    """All factor-letter relation instances on the given sites: rel1..rel4
-    at each n, then comm0 at each site, then far(a, sa, b, sb) once for each
-    pair of sites a < b two or more apart, as its reverse swaps them back."""
+def structural_relations(sites: Iterable[int]) -> list[Relation]:
+    """All factor-letter relation instances among the given sites: rel1..rel4
+    at each n with n+1 among them, then comm0 at each site, then
+    far(a, sa, b, sb) once for each pair of sites a < b two or more apart,
+    as its reverse swaps them back.  Every relation keeps the set of sites a
+    word touches, so on a word's own sites these are all that can match."""
+    sites = sorted(set(sites))
     rels: list[Relation] = []
-    for n in range(1, sites):
-        rels.extend((rel1(n), rel2(n), rel3(n), rel4(n)))
-    rels.extend(comm0(n) for n in range(1, sites + 1))
-    for a in range(1, sites + 1):
-        for b in range(a + 2, sites + 1):
-            rels.extend(far(a, sa, b, sb) for sa in (1, -1) for sb in (1, -1))
+    for n in sites:
+        if n + 1 in sites:
+            rels.extend((rel1(n), rel2(n), rel3(n), rel4(n)))
+    rels.extend(comm0(n) for n in sites)
+    for a in sites:
+        for b in sites:
+            if b - a >= 2:
+                rels.extend(far(a, sa, b, sb) for sa in (1, -1) for sb in (1, -1))
     return rels
 
 
@@ -340,6 +305,36 @@ def _matching_steps(word: tuple, index: dict) -> list[Step]:
     return [Step(pos, rel, not rev) for _, rev, pos, rel in found]
 
 
+def _derive(name: str, start: Word, end: Word) -> DerivationScript:
+    """The shortest script that rewrites `start` into `end` by the
+    structural relations among the sites `start` touches, through words no
+    longer than `start`: a breadth-first search that takes each word's steps
+    in :func:`_matching_steps`' order and keeps the first step to reach each
+    word.
+
+    The cap leaves finitely many words to visit; raises InvalidParams when
+    all have been visited without reaching `end`.
+    """
+    start, end = tuple(start), tuple(end)
+    index = _pattern_index(structural_relations(x.site for x in start))
+    parent: dict = {start: None}
+    frontier = deque([start])
+    while frontier:
+        word = frontier.popleft()
+        if word == end:
+            steps: list[Step] = []
+            while parent[word] is not None:
+                word, step = parent[word]
+                steps.append(step)
+            return DerivationScript(name, start, tuple(reversed(steps)), end)
+        for step in _matching_steps(word, index):
+            image = apply_step(word, step)
+            if len(image) <= len(start) and image not in parent:
+                parent[image] = (word, step)
+                frontier.append(image)
+    raise InvalidParams(f"{name}: no derivation through words of at most {len(start)} letters")
+
+
 def random_walk(
     start: Word, steps: int, rng: random.Random, length_cap: int
 ) -> tuple[list[Word], list[Step]]:
@@ -355,7 +350,7 @@ def random_walk(
     Returns the word trace (including the start) and the steps taken; the
     walk stops early if no step is admissible.
     """
-    index = _pattern_index(structural_relations(max((x.site for x in start), default=0)))
+    index = _pattern_index(structural_relations(x.site for x in start))
     word = tuple(start)
     trace = [word]
     taken: list[Step] = []

@@ -19,7 +19,7 @@ from qtorus.errors import InfiniteSupport, InvalidParams
 from qtorus.qexp import euler_denominator_factors
 from qtorus.series import LaurentSeries
 from qtorus.verifier import product_coefficients, window_targets
-from qtorus.words import Step, expand_composites
+from qtorus.words import Step, apply_step, expand_composites
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +320,29 @@ def scan_applicable_steps(word, relations) -> list[Step]:
                 if word[pos : pos + span] == tuple(pattern):
                     out.append(Step(pos, rel, forward))
     return out
+
+
+def derivation_within(start, end, relations, cap: int, depth: int) -> bool:
+    """Whether at most `depth` steps of `relations`, each found by
+    :func:`scan_applicable_steps`, rewrite `start` into `end` through words
+    of at most `cap` letters: a depth-first search to that depth, which
+    skips a word already searched with as many steps left."""
+    end = tuple(end)
+    searched: dict = {}
+
+    def search(word, left):
+        if word == end:
+            return True
+        if left == 0 or searched.get(word, -1) >= left:
+            return False
+        searched[word] = left
+        return any(
+            search(image, left - 1)
+            for step in scan_applicable_steps(word, relations)
+            if len(image := apply_step(word, step)) <= cap
+        )
+
+    return search(tuple(start), depth)
 
 
 # ---------------------------------------------------------------------------

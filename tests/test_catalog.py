@@ -26,10 +26,9 @@ from qtorus.catalog import (  # internal, exercised below
     _compare_words,
     _exact,
     _row,
-    _sigma_pairs,
 )
 from qtorus.errors import InvalidParams
-from qtorus.scripts import _matching_steps, _pattern_index
+from qtorus.scripts import _matching_steps, _pattern_index, _sigma_sides
 from qtorus.scripts import braid_script, random_walk, structural_relations
 from qtorus.series import FactoredRational, LaurentSeries
 from qtorus.verifier import (
@@ -338,7 +337,7 @@ def test_walk_start_orbit_is_checked_exhaustively(start, cap, sites, size, pairs
     defaults = _BY_NAME["rewrite_walk"].defaults
     assert sites == defaults["N"]
     window, precision = box or (defaults["W"], defaults["P"])
-    index = _pattern_index(structural_relations(sites))
+    index = _pattern_index(structural_relations(range(1, sites + 1)))
     orbit, frontier, applied = {start}, [start], set()
     while frontier:
         word = frontier.pop(0)
@@ -474,7 +473,7 @@ def test_heavy_grid_report_is_pinned(name, params, want):
     [
         ("two_site_set", _chain_pairs(2)),
         ("lattice_set", _chain_pairs(6)),
-        ("sigma_alg", _sigma_pairs(2, 4)),
+        ("sigma_alg", _sigma_sides(2, 4)),
     ],
     ids=["two_site_set", "lattice_set", "sigma_alg"],
 )
@@ -498,7 +497,7 @@ def test_corrupted_pair_is_evaluated_not_shared():
     # the second sigma_alg pair, the first's mirrored inverse, with one
     # sign of its right side flipped: that side shares no class, so it is
     # evaluated and the pair fails
-    first, (label, lhs, rhs) = _sigma_pairs(2, 4)
+    first, (label, lhs, rhs) = _sigma_sides(2, 4)
     letters = expand_composites(rhs)
     bad = letters[:-1] + (S(letters[-1].site, -letters[-1].sign),)
     (kept, broken), _ = _compare_words([first, (label, lhs, bad)], 4, 2, 10)
@@ -618,7 +617,7 @@ def test_walk_words_touch_the_start_sites(sites):
     # every structural relation keeps the set of sites a word touches, so
     # every walk word lives on the start's sites 1..3; the walk judges each
     # checkpoint by its own pair's rows and does not rely on this
-    for rel in structural_relations(sites):
+    for rel in structural_relations(range(1, sites + 1)):
         assert {x.site for x in rel.lhs} == {x.site for x in rel.rhs}, rel.rid
     for seed in range(20):
         trace, _ = random_walk(_WALK_START, _WALK_STEPS, random.Random(seed), _WALK_LENGTH_CAP)

@@ -8,6 +8,7 @@ import pytest
 from qtorus import scripts
 from qtorus.errors import InvalidParams
 from qtorus.scripts import (
+    _derive,
     _matching_steps,
     _pattern_index,
     bcomm_script,
@@ -49,13 +50,27 @@ from qtorus.words import (
     replay,
 )
 
-from oracles import compare_words_unshared, scan_applicable_steps
+from oracles import compare_words_unshared, derivation_within, scan_applicable_steps
 
 
 def _same_image(lhs, rhs, sites, window, precision):
     """Whether two factor words have equal coefficients on their box."""
     (rows,), _ = compare_words_unshared([("", lhs, rhs)], sites, window, precision)
     return all(row["match"] for row in rows)
+
+
+def _word_trace(script):
+    """The script's name, each word its steps pass through from its start,
+    and its end, one a line."""
+    words = [script.start]
+    for step in script.steps:
+        words.append(apply_step(words[-1], step))
+    lines = (script.name, *map(render_word, words), render_word(script.end))
+    return "".join(f"{line}\n" for line in lines)
+
+
+_PAIRS = [(m, n, 12) for m in range(1, 12) for n in range(1, 12)]
+_INDICES = [(n, 12) for n in range(1, 12)]
 
 
 class TestBraidScript:
@@ -140,30 +155,91 @@ class TestCommutationScripts:
             build(*args)
 
     @pytest.mark.parametrize(
-        "build, digest",
+        "build, cases, text, digest",
         [
-            (bcomm_script, "d38edac9d8e9aa51619b40843d1b463fd75d3f0b74df8580a7b01ce09c68afa9"),
-            (sigma_commute_script, "2d6b4ff147abb5d629c0448436820fa34434b6907dcfe064e51a127a966220ec"),
+            (bcomm_script, _PAIRS, _word_trace, "fbf871df6aa6984a405c66f5d482015defb8ec9f9aa0ea76ed28f9467ac6c5b7"),
+            (sigma_commute_script, _PAIRS, _word_trace, "9fcd2dc5b2b440a4abea318ffa708d4121ab9eb92c98ac5205f8f897cb017dbf"),
+            (braid_script, _INDICES, render_script, "e8764a732b26a4e36cad6c4b1207dd94bd04e607060a1d4d9f8d78a9530bca5c"),
+            (sigma_script1, _INDICES, render_script, "4ec03ebd65bf5f9806593b4994a94c42ea3577f352c4a23faa02bb306c4d1e38"),
+            (sigma_script2, _INDICES, render_script, "c4905c2f241a11e206c70d2fe5a4added5efb611d14cf730f1468ad819bd543e"),
         ],
-        ids=["bcomm", "sigma_commute"],
+        ids=["bcomm", "sigma_commute", "braid", "sigma_rel1", "sigma_rel2"],
     )
-    def test_scripts_are_pinned(self, build, digest):
-        # the name, start, steps and end of the script for every m, n in
-        # 1..11 on 12 sites, or the error for letters too close, as the
-        # generators gave them when each listed its four far steps by hand
-        text = []
-        for m in range(1, 12):
-            for n in range(1, 12):
-                try:
-                    text.append(render_script(build(m, n, 12)))
-                except InvalidParams as exc:
-                    text.append(f"error: {exc}\n")
-        assert hashlib.sha256("".join(text).encode()).hexdigest() == digest
+    def test_scripts_are_pinned(self, build, cases, text, digest):
+        # each script for every m, n in 1..11, or n in 1..11, on 12 sites,
+        # or the error for letters too close or out of range.  The word
+        # traces of bcomm and sigma_commute, and braid's whole scripts, are
+        # as the generators gave them when each listed its steps by hand;
+        # the search found the sigma scripts' steps in another order
+        out = []
+        for args in cases:
+            try:
+                out.append(text(build(*args)))
+            except InvalidParams as exc:
+                out.append(f"error: {exc}\n")
+        assert hashlib.sha256("".join(out).encode()).hexdigest() == digest
 
     def test_distance_two_letters_do_not_commute(self):
         # images of c1 c3 and c3 c1 differ, so no commutation relation is
         # admitted at distance two
         assert _same_image((C(1), C(3)), (C(3), C(1)), 4, 1, 8) is False
+
+
+class TestDerive:
+    """The five lemma generators are :func:`_derive` calls; an oracle that
+    shares no matcher with the engine checks that each script is shortest."""
+
+    DERIVED = (braid_script, sigma_script1, sigma_script2, bcomm_script, sigma_commute_script)
+
+    def test_generators_give_shortest_scripts(self):
+        # over every relation of the chain, not only the start's sites, no
+        # derivation one step shorter stays within the start's length
+        built = set()
+        checked = 0
+        for build, args in _indexed_scripts():
+            if build not in self.DERIVED:
+                continue
+            script, sites = build(*args), args[-1]
+            chain = structural_relations(range(1, sites + 1))
+            cap = len(script.start)
+            assert replay(script).ok
+            assert derivation_within(script.start, script.end, chain, cap, len(script.steps))
+            assert not derivation_within(
+                script.start, script.end, chain, cap, len(script.steps) - 1
+            ), (build.__name__, args)
+            built.add(build)
+            checked += 1
+        assert len(built) == 5 and checked == 210
+
+    def test_raises_when_the_capped_words_run_out(self):
+        # no step at all matches a word of two letters on two sites
+        start, end = parse_word("s1+ s2+"), parse_word("s2+ s1+")
+        with pytest.raises(InvalidParams, match="at most 2 letters"):
+            _derive("swap", start, end)
+
+    def test_braid_passes_through_words_as_long_as_its_start(self):
+        # so a cap one letter lower than the start's length cannot give it
+        for n in range(1, 5):
+            script = braid_script(n, n + 1)
+            words = [script.start]
+            for step in script.steps:
+                words.append(apply_step(words[-1], step))
+            assert max(map(len, words[1:-1])) == len(script.start), n
+
+    def test_an_eight_letter_start_on_four_sites_finishes(self):
+        # 848 words of at most 8 letters are reachable from the start; the
+        # search visits them all for an end on a fifth site, and reaches the
+        # first two letters swapped in four far steps
+        start = expand_composites((B(1), B(3), B(2), B(4)))
+        with pytest.raises(InvalidParams, match="at most 8 letters"):
+            _derive("unreachable", start, start[:-1] + (S(5, 1),))
+        end = expand_composites((B(3), B(1), B(2), B(4)))
+        script = _derive("swap", start, end)
+        assert replay(script).ok and len(script.steps) == 4
+
+    def test_start_is_its_own_end(self):
+        word = parse_word("s1+ s2-")
+        assert _derive("id", word, word) == DerivationScript("id", word, (), word)
 
 
 class TestSevenTermScript:
@@ -296,9 +372,9 @@ def _inverse(steps):
 
 
 class TestMirrorDerivations:
-    """The hand-written derivations that are mirror images of their
-    partners are exactly those images, record for record.  Replay alone
-    does not see a reordered step that still matches."""
+    """Derivations that are mirror images of their partners: the braid
+    script's second half undoes the image of its first, and the image of
+    each sigma script's steps derives the other."""
 
     def test_mirror_of_a_relation_is_its_image(self):
         for total in range(3, 12):
@@ -313,7 +389,8 @@ class TestMirrorDerivations:
         assert _mirror_relation(rel1(2), 7) == rel4(4)
 
     def test_sigma_script2_is_the_mirror_image_of_sigma_script1(self):
-        # over sites n-1..n+2
+        # over sites n-1..n+2: the mirror image of each script's steps
+        # rewrites the other's start to its end, in the same 8 steps
         checked = 0
         for sites in range(4, 14):
             for n in range(2, sites - 1):
@@ -321,7 +398,10 @@ class TestMirrorDerivations:
                 total = 2 * n + 1
                 assert two.start == _mirror_word(one.start, total)
                 assert two.end == _mirror_word(one.end, total)
-                assert two.steps == _mirror_steps(one.start, one.steps, total), (n, sites)
+                for a, b in ((one, two), (two, one)):
+                    image = _mirror_steps(a.start, a.steps, total)
+                    assert replay(DerivationScript(b.name, b.start, image, b.end)).ok, (n, sites)
+                assert len(one.steps) == len(two.steps) == 8
                 checked += 1
         assert checked == sum(sites - 3 for sites in range(4, 14))
 
@@ -427,7 +507,7 @@ class TestTranslatedDerivations:
         moved = _translated(script, 3)
         assert moved.name == "sigma_rel1(5)"
         assert moved.start == expand_composites((C(6), C(4), C(5), C(6)))
-        assert moved.steps[0] == Step(1, far(7, 1, 4, -1), True)
+        assert moved.steps[0] == Step(5, comm0(6), True)
         assert _translated(braid_translation_fwd(1, 4, 2), 2).name == "braid_fwd(3,6,4)"
 
     @pytest.mark.parametrize("d", [1, 2, 5])
@@ -479,7 +559,7 @@ class TestWordImages:
 
 class TestWalks:
     def test_applicable_steps_basics(self):
-        rels = structural_relations(2)
+        rels = structural_relations(range(1, 3))
         word = parse_word("s1+ s1-")
         steps = _matching_steps(word, _pattern_index(rels))
         assert Step(0, comm0(1), True) in steps
@@ -488,14 +568,14 @@ class TestWalks:
     def test_applicable_steps_word_ends_in_a_side_prefix(self):
         # the word is a proper prefix of rel1(1)'s left side: no window of
         # that length fits in it, and the shorter sides still match
-        rels = structural_relations(4)
+        rels = structural_relations(range(1, 5))
         word = parse_word("s2+ s1- s1+")
         assert tuple(rel1(1).lhs[:3]) == word and len(rel1(1).lhs) == 4
         assert _matching_steps(word, _pattern_index(rels)) == scan_applicable_steps(word, rels)
 
     @pytest.mark.parametrize("sites", range(2, 7))
     def test_each_far_commutation_listed_once(self, sites):
-        rels = structural_relations(sites)
+        rels = structural_relations(range(1, sites + 1))
         far_rels = [rel for rel in rels if rel.rid == "far"]
         # four sign choices per pair of sites two or more apart
         assert len(far_rels) == 4 * (sites - 1) * (sites - 2) // 2
@@ -505,7 +585,7 @@ class TestWalks:
 
     @pytest.mark.parametrize("sites", [4, 6])
     def test_applicable_steps_matches_scan(self, sites):
-        rels = structural_relations(sites)
+        rels = structural_relations(range(1, sites + 1))
         rng = random.Random(sites)
         letters = [S(n, e) for n in range(1, sites + 1) for e in (1, -1)] + [B(1)]
         index = _pattern_index(rels)
@@ -524,7 +604,7 @@ class TestWalks:
     def test_walk_respects_length_cap(self):
         # capped at its own length, a start that a growing step matches
         start = parse_word("s1+ s2- s1- s3+ s2+ s3-")
-        index = _pattern_index(structural_relations(4))
+        index = _pattern_index(structural_relations(range(1, 5)))
         assert any(len(apply_step(start, st)) > len(start) for st in _matching_steps(start, index))
         trace, _ = random_walk(start, 60, random.Random(3), length_cap=len(start))
         assert all(len(w) <= len(start) for w in trace)
@@ -582,7 +662,9 @@ class TestWalks:
         assert digest_of_walks() == digest
         chain = scripts.structural_relations
         for sites in (max(x.site for x in word), 8, 32):
-            monkeypatch.setattr(scripts, "structural_relations", lambda _, n=sites: chain(n))
+            monkeypatch.setattr(
+                scripts, "structural_relations", lambda _, n=sites: chain(range(1, n + 1))
+            )
             assert digest_of_walks() == digest, sites
 
     def test_walk_preserves_image(self):

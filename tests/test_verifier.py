@@ -12,7 +12,7 @@ import pytest
 
 from qtorus.algebra import Element, monomial_label, mul_terms
 from qtorus.errors import InfiniteSupport, InvalidParams, NoCertificate
-from qtorus.scripts import braid_script, sigma_script1, sigma_script2
+from qtorus.scripts import _sigma_sides, braid_script, sigma_script1, sigma_script2
 from qtorus.series import LaurentSeries
 from qtorus.verifier import (
     ProductCertificate,
@@ -903,7 +903,7 @@ class TestScaledForm:
             (catalog._chain_pairs(2), 2),
             (catalog._chain_pairs(6), 6),
             ([("", braid.start, braid.end)], 3),
-            (catalog._sigma_pairs(2, 4), 4),
+            (_sigma_sides(2, 4), 4),
         ]
         for pairs, sites in runs:
             for _, lhs, rhs in pairs:

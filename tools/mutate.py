@@ -62,7 +62,7 @@ VERDICTS = {
 }
 
 FAULTS = [
-    # the rewrite layer: matcher, walk, relation list and far swap
+    # the rewrite layer: matcher, walk, search and relation list
     (
         "src/qtorus/scripts.py",
         "for pos in range(len(word) - n + 1)",
@@ -83,15 +83,10 @@ FAULTS = [
     ),
     (
         "src/qtorus/scripts.py",
-        "max((x.site for x in start), default=0)",
-        "max((x.site for x in start), default=0) - 1",
+        "_pattern_index(structural_relations(x.site for x in start))\n    word = tuple(start)",
+        "_pattern_index(structural_relations(sorted({x.site for x in start})[:-1]))\n"
+        "    word = tuple(start)",
         "walk indexes the relations one site short of its start's",
-    ),
-    (
-        "src/qtorus/scripts.py",
-        "((1, b, c), (0, a, c), (2, b, d), (1, a, d))",
-        "((1, b, c), (0, a, c), (1, a, d), (2, b, d))",
-        "far swap's last two steps swapped",
     ),
     (
         "src/qtorus/scripts.py",
@@ -101,27 +96,33 @@ FAULTS = [
     ),
     (
         "src/qtorus/scripts.py",
-        "    rels.extend(comm0(n) for n in range(1, sites + 1))\n",
+        "if len(image) <= len(start) and image not in parent:",
+        "if len(image) < len(start) and image not in parent:",
+        "the search's cap one letter too low",
+    ),
+    (
+        "src/qtorus/scripts.py",
+        "word = frontier.popleft()",
+        "word = frontier.pop()",
+        "the search goes depth-first",
+    ),
+    (
+        "src/qtorus/scripts.py",
+        "    rels.extend(comm0(n) for n in sites)\n",
         "",
         "structural relations without the same-site swaps",
     ),
     (
         "src/qtorus/scripts.py",
-        "for b in range(a + 2, sites + 1):",
-        "for b in range(a + 1, sites + 1):",
+        "if b - a >= 2:",
+        "if b - a >= 1:",
         "far commutations listed from the neighbouring site",
     ),
     (
         "src/qtorus/scripts.py",
-        "        Step(5, far(r, 1, m, -1), True),\n"
-        "        Step(4, far(p, -1, m, -1), True),\n"
-        "        Step(3, far(p, 1, m, -1), True),\n"
-        "        Step(1, comm0(n), True),\n",
-        "        Step(1, comm0(n), True),\n"
-        "        Step(5, far(r, 1, m, -1), True),\n"
-        "        Step(4, far(p, -1, m, -1), True),\n"
-        "        Step(3, far(p, 1, m, -1), True),\n",
-        "sigma_script2's same-site swap moved first: it still replays",
+        "sites = sorted(set(sites))",
+        "sites = sorted(set(sites))[:-1]",
+        "structural relations drop their highest site",
     ),
     # letters, relations and rules
     (
@@ -644,8 +645,8 @@ FAULTS = [
     ),
     (
         "src/qtorus/catalog.py",
-        'rels = [rel for rel in structural_relations(length) if rel.rid != "far"]',
-        "rels = structural_relations(length)",
+        'rels = [rel for rel in structural_relations(range(1, length + 1)) if rel.rid != "far"]',
+        "rels = structural_relations(range(1, length + 1))",
         "chain items check the far commutations too",
     ),
     (
